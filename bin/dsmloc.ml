@@ -15,13 +15,12 @@
      dsmloc fuzz     [--count N] [--seed S] [--jobs N] [--deep-every N]
                      [--determinism-sample N] [--wall-cap S] [--out DIR]
                      [--inject-mutation] [--no-shrink]
-     dsmloc serve    --socket PATH | --stdio [--workers N] [--deadline S] ...
-     dsmloc request  <path.dsm|-> --socket PATH [--procs H] [--env K=V]
 
    Exit codes: 0 clean; 1 fatal (bad arguments, parse error, strict-mode
    failure, too many errors); 2 the analysis degraded (error-severity
-   diagnostics recorded); 3 dataflow validation found stale reads.
-   `request` additionally: 3 shed by admission control, 4 deadline.
+   diagnostics recorded); 3 dataflow validation found stale reads;
+   4 `run --validate` checked nothing (no reads checked and no content
+   cells compared).  3 and 2 take precedence over 4.
 *)
 
 open Cmdliner
@@ -88,7 +87,7 @@ let pow_int_conv =
 let size_arg =
   let doc =
     "Problem-size knob (code-specific exponent).  Power notation names \
-     the extent directly: $(b,--size 2\\^30) selects a 2^30-element \
+     the extent directly: $(b,--size 2^30) selects a 2^30-element \
      problem."
   in
   Arg.(value & opt (some size_conv) None & info [ "size"; "s" ] ~docv:"N" ~doc)
@@ -516,7 +515,9 @@ let run_cmd =
   let validate_run_arg =
     let doc =
       "Fail (exit 3) on any stale read or final-content mismatch against \
-       the sequential replay, not just on schedule-parity violations."
+       the sequential replay, not just on schedule-parity violations.  \
+       Exit 4 when neither check compared anything (no reads checked, \
+       no content cells); warn when only one of them is empty."
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
@@ -552,7 +553,27 @@ let run_cmd =
               || r.errors <> []
               || (validate && (r.stale > 0 || r.content_mismatches > 0))
             in
-            finish ~failed t)
+            (* A validation that compared nothing is not a pass: both
+               checks empty exits 4, one of them empty warns. *)
+            let no_reads = r.reads_checked = 0 and no_cells = r.content_cells = 0 in
+            let vacuous = validate && no_reads && no_cells in
+            if vacuous then
+              prerr_endline
+                "error: --validate checked nothing (0 reads checked, 0 \
+                 content cells)"
+            else if validate then begin
+              if no_reads then
+                prerr_endline
+                  "warning: --validate staleness check is vacuous (0 reads \
+                   checked)";
+              if no_cells then
+                Printf.eprintf
+                  "warning: --validate content check is vacuous (0 content \
+                   cells; skipped %s)\n"
+                  (String.concat " " r.arrays_skipped)
+            end;
+            finish ~failed t;
+            if vacuous then exit 4)
   in
   Cmd.v
     (Cmd.info "run"
@@ -836,246 +857,6 @@ let batch_cmd =
       const f $ profile_term $ mode_term $ codes_arg $ all_arg $ jobs_arg
       $ size_arg $ procs_list_arg $ crash_arg)
 
-(* ------------------------------------------------------------------ *)
-(* serve / request: the warm analysis daemon and its client.
-
-   Exit codes for `request` extend the base contract with the serving
-   statuses: 0 ok; 1 fatal (transport failure, SERVE-* error); 2
-   degraded; 3 shed by admission control (retry after the hint); 4
-   deadline exceeded. *)
-
-let socket_doc = "Unix-domain socket path of the daemon."
-
-let socket_opt_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH" ~doc:socket_doc)
-
-let socket_req_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH" ~doc:socket_doc)
-
-let serve_cmd =
-  let stdio_arg =
-    let doc =
-      "Serve a single connection on stdin/stdout instead of a socket."
-    in
-    Arg.(value & flag & info [ "stdio" ] ~doc)
-  in
-  let workers_arg =
-    let doc = "Number of persistent forked analysis workers." in
-    Arg.(value & opt int 4 & info [ "workers"; "j" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc =
-      "Admission-queue bound: past $(docv) queued requests the daemon \
-       sheds with SERVE-OVERLOAD and a retry-after hint."
-    in
-    Arg.(value & opt int 64 & info [ "queue-cap" ] ~docv:"N" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Default per-request budget in seconds (a request's own %deadline \
-       directive wins).  Past it the worker is killed and the client \
-       gets SERVE-DEADLINE."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let max_frame_arg =
-    let doc = "Wire frame cap in bytes (oversized frames: SERVE-BAD-FRAME)." in
-    Arg.(
-      value
-      & opt int Frontend.Wire.default_max_frame
-      & info [ "max-frame" ] ~docv:"BYTES" ~doc)
-  in
-  let max_jobs_arg =
-    let doc = "Recycle a worker after serving $(docv) requests." in
-    Arg.(value & opt int 256 & info [ "max-worker-jobs" ] ~docv:"N" ~doc)
-  in
-  let max_rss_arg =
-    let doc = "Recycle a worker past $(docv) KiB resident set." in
-    Arg.(
-      value & opt int (1 lsl 20) & info [ "max-worker-rss-kb" ] ~docv:"KB" ~doc)
-  in
-  let drain_arg =
-    let doc =
-      "Seconds granted to in-flight work on SIGTERM before it is killed \
-       with SERVE-DRAIN."
-    in
-    Arg.(value & opt float 5.0 & info [ "drain-deadline" ] ~docv:"S" ~doc)
-  in
-  let max_conns_arg =
-    let doc = "Concurrent client connection limit." in
-    Arg.(value & opt int 64 & info [ "max-connections" ] ~docv:"N" ~doc)
-  in
-  let hooks_arg =
-    let doc =
-      "Honour the %hang/%crash request directives (torture tests and CI \
-       only; without this flag they are stripped on admission)."
-    in
-    Arg.(value & flag & info [ "test-hooks" ] ~doc)
-  in
-  let verbose_arg =
-    let doc = "Per-request log lines on stderr." in
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
-  in
-  let f () socket stdio workers queue_cap deadline max_frame max_jobs max_rss
-      drain max_conns hooks verbose =
-    let socket =
-      match (socket, stdio) with
-      | Some s, false -> Some s
-      | None, true -> None
-      | Some _, true ->
-          Printf.eprintf "--socket and --stdio are mutually exclusive\n";
-          exit 1
-      | None, false ->
-          Printf.eprintf "serve needs --socket PATH or --stdio\n";
-          exit 1
-    in
-    let diags = Core.Diag.collector () in
-    let cfg =
-      {
-        Core.Server.socket;
-        workers;
-        queue_cap;
-        default_deadline = deadline;
-        max_frame;
-        max_worker_jobs = max_jobs;
-        max_worker_rss_kb = max_rss;
-        drain_deadline = drain;
-        max_connections = max_conns;
-        test_hooks = hooks;
-        verbose;
-      }
-    in
-    (match Core.Server.run ~diags cfg with
-    | () -> ()
-    | exception Unix.Unix_error (e, fn, arg) ->
-        Printf.eprintf "serve: %s(%s): %s\n" fn arg (Unix.error_message e);
-        exit 1);
-    match Core.Diag.to_list diags with
-    | [] -> ()
-    | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the warm analysis daemon: persistent recycling workers, \
-          per-request deadlines, bounded admission, graceful SIGTERM drain.")
-    Term.(
-      const f $ profile_term $ socket_opt_arg $ stdio_arg
-      $ workers_arg $ queue_arg $ deadline_arg $ max_frame_arg $ max_jobs_arg
-      $ max_rss_arg $ drain_arg $ max_conns_arg $ hooks_arg $ verbose_arg)
-
-let request_cmd =
-  let path_arg =
-    let doc = "Surface-language program (.dsm), or - for stdin." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
-  let env_arg =
-    let doc = "Comma-separated parameter bindings, e.g. N=32,M=16." in
-    Arg.(value & opt string "" & info [ "env"; "e" ] ~docv:"BINDINGS" ~doc)
-  in
-  let deadline_arg =
-    let doc = "Per-request deadline in seconds (%deadline directive)." in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let timeout_arg =
-    let doc = "Client-side timeout for the whole round trip." in
-    Arg.(value & opt float 60. & info [ "timeout" ] ~docv:"S" ~doc)
-  in
-  let hang_arg =
-    let doc =
-      "Test hook: ask the worker to sleep $(docv) seconds first (needs a \
-       daemon started with --test-hooks)."
-    in
-    Arg.(value & opt float 0. & info [ "hang" ] ~docv:"S" ~doc)
-  in
-  let crash_arg =
-    let doc = "Test hook: ask the worker to SIGKILL itself (ditto)." in
-    Arg.(value & flag & info [ "crash" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "Suppress the response summary line on stderr." in
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
-  in
-  let read_all ic =
-    let b = Buffer.create 4096 in
-    (try
-       while true do
-         Buffer.add_channel b ic 4096
-       done
-     with End_of_file -> ());
-    Buffer.contents b
-  in
-  let f path socket h bindings deadline timeout hang crash quiet =
-    let source =
-      if path = "-" then read_all stdin
-      else
-        match open_in_bin path with
-        | ic ->
-            let s = read_all ic in
-            close_in ic;
-            s
-        | exception Sys_error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 1
-    in
-    let env =
-      if bindings = "" then []
-      else
-        String.split_on_char ',' bindings
-        |> List.map (fun kv ->
-               match String.split_on_char '=' kv with
-               | [ k; v ] -> (
-                   match int_of_string_opt v with
-                   | Some v -> (k, v)
-                   | None ->
-                       Printf.eprintf "bad binding %S\n" kv;
-                       exit 1)
-               | _ ->
-                   Printf.eprintf "bad binding %S\n" kv;
-                   exit 1)
-    in
-    let req =
-      Frontend.Wire.request ~env ~procs:h ?deadline ~hang ~crash source
-    in
-    match Core.Server.Client.request ~socket ~timeout req with
-    | Error msg ->
-        Printf.eprintf "request failed: %s\n" msg;
-        exit 1
-    | Ok r ->
-        print_string r.Frontend.Wire.body;
-        if not quiet then begin
-          Printf.eprintf "status %s%s; %.1fms; artifact hits %d; worker request #%d%s\n"
-            (Frontend.Wire.status_to_string r.status)
-            (match r.code with Some c -> " (" ^ c ^ ")" | None -> "")
-            r.elapsed_ms r.artifact_hits r.worker_requests
-            (match r.retry_after with
-            | Some s -> Printf.sprintf "; retry after %.2fs" s
-            | None -> "")
-        end;
-        exit
-          (match r.status with
-          | Frontend.Wire.Ok -> 0
-          | Frontend.Wire.Degraded -> 2
-          | Frontend.Wire.Error -> 1
-          | Frontend.Wire.Overload -> 3
-          | Frontend.Wire.Deadline -> 4)
-  in
-  Cmd.v
-    (Cmd.info "request"
-       ~doc:
-         "Send one program to a running `dsmloc serve` daemon and print \
-          the response body (exit: 0 ok, 1 error, 2 degraded, 3 overload, \
-          4 deadline).")
-    Term.(
-      const f $ path_arg $ socket_req_arg $ procs_arg $ env_arg
-      $ deadline_arg $ timeout_arg $ hang_arg $ crash_arg $ quiet_arg)
-
 let lint_cmd =
   let targets_arg =
     let doc =
@@ -1261,4 +1042,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; analyze_cmd; batch_cmd; lcg_cmd; solve_cmd; simulate_cmd; sweep_cmd; comm_cmd; dot_cmd; spmd_cmd; run_cmd; report_cmd; table1_cmd; stability_cmd; validate_cmd; file_cmd; lint_cmd; fuzz_cmd; serve_cmd; request_cmd ]))
+          [ list_cmd; analyze_cmd; batch_cmd; lcg_cmd; solve_cmd; simulate_cmd; sweep_cmd; comm_cmd; dot_cmd; spmd_cmd; run_cmd; report_cmd; table1_cmd; stability_cmd; validate_cmd; file_cmd; lint_cmd; fuzz_cmd ]))

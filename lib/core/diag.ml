@@ -13,7 +13,6 @@ type stage =
   | Exec
   | Validation
   | Pool
-  | Serve
 
 type t = {
   severity : severity;
@@ -51,7 +50,6 @@ let stage_to_string = function
   | Exec -> "exec"
   | Validation -> "validation"
   | Pool -> "pool"
-  | Serve -> "serve"
 
 let add c ~severity ~stage ?where ~code message =
   (* the diagnostic that would exceed the cap is not recorded *)

@@ -31,28 +31,9 @@
     - [POOL-PROFILE-BAD]: a batch worker's metrics profile did not
       parse; the job's value is kept and its profile degrades to an
       empty snapshot (warning severity);
-    - [POOL-DEADLINE]: a worker sat on one job past the per-job
-      deadline; it was SIGKILLed and replaced, and the job failed (in
-      {!Pool.map}, through the ordinary retry path);
     - [POOL-BAD-FRAME]: a worker emitted a corrupt or over-cap marshal
       frame; it was killed and the job failed instead of the parent
       allocating an adversarial length;
-    - [SERVE-BAD-FRAME]: a client connection sent a corrupt, oversized
-      or undecodable wire frame; the request is answered with a
-      structured error and the connection closed;
-    - [SERVE-BAD-REQUEST]: a well-framed request document that does not
-      parse (bad directive, empty program);
-    - [SERVE-PARSE]: the program inside a request failed
-      {!Frontend.Parse} (reported per-request, not fatal to the
-      daemon);
-    - [SERVE-OVERLOAD]: admission control shed a request because the
-      queue was at capacity; the reply carries a retry-after hint;
-    - [SERVE-DEADLINE]: a request exceeded its deadline (queued or in
-      flight); a hung worker is killed and replaced;
-    - [SERVE-WORKER-LOST]: the worker serving a request died and the
-      retry budget was exhausted;
-    - [SERVE-DRAIN]: the daemon shut down before the request finished
-      (graceful-drain deadline overtook it);
     - [COMM-SIZE]: an array size would not evaluate while generating
       the communication schedule (the array's messages are omitted);
     - [FAULT-INJECTED], [FAULT-UNRECOVERED]: fault-injection summary /
@@ -83,7 +64,6 @@ type stage =
   | Exec
   | Validation
   | Pool  (** the batch driver's forked-worker pool (see {!Pool}) *)
-  | Serve  (** the [dsmloc serve] daemon (see {!Server}) *)
 
 type t = {
   severity : severity;

@@ -1,6 +1,6 @@
 (* Forked worker pool: the parent owns the work queue and feeds workers
    over per-worker pipes; see pool.mli for the contract and DESIGN.md
-   section 13 for the wire protocol.
+   section 13 for the pipe framing.
 
    Framing: every message, both directions, is an 8-byte big-endian
    length followed by that many bytes of [Marshal] payload.  A worker
@@ -67,14 +67,18 @@ let send fd v =
 (* Total receive: a corrupt or adversarial length prefix (negative or
    over the cap) and an undecodable payload both come back as [`Bad],
    distinct from [`Eof] (peer death). *)
-let recv ?(cap = default_frame_cap) fd =
+let recv fd =
   match read_exact fd 8 with
   | None -> `Eof
   | Some hdr -> (
       let len64 = Bytes.get_int64_be hdr 0 in
-      if Int64.compare len64 0L < 0 || Int64.compare len64 (Int64.of_int cap) > 0
+      if
+        Int64.compare len64 0L < 0
+        || Int64.compare len64 (Int64.of_int default_frame_cap) > 0
       then
-        `Bad (Printf.sprintf "frame length %Ld exceeds cap %d" len64 cap)
+        `Bad
+          (Printf.sprintf "frame length %Ld exceeds cap %d" len64
+             default_frame_cap)
       else
         match read_exact fd (Int64.to_int len64) with
         | None -> `Eof
@@ -92,10 +96,9 @@ type worker = {
   job_w : Unix.file_descr;  (* parent writes job frames *)
   res_r : Unix.file_descr;  (* parent reads result frames *)
   mutable running : int option;  (* job index in flight *)
-  mutable started : float;  (* when the in-flight job was assigned *)
   mutable death_note : string option;
-      (* parent-side kill reason (deadline, bad frame) overriding the
-         reaped wait status *)
+      (* parent-side kill reason (bad frame) overriding the reaped wait
+         status *)
   mutable reaped : bool;
 }
 
@@ -132,7 +135,7 @@ let worker_loop ~f job_r res_w =
 (* Fork one worker.  [sibling_fds] are the parent-side ends of every
    other live worker's pipes: the child closes its inherited copies so
    a sibling's death still reads as EOF/EPIPE in the parent. *)
-let spawn_with ~loop ~sibling_fds =
+let spawn ~f ~sibling_fds =
   let job_r, job_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   flush stdout;
@@ -145,7 +148,7 @@ let spawn_with ~loop ~sibling_fds =
       (* _exit, not exit: the worker must not run the parent's at_exit
          handlers (the CLI's profile emitter) or flush its inherited
          copies of the parent's output buffers. *)
-      (try loop job_r res_w with _ -> Unix._exit 1);
+      (try worker_loop ~f job_r res_w with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
       Unix.close job_r;
@@ -155,12 +158,9 @@ let spawn_with ~loop ~sibling_fds =
         job_w;
         res_r;
         running = None;
-        started = 0.;
         death_note = None;
         reaped = false;
       }
-
-let spawn ~f ~sibling_fds = spawn_with ~loop:(worker_loop ~f) ~sibling_fds
 
 let describe_status = function
   | Unix.WEXITED c -> Printf.sprintf "worker exited with code %d" c
@@ -199,12 +199,11 @@ let jobs_counter = Metrics.counter "pool.jobs"
 let crash_counter = Metrics.counter "pool.worker_lost"
 let retry_counter = Metrics.counter "pool.retries"
 let pool_timer = Metrics.timer "pool.map"
-let deadline_counter = Metrics.counter "pool.deadline_kills"
 let bad_frame_counter = Metrics.counter "pool.bad_frames"
 
 let profile_bad_counter = Metrics.counter "pool.profile_bad"
 
-let map ?(workers = 4) ?(retries = 1) ?deadline ?stream ?diags ~f jobs =
+let map ?(workers = 4) ?(retries = 1) ?stream ?diags ~f jobs =
   let jobs_a = Array.of_list jobs in
   let nj = Array.length jobs_a in
   if nj = 0 then ([], empty_snapshot)
@@ -258,15 +257,14 @@ let map ?(workers = 4) ?(retries = 1) ?deadline ?stream ?diags ~f jobs =
     let assign w idx =
       attempts.(idx) <- attempts.(idx) + 1;
       w.running <- Some idx;
-      w.started <- Metrics.now ();
       try send w.job_w (Job (idx, attempts.(idx), jobs_a.(idx)))
       with Unix.Unix_error (Unix.EPIPE, _, _) | Sys_error _ ->
         (* already dead: the EOF on its result pipe drives recovery *)
         ()
     in
-    (* A worker's death - organic crash, deadline kill or babbling
-       (bad frame) kill - always funnels here: reap it, replace it,
-       and retry or fail the in-flight job. *)
+    (* A worker's death - organic crash or babbling (bad frame) kill -
+       always funnels here: reap it, replace it, and retry or fail the
+       in-flight job. *)
     let handle_death w =
       Metrics.incr crash_counter;
       let reason = reap w in
@@ -323,18 +321,7 @@ let map ?(workers = 4) ?(retries = 1) ?deadline ?stream ?diags ~f jobs =
         assert (Queue.is_empty pending && !completed = nj)
       else begin
         let fds = List.map (fun w -> w.res_r) busy in
-        let timeout =
-          match deadline with
-          | None -> -1.0
-          | Some d ->
-              let now = Metrics.now () in
-              List.fold_left
-                (fun acc w -> min acc (max 0. (w.started +. d -. now)))
-                d busy
-        in
-        let readable, _, _ =
-          restart (fun () -> Unix.select fds [] [] timeout)
-        in
+        let readable, _, _ = restart (fun () -> Unix.select fds [] [] (-1.0)) in
         List.iter
           (fun fd ->
             match List.find_opt (fun w -> w.res_r = fd) !alive with
@@ -387,30 +374,7 @@ let map ?(workers = 4) ?(retries = 1) ?deadline ?stream ?diags ~f jobs =
                 | `Eof ->
                     (* EOF mid-stream: the worker died. *)
                     handle_death w))
-          readable;
-        (* Deadline sweep: a worker that has sat on one job longer than
-           the budget is hung, not crashed - SIGKILL turns it into a
-           reapable death with a [POOL-DEADLINE] note.  The snapshot may
-           contain workers the readable loop already reaped; skip them
-           or the lost job would be failed twice. *)
-        match deadline with
-        | None -> ()
-        | Some d ->
-            let now = Metrics.now () in
-            List.iter
-              (fun w ->
-                if (not w.reaped) && w.running <> None && now -. w.started >= d
-                then begin
-                  Metrics.incr deadline_counter;
-                  w.death_note <-
-                    Some
-                      (Printf.sprintf
-                         "job exceeded the %gs deadline (POOL-DEADLINE)" d);
-                  (try Unix.kill w.pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  handle_death w
-                end)
-              !alive
+          readable
       end
     done;
     let outcomes =
@@ -426,505 +390,3 @@ let map ?(workers = 4) ?(retries = 1) ?deadline ?stream ?diags ~f jobs =
     in
     (outcomes, merged)
   end
-
-(* ================================================================== *)
-(* Persistent server pool: the long-lived generalisation of [map] that
-   `dsmloc serve` dispatches onto.  Differences from [map]:
-
-   - jobs arrive over time ([submit]) instead of as one batch, and
-     admission is bounded: past [queue_cap] queued jobs [submit]
-     sheds ([`Overloaded]) instead of growing without bound;
-   - workers are warm: no per-job state reset, so interned expressions
-     and artifact stores accumulate across requests - that is the
-     point - and are instead bounded by recycling (a worker that has
-     served [max_worker_jobs] requests or grown past
-     [max_worker_rss_kb] is stopped and replaced by a fresh fork that
-     starts from clean analysis state);
-   - every job can carry an absolute deadline covering queue + service
-     time; an expired in-flight job gets its worker SIGKILLed and
-     replaced, an expired queued job is failed without running;
-   - completions are pulled by the owner's event loop ([step]), which
-     multiplexes the pool's pipes into its own [select]. *)
-
-let worker_rss_kb () =
-  (* Linux: VmRSS from /proc/self/status.  Elsewhere degrade to the
-     OCaml heap size, which under-reports but still catches unbounded
-     analysis-state growth. *)
-  let from_proc () =
-    let ic = open_in "/proc/self/status" in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let rec scan () =
-      match input_line ic with
-      | line ->
-          if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then
-            let digits =
-              String.to_seq line
-              |> Seq.filter (fun c -> c >= '0' && c <= '9')
-              |> String.of_seq
-            in
-            int_of_string_opt digits
-          else scan ()
-      | exception End_of_file -> None
-    in
-    scan ()
-  in
-  let fallback () =
-    let words = (Gc.quick_stat ()).Gc.heap_words in
-    words * (Sys.word_size / 8) / 1024
-  in
-  match from_proc () with
-  | Some kb -> kb
-  | None -> fallback ()
-  | exception Sys_error _ -> fallback ()
-
-module Server = struct
-  type 'a job = {
-    id : int;
-    payload : 'a;
-    affinity : int option;
-    deadline_at : float option;  (* absolute, covers queue + service *)
-    submitted : float;
-    mutable attempts : int;
-  }
-
-  type 'a slot_state = Idle | Busy of 'a job
-
-  type ('a, 'b) slot = {
-    index : int;
-    mutable w : worker;
-    mutable st : 'a slot_state;
-    mutable jobs_done : int;  (* since this worker was forked *)
-    mutable rss_kb : int;  (* worker's last self-reported RSS *)
-  }
-
-  type 'b completion = {
-    c_id : int;
-    c_outcome : ('b, string * string) result;
-        (* Error (code, reason): POOL-DEADLINE, POOL-WORKER-LOST,
-           POOL-BAD-FRAME, POOL-RAISED, POOL-DRAIN *)
-    c_attempts : int;
-    c_queued_s : float;
-    c_ran_s : float;
-    c_worker_jobs : int;  (* jobs the serving worker has done, this included *)
-  }
-
-  type ('a, 'b) t = {
-    f : 'a -> 'b;
-    retries : int;
-    queue_cap : int;
-    max_worker_jobs : int;
-    max_worker_rss_kb : int;
-    result_cap : int;
-    slots : ('a, 'b) slot array;
-    mutable pending : 'a job list;  (* admission queue, oldest first *)
-    mutable next_id : int;
-    mutable recycle_count : int;
-    mutable destroyed : bool;
-    old_sigpipe : Sys.signal_behavior option;
-  }
-
-  let recycles t = t.recycle_count
-  let queue_depth t = List.length t.pending
-
-  let in_flight t =
-    Array.fold_left
-      (fun n s -> match s.st with Busy _ -> n + 1 | Idle -> n)
-      0 t.slots
-
-  let server_jobs_counter = Metrics.counter "pool.server_jobs"
-  let recycle_counter = Metrics.counter "pool.recycles"
-
-  (* Warm worker loop: no per-job reset (recycling bounds the state);
-     each result frame carries the worker's current RSS so the parent
-     can apply the watermark. *)
-  let server_worker_loop ~f job_r res_w =
-    (* A recycled slot's replacement starts from clean analysis state
-       even though fork copies the parent's heap. *)
-    Metrics.reset ();
-    Artifact.clear_all ();
-    Expr.intern_reset ();
-    let rec loop () =
-      match recv job_r with
-      | `Eof | `Bad _ | `Frame Stop -> ()
-      | `Frame (Job (id, _attempt, payload)) ->
-          let result =
-            try Ok (f payload) with e -> Error (Printexc.to_string e)
-          in
-          send res_w (id, result, worker_rss_kb ());
-          loop ()
-    in
-    loop ()
-
-  let spawn_slot t index =
-    let sibling_fds =
-      Array.to_list t.slots
-      |> List.concat_map (fun s ->
-             if s.index = index || s.w.reaped then []
-             else [ s.w.job_w; s.w.res_r ])
-    in
-    spawn_with ~loop:(server_worker_loop ~f:t.f) ~sibling_fds
-
-  let create ?(workers = 4) ?(queue_cap = 64) ?(retries = 1)
-      ?(max_worker_jobs = 512) ?(max_worker_rss_kb = 1 lsl 20)
-      ?(result_cap = default_frame_cap) ~f () =
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ -> None
-    in
-    let t =
-      {
-        f;
-        retries;
-        queue_cap;
-        max_worker_jobs = max 1 max_worker_jobs;
-        max_worker_rss_kb = max 1024 max_worker_rss_kb;
-        result_cap;
-        slots =
-          Array.init (max 1 workers) (fun index ->
-              {
-                index;
-                w =
-                  {
-                    pid = -1;
-                    job_w = Unix.stdin;
-                    res_r = Unix.stdin;
-                    running = None;
-                    started = 0.;
-                    death_note = None;
-                    reaped = true;
-                  };
-                st = Idle;
-                jobs_done = 0;
-                rss_kb = 0;
-              });
-        pending = [];
-        next_id = 0;
-        recycle_count = 0;
-        destroyed = false;
-        old_sigpipe;
-      }
-    in
-    Array.iter (fun s -> s.w <- spawn_slot t s.index) t.slots;
-    t
-
-  let dispatch _t slot job =
-    job.attempts <- job.attempts + 1;
-    slot.st <- Busy job;
-    slot.w.running <- Some job.id;
-    slot.w.started <- Metrics.now ();
-    try send slot.w.job_w (Job (job.id, job.attempts, job.payload))
-    with Unix.Unix_error (Unix.EPIPE, _, _) | Sys_error _ ->
-      (* dead already: its EOF drives recovery on the next step *)
-      ()
-
-  (* Pull the next queued job for an idle slot, preferring one whose
-     affinity hashes to this slot so repeated programs land on the
-     worker that already holds their warm artifacts. *)
-  let take_pending t slot_index =
-    let n = Array.length t.slots in
-    let matches j =
-      match j.affinity with Some a -> a mod n = slot_index | None -> false
-    in
-    match List.find_opt matches t.pending with
-    | Some j ->
-        t.pending <- List.filter (fun j' -> j'.id <> j.id) t.pending;
-        Some j
-    | None -> (
-        match t.pending with
-        | [] -> None
-        | j :: rest ->
-            t.pending <- rest;
-            Some j)
-
-  let fill_idle t =
-    Array.iter
-      (fun s ->
-        if s.st = Idle && t.pending <> [] then
-          match take_pending t s.index with
-          | Some j -> dispatch t s j
-          | None -> ())
-      t.slots
-
-  let submit t ?affinity ?deadline payload =
-    if t.destroyed then Result.Error `Overloaded
-    else begin
-      let now = Metrics.now () in
-      let job =
-        {
-          id = t.next_id;
-          payload;
-          affinity;
-          deadline_at = Option.map (fun d -> now +. d) deadline;
-          submitted = now;
-          attempts = 0;
-        }
-      in
-      let n = Array.length t.slots in
-      let idle_pref =
-        let pref =
-          match affinity with
-          | Some a when t.slots.(a mod n).st = Idle -> Some t.slots.(a mod n)
-          | _ -> None
-        in
-        match pref with
-        | Some _ -> pref
-        | None -> Array.find_opt (fun s -> s.st = Idle) t.slots
-      in
-      match idle_pref with
-      | Some s ->
-          t.next_id <- t.next_id + 1;
-          Metrics.incr server_jobs_counter;
-          dispatch t s job;
-          Result.Ok job.id
-      | None ->
-          if List.length t.pending >= t.queue_cap then Result.Error `Overloaded
-          else begin
-            t.next_id <- t.next_id + 1;
-            Metrics.incr server_jobs_counter;
-            t.pending <- t.pending @ [ job ];
-            Result.Ok job.id
-          end
-    end
-
-  let readable_fds t =
-    Array.to_list t.slots
-    |> List.filter_map (fun s -> if s.w.reaped then None else Some s.w.res_r)
-
-  let next_deadline t =
-    let fold acc = function
-      | Some d -> ( match acc with None -> Some d | Some a -> Some (min a d))
-      | None -> acc
-    in
-    let acc =
-      Array.fold_left
-        (fun acc s ->
-          match s.st with Busy j -> fold acc j.deadline_at | Idle -> acc)
-        None t.slots
-    in
-    List.fold_left (fun acc j -> fold acc j.deadline_at) acc t.pending
-
-  let completion_of job outcome ~ran ~worker_jobs =
-    let now = Metrics.now () in
-    {
-      c_id = job.id;
-      c_outcome = outcome;
-      c_attempts = job.attempts;
-      c_queued_s = max 0. (now -. job.submitted -. ran);
-      c_ran_s = ran;
-      c_worker_jobs = worker_jobs;
-    }
-
-  let recycle t slot =
-    t.recycle_count <- t.recycle_count + 1;
-    Metrics.incr recycle_counter;
-    (try send slot.w.job_w Stop with Unix.Unix_error _ | Sys_error _ -> ());
-    close_worker_fds slot.w;
-    ignore (reap slot.w);
-    slot.w <- spawn_slot t slot.index;
-    slot.st <- Idle;
-    slot.jobs_done <- 0;
-    slot.rss_kb <- 0
-
-  (* The slot's worker is gone (crash, deadline kill, babble kill):
-     reap, respawn, and either retry or fail the in-flight job.
-     Deadline expiries never retry - re-running a hung request just
-     burns a second deadline. *)
-  let handle_slot_death t slot ~code completions =
-    Metrics.incr crash_counter;
-    let reason = reap slot.w in
-    let ran =
-      match slot.st with
-      | Busy _ -> max 0. (Metrics.now () -. slot.w.started)
-      | Idle -> 0.
-    in
-    let worker_jobs = slot.jobs_done in
-    close_worker_fds slot.w;
-    let job = match slot.st with Busy j -> Some j | Idle -> None in
-    slot.st <- Idle;
-    slot.w <- spawn_slot t slot.index;
-    slot.jobs_done <- 0;
-    slot.rss_kb <- 0;
-    match job with
-    | None -> completions
-    | Some j ->
-        let retryable = code = "POOL-WORKER-LOST" in
-        if retryable && j.attempts <= t.retries then begin
-          Metrics.incr retry_counter;
-          t.pending <- j :: t.pending;
-          completions
-        end
-        else
-          completion_of j (Result.Error (code, reason)) ~ran ~worker_jobs
-          :: completions
-
-  let step t ?(readable = []) () =
-    let completions = ref [] in
-    (* 1. results and deaths on the worker pipes *)
-    List.iter
-      (fun fd ->
-        match
-          Array.find_opt (fun s -> (not s.w.reaped) && s.w.res_r = fd) t.slots
-        with
-        | None -> ()
-        | Some slot -> (
-            match recv ~cap:t.result_cap slot.w.res_r with
-            | `Frame (id, result, rss) -> (
-                slot.rss_kb <- rss;
-                match slot.st with
-                | Busy job when job.id = id ->
-                    slot.jobs_done <- slot.jobs_done + 1;
-                    let outcome =
-                      match result with
-                      | Ok v -> Result.Ok v
-                      | Error msg -> Result.Error ("POOL-RAISED", msg)
-                    in
-                    completions :=
-                      completion_of job outcome
-                        ~ran:(max 0. (Metrics.now () -. slot.w.started))
-                        ~worker_jobs:slot.jobs_done
-                      :: !completions;
-                    slot.st <- Idle;
-                    slot.w.running <- None;
-                    if
-                      slot.jobs_done >= t.max_worker_jobs
-                      || slot.rss_kb >= t.max_worker_rss_kb
-                    then recycle t slot
-                | _ ->
-                    (* stray frame for a job we already wrote off (e.g.
-                       its deadline fired between send and receipt):
-                       drop it, the worker is healthy *)
-                    slot.st <- Idle;
-                    slot.w.running <- None)
-            | `Bad msg ->
-                Metrics.incr bad_frame_counter;
-                slot.w.death_note <-
-                  Some
-                    (Printf.sprintf "corrupt result frame: %s" msg);
-                (try Unix.kill slot.w.pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                completions :=
-                  handle_slot_death t slot ~code:"POOL-BAD-FRAME" !completions
-            | `Eof ->
-                completions :=
-                  handle_slot_death t slot ~code:"POOL-WORKER-LOST" !completions
-            ))
-      readable;
-    (* 2. deadline sweep: in-flight jobs past their absolute deadline
-       kill their worker; queued jobs past it fail without running *)
-    let now = Metrics.now () in
-    Array.iter
-      (fun slot ->
-        match slot.st with
-        | Busy job when
-            (match job.deadline_at with Some d -> now >= d | None -> false) ->
-            Metrics.incr deadline_counter;
-            slot.w.death_note <-
-              Some
-                (Printf.sprintf "request exceeded its deadline after %.3fs"
-                   (now -. job.submitted));
-            (try Unix.kill slot.w.pid Sys.sigkill
-             with Unix.Unix_error _ -> ());
-            completions :=
-              handle_slot_death t slot ~code:"POOL-DEADLINE" !completions
-        | _ -> ())
-      t.slots;
-    let expired, live =
-      List.partition
-        (fun j ->
-          match j.deadline_at with Some d -> now >= d | None -> false)
-        t.pending
-    in
-    t.pending <- live;
-    List.iter
-      (fun j ->
-        Metrics.incr deadline_counter;
-        completions :=
-          completion_of j
-            (Result.Error
-               ("POOL-DEADLINE", "request deadline expired while queued"))
-            ~ran:0. ~worker_jobs:0
-          :: !completions)
-      expired;
-    (* 3. hand freed workers the next queued jobs *)
-    fill_idle t;
-    List.rev !completions
-
-  (* Event-loop helper for owners without their own fd set: select on
-     the pool's pipes (bounded by [timeout] and the next deadline) and
-     step once. *)
-  let wait_step t ~timeout =
-    let fds = readable_fds t in
-    let timeout =
-      match next_deadline t with
-      | None -> timeout
-      | Some d ->
-          let until = max 0. (d -. Metrics.now ()) in
-          if timeout < 0. then until else min timeout until
-    in
-    let readable, _, _ = restart (fun () -> Unix.select fds [] [] timeout) in
-    step t ~readable ()
-
-  let drain t ~deadline =
-    let until = Metrics.now () +. deadline in
-    let completions = ref [] in
-    let rec go () =
-      if in_flight t = 0 && t.pending = [] then ()
-      else
-        let left = until -. Metrics.now () in
-        if left <= 0. then ()
-        else begin
-          completions := !completions @ wait_step t ~timeout:left;
-          go ()
-        end
-    in
-    go ();
-    (* whatever outlived the drain deadline is failed, not awaited *)
-    Array.iter
-      (fun slot ->
-        match slot.st with
-        | Busy job ->
-            slot.w.death_note <- Some "daemon drain deadline expired";
-            (try Unix.kill slot.w.pid Sys.sigkill
-             with Unix.Unix_error _ -> ());
-            Metrics.incr crash_counter;
-            let ran = max 0. (Metrics.now () -. slot.w.started) in
-            let reason = reap slot.w in
-            close_worker_fds slot.w;
-            slot.st <- Idle;
-            completions :=
-              !completions
-              @ [
-                  completion_of job (Result.Error ("POOL-DRAIN", reason))
-                    ~ran ~worker_jobs:slot.jobs_done;
-                ]
-        | Idle -> ())
-      t.slots;
-    let leftover = t.pending in
-    t.pending <- [];
-    completions :=
-      !completions
-      @ List.map
-          (fun j ->
-            completion_of j
-              (Result.Error ("POOL-DRAIN", "daemon shutting down"))
-              ~ran:0. ~worker_jobs:0)
-          leftover;
-    !completions
-
-  let destroy t =
-    if not t.destroyed then begin
-      t.destroyed <- true;
-      Array.iter
-        (fun slot ->
-          if not slot.w.reaped then begin
-            (try send slot.w.job_w Stop
-             with Unix.Unix_error _ | Sys_error _ -> ());
-            close_worker_fds slot.w;
-            ignore (reap slot.w)
-          end)
-        t.slots;
-      match t.old_sigpipe with
-      | Some b -> Sys.set_signal Sys.sigpipe b
-      | None -> ()
-    end
-end

@@ -28,7 +28,7 @@
 
     Jobs and results cross an address-space boundary, so both must be
     marshalable: no closures, no custom blocks.  See DESIGN.md
-    section 13 for the wire protocol. *)
+    section 13 for the pipe framing. *)
 
 type 'r outcome =
   | Done of {
@@ -48,7 +48,6 @@ type 'r outcome =
 val map :
   ?workers:int ->
   ?retries:int ->
-  ?deadline:float ->
   ?stream:(int -> 'b outcome -> unit) ->
   ?diags:Diag.collector ->
   f:(attempt:int -> 'a -> 'b) ->
@@ -64,13 +63,6 @@ val map :
     (default 1: retry once).  A crashed attempt's retry is dispatched
     to the freshly forked replacement worker; an attempt that raised
     (the worker survives) re-enters the queue.
-
-    [deadline] is a per-attempt wall-clock budget in seconds: a worker
-    that sits on one job longer is hung (a crash would have surfaced as
-    EOF), so it is SIGKILLed and replaced, and the attempt fails with a
-    [POOL-DEADLINE] reason through the ordinary retry path - the
-    [pool.deadline_kills] counter tracks how often.  Without it a
-    non-crashing stuck worker would stall the whole map forever.
 
     [stream] is called in the parent, in submission order, as the
     completed prefix grows - the CLI uses it to print reports
@@ -92,99 +84,19 @@ val map :
     [pool.profile_bad] counter is bumped, and - when [diags] is
     supplied - a [POOL-PROFILE-BAD] warning is recorded. *)
 
-(** Persistent recycling worker fleet: the long-lived generalisation of
-    {!map} that [dsmloc serve] dispatches onto.
+(** {2 Frame reader}
 
-    Jobs arrive over time ({!Server.submit}) instead of as one batch;
-    admission is bounded (past [queue_cap] queued jobs, [submit] sheds
-    with [`Overloaded] instead of growing without bound); workers stay
-    {e warm} - no per-job state reset, so interned expressions and
-    artifact stores persist across requests and repeated programs hit
-    their digests - and are bounded instead by {e recycling}: a worker
-    that has served [max_worker_jobs] requests or grown past
-    [max_worker_rss_kb] resident is stopped and replaced by a fresh
-    fork that starts from clean analysis state ([Metrics.reset],
-    [Artifact.clear_all], [Expr.intern_reset]).
+    The receiving half of the transport {!map} uses on its pipes: an
+    8-byte big-endian length, then that many bytes of [Marshal]
+    payload.  Exposed so its hostile-input behaviour can be tested
+    directly. *)
 
-    The owner drives the pool from its own [select] loop:
-    {!Server.readable_fds} contributes the result-pipe fds,
-    {!Server.next_deadline} bounds the timeout, and {!Server.step}
-    turns readable fds into completions, expires deadlines, recycles
-    and refills workers. *)
-module Server : sig
-  type ('a, 'b) t
+val default_frame_cap : int
+(** Largest accepted payload length in bytes (256 MiB). *)
 
-  type 'b completion = {
-    c_id : int;  (** the id {!submit} returned *)
-    c_outcome : ('b, string * string) result;
-        (** [Error (code, reason)] with [code] one of [POOL-DEADLINE]
-            (budget expired, queued or in flight; never retried),
-            [POOL-WORKER-LOST] (worker died; retried [retries] times
-            first), [POOL-BAD-FRAME] (worker emitted a corrupt or
-            over-cap result frame), [POOL-RAISED] (the job function
-            raised) or [POOL-DRAIN] (shutdown overtook the job) *)
-    c_attempts : int;
-    c_queued_s : float;  (** time spent in the admission queue *)
-    c_ran_s : float;  (** service time of the final attempt *)
-    c_worker_jobs : int;
-        (** jobs the serving worker has completed since its fork, this
-            one included (1 = served cold, >1 = warm) *)
-  }
-
-  val create :
-    ?workers:int ->
-    ?queue_cap:int ->
-    ?retries:int ->
-    ?max_worker_jobs:int ->
-    ?max_worker_rss_kb:int ->
-    ?result_cap:int ->
-    f:('a -> 'b) ->
-    unit ->
-    ('a, 'b) t
-  (** Fork [workers] (default 4) warm workers running [f] per job.
-      Defaults: [queue_cap] 64, [retries] 1 (crashes only),
-      [max_worker_jobs] 512, [max_worker_rss_kb] 1 GiB, [result_cap]
-      the pool frame cap.  SIGPIPE is ignored for the pool's lifetime
-      (restored by {!destroy}). *)
-
-  val submit :
-    ('a, 'b) t ->
-    ?affinity:int ->
-    ?deadline:float ->
-    'a ->
-    (int, [ `Overloaded ]) result
-  (** Enqueue (or directly dispatch) a job; returns its completion id,
-      or [`Overloaded] when the admission queue is full - the caller
-      sheds the request instead of buffering unboundedly.  [affinity]
-      (e.g. a program digest hash) steers the job towards the worker
-      slot that served it before, so repeats hit warm artifact stores.
-      [deadline] (seconds) covers queue time plus service time. *)
-
-  val step : ('a, 'b) t -> ?readable:Unix.file_descr list -> unit -> 'b completion list
-  (** Process result frames on [readable] (from the owner's select),
-      expire deadlines, respawn/recycle workers and dispatch queued
-      jobs.  Returns completions in arrival order. *)
-
-  val wait_step : ('a, 'b) t -> timeout:float -> 'b completion list
-  (** Self-contained [select]+[step] for owners without their own fd
-      loop (negative [timeout] = wait indefinitely, bounded by the next
-      deadline). *)
-
-  val drain : ('a, 'b) t -> deadline:float -> 'b completion list
-  (** Run the queue down: step until no job is queued or in flight or
-      [deadline] (seconds from now) passes; whatever outlives it is
-      killed and completed with [POOL-DRAIN].  Call {!destroy} after. *)
-
-  val destroy : ('a, 'b) t -> unit
-  (** Stop and reap every worker; in-flight work is abandoned (use
-      {!drain} first for a graceful stop).  Idempotent. *)
-
-  val readable_fds : ('a, 'b) t -> Unix.file_descr list
-  val next_deadline : ('a, 'b) t -> float option
-  (** Earliest absolute deadline over queued and in-flight jobs. *)
-
-  val queue_depth : ('a, 'b) t -> int
-  val in_flight : ('a, 'b) t -> int
-  val recycles : ('a, 'b) t -> int
-  (** Workers recycled (job-count or RSS watermark) since [create]. *)
-end
+val recv : Unix.file_descr -> [ `Frame of 'a | `Bad of string | `Eof ]
+(** Read one frame.  A negative or over-cap length prefix, or a payload
+    [Marshal] rejects, is [`Bad] (checked before allocating the
+    payload); EOF before the frame is complete, including mid-payload,
+    is [`Eof].  Like [Marshal.from_bytes], the frame's type is the
+    caller's claim. *)

@@ -42,7 +42,7 @@ val key : t -> Artifact.Key.t
 (** {!Ir.Types.phase_context_key} of the analyzed phase - the context's
     identity for caches whose values depend on it.  Deliberately
     excludes sibling phases, so per-phase artifacts survive edits to
-    the rest of the program (warm-serving incremental reuse). *)
+    the rest of the program (incremental reuse). *)
 
 val sites_of_array : t -> string -> site list
 val loop_index : t -> string -> int

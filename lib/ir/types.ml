@@ -134,7 +134,7 @@ let program_key (p : program) =
    parts of the program it can actually observe (parameter domains and
    array declarations) - deliberately NOT the sibling phases, so an
    edited program re-analyzes only the phases whose digests changed
-   while the warm server reuses the rest. *)
+   while the per-phase stores keep the rest. *)
 let phase_context_key (p : program) (ph : phase) =
   Artifact.Key.(list [ Assume.key p.params; arrays_key p; phase_key ph ])
 

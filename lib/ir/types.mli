@@ -66,7 +66,7 @@ val phase_context_key : program -> phase -> Artifact.Key.t
     can observe of the program (parameter domains, array declarations)
     but {e not} its sibling phases - the key per-phase caches use so
     that editing one phase of a program invalidates only that phase's
-    artifacts (the warm-serving incremental-reuse contract). *)
+    artifacts (incremental reuse within one process). *)
 
 val equal_access : access -> access -> bool
 val pp_access : Format.formatter -> access -> unit

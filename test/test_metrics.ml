@@ -1,8 +1,8 @@
 (* Unit tests for the Core.Metrics registry: interning, counters,
-   reentrancy-safe timers, cache statistics, reset semantics, and the
+   reentrancy-safe timers, cache statistics, reset semantics, the
    hand-rolled JSON emitter (validated by a small recursive-descent
    JSON syntax checker, since the project deliberately has no JSON
-   dependency). *)
+   dependency), and per-phase reuse in the phase.analyze store. *)
 
 module M = Core.Metrics
 
@@ -449,6 +449,95 @@ let test_warm_run_hits_artifact_stores () =
         (contains report s.Core.Artifact.s_name))
     stats
 
+(* The registry holds no cells of the removed analysis daemon: no
+   serve.* rows and none of its pool counters show up in a --profile.
+   Calling the pool links Core.Pool, whose cells register at load
+   time. *)
+let test_no_daemon_cells () =
+  ignore (Core.Pool.map ~f:(fun ~attempt:_ x -> x) []);
+  let snap = M.snapshot () in
+  let names =
+    List.map fst snap.counters
+    @ List.map fst snap.timers
+    @ List.map fst snap.histograms
+    @ List.map fst snap.caches
+  in
+  Alcotest.(check bool) "pool cells registered" true
+    (List.mem "pool.jobs" names);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " is not a daemon cell") false
+        (String.starts_with ~prefix:"serve." n
+        || List.mem n
+             [ "pool.server_jobs"; "pool.deadline_kills"; "pool.recycles" ]))
+    names
+
+(* Incremental phase-key reuse: editing one phase must not invalidate
+   the sibling's cached analysis in the [phase.analyze] store (counted
+   by the store's hit statistics). *)
+
+let jacobi2d_src =
+  {|program jacobi2d
+param N = 8..64
+real U(N,N)
+real V(N,N)
+repeat
+
+phase SWEEP:
+  doall I = 1, N-2
+    do J = 1, N-2
+      V(I,J) = U(I-1,J) + U(I+1,J) + U(I,J-1) + U(I,J+1) work 4
+    end
+  end
+
+phase COPY:
+  doall I = 1, N-2
+    do J = 1, N-2
+      U(I,J) = V(I,J) work 1
+    end
+  end
+|}
+
+let store_hits name =
+  match List.find_opt (fun s -> s.Core.Artifact.s_name = name)
+          (Core.Artifact.stats ())
+  with
+  | Some s -> s.Core.Artifact.hits
+  | None -> 0
+
+let test_phase_key_incremental () =
+  let edited =
+    (* same SWEEP phase, different COPY body (scaled copy) *)
+    String.concat "\n"
+      (List.map
+         (fun line ->
+           if line = "      U(I,J) = V(I,J) work 1" then
+             "      U(I,J) = V(I,J) + V(I,J) work 2"
+           else line)
+         (String.split_on_char '\n' jacobi2d_src))
+  in
+  let p1 = Frontend.Parse.program jacobi2d_src in
+  let p2 = Frontend.Parse.program edited in
+  Alcotest.(check bool) "the edit changed the program" true (p1 <> p2);
+  (* prime the cache from a clean slate *)
+  Core.Artifact.clear_all ();
+  let analyze_all (p : Ir.Types.program) =
+    List.iter (fun ph -> ignore (Ir.Phase.analyze p ph)) p.phases
+  in
+  analyze_all p1;
+  let hits0 = store_hits "phase.analyze" in
+  analyze_all p2;
+  let hits1 = store_hits "phase.analyze" in
+  (* exactly the untouched SWEEP phase is reused; the edited COPY is
+     re-analyzed *)
+  Alcotest.(check int) "one sibling phase reused" (hits0 + 1) hits1;
+  Alcotest.(check bool) "keys differ for the edited phase" true
+    (Ir.Types.phase_context_key p1 (List.nth p1.phases 1)
+    <> Ir.Types.phase_context_key p2 (List.nth p2.phases 1));
+  Alcotest.(check bool) "keys agree for the untouched phase" true
+    (Ir.Types.phase_context_key p1 (List.hd p1.phases)
+    = Ir.Types.phase_context_key p2 (List.hd p2.phases))
+
 let () =
   Alcotest.run "metrics"
     [
@@ -467,6 +556,7 @@ let () =
           Alcotest.test_case "clearers" `Quick test_clearers;
           Alcotest.test_case "warm artifact hits" `Quick
             test_warm_run_hits_artifact_stores;
+          Alcotest.test_case "no daemon cells" `Quick test_no_daemon_cells;
         ] );
       ( "json",
         [
@@ -485,5 +575,10 @@ let () =
         [
           Alcotest.test_case "instrumentation populates registry" `Quick
             test_pipeline_populates_registry;
+        ] );
+      ( "incremental",
+        [
+          Alcotest.test_case "phase key narrowing" `Quick
+            test_phase_key_incremental;
         ] );
     ]

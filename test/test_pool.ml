@@ -1,7 +1,8 @@
 (* Tests for the forked worker pool behind `dsmloc batch`: submission-
    order determinism whatever the worker count, crash isolation with a
-   one-retry budget, and fleet metrics merging (counter totals equal
-   the sum of the per-job worker snapshots). *)
+   one-retry budget, fleet metrics merging (counter totals equal the
+   sum of the per-job worker snapshots), and the frame reader's
+   handling of hostile length prefixes and truncated payloads. *)
 
 module P = Core.Pool
 module M = Core.Metrics
@@ -159,6 +160,80 @@ let test_empty_and_single () =
   | [ P.Done d ] -> Alcotest.(check int) "single job" 42 d.value
   | _ -> Alcotest.fail "one job, one outcome"
 
+(* Feed [bytes] into a fresh pipe, close the write end, and hand the
+   read end to [k]. *)
+let with_pipe_of bytes k =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      ignore (Unix.write w bytes 0 (Bytes.length bytes));
+      Unix.close w;
+      k r)
+
+let recv_string r : [ `Frame of string | `Bad of string | `Eof ] = P.recv r
+
+(* read one frame back through the pool's reader *)
+let recv_of_bytes bytes = with_pipe_of bytes recv_string
+
+let header len =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 len;
+  b
+
+let test_frame_roundtrip () =
+  let payload = Marshal.to_bytes "hello" [] in
+  match
+    recv_of_bytes
+      (Bytes.cat (header (Int64.of_int (Bytes.length payload))) payload)
+  with
+  | `Frame v -> Alcotest.(check string) "payload back" "hello" v
+  | _ -> Alcotest.fail "a well-formed frame must decode"
+
+(* a negative or over-cap prefix is Bad before any payload is read or
+   allocated: no Out_of_memory in the parent *)
+let test_frame_bad_length () =
+  List.iter
+    (fun (what, len) ->
+      match recv_of_bytes (header len) with
+      | `Bad _ -> ()
+      | _ -> Alcotest.failf "%s length prefix must be Bad" what)
+    [
+      ("negative", -1L);
+      ("over-cap", Int64.of_int (P.default_frame_cap + 1));
+      ("huge", Int64.max_int);
+    ]
+
+(* the cap is checked before the payload is touched: an over-cap
+   prefix followed by a well-formed frame is Bad, and the reader has
+   consumed only the 8-byte prefix, so the next frame still decodes *)
+let test_frame_oversized () =
+  let payload = Marshal.to_bytes "after" [] in
+  let bytes =
+    Bytes.concat Bytes.empty
+      [
+        header (Int64.of_int (P.default_frame_cap + 1));
+        header (Int64.of_int (Bytes.length payload));
+        payload;
+      ]
+  in
+  with_pipe_of bytes (fun r ->
+      (match recv_string r with
+      | `Bad _ -> ()
+      | _ -> Alcotest.fail "an over-cap prefix must be Bad");
+      match recv_string r with
+      | `Frame v -> Alcotest.(check string) "next frame intact" "after" v
+      | _ -> Alcotest.fail "the payload after a Bad prefix must be unread")
+
+(* a peer that dies mid-frame leaves a truncated frame: Eof, not Bad *)
+let test_frame_truncated () =
+  (match recv_of_bytes (Bytes.cat (header 100L) (Bytes.make 30 'x')) with
+  | `Eof -> ()
+  | _ -> Alcotest.fail "a truncated payload must be Eof");
+  match recv_of_bytes (Bytes.make 3 '\000') with
+  | `Eof -> ()
+  | _ -> Alcotest.fail "a truncated header must be Eof"
+
 let () =
   Alcotest.run "pool"
     [
@@ -176,5 +251,12 @@ let () =
         [
           Alcotest.test_case "stream order" `Quick test_stream_order;
           Alcotest.test_case "empty and single" `Quick test_empty_and_single;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
+          Alcotest.test_case "bad length prefix" `Quick test_frame_bad_length;
+          Alcotest.test_case "oversized prefix" `Quick test_frame_oversized;
+          Alcotest.test_case "truncated payload" `Quick test_frame_truncated;
         ] );
     ]
