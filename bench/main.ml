@@ -639,7 +639,10 @@ let bench_pipeline () =
    time, the Eq. 7 overhead, and the model-level efficiency estimate
    (ideal per-processor work over work-plus-overhead).  Kernels whose
    analysis leaves the closed-form fragment degrade and are reported
-   with [degraded=true] rather than silently skipped. *)
+   with [degraded=true] rather than silently skipped.  When the Eq. 7
+   search exhausts its budget the pipeline ships the BLOCK plan, not the
+   abandoned incumbent whose objective the solution still carries, so
+   such points record [budget_exhausted=true] and no efficiency. *)
 
 let counter_value (snap : Metrics.snapshot) name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
@@ -653,7 +656,7 @@ let bench_curve () =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"schema\":\"bench_curve/1\",\"rev\":\"%s\",\"date\":\"%s\",\"points\":["
+       "{\"schema\":\"bench_curve/2\",\"rev\":\"%s\",\"date\":\"%s\",\"points\":["
        (Metrics.json_escape (git_rev ()))
        (Metrics.json_escape (utc_date ())));
   Printf.printf "%-10s %6s %6s %10s %12s %7s %9s\n" "kernel" "size" "H"
@@ -683,12 +686,15 @@ let bench_curve () =
                         | None | (exception _) -> None))
                   (Some 0) e.program.Ir.Types.phases
               in
+              let exhausted = t.solution.budget_exhausted in
               let eff =
-                Option.map
-                  (fun w ->
-                    let ideal = float_of_int w /. float_of_int h in
-                    ideal /. (ideal +. t.solution.objective))
-                  work
+                if exhausted then None
+                else
+                  Option.map
+                    (fun w ->
+                      let ideal = float_of_int w /. float_of_int h in
+                      ideal /. (ideal +. t.solution.objective))
+                    work
               in
               let degraded = Core.Pipeline.degraded t in
               Printf.printf "%-10s %6s %6d %10.2f %12.1f %7s %9b\n%!" e.name
@@ -702,7 +708,7 @@ let bench_curve () =
               first := false;
               Buffer.add_string buf
                 (Printf.sprintf
-                   "{\"kernel\":\"%s\",\"size_log2\":%d,\"h\":%d,\"wall_seconds\":%s,\"objective\":%s,\"model_efficiency\":%s,\"degraded\":%b,\"fallbacks\":%d,\"enum_addresses\":%d}"
+                   "{\"kernel\":\"%s\",\"size_log2\":%d,\"h\":%d,\"wall_seconds\":%s,\"objective\":%s,\"model_efficiency\":%s,\"budget_exhausted\":%b,\"degraded\":%b,\"fallbacks\":%d,\"enum_addresses\":%d}"
                    (Metrics.json_escape e.name)
                    se h
                    (Metrics.json_float wall)
@@ -710,7 +716,7 @@ let bench_curve () =
                    (match eff with
                    | Some x -> Metrics.json_float x
                    | None -> "null")
-                   degraded
+                   exhausted degraded
                    (delta "symbolic.fallback")
                    (delta "enum.addresses")))
             hs)

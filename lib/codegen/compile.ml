@@ -1,14 +1,8 @@
 open Symbolic
 open Ilp
+module E = Ir.Enumerate
 
 exception Unsupported of string
-
-(* Compiled subscript / bound shapes, exposed for tests: the affine
-   fast path covers everything the descriptors model exactly; bounds
-   or subscripts outside it (2^L factors with a loop-variable
-   exponent, opaque divisions) fall back to interpreting the
-   hash-consed expression against the slot file. *)
-type shape = Const of int | Affine of int * (int * int) list | Opaque
 
 type handlers = {
   read : par:int option -> array:string -> addr:int -> float;
@@ -20,169 +14,55 @@ type handlers = {
 
 type t = {
   phase_name : string;
-  parallel : bool;
   nslots : int;
-  shapes : shape list;
+  shapes : E.shape list;
   sweep : slots:int array -> me:int option -> handlers -> unit;
 }
 
-let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
+let rec has_parallel = function
+  | E.Stmt _ -> false
+  | E.Nest l -> l.parallel || List.exists has_parallel l.body
 
-(* Compile one expression to a closure over the loop-variable slot
-   file.  Program parameters are substituted out of the term first, so
-   the residual mentions loop variables only; the affine decomposition
-   then peels one [linear_in] per scope variable.  Anything left
-   (non-integer coefficients, loop-variable Pow2 exponents, opaque
-   divisions) evaluates the interned term per call. *)
-let compile_expr env scope shapes e =
-  let subs =
-    List.filter_map
-      (fun v ->
-        if List.mem_assoc v scope then None
-        else
-          match Env.find_opt env v with
-          | Some c -> Some (v, Expr.int c)
-          | None ->
-              raise
-                (Unsupported (Printf.sprintf "parameter %s has no binding" v)))
-      (Expr.vars e)
-  in
-  let e = Expr.subst_env subs e in
-  let shape =
-    match Expr.to_int e with
-    | Some c -> Const c
-    | None -> (
-        let rec peel residual acc = function
-          | [] -> (
-              match Expr.to_int residual with
-              | Some c0 -> Some (Affine (c0, List.rev acc))
-              | None -> None)
-          | (v, slot) :: rest -> (
-              match Expr.linear_in v residual with
-              | Some (a, b) -> (
-                  match Expr.to_int a with
-                  | Some 0 -> peel b acc rest
-                  | Some c -> peel b ((slot, c) :: acc) rest
-                  | None -> None)
-              | None -> None)
-        in
-        match peel e [] scope with Some s -> s | None -> Opaque)
-  in
-  shapes := shape :: !shapes;
-  match shape with
-  | Const c -> fun (_ : int array) -> c
-  | Affine (c0, [ (s1, c1) ]) -> fun slots -> c0 + (c1 * slots.(s1))
-  | Affine (c0, [ (s1, c1); (s2, c2) ]) ->
-      fun slots -> c0 + (c1 * slots.(s1)) + (c2 * slots.(s2))
-  | Affine (c0, coeffs) ->
-      fun slots ->
-        List.fold_left (fun a (s, c) -> a + (c * slots.(s))) c0 coeffs
-  | Opaque ->
-      let tbl = Hashtbl.create (List.length scope) in
-      List.iter (fun (v, slot) -> Hashtbl.replace tbl v slot) scope;
-      fun slots ->
-        Expr.eval_int (fun v -> Qnum.of_int slots.(Hashtbl.find tbl v)) e
-
-(* Linearized address of one reference: the same recursion as
-   [Ir.Enumerate.iter]'s [flat] - the trailing extent never multiplies,
-   so it stays unevaluated (sentinel 0). *)
-let compile_addr env scope shapes (prog : Ir.Types.program)
-    (r : Ir.Types.array_ref) =
-  let decl =
-    match Ir.Types.array_decl prog r.array with
-    | d -> d
-    | exception Not_found ->
-        raise (Unsupported ("undeclared array " ^ r.array))
-  in
-  let extent d =
-    try Env.eval env d
-    with _ ->
-      raise
-        (Unsupported (Printf.sprintf "extent of %s does not evaluate" r.array))
-  in
-  let dims =
-    match List.rev decl.dims with
-    | [] -> []
-    | _last :: rest_rev -> List.rev (0 :: List.map extent rest_rev)
-  in
-  let idx = List.map (compile_expr env scope shapes) r.index in
-  if List.length idx <> List.length dims then
-    raise (Unsupported ("rank mismatch on " ^ r.array));
-  let rec flat idx dims =
-    match (idx, dims) with
-    | [ i ], [ _ ] -> i
-    | i :: idx, d :: dims ->
-        let rest = flat idx dims in
-        fun slots -> i slots + (d * rest slots)
-    | [], [] -> fun _ -> 0
-    | _ -> assert false
-  in
-  flat idx dims
-
-let rec has_parallel (s : Ir.Types.stmt) =
-  match s with
-  | Ir.Types.Assign _ -> false
-  | Ir.Types.Loop l -> l.parallel || List.exists has_parallel l.body
-
-(* One compiled statement: a closure [slots -> par -> me -> handlers].
-   Ownership filtering happens at the parallel loop (a phase has at
-   most one), and again defensively at each assignment for serial
-   statements, which run on processor 0. *)
-let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
-  match s with
-  | Ir.Types.Assign a ->
-      let compiled =
-        List.mapi
-          (fun site (r : Ir.Types.array_ref) ->
-            (site, r.access, r.array, compile_addr env scope shapes prog r))
-          a.refs
+(* One compiled node of the nest: a closure [slots -> par -> me ->
+   handlers].  Ownership filtering happens at the parallel loop (a
+   phase has at most one), and again defensively at each assignment for
+   serial statements, which run on processor 0. *)
+let rec node ~chunk ~h (n : E.node) =
+  let owner i = Distribution.proc_of_iteration ~chunk ~h i in
+  match n with
+  | E.Stmt s ->
+      let sites = List.mapi (fun site (r : E.site) -> (site, r)) s.refs in
+      let pick access =
+        List.filter
+          (fun (_, (r : E.site)) -> Ir.Types.equal_access r.access access)
+          sites
       in
-      let creads =
-        List.filter_map
-          (fun (_, acc, array, addr) ->
-            if Ir.Types.equal_access acc Ir.Types.Read then Some (array, addr)
-            else None)
-          compiled
-      and cwrites =
-        List.filter_map
-          (fun (site, acc, array, addr) ->
-            if Ir.Types.equal_access acc Ir.Types.Write then
-              Some (site, array, addr)
-            else None)
-          compiled
-      in
-      let work = a.work in
+      let creads = pick Ir.Types.Read and cwrites = pick Ir.Types.Write in
+      let work = s.work in
       fun slots par me (hd : handlers) ->
         let mine =
           match me with
           | None -> true
           | Some p -> (
-              match par with
-              | Some i -> proc_of_iteration ~chunk ~h i = p
-              | None -> p = 0)
+              match par with Some i -> owner i = p | None -> p = 0)
         in
         if mine then begin
           hd.work ~par ~work;
           let sum = ref 0.0 in
           List.iter
-            (fun (array, addr) ->
-              sum := !sum +. hd.read ~par ~array ~addr:(addr slots))
+            (fun (_, (r : E.site)) ->
+              sum := !sum +. hd.read ~par ~array:r.array ~addr:(r.addr slots))
             creads;
           List.iter
-            (fun (site, array, addr) ->
-              let addr = addr slots in
-              hd.write ~par ~array ~addr ~v:(!sum +. hd.stamp ~site ~addr))
+            (fun (site, (r : E.site)) ->
+              let addr = r.addr slots in
+              hd.write ~par ~array:r.array ~addr
+                ~v:(!sum +. hd.stamp ~site ~addr))
             cwrites
         end
-  | Ir.Types.Loop l ->
-      let lo = compile_expr env scope shapes l.lo in
-      let hi = compile_expr env scope shapes l.hi in
-      let slot = List.length scope in
-      let scope' = (l.var, slot) :: scope in
-      let body =
-        List.map (compile_stmt env scope' ~chunk ~h shapes prog) l.body
-      in
-      let parallel = l.parallel in
+  | E.Nest l ->
+      let lo = l.lo and hi = l.hi and slot = l.slot and parallel = l.parallel in
+      let body = List.map (node ~chunk ~h) l.body in
       let deeper = List.exists has_parallel l.body in
       (* at the (unique) parallel loop, skip foreign iterations
          wholesale - everything beneath belongs to the owner *)
@@ -199,10 +79,7 @@ let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
         for v = lo to hi do
           let skip =
             prune
-            &&
-            match me with
-            | Some p -> proc_of_iteration ~chunk ~h v <> p
-            | None -> false
+            && match me with Some p -> owner v <> p | None -> false
           in
           if not skip then begin
             slots.(slot) <- v;
@@ -215,26 +92,17 @@ let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
           end
         done
 
-let rec loop_depth (s : Ir.Types.stmt) =
-  match s with
-  | Ir.Types.Assign _ -> 0
-  | Ir.Types.Loop l ->
-      1 + List.fold_left (fun a b -> max a (loop_depth b)) 0 l.body
-
 let phase (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan) k
     (ph : Ir.Types.phase) : t =
-  let ph = Ir.Normalize.phase ph in
-  let chunk = plan.chunk.(k) in
-  let h = plan.h in
-  let shapes = ref [] in
-  let nest = Ir.Types.Loop ph.nest in
-  let body = compile_stmt env [] ~chunk ~h shapes prog nest in
-  let parallel = has_parallel nest in
+  let nest = E.compile prog env ph in
+  Option.iter (fun msg -> raise (Unsupported msg)) nest.unsupported;
+  let chunk = plan.chunk.(k) and h = plan.h in
+  let body = node ~chunk ~h nest.root in
+  let parallel = has_parallel nest.root in
   {
     phase_name = ph.phase_name;
-    parallel;
-    nslots = loop_depth nest;
-    shapes = List.rev !shapes;
+    nslots = nest.nslots;
+    shapes = nest.shapes;
     sweep =
       (fun ~slots ~me hd ->
         match me with

@@ -1,27 +1,21 @@
 (** Executable emission: compile a phase into closures.
 
     Where {!Spmd} prints the node program as prose, this module builds
-    it as closures the real executor (library [exec]) can run: each
-    phase of a normalized program becomes a [sweep] function that walks
-    the loop nest natively, dispatching every array reference through a
-    {!handlers} record supplied by the machine.  The sweep reproduces
-    [Ir.Enumerate.iter]'s semantics exactly - same normalization, same
-    linearized addressing (the trailing extent never multiplies), same
-    CYCLIC(p_k) owner-computes schedule via {!proc_of_iteration} - so a
-    parallel execution and a sequential replay of the same closures are
-    comparable address by address. *)
+    it as closures the real executor (library [exec]) runs, on top of
+    the compiled nest of {!Ir.Enumerate.compile} - the same addressing
+    the enumerating oracle walks.  It adds only the CYCLIC(p_k)
+    schedule of {!Ilp.Distribution.proc_of_iteration}, serial
+    statements on processor 0, barriers above the parallel loop and
+    reads-then-writes {!handlers} dispatch, so a parallel execution and
+    a sequential replay are comparable address by address. *)
 
 open Symbolic
 open Ilp
 
 exception Unsupported of string
 (** A construct the compiler cannot close over: an unbound parameter,
-    an array extent that does not evaluate, a rank mismatch. *)
-
-(** Compiled shape of one expression (exposed for tests): constant,
-    affine in the loop slots [c0 + sum c_i * slot_i], or an opaque
-    fallback that interprets the interned term per evaluation. *)
-type shape = Const of int | Affine of int * (int * int) list | Opaque
+    an array extent that does not evaluate, a rank mismatch (the
+    {!Ir.Enumerate.nest.unsupported} of the phase). *)
 
 type handlers = {
   read : par:int option -> array:string -> addr:int -> float;
@@ -43,9 +37,9 @@ type handlers = {
 
 type t = {
   phase_name : string;
-  parallel : bool;  (** the phase contains a parallel loop *)
   nslots : int;  (** loop-variable slot file size the sweep needs *)
-  shapes : shape list;  (** every compiled expression, in compile order *)
+  shapes : Ir.Enumerate.shape list;
+      (** every compiled expression, in compile order *)
   sweep : slots:int array -> me:int option -> handlers -> unit;
       (** [me = Some p] executes only processor [p]'s share of the
           CYCLIC(chunk) schedule (serial statements run on processor 0;
@@ -54,9 +48,6 @@ type t = {
           sequential replay.  [slots] must have at least [nslots]
           cells and is scratch space owned by the caller. *)
 }
-
-val proc_of_iteration : chunk:int -> h:int -> int -> int
-(** CYCLIC(p): iteration [i] runs on [(i / p) mod h]. *)
 
 val phase :
   Ir.Types.program -> Env.t -> Distribution.plan -> int -> Ir.Types.phase -> t

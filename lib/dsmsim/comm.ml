@@ -52,6 +52,16 @@ let array_size ?on_error (lcg : Lcg.t) array =
            array);
       None
 
+let size_of ?on_error lcg =
+  let sizes = Hashtbl.create 8 in
+  fun array ->
+    match Hashtbl.find_opt sizes array with
+    | Some s -> s
+    | None ->
+        let s = array_size ?on_error lcg array in
+        Hashtbl.add sizes array s;
+        s
+
 (* Group (src, dst, addr) triples into aggregated messages with maximal
    contiguous ranges. *)
 let aggregate (triples : (int * int * int) list) : message list =
@@ -145,12 +155,7 @@ let write_covers_epoch_symbolic (lcg : Lcg.t) (l : Distribution.layout) =
       | Some t -> t
       | None -> raise Subtle
     in
-    let sites_of t =
-      List.filter
-        (fun (s : Ir.Shape.site) ->
-          String.equal s.array l.array && Ir.Shape.emits t s)
-        t.sites
-    in
+    let sites_of t = Ir.Shape.on_array t l.array in
     let th = shape_of l.first_phase in
     let head = sites_of th in
     if head = [] then Some false
@@ -211,14 +216,10 @@ let write_covers_epoch_symbolic (lcg : Lcg.t) (l : Distribution.layout) =
   with Subtle | Lattice.Overflow -> None
 
 let write_covers_epoch (lcg : Lcg.t) (l : Distribution.layout) =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> write_covers_epoch_enum lcg l
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match write_covers_epoch_symbolic lcg l with
-      | Some b -> b
-      | None ->
-          Lattice.note_fallback ~stage:"comm" (l.array ^ " write-covers");
-          write_covers_epoch_enum lcg l)
+  Lattice.closed_or_enumerate ~stage:"comm"
+    ~reason:(fun () -> l.array ^ " write-covers")
+    ~symbolic:(fun () -> write_covers_epoch_symbolic lcg l)
+    ~enum:(fun () -> write_covers_epoch_enum lcg l)
 
 (* The frontier strips of a halo'd layout: each block owner's edge
    cells, addressed to the neighbouring blocks' owners.  Emitted as
@@ -229,7 +230,7 @@ let strip_ranges (plan : Distribution.plan) (l : Distribution.layout) size =
   else begin
     let ranges = ref [] in
     let b = l.block in
-    let w = min l.halo b in
+    let w = Distribution.halo_window l in
     let nblocks = ((size - l.base) + b - 1) / b in
     for blk = 0 to nblocks - 1 do
       let start = l.base + (blk * b) in
@@ -295,15 +296,10 @@ let redistribution_messages_symbolic (plan : Distribution.plan) prev next size
   | _ -> None
 
 let redistribution_messages plan prev next size =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> redistribution_messages_enum plan prev next size
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match redistribution_messages_symbolic plan prev next size with
-      | Some ms -> ms
-      | None ->
-          Lattice.note_fallback ~stage:"comm"
-            (prev.Distribution.array ^ " redistribution walk");
-          redistribution_messages_enum plan prev next size)
+  Lattice.closed_or_enumerate ~stage:"comm"
+    ~reason:(fun () -> prev.Distribution.array ^ " redistribution walk")
+    ~symbolic:(fun () -> redistribution_messages_symbolic plan prev next size)
+    ~enum:(fun () -> redistribution_messages_enum plan prev next size)
 
 (* Arrays a phase writes (with at least one event). *)
 let phase_writes_enum (lcg : Lcg.t) ph =
@@ -316,22 +312,20 @@ let phase_writes_enum (lcg : Lcg.t) ph =
   Hashtbl.fold (fun a () acc -> a :: acc) written [] |> List.sort_uniq compare
 
 let phase_writes (lcg : Lcg.t) ph =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> phase_writes_enum lcg ph
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match Ir.Shape.of_phase lcg.prog lcg.env ph with
-      | Some t ->
+  Lattice.closed_or_enumerate ~stage:"comm"
+    ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " writes")
+    ~symbolic:(fun () ->
+      Option.map
+        (fun (t : Ir.Shape.t) ->
           List.sort_uniq compare
             (List.filter_map
                (fun (s : Ir.Shape.site) ->
                  match s.access with
                  | Ir.Types.Write when Ir.Shape.emits t s -> Some s.array
                  | Ir.Types.Write | Ir.Types.Read -> None)
-               t.sites)
-      | None ->
-          Lattice.note_fallback ~stage:"comm"
-            ("phase " ^ ph.Ir.Types.phase_name ^ " writes");
-          phase_writes_enum lcg ph)
+               t.sites))
+        (Ir.Shape.of_phase lcg.prog lcg.env ph))
+    ~enum:(fun () -> phase_writes_enum lcg ph)
 
 let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
   let array_size lcg a = array_size ?on_error lcg a in

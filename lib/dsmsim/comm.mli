@@ -52,6 +52,10 @@ val array_size : ?on_error:(string -> unit) -> Lcg.t -> string -> int option
     explicitly instead of doing layout math on a phantom size-0 array;
     an undeclared array still raises. *)
 
+val size_of : ?on_error:(string -> unit) -> Lcg.t -> string -> int option
+(** [size_of lcg] memoizes {!array_size} per array, so each failure is
+    reported once - the [size_of] the ownership predicates ask. *)
+
 val generate : ?on_error:(string -> unit) -> Lcg.t -> Ilp.Distribution.plan -> schedule
 (** Events in program order; for a repeating program, events with
     [before_phase = 0] are the wrap-around boundary and apply from the

@@ -38,11 +38,6 @@ type run = Machine.run = {
   fault_stats : Fault.stats option;
 }
 
-let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
-
-let array_size ?on_error (lcg : Lcg.t) array =
-  Comm.array_size ?on_error lcg array
-
 let seq_env_run (lcg : Lcg.t) (m : Cost.machine) =
   let total = ref 0.0 in
   List.iter
@@ -82,6 +77,12 @@ type summary = {
   s_written : string list;  (** arrays the phase writes *)
 }
 
+(* Remote writes are single-sided pipelined puts (t_put); remote reads
+   pay the full round trip (t_remote). *)
+let remote_cost (m : Cost.machine) = function
+  | Ir.Types.Read -> m.t_remote
+  | Ir.Types.Write -> m.t_put
+
 let summarize_enum (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
     ~size_of k ph =
   let h = plan.h in
@@ -95,55 +96,34 @@ let summarize_enum (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
     ~f:(fun ~par ~array ~addr access ~work ->
       let proc =
         match par with
-        | Some i -> proc_of_iteration ~chunk ~h i
+        | Some i -> Distribution.proc_of_iteration ~chunk ~h i
         | None -> 0
       in
-      (* Remote writes are single-sided pipelined puts (t_put);
-         remote reads pay the full round trip (t_remote). *)
-      let remote_cost =
-        match access with
-        | Ir.Types.Read -> m.t_remote
-        | Ir.Types.Write -> m.t_put
+      (* Reads within the replicated ghost zone around an owned block
+         are served locally (Theorem 1c). *)
+      let served_locally =
+        List.mem (k, array) plan.privatized
+        ||
+        match Distribution.layout_for plan ~array ~phase_idx:k with
+        | None -> true
+        | Some l -> (
+            match access with
+            | Ir.Types.Read ->
+                Distribution.read_is_local plan l ~size_of ~proc ~addr
+            | Ir.Types.Write -> Distribution.proc_of plan l ~addr = proc)
       in
       let access_cost =
-        if List.mem (k, array) plan.privatized then begin
+        if served_locally then begin
           incr local;
           m.t_local
         end
-        else
-          match Distribution.layout_for plan ~array ~phase_idx:k with
-          | Some l ->
-              let owned = Distribution.proc_of plan l ~addr = proc in
-              (* Reads within the replicated ghost zone around an
-                 owned block are served locally (Theorem 1c). *)
-              (* the replicated window matches the frontier strips:
-                 min(halo, block) cells beyond each owned block *)
-              let w = min l.halo l.block in
-              let halo_local =
-                (not owned)
-                && l.halo > 0
-                && (match access with Ir.Types.Read -> true | Ir.Types.Write -> false)
-                && ((match size_of array with
-                    | Some s -> l.halo >= s
-                    | None -> false (* unknown size: not replicated *))
-                   || Distribution.proc_of plan l ~addr:(addr - w) = proc
-                   || Distribution.proc_of plan l ~addr:(addr + w) = proc)
-              in
-              if owned || halo_local then begin
-                incr local;
-                m.t_local
-              end
-              else begin
-                incr remote;
-                remote_cost
-              end
-          | None ->
-              incr local;
-              m.t_local
+        else begin
+          incr remote;
+          remote_cost m access
+        end
       in
-      (match access with
-      | Ir.Types.Write -> Hashtbl.replace written array ()
-      | Ir.Types.Read -> ());
+      if Ir.Types.equal_access access Write then
+        Hashtbl.replace written array ();
       compute := !compute + work;
       clock.(proc) <- clock.(proc) +. float_of_int (work + access_cost);
       pcomp.(proc) <- pcomp.(proc) +. float_of_int work;
@@ -179,11 +159,9 @@ let summarize_symbolic (lcg : Lcg.t) (plan : Distribution.plan)
         let pcomp = Array.make h 0 and pacc = Array.make h 0 in
         let seq = ref 0 in
         let written = ref [] in
+        let owner = Distribution.proc_of_iteration ~chunk ~h in
         let events_of s sets =
-          match
-            Owncount.per_proc ~h ~chunk ~par:s.Ir.Shape.par ~par_n:t.par_n
-              ~base:s.Ir.Shape.base ~seq:s.Ir.Shape.seq ~sets
-          with
+          match Owncount.per_proc ~chunk ~owner t s ~sets with
           | None -> raise Subtle
           | Some r -> r
         in
@@ -191,90 +169,67 @@ let summarize_symbolic (lcg : Lcg.t) (plan : Distribution.plan)
         List.iter
           (fun (s : Ir.Shape.site) ->
             if Ir.Shape.emits t s then begin
-              (match s.access with
-              | Ir.Types.Write ->
-                  if not (List.mem s.array !written) then
-                    written := s.array :: !written
-              | Ir.Types.Read -> ());
-              let remote_cost =
-                match s.access with
-                | Ir.Types.Read -> m.t_remote
-                | Ir.Types.Write -> m.t_put
+              if
+                Ir.Types.equal_access s.access Write
+                && not (List.mem s.array !written)
+              then written := s.array :: !written;
+              let remote_cost = remote_cost m s.access in
+              let layout =
+                if List.mem (k, s.array) plan.privatized then None
+                else Distribution.layout_for plan ~array:s.array ~phase_idx:k
               in
               let events, local_hits =
-                if List.mem (k, s.array) plan.privatized then
-                  let ev, _ = events_of s all_local in
-                  (ev, Array.copy ev)
-                else
-                  match
-                    Distribution.layout_for plan ~array:s.array ~phase_idx:k
-                  with
-                  | None ->
-                      let ev, _ = events_of s all_local in
-                      (ev, Array.copy ev)
-                  | Some l -> (
-                      let box =
-                        match Ir.Shape.box t s with
-                        | Some b -> b
-                        | None -> raise Subtle
-                      in
-                      let w = min l.halo l.block in
-                      let owned_sets =
-                        match
-                          Owncount.intervals_of
-                            (Distribution.own_of ~h l)
-                            ~lo:(L.lo box - w) ~hi:(L.hi box + w)
-                        with
-                        | None -> raise Subtle
-                        | Some o -> o
-                      in
-                      let ev, own_hits = events_of s owned_sets in
-                      match s.access with
-                      | Ir.Types.Write -> (ev, own_hits)
-                      | Ir.Types.Read ->
-                          let replicated =
-                            l.halo > 0
-                            &&
-                            match size_of s.array with
-                            | Some sz -> l.halo >= sz
-                            | None -> false
+                match layout with
+                | None ->
+                    let ev, _ = events_of s all_local in
+                    (ev, Array.copy ev)
+                | Some l -> (
+                    let box =
+                      match Ir.Shape.box t s with
+                      | Some b -> b
+                      | None -> raise Subtle
+                    in
+                    let w = Distribution.halo_window l in
+                    let owned_sets =
+                      match
+                        Owncount.intervals_of
+                          (Distribution.own_of ~h l)
+                          ~lo:(L.lo box - w) ~hi:(L.hi box + w)
+                      with
+                      | None -> raise Subtle
+                      | Some o -> o
+                    in
+                    let ev, own_hits = events_of s owned_sets in
+                    match s.access with
+                    | Ir.Types.Write -> (ev, own_hits)
+                    | Ir.Types.Read ->
+                        if Distribution.fully_replicated l ~size_of then
+                          (ev, Array.copy ev)
+                        else if l.halo > 0 then begin
+                          let _, halo_hits =
+                            events_of s (Distribution.halo_sets l owned_sets)
                           in
-                          if replicated then (ev, Array.copy ev)
-                          else if l.halo > 0 then begin
-                            let halo_sets =
-                              Array.map
-                                (fun o ->
-                                  L.Iv.subtract
-                                    (L.Iv.union (L.Iv.shift o w)
-                                       (L.Iv.shift o (-w)))
-                                    o)
-                                owned_sets
-                            in
-                            let _, halo_hits = events_of s halo_sets in
-                            ( ev,
-                              Array.init h (fun p0 ->
-                                  own_hits.(p0) + halo_hits.(p0)) )
-                          end
-                          else (ev, own_hits))
+                          ( ev,
+                            Array.init h (fun p0 ->
+                                own_hits.(p0) + halo_hits.(p0)) )
+                        end
+                        else (ev, own_hits))
               in
               for p0 = 0 to h - 1 do
                 let e = events.(p0) in
                 let lh = local_hits.(p0) in
                 let rh = e - lh in
                 let wk = L.Safe.mul s.work e in
+                let ac =
+                  L.Safe.add (L.Safe.mul m.t_local lh)
+                    (L.Safe.mul remote_cost rh)
+                in
                 local := L.Safe.add !local lh;
                 remote := L.Safe.add !remote rh;
                 compute := L.Safe.add !compute wk;
-                clock.(p0) <-
-                  L.Safe.add clock.(p0)
-                    (L.Safe.add wk
-                       (L.Safe.add (L.Safe.mul m.t_local lh)
-                          (L.Safe.mul remote_cost rh)));
+                clock.(p0) <- L.Safe.add clock.(p0) (L.Safe.add wk ac);
                 pcomp.(p0) <- L.Safe.add pcomp.(p0) wk;
-                pacc.(p0) <-
-                  L.Safe.add pacc.(p0)
-                    (L.Safe.add (L.Safe.mul m.t_local lh)
-                       (L.Safe.mul remote_cost rh));
+                pacc.(p0) <- L.Safe.add pacc.(p0) ac;
                 seq :=
                   L.Safe.add !seq (L.Safe.mul (s.work + m.t_local) e)
               done
@@ -294,15 +249,10 @@ let summarize_symbolic (lcg : Lcg.t) (plan : Distribution.plan)
       with Subtle | L.Overflow -> None)
 
 let summarize lcg plan m ~size_of k ph =
-  match !L.mode with
-  | L.Enumerated_only -> summarize_enum lcg plan m ~size_of k ph
-  | L.Auto | L.Symbolic_only -> (
-      match summarize_symbolic lcg plan m ~size_of k ph with
-      | Some s -> s
-      | None ->
-          L.note_fallback ~stage:"exec"
-            ("phase " ^ ph.Ir.Types.phase_name ^ " accounting");
-          summarize_enum lcg plan m ~size_of k ph)
+  L.closed_or_enumerate ~stage:"exec"
+    ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " accounting")
+    ~symbolic:(fun () -> summarize_symbolic lcg plan m ~size_of k ph)
+    ~enum:(fun () -> summarize_enum lcg plan m ~size_of k ph)
 
 let exec_timer = Symbolic.Metrics.timer "dsmsim.exec"
 let msg_count = Symbolic.Metrics.counter "exec.messages"
@@ -329,15 +279,7 @@ module Sim = struct
 
   let create ?on_error (lcg : Lcg.t) (plan : Distribution.plan)
       (m : Cost.machine) =
-    let sizes = Hashtbl.create 8 in
-    let size_of array =
-      match Hashtbl.find_opt sizes array with
-      | Some s -> s
-      | None ->
-          let s = array_size ?on_error lcg array in
-          Hashtbl.add sizes array s;
-          s
-    in
+    let size_of = Comm.size_of ?on_error lcg in
     {
       lcg;
       plan;

@@ -71,9 +71,6 @@ val run :
 
 val pp : Format.formatter -> run -> unit
 
-val proc_of_iteration : chunk:int -> h:int -> int -> int
-(** CYCLIC(p): iteration [i] runs on [(i / p) mod h]. *)
-
 val seq_env_run : Lcg.t -> Ilp.Cost.machine -> float
 (** Sequential reference time (exported for cross-checks). *)
 

@@ -23,15 +23,7 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
   let reads = ref 0 and stale = ref 0 in
   let examples = ref [] in
   let counter = ref 0 in
-  let sizes = Hashtbl.create 8 in
-  let size_of array =
-    match Hashtbl.find_opt sizes array with
-    | Some s -> s
-    | None ->
-        let s = Comm.array_size ?on_error lcg array in
-        Hashtbl.add sizes array s;
-        s
-  in
+  let size_of = Comm.size_of ?on_error lcg in
   let deliver (m : Comm.message) array =
     List.iter
       (fun (lo, hi) ->
@@ -60,7 +52,7 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
               let key = (array, addr) in
               let proc =
                 match par with
-                | Some i -> i / max 1 chunk mod h
+                | Some i -> Distribution.proc_of_iteration ~chunk ~h i
                 | None -> 0
               in
               let layout = Distribution.layout_for plan ~array ~phase_idx:k in
@@ -82,19 +74,11 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
                        everything else is a direct get from the owner *)
                     match layout with
                     | Some l
-                      when proc <> owner
-                           && l.halo > 0
-                           &&
-                           let w = min l.halo l.block in
-                           (match size_of array with
-                           | Some s -> l.halo >= s
-                           | None -> false)
-                           || Distribution.proc_of plan l ~addr:(addr - w)
-                              = proc
-                           || Distribution.proc_of plan l ~addr:(addr + w)
-                              = proc ->
-                        proc
-                    | _ -> if proc = owner then proc else owner
+                      when not
+                             (Distribution.read_is_local plan l ~size_of ~proc
+                                ~addr) ->
+                        owner
+                    | _ -> proc
                   in
                   if hv serving key <> g key then begin
                     incr stale;

@@ -97,23 +97,6 @@ let record_failure st p e =
   Shim.Barrier.poison st.fin;
   Shim.Barrier.poison st.sync
 
-let proc_of_addr st (l : Distribution.layout) addr =
-  Distribution.proc_of st.plan l ~addr
-
-(* Same halo-local read predicate as the simulator and the validator:
-   a non-owned read is served by the local ghost replica when the array
-   is fully replicated (halo >= size) or a [min halo block] window
-   around an owned block covers the address. *)
-let halo_local st (l : Distribution.layout) ~array ~addr ~me =
-  l.halo > 0
-  &&
-  let w = min l.halo l.block in
-  (match Hashtbl.find_opt st.size_tbl array with
-  | Some s -> l.halo >= s
-  | None -> false)
-  || proc_of_addr st l (addr - w) = me
-  || proc_of_addr st l (addr + w) = me
-
 let key_of ~round ~k ~par =
   (round, k, match par with Some i -> i | None -> -1)
 
@@ -123,6 +106,7 @@ let par_handlers st ~me ~round ~k : Compile.handlers =
   let own array = Shim.window st.shim ~proc:me ~array in
   let layout array = Hashtbl.find st.layout_tbl.(k) array in
   let cursors = st.cursors.(me) in
+  let size_of = Hashtbl.find_opt st.size_tbl in
   let check ~par ~array ~addr v =
     let key = key_of ~round ~k ~par in
     match Hashtbl.find_opt st.expected key with
@@ -152,19 +136,19 @@ let par_handlers st ~me ~round ~k : Compile.handlers =
       (fun ~par ~array ~addr ->
         let v =
           match layout array with
-          | None ->
+          | Some l
+            when not
+                   (Distribution.read_is_local st.plan l ~size_of ~proc:me
+                      ~addr) ->
+              c.gets <- c.gets + 1;
+              Bigarray.Array1.get
+                (Shim.window st.shim
+                   ~proc:(Distribution.proc_of st.plan l ~addr)
+                   ~array)
+                addr
+          | _ ->
               c.local <- c.local + 1;
               Bigarray.Array1.get (own array) addr
-          | Some l ->
-              let owner = proc_of_addr st l addr in
-              if owner = me || halo_local st l ~array ~addr ~me then begin
-                c.local <- c.local + 1;
-                Bigarray.Array1.get (own array) addr
-              end
-              else begin
-                c.gets <- c.gets + 1;
-                Bigarray.Array1.get (Shim.window st.shim ~proc:owner ~array) addr
-              end
         in
         if st.check_reads then check ~par ~array ~addr v;
         v);
@@ -174,7 +158,7 @@ let par_handlers st ~me ~round ~k : Compile.handlers =
         match layout array with
         | None -> c.local <- c.local + 1
         | Some l ->
-            let owner = proc_of_addr st l addr in
+            let owner = Distribution.proc_of st.plan l ~addr in
             if owner <> me then begin
               Bigarray.Array1.set
                 (Shim.window st.shim ~proc:owner ~array)

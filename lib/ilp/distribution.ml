@@ -38,6 +38,23 @@ let layout_for (plan : plan) ~array ~phase_idx =
       && phase_idx <= l.last_phase)
     plan.layouts
 
+let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
+
+let halo_window (l : layout) = min l.halo l.block
+
+let fully_replicated (l : layout) ~size_of =
+  l.halo > 0
+  && match size_of l.array with Some s -> l.halo >= s | None -> false
+
+let read_is_local plan (l : layout) ~size_of ~proc ~addr =
+  proc_of plan l ~addr = proc
+  || l.halo > 0
+     && (fully_replicated l ~size_of
+        ||
+        let w = halo_window l in
+        proc_of plan l ~addr:(addr - w) = proc
+        || proc_of plan l ~addr:(addr + w) = proc)
+
 let array_size (lcg : Lcg.t) array =
   try
     Env.eval lcg.env
@@ -55,6 +72,15 @@ let own_of ~h (l : layout) : Lattice.Own.t =
     mirror = l.mirror;
   }
 
+let halo_sets (l : layout) owned =
+  let w = halo_window l in
+  Array.map
+    (fun o ->
+      Lattice.Iv.subtract
+        (Lattice.Iv.union (Lattice.Iv.shift o w) (Lattice.Iv.shift o (-w)))
+        o)
+    owned
+
 (* Remote accesses layout [l] induces for its array in phase
    [phase_idx], given the plan's CYCLIC(p) schedules. *)
 let remote_count_enum (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
@@ -65,7 +91,7 @@ let remote_count_enum (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
       if String.equal array l.array then begin
         let proc =
           match par with
-          | Some i -> i / max 1 chunk mod plan.h
+          | Some i -> proc_of_iteration ~chunk ~h:plan.h i
           | None -> 0
         in
         if proc_of plan l ~addr <> proc then incr remote
@@ -81,49 +107,29 @@ let remote_count_symbolic (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
   | None -> None
   | Some t -> (
       try
-        let sites =
-          List.filter
-            (fun (s : Ir.Shape.site) ->
-              String.equal s.array l.array && Ir.Shape.emits t s)
-            t.sites
-        in
-        if sites = [] then Some 0
-        else
-          let boxes = List.filter_map (Ir.Shape.box t) sites in
-          match Lattice.bounds boxes with
-          | None -> Some 0
-          | Some (lo, hi) -> (
-              match Owncount.intervals_of (own_of ~h:plan.h l) ~lo ~hi with
-              | None -> None
-              | Some sets ->
-                  let chunk = plan.chunk.(phase_idx) in
-                  List.fold_left
-                    (fun acc (s : Ir.Shape.site) ->
-                      match acc with
-                      | None -> None
-                      | Some r -> (
-                          match
-                            Owncount.per_proc ~h:plan.h ~chunk ~par:s.par
-                              ~par_n:t.par_n ~base:s.base ~seq:s.seq ~sets
-                          with
-                          | None -> None
-                          | Some (events, hits) ->
-                              let tot = Array.fold_left ( + ) 0 events
-                              and owned = Array.fold_left ( + ) 0 hits in
-                              Some (r + tot - owned)))
-                    (Some 0) sites)
+        let sites = Ir.Shape.on_array t l.array in
+        match Lattice.bounds (List.filter_map (Ir.Shape.box t) sites) with
+        | None -> Some 0
+        | Some (lo, hi) ->
+            Option.bind (Owncount.intervals_of (own_of ~h:plan.h l) ~lo ~hi)
+              (fun sets ->
+                let chunk = plan.chunk.(phase_idx) in
+                let owner = proc_of_iteration ~chunk ~h:plan.h in
+                let sum = Array.fold_left ( + ) 0 in
+                List.fold_left
+                  (fun acc s ->
+                    Option.bind acc (fun r ->
+                        Option.map
+                          (fun (events, hits) -> r + sum events - sum hits)
+                          (Owncount.per_proc ~chunk ~owner t s ~sets)))
+                  (Some 0) sites)
       with Lattice.Overflow -> None)
 
 let remote_count (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> remote_count_enum lcg plan l ~phase_idx
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match remote_count_symbolic lcg plan l ~phase_idx with
-      | Some r -> r
-      | None ->
-          Lattice.note_fallback ~stage:"distribution"
-            (l.array ^ " remote count");
-          remote_count_enum lcg plan l ~phase_idx)
+  Lattice.closed_or_enumerate ~stage:"distribution"
+    ~reason:(fun () -> l.array ^ " remote count")
+    ~symbolic:(fun () -> remote_count_symbolic lcg plan l ~phase_idx)
+    ~enum:(fun () -> remote_count_enum lcg plan l ~phase_idx)
 
 (* Does any phase of the layout's epoch write the array? *)
 let epoch_written_enum (lcg : Lcg.t) (l : layout) =
@@ -131,11 +137,7 @@ let epoch_written_enum (lcg : Lcg.t) (l : layout) =
   for k = l.first_phase to l.last_phase do
     Ir.Enumerate.iter lcg.prog lcg.env (List.nth lcg.prog.phases k)
       ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
-        if
-          String.equal array l.array
-          && (match access with
-             | Ir.Types.Write -> true
-             | Ir.Types.Read -> false)
+        if String.equal array l.array && Ir.Types.equal_access access Write
         then found := true)
   done;
   !found
@@ -151,50 +153,43 @@ let epoch_written_symbolic (lcg : Lcg.t) (l : layout) =
           if
             List.exists
               (fun (s : Ir.Shape.site) ->
-                String.equal s.array l.array
-                && (match s.access with
-                   | Ir.Types.Write -> true
-                   | Ir.Types.Read -> false)
-                && Ir.Shape.emits t s)
-              t.sites
+                Ir.Types.equal_access s.access Write)
+              (Ir.Shape.on_array t l.array)
           then found := true
     done;
     Some !found
   with Subtle -> None
 
 let epoch_written (lcg : Lcg.t) (l : layout) =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> epoch_written_enum lcg l
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match epoch_written_symbolic lcg l with
-      | Some b -> b
-      | None ->
-          Lattice.note_fallback ~stage:"distribution"
-            (l.array ^ " epoch writes");
-          epoch_written_enum lcg l)
+  Lattice.closed_or_enumerate ~stage:"distribution"
+    ~reason:(fun () -> l.array ^ " epoch writes")
+    ~symbolic:(fun () -> epoch_written_symbolic lcg l)
+    ~enum:(fun () -> epoch_written_enum lcg l)
 
 (* Ghost-zone payoff of a candidate layout: remote reads the halo would
    serve locally, and how many of the epoch's phases write the array
-   (each such phase ships frontier updates). *)
+   (each such phase ships frontier updates).  Only partial halos are
+   priced, so full replication never applies here. *)
 let halo_savings_enum (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
   let h = plan0.h in
   let saved = ref 0 and writing_phases = ref 0 in
   for k = l.first_phase to l.last_phase do
     let ph = List.nth lcg.prog.phases k in
-    let chunk = max 1 p.(k) in
     let wrote = ref false in
     Ir.Enumerate.iter lcg.prog lcg.env ph
       ~f:(fun ~par ~array ~addr access ~work:_ ->
         if String.equal array l.array then begin
-          let proc = match par with Some i -> i / chunk mod h | None -> 0 in
+          let proc =
+            match par with
+            | Some i -> proc_of_iteration ~chunk:p.(k) ~h i
+            | None -> 0
+          in
           match access with
           | Ir.Types.Write -> wrote := true
           | Ir.Types.Read ->
-              let w = min l.halo l.block in
               if
                 proc_of plan0 l ~addr <> proc
-                && (proc_of plan0 l ~addr:(addr - w) = proc
-                   || proc_of plan0 l ~addr:(addr + w) = proc)
+                && read_is_local plan0 l ~size_of:(fun _ -> None) ~proc ~addr
               then incr saved
         end);
     if !wrote then incr writing_phases
@@ -206,35 +201,19 @@ let halo_savings_symbolic (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
   try
     let h = plan0.h in
     let own = own_of ~h l in
-    let w = min l.halo l.block in
+    let w = halo_window l in
     let saved = ref 0 and writing_phases = ref 0 in
     for k = l.first_phase to l.last_phase do
       let ph = List.nth lcg.prog.phases k in
       match Ir.Shape.of_phase lcg.prog lcg.env ph with
       | None -> raise Subtle
       | Some t ->
-          let sites =
-            List.filter
-              (fun (s : Ir.Shape.site) ->
-                String.equal s.array l.array && Ir.Shape.emits t s)
-              t.sites
+          let writes, reads =
+            List.partition
+              (fun (s : Ir.Shape.site) -> Ir.Types.equal_access s.access Write)
+              (Ir.Shape.on_array t l.array)
           in
-          if
-            List.exists
-              (fun (s : Ir.Shape.site) ->
-                match s.access with
-                | Ir.Types.Write -> true
-                | Ir.Types.Read -> false)
-              sites
-          then incr writing_phases;
-          let reads =
-            List.filter
-              (fun (s : Ir.Shape.site) ->
-                match s.access with
-                | Ir.Types.Read -> true
-                | Ir.Types.Write -> false)
-              sites
-          in
+          if writes <> [] then incr writing_phases;
           if reads <> [] then begin
             let boxes = List.filter_map (Ir.Shape.box t) reads in
             match Lattice.bounds boxes with
@@ -243,23 +222,13 @@ let halo_savings_symbolic (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
                 match Owncount.intervals_of own ~lo:(lo - w) ~hi:(hi + w) with
                 | None -> raise Subtle
                 | Some owned ->
-                    (* addresses within w of an owned cell but not owned:
-                       the set the ghost zone turns local *)
-                    let sets =
-                      Array.map
-                        (fun o ->
-                          Lattice.Iv.subtract
-                            (Lattice.Iv.union (Lattice.Iv.shift o w)
-                               (Lattice.Iv.shift o (-w)))
-                            o)
-                        owned
-                    in
+                    let sets = halo_sets l owned in
                     let chunk = p.(k) in
                     List.iter
                       (fun (s : Ir.Shape.site) ->
                         match
-                          Owncount.per_proc ~h ~chunk ~par:s.par ~par_n:t.par_n
-                            ~base:s.base ~seq:s.seq ~sets
+                          Owncount.per_proc ~chunk
+                            ~owner:(proc_of_iteration ~chunk ~h) t s ~sets
                         with
                         | None -> raise Subtle
                         | Some (_, hits) ->
@@ -271,15 +240,10 @@ let halo_savings_symbolic (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
   with Subtle | Lattice.Overflow -> None
 
 let halo_savings (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> halo_savings_enum lcg plan0 ~p l
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match halo_savings_symbolic lcg plan0 ~p l with
-      | Some r -> r
-      | None ->
-          Lattice.note_fallback ~stage:"distribution"
-            (l.array ^ " halo payoff");
-          halo_savings_enum lcg plan0 ~p l)
+  Lattice.closed_or_enumerate ~stage:"distribution"
+    ~reason:(fun () -> l.array ^ " halo payoff")
+    ~symbolic:(fun () -> halo_savings_symbolic lcg plan0 ~p l)
+    ~enum:(fun () -> halo_savings_enum lcg plan0 ~p l)
 
 let of_solution (lcg : Lcg.t) ~p : plan =
   let h = lcg.h in

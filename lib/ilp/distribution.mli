@@ -49,18 +49,36 @@ val own_of : h:int -> layout -> Symbolic.Lattice.Own.t
 val layout_for : plan -> array:string -> phase_idx:int -> layout option
 (** The layout epoch active at the given phase. *)
 
+(** {1 Ownership decisions}
+
+    The one definition the simulator, validator, executor and generated
+    code all ask. *)
+
+val proc_of_iteration : chunk:int -> h:int -> int -> int
+(** CYCLIC(p): parallel iteration [i] runs on [(i / max 1 p) mod h]. *)
+
+val halo_window : layout -> int
+(** [min halo block]: ghost cells on each side of an owned block. *)
+
+val fully_replicated : layout -> size_of:(string -> int option) -> bool
+(** [halo >= size] (an unknown size never is). *)
+
+val read_is_local :
+  plan -> layout -> size_of:(string -> int option) -> proc:int -> addr:int -> bool
+(** Owned, within {!halo_window} of an owned block, or
+    {!fully_replicated}; [size_of] is asked only for an unowned read of
+    a halo'd layout. *)
+
+val halo_sets :
+  layout -> Symbolic.Lattice.Iv.t array -> Symbolic.Lattice.Iv.t array
+(** Closed-form window clause: per processor, the addresses within
+    {!halo_window} of its ownership set but outside it. *)
+
 val of_solution : Locality.Lcg.t -> p:int array -> plan
 
 val block_plan : Locality.Lcg.t -> plan
 (** The naive baseline: BLOCK layout of every array over the whole
     program, BLOCK iteration scheduling (chunk = ceil(n/H)); what an
     owner-computes compiler does without locality analysis. *)
-
-val remote_count :
-  Locality.Lcg.t -> plan -> layout -> phase_idx:int -> int
-(** Remote accesses the layout induces for its array in one phase -
-    exact; closed-form when the phase stays inside the symbolic
-    fragment, by enumeration otherwise (or always, under
-    [Lattice.Enumerated_only]). *)
 
 val pp : Format.formatter -> plan -> unit

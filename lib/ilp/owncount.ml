@@ -18,11 +18,12 @@ let offsets dims =
         acc)
     [ 0 ] dims
 
-let per_proc ~h ~chunk ~par ~par_n ~base ~seq ~sets =
+let per_proc ~chunk ~owner (t : Ir.Shape.t) (s : Ir.Shape.site) ~sets =
+  let h = Array.length sets and par_n = t.par_n and seq = s.seq in
   let events = Array.make h 0 and hits = Array.make h 0 in
   let empty =
     List.exists (fun (c, _) -> c <= 0) seq
-    || match par with Ir.Shape.Strided _ -> par_n <= 0 | _ -> false
+    || match s.par with Ir.Shape.Strided _ -> par_n <= 0 | _ -> false
   in
   if empty then Some (events, hits)
   else
@@ -61,15 +62,14 @@ let per_proc ~h ~chunk ~par ~par_n ~base ~seq ~sets =
                   (Lattice.window_hits ~a ~d ~n ~len sets.(pr)))
             offs
         in
-        match par with
+        match s.par with
         | Ir.Shape.Outside -> (
-            add_run ~pr:0 ~n:1 ~d:0 base;
+            add_run ~pr:0 ~n:1 ~d:0 s.base;
             Some (events, hits))
         | Ir.Shape.Fixed i ->
-            let pr = i / max 1 chunk mod h in
-            add_run ~pr ~n:1 ~d:0 base;
+            add_run ~pr:(owner i) ~n:1 ~d:0 s.base;
             Some (events, hits)
-        | Ir.Shape.Strided s ->
+        | Ir.Shape.Strided d ->
             let chunk = max 1 chunk in
             let runs = (par_n + chunk - 1) / chunk in
             if runs > budget then None
@@ -77,8 +77,8 @@ let per_proc ~h ~chunk ~par ~par_n ~base ~seq ~sets =
               for q = 0 to runs - 1 do
                 let i0 = q * chunk in
                 let n = min chunk (par_n - i0) in
-                add_run ~pr:(q mod h) ~n ~d:s
-                  (Lattice.Safe.add base (Lattice.Safe.mul s i0))
+                add_run ~pr:(owner i0) ~n ~d
+                  (Lattice.Safe.add s.base (Lattice.Safe.mul d i0))
               done;
               Some (events, hits)
             end

@@ -3,7 +3,8 @@
     One reference site of a phase generates the event multiset
     [{(i, base + par_stride*i + sum_j k_j*s_j)}] over its parallel and
     sequential index space, and the CYCLIC(chunk) schedule executes
-    parallel iteration [i] on processor [(i / chunk) mod h].  This
+    parallel iteration [i] on processor [owner i]
+    ({!Distribution.proc_of_iteration}).  This
     module counts, per processor, how many of the site's events land
     inside a given interval set (an ownership set, a ghost-zone family)
     - with multiplicity, in closed form: the parallel range is walked
@@ -29,19 +30,18 @@ val intervals_of :
     exhausts it. *)
 
 val per_proc :
-  h:int ->
   chunk:int ->
-  par:Ir.Shape.par_shape ->
-  par_n:int ->
-  base:int ->
-  seq:(int * int) list ->
+  owner:(int -> int) ->
+  Ir.Shape.t ->
+  Ir.Shape.site ->
   sets:Lattice.Iv.t array ->
   (int array * int array) option
-(** [per_proc ~h ~chunk ~par ~par_n ~base ~seq ~sets] returns
-    [(events, hits)] where [events.(p)] is the number of the site's
-    events executed by processor [p] and [hits.(p)] is how many of
-    those address into [sets.(p)].  [sets] must have length [h];
-    events outside the parallel loop ([Outside]) execute on processor
-    0, like the enumerator's [par = None] convention.  [None] when the
-    chunk-run or sequential enumeration exceeds {!budget} or the
-    arithmetic overflows. *)
+(** [per_proc ~chunk ~owner t s ~sets] returns [(events, hits)], walking
+    the parallel range in runs of [chunk] iterations over which [owner]
+    is constant: [events.(p)] is the number of the site's events
+    executed by processor [p] and [hits.(p)] how many of those address
+    into [sets.(p)] (one set per processor).  Events outside the
+    parallel loop ([Outside]) execute on processor 0, like the
+    enumerator's [par = None] convention.  [None] when the chunk-run or
+    sequential enumeration exceeds {!budget} or the arithmetic
+    overflows. *)

@@ -39,19 +39,15 @@ let communication_words (lcg : Lcg.t) ~array ~phase_idx =
                 (Descriptor.Region.addresses lcg.env node.pd ~par:None)
             with Descriptor.Region.Not_rectangular _ -> whole_array ()
           in
-          match !Symbolic.Lattice.mode with
-          | Symbolic.Lattice.Enumerated_only -> enum ()
-          | Symbolic.Lattice.Auto | Symbolic.Lattice.Symbolic_only -> (
+          Symbolic.Lattice.closed_or_enumerate ~stage:"solve-words"
+            ~reason:(fun () -> array ^ " region volume")
+            ~symbolic:(fun () ->
               (* Setalg mirrors enumeration's Not_rectangular failures,
                  so the whole-array degradation fires identically. *)
-              match Descriptor.Setalg.card lcg.env node.pd ~par:None with
-              | Some c -> c
-              | None ->
-                  Symbolic.Lattice.note_fallback ~stage:"solve-words"
-                    (array ^ " region volume");
-                  enum ()
-              | exception Descriptor.Region.Not_rectangular _ ->
-                  whole_array ())))
+              try Descriptor.Setalg.card lcg.env node.pd ~par:None
+              with Descriptor.Region.Not_rectangular _ ->
+                Some (whole_array ()))
+            ~enum))
 
 (* The affine-rational value of a variable in terms of the component
    representative t: p = (num * t + off) / den. *)

@@ -1,14 +1,43 @@
-(** Concrete access enumeration: the ground-truth oracle.
-
-    Directly interprets a phase's loop nest under a concrete parameter
-    environment, producing every (array, flat address, access) event in
-    execution order.  Descriptor construction, coalescing, iteration
-    descriptors and the locality theorems are all validated against this
-    oracle in the test suite, and the DSM simulator uses it to replay
-    memory traffic. *)
+(** Concrete access enumeration: the ground-truth oracle, and the one
+    definition of addressing.  {!compile} turns a normalized phase into
+    closures over a loop slot file; {!iter} walks them and
+    [Codegen.Compile] executes them, so the oracle and the generated
+    code cannot disagree on an address. *)
 
 open Symbolic
 open Types
+
+(** A compiled bound or subscript: constant, affine in the loop slots
+    [c0 + sum c_i * slot_i] (overflow-checked), or an opaque fallback
+    that interprets the expression per evaluation. *)
+type shape = Const of int | Affine of int * (int * int) list | Opaque
+
+type site = { array : string; access : access; addr : int array -> int }
+
+type node =
+  | Stmt of { refs : site list;  (** textual order *) work : int }
+  | Nest of {
+      lo : int array -> int;
+      hi : int array -> int;
+      slot : int;  (** the loop variable's slot *)
+      parallel : bool;
+      body : node list;
+    }
+
+type nest = {
+  root : node;
+  nslots : int;
+  shapes : shape list;  (** every compiled expression, in compile order *)
+  unsupported : string option;
+      (** the first unbound parameter, undeclared array, unevaluable
+          extent or rank mismatch, in compile order *)
+}
+
+val compile : program -> Env.t -> phase -> nest
+(** Addresses are column-major; the trailing extent never multiplies.
+    A closure that reaches an {!nest.unsupported} construct raises what
+    evaluation would ([Env.Unbound], [Expr.Non_integral], [Not_found],
+    [Invalid_argument "rank mismatch"]) when first called. *)
 
 val iter :
   program ->
@@ -16,11 +45,11 @@ val iter :
   phase ->
   f:(par:int option -> array:string -> addr:int -> access -> work:int -> unit) ->
   unit
-(** [par] is the current normalized parallel-loop iteration (or [None]
-    when the phase has no parallel loop or the site is outside it).
-    [work] is the owning statement's abstract cost, reported once per
-    statement execution on its first reference (0 on subsequent refs of
-    the same statement instance). *)
+(** Every event in execution order.  [par] is the current normalized
+    parallel-loop iteration ([None] outside it); [work] is the
+    statement's cost, reported on its first reference only.  Errors
+    surface lazily: an unbound parameter inside a zero-trip loop never
+    raises. *)
 
 val addresses :
   program -> Env.t -> phase -> array:string -> (int * access) list

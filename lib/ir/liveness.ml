@@ -164,13 +164,8 @@ let dead_after_symbolic prog env k ~array =
     let boxes_of t acc =
       List.filter_map
         (fun (s : Shape.site) ->
-          if
-            String.equal s.array array
-            && Types.equal_access s.access acc
-            && Shape.emits t s
-          then Shape.box t s
-          else None)
-        t.sites
+          if Types.equal_access s.access acc then Shape.box t s else None)
+        (Shape.on_array t array)
     in
     let tk = shape_of (List.nth prog.phases k) in
     let exposed = ref (boxes_of tk Types.Write) in
@@ -234,25 +229,16 @@ let dead_after_symbolic prog env k ~array =
   with Subtle | Lattice.Overflow -> None
 
 let def_before_use prog env ph ~array =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> def_before_use_enum prog env ph ~array
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match def_before_use_symbolic prog env ph ~array with
-      | Some b -> b
-      | None ->
-          Lattice.note_fallback ~stage:"liveness"
-            (array ^ " def-before-use in " ^ ph.phase_name);
-          def_before_use_enum prog env ph ~array)
+  Lattice.closed_or_enumerate ~stage:"liveness"
+    ~reason:(fun () -> array ^ " def-before-use in " ^ ph.phase_name)
+    ~symbolic:(fun () -> def_before_use_symbolic prog env ph ~array)
+    ~enum:(fun () -> def_before_use_enum prog env ph ~array)
 
 let dead_after prog env k ~array =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> dead_after_enum prog env k ~array
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match dead_after_symbolic prog env k ~array with
-      | Some b -> b
-      | None ->
-          Lattice.note_fallback ~stage:"liveness" (array ^ " dead-after");
-          dead_after_enum prog env k ~array)
+  Lattice.closed_or_enumerate ~stage:"liveness"
+    ~reason:(fun () -> array ^ " dead-after")
+    ~symbolic:(fun () -> dead_after_symbolic prog env k ~array)
+    ~enum:(fun () -> dead_after_enum prog env k ~array)
 
 let default_envs prog =
   (* Small, deterministic parameter samples. *)

@@ -148,6 +148,9 @@ let emits (t : t) (s : site) =
   events s > 0
   && match s.par with Strided _ -> t.par_n > 0 | Outside | Fixed _ -> true
 
+let on_array (t : t) array =
+  List.filter (fun s -> String.equal s.array array && emits t s) t.sites
+
 let box (t : t) (s : site) =
   let dims =
     match s.par with

@@ -72,6 +72,9 @@ val occurrences : t -> site -> int
 val emits : t -> site -> bool
 (** Does the site generate any event at all? *)
 
+val on_array : t -> string -> site list
+(** The sites on one array that {!emits}, in textual order. *)
+
 val box : t -> site -> Lattice.box option
 (** The address {e set} the site touches over all its occurrences
     (multiplicity dropped): [None] when it emits nothing.

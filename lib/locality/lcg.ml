@@ -32,21 +32,15 @@ type t = { prog : Types.program; env : Env.t; h : int; graphs : graph list }
    from the phase's event shapes, enumerated only as the oracle (or as
    the counted fallback when the phase is outside the fragment). *)
 let phase_work prog env ph =
-  let enum () =
-    let total = ref 0 in
-    Enumerate.iter prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
-        total := !total + work);
-    !total
-  in
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> enum ()
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match Shape.of_phase prog env ph with
-      | Some t -> Shape.total_work t
-      | None ->
-          Lattice.note_fallback ~stage:"lcg-work"
-            ("phase " ^ ph.Types.phase_name ^ " outside affine fragment");
-          enum ())
+  Lattice.closed_or_enumerate ~stage:"lcg-work"
+    ~reason:(fun () ->
+      "phase " ^ ph.Types.phase_name ^ " outside affine fragment")
+    ~symbolic:(fun () -> Option.map Shape.total_work (Shape.of_phase prog env ph))
+    ~enum:(fun () ->
+      let total = ref 0 in
+      Enumerate.iter prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
+          total := !total + work);
+      !total)
 
 let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"

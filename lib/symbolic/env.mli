@@ -12,7 +12,6 @@ val add : string -> int -> t -> t
 val find : t -> string -> int
 (** @raise Unbound when the variable has no binding. *)
 
-val find_opt : t -> string -> int option
 val mem : t -> string -> bool
 val bindings : t -> (string * int) list
 

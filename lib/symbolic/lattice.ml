@@ -583,4 +583,14 @@ let note_fallback ~stage reason =
   if !mode = Symbolic_only then
     raise (Outside_fragment (stage ^ ": " ^ reason))
 
+let closed_or_enumerate ~stage ~reason ~symbolic ~enum =
+  match !mode with
+  | Enumerated_only -> enum ()
+  | Auto | Symbolic_only -> (
+      match symbolic () with
+      | Some x -> x
+      | None ->
+          note_fallback ~stage (reason ());
+          enum ())
+
 let fallback_count () = !fallbacks

@@ -68,6 +68,58 @@ let test_layout_annotations () =
       Alcotest.(check bool) "adi redistributes" true
         (contains code2 "call redistribute_U"))
 
+(* The shared addressing compiler's error contract: the enumerator
+   raises lazily, at the first evaluation that needs the missing
+   binding; the executable compiler refuses the phase up front. *)
+let unbound_program ~reached =
+  Frontend.Parse.program
+    (Printf.sprintf
+       "program t\n\
+        param N = 1..8\n\
+        param M = 1..8\n\
+        real A(N^2)\n\n\
+        phase P:\n\
+        doall i = 0, N - 1\n\
+        %s\n\
+        A(i) = A(i) work 1\n\
+        end\n"
+       (if reached then "A(i + M) = A(i) work 1"
+        else "do j = 1, 0\nA(i + M) = A(i) work 1\nend"))
+
+let env_without_m = Env.of_list [ ("N", 4) ]
+
+let events prog =
+  let n = ref 0 in
+  Ir.Enumerate.iter prog env_without_m (List.hd prog.Ir.Types.phases)
+    ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work:_ -> incr n);
+  !n
+
+let test_zero_trip_unbound () =
+  Alcotest.(check int)
+    "zero-trip loop never evaluates M" 8
+    (events (unbound_program ~reached:false))
+
+let test_reached_unbound () =
+  match events (unbound_program ~reached:true) with
+  | n -> Alcotest.failf "expected Env.Unbound, got %d events" n
+  | exception Env.Unbound v -> Alcotest.(check string) "names M" "M" v
+
+let test_compile_refuses_unbound () =
+  let plan =
+    { Ilp.Distribution.h = 2; chunk = [| 1 |]; layouts = []; privatized = [] }
+  in
+  List.iter
+    (fun reached ->
+      let prog = unbound_program ~reached in
+      match
+        Codegen.Compile.phase prog env_without_m plan 0
+          (List.hd prog.Ir.Types.phases)
+      with
+      | _ -> Alcotest.fail "expected Unsupported"
+      | exception Codegen.Compile.Unsupported msg ->
+          Alcotest.(check string) "message" "parameter M has no binding" msg)
+    [ false; true ]
+
 let () =
   Alcotest.run "codegen"
     [
@@ -79,5 +131,12 @@ let () =
           Alcotest.test_case "cyclic + privatized" `Quick
             test_cyclic_sweep_and_privatized;
           Alcotest.test_case "layout annotations" `Quick test_layout_annotations;
+        ] );
+      ( "compile",
+        [
+          Alcotest.test_case "zero-trip unbound" `Quick test_zero_trip_unbound;
+          Alcotest.test_case "reached unbound" `Quick test_reached_unbound;
+          Alcotest.test_case "refuses unbound" `Quick
+            test_compile_refuses_unbound;
         ] );
     ]

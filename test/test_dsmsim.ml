@@ -61,9 +61,9 @@ let test_seq_time_independent_of_plan () =
         (abs_float (a.seq_time -. Exec.seq_env_run t.lcg t.machine) < 1e-9))
 
 let test_proc_of_iteration () =
-  Alcotest.(check int) "cyclic(2) i=5 h=4" 2 (Exec.proc_of_iteration ~chunk:2 ~h:4 5);
-  Alcotest.(check int) "wraps" 0 (Exec.proc_of_iteration ~chunk:2 ~h:4 8);
-  Alcotest.(check int) "chunk 0 guarded" 3 (Exec.proc_of_iteration ~chunk:0 ~h:4 3)
+  Alcotest.(check int) "cyclic(2) i=5 h=4" 2 (Distribution.proc_of_iteration ~chunk:2 ~h:4 5);
+  Alcotest.(check int) "wraps" 0 (Distribution.proc_of_iteration ~chunk:2 ~h:4 8);
+  Alcotest.(check int) "chunk 0 guarded" 3 (Distribution.proc_of_iteration ~chunk:0 ~h:4 3)
 
 let test_halo_reduces_remote () =
   Probe.with_seed 53 (fun () ->

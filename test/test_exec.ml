@@ -2,8 +2,9 @@
    registry kernels, running the compiled program on OCaml domains must
    deliver exactly the messages the Comm schedule predicts, serve no
    stale reads (every executed read equals its sequential-replay
-   value), and leave final-epoch array contents equal to the replay's
-   in the owners' replicas. *)
+   value), leave final-epoch array contents equal to the replay's in
+   the owners' replicas, and split its accesses into local and remote
+   exactly as the simulator does. *)
 
 open Symbolic
 
@@ -13,7 +14,7 @@ let pipeline name ~h =
       Core.Artifact.clear_all ();
       Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h)
 
-let check_run name (r : Exec.Runner.result) =
+let check_run name (t : Core.Pipeline.t) (r : Exec.Runner.result) =
   Alcotest.(check (list string)) (name ^ " errors") [] r.errors;
   Alcotest.(check int)
     (name ^ " scheduled messages match the Comm schedule")
@@ -23,12 +24,22 @@ let check_run name (r : Exec.Runner.result) =
     r.expected_words r.sched_words;
   Alcotest.(check int) (name ^ " stale reads") 0 r.stale;
   Alcotest.(check int) (name ^ " content mismatches") 0 r.content_mismatches;
-  Alcotest.check Alcotest.bool (name ^ " ok") true (Exec.Runner.ok r)
+  Alcotest.check Alcotest.bool (name ^ " ok") true (Exec.Runner.ok r);
+  let sim =
+    Dsmsim.Exec.run ~rounds:r.rounds ~on_error:ignore t.lcg t.plan t.machine
+  in
+  Alcotest.(check int)
+    (name ^ " remote gets + puts = simulated remote")
+    sim.total_remote
+    (r.remote_gets + r.remote_puts);
+  Alcotest.(check int)
+    (name ^ " local accesses = simulated local")
+    sim.total_local r.local_accesses
 
 let test_kernel name h () =
   let t = pipeline name ~h in
   let r = Exec.Runner.execute t.Core.Pipeline.lcg t.Core.Pipeline.plan in
-  check_run name r;
+  check_run name t r;
   Alcotest.check Alcotest.bool
     (name ^ " checked some reads")
     true (r.reads_checked > 0)
@@ -40,7 +51,7 @@ let test_rounds () =
   let r =
     Exec.Runner.execute ~rounds:3 t.Core.Pipeline.lcg t.Core.Pipeline.plan
   in
-  check_run "jacobi2d rounds=3" r;
+  check_run "jacobi2d rounds=3" t r;
   Alcotest.(check int) "rounds recorded" 3 r.rounds
 
 let test_affine_shapes () =
@@ -56,9 +67,9 @@ let test_affine_shapes () =
     (fun (cp : Codegen.Compile.t) ->
       List.iter
         (function
-          | Codegen.Compile.Opaque ->
+          | Ir.Enumerate.Opaque ->
               Alcotest.failf "opaque expression in %s" cp.phase_name
-          | Codegen.Compile.Const _ | Codegen.Compile.Affine _ -> ())
+          | Ir.Enumerate.Const _ | Ir.Enumerate.Affine _ -> ())
         cp.shapes)
     phs
 
@@ -74,25 +85,36 @@ let test_opaque_still_runs () =
   let opaque =
     List.exists
       (fun (cp : Codegen.Compile.t) ->
-        List.exists (( = ) Codegen.Compile.Opaque) cp.shapes)
+        List.exists (( = ) Ir.Enumerate.Opaque) cp.shapes)
       phs
   in
   Alcotest.check Alcotest.bool "tfft2 exercises the opaque fallback" true
     opaque;
   let r = Exec.Runner.execute t.Core.Pipeline.lcg t.Core.Pipeline.plan in
-  check_run "tfft2" r
+  check_run "tfft2" t r
 
 let test_spin_speedup_fields () =
   let t = pipeline "matmul" ~h:2 in
   let r =
     Exec.Runner.execute ~spin:20 t.Core.Pipeline.lcg t.Core.Pipeline.plan
   in
-  check_run "matmul spin" r;
+  check_run "matmul spin" t r;
   Alcotest.check Alcotest.bool "wall_par positive" true (r.wall_par > 0.0);
   Alcotest.check Alcotest.bool "wall_seq positive" true (r.wall_seq > 0.0);
   Alcotest.check Alcotest.bool "speedup positive" true (r.speedup > 0.0)
 
-let kernels = [ "jacobi2d"; "matmul"; "adi"; "redblack"; "swim"; "trisolve" ]
+let kernels =
+  [
+    "jacobi2d";
+    "matmul";
+    "adi";
+    "redblack";
+    "swim";
+    "trisolve";
+    "tfft2";
+    "tomcatv";
+    "mgrid";
+  ]
 
 let () =
   Alcotest.run "exec"
