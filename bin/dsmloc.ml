@@ -837,7 +837,7 @@ let batch_cmd =
           failed := true
     in
     let _outcomes, merged =
-      Core.Pool.map ~workers:jobs ~f:batch_worker ~stream ~diags job_list
+      Core.Pool.map ~workers:jobs ~f:batch_worker ~stream job_list
     in
     (* Fold the workers' per-job snapshots into the parent registry so
        the at_exit --profile/--profile-json report is fleet-wide. *)

@@ -28,9 +28,6 @@
     - [POOL-WORKER-LOST]: a batch worker process died mid-job (signal
       or unclean exit); the job was retried on a freshly forked worker
       (or, past the retry budget, reported as permanently failed);
-    - [POOL-PROFILE-BAD]: a batch worker's metrics profile did not
-      parse; the job's value is kept and its profile degrades to an
-      empty snapshot (warning severity);
     - [POOL-BAD-FRAME]: a worker emitted a corrupt or over-cap marshal
       frame; it was killed and the job failed instead of the parent
       allocating an adversarial length;

@@ -60,7 +60,7 @@ let model_timer = Metrics.timer "pipeline.model"
 let solve_timer = Metrics.timer "pipeline.solve"
 let plan_timer = Metrics.timer "pipeline.plan"
 
-let run ?machine ?(strict = false) ?(lint = true) ?diags prog ~env ~h =
+let run ?machine ?(strict = false) ?diags prog ~env ~h =
   Metrics.with_timer run_timer @@ fun () ->
   let diags = match diags with Some d -> d | None -> Diag.collector () in
   let fallbacks_before = Lattice.fallback_count () in
@@ -70,13 +70,11 @@ let run ?machine ?(strict = false) ?(lint = true) ?diags prog ~env ~h =
   (* Lint first: malformed input is reported with positions before any
      descriptor machinery can trip over it.  Under [strict] a program
      with Error-severity findings is refused outright. *)
-  if lint then begin
-    let findings = Metrics.with_timer lint_timer (fun () -> Lint.check ~diags prog) in
-    if
-      strict
-      && List.exists (fun (f : Diag.t) -> f.Diag.severity = Diag.Error) findings
-    then raise (Lint.Failed findings)
-  end;
+  let findings = Metrics.with_timer lint_timer (fun () -> Lint.check ~diags prog) in
+  if
+    strict
+    && List.exists (fun (f : Diag.t) -> f.Diag.severity = Diag.Error) findings
+  then raise (Lint.Failed findings);
   let lcg =
     Metrics.with_timer lcg_timer @@ fun () ->
     guard ~strict ~diags ~stage:Diag.Lcg ~code:"LCG-FAIL"

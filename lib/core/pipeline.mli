@@ -50,17 +50,16 @@ type t = {
 val run :
   ?machine:Ilp.Cost.machine ->
   ?strict:bool ->
-  ?lint:bool ->
   ?diags:Diag.collector ->
   Ir.Types.program ->
   env:Env.t ->
   h:int ->
   t
-(** [strict] (default false) re-raises instead of degrading.  [lint]
-    (default true) runs the {!Lint} rule pass over the program before
-    any analysis stage, recording its findings alongside the stage
-    diagnostics; under [strict], [Error]-severity findings raise
-    {!Lint.Failed} before analysis starts.  [diags] supplies an
+(** [strict] (default false) re-raises instead of degrading.  The
+    {!Lint} rule pass runs over the program before any analysis stage,
+    recording its findings alongside the stage diagnostics; under
+    [strict], [Error]-severity findings raise {!Lint.Failed} before
+    analysis starts.  [diags] supplies an
     external collector (e.g. one with a [max_errors] cap); a fresh
     unbounded one is created otherwise. *)
 

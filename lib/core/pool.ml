@@ -24,11 +24,11 @@ type 'r outcome =
 (* parent -> worker *)
 type 'a job_msg = Job of int * int * 'a (* idx, attempt, payload *) | Stop
 
-(* worker -> parent frames are [int * ('b, string) result * string]:
-   idx, result-or-exception, metrics JSON *)
+(* worker -> parent frames are
+   [int * ('b, string) result * Metrics.snapshot]:
+   idx, result-or-exception, the job's metrics *)
 
-let empty_snapshot =
-  { Metrics.counters = []; timers = []; histograms = []; caches = [] }
+let empty_snapshot = { Metrics.counters = []; timers = []; caches = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Framed marshal transport over raw fds *)
@@ -126,8 +126,7 @@ let worker_loop ~f job_r res_w =
               try Ok (f ~attempt payload)
               with e -> Error (Printexc.to_string e))
         in
-        let mjson = Metrics.to_json (Metrics.snapshot ()) in
-        send res_w (idx, result, mjson);
+        send res_w (idx, result, Metrics.snapshot ());
         loop ()
   in
   loop ()
@@ -201,9 +200,7 @@ let retry_counter = Metrics.counter "pool.retries"
 let pool_timer = Metrics.timer "pool.map"
 let bad_frame_counter = Metrics.counter "pool.bad_frames"
 
-let profile_bad_counter = Metrics.counter "pool.profile_bad"
-
-let map ?(workers = 4) ?(retries = 1) ?stream ?diags ~f jobs =
+let map ?(workers = 4) ?(retries = 1) ?stream ~f jobs =
   let jobs_a = Array.of_list jobs in
   let nj = Array.length jobs_a in
   if nj = 0 then ([], empty_snapshot)
@@ -328,27 +325,10 @@ let map ?(workers = 4) ?(retries = 1) ?stream ?diags ~f jobs =
             | None -> () (* already handled as a casualty this round *)
             | Some w -> (
                 match recv w.res_r with
-                | `Frame (idx, result, mjson) -> (
+                | `Frame (idx, result, metrics) -> (
                     w.running <- None;
                     match result with
                     | Ok value ->
-                        let metrics =
-                          (* A malformed profile never kills the parent:
-                             the job's value stands, the profile degrades
-                             to empty and the corruption is surfaced. *)
-                          try Metrics.of_json mjson
-                          with Metrics.Parse_error msg ->
-                            Metrics.incr profile_bad_counter;
-                            (match diags with
-                            | Some c ->
-                                Diag.addf c ~severity:Diag.Warning
-                                  ~stage:Diag.Pool ~code:"POOL-PROFILE-BAD"
-                                  "job %d: worker profile unreadable (%s); \
-                                   profile dropped"
-                                  idx msg
-                            | None -> ());
-                            empty_snapshot
-                        in
                         record idx
                           (Done
                              {

@@ -19,10 +19,9 @@
       and from a reset metrics registry with flushed memo caches, so a
       job's result does not depend on which worker ran it or what ran
       before it.
-    - {b Observability}: every worker serialises its per-job
-      {!Metrics} snapshot over the result pipe with the registry's own
-      JSON emitter; the parent parses them back ({!Metrics.of_json})
-      and folds them with {!Metrics.merge} into the fleet-wide
+    - {b Observability}: every worker sends its per-job {!Metrics}
+      snapshot back in the same [Marshal] frame as the job's result;
+      the parent folds them with {!Metrics.merge} into the fleet-wide
       snapshot returned beside the outcomes (counter totals equal the
       sum of the per-job snapshots).
 
@@ -49,7 +48,6 @@ val map :
   ?workers:int ->
   ?retries:int ->
   ?stream:(int -> 'b outcome -> unit) ->
-  ?diags:Diag.collector ->
   f:(attempt:int -> 'a -> 'b) ->
   'a list ->
   'b outcome list * Metrics.snapshot
@@ -77,12 +75,7 @@ val map :
     against a hard cap before allocating: a worker that emits a corrupt
     or oversized frame is killed and its job fails with a
     [POOL-BAD-FRAME] reason (counted in [pool.bad_frames]) instead of
-    raising [Out_of_memory] in the parent.
-
-    A worker whose profile JSON does not parse degrades to an empty
-    snapshot for that job: the job's value is kept, the
-    [pool.profile_bad] counter is bumped, and - when [diags] is
-    supplied - a [POOL-PROFILE-BAD] warning is recorded. *)
+    raising [Out_of_memory] in the parent. *)
 
 (** {2 Frame reader}
 

@@ -401,6 +401,35 @@ let redistributions s =
 let frontiers s =
   List.filter (function Frontier _ -> true | Redistribute _ -> false) s
 
+(* The delivery protocol every replay follows: redistribution events
+   deliver on entry to their phase, except that wrap-around events
+   (before_phase = 0) only fire from the second round on; frontier
+   events deliver on exit from their phase, every round.  [step]
+   receives the events already gated, so a replay cannot get the
+   protocol wrong. *)
+let walk ~rounds ~sched ~phases ~step =
+  for round = 0 to rounds - 1 do
+    List.iteri
+      (fun k ph ->
+        let incoming =
+          List.filter
+            (function
+              | Redistribute { before_phase; _ } ->
+                  before_phase = k && (k > 0 || round > 0)
+              | Frontier _ -> false)
+            sched
+        in
+        let outgoing =
+          List.filter
+            (function
+              | Frontier { after_phase; _ } -> after_phase = k
+              | Redistribute _ -> false)
+            sched
+        in
+        step ~round ~k ph ~incoming ~outgoing)
+      phases
+  done
+
 let pp_message ppf m =
   Format.fprintf ppf "put %d -> %d: %d words in %d ranges [%s]" m.src m.dst
     m.words (List.length m.ranges)

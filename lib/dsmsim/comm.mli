@@ -62,6 +62,27 @@ val generate : ?on_error:(string -> unit) -> Lcg.t -> Ilp.Distribution.plan -> s
     second traversal on.  [on_error] receives a message for every array
     whose size failed to evaluate (its events are omitted). *)
 
+val walk :
+  rounds:int ->
+  sched:schedule ->
+  phases:'a list ->
+  step:
+    (round:int ->
+    k:int ->
+    'a ->
+    incoming:event list ->
+    outgoing:event list ->
+    unit) ->
+  unit
+(** The delivery protocol shared by every replay of a schedule (the
+    simulator {!Exec}, the validator {!Validate} and the domains
+    executor): [step] is called once per (round, phase [k]), in order,
+    with the redistribution events that enter phase [k] and the
+    frontier events that leave it.  A wrap-around redistribution
+    ([before_phase = 0]) enters only from the second round on.  The
+    step delivers [incoming], sweeps the phase, then delivers
+    [outgoing]. *)
+
 val total_words : schedule -> int
 val message_count : schedule -> int
 val redistributions : schedule -> event list

@@ -1,16 +1,21 @@
 (** Discrete DSM machine simulator (the Cray T3D stand-in).
 
-    Replays a program's memory traffic phase by phase under an
+    Prices a program's memory traffic phase by phase under an
     iteration/data distribution plan, charging [t_local] or [t_remote]
-    cycles per access against the owning processor's clock, plus
-    aggregated single-sided [put] redistribution traffic whenever an
-    array's layout epoch changes between phases.  Parallel time is the
-    max over processor clocks; efficiency is measured against the same
-    program replayed sequentially with every access local. *)
+    cycles per access against the owning processor's clock.  Each
+    phase's accounting is computed once (in closed form when the phase
+    stays in the symbolic fragment, by enumeration otherwise) and
+    applied every round.  The schedule's aggregated single-sided [put]
+    events are priced as {!Comm.walk} delivers them: redistributions
+    on entry to a phase, frontier updates on exit (only for arrays the
+    phase wrote), each costing as much as its busiest processor.
+    Parallel time sums the phase maxima and the event times;
+    efficiency is measured against the same program replayed
+    sequentially with every access local. *)
 
 open Locality
 
-type phase_stats = Machine.phase_stats = {
+type phase_stats = {
   name : string;
   local : int;  (** local accesses *)
   remote : int;
@@ -18,9 +23,9 @@ type phase_stats = Machine.phase_stats = {
   time : float;  (** parallel time of this phase (max over processors) *)
 }
 
-type comm_kind = Machine.comm_kind = Redistribution | Frontier_update
+type comm_kind = Redistribution | Frontier_update
 
-type comm_stats = Machine.comm_stats = {
+type comm_stats = {
   array : string;
   kind : comm_kind;
   before_phase : int;
@@ -30,12 +35,12 @@ type comm_stats = Machine.comm_stats = {
   time : float;
 }
 
-type proc_stats = Machine.proc_stats = {
+type proc_stats = {
   compute_time : float;
   access_time : float;  (** local + remote access cycles *)
 }
 
-type run = Machine.run = {
+type run = {
   h : int;
   phases : phase_stats list;
   comms : comm_stats list;

@@ -32,11 +32,10 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
         done)
       m.ranges
   in
-  (* The round/phase/event protocol is Machine.walk's; this backend
-     delivers every gated event (no written-set filter: an un-written
-     frontier strip is a no-op copy) and replays accesses against the
-     versioned memory. *)
-  Machine.walk ~rounds ~sched ~phases:lcg.prog.phases
+  (* Comm.walk gates the events; every gated event is delivered (no
+     written-set filter: an un-written frontier strip is a no-op copy)
+     and accesses replay against the versioned memory. *)
+  Comm.walk ~rounds ~sched ~phases:lcg.prog.phases
     ~step:(fun ~round:_ ~k ph ~incoming ~outgoing ->
         List.iter
           (function

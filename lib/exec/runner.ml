@@ -1,7 +1,6 @@
 open Locality
 open Ilp
 module Comm = Dsmsim.Comm
-module Machine = Dsmsim.Machine
 module Compile = Codegen.Compile
 
 exception Unsupported = Compile.Unsupported
@@ -63,9 +62,7 @@ let read_budget = 5_000_000
 type job = Quit | Sweep of int * int  (* round, phase *)
 
 type state = {
-  lcg : Lcg.t;
   plan : Distribution.plan;
-  rounds : int;
   spin : int;
   check_reads : bool;
   compiled : Compile.t array;
@@ -73,9 +70,7 @@ type state = {
   (* layout epoch per (phase, array); [None] covers both undistributed
      and privatized-in-this-phase arrays: replica-local access *)
   layout_tbl : (string, Distribution.layout option) Hashtbl.t array;
-  sizes : (string * int) list;
   size_tbl : (string, int) Hashtbl.t;
-  written_by_phase : string list array;
   expected : (int * int * int, float array) Hashtbl.t;
   cursors : (int * int * int, int ref) Hashtbl.t array;  (* per domain *)
   reads_checked : int array;
@@ -197,77 +192,20 @@ let worker st p =
   in
   loop ()
 
-(* The executor as a {!Dsmsim.Machine.BACKEND}: [comm] performs the
-   scheduled range copies on the main thread while every domain is
-   parked at the barrier, [phase] releases the fleet for one sweep.
-   Times are measured seconds (where the simulator's are priced
-   cycles); [phase] contributes nothing to the serialized baseline -
-   the replay measures that separately. *)
-module B = struct
-  type t = state
+(* Scheduled communication runs on the main thread while every domain
+   is parked at the barrier. *)
+let deliver st = function
+  | Comm.Redistribute { array; messages; _ }
+  | Comm.Frontier { array; messages; _ } ->
+      List.iter (Shim.deliver st.shim ~array) messages
 
-  let words_of messages =
-    List.fold_left (fun a (m : Comm.message) -> a + m.words) 0 messages
-
-  let comm st ~round:_ ~k = function
-    | Comm.Redistribute { array; before_phase = _; messages } ->
-        let t0 = now () in
-        List.iter (Shim.deliver st.shim ~array) messages;
-        Some
-          {
-            Machine.array;
-            kind = Machine.Redistribution;
-            before_phase = k;
-            words = words_of messages;
-            time = now () -. t0;
-          }
-    | Comm.Frontier { array; after_phase = _; messages } ->
-        if List.mem array st.written_by_phase.(k) then begin
-          let t0 = now () in
-          List.iter (Shim.deliver st.shim ~array) messages;
-          Some
-            {
-              Machine.array;
-              kind = Machine.Frontier_update;
-              before_phase = k + 1;
-              words = words_of messages;
-              time = now () -. t0;
-            }
-        end
-        else None
-
-  let sums st =
-    Array.fold_left
-      (fun (l, r, w) (c : Shim.counters) ->
-        (l + c.local, r + c.gets + c.puts, w + c.workc))
-      (0, 0, 0) st.shim.counters
-
-  let phase st ~round ~k (ph : Ir.Types.phase) =
-    let l0, r0, w0 = sums st in
-    st.job <- Sweep (round, k);
-    let t0 = now () in
-    Shim.Barrier.await st.start;
-    (try run_share st ~me:0 ~round ~k with e -> record_failure st 0 e);
-    Shim.Barrier.await st.fin;
-    let dt = now () -. t0 in
-    let l1, r1, w1 = sums st in
-    ( {
-        Machine.name = ph.Ir.Types.phase_name;
-        local = l1 - l0;
-        remote = r1 - r0;
-        compute = w1 - w0;
-        time = dt;
-      },
-      0.0 )
-
-  let per_proc st =
-    Array.map
-      (fun (c : Shim.counters) ->
-        { Machine.compute_time = c.busy; access_time = 0.0 })
-      st.shim.counters
-end
-
-module D = Machine.Driver (B)
+(* Release the fleet for one sweep of phase [k]; this thread takes
+   processor 0's share. *)
+let sweep st ~round ~k =
+  st.job <- Sweep (round, k);
+  Shim.Barrier.await st.start;
+  (try run_share st ~me:0 ~round ~k with e -> record_failure st 0 e);
+  Shim.Barrier.await st.fin
 
 let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     (plan : Distribution.plan) : result =
@@ -379,7 +317,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     expected_acc;
   (* -- expected schedule: the walk's gating plus the written filter *)
   let exp_msgs = ref 0 and exp_words = ref 0 in
-  Machine.walk ~rounds ~sched ~phases
+  Comm.walk ~rounds ~sched ~phases
     ~step:(fun ~round:_ ~k:_ _ ~incoming ~outgoing ->
       let count messages =
         List.iter
@@ -403,17 +341,13 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   (* -- parallel run on h domains (this thread is processor 0) *)
   let st =
     {
-      lcg;
       plan;
-      rounds;
       spin;
       check_reads;
       compiled;
       shim = Shim.create ~h sizes;
       layout_tbl;
-      sizes;
       size_tbl;
-      written_by_phase;
       expected;
       cursors = Array.init h (fun _ -> Hashtbl.create 64);
       reads_checked = Array.make h 0;
@@ -430,7 +364,17 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     List.init (h - 1) (fun i -> Domain.spawn (fun () -> worker st (i + 1)))
   in
   let t0 = now () in
-  let _run = D.drive ~rounds ~sched ~phases ~h st in
+  Comm.walk ~rounds ~sched ~phases
+    ~step:(fun ~round ~k _ ~incoming ~outgoing ->
+      List.iter (deliver st) incoming;
+      sweep st ~round ~k;
+      List.iter
+        (function
+          | Comm.Frontier { array; _ } as ev
+            when List.mem array written_by_phase.(k) ->
+              deliver st ev
+          | Comm.Frontier _ | Comm.Redistribute _ -> ())
+        outgoing);
   let wall_par = now () -. t0 in
   st.job <- Quit;
   Shim.Barrier.await st.start;

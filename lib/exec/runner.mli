@@ -1,17 +1,18 @@
-(** The real executor: a {!Dsmsim.Machine.BACKEND} on OCaml domains.
+(** The real executor: the compiled program on OCaml domains.
 
     Where {!Dsmsim.Exec} prices a program's traffic in cycles, this
-    backend runs it: each phase is compiled to closures
+    module runs it: each phase is compiled to closures
     ({!Codegen.Compile}) and swept in parallel by [h] domains (this
-    thread doubles as processor 0) over per-processor {!Shim} replicas,
-    with scheduled communication performed as range copies between
-    sweeps by the same {!Dsmsim.Machine.Driver} protocol the simulator
-    replays.  Three checks compare the execution against its model:
+    thread doubles as processor 0) over per-processor {!Shim} replicas.
+    The run follows {!Dsmsim.Comm.walk}: before each sweep the incoming
+    redistributions are performed as range copies, after it the
+    frontier updates of the arrays the phase wrote, all while the
+    domains are parked at a barrier.  Three checks compare the
+    execution against its model:
 
     - {b schedule parity}: messages/words actually delivered vs the
-      {!Dsmsim.Comm} schedule under the same gating (wrap-around
-      redistribution from round two, frontier updates filtered by what
-      the phase wrote);
+      {!Dsmsim.Comm} schedule under the same gating, counted by a
+      separate walk that delivers nothing;
     - {b staleness}: every executed read is paired, per (round, phase,
       parallel iteration) stream, with the value a sequential replay of
       the same closures produced - a mismatch means the replica served

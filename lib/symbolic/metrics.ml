@@ -1,5 +1,5 @@
-(* Process-wide registry of named counters, timers, histograms and
-   cache statistics.  Cells are created on first use and live for the
+(* Process-wide registry of named counters, timers and cache
+   statistics.  Cells are created on first use and live for the
    whole process; [reset] zeroes the numbers but keeps the cells, so a
    handle obtained at module-initialization time stays valid across
    resets (the profiling drivers reset between kernels). *)
@@ -13,20 +13,11 @@ type timer = {
   mutable depth : int;  (* reentrancy guard: only the outermost call times *)
 }
 
-type histogram = {
-  h_name : string;
-  mutable n : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
 type cache = { k_name : string; mutable hits : int; mutable misses : int }
 
 type cell =
   | Counter of counter
   | Timer of timer
-  | Histogram of histogram
   | Cache of cache
 
 let registry : (string, cell) Hashtbl.t = Hashtbl.create 64
@@ -61,15 +52,6 @@ let timer name =
   | Timer t -> t
   | _ -> mismatch name
 
-let histogram name =
-  match
-    find_or_create name (fun () ->
-        Histogram
-          { h_name = name; n = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity })
-  with
-  | Histogram h -> h
-  | _ -> mismatch name
-
 let cache name =
   match
     find_or_create name (fun () -> Cache { k_name = name; hits = 0; misses = 0 })
@@ -78,11 +60,6 @@ let cache name =
   | _ -> mismatch name
 
 let incr ?(by = 1) c = c.count <- c.count + by
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v
 
 let now = Unix.gettimeofday
 
@@ -126,11 +103,6 @@ let reset () =
       | Timer t ->
           t.calls <- 0;
           t.seconds <- 0.0
-      | Histogram h ->
-          h.n <- 0;
-          h.sum <- 0.0;
-          h.min_v <- infinity;
-          h.max_v <- neg_infinity
       | Cache c ->
           c.hits <- 0;
           c.misses <- 0)
@@ -142,8 +114,6 @@ let reset () =
 type snapshot = {
   counters : (string * int) list;
   timers : (string * (int * float)) list;  (** calls, seconds *)
-  histograms : (string * (int * float * float * float)) list;
-      (** n, sum, min, max *)
   caches : (string * (int * int)) list;  (** hits, misses *)
 }
 
@@ -161,11 +131,6 @@ let snapshot () =
           match Hashtbl.find_opt registry n with
           | Some (Timer t) -> Some (n, (t.calls, t.seconds))
           | _ -> None);
-    histograms =
-      pick (fun n ->
-          match Hashtbl.find_opt registry n with
-          | Some (Histogram h) -> Some (n, (h.n, h.sum, h.min_v, h.max_v))
-          | _ -> None);
     caches =
       pick (fun n ->
           match Hashtbl.find_opt registry n with
@@ -175,9 +140,7 @@ let snapshot () =
 
 (* Fleet-wide aggregation: the batch driver's workers each report a
    per-job snapshot over the result pipe; the parent folds them into
-   one registry-shaped view.  Counts add; histogram extrema combine;
-   an empty histogram side contributes nothing (its min/max are
-   sentinels, or 0 after a JSON round trip). *)
+   one registry-shaped view by adding the numbers. *)
 let merge (a : snapshot) (b : snapshot) : snapshot =
   let union ~combine xs ys =
     let merged =
@@ -196,13 +159,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
       union
         ~combine:(fun (c1, s1) (c2, s2) -> (c1 + c2, s1 +. s2))
         a.timers b.timers;
-    histograms =
-      union
-        ~combine:(fun (n1, s1, mn1, mx1) (n2, s2, mn2, mx2) ->
-          if n1 = 0 then (n2, s2, mn2, mx2)
-          else if n2 = 0 then (n1, s1, mn1, mx1)
-          else (n1 + n2, s1 +. s2, Stdlib.min mn1 mn2, Stdlib.max mx1 mx2))
-        a.histograms b.histograms;
     caches =
       union
         ~combine:(fun (h1, m1) (h2, m2) -> (h1 + h2, m1 + m2))
@@ -221,16 +177,6 @@ let absorb (s : snapshot) =
       t.calls <- t.calls + calls;
       t.seconds <- t.seconds +. secs)
     s.timers;
-  List.iter
-    (fun (n, (cnt, sum, mn, mx)) ->
-      if cnt > 0 then begin
-        let h = histogram n in
-        h.n <- h.n + cnt;
-        h.sum <- h.sum +. sum;
-        if mn < h.min_v then h.min_v <- mn;
-        if mx > h.max_v then h.max_v <- mx
-      end)
-    s.histograms;
   List.iter
     (fun (n, (hits, misses)) ->
       let c = cache n in
@@ -260,17 +206,6 @@ let pp_table ppf (s : snapshot) =
   if s.counters <> [] then begin
     line "%-28s %10s@," "counter" "value";
     List.iter (fun (n, v) -> line "%-28s %10d@," n v) s.counters
-  end;
-  if s.histograms <> [] then begin
-    line "%-28s %10s %14s %12s %12s@," "histogram" "n" "mean" "min" "max";
-    List.iter
-      (fun (n, (cnt, sum, mn, mx)) ->
-        if cnt = 0 then line "%-28s %10d %14s %12s %12s@," n 0 "-" "-" "-"
-        else
-          line "%-28s %10d %14.3f %12.3f %12.3f@," n cnt
-            (sum /. float_of_int cnt)
-            mn mx)
-      s.histograms
   end
 
 let report () = Format.asprintf "@[<v>%a@]" pp_table (snapshot ())
@@ -336,226 +271,4 @@ let to_json (s : snapshot) =
              s.caches) );
       ( "counters",
         json_obj (List.map (fun (n, v) -> (n, string_of_int v)) s.counters) );
-      ( "histograms",
-        json_obj
-          (List.map
-             (fun (n, (cnt, sum, mn, mx)) ->
-               ( n,
-                 json_obj
-                   [
-                     ("n", string_of_int cnt);
-                     ("sum", json_float sum);
-                     ("min", json_float (if cnt = 0 then 0.0 else mn));
-                     ("max", json_float (if cnt = 0 then 0.0 else mx));
-                   ] ))
-             s.histograms) );
     ]
-
-(* ------------------------------------------------------------------ *)
-(* JSON parsing - the inverse of [to_json], hand-rolled for the same
-   no-dependency reason.  The pool workers ship their per-job snapshots
-   over the result pipe as JSON text; the parent parses them back for
-   merging.  Malformed input raises [Parse_error], which the pool maps
-   to a POOL-PROFILE-BAD diagnostic instead of killing the parent. *)
-
-exception Parse_error of string
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at %d" msg !pos))
-  in
-  let peek () = if !pos >= n then fail "unexpected end" else s.[!pos] in
-  let advance () = Stdlib.incr pos in
-  let rec skip_ws () =
-    if
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    then begin
-      advance ();
-      skip_ws ()
-    end
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %C" c) else advance ()
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'; advance ()
-          | '\\' -> Buffer.add_char buf '\\'; advance ()
-          | '/' -> Buffer.add_char buf '/'; advance ()
-          | 'b' -> Buffer.add_char buf '\b'; advance ()
-          | 'f' -> Buffer.add_char buf '\012'; advance ()
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 'r' -> Buffer.add_char buf '\r'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code =
-                match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              (* cell names are ASCII; anything else round-trips as '?' *)
-              Buffer.add_char buf
-                (if code < 0x80 then Char.chr code else '?')
-          | _ -> fail "bad escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control char in string"
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> Jstr (string_lit ())
-    | 't' -> literal "true" (Jbool true)
-    | 'f' -> literal "false" (Jbool false)
-    | 'n' -> literal "null" Jnull
-    | '-' | '0' .. '9' -> Jnum (number ())
-    | _ -> fail "unexpected character"
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then begin
-      advance ();
-      Jobj []
-    end
-    else
-      let rec members acc =
-        skip_ws ();
-        let k = string_lit () in
-        skip_ws ();
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' ->
-            advance ();
-            members ((k, v) :: acc)
-        | '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-        | _ -> fail "expected ',' or '}'"
-      in
-      members []
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then begin
-      advance ();
-      Jarr []
-    end
-    else
-      let rec elems acc =
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' ->
-            advance ();
-            elems (v :: acc)
-        | ']' ->
-            advance ();
-            Jarr (List.rev (v :: acc))
-        | _ -> fail "expected ',' or ']'"
-      in
-      elems []
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let of_json (text : string) : snapshot =
-  let fields = function
-    | Jobj kvs -> kvs
-    | _ -> raise (Parse_error "object expected")
-  in
-  let num = function
-    | Jnum f -> f
-    | Jnull -> 0.0 (* json_float maps NaN/infinities to null *)
-    | _ -> raise (Parse_error "number expected")
-  in
-  let field kvs k =
-    match List.assoc_opt k kvs with
-    | Some v -> v
-    | None -> raise (Parse_error ("missing field " ^ k))
-  in
-  let int_field kvs k = int_of_float (num (field kvs k)) in
-  let float_field kvs k = num (field kvs k) in
-  let section top name =
-    match List.assoc_opt name top with
-    | Some (Jobj kvs) -> kvs
-    | _ -> raise (Parse_error ("missing section " ^ name))
-  in
-  let top = fields (parse_json text) in
-  {
-    counters = List.map (fun (n, v) -> (n, int_of_float (num v))) (section top "counters");
-    timers =
-      List.map
-        (fun (n, v) ->
-          let kvs = fields v in
-          (n, (int_field kvs "calls", float_field kvs "seconds")))
-        (section top "timers");
-    histograms =
-      List.map
-        (fun (n, v) ->
-          let kvs = fields v in
-          ( n,
-            ( int_field kvs "n",
-              float_field kvs "sum",
-              float_field kvs "min",
-              float_field kvs "max" ) ))
-        (section top "histograms");
-    caches =
-      List.map
-        (fun (n, v) ->
-          let kvs = fields v in
-          (n, (int_field kvs "hits", int_field kvs "misses")))
-        (section top "caches");
-  }

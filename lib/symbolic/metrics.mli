@@ -1,5 +1,5 @@
-(** Process-wide metrics registry: named counters, wall-clock timers,
-    histograms and cache (memo-table) statistics.
+(** Process-wide metrics registry: named counters, wall-clock timers
+    and cache (memo-table) statistics.
 
     Cells are interned by name on first use and survive {!reset} (which
     only zeroes their numbers), so modules may safely capture handles at
@@ -15,18 +15,15 @@
 
 type counter
 type timer
-type histogram
 type cache
 
 val counter : string -> counter
 (** Intern (find or create) the counter cell of that name. *)
 
 val timer : string -> timer
-val histogram : string -> histogram
 val cache : string -> cache
 
 val incr : ?by:int -> counter -> unit
-val observe : histogram -> float -> unit
 
 val now : unit -> float
 (** [Unix.gettimeofday], exposed so drivers use the same clock. *)
@@ -52,8 +49,6 @@ val reset : unit -> unit
 type snapshot = {
   counters : (string * int) list;
   timers : (string * (int * float)) list;  (** calls, seconds *)
-  histograms : (string * (int * float * float * float)) list;
-      (** n, sum, min, max *)
   caches : (string * (int * int)) list;  (** hits, misses *)
 }
 
@@ -62,8 +57,7 @@ val snapshot : unit -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Fleet-wide aggregation: counter values, timer calls/seconds and
-    cache hits/misses add; histograms combine count/sum and take the
-    min/max of the non-empty sides.  Cell order follows the first
+    cache hits/misses add.  Cell order follows the first
     snapshot, then any names only the second contains.  Used by the
     batch driver to fold per-job worker snapshots into one view. *)
 
@@ -71,16 +65,6 @@ val absorb : snapshot -> unit
 (** Add a snapshot's numbers into the live registry (creating cells as
     needed), so a parent process's [--profile]/[--profile-json] report
     includes its workers' merged numbers alongside its own. *)
-
-exception Parse_error of string
-(** Malformed JSON handed to {!of_json}. *)
-
-val of_json : string -> snapshot
-(** Parse a document produced by {!to_json} back into a snapshot (the
-    worker side of the pool's result pipe serialises with [to_json]).
-    [hit_rate] fields are ignored (recomputed); [null] floats (NaN or
-    infinities on the emitting side) parse as [0.0].
-    @raise Parse_error on malformed input. *)
 
 val pp_table : Format.formatter -> snapshot -> unit
 (** Human-readable table (the [--profile] stderr output). *)
@@ -92,7 +76,7 @@ val to_json : snapshot -> string
 (** Machine-readable snapshot:
     [{"timers":{name:{"calls":n,"seconds":s}},
       "caches":{name:{"hits":h,"misses":m,"hit_rate":r}},
-      "counters":{name:v}, "histograms":{...}}]. *)
+      "counters":{name:v}}]. *)
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal (exposed for

@@ -411,6 +411,47 @@ let test_comm_frontier_for_stencil () =
       Alcotest.(check bool) "has frontier events" true
         (List.length (Comm.frontiers sched) > 0))
 
+(* The delivery protocol on a hand-built schedule: a wrap-around
+   redistribution W (before phase 0), a mid-program redistribution M
+   (before phase 1) and a frontier F (after phase 0), walked twice. *)
+let test_comm_walk () =
+  let sched =
+    [
+      Comm.Redistribute { array = "W"; before_phase = 0; messages = [] };
+      Comm.Frontier { array = "F"; after_phase = 0; messages = [] };
+      Comm.Redistribute { array = "M"; before_phase = 1; messages = [] };
+    ]
+  in
+  let steps = ref [] in
+  Comm.walk ~rounds:2 ~sched ~phases:[ "p0"; "p1" ]
+    ~step:(fun ~round ~k ph ~incoming ~outgoing ->
+      Alcotest.(check string) "phase passed through"
+        (Printf.sprintf "p%d" k) ph;
+      (* a misplaced event shows up with its kind spelled out *)
+      let incoming =
+        List.map
+          (function
+            | Comm.Redistribute { array; _ } -> array
+            | Comm.Frontier { array; _ } -> "frontier " ^ array)
+          incoming
+      and outgoing =
+        List.map
+          (function
+            | Comm.Frontier { array; _ } -> array
+            | Comm.Redistribute { array; _ } -> "redistribute " ^ array)
+          outgoing
+      in
+      steps := ((round, k), (incoming, outgoing)) :: !steps);
+  Alcotest.(check (list (pair (pair int int) (pair (list string) (list string)))))
+    "gated event sequence"
+    [
+      ((0, 0), ([], [ "F" ]));
+      ((0, 1), ([ "M" ], []));
+      ((1, 0), ([ "W" ], [ "F" ]));
+      ((1, 1), ([ "M" ], []));
+    ]
+    (List.rev !steps)
+
 let () =
   Alcotest.run "dsmsim"
     [
@@ -456,5 +497,6 @@ let () =
             test_comm_aggregation;
           Alcotest.test_case "stencil frontier" `Quick
             test_comm_frontier_for_stencil;
+          Alcotest.test_case "walk gating" `Quick test_comm_walk;
         ] );
     ]

@@ -218,16 +218,6 @@ let test_cache_stats () =
   Alcotest.(check int) "lookups" 4 (M.lookups c);
   Alcotest.(check (float 1e-9)) "rate 3/4" 0.75 (M.hit_rate c)
 
-let test_histogram () =
-  let h = M.histogram "t.hist" in
-  List.iter (M.observe h) [ 4.0; 1.0; 7.0 ];
-  let snap = M.snapshot () in
-  let n, sum, min_v, max_v = List.assoc "t.hist" snap.histograms in
-  Alcotest.(check int) "n" 3 n;
-  Alcotest.(check (float 1e-9)) "sum" 12.0 sum;
-  Alcotest.(check (float 1e-9)) "min" 1.0 min_v;
-  Alcotest.(check (float 1e-9)) "max" 7.0 max_v
-
 let test_reset () =
   let c = M.counter "t.resettable" in
   M.incr c ~by:9;
@@ -263,7 +253,6 @@ let test_snapshot_json_valid () =
      (which also contains all the library's own cells) *)
   M.incr (M.counter "t.json-counter");
   M.add_time (M.timer "t.json-timer") 0.25;
-  M.observe (M.histogram "t.json-hist") 2.0;
   M.hit (M.cache "t.json-cache");
   let doc = M.to_json (M.snapshot ()) in
   Alcotest.(check bool) "valid JSON" true (json_valid doc);
@@ -275,56 +264,17 @@ let test_snapshot_json_valid () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains needle doc))
-    [ "t.json-counter"; "t.json-timer"; "t.json-hist"; "t.json-cache";
-      "hit_rate" ]
+    [ "t.json-counter"; "t.json-timer"; "t.json-cache"; "hit_rate" ]
 
 (* ------------------------------------------------------------------ *)
-(* Parsing and merging: the worker side of the batch pool serialises
-   snapshots with [to_json]; the parent parses them back with [of_json]
-   and folds them with [merge]. *)
-
-let test_json_roundtrip () =
-  let snap =
-    {
-      M.counters = [ ("r.c", 7); ("r.zero", 0) ];
-      timers = [ ("r.t", (3, 0.625)) ];
-      histograms =
-        [ ("r.h", (2, 9.5, 1.25, 8.25)); ("r.empty", (0, 0.0, 0.0, 0.0)) ];
-      caches = [ ("r.$", (5, 2)) ];
-    }
-  in
-  let doc = M.to_json snap in
-  Alcotest.(check bool) "emitter output valid" true (json_valid doc);
-  let back = M.of_json doc in
-  Alcotest.(check int) "counter" 7 (List.assoc "r.c" back.counters);
-  Alcotest.(check int) "zero counter kept" 0
-    (List.assoc "r.zero" back.counters);
-  let calls, secs = List.assoc "r.t" back.timers in
-  Alcotest.(check int) "timer calls" 3 calls;
-  Alcotest.(check (float 1e-9)) "timer seconds" 0.625 secs;
-  let n, sum, mn, mx = List.assoc "r.h" back.histograms in
-  Alcotest.(check int) "hist n" 2 n;
-  Alcotest.(check (float 1e-9)) "hist sum" 9.5 sum;
-  Alcotest.(check (float 1e-9)) "hist min" 1.25 mn;
-  Alcotest.(check (float 1e-9)) "hist max" 8.25 mx;
-  Alcotest.(check (pair int int)) "cache" (5, 2) (List.assoc "r.$" back.caches)
-
-let test_of_json_rejects () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
-        (match M.of_json s with
-        | _ -> false
-        | exception M.Parse_error _ -> true))
-    [ ""; "{"; "[]"; "{\"counters\":[1]}"; "{\"counters\":{\"x\":}}";
-      "{} trailing" ]
+(* Merging: the batch pool's workers send their per-job snapshots back
+   with their results; the parent folds them with [merge]. *)
 
 let test_merge_sums () =
   let a =
     {
       M.counters = [ ("m.x", 2); ("m.only-a", 1) ];
       timers = [ ("m.t", (1, 0.5)) ];
-      histograms = [ ("m.h", (2, 6.0, 1.0, 5.0)) ];
       caches = [ ("m.$", (3, 1)) ];
     }
   in
@@ -332,7 +282,6 @@ let test_merge_sums () =
     {
       M.counters = [ ("m.x", 5); ("m.only-b", 4) ];
       timers = [ ("m.t", (2, 0.25)) ];
-      histograms = [ ("m.h", (1, 9.0, 9.0, 9.0)) ];
       caches = [ ("m.$", (1, 6)) ];
     }
   in
@@ -343,15 +292,10 @@ let test_merge_sums () =
   let calls, secs = List.assoc "m.t" m.timers in
   Alcotest.(check int) "timer calls add" 3 calls;
   Alcotest.(check (float 1e-9)) "timer seconds add" 0.75 secs;
-  let n, sum, mn, mx = List.assoc "m.h" m.histograms in
-  Alcotest.(check int) "hist n adds" 3 n;
-  Alcotest.(check (float 1e-9)) "hist sum adds" 15.0 sum;
-  Alcotest.(check (float 1e-9)) "hist min" 1.0 mn;
-  Alcotest.(check (float 1e-9)) "hist max" 9.0 mx;
   Alcotest.(check (pair int int)) "cache adds" (4, 7)
     (List.assoc "m.$" m.caches);
   (* identity: merging with the empty snapshot changes nothing *)
-  let empty = { M.counters = []; timers = []; histograms = []; caches = [] } in
+  let empty = { M.counters = []; timers = []; caches = [] } in
   Alcotest.(check int) "left identity" 7
     (List.assoc "m.x" (M.merge empty m).counters);
   Alcotest.(check int) "right identity" 7
@@ -362,7 +306,6 @@ let test_absorb () =
     {
       M.counters = [ ("ab.c", 11) ];
       timers = [ ("ab.t", (2, 0.125)) ];
-      histograms = [];
       caches = [ ("ab.$", (2, 3)) ];
     }
   in
@@ -459,7 +402,6 @@ let test_no_daemon_cells () =
   let names =
     List.map fst snap.counters
     @ List.map fst snap.timers
-    @ List.map fst snap.histograms
     @ List.map fst snap.caches
   in
   Alcotest.(check bool) "pool cells registered" true
@@ -551,7 +493,6 @@ let () =
           Alcotest.test_case "timer reentrancy" `Quick test_timer_reentrant;
           Alcotest.test_case "timer exception" `Quick test_timer_exception;
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "clearers" `Quick test_clearers;
           Alcotest.test_case "warm artifact hits" `Quick
@@ -563,8 +504,6 @@ let () =
           Alcotest.test_case "primitives" `Quick test_json_primitives;
           Alcotest.test_case "snapshot document" `Quick
             test_snapshot_json_valid;
-          Alcotest.test_case "of_json roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "of_json rejects" `Quick test_of_json_rejects;
         ] );
       ( "merge",
         [
