@@ -205,7 +205,5 @@ let program =
       phase_f7; phase_f8;
     ]
 
-let phase_names = [ "F1"; "F2"; "F3"; "F4"; "F5"; "F6"; "F7"; "F8" ]
-
 let env ~p ~q =
   Env.of_list [ ("p", p); ("q", q); ("P", 1 lsl p); ("Q", 1 lsl q) ]

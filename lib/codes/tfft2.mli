@@ -47,7 +47,5 @@ val fig1_program : program
 val program : program
 (** The full 8-phase pipeline of Fig. 6 / Table 2. *)
 
-val phase_names : string list
-
 val env : p:int -> q:int -> Env.t
 (** Concrete parameter environment: binds p, q, P, Q. *)

@@ -70,16 +70,6 @@ let count c = List.length c.items
 let errors c = c.n_errors
 let has_errors c = c.n_errors > 0
 
-let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
-
-let max_severity c =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when severity_rank s >= severity_rank d.severity -> acc
-      | _ -> Some d.severity)
-    None c.items
-
 let pp ppf d =
   match d.where with
   | None ->

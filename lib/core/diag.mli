@@ -108,8 +108,6 @@ val errors : collector -> int
 (** Number of [Error]-severity diagnostics recorded so far. *)
 
 val has_errors : collector -> bool
-val max_severity : collector -> severity option
-(** [None] when empty. *)
 
 val severity_to_string : severity -> string
 val stage_to_string : stage -> string

@@ -5,8 +5,6 @@ let of_access = function
   | Ir.Types.Write -> { reads = false; writes = true }
 
 let join a b = { reads = a.reads || b.reads; writes = a.writes || b.writes }
-let read_only t = t.reads && not t.writes
-let write_only t = t.writes && not t.reads
 let equal a b = a.reads = b.reads && a.writes = b.writes
 
 let pp ppf t =

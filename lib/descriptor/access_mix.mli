@@ -4,7 +4,5 @@ type t = { reads : bool; writes : bool }
 
 val of_access : Ir.Types.access -> t
 val join : t -> t -> t
-val read_only : t -> bool
-val write_only : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -41,11 +41,6 @@ let row_addresses env (g : Pd.group) (r : Pd.row) ~par acc =
         sweep_seq (base + (stride * i)) seq
       done
 
-let group_addresses env g ~par =
-  let acc = Hashtbl.create 256 in
-  List.iter (fun r -> row_addresses env g r ~par acc) g.Pd.rows;
-  acc
-
 (* Companion to [enum.iter]: counts descriptor-region expansions that
    actually swept addresses (cache hits in [addresses] do not count). *)
 let enum_count = Metrics.counter "enum.addresses"

@@ -18,8 +18,6 @@ val row_addresses :
 (** Accumulate the addresses of one row.  [par = Some i] fixes the
     parallel iteration; [None] sweeps all of them. *)
 
-val group_addresses : Env.t -> Pd.group -> par:int option -> (int, unit) Hashtbl.t
-
 val addresses : Env.t -> Pd.t -> par:int option -> (int, unit) Hashtbl.t
 (** Union over all groups and rows.  Results are memoized per
     ([Env.id], descriptor, [par]) triple, and the cached table itself is

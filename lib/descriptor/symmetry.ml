@@ -249,12 +249,6 @@ let analyze (id : Id.t) : t =
 let has_overlap id = (analyze id).overlap <> No_overlap
 let has_write_overlap id = (analyze id).write_overlap
 
-let all_congruent (id : Id.t) =
-  let asm = id.ctx.assume in
-  List.for_all
-    (fun ((g1, r1), (g2, r2)) -> congruent asm g1 r1 g2 r2)
-    (pairs id)
-
 let pp ppf t =
   let pl name ppf = function
     | [] -> ()

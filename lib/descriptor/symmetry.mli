@@ -41,8 +41,4 @@ val analyze : Id.t -> t
 val has_overlap : Id.t -> bool
 val has_write_overlap : Id.t -> bool
 
-(** Every pair of rows shares the sequential structure and parallel
-    stride - the precondition for reasoning about the whole ID through
-    one representative row plus distances. *)
-val all_congruent : Id.t -> bool
 val pp : Format.formatter -> t -> unit

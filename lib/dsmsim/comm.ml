@@ -301,32 +301,6 @@ let redistribution_messages plan prev next size =
     ~symbolic:(fun () -> redistribution_messages_symbolic plan prev next size)
     ~enum:(fun () -> redistribution_messages_enum plan prev next size)
 
-(* Arrays a phase writes (with at least one event). *)
-let phase_writes_enum (lcg : Lcg.t) ph =
-  let written = Hashtbl.create 4 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph
-    ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
-      match access with
-      | Ir.Types.Write -> Hashtbl.replace written array ()
-      | Ir.Types.Read -> ());
-  Hashtbl.fold (fun a () acc -> a :: acc) written [] |> List.sort_uniq compare
-
-let phase_writes (lcg : Lcg.t) ph =
-  Lattice.closed_or_enumerate ~stage:"comm"
-    ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " writes")
-    ~symbolic:(fun () ->
-      Option.map
-        (fun (t : Ir.Shape.t) ->
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (s : Ir.Shape.site) ->
-                 match s.access with
-                 | Ir.Types.Write when Ir.Shape.emits t s -> Some s.array
-                 | Ir.Types.Write | Ir.Types.Read -> None)
-               t.sites))
-        (Ir.Shape.of_phase lcg.prog lcg.env ph))
-    ~enum:(fun () -> phase_writes_enum lcg ph)
-
 let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
   let array_size lcg a = array_size ?on_error lcg a in
   let events = ref [] in
@@ -366,6 +340,12 @@ let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
         plan.layouts;
       (* Frontier updates after phases writing halo'd arrays. *)
       let ph = List.nth lcg.prog.phases k in
+      let written =
+        Lattice.closed_or_enumerate ~stage:"comm"
+          ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " writes")
+          ~symbolic:(fun () -> Distribution.phase_writes_symbolic lcg ph)
+          ~enum:(fun () -> Distribution.phase_writes_enum lcg ph)
+      in
       List.iter
         (fun array ->
           match Distribution.layout_for plan ~array ~phase_idx:k with
@@ -379,7 +359,7 @@ let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
                       Frontier { array; after_phase = k; messages }
                       :: !events)
           | _ -> ())
-        (phase_writes lcg ph))
+        written)
     lcg.prog.phases;
   List.rev !events
 

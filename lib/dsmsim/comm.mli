@@ -10,9 +10,9 @@
       now-current owners (order matters - the dataflow validator caught
       strips forwarding pre-copy-in data).  Messages are
       {e aggregated}: one message per (src, dst) pair carrying a list
-      of maximal contiguous address ranges.  Boundaries elided by
-      {!write_covers_epoch} (the epoch rewrites the array) emit
-      nothing.
+      of maximal contiguous address ranges.  A boundary emits nothing
+      when the epoch's first accessing phase write-covers everything
+      the epoch touches (copy-in elision).
     - {b Frontier communications}: after every phase that writes a
       halo'd array, each block owner pushes its boundary strips of
       [halo] elements to the neighbouring replicas.
@@ -38,11 +38,6 @@ type event =
   | Frontier of { array : string; after_phase : int; messages : message list }
 
 type schedule = event list
-
-val write_covers_epoch : Lcg.t -> Ilp.Distribution.layout -> bool
-(** Copy-in elision predicate: true when the epoch's first accessing
-    phase write-covers everything the epoch touches, so entering the
-    epoch needs no redistribution. *)
 
 val array_size : ?on_error:(string -> unit) -> Lcg.t -> string -> int option
 (** Concrete linearized size of an array under the LCG's environment.

@@ -63,196 +63,88 @@ let retry_cost (m : Cost.machine) (r : Fault.retry) =
 module L = Symbolic.Lattice
 
 (* Everything one phase contributes per round: the same accesses play
-   out every round, so the accounting is computed once - symbolically
-   when the phase stays inside the closed-form fragment, by replaying
-   the enumerator otherwise - and applied per round. *)
+   out every round, so the accounting is computed once and applied per
+   round. *)
 type summary = {
   s_local : int;
   s_remote : int;
   s_compute : int;
-  s_clock : float array;  (** per processor: work + access cycles *)
+  s_time : float;  (** the busiest processor's work + access cycles *)
   s_pcompute : float array;
   s_paccess : float array;
   s_seq : float;  (** contribution to the serialized baseline *)
-  s_written : string list;  (** arrays the phase writes *)
 }
 
-(* Remote writes are single-sided pipelined puts (t_put); remote reads
-   pay the full round trip (t_remote). *)
-let remote_cost (m : Cost.machine) = function
-  | Ir.Types.Read -> m.t_remote
-  | Ir.Types.Write -> m.t_put
-
-let summarize_enum (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
-    ~size_of k ph =
-  let h = plan.h in
-  let chunk = plan.chunk.(k) in
-  let clock = Array.make h 0.0 in
-  let pcomp = Array.make h 0.0 and pacc = Array.make h 0.0 in
-  let local = ref 0 and remote = ref 0 and compute = ref 0 in
-  let seq = ref 0.0 in
-  let written = Hashtbl.create 4 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph
-    ~f:(fun ~par ~array ~addr access ~work ->
-      let proc =
-        match par with
-        | Some i -> Distribution.proc_of_iteration ~chunk ~h i
-        | None -> 0
+(* Prices one phase's tally.  A read is local when owned, in the ghost
+   zone (Theorem 1c) or fully replicated, a write only when owned;
+   remote reads pay the full round trip (t_remote), remote writes are
+   single-sided pipelined puts (t_put).  Integer arithmetic is
+   overflow-checked, and sums of integers below 2^53 convert to exact
+   floats, so both accountings report bit-for-bit the same times. *)
+let price_tally (m : Cost.machine) ~size_of ~h placements
+    (tallies : Distribution.tally array) =
+  let ( + ) = L.Safe.add and ( * ) = L.Safe.mul in
+  let local = ref 0 and remote = ref 0 and seq = ref 0 in
+  let pcomp = Array.make h 0 and pacc = Array.make h 0 in
+  List.iteri
+    (fun i (_, layout) ->
+      (* asked only when the array is read, like the ownership test *)
+      let replicated =
+        lazy
+          (match layout with
+          | Some l -> Distribution.fully_replicated l ~size_of
+          | None -> false)
       in
-      (* Reads within the replicated ghost zone around an owned block
-         are served locally (Theorem 1c). *)
-      let served_locally =
-        List.mem (k, array) plan.privatized
-        ||
-        match Distribution.layout_for plan ~array ~phase_idx:k with
-        | None -> true
-        | Some l -> (
-            match access with
-            | Ir.Types.Read ->
-                Distribution.read_is_local plan l ~size_of ~proc ~addr
-            | Ir.Types.Write -> Distribution.proc_of plan l ~addr = proc)
+      let side ~read ~cost (c : Owncount.counts) =
+        for p0 = 0 to h - 1 do
+          let e = c.events.(p0) and wk = c.work.(p0) in
+          let lh =
+            if read && e > 0 && Lazy.force replicated then e
+            else c.owned.(p0) + c.ghost.(p0)
+          in
+          let rh = e - lh in
+          local := !local + lh;
+          remote := !remote + rh;
+          pcomp.(p0) <- pcomp.(p0) + wk;
+          pacc.(p0) <- pacc.(p0) + (m.t_local * lh) + (cost * rh);
+          seq := !seq + wk + (m.t_local * e)
+        done
       in
-      let access_cost =
-        if served_locally then begin
-          incr local;
-          m.t_local
-        end
-        else begin
-          incr remote;
-          remote_cost m access
-        end
-      in
-      if Ir.Types.equal_access access Write then
-        Hashtbl.replace written array ();
-      compute := !compute + work;
-      clock.(proc) <- clock.(proc) +. float_of_int (work + access_cost);
-      pcomp.(proc) <- pcomp.(proc) +. float_of_int work;
-      pacc.(proc) <- pacc.(proc) +. float_of_int access_cost;
-      seq := !seq +. float_of_int (work + m.t_local));
+      side ~read:true ~cost:m.t_remote tallies.(i).reads;
+      side ~read:false ~cost:m.t_put tallies.(i).writes)
+    placements;
   {
     s_local = !local;
     s_remote = !remote;
-    s_compute = !compute;
-    s_clock = clock;
-    s_pcompute = pcomp;
-    s_paccess = pacc;
-    s_seq = !seq;
-    s_written = Hashtbl.fold (fun a () acc -> a :: acc) written [];
+    s_compute = Array.fold_left ( + ) 0 pcomp;
+    s_time = float_of_int (Array.fold_left max 0 (Array.map2 ( + ) pcomp pacc));
+    s_pcompute = Array.map float_of_int pcomp;
+    s_paccess = Array.map float_of_int pacc;
+    s_seq = float_of_int !seq;
   }
 
-(* The same totals in closed form: per site, per-processor event counts
-   against the layout's ownership intervals (and the ghost-zone family
-   for halo'd reads), all integer arithmetic overflow-checked.  Sums of
-   integers below 2^53 convert to the exact floats the enumerating path
-   accumulates, so reports agree bit-for-bit. *)
-let summarize_symbolic (lcg : Lcg.t) (plan : Distribution.plan)
-    (m : Cost.machine) ~size_of k ph =
-  match Ir.Shape.of_phase lcg.prog lcg.env ph with
-  | None -> None
-  | Some t -> (
-      let exception Subtle in
-      try
-        let h = plan.h in
-        let chunk = plan.chunk.(k) in
-        let local = ref 0 and remote = ref 0 and compute = ref 0 in
-        let clock = Array.make h 0 in
-        let pcomp = Array.make h 0 and pacc = Array.make h 0 in
-        let seq = ref 0 in
-        let written = ref [] in
-        let owner = Distribution.proc_of_iteration ~chunk ~h in
-        let events_of s sets =
-          match Owncount.per_proc ~chunk ~owner t s ~sets with
-          | None -> raise Subtle
-          | Some r -> r
-        in
-        let all_local = Array.make h [] in
-        List.iter
-          (fun (s : Ir.Shape.site) ->
-            if Ir.Shape.emits t s then begin
-              if
-                Ir.Types.equal_access s.access Write
-                && not (List.mem s.array !written)
-              then written := s.array :: !written;
-              let remote_cost = remote_cost m s.access in
-              let layout =
-                if List.mem (k, s.array) plan.privatized then None
-                else Distribution.layout_for plan ~array:s.array ~phase_idx:k
-              in
-              let events, local_hits =
-                match layout with
-                | None ->
-                    let ev, _ = events_of s all_local in
-                    (ev, Array.copy ev)
-                | Some l -> (
-                    let box =
-                      match Ir.Shape.box t s with
-                      | Some b -> b
-                      | None -> raise Subtle
-                    in
-                    let w = Distribution.halo_window l in
-                    let owned_sets =
-                      match
-                        Owncount.intervals_of
-                          (Distribution.own_of ~h l)
-                          ~lo:(L.lo box - w) ~hi:(L.hi box + w)
-                      with
-                      | None -> raise Subtle
-                      | Some o -> o
-                    in
-                    let ev, own_hits = events_of s owned_sets in
-                    match s.access with
-                    | Ir.Types.Write -> (ev, own_hits)
-                    | Ir.Types.Read ->
-                        if Distribution.fully_replicated l ~size_of then
-                          (ev, Array.copy ev)
-                        else if l.halo > 0 then begin
-                          let _, halo_hits =
-                            events_of s (Distribution.halo_sets l owned_sets)
-                          in
-                          ( ev,
-                            Array.init h (fun p0 ->
-                                own_hits.(p0) + halo_hits.(p0)) )
-                        end
-                        else (ev, own_hits))
-              in
-              for p0 = 0 to h - 1 do
-                let e = events.(p0) in
-                let lh = local_hits.(p0) in
-                let rh = e - lh in
-                let wk = L.Safe.mul s.work e in
-                let ac =
-                  L.Safe.add (L.Safe.mul m.t_local lh)
-                    (L.Safe.mul remote_cost rh)
-                in
-                local := L.Safe.add !local lh;
-                remote := L.Safe.add !remote rh;
-                compute := L.Safe.add !compute wk;
-                clock.(p0) <- L.Safe.add clock.(p0) (L.Safe.add wk ac);
-                pcomp.(p0) <- L.Safe.add pcomp.(p0) wk;
-                pacc.(p0) <- L.Safe.add pacc.(p0) ac;
-                seq :=
-                  L.Safe.add !seq (L.Safe.mul (s.work + m.t_local) e)
-              done
-            end)
-          t.sites;
-        Some
-          {
-            s_local = !local;
-            s_remote = !remote;
-            s_compute = !compute;
-            s_clock = Array.map float_of_int clock;
-            s_pcompute = Array.map float_of_int pcomp;
-            s_paccess = Array.map float_of_int pacc;
-            s_seq = float_of_int !seq;
-            s_written = !written;
-          }
-      with Subtle | L.Overflow -> None)
-
-let summarize lcg plan m ~size_of k ph =
+(* One tally per phase over every declared array; a privatized or
+   undistributed array is placed nowhere, so all its accesses are
+   local. *)
+let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
+    ~size_of k ph =
+  let h = plan.h and chunk = plan.chunk.(k) in
+  let placements =
+    List.map
+      (fun (d : Ir.Types.array_decl) ->
+        ( d.name,
+          if List.mem (k, d.name) plan.privatized then None
+          else Distribution.layout_for plan ~array:d.name ~phase_idx:k ))
+      lcg.prog.arrays
+  in
+  let price = price_tally m ~size_of ~h placements in
   L.closed_or_enumerate ~stage:"exec"
     ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " accounting")
-    ~symbolic:(fun () -> summarize_symbolic lcg plan m ~size_of k ph)
-    ~enum:(fun () -> summarize_enum lcg plan m ~size_of k ph)
+    ~symbolic:(fun () ->
+      Option.bind (Distribution.tally_symbolic lcg ph ~chunk ~h placements)
+        (fun t -> try Some (price t) with L.Overflow -> None))
+    ~enum:(fun () ->
+      price (Distribution.tally_enum lcg ph ~chunk ~h placements))
 
 let exec_timer = Symbolic.Metrics.timer "dsmsim.exec"
 let msg_count = Symbolic.Metrics.counter "exec.messages"
@@ -353,19 +245,16 @@ let run ?(rounds = 1) ?on_error ?faults ?(retries = 0) (lcg : Lcg.t)
       Symbolic.Metrics.incr msg_count ~by:s.s_remote;
       Symbolic.Metrics.incr word_count ~by:s.s_remote;
       seq_time := !seq_time +. s.s_seq;
-      (* A frontier update is sent only when the phase wrote the array. *)
       let frontier_t =
         List.fold_left
           (fun acc -> function
-            | Comm.Frontier { array; messages; _ }
-              when List.mem array s.s_written ->
+            | Comm.Frontier { array; messages; _ } ->
                 acc
                 +. price Frontier_update ~before_phase:(k + 1) array messages
-            | Comm.Frontier _ | Comm.Redistribute _ -> acc)
+            | Comm.Redistribute _ -> acc)
           0.0 outgoing
       in
-      let time = Array.fold_left max 0.0 s.s_clock in
-      par_time := !par_time +. time +. frontier_t;
+      par_time := !par_time +. s.s_time +. frontier_t;
       total_local := !total_local + s.s_local;
       total_remote := !total_remote + s.s_remote;
       phases :=
@@ -374,7 +263,7 @@ let run ?(rounds = 1) ?on_error ?faults ?(retries = 0) (lcg : Lcg.t)
           local = s.s_local;
           remote = s.s_remote;
           compute = s.s_compute;
-          time;
+          time = s.s_time;
         }
         :: !phases);
   Symbolic.Metrics.incr local_count ~by:!total_local;

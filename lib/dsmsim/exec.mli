@@ -3,12 +3,14 @@
     Prices a program's memory traffic phase by phase under an
     iteration/data distribution plan, charging [t_local] or [t_remote]
     cycles per access against the owning processor's clock.  Each
-    phase's accounting is computed once (in closed form when the phase
-    stays in the symbolic fragment, by enumeration otherwise) and
-    applied every round.  The schedule's aggregated single-sided [put]
-    events are priced as {!Comm.walk} delivers them: redistributions
-    on entry to a phase, frontier updates on exit (only for arrays the
-    phase wrote), each costing as much as its busiest processor.
+    phase's accounting is one {!Ilp.Distribution.tally_symbolic} over
+    every declared array (its enumeration twin when the phase leaves
+    the symbolic fragment), computed once and applied every round.
+    The schedule's aggregated single-sided [put] events are priced as
+    {!Comm.walk} delivers them: redistributions on entry to a phase,
+    frontier updates on exit (the schedule holds those only after a
+    phase that wrote the array), each costing as much as its busiest
+    processor.
     Parallel time sums the phase maxima and the event times;
     efficiency is measured against the same program replayed
     sequentially with every access local. *)

@@ -24,25 +24,24 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
   let examples = ref [] in
   let counter = ref 0 in
   let size_of = Comm.size_of ?on_error lcg in
-  let deliver (m : Comm.message) array =
-    List.iter
-      (fun (lo, hi) ->
-        for a = lo to hi do
-          set_held m.dst (array, a) (hv m.src (array, a))
-        done)
-      m.ranges
+  let deliver = function
+    | Comm.Redistribute { array; messages; _ }
+    | Comm.Frontier { array; messages; _ } ->
+        List.iter
+          (fun (m : Comm.message) ->
+            List.iter
+              (fun (lo, hi) ->
+                for a = lo to hi do
+                  set_held m.dst (array, a) (hv m.src (array, a))
+                done)
+              m.ranges)
+          messages
   in
-  (* Comm.walk gates the events; every gated event is delivered (no
-     written-set filter: an un-written frontier strip is a no-op copy)
-     and accesses replay against the versioned memory. *)
+  (* Comm.walk gates the events, every gated event is delivered, and
+     accesses replay against the versioned memory. *)
   Comm.walk ~rounds ~sched ~phases:lcg.prog.phases
     ~step:(fun ~round:_ ~k ph ~incoming ~outgoing ->
-        List.iter
-          (function
-            | Comm.Redistribute { array; messages; _ } ->
-                List.iter (fun m -> deliver m array) messages
-            | Comm.Frontier _ -> ())
-          incoming;
+        List.iter deliver incoming;
         let chunk = plan.chunk.(k) in
         let privatized array = List.mem (k, array) plan.privatized in
         Ir.Enumerate.iter lcg.prog lcg.env ph
@@ -85,13 +84,7 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
                       examples := (array, addr, k) :: !examples
                   end
             end);
-        (* outgoing frontier updates *)
-        List.iter
-          (function
-            | Comm.Frontier { array; messages; _ } ->
-                List.iter (fun m -> deliver m array) messages
-            | Comm.Redistribute _ -> ())
-          outgoing);
+        List.iter deliver outgoing);
   { reads = !reads; stale = !stale; stale_examples = List.rev !examples }
 
 let ok r = r.stale = 0

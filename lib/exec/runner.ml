@@ -240,7 +240,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
           lcg.prog.arrays;
         t)
   in
-  (* -- sequential replay: golden contents, expected reads, written sets *)
+  (* -- sequential replay: golden contents and expected reads *)
   let golden = Hashtbl.create 8 in
   List.iter
     (fun (n, s) -> Hashtbl.replace golden n (Array.make (max 1 s) 0.0))
@@ -263,7 +263,6 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     Hashtbl.create 256
   in
   let expected_len = ref 0 in
-  let written_by_phase = Array.make nphases [] in
   let replay_handlers ~round ~k : Compile.handlers =
     let cell array addr =
       let g = Hashtbl.find golden array in
@@ -293,8 +292,6 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       write =
         (fun ~par:_ ~array ~addr ~v ->
           (cell array addr).(addr) <- v;
-          if not (List.mem array written_by_phase.(k)) then
-            written_by_phase.(k) <- array :: written_by_phase.(k);
           if round = rounds - 1 && in_final_epoch k array then
             Bytes.set (Hashtbl.find final_mask array) addr '\001');
       stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
@@ -315,29 +312,13 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   Hashtbl.iter
     (fun key r -> Hashtbl.replace expected key (Array.of_list (List.rev !r)))
     expected_acc;
-  (* -- expected schedule: the walk's gating plus the written filter *)
+  (* -- expected schedule: the walk's gating, delivering nothing *)
   let exp_msgs = ref 0 and exp_words = ref 0 in
   Comm.walk ~rounds ~sched ~phases
     ~step:(fun ~round:_ ~k:_ _ ~incoming ~outgoing ->
-      let count messages =
-        List.iter
-          (fun (m : Comm.message) ->
-            incr exp_msgs;
-            exp_words := !exp_words + m.words)
-          messages
-      in
-      List.iter
-        (function
-          | Comm.Redistribute { messages; _ } -> count messages
-          | Comm.Frontier _ -> ())
-        incoming;
-      List.iter
-        (function
-          | Comm.Frontier { array; after_phase; messages } ->
-              if List.mem array written_by_phase.(after_phase) then
-                count messages
-          | Comm.Redistribute _ -> ())
-        outgoing);
+      let events = incoming @ outgoing in
+      exp_msgs := !exp_msgs + Comm.message_count events;
+      exp_words := !exp_words + Comm.total_words events);
   (* -- parallel run on h domains (this thread is processor 0) *)
   let st =
     {
@@ -368,13 +349,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     ~step:(fun ~round ~k _ ~incoming ~outgoing ->
       List.iter (deliver st) incoming;
       sweep st ~round ~k;
-      List.iter
-        (function
-          | Comm.Frontier { array; _ } as ev
-            when List.mem array written_by_phase.(k) ->
-              deliver st ev
-          | Comm.Frontier _ | Comm.Redistribute _ -> ())
-        outgoing);
+      List.iter (deliver st) outgoing);
   let wall_par = now () -. t0 in
   st.job <- Quit;
   Shim.Barrier.await st.start;

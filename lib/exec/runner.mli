@@ -6,8 +6,8 @@
     thread doubles as processor 0) over per-processor {!Shim} replicas.
     The run follows {!Dsmsim.Comm.walk}: before each sweep the incoming
     redistributions are performed as range copies, after it the
-    frontier updates of the arrays the phase wrote, all while the
-    domains are parked at a barrier.  Three checks compare the
+    outgoing frontier updates, all while the domains are parked at a
+    barrier.  Three checks compare the
     execution against its model:
 
     - {b schedule parity}: messages/words actually delivered vs the

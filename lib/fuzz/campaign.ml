@@ -12,19 +12,6 @@ type config = {
   shrink : bool;
 }
 
-let default_config =
-  {
-    count = 200;
-    seed = 42;
-    jobs = 4;
-    deep_every = 25;
-    determinism_sample = 8;
-    wall_cap = 0.;
-    out_dir = Filename.concat "examples" "programs";
-    skew = 0;
-    shrink = true;
-  }
-
 type finding = {
   f_index : int;
   f_profile : string;

@@ -32,11 +32,6 @@ type config = {
   shrink : bool;  (** minimize failing programs before writing *)
 }
 
-val default_config : config
-(** 200 programs, seed 42, 4 jobs, deep every 25th, determinism over
-    the first 8, no wall cap, [examples/programs], no skew, shrinking
-    on. *)
-
 type finding = {
   f_index : int;  (** generation index, -1 for campaign-level findings *)
   f_profile : string;  (** ["default"] | ["deep"] | ["campaign"] *)

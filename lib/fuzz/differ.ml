@@ -314,11 +314,3 @@ let checks =
 let find name = List.find (fun c -> String.equal c.name name) checks
 
 let battery prog = List.map (fun c -> (c.name, c.run prog)) checks
-
-let first_failure prog =
-  List.fold_left
-    (fun acc c ->
-      match acc with
-      | Some _ -> acc
-      | None -> ( match c.run prog with Fail d -> Some (c.name, d) | _ -> None))
-    None checks

@@ -46,7 +46,3 @@ val find : string -> check
 
 val battery : Ir.Types.program -> (string * verdict) list
 (** Every check's verdict, in order. *)
-
-val first_failure : Ir.Types.program -> (string * string) option
-(** [(check name, detail)] of the first failing check, if any - the
-    campaign's finding predicate and the shrinker's keep function. *)

@@ -19,7 +19,7 @@ type plan = {
   privatized : (int * string) list;
 }
 
-let proc_of (plan : plan) (l : layout) ~addr =
+let proc_at ~h (l : layout) addr =
   let rel = addr - l.base in
   let rel = if rel < 0 then 0 else rel in
   let rel = match l.period with Some d when d > 0 -> rel mod d | _ -> rel in
@@ -28,7 +28,9 @@ let proc_of (plan : plan) (l : layout) ~addr =
     | Some m when m > 0 && rel < m -> min rel (m - 1 - rel)
     | _ -> rel
   in
-  rel / l.block mod plan.h
+  rel / l.block mod h
+
+let proc_of (plan : plan) l ~addr = proc_at ~h:plan.h l addr
 
 let layout_for (plan : plan) ~array ~phase_idx =
   List.find_opt
@@ -72,178 +74,220 @@ let own_of ~h (l : layout) : Lattice.Own.t =
     mirror = l.mirror;
   }
 
-let halo_sets (l : layout) owned =
-  let w = halo_window l in
-  Array.map
-    (fun o ->
-      Lattice.Iv.subtract
-        (Lattice.Iv.union (Lattice.Iv.shift o w) (Lattice.Iv.shift o (-w)))
-        o)
-    owned
+(* {1 The per-processor tally} *)
 
-(* Remote accesses layout [l] induces for its array in phase
-   [phase_idx], given the plan's CYCLIC(p) schedules. *)
-let remote_count_enum (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
-  let ph = List.nth lcg.prog.phases phase_idx in
-  let chunk = plan.chunk.(phase_idx) in
-  let remote = ref 0 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph ~f:(fun ~par ~array ~addr _ ~work:_ ->
-      if String.equal array l.array then begin
+type tally = { reads : Owncount.counts; writes : Owncount.counts }
+
+(* Fresh per-processor counters, except that each count nothing will
+   add to ([used] false, or the ghost count without [ghost]) shares the
+   caller's [zeros]: at large H these arrays are most of what a tally
+   allocates. *)
+let counts ~zeros ~used ~ghost =
+  let z () = if used then Array.make (Array.length zeros) 0 else zeros in
+  let g = if ghost then z () else zeros in
+  { Owncount.events = z (); owned = z (); ghost = g; work = z () }
+
+let rec placement_index placed array i =
+  if i >= Array.length placed then -1
+  else if String.equal (fst placed.(i)) array then i
+  else placement_index placed array (i + 1)
+
+(* One pass over the enumerated events: nothing is allocated per event
+   (the placements are scanned as an array, not hashed), since this is
+   the enumeration the layout search falls back to. *)
+let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
+  let placed = Array.of_list placements in
+  let zeros = Array.make h 0 in
+  let fresh ~ghost = counts ~zeros ~used:true ~ghost in
+  let tallies =
+    Array.map
+      (fun _ -> { reads = fresh ~ghost:true; writes = fresh ~ghost:false })
+      placed
+  in
+  Ir.Enumerate.iter lcg.prog lcg.env ph
+    ~f:(fun ~par ~array ~addr access ~work ->
+      let i = placement_index placed array 0 in
+      if i >= 0 then begin
         let proc =
-          match par with
-          | Some i -> proc_of_iteration ~chunk ~h:plan.h i
-          | None -> 0
+          match par with Some it -> proc_of_iteration ~chunk ~h it | None -> 0
         in
-        if proc_of plan l ~addr <> proc then incr remote
+        let c =
+          match access with
+          | Ir.Types.Read -> tallies.(i).reads
+          | Ir.Types.Write -> tallies.(i).writes
+        in
+        c.events.(proc) <- c.events.(proc) + 1;
+        c.work.(proc) <- c.work.(proc) + work;
+        match snd placed.(i) with
+        | None -> c.owned.(proc) <- c.owned.(proc) + 1
+        | Some l ->
+            if proc_at ~h l addr = proc then
+              c.owned.(proc) <- c.owned.(proc) + 1
+            else if l.halo > 0 && Ir.Types.equal_access access Read then begin
+              let w = halo_window l in
+              if
+                proc_at ~h l (addr - w) = proc
+                || proc_at ~h l (addr + w) = proc
+              then c.ghost.(proc) <- c.ghost.(proc) + 1
+            end
       end);
-  !remote
+  tallies
 
-(* The same count in closed form: per-processor ownership intervals
-   over the hull of the phase's sites on this array, each site counted
-   by window sweeps. *)
-let remote_count_symbolic (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
-  let ph = List.nth lcg.prog.phases phase_idx in
+(* The same counts in closed form: each array's ownership intervals are
+   computed once, over the hull of its sites widened by the halo
+   window, and every site is counted against them (reads also against
+   the ghost family when the layout has a halo) by window sweeps, in
+   one pass per site.  An array placed nowhere owns every access. *)
+let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
   match Ir.Shape.of_phase lcg.prog lcg.env ph with
   | None -> None
   | Some t -> (
-      try
-        let sites = Ir.Shape.on_array t l.array in
-        match Lattice.bounds (List.filter_map (Ir.Shape.box t) sites) with
-        | None -> Some 0
-        | Some (lo, hi) ->
-            Option.bind (Owncount.intervals_of (own_of ~h:plan.h l) ~lo ~hi)
-              (fun sets ->
-                let chunk = plan.chunk.(phase_idx) in
-                let owner = proc_of_iteration ~chunk ~h:plan.h in
-                let sum = Array.fold_left ( + ) 0 in
-                List.fold_left
-                  (fun acc s ->
-                    Option.bind acc (fun r ->
-                        Option.map
-                          (fun (events, hits) -> r + sum events - sum hits)
-                          (Owncount.per_proc ~chunk ~owner t s ~sets)))
-                  (Some 0) sites)
-      with Lattice.Overflow -> None)
+      let exception Subtle in
+      let get = function Some x -> x | None -> raise Subtle in
+      let owner = proc_of_iteration ~chunk ~h in
+      let zeros = Array.make h 0 in
+      let tally (array, placement) =
+        let sites = Ir.Shape.on_array t array in
+        let has access =
+          List.exists
+            (fun (s : Ir.Shape.site) -> Ir.Types.equal_access s.access access)
+            sites
+        in
+        let owned, ghost =
+          match
+            (placement, Lattice.bounds (List.filter_map (Ir.Shape.box t) sites))
+          with
+          | None, _ | _, None -> (None, None)
+          | Some l, Some (lo, hi) ->
+              let w = halo_window l in
+              let owned =
+                get
+                  (Owncount.intervals_of (own_of ~h l)
+                     ~lo:(Lattice.Safe.add lo (-w))
+                     ~hi:(Lattice.Safe.add hi w))
+              in
+              let near o =
+                Lattice.Iv.(subtract (union (shift o w) (shift o (-w))) o)
+              in
+              ( Some owned,
+                if l.halo > 0 && has Read then Some (Array.map near owned)
+                else None )
+        in
+        let tl =
+          {
+            reads =
+              counts ~zeros ~used:(has Read) ~ghost:(Option.is_some ghost);
+            writes = counts ~zeros ~used:(has Write) ~ghost:false;
+          }
+        in
+        List.iter
+          (fun (s : Ir.Shape.site) ->
+            let c, ghost =
+              match s.access with
+              | Ir.Types.Read -> (tl.reads, ghost)
+              | Ir.Types.Write -> (tl.writes, None)
+            in
+            if not (Owncount.per_proc ~chunk ~owner t s ~owned ~ghost c) then
+              raise Subtle)
+          sites;
+        tl
+      in
+      try Some (Array.of_list (List.map tally placements))
+      with Subtle | Lattice.Overflow -> None)
 
+let sum = Array.fold_left ( + ) 0
+
+(* All of [f]'s answers, or [None] from the first that has none (the
+   rest are not asked). *)
+let rec all_some f = function
+  | [] -> Some []
+  | x :: rest ->
+      Option.bind (f x) (fun y -> Option.map (List.cons y) (all_some f rest))
+
+(* The phases [first..last] of an epoch, with their indices. *)
+let epoch_phases (lcg : Lcg.t) (l : layout) =
+  List.filteri
+    (fun k _ -> k >= l.first_phase && k <= l.last_phase)
+    (List.mapi (fun k ph -> (k, ph)) lcg.prog.phases)
+
+(* Remote accesses layout [l] induces for its array in phase
+   [phase_idx], given the plan's CYCLIC(p) schedules; halos are not
+   credited. *)
 let remote_count (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
+  let ph = List.nth lcg.prog.phases phase_idx in
+  let chunk = plan.chunk.(phase_idx) and h = plan.h in
+  let placements = [ (l.array, Some { l with halo = 0 }) ] in
+  let remote tallies =
+    let t = tallies.(0) in
+    sum t.reads.events - sum t.reads.owned + sum t.writes.events
+    - sum t.writes.owned
+  in
   Lattice.closed_or_enumerate ~stage:"distribution"
     ~reason:(fun () -> l.array ^ " remote count")
-    ~symbolic:(fun () -> remote_count_symbolic lcg plan l ~phase_idx)
-    ~enum:(fun () -> remote_count_enum lcg plan l ~phase_idx)
+    ~symbolic:(fun () ->
+      Option.map remote (tally_symbolic lcg ph ~chunk ~h placements))
+    ~enum:(fun () -> remote (tally_enum lcg ph ~chunk ~h placements))
 
-(* Does any phase of the layout's epoch write the array? *)
-let epoch_written_enum (lcg : Lcg.t) (l : layout) =
-  let found = ref false in
-  for k = l.first_phase to l.last_phase do
-    Ir.Enumerate.iter lcg.prog lcg.env (List.nth lcg.prog.phases k)
-      ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
-        if String.equal array l.array && Ir.Types.equal_access access Write
-        then found := true)
-  done;
-  !found
+(* Arrays a phase writes (with at least one event), sorted. *)
+let phase_writes_enum (lcg : Lcg.t) ph =
+  let written = Hashtbl.create 4 in
+  Ir.Enumerate.iter lcg.prog lcg.env ph
+    ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
+      match access with
+      | Ir.Types.Write -> Hashtbl.replace written array ()
+      | Ir.Types.Read -> ());
+  Hashtbl.fold (fun a () acc -> a :: acc) written [] |> List.sort_uniq compare
 
-let epoch_written_symbolic (lcg : Lcg.t) (l : layout) =
-  let exception Subtle in
-  try
-    let found = ref false in
-    for k = l.first_phase to l.last_phase do
-      match Ir.Shape.of_phase lcg.prog lcg.env (List.nth lcg.prog.phases k) with
-      | None -> raise Subtle
-      | Some t ->
-          if
-            List.exists
-              (fun (s : Ir.Shape.site) ->
-                Ir.Types.equal_access s.access Write)
-              (Ir.Shape.on_array t l.array)
-          then found := true
-    done;
-    Some !found
-  with Subtle -> None
+let phase_writes_symbolic (lcg : Lcg.t) ph =
+  Option.map
+    (fun (t : Ir.Shape.t) ->
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (s : Ir.Shape.site) ->
+             match s.access with
+             | Ir.Types.Write when Ir.Shape.emits t s -> Some s.array
+             | Ir.Types.Write | Ir.Types.Read -> None)
+           t.sites))
+    (Ir.Shape.of_phase lcg.prog lcg.env ph)
 
+(* Does any phase of the layout's epoch write the array?  Every phase
+   is asked, in both accountings. *)
 let epoch_written (lcg : Lcg.t) (l : layout) =
+  let phases = List.map snd (epoch_phases lcg l) in
+  let any writes = List.exists (List.mem l.array) writes in
   Lattice.closed_or_enumerate ~stage:"distribution"
     ~reason:(fun () -> l.array ^ " epoch writes")
-    ~symbolic:(fun () -> epoch_written_symbolic lcg l)
-    ~enum:(fun () -> epoch_written_enum lcg l)
+    ~symbolic:(fun () ->
+      Option.map any (all_some (phase_writes_symbolic lcg) phases))
+    ~enum:(fun () -> any (List.map (phase_writes_enum lcg) phases))
 
 (* Ghost-zone payoff of a candidate layout: remote reads the halo would
    serve locally, and how many of the epoch's phases write the array
    (each such phase ships frontier updates).  Only partial halos are
    priced, so full replication never applies here. *)
-let halo_savings_enum (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
-  let h = plan0.h in
-  let saved = ref 0 and writing_phases = ref 0 in
-  for k = l.first_phase to l.last_phase do
-    let ph = List.nth lcg.prog.phases k in
-    let wrote = ref false in
-    Ir.Enumerate.iter lcg.prog lcg.env ph
-      ~f:(fun ~par ~array ~addr access ~work:_ ->
-        if String.equal array l.array then begin
-          let proc =
-            match par with
-            | Some i -> proc_of_iteration ~chunk:p.(k) ~h i
-            | None -> 0
-          in
-          match access with
-          | Ir.Types.Write -> wrote := true
-          | Ir.Types.Read ->
-              if
-                proc_of plan0 l ~addr <> proc
-                && read_is_local plan0 l ~size_of:(fun _ -> None) ~proc ~addr
-              then incr saved
-        end);
-    if !wrote then incr writing_phases
-  done;
-  (!saved, !writing_phases)
-
-let halo_savings_symbolic (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
-  let exception Subtle in
-  try
-    let h = plan0.h in
-    let own = own_of ~h l in
-    let w = halo_window l in
-    let saved = ref 0 and writing_phases = ref 0 in
-    for k = l.first_phase to l.last_phase do
-      let ph = List.nth lcg.prog.phases k in
-      match Ir.Shape.of_phase lcg.prog lcg.env ph with
-      | None -> raise Subtle
-      | Some t ->
-          let writes, reads =
-            List.partition
-              (fun (s : Ir.Shape.site) -> Ir.Types.equal_access s.access Write)
-              (Ir.Shape.on_array t l.array)
-          in
-          if writes <> [] then incr writing_phases;
-          if reads <> [] then begin
-            let boxes = List.filter_map (Ir.Shape.box t) reads in
-            match Lattice.bounds boxes with
-            | None -> ()
-            | Some (lo, hi) -> (
-                match Owncount.intervals_of own ~lo:(lo - w) ~hi:(hi + w) with
-                | None -> raise Subtle
-                | Some owned ->
-                    let sets = halo_sets l owned in
-                    let chunk = p.(k) in
-                    List.iter
-                      (fun (s : Ir.Shape.site) ->
-                        match
-                          Owncount.per_proc ~chunk
-                            ~owner:(proc_of_iteration ~chunk ~h) t s ~sets
-                        with
-                        | None -> raise Subtle
-                        | Some (_, hits) ->
-                            saved := !saved + Array.fold_left ( + ) 0 hits)
-                      reads)
-          end
-    done;
-    Some (!saved, !writing_phases)
-  with Subtle | Lattice.Overflow -> None
-
 let halo_savings (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
+  let h = plan0.h in
+  let phases = epoch_phases lcg l in
+  let placements = [ (l.array, Some l) ] in
+  let payoff tallies =
+    List.fold_left
+      (fun (saved, writing) (t : tally array) ->
+        ( saved + sum t.(0).reads.ghost,
+          if sum t.(0).writes.events > 0 then writing + 1 else writing ))
+      (0, 0) tallies
+  in
   Lattice.closed_or_enumerate ~stage:"distribution"
     ~reason:(fun () -> l.array ^ " halo payoff")
-    ~symbolic:(fun () -> halo_savings_symbolic lcg plan0 ~p l)
-    ~enum:(fun () -> halo_savings_enum lcg plan0 ~p l)
+    ~symbolic:(fun () ->
+      Option.map payoff
+        (all_some
+           (fun (k, ph) -> tally_symbolic lcg ph ~chunk:p.(k) ~h placements)
+           phases))
+    ~enum:(fun () ->
+      payoff
+        (List.map
+           (fun (k, ph) -> tally_enum lcg ph ~chunk:p.(k) ~h placements)
+           phases))
 
 let of_solution (lcg : Lcg.t) ~p : plan =
   let h = lcg.h in

@@ -69,10 +69,53 @@ val read_is_local :
     {!fully_replicated}; [size_of] is asked only for an unowned read of
     a halo'd layout. *)
 
-val halo_sets :
-  layout -> Symbolic.Lattice.Iv.t array -> Symbolic.Lattice.Iv.t array
-(** Closed-form window clause: per processor, the addresses within
-    {!halo_window} of its ownership set but outside it. *)
+(** {1 The per-processor tally}
+
+    How many of each processor's accesses are local (the paper's
+    Sec. 4.3 criterion) is asked in one place: the simulator prices a
+    phase with it, and {!of_solution} scores candidate layouts and ghost
+    zones with it.  A tally counts one phase under CYCLIC(chunk)
+    iteration scheduling, per {e placement} [(array, layout option)];
+    [None] places the array nowhere (privatized or undistributed), so
+    every access to it is owned.  Each consumer picks between the two
+    twins itself with {!Symbolic.Lattice.closed_or_enumerate}, so each
+    keeps its own unit of fallback. *)
+
+type tally = { reads : Owncount.counts; writes : Owncount.counts }
+(** Per processor: the accesses executed, those addressing an owned
+    cell, the ghost hits (reads within {!halo_window} of an owned block
+    but outside it; 0 for writes and without a halo) and the statement
+    work charged on them. *)
+
+val tally_symbolic :
+  Locality.Lcg.t ->
+  Ir.Types.phase ->
+  chunk:int ->
+  h:int ->
+  (string * layout option) list ->
+  tally array option
+(** One tally per placement, in order.  Each array's ownership
+    intervals are computed once, over the hull of its sites widened by
+    {!halo_window}; all arithmetic is overflow-checked.  [None] when
+    the phase leaves the affine fragment, a budget is exhausted or a
+    count overflows. *)
+
+val tally_enum :
+  Locality.Lcg.t ->
+  Ir.Types.phase ->
+  chunk:int ->
+  h:int ->
+  (string * layout option) list ->
+  tally array
+(** The same tallies by enumerating every access. *)
+
+val phase_writes_symbolic :
+  Locality.Lcg.t -> Ir.Types.phase -> string list option
+(** The arrays a phase writes (with at least one event), sorted; [None]
+    outside the affine fragment. *)
+
+val phase_writes_enum : Locality.Lcg.t -> Ir.Types.phase -> string list
+(** The same set by enumeration. *)
 
 val of_solution : Locality.Lcg.t -> p:int array -> plan
 

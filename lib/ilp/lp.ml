@@ -16,7 +16,6 @@ type outcome =
   | Infeasible
 
 let constr coeffs cmp rhs = { coeffs; cmp; rhs }
-let of_ints l = Array.of_list (List.map Qnum.of_int l)
 
 (* Standard-form tableau simplex.  We convert every constraint to
    [a.x + s = b] with slack/artificial variables, run phase 1 to drive

@@ -27,4 +27,3 @@ type outcome =
 val solve : problem -> outcome
 
 val constr : Qnum.t array -> cmp -> Qnum.t -> constr
-val of_ints : int list -> Qnum.t array

@@ -14,6 +14,8 @@ type result = {
    searched, which the result records as budget exhaustion. *)
 let t_budget = 200_000
 
+(* Footprint (distinct addresses) of one phase's accesses to one array:
+   the word volume a C edge into that phase redistributes. *)
 let communication_words (lcg : Lcg.t) ~array ~phase_idx =
   match
     List.find_opt (fun (g : Lcg.graph) -> String.equal g.array array) lcg.graphs

@@ -24,8 +24,3 @@ type result = {
 }
 
 val solve : Model.t -> Cost.machine -> result
-
-val communication_words : Locality.Lcg.t -> array:string -> phase_idx:int -> int
-(** Footprint (distinct addresses) of one phase's accesses to one
-    array under the LCG environment - the word volume a C edge into
-    that phase redistributes. *)

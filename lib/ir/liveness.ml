@@ -9,7 +9,6 @@ let equal_attr a b =
   | (R | W | RW | P), _ -> false
 
 let attr_to_string = function R -> "R" | W -> "W" | RW -> "R/W" | P -> "P"
-let pp_attr ppf a = Format.pp_print_string ppf (attr_to_string a)
 
 let static_attr _prog ph ~array =
   let refs =

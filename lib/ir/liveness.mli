@@ -21,7 +21,6 @@ open Types
 type attr = R | W | RW | P
 
 val equal_attr : attr -> attr -> bool
-val pp_attr : Format.formatter -> attr -> unit
 val attr_to_string : attr -> string
 
 val static_attr : program -> phase -> array:string -> attr

@@ -36,42 +36,42 @@ exception Chain_fallback of string
 
 (* Closed-form member cardinalities and chain-union volume.  A member
    that raises [Not_rectangular] is size 0 and contributes no boxes,
-   exactly like the enumerating path above. *)
+   exactly like the enumerating path above.
+   @raise Chain_fallback naming what left the closed form. *)
 let sizes_symbolic (lcg : Lcg.t) (nodes : Lcg.node list) =
-  try
-    let all_boxes = ref [] in
-    let members =
-      List.map
-        (fun (n : Lcg.node) ->
-          let size =
-            match Setalg.boxes lcg.env n.pd ~par:None with
-            | bs -> (
-                all_boxes := bs @ !all_boxes;
-                match Lattice.union_card bs with
-                | Some c -> c
-                | None ->
-                    raise (Chain_fallback (n.name ^ " member volume")))
-            | exception Region.Not_rectangular _ -> 0
-            | exception Lattice.Overflow ->
-                raise (Chain_fallback (n.name ^ " address overflow"))
-          in
-          { name = n.name; phase_idx = n.phase_idx; region_size = size })
-        nodes
-    in
-    match Lattice.union_card !all_boxes with
-    | Some c -> Some (members, c)
-    | None -> raise (Chain_fallback "chain union volume")
-  with Chain_fallback reason ->
-    Lattice.note_fallback ~stage:"chain" reason;
-    None
+  let all_boxes = ref [] in
+  let members =
+    List.map
+      (fun (n : Lcg.node) ->
+        let size =
+          match Setalg.boxes lcg.env n.pd ~par:None with
+          | bs -> (
+              all_boxes := bs @ !all_boxes;
+              match Lattice.union_card bs with
+              | Some c -> c
+              | None ->
+                  raise (Chain_fallback (n.name ^ " member volume")))
+          | exception Region.Not_rectangular _ -> 0
+          | exception Lattice.Overflow ->
+              raise (Chain_fallback (n.name ^ " address overflow"))
+        in
+        { name = n.name; phase_idx = n.phase_idx; region_size = size })
+      nodes
+  in
+  match Lattice.union_card !all_boxes with
+  | Some c -> (members, c)
+  | None -> raise (Chain_fallback "chain union volume")
 
 let sizes (lcg : Lcg.t) nodes =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only -> sizes_enum lcg nodes
-  | Lattice.Auto | Lattice.Symbolic_only -> (
-      match sizes_symbolic lcg nodes with
-      | Some r -> r
-      | None -> sizes_enum lcg nodes)
+  let why = ref "" in
+  Lattice.closed_or_enumerate ~stage:"chain"
+    ~reason:(fun () -> !why)
+    ~symbolic:(fun () ->
+      try Some (sizes_symbolic lcg nodes)
+      with Chain_fallback reason ->
+        why := reason;
+        None)
+    ~enum:(fun () -> sizes_enum lcg nodes)
 
 let summaries_raw (lcg : Lcg.t) : summary list =
   List.concat_map

@@ -186,18 +186,19 @@ let node_of_phase (g : graph) ~phase_idx =
 (* Exact inclusive hull of one parallel iteration's region:
    (max_int, min_int) when empty, mirroring the enumerating fold. *)
 let iteration_bounds (t : t) (node : node) par =
-  match !Lattice.mode with
-  | Lattice.Enumerated_only ->
-      let tbl = Region.addresses t.env node.pd ~par:(Some par) in
-      Hashtbl.fold (fun a () (lo, hi) -> (min lo a, max hi a)) tbl
-        (max_int, min_int)
-  | Lattice.Auto | Lattice.Symbolic_only -> (
+  Lattice.closed_or_enumerate ~stage:"lcg"
+    ~reason:(fun () -> node.name ^ " iteration bounds")
+    ~symbolic:(fun () ->
       (* Hull bounds of a union are always closed-form; Overflow means
          addresses past native range, which enumeration could not
          represent either - degrade the same way. *)
-      match Setalg.bounds t.env node.pd ~par:(Some par) with
-      | Some b -> b
-      | None -> (max_int, min_int))
+      Some
+        (Option.value ~default:(max_int, min_int)
+           (Setalg.bounds t.env node.pd ~par:(Some par))))
+    ~enum:(fun () ->
+      let tbl = Region.addresses t.env node.pd ~par:(Some par) in
+      Hashtbl.fold (fun a () (lo, hi) -> (min lo a, max hi a)) tbl
+        (max_int, min_int))
 
 let halo_raw (t : t) (node : node) =
   match node.sym.overlap with

@@ -477,31 +477,39 @@ module Own = struct
       min hi e
     end
 
-  let segments o ~lo ~hi ~budget =
-    if lo > hi || o.h <= 0 || o.block <= 0 then Some []
-    else begin
-      let acc = ref [] and x = ref lo and n = ref 0 and over = ref false in
-      while !x <= hi && not !over do
-        incr n;
-        if !n > budget then over := true
-        else begin
-          let e = run_end o ~hi !x in
-          let ow = owner o !x in
-          assert (owner o e = ow);
-          acc := (!x, e, ow) :: !acc;
-          x := e + 1
-        end
-      done;
-      if !over then None else Some (List.rev !acc)
-    end
+  (* Calls [f x e owner] on each maximal constant-owner run of
+     [lo..hi], in order; [false] when more than [budget] runs would be
+     needed. *)
+  let walk o ~lo ~hi ~budget f =
+    lo > hi || o.h <= 0 || o.block <= 0
+    ||
+    let x = ref lo and n = ref 0 in
+    while !x <= hi && !n < budget do
+      incr n;
+      let e = run_end o ~hi !x in
+      let ow = owner o !x in
+      assert (owner o e = ow);
+      f !x e ow;
+      x := e + 1
+    done;
+    !x > hi
 
+  let segments o ~lo ~hi ~budget =
+    let acc = ref [] in
+    if walk o ~lo ~hi ~budget (fun l e p -> acc := (l, e, p) :: !acc) then
+      Some (List.rev !acc)
+    else None
+
+  (* Runs are filed straight into their owner's list: the analysis asks
+     for ownership intervals far more often than for segments. *)
   let intervals o ~lo ~hi ~budget =
-    match segments o ~lo ~hi ~budget with
-    | None -> None
-    | Some segs ->
-        let per = Array.make (max 1 o.h) [] in
-        List.iter (fun (l, h, p) -> per.(p) <- (l, h) :: per.(p)) segs;
-        Some (Array.map List.rev per)
+    let per = Array.make (max 1 o.h) [] in
+    let file l e p = per.(p) <- (l, e) :: per.(p) in
+    if walk o ~lo ~hi ~budget file then begin
+      Array.iteri (fun p l -> per.(p) <- List.rev l) per;
+      Some per
+    end
+    else None
 end
 
 (* {1 Progression-window hit counting}

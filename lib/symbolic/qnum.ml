@@ -82,8 +82,6 @@ let to_int a =
   if a.den = 1 then a.num
   else invalid_arg (Printf.sprintf "Qnum.to_int: %d/%d" a.num a.den)
 
-let to_float a = float_of_int a.num /. float_of_int a.den
-
 let floor a =
   if a.num >= 0 then a.num / a.den
   else -(((-a.num) + a.den - 1) / a.den)

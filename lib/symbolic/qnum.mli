@@ -45,8 +45,6 @@ val is_integer : t -> bool
 val to_int : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
 
-val to_float : t -> float
-
 val floor : t -> int
 (** Largest integer [<=] the value. *)
 

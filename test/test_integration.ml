@@ -141,7 +141,8 @@ let test_l_chain_no_redistribution () =
    historical enumerated accounting render byte-identical analysis
    reports on every registry kernel.  [report_core] excludes the
    diagnostics table, whose fallback-visibility line is mode-dependent
-   by design. *)
+   by design.  The simulator's runs of the LCG plan and of the BLOCK
+   baseline must agree too, to the last bit of their times. *)
 let test_symbolic_enum_parity () =
   Probe.with_seed 73 (fun () ->
       let saved = !Lattice.mode in
@@ -151,10 +152,17 @@ let test_symbolic_enum_parity () =
           List.iter
             (fun (e : Codes.Registry.entry) ->
               let env = e.env_of_size e.default_size in
+              let rounds = if e.program.repeats then 2 else 1 in
               let render mode =
                 Lattice.mode := mode;
                 let t = Core.Pipeline.run e.program ~env ~h:4 in
+                let sim (r : Dsmsim.Exec.run) =
+                  Format.asprintf "%a@.par %h seq %h@." Dsmsim.Exec.pp r
+                    r.par_time r.seq_time
+                in
                 Format.asprintf "%a" Core.Pipeline.report_core t
+                ^ sim (Core.Pipeline.simulate ~rounds t)
+                ^ sim (Core.Pipeline.simulate_baseline ~rounds t)
               in
               let sym = render Lattice.Auto in
               let enum = render Lattice.Enumerated_only in

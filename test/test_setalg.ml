@@ -351,6 +351,60 @@ let shape_work_matches () =
         e.program.phases)
     Codes.Registry.all
 
+(* The per-processor tally: on every registry kernel's own plan, the
+   closed form answers (no fallback) and equals the enumeration field
+   for field - per phase and array, under the plan's placement, the
+   same layout without its halo, and no placement at all. *)
+let tally_matches_oracle () =
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      let env = e.env_of_size e.default_size in
+      List.iter
+        (fun h ->
+          let t = Core.Pipeline.run e.program ~env ~h in
+          let plan = t.plan in
+          List.iteri
+            (fun k (ph : Ir.Types.phase) ->
+              List.iter
+                (fun (d : Ir.Types.array_decl) ->
+                  let own =
+                    if List.mem (k, d.name) plan.privatized then None
+                    else
+                      Ilp.Distribution.layout_for plan ~array:d.name
+                        ~phase_idx:k
+                  in
+                  let stripped =
+                    Option.map
+                      (fun (l : Ilp.Distribution.layout) -> { l with halo = 0 })
+                      own
+                  in
+                  List.iter
+                    (fun (what, placement) ->
+                      let placements = [ (d.name, placement) ] in
+                      let chunk = plan.chunk.(k) in
+                      let label =
+                        Printf.sprintf "%s H=%d %s/%s %s" e.name h
+                          ph.phase_name d.name what
+                      in
+                      match
+                        Ilp.Distribution.tally_symbolic t.lcg ph ~chunk ~h
+                          placements
+                      with
+                      | None -> Alcotest.failf "%s: closed form fell back" label
+                      | Some sym ->
+                          if
+                            sym
+                            <> Ilp.Distribution.tally_enum t.lcg ph ~chunk ~h
+                                 placements
+                          then Alcotest.failf "%s: tally <> enumeration" label)
+                    [
+                      ("plan", own); ("no halo", stripped); ("unplaced", None);
+                    ])
+                e.program.arrays)
+            e.program.phases)
+        [ 4; 16 ])
+    Codes.Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* Overflow boundaries (satellite): checked ops raise, saturating ops
    clamp, and box construction near 2^62 degrades to None/Unknown
@@ -412,6 +466,8 @@ let () =
             shape_matches_oracle;
           Alcotest.test_case "work = oracle on registry" `Quick
             shape_work_matches;
+          Alcotest.test_case "tally = oracle on registry" `Quick
+            tally_matches_oracle;
         ] );
       ( "overflow",
         [
