@@ -92,10 +92,15 @@ let rec placement_index placed array i =
   else if String.equal (fst placed.(i)) array then i
   else placement_index placed array (i + 1)
 
+(* Both tallies bill this timer, so a profile shows the share of the
+   plan and of the simulator spent counting. *)
+let tally_timer = Metrics.timer "distribution.tally"
+
 (* One pass over the enumerated events: nothing is allocated per event
    (the placements are scanned as an array, not hashed), since this is
    the enumeration the layout search falls back to. *)
 let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
+  Metrics.with_timer tally_timer @@ fun () ->
   let placed = Array.of_list placements in
   let zeros = Array.make h 0 in
   let fresh ~ghost = counts ~zeros ~used:true ~ghost in
@@ -139,6 +144,7 @@ let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
    the ghost family when the layout has a halo) by window sweeps, in
    one pass per site.  An array placed nowhere owns every access. *)
 let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
+  Metrics.with_timer tally_timer @@ fun () ->
   match Ir.Shape.of_phase lcg.prog lcg.env ph with
   | None -> None
   | Some t -> (
@@ -167,7 +173,9 @@ let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
                      ~hi:(Lattice.Safe.add hi w))
               in
               let near o =
-                Lattice.Iv.(subtract (union (shift o w) (shift o (-w))) o)
+                let o = Lattice.Iv.unpack o in
+                Lattice.Iv.(
+                  pack (subtract (union (shift o w) (shift o (-w))) o))
               in
               ( Some owned,
                 if l.halo > 0 && has Read then Some (Array.map near owned)

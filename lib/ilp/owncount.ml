@@ -66,7 +66,7 @@ let per_proc ~chunk ~owner (t : Ir.Shape.t) (s : Ir.Shape.site) ~owned ~ghost
     &&
     let offs = offsets rest in
     (* Closures here are built once per site, not per run. *)
-    let hits (sets : Lattice.Iv.t array) ~pr ~n ~d start =
+    let hits (sets : Lattice.Iv.packed array) ~pr ~n ~d start =
       window_sum sets.(pr) ~d ~n ~len ~base:(Lattice.Safe.add start woff) 0
         offs
     in

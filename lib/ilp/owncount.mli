@@ -5,12 +5,16 @@
     sequential index space, and the CYCLIC(chunk) schedule executes
     parallel iteration [i] on processor [owner i]
     ({!Distribution.proc_of_iteration}).  This module counts, per
-    processor, how many of the site's events land inside given interval
-    sets (an ownership set, a ghost-zone family) - with multiplicity,
-    in closed form: the parallel range is walked per constant-processor
-    chunk run, one [|stride| = 1] sequential dimension becomes the
-    contiguous window of {!Lattice.window_hits}, and the remaining
-    sequential dimensions are enumerated under a budget.  Counts are
+    processor, how many of the site's events land inside given
+    packed interval sets ({!Lattice.Iv.packed}: an ownership set, a
+    ghost-zone family) - with multiplicity, in closed form: the
+    parallel range is walked per constant-processor chunk run, one
+    [|stride| = 1] sequential dimension becomes the contiguous window
+    of {!Lattice.window_hits}, and the remaining sequential dimensions
+    are enumerated under a budget.  Each window sum binary-searches
+    the processor's set and visits only the intervals the run's hull
+    meets, so a chunk run costs O(log |set| + intervals met) per
+    sequential offset rather than a scan of the whole set.  Counts are
     exact: they must reproduce the enumerating oracle's totals
     event-for-event. *)
 
@@ -21,10 +25,10 @@ val budget : int
     ownership segments. *)
 
 val intervals_of :
-  Lattice.Own.t -> lo:int -> hi:int -> Lattice.Iv.t array option
-(** Per-processor ownership interval lists over [lo..hi] under the
-    default {!budget}; [None] when empty ranges or the segment walk
-    exhausts it. *)
+  Lattice.Own.t -> lo:int -> hi:int -> Lattice.Iv.packed array option
+(** Per-processor packed ownership sets over [lo..hi]
+    ({!Lattice.Own.intervals}) under the default {!budget}; [None] when
+    the range is empty or the segment walk exhausts it. *)
 
 type counts = {
   events : int array;  (** per processor: events executed *)
@@ -38,8 +42,8 @@ val per_proc :
   owner:(int -> int) ->
   Ir.Shape.t ->
   Ir.Shape.site ->
-  owned:Lattice.Iv.t array option ->
-  ghost:Lattice.Iv.t array option ->
+  owned:Lattice.Iv.packed array option ->
+  ghost:Lattice.Iv.packed array option ->
   counts ->
   bool
 (** Adds the site's events to the counts: with [owned = None] every

@@ -318,6 +318,20 @@ module Iv = struct
 
   let is_empty = function [] -> true | _ -> false
   let mem ivs x = List.exists (fun (l, h) -> l <= x && x <= h) ivs
+
+  type packed = int array
+
+  let pack ivs =
+    let a = Array.make (2 * List.length ivs) 0 in
+    List.iteri
+      (fun k (l, h) ->
+        a.(2 * k) <- l;
+        a.((2 * k) + 1) <- h)
+      ivs;
+    a
+
+  let unpack a =
+    List.init (Array.length a / 2) (fun k -> (a.(2 * k), a.((2 * k) + 1)))
 end
 
 (* {1 Union cardinality via digit-space rectangles} *)
@@ -500,14 +514,41 @@ module Own = struct
       Some (List.rev !acc)
     else None
 
-  (* Runs are filed straight into their owner's list: the analysis asks
-     for ownership intervals far more often than for segments. *)
+  (* Runs are filed straight into their owner's packed array, merged
+     with the run before when adjacent; each array doubles as it fills
+     and is trimmed once at the end.  The analysis asks for ownership
+     intervals far more often than for segments. *)
   let intervals o ~lo ~hi ~budget =
-    let per = Array.make (max 1 o.h) [] in
-    let file l e p = per.(p) <- (l, e) :: per.(p) in
+    let h = max 1 o.h in
+    let buf = Array.make h [||] and len = Array.make h 0 in
+    let file l e p =
+      let b = buf.(p) and n = len.(p) in
+      if n = 0 then begin
+        buf.(p) <- [| l; e |];
+        len.(p) <- 2
+      end
+      else if b.(n - 1) = l - 1 then b.(n - 1) <- e
+      else begin
+        let b =
+          if n < Array.length b then b
+          else begin
+            let g = Array.make (2 * n) 0 in
+            Array.blit b 0 g 0 n;
+            buf.(p) <- g;
+            g
+          end
+        in
+        b.(n) <- l;
+        b.(n + 1) <- e;
+        len.(p) <- n + 2
+      end
+    in
     if walk o ~lo ~hi ~budget file then begin
-      Array.iteri (fun p l -> per.(p) <- List.rev l) per;
-      Some per
+      Array.iteri
+        (fun p b ->
+          if len.(p) < Array.length b then buf.(p) <- Array.sub b 0 len.(p))
+        buf;
+      Some buf
     end
     else None
 end
@@ -527,7 +568,7 @@ let range_sum ~c ~first ~step =
     let e = if c land 1 = 0 then c / 2 * (c - 1) else c * ((c - 1) / 2) in
     Safe.add_sat (Safe.mul_sat c first) (Safe.mul_sat step e)
 
-let window_hits_1 ~a ~d ~n ~len (blo, bhi) =
+let interval_hits ~a ~d ~n ~len ~blo ~bhi =
   if n <= 0 || len <= 0 || blo > bhi then 0
   else if d = 0 then
     let l = max a blo and h = min (a + len - 1) bhi in
@@ -565,10 +606,31 @@ let window_hits_1 ~a ~d ~n ~len (blo, bhi) =
       Safe.add_sat asc (Safe.add_sat desc plateau)
     end
 
+(* Intervals outside the progression's hull add 0, so only those
+   meeting it are summed: a binary search finds the first interval
+   ending at or after the hull's start, and the sum stops at the first
+   one starting past its end.  A saturated hull is only wider. *)
 let window_hits ~a ~d ~n ~len set =
-  List.fold_left
-    (fun acc iv -> Safe.add_sat acc (window_hits_1 ~a ~d ~n ~len iv))
-    0 set
+  let m = Array.length set / 2 in
+  if n <= 0 || len <= 0 || m = 0 then 0
+  else begin
+    let last = Safe.add_sat a (Safe.mul_sat (n - 1) d) in
+    let lo = min a last and hi = Safe.add_sat (max a last) (len - 1) in
+    let l = ref 0 and r = ref m in
+    while !l < !r do
+      let mid = (!l + !r) / 2 in
+      if set.((2 * mid) + 1) < lo then l := mid + 1 else r := mid
+    done;
+    let acc = ref 0 and k = ref !l in
+    while !k < m && set.(2 * !k) <= hi do
+      acc :=
+        Safe.add_sat !acc
+          (interval_hits ~a ~d ~n ~len ~blo:set.(2 * !k)
+             ~bhi:set.((2 * !k) + 1));
+      incr k
+    done;
+    !acc
+  end
 
 (* {1 Mode} *)
 

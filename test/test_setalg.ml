@@ -247,24 +247,86 @@ let own_segments =
             segs;
           !x = 56)
 
+let own_intervals =
+  prop "Own.intervals packs each owner's addresses" arb_own (fun o ->
+      match Lattice.Own.intervals o ~lo:(-8) ~hi:55 ~budget:1000 with
+      | None -> QCheck.Test.fail_report "budget exhausted on tiny range"
+      | Some per ->
+          let covered = ref 0 in
+          Array.iter
+            (fun set ->
+              if Array.length set mod 2 <> 0 then
+                QCheck.Test.fail_report "odd packed length";
+              let prev = ref min_int in
+              List.iter
+                (fun (l, h) ->
+                  if l > h || l < -8 || h > 55 then
+                    QCheck.Test.fail_report "interval empty or out of range";
+                  if !prev <> min_int && l <= !prev + 1 then
+                    QCheck.Test.fail_report "not ascending, disjoint, apart";
+                  prev := h;
+                  covered := !covered + (h - l + 1))
+                (Lattice.Iv.unpack set))
+            per;
+          Array.length per = o.Lattice.Own.h
+          && !covered = 64
+          &&
+          let ok = ref true in
+          for a = -8 to 55 do
+            let mine = Lattice.Iv.unpack per.(Lattice.Own.owner o a) in
+            if not (Lattice.Iv.mem mine a) then ok := false
+          done;
+          !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Progression-window hits. *)
+
+(* Packed sets of up to 40 intervals, ascending, some adjacent; the
+   hull start [s] is drawn before, inside or after the set and the
+   progression placed so that its hull begins exactly there, whatever
+   the sign of [d]. *)
+let gen_window =
+  QCheck.Gen.(
+    let* start = int_range (-40) 40 in
+    let* k = int_range 0 40 in
+    let* steps = list_repeat k (pair (int_range 0 4) (int_range 0 4)) in
+    let set =
+      let next (x, acc) (gap, w) =
+        (x + gap + w + 1, (x + gap, x + gap + w) :: acc)
+      in
+      List.rev (snd (List.fold_left next (start, []) steps))
+    in
+    let set_lo = match set with (l, _) :: _ -> l | [] -> start in
+    let set_hi = List.fold_left (fun _ (_, h) -> h) set_lo set in
+    let* where = int_range 0 2 in
+    let* s =
+      match where with
+      | 0 -> int_range (set_lo - 30) (set_lo - 1)
+      | 1 -> int_range set_lo (max set_lo set_hi)
+      | _ -> int_range (set_hi + 1) (set_hi + 30)
+    in
+    let* d = int_range (-9) 9 in
+    let* n = int_range 0 12 in
+    let* len = int_range 0 8 in
+    let a = if d < 0 && n > 0 then s - ((n - 1) * d) else s in
+    return (a, d, n, len, set))
 
 let window_hits_exact =
   prop "window_hits vs brute force"
     (QCheck.make
-       QCheck.Gen.(
-         tup5 (int_range (-30) 30) (int_range (-9) 9) (int_range 0 12)
-           (int_range 0 8) gen_ivs))
-    (fun (a, d, n, len, ivs) ->
-      let set = Lattice.Iv.norm ivs in
+       ~print:(fun (a, d, n, len, set) ->
+         Printf.sprintf "a=%d d=%d n=%d len=%d set=[%s]" a d n len
+           (String.concat ";"
+              (List.map (fun (l, h) -> Printf.sprintf "(%d,%d)" l h) set)))
+       gen_window)
+    (fun (a, d, n, len, set) ->
       let brute = ref 0 in
       for i = 0 to n - 1 do
         for x = a + (i * d) to a + (i * d) + len - 1 do
           if Lattice.Iv.mem set x then incr brute
         done
       done;
-      Lattice.window_hits ~a ~d ~n ~len set = !brute)
+      Lattice.window_hits ~a ~d ~n ~len (Lattice.Iv.pack set) = !brute)
 
 (* ------------------------------------------------------------------ *)
 (* Shape extraction vs the enumeration oracle: the symbolic event
@@ -402,7 +464,7 @@ let tally_matches_oracle () =
                     ])
                 e.program.arrays)
             e.program.phases)
-        [ 4; 16 ])
+        [ 4; 16; 64 ])
     Codes.Registry.all
 
 (* ------------------------------------------------------------------ *)
@@ -442,7 +504,7 @@ let saturating_window () =
   (* n * len beyond max_int: the closed form must clamp, not wrap. *)
   let n = 1 lsl 31 and len = 1 lsl 32 in
   let hits =
-    Lattice.window_hits ~a:0 ~d:0 ~n ~len [ (0, max_int - 1) ]
+    Lattice.window_hits ~a:0 ~d:0 ~n ~len [| 0; max_int - 1 |]
   in
   Alcotest.(check bool) "saturates at max_int" true (hits = max_int)
 
@@ -458,7 +520,7 @@ let () =
           union_card_exact;
           iv_ops;
         ] );
-      ("ownership", [ own_vs_distribution; own_segments ]);
+      ("ownership", [ own_vs_distribution; own_segments; own_intervals ]);
       ("windows", [ window_hits_exact ]);
       ( "shape",
         [
