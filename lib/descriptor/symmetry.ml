@@ -99,10 +99,9 @@ let analyze_raw (id : Id.t) : t =
   let write_checks = ref 0 in
   let sampled_sizes =
     let sizes = ref [] and failed = ref false in
-    let sample = Probe.sampler () in
     (try
-       for _ = 1 to 12 do
-         let env = sample asm in
+       for i = 0 to 11 do
+         let env = Probe.sample asm i in
          let s0 = region_at env 0 and s1 = region_at env 1 in
          let inter =
            Hashtbl.fold

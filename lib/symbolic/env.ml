@@ -43,11 +43,12 @@ let eval_store : Qnum.t Artifact.store =
 
 let uncached_count = Metrics.counter "env.eval_uncached"
 
+let eval_with find e =
+  Metrics.incr uncached_count;
+  Expr.eval (fun v -> Qnum.of_int (find v)) e
+
 let eval_q env e =
-  if env.ephemeral then begin
-    Metrics.incr uncached_count;
-    Expr.eval (lookup env) e
-  end
+  if env.ephemeral then eval_with (find env) e
   else
     Artifact.find eval_store
       Artifact.Key.(list [ int env.id; expr e ])

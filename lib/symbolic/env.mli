@@ -35,4 +35,10 @@ val eval : t -> Expr.t -> int
 (** [eval env e] = {!Expr.eval_int} under [env]. *)
 
 val eval_q : t -> Expr.t -> Qnum.t
+
+val eval_with : (string -> int) -> Expr.t -> Qnum.t
+(** Evaluate against a bare lookup (a {!Probe} sample row) as an
+    ephemeral environment would: no store, and counted in
+    [env.eval_uncached].  The lookup raises {!Unbound} itself. *)
+
 val pp : Format.formatter -> t -> unit

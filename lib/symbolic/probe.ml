@@ -2,8 +2,8 @@ let samples = ref 64
 let probe_state = ref (Random.State.make [| 0x5eed; 2024 |])
 
 (* Artifact stores whose contents depend on the probe stream (this
-   module's predicate memo, Range's bound memo, the symmetry and LCG
-   stores) are created volatile: advancing the artifact generation
+   module's sample bank and predicate memo, Range's bound memo, the
+   symmetry and LCG stores) are created volatile: advancing the artifact generation
    whenever the stream is re-seeded flushes them lazily, so no cached
    answer derived under one seed survives into a run under another. *)
 let with_seed seed f =
@@ -16,15 +16,78 @@ let with_seed seed f =
       Artifact.new_generation ())
     f
 
-(* The base state is never advanced by queries: every query (and every
-   external sampling loop, via [sampler]) draws from its own fork.  A
-   probe's answer therefore depends only on the seed policy and the
-   question asked - never on how many other probes ran first - which is
-   what lets the symbolic and enumerated accountings, whose probe
-   traffic differs, still agree on every shared decision. *)
-let sampler () =
-  let st = Random.State.copy !probe_state in
-  fun asm -> Assume.sample ~state:st asm
+(* The base state is never advanced by queries.  Sample [i] of an
+   assumption set is the [i]-th draw of one fork of the base state, so
+   a probe's answer depends only on the seed policy and the question
+   asked - never on how many other probes ran first - which is what
+   lets the symbolic and enumerated accountings, whose probe traffic
+   differs, still agree on every shared decision.
+
+   Every query over the same assumption set would draw the same stream,
+   so each set's samples are drawn once, lazily and in stream order,
+   into a bank: the variable names once, then one compact [int array]
+   row per sample.  A draw that raises is stored and re-raised at its
+   index, where a fresh fork would raise it too; no later row is ever
+   asked for, because every sampling loop stops at its first exception.
+   The store is volatile, so re-seeding flushes it; a capacity drop
+   only makes the next query fork the base state again and redraw the
+   same rows.  DESIGN.md section 16.4 has the parity argument. *)
+type bank = {
+  asm : Assume.t;
+  names : string array;  (* [Assume.vars asm]: row slot j binds names.(j) *)
+  fork : Random.State.t;  (* the stream just past the last drawn row *)
+  mutable rows : int array array;  (* the first [drawn] are filled *)
+  mutable drawn : int;
+  mutable failure : exn option;  (* raised by the draw of row [drawn] *)
+}
+
+let banks : bank Artifact.store =
+  Artifact.store ~capacity:1024 ~volatile:true "probe.bank"
+
+let bank asm =
+  Artifact.find banks (Assume.key asm) (fun () ->
+      {
+        asm;
+        names = Array.of_list (Assume.vars asm);
+        fork = Random.State.copy !probe_state;
+        rows = [||];
+        drawn = 0;
+        failure = None;
+      })
+
+let row b i =
+  while b.drawn <= i do
+    Option.iter raise b.failure;
+    match Assume.sample ~state:b.fork b.asm with
+    | env ->
+        if b.drawn = Array.length b.rows then begin
+          let rows = Array.make (max !samples (2 * b.drawn)) [||] in
+          Array.blit b.rows 0 rows 0 b.drawn;
+          b.rows <- rows
+        end;
+        b.rows.(b.drawn) <- Array.map (Env.find env) b.names;
+        b.drawn <- b.drawn + 1
+    | exception e ->
+        b.failure <- Some e;
+        raise e
+  done;
+  b.rows.(i)
+
+(* A row's value for [v]: the last binding wins, as in an [Env.t]. *)
+let find names row v =
+  let rec go j =
+    if j < 0 then raise (Env.Unbound v)
+    else if String.equal names.(j) v then row.(j)
+    else go (j - 1)
+  in
+  go (Array.length names - 1)
+
+let env_of b row =
+  Env.ephemeral (Env.of_list (List.combine (Array.to_list b.names) (Array.to_list row)))
+
+let sample asm i =
+  let b = bank asm in
+  env_of b (row b i)
 
 (* Bounded memo for the public predicates: probes are deterministic
    given the seed policy, and the analysis re-asks the same questions
@@ -39,63 +102,62 @@ let memoized tag asm a b compute =
 
 let forall_count = Metrics.counter "probe.forall"
 
-(* Evaluate [f] on [!samples] sampled environments; return [Some true]
-   if the predicate holds everywhere, [Some false] if it fails
-   somewhere, [None] if some evaluation raised. *)
-let forall asm (f : Env.t -> bool) =
+(* Run [f] on the bank's first [!samples] rows; [true] if it holds on
+   every one, [false] if it fails somewhere or some draw or evaluation
+   raised an evaluation error.  Every row is visited until the first
+   exception, as a loop over fresh draws would, so an exception this
+   does not catch ([Qnum.Overflow]) escapes at the same sample. *)
+let forall_rows asm f =
   Metrics.incr forall_count;
-  let sample = sampler () in
+  let b = bank asm in
   let ok = ref true in
   (try
-     for _ = 1 to !samples do
-       let env = sample asm in
-       if not (f env) then ok := false
-     done;
-     ()
+     for i = 0 to !samples - 1 do
+       if not (f b (row b i)) then ok := false
+     done
    with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero ->
      ok := false);
   !ok
 
+(* The expression predicates evaluate straight off a row: [f] receives
+   the row's evaluator, and no [Env.t] is built. *)
+let forall asm f = forall_rows asm (fun b r -> f (Env.eval_with (find b.names r)))
+
 let equal asm a b =
   Expr.equal a b
-  || memoized 0 asm a b (fun () ->
-         forall asm (fun env -> Qnum.equal (Env.eval_q env a) (Env.eval_q env b)))
+  || memoized 0 asm a b (fun () -> forall asm (fun ev -> Qnum.equal (ev a) (ev b)))
 
-let is_zero asm e = Expr.is_zero e || forall asm (fun env -> Qnum.is_zero (Env.eval_q env e))
+let is_zero asm e = Expr.is_zero e || forall asm (fun ev -> Qnum.is_zero (ev e))
 
+(* The signs seen so far, as a 3-bit mask: bit [s + 1] for sign [s]. *)
 let sign asm e =
-  let signs = Hashtbl.create 3 in
+  let seen = ref 0 in
   let ok =
-    forall asm (fun env ->
-        Hashtbl.replace signs (Qnum.sign (Env.eval_q env e)) ();
+    forall asm (fun ev ->
+        seen := !seen lor (1 lsl (Qnum.sign (ev e) + 1));
         true)
   in
   if not ok then None
-  else
-    match Hashtbl.fold (fun s () acc -> s :: acc) signs [] with
-    | [ s ] -> Some s
-    | _ -> None
+  else match !seen with 1 -> Some (-1) | 2 -> Some 0 | 4 -> Some 1 | _ -> None
 
 let nonneg asm e =
-  memoized 1 asm e Expr.zero (fun () ->
-      forall asm (fun env -> Qnum.sign (Env.eval_q env e) >= 0))
+  memoized 1 asm e Expr.zero (fun () -> forall asm (fun ev -> Qnum.sign (ev e) >= 0))
 let le asm a b = nonneg asm (Expr.sub b a)
-let lt asm a b = forall asm (fun env -> Qnum.compare (Env.eval_q env a) (Env.eval_q env b) < 0)
+let lt asm a b = forall asm (fun ev -> Qnum.compare (ev a) (ev b) < 0)
 let integral asm e =
-  memoized 3 asm e Expr.zero (fun () ->
-      forall asm (fun env -> Qnum.is_integer (Env.eval_q env e)))
+  memoized 3 asm e Expr.zero (fun () -> forall asm (fun ev -> Qnum.is_integer (ev e)))
 
 let divides asm d e =
   memoized 2 asm d e (fun () ->
-      forall asm (fun env ->
-          let dv = Env.eval_q env d in
-          (not (Qnum.is_zero dv))
-          && Qnum.is_integer (Qnum.div (Env.eval_q env e) dv)))
+      forall asm (fun ev ->
+          let dv = ev d in
+          (not (Qnum.is_zero dv)) && Qnum.is_integer (Qnum.div (ev e) dv)))
 
 let constant_in asm v e =
   if not (Expr.mem_var v e) then true
   else
-    forall asm (fun env ->
+    forall_rows asm (fun b r ->
+        let env = env_of b r in
         match Assume.range_in_env asm env v with
         | None -> false
         | Some (lo, hi) ->

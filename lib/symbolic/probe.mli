@@ -23,12 +23,14 @@ val with_seed : int -> (unit -> 'a) -> 'a
     answer derived under one probe seed survives into a run under
     another. *)
 
-val sampler : unit -> Assume.t -> Env.t
-(** A fresh sampling function forked from the probe's base state.
-    Successive calls to the returned function draw distinct
-    assignments; distinct [sampler ()] forks replay the same stream, so
-    a sampling loop's outcome depends only on the seed policy, never on
-    how many probes ran before it. *)
+val sample : Assume.t -> int -> Env.t
+(** [sample asm i]: the [i]-th assignment of [asm]'s sample stream, as
+    an ephemeral environment.  The stream is the one a fork of the
+    probe's base state would draw, so it depends only on the seed
+    policy and [asm], never on how many probes ran before; it is drawn
+    once per seed and assumption set and shared by every query.  A
+    draw that raised re-raises at its index.  Sampling loops take
+    [i] = 0, 1, ... and stop at the first exception. *)
 
 val equal : Assume.t -> Expr.t -> Expr.t -> bool
 val is_zero : Assume.t -> Expr.t -> bool

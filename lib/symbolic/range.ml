@@ -26,11 +26,9 @@ let monotonicity asm v e =
           walk 1 (at lo)
     in
     let ok = ref true in
-    let sample = Probe.sampler () in
     (try
-       for _ = 1 to !Probe.samples do
-         let env = sample asm in
-         if not (check env) then ok := false
+       for i = 0 to !Probe.samples - 1 do
+         if not (check (Probe.sample asm i)) then ok := false
        done
      with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero
      -> ok := false);
@@ -101,10 +99,9 @@ let eliminate_raw asm dir ~over e =
   | Some bound ->
       let cmp a b = match dir with Max -> Qnum.compare a b >= 0 | Min -> Qnum.compare a b <= 0 in
       let ok = ref true in
-      let sample = Probe.sampler () in
       (try
-         for _ = 1 to !Probe.samples do
-           let env = sample asm in
+         for i = 0 to !Probe.samples - 1 do
+           let env = Probe.sample asm i in
            if not (cmp (Env.eval_q env bound) (Env.eval_q env e)) then ok := false
          done
        with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero

@@ -432,6 +432,289 @@ let prop_qnum_floor_ceil =
       && Stdlib.(c - f <= 1)
       && Qnum.is_integer q = (f = c))
 
+(* ------------------------------------------------------------------ *)
+(* Sample bank: every probe answer equals the one a fresh fork of the
+   base state gives, which is how each query drew its samples before
+   the bank existed.  [fresh] keeps that per-query sampling as the
+   reference; [planted] is a deliberately wrong bank, keyed on the
+   variable names alone, that the property must catch. *)
+
+module Bank_check = struct
+  open Stdlib
+
+  type fns = {
+    sample : Assume.t -> int -> Env.t;
+    equal : Assume.t -> Expr.t -> Expr.t -> bool;
+    is_zero : Assume.t -> Expr.t -> bool;
+    sign : Assume.t -> Expr.t -> int option;
+    nonneg : Assume.t -> Expr.t -> bool;
+    le : Assume.t -> Expr.t -> Expr.t -> bool;
+    lt : Assume.t -> Expr.t -> Expr.t -> bool;
+    integral : Assume.t -> Expr.t -> bool;
+    divides : Assume.t -> Expr.t -> Expr.t -> bool;
+    constant_in : Assume.t -> string -> Expr.t -> bool;
+  }
+
+  let real =
+    {
+      sample = Probe.sample;
+      equal = Probe.equal;
+      is_zero = Probe.is_zero;
+      sign = Probe.sign;
+      nonneg = Probe.nonneg;
+      le = Probe.le;
+      lt = Probe.lt;
+      integral = Probe.integral;
+      divides = Probe.divides;
+      constant_in = Probe.constant_in;
+    }
+
+  (* The predicates over an environment-level [forall], as written
+     before the bank. *)
+  let of_forall ~sample forall =
+    let ev = Env.eval_q in
+    let nonneg asm e = forall asm (fun env -> Qnum.sign (ev env e) >= 0) in
+    {
+      sample;
+      equal =
+        (fun asm a b ->
+          Expr.equal a b || forall asm (fun env -> Qnum.equal (ev env a) (ev env b)));
+      is_zero = (fun asm e -> Expr.is_zero e || forall asm (fun env -> Qnum.is_zero (ev env e)));
+      sign =
+        (fun asm e ->
+          let signs = Hashtbl.create 3 in
+          let ok =
+            forall asm (fun env ->
+                Hashtbl.replace signs (Qnum.sign (ev env e)) ();
+                true)
+          in
+          match Hashtbl.fold (fun s () acc -> s :: acc) signs [] with
+          | [ s ] when ok -> Some s
+          | _ -> None);
+      nonneg;
+      le = (fun asm a b -> nonneg asm (Expr.sub b a));
+      lt = (fun asm a b -> forall asm (fun env -> Qnum.compare (ev env a) (ev env b) < 0));
+      integral = (fun asm e -> forall asm (fun env -> Qnum.is_integer (ev env e)));
+      divides =
+        (fun asm d e ->
+          forall asm (fun env ->
+              let dv = ev env d in
+              (not (Qnum.is_zero dv)) && Qnum.is_integer (Qnum.div (ev env e) dv)));
+      constant_in =
+        (fun asm x e ->
+          (not (Expr.mem_var x e))
+          || forall asm (fun env ->
+                 match Assume.range_in_env asm env x with
+                 | None -> false
+                 | Some (lo, hi) ->
+                     let at k =
+                       Expr.eval
+                         (fun w -> if String.equal w x then Qnum.of_int k else Env.lookup env w)
+                         e
+                     in
+                     let reference = at lo in
+                     let rec check k =
+                       k > min 4 (hi - lo) || (Qnum.equal (at (lo + k)) reference && check (k + 1))
+                     in
+                     check 1));
+    }
+
+  let forall_over draw asm f =
+    let ok = ref true in
+    (try
+       for k = 0 to !Probe.samples - 1 do
+         if not (f (draw asm k)) then ok := false
+       done
+     with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero ->
+       ok := false);
+    !ok
+
+  (* Reference: every query and every [sample] call forks the base state
+     [Probe.with_seed seed] installs and draws from the start. *)
+  let fresh ~seed =
+    let sample asm k =
+      let st = Random.State.make [| seed |] in
+      let rec go j =
+        let env = Assume.sample ~state:st asm in
+        if j = k then env else go (j + 1)
+      in
+      go 0
+    in
+    let forall asm f =
+      let st = Random.State.make [| seed |] in
+      forall_over (fun asm _ -> Assume.sample ~state:st asm) asm f
+    in
+    of_forall ~sample forall
+
+  (* A wrong bank: rows shared by every assumption set with the same
+     variable names, whatever their domains. *)
+  let planted () =
+    let banks = Hashtbl.create 16 in
+    fun ~seed ->
+      let sample asm k =
+        let key = (seed, Assume.vars asm) in
+        let st, rows =
+          match Hashtbl.find_opt banks key with
+          | Some b -> b
+          | None ->
+              let b = (Random.State.make [| seed |], ref [||]) in
+              Hashtbl.replace banks key b;
+              b
+        in
+        while Array.length !rows <= k do
+          rows := Array.append !rows [| Assume.sample ~state:st asm |]
+        done;
+        !rows.(k)
+      in
+      of_forall ~sample (forall_over sample)
+
+  let show f =
+    match f () with s -> s | exception e -> "raised " ^ Printexc.to_string e
+
+  let show_env env =
+    String.concat "," (List.map (fun (x, n) -> Printf.sprintf "%s=%d" x n) (Env.bindings env))
+
+  (* Every answer [p] gives for one assumption set, rendered (raised
+     exceptions included).  [memoized] answers are left out after a
+     change of [!Probe.samples] inside one generation: the predicate
+     memo is keyed on the question, not on the sample count. *)
+  let answers ~memoized p asm (a, b, x) =
+    let bool f = show (fun () -> string_of_bool (f ())) in
+    let sign e = show (fun () -> match p.sign asm e with None -> "none" | Some s -> string_of_int s) in
+    let unmemoized =
+      [
+        bool (fun () -> p.is_zero asm a);
+        sign a;
+        sign b;
+        sign (Expr.var x);
+        bool (fun () -> p.lt asm a b);
+        bool (fun () -> p.constant_in asm x a);
+      ]
+      @ List.init !Probe.samples (fun k -> show (fun () -> show_env (p.sample asm k)))
+    in
+    if not memoized then unmemoized
+    else
+      [
+        bool (fun () -> p.equal asm a b);
+        bool (fun () -> p.nonneg asm a);
+        bool (fun () -> p.le asm a b);
+        bool (fun () -> p.integral asm b);
+        bool (fun () -> p.divides asm a b);
+      ]
+      @ unmemoized
+
+  (* [impl] against [fresh] on two assumption sets that share their
+     names: 8 samples, then 64 in the same generation (rows extend),
+     then inside and after a nested re-seed. *)
+  let agrees impl (seed, asms, q) =
+    let phase ~memoized seed =
+      List.for_all
+        (fun asm -> answers ~memoized (impl ~seed) asm q = answers ~memoized (fresh ~seed) asm q)
+        asms
+    in
+    Fun.protect
+      ~finally:(fun () -> Probe.samples := 64)
+      (fun () ->
+        Probe.with_seed seed (fun () ->
+            Probe.samples := 8;
+            let at8 = phase ~memoized:true seed in
+            Probe.samples := 64;
+            let at64 = phase ~memoized:false seed in
+            let inner = Probe.with_seed (seed + 1) (fun () -> phase ~memoized:true (seed + 1)) in
+            let after = phase ~memoized:true seed in
+            at8 && at64 && inner && after))
+
+  let names = [ "a"; "b"; "c"; "d" ]
+
+  (* Expressions over [scope], now and then over [z], which no set
+     declares (Env.Unbound); division by a variable (Division_by_zero),
+     halving (Non_integral) and powers of two of values up to 70
+     (Overflow). *)
+  (* a constant zero divisor is refused when the expression is built *)
+  let quotient f a d = match f a d with e -> e | exception Qnum.Division_by_zero -> a
+
+  let gen_expr ~unbound scope =
+    let open QCheck.Gen in
+    let var = if scope = [] then [] else [ (8, map Expr.var (oneofl scope)) ] in
+    let leaf =
+      frequency ((6, map Expr.int (int_range (-3) 4)) :: (unbound, return (Expr.var "z")) :: var)
+    in
+    let rec go n =
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (2, map2 Expr.add (go (n - 1)) (go (n - 1)));
+            (2, map2 Expr.mul (go (n - 1)) (go (n - 1)));
+            (1, map2 Expr.sub (go (n - 1)) (go (n - 1)));
+            (1, map2 (quotient Expr.div) (go (n - 1)) (go (n - 1)));
+            (1, map2 (quotient Expr.floor_div) (go (n - 1)) (go (n - 1)));
+            (1, map Expr.pow2 (go (n - 1)));
+          ]
+    in
+    go 2
+
+  (* A domain for a declaration after those of [scope]: bounds and
+     [Pow2_of] bases mostly over earlier names, so most sets draw, but
+     some bounds divide by a variable and some name [z]. *)
+  let gen_domain scope =
+    let open QCheck.Gen in
+    let earlier = if scope = [] then names else scope in
+    let bound = gen_expr ~unbound:1 scope in
+    frequency
+      [
+        ((if scope = [] then 20 else 0), map2 (fun lo w -> Assume.Int_range (lo, lo + w)) (int_range 0 5) (int_range 0 8));
+        (3, map2 (fun lo w -> Assume.Int_range (lo, lo + w)) (int_range (-3) 5) (int_range (-1) 8));
+        (1, map (fun lo -> Assume.Int_range (lo, lo + 10)) (int_range 55 60));
+        (2, map (fun w -> Assume.Pow2_of w) (frequency [ (8, oneofl earlier); (1, oneofl names) ]));
+        (3, map2 (fun lo hi -> Assume.Expr_range (lo, hi)) bound bound);
+        ( 1,
+          map2
+            (fun x y -> Assume.Expr_range (Expr.zero, quotient Expr.div (Expr.var x) (Expr.var y)))
+            (oneofl earlier) (oneofl earlier) );
+      ]
+
+  (* Declarations go through [Assume.add], so names repeat; the sibling
+     set redeclares one name with a fresh domain and keeps the names. *)
+  let gen_case =
+    let open QCheck.Gen in
+    let* n = int_range 1 5 in
+    let rec decls k asm =
+      if k = n then return asm
+      else
+        let* x = oneofl names in
+        let* d = gen_domain (Assume.vars asm) in
+        decls (k + 1) (Assume.add asm x d)
+    in
+    let* asm = decls 0 Assume.empty in
+    let* x = oneofl (Assume.vars asm) in
+    let* d = gen_domain (Assume.vars asm) in
+    let* seed = int_range 0 9999 in
+    let query = gen_expr ~unbound:1 names in
+    let* q = triple query query (oneofl names) in
+    return (seed, [ asm; Assume.set_domain asm x d ], q)
+
+  let print (seed, asms, (a, b, x)) =
+    Format.asprintf "seed %d@.%a@.a = %a, b = %a, x = %s" seed
+      (Format.pp_print_list (fun ppf t -> Format.fprintf ppf "[%a]" Assume.pp t))
+      asms Expr.pp a Expr.pp b x
+
+  let prop =
+    QCheck.Test.make ~name:"bank answers as fresh forks" ~count:300
+      (QCheck.make gen_case ~print)
+      (agrees (fun ~seed:_ -> real))
+
+  (* The property has teeth: the planted bank fails it. *)
+  let test_planted_caught () =
+    let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:100 gen_case in
+    let planted = planted () in
+    Alcotest.(check bool) "every case agrees with the real bank" true
+      (List.for_all (agrees (fun ~seed:_ -> real)) cases);
+    Alcotest.(check bool) "some case catches the name-keyed bank" true
+      (not (List.for_all (agrees planted) cases))
+end
+
 let () =
   Alcotest.run "symbolic"
     [
@@ -457,6 +740,8 @@ let () =
           Alcotest.test_case "equal" `Quick test_probe_equal;
           Alcotest.test_case "sign/div" `Quick test_probe_sign_div;
           Alcotest.test_case "constant_in" `Quick test_probe_constant_in;
+          Alcotest.test_case "planted bank caught" `Quick Bank_check.test_planted_caught;
+          QCheck_alcotest.to_alcotest Bank_check.prop;
         ] );
       ( "range",
         [
