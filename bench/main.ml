@@ -401,9 +401,9 @@ let validation () =
         (fun h ->
           let t = Core.Pipeline.run e.program ~env:(e.env_of_size 4) ~h in
           let rounds = if e.program.repeats then 2 else 1 in
-          let r = Dsmsim.Validate.run ~rounds t.lcg t.plan in
+          let r = Exec.Validate.run ~rounds t.lcg t.plan in
           Printf.printf " %7s "
-            (if Dsmsim.Validate.ok r then "PASS"
+            (if Exec.Validate.ok r then "PASS"
              else Printf.sprintf "%d!" r.stale))
         [ 4; 16; 64 ];
       Printf.printf "\n%!")

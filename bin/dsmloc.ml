@@ -130,17 +130,6 @@ let enum_oracle_arg =
   in
   Arg.(value & flag & info [ "enum-oracle" ] ~doc)
 
-let first_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go i la lb =
-    match (la, lb) with
-    | x :: xs, y :: ys -> if String.equal x y then go (i + 1) xs ys else Some (i, x, y)
-    | [], [] -> None
-    | x :: _, [] -> Some (i, x, "<missing>")
-    | [], y :: _ -> Some (i, "<missing>", y)
-  in
-  go 1 la lb
-
 let baseline_arg =
   let doc = "Use the naive BLOCK / owner-computes baseline plan." in
   Arg.(value & flag & info [ "baseline" ] ~doc)
@@ -266,14 +255,16 @@ let finish ?(failed = false) t =
    and there is no further rung to degrade to - surface as fatal with
    whatever diagnostics were collected. *)
 let fatal_guard t f =
-  try f ()
-  with e when Core.Pipeline.recoverable e ->
+  let fatal why =
     (match Core.Pipeline.diagnostics t with
     | [] -> ()
     | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds);
-    Printf.eprintf "fatal: cannot replay the program (%s)\n"
-      (Core.Pipeline.describe e);
+    Printf.eprintf "fatal: cannot replay the program (%s)\n" why;
     exit 1
+  in
+  try f () with
+  | e when Core.Pipeline.recoverable e -> fatal (Core.Pipeline.describe e)
+  | Exec.Runner.Unsupported m -> fatal ("unsupported: " ^ m)
 
 let list_cmd =
   let f () =
@@ -310,21 +301,8 @@ let analyze_cmd =
           in
           let sym, t = render base_mode in
           let enu, te = render Symbolic.Lattice.Enumerated_only in
-          (* Diagnostics are compared structurally, modulo the
-             fallback-visibility code that only the symbolic side can
-             emit. *)
-          let diag_sig t =
-            List.filter_map
-              (fun (d : Core.Diag.t) ->
-                if String.equal d.Core.Diag.code "LINT-SYMBOLIC-FALLBACK" then
-                  None
-                else
-                  Some
-                    (Printf.sprintf "%s|%s" d.Core.Diag.code d.Core.Diag.message))
-              (Core.Pipeline.diagnostics t)
-          in
           Format.printf "%a@." Core.Pipeline.report t;
-          (match first_diff sym enu with
+          (match Fuzz.Differ.first_diff sym enu with
           | Some (line, s, e) ->
               Printf.eprintf
                 "enum-oracle: symbolic and enumerated reports diverge at \
@@ -334,7 +312,7 @@ let analyze_cmd =
                 line s e;
               exit 1
           | None ->
-              if diag_sig t <> diag_sig te then begin
+              if Fuzz.Differ.diag_sig t <> Fuzz.Differ.diag_sig te then begin
                 Printf.eprintf
                   "enum-oracle: symbolic and enumerated diagnostics diverge\n";
                 exit 1
@@ -452,12 +430,12 @@ let validate_cmd =
               Some delivered
         in
         let r =
-          Dsmsim.Validate.run ~rounds
+          Exec.Validate.run ~rounds
             ~on_error:(Core.Pipeline.record_comm_error t)
             ?sched t.lcg t.plan
         in
-        Format.printf "%a@." Dsmsim.Validate.pp r;
-        finish ~failed:(not (Dsmsim.Validate.ok r)) t)
+        Format.printf "%a@." Exec.Validate.pp r;
+        finish ~failed:(not (Exec.Validate.ok r)) t)
   in
   Cmd.v
     (Cmd.info "validate"
@@ -530,50 +508,46 @@ let run_cmd =
           | Some r -> r
           | None -> if entry.program.repeats then 2 else 1
         in
-        match Exec.Runner.execute ~rounds ~spin t.lcg t.plan with
-        | exception Exec.Runner.Unsupported msg ->
-            Printf.eprintf "unsupported: %s\n" msg;
-            exit 1
-        | r ->
-            let sim =
-              Dsmsim.Exec.run ~rounds
-                ~on_error:(Core.Pipeline.record_comm_error t)
-                t.lcg t.plan t.machine
-            in
-            Format.printf "%a@." Exec.Runner.pp r;
-            Format.printf
-              "simulator: T_par=%.0f T_seq=%.0f efficiency=%.1f%% (%d remote \
-               accesses predicted, %d measured)@."
-              sim.par_time sim.seq_time
-              (100.0 *. sim.efficiency)
-              sim.total_remote
-              (r.remote_gets + r.remote_puts);
-            let failed =
-              (not (Exec.Runner.schedule_parity r))
-              || r.errors <> []
-              || (validate && (r.stale > 0 || r.content_mismatches > 0))
-            in
-            (* A validation that compared nothing is not a pass: both
-               checks empty exits 4, one of them empty warns. *)
-            let no_reads = r.reads_checked = 0 and no_cells = r.content_cells = 0 in
-            let vacuous = validate && no_reads && no_cells in
-            if vacuous then
-              prerr_endline
-                "error: --validate checked nothing (0 reads checked, 0 \
-                 content cells)"
-            else if validate then begin
-              if no_reads then
-                prerr_endline
-                  "warning: --validate staleness check is vacuous (0 reads \
-                   checked)";
-              if no_cells then
-                Printf.eprintf
-                  "warning: --validate content check is vacuous (0 content \
-                   cells; skipped %s)\n"
-                  (String.concat " " r.arrays_skipped)
-            end;
-            finish ~failed t;
-            if vacuous then exit 4)
+        let r = Exec.Runner.execute ~rounds ~spin t.lcg t.plan in
+        let sim =
+          Dsmsim.Exec.run ~rounds
+            ~on_error:(Core.Pipeline.record_comm_error t)
+            t.lcg t.plan t.machine
+        in
+        Format.printf "%a@." Exec.Runner.pp r;
+        Format.printf
+          "simulator: T_par=%.0f T_seq=%.0f efficiency=%.1f%% (%d remote \
+           accesses predicted, %d measured)@."
+          sim.par_time sim.seq_time
+          (100.0 *. sim.efficiency)
+          sim.total_remote
+          (r.remote_gets + r.remote_puts);
+        let failed =
+          (not (Exec.Runner.schedule_parity r))
+          || r.errors <> []
+          || (validate && (r.stale > 0 || r.content_mismatches > 0))
+        in
+        (* A validation that compared nothing is not a pass: both
+           checks empty exits 4, one of them empty warns. *)
+        let no_reads = r.reads_checked = 0 and no_cells = r.content_cells = 0 in
+        let vacuous = validate && no_reads && no_cells in
+        if vacuous then
+          prerr_endline
+            "error: --validate checked nothing (0 reads checked, 0 \
+             content cells)"
+        else if validate then begin
+          if no_reads then
+            prerr_endline
+              "warning: --validate staleness check is vacuous (0 reads \
+               checked)";
+          if no_cells then
+            Printf.eprintf
+              "warning: --validate content check is vacuous (0 content \
+               cells; skipped %s)\n"
+              (String.concat " " r.arrays_skipped)
+        end;
+        finish ~failed t;
+        if vacuous then exit 4)
   in
   Cmd.v
     (Cmd.info "run"

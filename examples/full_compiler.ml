@@ -80,8 +80,8 @@ let () =
     run.per_proc;
 
   Format.printf "@.=== 9. Dataflow validation ===@.";
-  let v = Dsmsim.Validate.run ~rounds:2 t.lcg t.plan in
-  Format.printf "%a@." Dsmsim.Validate.pp v;
+  let v = Exec.Validate.run ~rounds:2 t.lcg t.plan in
+  Format.printf "%a@." Exec.Validate.pp v;
   Format.printf "verdict: %s@."
-    (if Dsmsim.Validate.ok v then "all reads sequentially fresh"
+    (if Exec.Validate.ok v then "all reads sequentially fresh"
      else "STALE READS - schedule incomplete")

@@ -52,11 +52,11 @@ let markdown (t : Pipeline.t) =
     base.total_remote base.par_time;
 
   let rounds = if t.prog.repeats then 2 else 1 in
-  let v = Dsmsim.Validate.run ~rounds t.lcg t.plan in
+  let v = Exec.Validate.run ~rounds t.lcg t.plan in
   add "## Dataflow validation\n\n";
   add
     "%s - %d reads replayed against versioned memory, %d stale.\n"
-    (if Dsmsim.Validate.ok v then "**PASS**" else "**FAIL**")
+    (if Exec.Validate.ok v then "**PASS**" else "**FAIL**")
     v.reads v.stale;
 
   (match Pipeline.diagnostics t with

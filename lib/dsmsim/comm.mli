@@ -70,7 +70,7 @@ val walk :
     unit) ->
   unit
 (** The delivery protocol shared by every replay of a schedule (the
-    simulator {!Exec}, the validator {!Validate} and the domains
+    simulator {!Exec}, the validator ([Exec.Validate]) and the domains
     executor): [step] is called once per (round, phase [k]), in order,
     with the redistribution events that enter phase [k] and the
     frontier events that leave it.  A wrap-around redistribution

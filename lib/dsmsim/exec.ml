@@ -132,9 +132,7 @@ let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
   let placements =
     List.map
       (fun (d : Ir.Types.array_decl) ->
-        ( d.name,
-          if List.mem (k, d.name) plan.privatized then None
-          else Distribution.layout_for plan ~array:d.name ~phase_idx:k ))
+        (d.name, Distribution.placement plan ~array:d.name ~phase_idx:k))
       lcg.prog.arrays
   in
   let price = price_tally m ~size_of ~h placements in

@@ -13,7 +13,7 @@
     resend faces the same fault rates), and {!Exec} charges each
     attempt an exponential-backoff startup penalty.  Corruption that
     survives the retry budget is reported in {!stats} and is what
-    {!Validate} provably flags as stale reads. *)
+    [Exec.Validate] provably flags as stale reads. *)
 
 type spec = {
   seed : int;

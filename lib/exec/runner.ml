@@ -53,6 +53,118 @@ let spin_work spin work =
 
 let now () = Unix.gettimeofday ()
 
+(* -- the replica machine *)
+
+type machine = {
+  plan : Distribution.plan;
+  sched : Comm.schedule;
+  compiled : Compile.t array;
+  sizes : (string * int) list;
+  placement : (string, Distribution.layout option) Hashtbl.t array;
+  shim : Shim.t;
+}
+
+let machine ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan) =
+  let sched =
+    match sched with Some s -> s | None -> Comm.generate ?on_error lcg plan
+  in
+  let compiled = Array.of_list (Compile.program lcg.prog lcg.env plan) in
+  let sizes =
+    List.map
+      (fun (d : Ir.Types.array_decl) ->
+        match Comm.array_size ?on_error lcg d.name with
+        | Some s -> (d.name, s)
+        | None ->
+            raise (Unsupported ("size of " ^ d.name ^ " does not evaluate")))
+      lcg.prog.arrays
+  in
+  let placement =
+    Array.init (List.length lcg.prog.phases) (fun k ->
+        let t = Hashtbl.create 8 in
+        List.iter
+          (fun (d : Ir.Types.array_decl) ->
+            Hashtbl.replace t d.name
+              (Distribution.placement plan ~array:d.name ~phase_idx:k))
+          lcg.prog.arrays;
+        t)
+  in
+  {
+    plan;
+    sched;
+    compiled;
+    sizes;
+    placement;
+    shim = Shim.create ~h:plan.h sizes;
+  }
+
+let seq_window seq ~array ~addr =
+  let w = Shim.window seq ~proc:0 ~array in
+  if addr < 0 || addr >= Bigarray.Array1.dim w then
+    raise (Unsupported (Printf.sprintf "%s(%d) out of bounds" array addr));
+  w
+
+type check = par:int option -> array:string -> addr:int -> float -> unit
+
+let par_handlers m ~spin ~sync ~(check : check) ~me ~round ~k :
+    Compile.handlers =
+  let c = m.shim.counters.(me) in
+  let own array = Shim.window m.shim ~proc:me ~array in
+  let placement = m.placement.(k) in
+  let size_of a = List.assoc_opt a m.sizes in
+  {
+    read =
+      (fun ~par ~array ~addr ->
+        let v =
+          match Hashtbl.find placement array with
+          | Some l
+            when not
+                   (Distribution.read_is_local m.plan l ~size_of ~proc:me ~addr) ->
+              c.gets <- c.gets + 1;
+              Bigarray.Array1.get
+                (Shim.window m.shim
+                   ~proc:(Distribution.proc_of m.plan l ~addr)
+                   ~array)
+                addr
+          | _ ->
+              c.local <- c.local + 1;
+              Bigarray.Array1.get (own array) addr
+        in
+        check ~par ~array ~addr v;
+        v);
+    write =
+      (fun ~par:_ ~array ~addr ~v ->
+        Bigarray.Array1.set (own array) addr v;
+        match Hashtbl.find placement array with
+        | None -> c.local <- c.local + 1
+        | Some l ->
+            let owner = Distribution.proc_of m.plan l ~addr in
+            if owner <> me then begin
+              Bigarray.Array1.set
+                (Shim.window m.shim ~proc:owner ~array)
+                addr v;
+              c.puts <- c.puts + 1
+            end
+            else c.local <- c.local + 1);
+    stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
+    work =
+      (fun ~par:_ ~work ->
+        c.workc <- c.workc + work;
+        spin_work spin work);
+    sync;
+  }
+
+(* Scheduled communication runs on the main thread while every domain
+   is parked at the barrier. *)
+let deliver m = function
+  | Comm.Redistribute { array; messages; _ }
+  | Comm.Frontier { array; messages; _ } ->
+      List.iter (Shim.deliver m.shim ~array) messages
+
+let sweep_seq (cp : Compile.t) hd =
+  cp.sweep ~slots:(Array.make (max 1 cp.nslots) 0) ~me:None hd
+
+(* -- the parallel run *)
+
 (* Replayed reads are recorded per (round, phase, parallel iteration)
    stream; within one stream the parallel run reads in exactly the
    replay's order (same closures, same nesting), so a per-stream cursor
@@ -62,15 +174,9 @@ let read_budget = 5_000_000
 type job = Quit | Sweep of int * int  (* round, phase *)
 
 type state = {
-  plan : Distribution.plan;
+  m : machine;
   spin : int;
   check_reads : bool;
-  compiled : Compile.t array;
-  shim : Shim.t;
-  (* layout epoch per (phase, array); [None] covers both undistributed
-     and privatized-in-this-phase arrays: replica-local access *)
-  layout_tbl : (string, Distribution.layout option) Hashtbl.t array;
-  size_tbl : (string, int) Hashtbl.t;
   expected : (int * int * int, float array) Hashtbl.t;
   cursors : (int * int * int, int ref) Hashtbl.t array;  (* per domain *)
   reads_checked : int array;
@@ -95,14 +201,11 @@ let record_failure st p e =
 let key_of ~round ~k ~par =
   (round, k, match par with Some i -> i | None -> -1)
 
-(* Handlers for processor [me]'s share of phase [k] in [round]. *)
-let par_handlers st ~me ~round ~k : Compile.handlers =
-  let c = st.shim.counters.(me) in
-  let own array = Shim.window st.shim ~proc:me ~array in
-  let layout array = Hashtbl.find st.layout_tbl.(k) array in
+(* Pair processor [me]'s reads in phase [k] of [round] with the
+   replay's streams. *)
+let stream_check st ~me ~round ~k : check =
   let cursors = st.cursors.(me) in
-  let size_of = Hashtbl.find_opt st.size_tbl in
-  let check ~par ~array ~addr v =
+  fun ~par ~array ~addr v ->
     let key = key_of ~round ~k ~par in
     match Hashtbl.find_opt st.expected key with
     | None -> ()
@@ -125,56 +228,19 @@ let par_handlers st ~me ~round ~k : Compile.handlers =
             if List.length !ex < 4 then ex := (array, addr, k) :: !ex
           end
         end
-  in
-  {
-    read =
-      (fun ~par ~array ~addr ->
-        let v =
-          match layout array with
-          | Some l
-            when not
-                   (Distribution.read_is_local st.plan l ~size_of ~proc:me
-                      ~addr) ->
-              c.gets <- c.gets + 1;
-              Bigarray.Array1.get
-                (Shim.window st.shim
-                   ~proc:(Distribution.proc_of st.plan l ~addr)
-                   ~array)
-                addr
-          | _ ->
-              c.local <- c.local + 1;
-              Bigarray.Array1.get (own array) addr
-        in
-        if st.check_reads then check ~par ~array ~addr v;
-        v);
-    write =
-      (fun ~par:_ ~array ~addr ~v ->
-        Bigarray.Array1.set (own array) addr v;
-        match layout array with
-        | None -> c.local <- c.local + 1
-        | Some l ->
-            let owner = Distribution.proc_of st.plan l ~addr in
-            if owner <> me then begin
-              Bigarray.Array1.set
-                (Shim.window st.shim ~proc:owner ~array)
-                addr v;
-              c.puts <- c.puts + 1
-            end
-            else c.local <- c.local + 1);
-    stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
-    work =
-      (fun ~par:_ ~work ->
-        c.workc <- c.workc + work;
-        spin_work st.spin work);
-    sync = (fun () -> Shim.Barrier.await st.sync);
-  }
+
+let no_check : check = fun ~par:_ ~array:_ ~addr:_ _ -> ()
 
 let run_share st ~me ~round ~k =
   let t0 = now () in
-  let cp = st.compiled.(k) in
+  let cp = st.m.compiled.(k) in
   let slots = Array.make (max 1 cp.nslots) 0 in
-  cp.sweep ~slots ~me:(Some me) (par_handlers st ~me ~round ~k);
-  let c = st.shim.counters.(me) in
+  let check = if st.check_reads then stream_check st ~me ~round ~k else no_check in
+  cp.sweep ~slots ~me:(Some me)
+    (par_handlers st.m ~spin:st.spin
+       ~sync:(fun () -> Shim.Barrier.await st.sync)
+       ~check ~me ~round ~k);
+  let c = st.m.shim.counters.(me) in
   c.busy <- c.busy +. (now () -. t0)
 
 let worker st p =
@@ -192,13 +258,6 @@ let worker st p =
   in
   loop ()
 
-(* Scheduled communication runs on the main thread while every domain
-   is parked at the barrier. *)
-let deliver st = function
-  | Comm.Redistribute { array; messages; _ }
-  | Comm.Frontier { array; messages; _ } ->
-      List.iter (Shim.deliver st.shim ~array) messages
-
 (* Release the fleet for one sweep of phase [k]; this thread takes
    processor 0's share. *)
 let sweep st ~round ~k =
@@ -214,67 +273,32 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   let h = plan.h in
   let phases = lcg.prog.phases in
   let nphases = List.length phases in
-  let sched = Comm.generate ~on_error lcg plan in
-  let compiled = Array.of_list (Compile.program lcg.prog lcg.env plan) in
-  let sizes =
-    List.map
-      (fun (d : Ir.Types.array_decl) ->
-        match Comm.array_size ~on_error lcg d.name with
-        | Some s -> (d.name, s)
-        | None ->
-            raise (Unsupported ("size of " ^ d.name ^ " does not evaluate")))
-      lcg.prog.arrays
-  in
-  let size_tbl = Hashtbl.create 8 in
-  List.iter (fun (n, s) -> Hashtbl.replace size_tbl n s) sizes;
-  let layout_tbl =
-    Array.init nphases (fun k ->
-        let t = Hashtbl.create 8 in
-        List.iter
-          (fun (d : Ir.Types.array_decl) ->
-            let l =
-              if List.mem (k, d.name) plan.privatized then None
-              else Distribution.layout_for plan ~array:d.name ~phase_idx:k
-            in
-            Hashtbl.replace t d.name l)
-          lcg.prog.arrays;
-        t)
-  in
+  let m = machine ~on_error lcg plan in
   (* -- sequential replay: golden contents and expected reads *)
-  let golden = Hashtbl.create 8 in
-  List.iter
-    (fun (n, s) -> Hashtbl.replace golden n (Array.make (max 1 s) 0.0))
-    sizes;
+  let golden = Shim.create ~h:1 m.sizes in
   (* cells written during the final layout epoch (last round): the ones
      whose freshest value the epoch's owner is guaranteed to hold *)
   let final_mask = Hashtbl.create 8 in
   let in_final_epoch k array =
-    match Hashtbl.find layout_tbl.(nphases - 1) array with
+    match Hashtbl.find m.placement.(nphases - 1) array with
     | None -> false
     | Some lf -> (
-        match Hashtbl.find layout_tbl.(k) array with
+        match Hashtbl.find m.placement.(k) array with
         | Some l -> l.Distribution.first_phase = lf.Distribution.first_phase
         | None -> false)
   in
   List.iter
     (fun (n, s) -> Hashtbl.replace final_mask n (Bytes.make (max 1 s) '\000'))
-    sizes;
+    m.sizes;
   let expected_acc : (int * int * int, float list ref) Hashtbl.t =
     Hashtbl.create 256
   in
   let expected_len = ref 0 in
   let replay_handlers ~round ~k : Compile.handlers =
-    let cell array addr =
-      let g = Hashtbl.find golden array in
-      if addr < 0 || addr >= Array.length g then
-        raise
-          (Unsupported (Printf.sprintf "%s(%d) out of bounds" array addr));
-      g
-    in
     {
       read =
         (fun ~par ~array ~addr ->
-          let v = (cell array addr).(addr) in
+          let v = Bigarray.Array1.get (seq_window golden ~array ~addr) addr in
           if check_reads && !expected_len < read_budget then begin
             let key = key_of ~round ~k ~par in
             let r =
@@ -291,7 +315,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
           v);
       write =
         (fun ~par:_ ~array ~addr ~v ->
-          (cell array addr).(addr) <- v;
+          Bigarray.Array1.set (seq_window golden ~array ~addr) addr v;
           if round = rounds - 1 && in_final_epoch k array then
             Bytes.set (Hashtbl.find final_mask array) addr '\001');
       stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
@@ -302,10 +326,8 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   let t0 = now () in
   for round = 0 to rounds - 1 do
     Array.iteri
-      (fun k cp ->
-        let slots = Array.make (max 1 cp.Compile.nslots) 0 in
-        cp.Compile.sweep ~slots ~me:None (replay_handlers ~round ~k))
-      compiled
+      (fun k cp -> sweep_seq cp (replay_handlers ~round ~k))
+      m.compiled
   done;
   let wall_seq = now () -. t0 in
   let expected = Hashtbl.create (Hashtbl.length expected_acc) in
@@ -314,7 +336,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     expected_acc;
   (* -- expected schedule: the walk's gating, delivering nothing *)
   let exp_msgs = ref 0 and exp_words = ref 0 in
-  Comm.walk ~rounds ~sched ~phases
+  Comm.walk ~rounds ~sched:m.sched ~phases
     ~step:(fun ~round:_ ~k:_ _ ~incoming ~outgoing ->
       let events = incoming @ outgoing in
       exp_msgs := !exp_msgs + Comm.message_count events;
@@ -322,13 +344,9 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   (* -- parallel run on h domains (this thread is processor 0) *)
   let st =
     {
-      plan;
+      m;
       spin;
       check_reads;
-      compiled;
-      shim = Shim.create ~h sizes;
-      layout_tbl;
-      size_tbl;
       expected;
       cursors = Array.init h (fun _ -> Hashtbl.create 64);
       reads_checked = Array.make h 0;
@@ -345,11 +363,11 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     List.init (h - 1) (fun i -> Domain.spawn (fun () -> worker st (i + 1)))
   in
   let t0 = now () in
-  Comm.walk ~rounds ~sched ~phases
+  Comm.walk ~rounds ~sched:m.sched ~phases
     ~step:(fun ~round ~k _ ~incoming ~outgoing ->
-      List.iter (deliver st) incoming;
+      List.iter (deliver m) incoming;
       sweep st ~round ~k;
-      List.iter (deliver st) outgoing);
+      List.iter (deliver m) outgoing);
   let wall_par = now () -. t0 in
   st.job <- Quit;
   Shim.Barrier.await st.start;
@@ -363,10 +381,10 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   let compared = ref [] and skipped = ref [] in
   List.iter
     (fun (name, size) ->
-      match Hashtbl.find layout_tbl.(nphases - 1) name with
+      match Hashtbl.find m.placement.(nphases - 1) name with
       | None -> skipped := name :: !skipped
       | Some l ->
-          let g = Hashtbl.find golden name in
+          let g = Shim.window golden ~proc:0 ~array:name in
           let mask = Hashtbl.find final_mask name in
           let any = ref false in
           for a = 0 to size - 1 do
@@ -374,15 +392,15 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
               any := true;
               incr content_cells;
               let owner = Distribution.proc_of plan l ~addr:a in
-              let w = Shim.window st.shim ~proc:owner ~array:name in
-              if Bigarray.Array1.get w a <> g.(a) then
+              let w = Shim.window m.shim ~proc:owner ~array:name in
+              if Bigarray.Array1.get w a <> Bigarray.Array1.get g a then
                 incr content_mismatches
             end
           done;
           if !any then compared := name :: !compared
           else skipped := name :: !skipped)
-    sizes;
-  let sum f = Array.fold_left (fun a c -> a + f c) 0 st.shim.counters in
+    m.sizes;
+  let sum f = Array.fold_left (fun a c -> a + f c) 0 m.shim.counters in
   let wall_seq = if wall_seq <= 0.0 then epsilon_float else wall_seq in
   let wall_par = if wall_par <= 0.0 then epsilon_float else wall_par in
   {
@@ -391,7 +409,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     wall_par;
     wall_seq;
     speedup = wall_seq /. wall_par;
-    busy = Array.map (fun (c : Shim.counters) -> c.busy) st.shim.counters;
+    busy = Array.map (fun (c : Shim.counters) -> c.busy) m.shim.counters;
     sched_messages = sum (fun c -> c.sched_msgs);
     sched_words = sum (fun c -> c.sched_words);
     expected_messages = !exp_msgs;

@@ -29,7 +29,63 @@ open Ilp
 
 exception Unsupported of string
 (** Re-export of {!Codegen.Compile.Unsupported}: also raised when an
-    array's size does not evaluate under the program environment. *)
+    array's size does not evaluate under the program environment or an
+    access falls outside its array. *)
+
+(** {1 The replica machine}
+
+    What the parallel run and the dataflow validator ({!Validate})
+    share: the compiled phases and one {!Shim} window per processor
+    and array, served by the same handlers. *)
+
+type machine = {
+  plan : Distribution.plan;
+  sched : Dsmsim.Comm.schedule;
+  compiled : Codegen.Compile.t array;  (** one per phase *)
+  sizes : (string * int) list;  (** every declared array, in order *)
+  placement : (string, Distribution.layout option) Hashtbl.t array;
+      (** per phase, {!Ilp.Distribution.placement} of every array *)
+  shim : Shim.t;
+}
+
+val machine :
+  ?on_error:(string -> unit) ->
+  ?sched:Dsmsim.Comm.schedule ->
+  Lcg.t ->
+  Distribution.plan ->
+  machine
+(** [sched] defaults to {!Dsmsim.Comm.generate}; [on_error] receives
+    its and the array sizes' diagnostics.  @raise Unsupported as
+    {!execute}. *)
+
+type check = par:int option -> array:string -> addr:int -> float -> unit
+
+val par_handlers :
+  machine ->
+  spin:int ->
+  sync:(unit -> unit) ->
+  check:check ->
+  me:int ->
+  round:int ->
+  k:int ->
+  Codegen.Compile.handlers
+(** Processor [me]'s accesses in phase [k] of [round].  A read is
+    served from [me]'s window when {!Ilp.Distribution.read_is_local}
+    holds or the array has no placement, else from the owner's, and
+    its value passed to [check]; a write stores the given value in
+    [me]'s window and through to the owner's. *)
+
+val deliver : machine -> Dsmsim.Comm.event -> unit
+(** One scheduled event's messages, by {!Shim.deliver}. *)
+
+val sweep_seq : Codegen.Compile.t -> Codegen.Compile.handlers -> unit
+(** Every iteration of the phase, in program order. *)
+
+val seq_window : Shim.t -> array:string -> addr:int -> Shim.window
+(** The window of a one-processor shim holding a sequential memory.
+    @raise Unsupported when [addr] is outside the array. *)
+
+(** {1 The parallel run} *)
 
 type result = {
   h : int;

@@ -228,51 +228,45 @@ let exec_parity prog =
   let t = with_mode Lattice.Auto (fun () -> run_pipeline prog) in
   if Core.Pipeline.degraded t then Skip "pipeline degraded"
   else begin
-    let unsized =
-      List.find_opt
-        (fun (d : Ir.Types.array_decl) ->
-          Dsmsim.Comm.array_size t.lcg d.name = None)
-        t.lcg.prog.arrays
+    (* an array whose size does not evaluate counts 0 here; the
+       replica machine refuses it as unsupported *)
+    let total =
+      List.fold_left
+        (fun acc (d : Ir.Types.array_decl) ->
+          acc + Option.value ~default:0 (Dsmsim.Comm.array_size t.lcg d.name))
+        0 t.lcg.prog.arrays
     in
-    match unsized with
-    | Some d -> Skip ("size of " ^ d.name ^ " does not evaluate")
-    | None ->
-        let total =
-          List.fold_left
-            (fun acc (d : Ir.Types.array_decl) ->
-              acc
-              + Option.value ~default:0 (Dsmsim.Comm.array_size t.lcg d.name))
-            0 t.lcg.prog.arrays
-        in
-        if total > exec_budget_words then
-          Skip (Printf.sprintf "arrays total %d words, over budget" total)
-        else begin
-          let rounds = if prog.Ir.Types.repeats then 2 else 1 in
-          let v = Dsmsim.Validate.run ~rounds t.lcg t.plan in
-          if v.stale > 0 then
-            Skip "simulated replay itself reads stale (caught by validate)"
-          else
-            match Exec.Runner.execute ~rounds t.lcg t.plan with
-            | exception Exec.Runner.Unsupported m -> Skip ("unsupported: " ^ m)
-            | r ->
-                if r.errors <> [] then
-                  Fail ("executor error: " ^ String.concat "; " r.errors)
-                else if not (Exec.Runner.schedule_parity r) then
-                  Fail
-                    (Printf.sprintf
-                       "delivered %d msgs / %d words, schedule has %d / %d"
-                       r.sched_messages r.sched_words r.expected_messages
-                       r.expected_words)
-                else if r.stale > 0 then
-                  Fail
-                    (Printf.sprintf "%d stale reads (of %d checked)" r.stale
-                       r.reads_checked)
-                else if r.content_mismatches > 0 then
-                  Fail
-                    (Printf.sprintf "%d final cells differ from replay (of %d)"
-                       r.content_mismatches r.content_cells)
-                else Pass
-        end
+    if total > exec_budget_words then
+      Skip (Printf.sprintf "arrays total %d words, over budget" total)
+    else begin
+      let rounds = if prog.Ir.Types.repeats then 2 else 1 in
+      match
+        let v = Exec.Validate.run ~rounds t.lcg t.plan in
+        if v.stale > 0 then None
+        else Some (Exec.Runner.execute ~rounds t.lcg t.plan)
+      with
+      | exception Exec.Runner.Unsupported m -> Skip ("unsupported: " ^ m)
+      | None ->
+          Skip "simulated replay itself reads stale (caught by validate)"
+      | Some r ->
+          if r.errors <> [] then
+            Fail ("executor error: " ^ String.concat "; " r.errors)
+          else if not (Exec.Runner.schedule_parity r) then
+            Fail
+              (Printf.sprintf
+                 "delivered %d msgs / %d words, schedule has %d / %d"
+                 r.sched_messages r.sched_words r.expected_messages
+                 r.expected_words)
+          else if r.stale > 0 then
+            Fail
+              (Printf.sprintf "%d stale reads (of %d checked)" r.stale
+                 r.reads_checked)
+          else if r.content_mismatches > 0 then
+            Fail
+              (Printf.sprintf "%d final cells differ from replay (of %d)"
+                 r.content_mismatches r.content_cells)
+          else Pass
+    end
   end
 
 (* ------------------------------------------------------------------ *)

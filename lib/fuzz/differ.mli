@@ -20,7 +20,12 @@
     - [comm-parity]: the communication schedule generated from a fixed
       (LCG, plan) pair is identical under both accounting modes;
     - [cold-warm]: re-analyzing the same source with a warm artifact
-      store reproduces the cold run's report byte for byte.
+      store reproduces the cold run's report byte for byte;
+    - [exec-parity]: the program run on OCaml domains ({!Exec.Runner})
+      delivers exactly the schedule, reads no stale value and leaves
+      the replay's final contents in the owners' windows (skipped when
+      {!Exec.Validate} already finds the plan stale, or the program
+      cannot be compiled).
 
     All checks run at [h = 4] processors under the program's midpoint
     parameter environment ({!Gen.midpoint_env}), leave
@@ -38,7 +43,7 @@ type check = {
 val checks : check list
 (** The battery, in execution order.  Names are stable identifiers
     ([roundtrip], [enum-parity], [race-oracle], [ilp-chain],
-    [comm-parity], [cold-warm]). *)
+    [comm-parity], [cold-warm], [exec-parity]). *)
 
 val find : string -> check
 (** @raise Not_found for an unknown name - used to rebuild a shrink
@@ -46,3 +51,12 @@ val find : string -> check
 
 val battery : Ir.Types.program -> (string * verdict) list
 (** Every check's verdict, in order. *)
+
+val first_diff : string -> string -> (int * string * string) option
+(** The first differing line of two texts: its 1-based number and both
+    sides (["<missing>"] past the end of the shorter). *)
+
+val diag_sig : Core.Pipeline.t -> string list
+(** The run's diagnostics as [code|message] lines, without the
+    mode-dependent [LINT-SYMBOLIC-FALLBACK] note - what the symbolic
+    and enumerated runs must agree on. *)

@@ -40,6 +40,10 @@ let layout_for (plan : plan) ~array ~phase_idx =
       && phase_idx <= l.last_phase)
     plan.layouts
 
+let placement (plan : plan) ~array ~phase_idx =
+  if List.mem (phase_idx, array) plan.privatized then None
+  else layout_for plan ~array ~phase_idx
+
 let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
 
 let halo_window (l : layout) = min l.halo l.block

@@ -49,6 +49,11 @@ val own_of : h:int -> layout -> Symbolic.Lattice.Own.t
 val layout_for : plan -> array:string -> phase_idx:int -> layout option
 (** The layout epoch active at the given phase. *)
 
+val placement : plan -> array:string -> phase_idx:int -> layout option
+(** Where the array's accesses in that phase go: [None] (every access
+    replica-local) when the array is privatized there, otherwise
+    {!layout_for}. *)
+
 (** {1 Ownership decisions}
 
     The one definition the simulator, validator, executor and generated

@@ -119,17 +119,6 @@ let arrays_key (p : program) =
            list [ str a.name; list (List.map expr a.dims) ])
          p.arrays))
 
-let program_key (p : program) =
-  Artifact.Key.(
-    list
-      [
-        str p.prog_name;
-        Assume.key p.params;
-        arrays_key p;
-        list (List.map phase_key p.phases);
-        bool p.repeats;
-      ])
-
 (* Identity of one phase *in context*: the phase's own syntax plus the
    parts of the program it can actually observe (parameter domains and
    array declarations) - deliberately NOT the sibling phases, so an

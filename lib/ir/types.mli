@@ -55,14 +55,10 @@ type program = {
           back edge from the last phase to the first) *)
 }
 
-val phase_key : phase -> Artifact.Key.t
-val program_key : program -> Artifact.Key.t
-(** Faithful structural {!Symbolic.Artifact} cache keys over the syntax
-    (interned expression leaves), used by every cache keyed on a program
-    or phase. *)
-
 val phase_context_key : program -> phase -> Artifact.Key.t
-(** Identity of one phase in context: the phase's syntax plus what it
+(** A faithful structural {!Symbolic.Artifact} cache key over the
+    syntax (interned expression leaves).  Identity of one phase in
+    context: the phase's syntax plus what it
     can observe of the program (parameter domains, array declarations)
     but {e not} its sibling phases - the key per-phase caches use so
     that editing one phase of a program invalidates only that phase's

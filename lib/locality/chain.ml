@@ -73,7 +73,7 @@ let sizes (lcg : Lcg.t) nodes =
         None)
     ~enum:(fun () -> sizes_enum lcg nodes)
 
-let summaries_raw (lcg : Lcg.t) : summary list =
+let summaries (lcg : Lcg.t) : summary list =
   List.concat_map
     (fun (g : Lcg.graph) ->
       List.map
@@ -101,25 +101,6 @@ let summaries_raw (lcg : Lcg.t) : summary list =
           { array = g.array; members; chain_size; max_member; homogenized; covers_alike })
         (Lcg.chains g))
     lcg.graphs
-
-(* Summaries are a pure function of the graph, which is itself keyed by
-   (program, environment, H); chain membership follows the probed edge
-   labels, so the store is volatile like [Lcg.build]'s.  The accounting
-   mode joins the key so cross-checking runs never share entries. *)
-let memo : summary list Artifact.store =
-  Artifact.store ~capacity:256 ~volatile:true "chain.summaries"
-
-let summaries (lcg : Lcg.t) : summary list =
-  Artifact.find memo
-    Artifact.Key.(
-      list
-        [
-          Ir.Types.program_key lcg.prog;
-          int (Env.id lcg.env);
-          int lcg.h;
-          int (Lattice.mode_tag ());
-        ])
-    (fun () -> summaries_raw lcg)
 
 let pp ppf (s : summary) =
   Format.fprintf ppf "@[<v 2>chain [%s] on %s: %d addresses%s%s@,%a@]"

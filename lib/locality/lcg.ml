@@ -46,7 +46,7 @@ let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"
 let edge_count = Metrics.counter "table1.edges"
 
-let build_raw (prog : Types.program) ~env ~h : t =
+let build (prog : Types.program) ~env ~h : t =
   Metrics.with_timer build_timer @@ fun () ->
   let attrs = Liveness.attrs prog ~envs:[ env ] in
   let phase_ctxs =
@@ -138,28 +138,6 @@ let build_raw (prog : Types.program) ~env ~h : t =
       prog.arrays
   in
   { prog; env; h; graphs }
-
-(* The full graph build (descriptors, symmetry, Table 1 classification)
-   is by far the most expensive pipeline stage, and the registry sweep,
-   the H-sensitivity scan and the simulator all rebuild the same
-   (program, environment, halo) triple.  Edge labels rest on probed
-   verdicts, so the store is volatile. *)
-let build_memo : t Artifact.store =
-  Artifact.store ~capacity:256 ~volatile:true "lcg.graph"
-
-let build (prog : Types.program) ~env ~h : t =
-  Artifact.find build_memo
-    Artifact.Key.(
-      list
-        [
-          Types.program_key prog;
-          int (Env.id env);
-          int h;
-          (* node works and attrs depend on the accounting mode; keep
-             cross-checking runs from sharing entries *)
-          int (Lattice.mode_tag ());
-        ])
-    (fun () -> build_raw prog ~env ~h)
 
 let chains (g : graph) =
   let n = List.length g.nodes in

@@ -214,7 +214,7 @@ let test_trisolve_conservative () =
       let t = Core.Pipeline.run e.program ~env:(e.env_of_size 4) ~h:4 in
       let r = Core.Pipeline.simulate t in
       Alcotest.(check bool) "runs" true (r.par_time > 0.0);
-      let v = Dsmsim.Validate.run t.lcg t.plan in
+      let v = Exec.Validate.run t.lcg t.plan in
       Alcotest.(check int) "no stale reads" 0 v.stale)
 
 let () =

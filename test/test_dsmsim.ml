@@ -4,6 +4,7 @@
 
 open Symbolic
 open Ilp
+module Validate = Exec.Validate
 open Dsmsim
 
 let pipeline entry_name size h =

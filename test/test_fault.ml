@@ -4,6 +4,7 @@
    diagnostics instead of crashes). *)
 
 open Symbolic
+module Validate = Exec.Validate
 open Dsmsim
 
 let pipeline entry_name size h =

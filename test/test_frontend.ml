@@ -259,7 +259,7 @@ let test_sub_call () =
     (List.for_all (fun a -> a >= 64) t2);
   (* full pipeline + dataflow validation *)
   let t = Core.Pipeline.run prog ~env ~h:4 in
-  let v = Dsmsim.Validate.run t.lcg t.plan in
+  let v = Exec.Validate.run t.lcg t.plan in
   Alcotest.(check int) "no stale reads" 0 v.stale
 
 let test_sub_errors () =

@@ -73,9 +73,9 @@ let sim_snapshot name =
       in
       let validations =
         [
-          ("validate", Dsmsim.Validate.run ~rounds t.lcg t.plan);
+          ("validate", Exec.Validate.run ~rounds t.lcg t.plan);
           ( "validate faults 7:0.3 retries 2",
-            Dsmsim.Validate.run ~rounds ~sched:faulty t.lcg t.plan );
+            Exec.Validate.run ~rounds ~sched:faulty t.lcg t.plan );
         ]
       in
       Format.asprintf "@[<v>rounds %d@,%a@,%a@]@." rounds
@@ -84,7 +84,7 @@ let sim_snapshot name =
                pp_exact r))
         runs
         (Format.pp_print_list (fun ppf (label, v) ->
-             Format.fprintf ppf "== %s@,@[<v>%a@]" label Dsmsim.Validate.pp v))
+             Format.fprintf ppf "== %s@,@[<v>%a@]" label Exec.Validate.pp v))
         validations)
 
 let golden : (string * string) list =

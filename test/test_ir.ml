@@ -514,7 +514,7 @@ let test_reduction_recognition () =
   Alcotest.(check (list int)) "slots 0..7" [ 0; 1; 2; 3; 4; 5; 6; 7 ] writes;
   (* end to end: pipeline runs and validates *)
   let t = Core.Pipeline.run transformed ~env ~h:4 in
-  let r = Dsmsim.Validate.run t.lcg t.plan in
+  let r = Exec.Validate.run t.lcg t.plan in
   Alcotest.(check int) "dataflow clean" 0 r.stale
 
 let prop_autopar_soundness =
