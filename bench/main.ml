@@ -1,12 +1,10 @@
-(* Benchmark + reproduction harness.
+(* Paper reproduction.
 
-   For every table and figure of the paper, first regenerate the
-   rows/series it reports (printed to stdout, recorded in
-   EXPERIMENTS.md), then time the underlying computation with Bechamel
-   (one Test.make per table/figure).
+   Regenerates the rows/series every table and figure of the paper
+   reports, plus the extension studies, printed to stdout and recorded
+   in EXPERIMENTS.md.  Performance is measured by dsmbench, not here.
 
-     dune exec bench/main.exe            # reproduce + time everything
-     dune exec bench/main.exe -- quick   # reproduction only
+     dune exec bench/main.exe            # every table and figure
      dune exec bench/main.exe -- curve   # efficiency-vs-H curve only
                                          # (H to 1024, sizes to 2^30)
 *)
@@ -484,63 +482,16 @@ let ablations () =
     [ ("tfft2", 6); ("jacobi2d", 6); ("swim", 6); ("mgrid", 8) ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-kernel pipeline metrics: run every registry code through the
-   full pipeline + simulator - twice, so the record carries both the
-   cold wall time and the warm re-analysis answered from the artifact
-   stores - and append the timers / cache hit rates to
-   BENCH_pipeline.json (the CI bench-smoke artifact).  The file is a
-   JSON-lines log, one self-contained record per run stamped with the
-   git revision and UTC date, so successive runs accumulate a
-   comparable history instead of overwriting each other.  The sweep
-   runs on the [Core.Pool] batch driver (default 4 forked workers,
-   override with [-j N]): each job starts from a cold metrics registry
-   in its own worker and the parent merges the results in registry
-   order, so the record is identical whatever the worker count.  A
-   kernel whose pipeline raises - or whose job is lost past the retry
-   budget - is recorded with its error and fails the whole run. *)
-
-let bench_worker ~attempt:_ name =
-  (* runs in a pool worker: fresh registry and caches courtesy of the
-     pool's per-job reset *)
-  let e = Codes.Registry.find name in
-  let size = min e.default_size 6 in
-  let env = e.env_of_size size in
-  let once () =
-    let t0 = Metrics.now () in
-    let outcome =
-      try
-        let t = Core.Pipeline.run e.program ~env ~h:4 in
-        (try ignore (Core.Pipeline.simulate t)
-         with ex when Core.Pipeline.recoverable ex -> ());
-        Ok t
-      with ex -> Error (Printexc.to_string ex)
-    in
-    (Metrics.now () -. t0, outcome)
-  in
-  let cold_wall, cold = once () in
-  (* same seed scope, same environment: the second run must answer from
-     the artifact stores and render byte-identically *)
-  let warm_wall, warm = once () in
-  let outcome, identical =
-    match (cold, warm) with
-    | Ok tc, Ok tw ->
-        let render t = Format.asprintf "%a" Core.Pipeline.report t in
-        (Ok (Core.Pipeline.degraded tc), render tc = render tw)
-    | Error m, _ | _, Error m -> (Error m, false)
-  in
-  let eval_rate = Metrics.hit_rate (Metrics.cache "env.eval") in
-  (size, cold_wall, warm_wall, identical, outcome, eval_rate)
-
-let bench_jobs () =
-  let n = ref 4 in
-  Array.iteri
-    (fun i a ->
-      if a = "-j" && i + 1 < Array.length Sys.argv then
-        match int_of_string_opt Sys.argv.(i + 1) with
-        | Some v when v > 0 -> n := v
-        | _ -> ())
-    Sys.argv;
-  !n
+(* Efficiency-vs-H curve under the closed-form accounting: H up to
+   1024 and size knobs up to 2^30 are far past what enumeration (or
+   the simulator) can sweep, so each point records the analysis wall
+   time, the Eq. 7 overhead, and the model-level efficiency estimate
+   (ideal per-processor work over work-plus-overhead).  Kernels whose
+   analysis leaves the closed-form fragment degrade and are reported
+   with [degraded=true] rather than silently skipped.  When the Eq. 7
+   search exhausts its budget the pipeline ships the BLOCK plan, not the
+   abandoned incumbent whose objective the solution still carries, so
+   such points record [budget_exhausted=true] and no efficiency. *)
 
 let git_rev () =
   try
@@ -555,94 +506,6 @@ let utc_date () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec
-
-(* Total artifact-store hits in a job's metrics snapshot: the cache
-   cells are exactly the per-store stats the stores register. *)
-let artifact_hits (snap : Metrics.snapshot) =
-  List.fold_left (fun acc (_, (hits, _)) -> acc + hits) 0 snap.caches
-
-let bench_pipeline () =
-  sep "Pipeline metrics per registry kernel (BENCH_pipeline.json)";
-  let h = 4 in
-  let jobs = bench_jobs () in
-  let failed = ref false in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"bench_pipeline/2\",\"rev\":\"%s\",\"date\":\"%s\",\"h\":%d,\"kernels\":{"
-       (Metrics.json_escape (git_rev ()))
-       (Metrics.json_escape (utc_date ()))
-       h);
-  Printf.printf "(pool: %d workers)\n" jobs;
-  Printf.printf "%-10s %10s %10s %10s %9s  %s\n" "kernel" "cold ms" "warm ms"
-    "env.eval" "degraded" "error";
-  let emit i name ~size ~cold ~warm ~identical ~degraded ~error ~metrics_json
-      ~eval_rate ~hits =
-    if i > 0 then Buffer.add_char buf ',';
-    if error <> None then failed := true;
-    Printf.printf "%-10s %10.1f %10.1f %9.1f%% %9b  %s\n%!" name
-      (1000. *. cold) (1000. *. warm)
-      (100. *. eval_rate) degraded
-      (Option.value error ~default:"-");
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\"%s\":{\"size\":%d,\"cold_wall_seconds\":%s,\"warm_wall_seconds\":%s,\"warm_report_identical\":%b,\"artifact_hits\":%d,\"degraded\":%b,\"error\":%s,\"metrics\":%s}"
-         (Metrics.json_escape name) size
-         (Metrics.json_float cold)
-         (Metrics.json_float warm)
-         identical hits degraded
-         (match error with
-         | None -> "null"
-         | Some m -> "\"" ^ Metrics.json_escape m ^ "\"")
-         metrics_json)
-  in
-  let names = Codes.Registry.names in
-  let stream i outcome =
-    let name = List.nth names i in
-    match outcome with
-    | Core.Pool.Done d ->
-        let size, cold, warm, identical, res, eval_rate = d.value in
-        let degraded, error =
-          match res with Ok dg -> (dg, None) | Error m -> (false, Some m)
-        in
-        emit i name ~size ~cold ~warm ~identical ~degraded ~error
-          ~metrics_json:(Metrics.to_json d.metrics) ~eval_rate
-          ~hits:(artifact_hits d.metrics)
-    | Core.Pool.Failed { attempts; reasons } ->
-        emit i name ~size:0 ~cold:0. ~warm:0. ~identical:false ~degraded:false
-          ~error:
-            (Some
-               (Printf.sprintf "job lost after %d attempts: %s" attempts
-                  (String.concat "; " reasons)))
-          ~metrics_json:"{}" ~eval_rate:0. ~hits:0
-  in
-  let _outcomes, _merged =
-    Core.Pool.map ~workers:jobs ~f:bench_worker ~stream names
-  in
-  Buffer.add_string buf "}}\n";
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_pipeline.json"
-  in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "appended to BENCH_pipeline.json (%d kernels)\n"
-    (List.length names);
-  if !failed then begin
-    Printf.eprintf "bench_pipeline: at least one kernel pipeline errored\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Efficiency-vs-H curve under the closed-form accounting: H up to
-   1024 and size knobs up to 2^30 are far past what enumeration (or
-   the simulator) can sweep, so each point records the analysis wall
-   time, the Eq. 7 overhead, and the model-level efficiency estimate
-   (ideal per-processor work over work-plus-overhead).  Kernels whose
-   analysis leaves the closed-form fragment degrade and are reported
-   with [degraded=true] rather than silently skipped.  When the Eq. 7
-   search exhausts its budget the pipeline ships the BLOCK plan, not the
-   abandoned incumbent whose objective the solution still carries, so
-   such points record [budget_exhausted=true] and no efficiency. *)
 
 let counter_value (snap : Metrics.snapshot) name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
@@ -733,242 +596,31 @@ let bench_curve () =
     (List.length Codes.Registry.names
     * List.length hs * List.length size_exps)
 
-(* ------------------------------------------------------------------ *)
-(* Deep fuzz pipelines: the 50-100-phase programs the fuzzer's deep
-   profile emits are the stress case for the Eq. 7 chain solver, so
-   record its wall time and budget-exhaustion rate on a fixed seeded
-   sample (BENCH_pipeline.json, schema bench_fuzz_deep/1). *)
-
-let bench_fuzz_deep () =
-  sep "Eq. 7 solver on deep fuzz pipelines (BENCH_pipeline.json)";
-  let h = 4 in
-  let sample = List.init 3 (fun i -> Fuzz.Gen.program Fuzz.Gen.deep ~seed:2026 ~index:i) in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"bench_fuzz_deep/1\",\"rev\":\"%s\",\"date\":\"%s\",\"h\":%d,\"programs\":["
-       (Metrics.json_escape (git_rev ()))
-       (Metrics.json_escape (utc_date ()))
-       h);
-  Printf.printf "%-12s %7s %12s %10s %7s\n" "program" "phases" "solve ms"
-    "objective" "budget";
-  let exhausted = ref 0 in
-  List.iteri
-    (fun i prog ->
-      let env = Fuzz.Gen.midpoint_env prog in
-      let t = Core.Pipeline.run prog ~env ~h in
-      let model = Ilp.Model.of_lcg t.lcg in
-      let machine = Ilp.Cost.default_machine ~h in
-      let t0 = Metrics.now () in
-      let sol = Ilp.Solve.solve model machine in
-      let wall = Metrics.now () -. t0 in
-      if sol.budget_exhausted then incr exhausted;
-      Printf.printf "%-12s %7d %12.2f %10.1f %7b\n%!"
-        prog.Ir.Types.prog_name
-        (List.length prog.Ir.Types.phases)
-        (1000. *. wall) sol.objective sol.budget_exhausted;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"program\":\"%s\",\"phases\":%d,\"solve_wall_seconds\":%s,\"objective\":%s,\"budget_exhausted\":%b}"
-           (Metrics.json_escape prog.Ir.Types.prog_name)
-           (List.length prog.Ir.Types.phases)
-           (Metrics.json_float wall)
-           (Metrics.json_float sol.objective)
-           sol.budget_exhausted))
-    sample;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"budget_exhausted_rate\":%s}\n"
-       (Metrics.json_float
-          (float_of_int !exhausted /. float_of_int (List.length sample))));
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_pipeline.json"
-  in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "appended to BENCH_pipeline.json (%d deep programs)\n"
-    (List.length sample)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing: one Test per table/figure *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let t name f = Test.make ~name (Staged.stage f) in
-  let env44 = Codes.Tfft2.env ~p:4 ~q:4 in
-  let ctx = Lazy.force f3_ctx in
-  let xf = Lazy.force x_final in
-  let tests =
-    Test.make_grouped ~name:"paper-artifacts"
-      [
-        t "fig2-ards" (fun () ->
-            List.map (Ard.of_site ctx) (Ir.Phase.sites_of_array ctx "X"));
-        t "fig3-simplify" (fun () -> Unionize.simplify (x_raw ()));
-        t "fig4-id-expand" (fun () ->
-            Region.addresses small_env xf ~par:(Some 1));
-        t "fig5-symmetry" (fun () -> Symmetry.analyze (Id.of_pd xf));
-        t "fig6-lcg-build" (fun () ->
-            Lcg.build Codes.Tfft2.program ~env:env44 ~h:4);
-        t "fig8-bounds" (fun () ->
-            Bounds.upper_limit ctx.assume (Id.of_pd xf) ~i:Expr.one);
-        t "fig9-balance" (fun () ->
-            let lcg = Lazy.force lcg_44 in
-            let gx =
-              List.find (fun (g : Lcg.graph) -> g.array = "X") lcg.graphs
-            in
-            List.map (fun (e : Lcg.edge) -> e.solution) gx.edges);
-        t "table1-classify" (fun () ->
-            List.map
-              (fun (ak, ag) -> Inter.derive ak ag ~overlap:false ~balanced:true)
-              Table1.rows);
-        t "table2-model" (fun () -> Ilp.Model.of_lcg (Lazy.force lcg_44));
-        t "eq7-solve" (fun () ->
-            Ilp.Solve.solve
-              (Ilp.Model.of_lcg (Lazy.force lcg_44))
-              (Ilp.Cost.default_machine ~h:4));
-        t "efficiency-simulate" (fun () ->
-            let e = Codes.Registry.find "jacobi2d" in
-            let tr = Core.Pipeline.run e.program ~env:(e.env_of_size 4) ~h:4 in
-            Core.Pipeline.simulate tr);
-      ]
-  in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-    in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  sep "Bechamel: analysis cost per paper artifact";
-  let results = analyze (benchmark ()) in
-  Printf.printf "%-45s %16s\n" "benchmark" "ns/run";
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-45s %16.0f\n" name est
-      | _ -> Printf.printf "%-45s %16s\n" name "n/a")
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Real execution on OCaml domains vs the priced simulator: for each
-   kernel and machine width, run the compiled program over the shared
-   windows, check schedule parity / staleness / final contents, and
-   record the measured clocks next to the simulator's prediction
-   (BENCH_pipeline.json, schema bench_exec/1).  Wall-clock speedup is
-   honest: the [cores] field says how much hardware parallelism the
-   host actually offered, and on a single-core container speedups
-   below one are expected - the deterministic checks, not the clock,
-   are the regression signal there.
-
-   This mode runs alone (bench/main.exe exec): the executor spawns
-   domains, and mixing that with the forking worker pool in the same
-   process would be fragile in both directions. *)
-
-let bench_exec () =
-  sep "Executor vs simulator per kernel and width (BENCH_pipeline.json)";
-  let kernels = [ "jacobi2d"; "tfft2"; "adi" ] in
-  let hs = [ 2; 4; 8 ] in
-  let spin = 50 in
-  let cores = Domain.recommended_domain_count () in
-  let failed = ref false in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"bench_exec/1\",\"rev\":\"%s\",\"date\":\"%s\",\"cores\":%d,\"spin\":%d,\"points\":["
-       (Metrics.json_escape (git_rev ()))
-       (Metrics.json_escape (utc_date ()))
-       cores spin);
-  Printf.printf "(host offers %d cores)\n" cores;
-  Printf.printf "%-10s %3s %10s %10s %8s %9s %6s %6s %8s\n" "kernel" "H"
-    "par ms" "seq ms" "speedup" "msgs" "parity" "stale" "sim eff";
-  let first = ref true in
-  List.iter
-    (fun name ->
-      let entry = Codes.Registry.find name in
-      List.iter
-        (fun h ->
-          Core.Artifact.clear_all ();
-          let t =
-            Core.Pipeline.run entry.program
-              ~env:(entry.env_of_size entry.default_size)
-              ~h
-          in
-          let rounds = if entry.program.repeats then 2 else 1 in
-          let r = Exec.Runner.execute ~rounds ~spin t.lcg t.plan in
-          let sim =
-            Dsmsim.Exec.run ~rounds ~on_error:ignore t.lcg t.plan t.machine
-          in
-          let parity = Exec.Runner.schedule_parity r in
-          if
-            (not parity) || r.stale > 0 || r.content_mismatches > 0
-            || r.errors <> []
-          then failed := true;
-          Printf.printf "%-10s %3d %10.2f %10.2f %7.2fx %4d/%-4d %6b %6d %7.1f%%\n%!"
-            name h (1000. *. r.wall_par) (1000. *. r.wall_seq) r.speedup
-            r.sched_messages r.expected_messages parity r.stale
-            (100. *. sim.efficiency);
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"kernel\":\"%s\",\"h\":%d,\"rounds\":%d,\"wall_par_seconds\":%s,\"wall_seq_seconds\":%s,\"speedup\":%s,\"messages\":%d,\"words\":%d,\"schedule_messages\":%d,\"schedule_words\":%d,\"parity\":%b,\"remote_gets\":%d,\"remote_puts\":%d,\"reads_checked\":%d,\"stale\":%d,\"content_cells\":%d,\"content_mismatches\":%d,\"sim_efficiency\":%s}"
-               (Metrics.json_escape name) h rounds
-               (Metrics.json_float r.wall_par)
-               (Metrics.json_float r.wall_seq)
-               (Metrics.json_float r.speedup)
-               r.sched_messages r.sched_words r.expected_messages
-               r.expected_words parity r.remote_gets r.remote_puts
-               r.reads_checked r.stale r.content_cells r.content_mismatches
-               (Metrics.json_float sim.efficiency)))
-        hs)
-    kernels;
-  Buffer.add_string buf "]}\n";
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_pipeline.json"
-  in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "appended to BENCH_pipeline.json (%d points)\n"
-    (List.length kernels * List.length hs);
-  if !failed then begin
-    Printf.eprintf "bench_exec: executor check failed on some point\n";
-    exit 1
-  end
+let reproduce () =
+  fig1 ();
+  fig2 ();
+  fig3 ();
+  fig4 ();
+  fig5 ();
+  fig6 ();
+  fig7 ();
+  fig8 ();
+  fig9 ();
+  table1 ();
+  table2 ();
+  eq7 ();
+  efficiency ();
+  ablations ();
+  crossover ();
+  weak_scaling ();
+  scalability ();
+  stability ();
+  validation ()
 
 let () =
-  Probe.with_seed 2026 (fun () ->
-      if Array.length Sys.argv > 1 && Sys.argv.(1) = "curve" then bench_curve ()
-      else if Array.length Sys.argv > 1 && Sys.argv.(1) = "exec" then
-        bench_exec ()
-      else begin
-      fig1 ();
-      fig2 ();
-      fig3 ();
-      fig4 ();
-      fig5 ();
-      fig6 ();
-      fig7 ();
-      fig8 ();
-      fig9 ();
-      table1 ();
-      table2 ();
-      eq7 ();
-      efficiency ();
-      ablations ();
-      crossover ();
-      weak_scaling ();
-      scalability ();
-      stability ();
-      validation ();
-      bench_pipeline ();
-      bench_fuzz_deep ();
-      let quick = Array.length Sys.argv > 1 && Sys.argv.(1) = "quick" in
-      if not quick then bechamel ()
-      end)
+  match Array.to_list Sys.argv with
+  | [ _ ] -> Probe.with_seed 2026 reproduce
+  | [ _; "curve" ] -> Probe.with_seed 2026 bench_curve
+  | _ ->
+      prerr_endline "usage: main.exe [curve]";
+      exit 2

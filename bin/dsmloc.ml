@@ -223,10 +223,15 @@ let with_entry name size f =
         (String.concat ", " Codes.Registry.names);
       exit 1
 
-let run_pipeline ?(strict = false) ?max_errors entry env h =
+let run_pipeline ?(strict = false) ?max_errors ?(autopar = false) prog env h =
   let diags = Core.Diag.collector ?max_errors () in
   match
-    Core.Pipeline.run ~strict ~diags entry.Codes.Registry.program ~env ~h
+    (* Certified auto-parallelization: the descriptor-based race
+       certifier decides loops statically, sampling is only the
+       fallback, and any static/dynamic disagreement surfaces as a
+       RACE-ORACLE-MISMATCH diagnostic. *)
+    let prog = if autopar then Core.Lint.autopar ~diags prog else prog in
+    Core.Pipeline.run ~strict ~diags prog ~env ~h
   with
   | t -> t
   | exception Core.Diag.Too_many_errors n ->
@@ -291,7 +296,7 @@ let analyze_cmd =
              tag, so the two runs cannot poison each other. *)
           let render mode =
             Symbolic.Lattice.mode := mode;
-            let t = run_pipeline ~strict ?max_errors entry env h in
+            let t = run_pipeline ~strict ?max_errors entry.program env h in
             (Format.asprintf "%a@." Core.Pipeline.report_core t, t)
           in
           let base_mode =
@@ -321,7 +326,7 @@ let analyze_cmd =
           if Core.Pipeline.degraded t then exit 2
         end
         else begin
-          let t = run_pipeline ~strict ?max_errors entry env h in
+          let t = run_pipeline ~strict ?max_errors entry.program env h in
           Format.printf "%a@." Core.Pipeline.report t;
           if Core.Pipeline.degraded t then exit 2
         end)
@@ -344,7 +349,7 @@ let lcg_cmd =
 let solve_cmd =
   let f () () name size h strict max_errors =
     with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry env h in
+        let t = run_pipeline ~strict ?max_errors entry.program env h in
         Format.printf "%a@.@." Ilp.Model.pp t.model;
         Format.printf "objective %.1f (D %.1f + C %.1f)@." t.solution.objective
           t.solution.d_cost t.solution.c_cost;
@@ -361,7 +366,7 @@ let solve_cmd =
 let simulate_cmd =
   let f () () name size h baseline strict max_errors faults retries =
     with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry env h in
+        let t = run_pipeline ~strict ?max_errors entry.program env h in
         let r =
           fatal_guard t (fun () ->
               if baseline then Core.Pipeline.simulate_baseline t
@@ -382,7 +387,7 @@ let sweep_cmd =
         Printf.printf "%4s %12s %12s\n" "H" "LCG eff" "BLOCK eff";
         List.iter
           (fun h ->
-            let t = run_pipeline entry env h in
+            let t = run_pipeline entry.program env h in
             let eff, base = fatal_guard t (fun () -> Core.Pipeline.efficiency t) in
             Printf.printf "%4d %11.1f%% %11.1f%%\n%!" h (100. *. eff)
               (100. *. base))
@@ -413,7 +418,7 @@ let stability_cmd =
 let validate_cmd =
   let f () () name size h strict max_errors faults retries =
     with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry env h in
+        let t = run_pipeline ~strict ?max_errors entry.program env h in
         fatal_guard t @@ fun () ->
         let rounds = if entry.program.repeats then 2 else 1 in
         let sched =
@@ -449,7 +454,7 @@ let validate_cmd =
 let report_cmd =
   let f () () name size h strict max_errors =
     with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry env h in
+        let t = run_pipeline ~strict ?max_errors entry.program env h in
         print_string (fatal_guard t (fun () -> Core.Report.markdown t));
         if Core.Pipeline.degraded t then exit 2)
   in
@@ -462,7 +467,7 @@ let report_cmd =
 let spmd_cmd =
   let f name size h =
     with_entry name size (fun entry env ->
-        let t = run_pipeline entry env h in
+        let t = run_pipeline entry.program env h in
         print_string
           (fatal_guard t (fun () -> Codegen.Spmd.generate t.lcg t.plan t.machine));
         finish t)
@@ -501,7 +506,7 @@ let run_cmd =
   in
   let f name size h rounds spin validate =
     with_entry name size (fun entry env ->
-        let t = run_pipeline entry env h in
+        let t = run_pipeline entry.program env h in
         fatal_guard t @@ fun () ->
         let rounds =
           match rounds with
@@ -572,7 +577,7 @@ let dot_cmd =
 let comm_cmd =
   let f name size h =
     with_entry name size (fun entry env ->
-        let t = run_pipeline entry env h in
+        let t = run_pipeline entry.program env h in
         let sched =
           fatal_guard t (fun () ->
               Dsmsim.Comm.generate
@@ -614,32 +619,22 @@ let file_cmd =
         Printf.eprintf "%s:%d: %s\n" path line message;
         exit 1
     | prog ->
-        let diags = Core.Diag.collector ?max_errors () in
-        (* Certified auto-parallelization: the descriptor-based race
-           certifier decides loops statically, sampling is only the
-           fallback, and any static/dynamic disagreement surfaces as a
-           RACE-ORACLE-MISMATCH diagnostic. *)
-        let prog = if autopar then Core.Lint.autopar ~diags prog else prog in
         let env =
           if bindings = "" then
             (* default: midpoint of each declared parameter range *)
-            List.fold_left
-              (fun env (v, d) ->
-                match d with
-                | Symbolic.Assume.Int_range (lo, hi) ->
-                    Symbolic.Env.add v ((lo + hi) / 2) env
-                | Symbolic.Assume.Pow2_of w -> (
-                    match Symbolic.Env.find env w with
-                    | e -> Symbolic.Env.add v (1 lsl e) env
-                    | exception Symbolic.Env.Unbound _ ->
-                        Printf.eprintf
-                          "parameter %s = 2^%s: %s is not bound (declare it \
-                           first or pass --env)\n"
-                          v w w;
-                        exit 1)
-                | Symbolic.Assume.Expr_range _ -> env)
-              Symbolic.Env.empty
-              (Symbolic.Assume.to_list prog.params)
+            try Fuzz.Gen.midpoint_env prog
+            with Symbolic.Env.Unbound w ->
+              let v, _ =
+                List.find
+                  (function
+                    | _, Symbolic.Assume.Pow2_of b -> b = w | _ -> false)
+                  (Symbolic.Assume.to_list prog.params)
+              in
+              Printf.eprintf
+                "parameter %s = 2^%s: %s is not bound (declare it first or \
+                 pass --env)\n"
+                v w w;
+              exit 1
           else
             String.split_on_char ',' bindings
             |> List.fold_left
@@ -651,21 +646,7 @@ let file_cmd =
                        exit 1)
                  Symbolic.Env.empty
         in
-        let t =
-          match Core.Pipeline.run ~strict ~diags prog ~env ~h with
-          | t -> t
-          | exception Core.Diag.Too_many_errors n ->
-              Printf.eprintf
-                "aborted: more than %d error-severity diagnostics\n" n;
-              exit 1
-          | exception Core.Lint.Failed ds ->
-              Format.eprintf "%a@?" Core.Diag.pp_table ds;
-              Printf.eprintf "strict mode: lint found errors\n";
-              exit 1
-          | exception e when strict ->
-              Printf.eprintf "strict mode: %s\n" (Printexc.to_string e);
-              exit 1
-        in
+        let t = run_pipeline ~strict ?max_errors ~autopar prog env h in
         Format.printf "%a@.@." Core.Pipeline.report t;
         let eff, base = fatal_guard t (fun () -> Core.Pipeline.efficiency t) in
         Format.printf "Simulated efficiency: %.1f%% (LCG) vs %.1f%% (BLOCK)@."

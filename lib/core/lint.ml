@@ -64,18 +64,7 @@ let loop_vars (ph : Types.phase) =
 (* Marked parallel loops of a nest, with their Autopar-style paths. *)
 let parallel_paths (nest : Types.loop) =
   List.filter
-    (fun path ->
-      let rec at (l : Types.loop) = function
-        | [] -> l
-        | k :: rest ->
-            let inner =
-              List.filter_map
-                (function Types.Loop i -> Some i | Types.Assign _ -> None)
-                l.Types.body
-            in
-            at (List.nth inner k) rest
-      in
-      (at nest path).Types.parallel)
+    (fun path -> (Autopar.loop_at nest path).Types.parallel)
     (Autopar.loop_paths nest)
 
 (* ------------------------------------------------------------------ *)

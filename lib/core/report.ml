@@ -72,5 +72,3 @@ let markdown (t : Pipeline.t) =
             d.code d.message)
         ds);
   Buffer.contents buf
-
-let print ppf t = Format.pp_print_string ppf (markdown t)

@@ -5,4 +5,3 @@
     the dataflow-validation verdict. *)
 
 val markdown : Pipeline.t -> string
-val print : Format.formatter -> Pipeline.t -> unit

@@ -5,7 +5,6 @@ let of_access = function
   | Ir.Types.Write -> { reads = false; writes = true }
 
 let join a b = { reads = a.reads || b.reads; writes = a.writes || b.writes }
-let equal a b = a.reads = b.reads && a.writes = b.writes
 
 let pp ppf t =
   Format.pp_print_string ppf

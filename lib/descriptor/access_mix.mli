@@ -4,5 +4,4 @@ type t = { reads : bool; writes : bool }
 
 val of_access : Ir.Types.access -> t
 val join : t -> t -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -67,8 +67,6 @@ let key (t : t) =
   Artifact.Key.(
     list [ str t.array; list (List.map group_key t.groups); bool t.exact ])
 
-let digest t = Artifact.Key.hash (key t)
-
 let offset_at r ~i =
   Expr.add r.offset0
     (Expr.mul (Expr.int r.par_sign) (Expr.mul r.par_stride i))

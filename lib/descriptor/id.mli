@@ -32,9 +32,6 @@ val key : t -> Artifact.Key.t
     exactness), without the context - pair with [Ir.Phase.key] when a
     cached value also depends on the owning phase. *)
 
-val digest : t -> int
-(** Stable structural digest, [Artifact.Key.hash] of {!key}. *)
-
 val of_pd : Pd.t -> t
 
 val offset_at : row -> i:Expr.t -> Expr.t

@@ -107,8 +107,6 @@ let key (t : t) =
   Artifact.Key.(
     list [ str t.array; list (List.map group_key t.groups); bool t.exact ])
 
-let digest t = Artifact.Key.hash (key t)
-
 let par_stride g =
   Option.map (fun i -> (List.nth g.dims i).stride) g.par
 

@@ -45,9 +45,6 @@ val key : t -> Artifact.Key.t
     (array, groups, exactness) - deliberately not the context: the
     addresses a PD denotes are a function of its rows alone. *)
 
-val digest : t -> int
-(** Stable structural digest, [Artifact.Key.hash] of {!key}. *)
-
 val of_phase : Phase.t -> array:string -> t
 (** Raw PD: one row per reference site, rows with identical stride
     vectors grouped.  Zero-stride (loop-invariant) dims are dropped. *)

@@ -242,17 +242,7 @@ let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
         in
         (* loops nested strictly inside the candidate *)
         let inner_vars =
-          let rec subtree (l : Ir.Types.loop) = function
-            | [] -> l
-            | k :: rest ->
-                let inner =
-                  List.filter_map
-                    (function Ir.Types.Loop i -> Some i | Ir.Types.Assign _ -> None)
-                    l.Ir.Types.body
-                in
-                subtree (List.nth inner k) rest
-          in
-          let cand = subtree candidate.Ir.Types.nest loop_path in
+          let cand = Ir.Autopar.loop_at candidate.Ir.Types.nest loop_path in
           let rec go acc = function
             | Ir.Types.Assign _ -> acc
             | Ir.Types.Loop l ->

@@ -109,16 +109,16 @@ type decision = {
   probes : probe_report list;
 }
 
+let rec loop_at (l : loop) = function
+  | [] -> l
+  | k :: rest ->
+      let loops =
+        List.filter_map (function Loop i -> Some i | Assign _ -> None) l.body
+      in
+      loop_at (List.nth loops k) rest
+
 let loop_var_at (nest : loop) (path : int list) : string =
-  let rec go (l : loop) = function
-    | [] -> l.var
-    | k :: rest ->
-        let loops =
-          List.filter_map (function Loop i -> Some i | Assign _ -> None) l.body
-        in
-        go (List.nth loops k) rest
-  in
-  go nest path
+  (loop_at nest path).var
 
 let mismatch (r : probe_report) =
   match (r.static_verdict, r.sampled) with

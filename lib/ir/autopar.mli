@@ -35,6 +35,10 @@ val set_parallel : loop -> int list -> loop
 val clear_markings : loop -> loop
 (** Clear every parallel marking in the nest. *)
 
+val loop_at : loop -> int list -> loop
+(** The loop reached by descending a path of [Loop]-child indices from
+    the nest root. @raise Failure on bad paths. *)
+
 val loop_var_at : loop -> int list -> string
 (** Loop variable of the loop at a path. @raise Failure on bad paths. *)
 

@@ -40,4 +40,3 @@ let rec loop (l : loop) : loop =
 and stmt = function Assign a -> Assign a | Loop l -> Loop (loop l)
 
 let phase ph = { ph with nest = loop ph.nest }
-let program p = { p with phases = List.map phase p.phases }

@@ -8,4 +8,3 @@ open Types
 
 val loop : loop -> loop
 val phase : phase -> phase
-val program : program -> program

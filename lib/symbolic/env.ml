@@ -30,7 +30,6 @@ let ephemeral t = if t.ephemeral then t else make ~ephemeral:true t.map
 let find env v =
   match M.find_opt v env.map with Some x -> x | None -> raise (Unbound v)
 
-let mem env v = M.mem v env.map
 let bindings env = M.bindings env.map
 let lookup env v = Qnum.of_int (find env v)
 

@@ -12,7 +12,6 @@ val add : string -> int -> t -> t
 val find : t -> string -> int
 (** @raise Unbound when the variable has no binding. *)
 
-val mem : t -> string -> bool
 val bindings : t -> (string * int) list
 
 val id : t -> int

@@ -1,7 +1,5 @@
 type verdict = Yes | No | Unknown
 
-let verdict_to_string = function Yes -> "yes" | No -> "no" | Unknown -> "unknown"
-
 let verdict_and a b =
   match (a, b) with
   | No, _ | _, No -> No
