@@ -44,7 +44,7 @@ let placement (plan : plan) ~array ~phase_idx =
   if List.mem (phase_idx, array) plan.privatized then None
   else layout_for plan ~array ~phase_idx
 
-let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
+let proc_of_iteration = Owncount.proc_of_iteration
 
 let halo_window (l : layout) = min l.halo l.block
 
@@ -142,20 +142,19 @@ let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
       end);
   tallies
 
-(* The same counts in closed form: each array's ownership intervals are
-   computed once, over the hull of its sites widened by the halo
-   window, and every site is counted against them (reads also against
-   the ghost family when the layout has a halo) by window sweeps, in
-   one pass per site.  An array placed nowhere owns every access. *)
-let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
+(* The same counts in closed form: each placed array gets one set
+   family over the hull of its sites (ownership sets, and ghost zones
+   when the layout has a halo and the array is read), built per
+   processor as the runs ask, and every site is counted against it by
+   window sweeps, one rotation class at a time.  An array placed
+   nowhere owns every access. *)
+let tally_symbolic ?(split = true) (lcg : Lcg.t) ph ~chunk ~h placements =
   Metrics.with_timer tally_timer @@ fun () ->
   match Ir.Shape.of_phase lcg.prog lcg.env ph with
   | None -> None
   | Some t -> (
       let exception Subtle in
-      let get = function Some x -> x | None -> raise Subtle in
-      let owner = proc_of_iteration ~chunk ~h in
-      let zeros = Array.make h 0 in
+      let zeros = Array.make (if split then h else 1) 0 in
       let tally (array, placement) =
         let sites = Ir.Shape.on_array t array in
         let has access =
@@ -167,28 +166,15 @@ let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
           match
             (placement, Lattice.bounds (List.filter_map (Ir.Shape.box t) sites))
           with
-          | None, _ | _, None -> (None, None)
+          | None, _ | _, None -> (None, false)
           | Some l, Some (lo, hi) ->
-              let w = halo_window l in
-              let owned =
-                get
-                  (Owncount.intervals_of (own_of ~h l)
-                     ~lo:(Lattice.Safe.add lo (-w))
-                     ~hi:(Lattice.Safe.add hi w))
-              in
-              let near o =
-                let o = Lattice.Iv.unpack o in
-                Lattice.Iv.(
-                  pack (subtract (union (shift o w) (shift o (-w))) o))
-              in
-              ( Some owned,
-                if l.halo > 0 && has Read then Some (Array.map near owned)
-                else None )
+              ( Some
+                  (Owncount.sets (own_of ~h l) ~window:(halo_window l) ~lo ~hi),
+                l.halo > 0 && has Read )
         in
         let tl =
           {
-            reads =
-              counts ~zeros ~used:(has Read) ~ghost:(Option.is_some ghost);
+            reads = counts ~zeros ~used:(has Read) ~ghost;
             writes = counts ~zeros ~used:(has Write) ~ghost:false;
           }
         in
@@ -197,9 +183,9 @@ let tally_symbolic (lcg : Lcg.t) ph ~chunk ~h placements =
             let c, ghost =
               match s.access with
               | Ir.Types.Read -> (tl.reads, ghost)
-              | Ir.Types.Write -> (tl.writes, None)
+              | Ir.Types.Write -> (tl.writes, false)
             in
-            if not (Owncount.per_proc ~chunk ~owner t s ~owned ~ghost c) then
+            if not (Owncount.per_proc ~chunk ~h t s ~owned ~ghost c) then
               raise Subtle)
           sites;
         tl
@@ -237,7 +223,8 @@ let remote_count (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
   Lattice.closed_or_enumerate ~stage:"distribution"
     ~reason:(fun () -> l.array ^ " remote count")
     ~symbolic:(fun () ->
-      Option.map remote (tally_symbolic lcg ph ~chunk ~h placements))
+      Option.map remote
+        (tally_symbolic ~split:false lcg ph ~chunk ~h placements))
     ~enum:(fun () -> remote (tally_enum lcg ph ~chunk ~h placements))
 
 (* Arrays a phase writes (with at least one event), sorted. *)
@@ -293,7 +280,8 @@ let halo_savings (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
     ~symbolic:(fun () ->
       Option.map payoff
         (all_some
-           (fun (k, ph) -> tally_symbolic lcg ph ~chunk:p.(k) ~h placements)
+           (fun (k, ph) ->
+             tally_symbolic ~split:false lcg ph ~chunk:p.(k) ~h placements)
            phases))
     ~enum:(fun () ->
       payoff

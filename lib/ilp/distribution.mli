@@ -93,17 +93,21 @@ type tally = { reads : Owncount.counts; writes : Owncount.counts }
     work charged on them. *)
 
 val tally_symbolic :
+  ?split:bool ->
   Locality.Lcg.t ->
   Ir.Types.phase ->
   chunk:int ->
   h:int ->
   (string * layout option) list ->
   tally array option
-(** One tally per placement, in order.  Each array's ownership
-    intervals are computed once, over the hull of its sites widened by
-    {!halo_window}; all arithmetic is overflow-checked.  [None] when
-    the phase leaves the affine fragment, a budget is exhausted or a
-    count overflows. *)
+(** One tally per placement, in order, counted by rotation class
+    ({!Owncount.per_proc}) against ownership sets built per processor
+    as the classes ask; all arithmetic is overflow-checked.  With
+    [~split:false] every count has a single slot holding the
+    machine-wide total - all the layout scoring of {!of_solution}
+    reads, at a cost that does not grow with [h].  [None] when the
+    phase leaves the affine fragment, a budget is exhausted or a count
+    overflows. *)
 
 val tally_enum :
   Locality.Lcg.t ->

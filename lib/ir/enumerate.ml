@@ -6,6 +6,10 @@ open Types
    assert on (zero on the closed-form hot path). *)
 let iter_count = Metrics.counter "enum.iter"
 
+(* Shared by name with the descriptor-region sweeps: the events a walk
+   visited, added once per walk. *)
+let address_count = Metrics.counter "enum.addresses"
+
 type shape = Const of int | Affine of int * (int * int) list | Opaque
 
 type site = { array : string; access : access; addr : int array -> int }
@@ -168,11 +172,12 @@ let compile (prog : program) (env : Env.t) (ph : phase) =
 let iter (prog : program) (env : Env.t) (ph : phase) ~f =
   Metrics.incr iter_count;
   let nest = compile prog env ph in
-  let slots = Array.make nest.nslots 0 in
+  let slots = Array.make nest.nslots 0 and events = ref 0 in
   let rec walk par = function
     | Stmt s ->
         List.iteri
           (fun k r ->
+            incr events;
             f ~par ~array:r.array ~addr:(r.addr slots) r.access
               ~work:(if k = 0 then s.work else 0))
           s.refs
@@ -184,7 +189,9 @@ let iter (prog : program) (env : Env.t) (ph : phase) ~f =
           List.iter (walk par) l.body
         done
   in
-  walk None nest.root
+  Fun.protect
+    ~finally:(fun () -> Metrics.incr ~by:!events address_count)
+    (fun () -> walk None nest.root)
 
 let addresses prog env ph ~array =
   let acc = ref [] in

@@ -512,43 +512,114 @@ module Own = struct
       Some (List.rev !acc)
     else None
 
-  (* Runs are filed straight into their owner's packed array, merged
-     with the run before when adjacent; each array doubles as it fills
-     and is trimmed once at the end.  The analysis asks for ownership
-     intervals far more often than for segments. *)
-  let intervals o ~lo ~hi ~budget =
-    let h = max 1 o.h in
-    let buf = Array.make h [||] and len = Array.make h 0 in
-    let file l e p =
-      let b = buf.(p) and n = len.(p) in
-      if n = 0 then begin
-        buf.(p) <- [| l; e |];
-        len.(p) <- 2
-      end
-      else if b.(n - 1) = l - 1 then b.(n - 1) <- e
+  (* One processor's set in closed form.  Above [base] the owner only
+     depends on the fold coordinate [f] of [rel] (period cell, then
+     mirror), and [f]'s owner is [f / block mod h]: the set is the
+     blocks [k*block .. k*block+block-1] with [k mod h = p], read
+     forwards on the ascending side of the mirror and on the unmirrored
+     rest, backwards on its descending side, and repeated per period
+     cell.  Below [base] every address belongs to processor 0.
+     Intervals are emitted in ascending order, merged when adjacent,
+     and clipped to [lo..hi]. *)
+  let set o ~p ~lo ~hi ~budget =
+    let exception Full in
+    let b = o.block and h = o.h in
+    (* [p]'s blocks of the fold coordinate within [clo..chi], ascending
+       or descending. *)
+    let blocks ~clo ~chi ~up f =
+      if clo <= chi then
+        if up then begin
+          let k0 = clo / b in
+          let k = ref (k0 + (((p - k0) mod h) + h) mod h) in
+          while !k <= chi / b do
+            f (max (!k * b) clo) (min ((!k * b) + b - 1) chi);
+            k := !k + h
+          done
+        end
+        else begin
+          let k1 = chi / b in
+          let k = ref (k1 - (((k1 - p) mod h) + h) mod h) in
+          while !k >= 0 && (!k * b) + b - 1 >= clo do
+            f (max (!k * b) clo) (min ((!k * b) + b - 1) chi);
+            k := !k - h
+          done
+        end
+    in
+    (* [p]'s addresses [rel] of one cell's fold range [a..b'], passed to
+       [f] ascending. *)
+    let cell ~a ~b:b' f =
+      let m0 =
+        match o.mirror with
+        | Some m when m > 0 ->
+            let half = (m - 1) / 2 in
+            blocks ~clo:a ~chi:(min b' half) ~up:true f;
+            let rlo = max a (half + 1) and rhi = min b' (m - 1) in
+            blocks ~clo:(m - 1 - rhi) ~chi:(m - 1 - rlo) ~up:false (fun l e ->
+                f (m - 1 - e) (m - 1 - l));
+            m
+        | _ -> 0
+      in
+      blocks ~clo:(max a m0) ~chi:b' ~up:true f
+    in
+    (* The whole set, ascending, clipped to [lo..hi], possibly with
+       adjacent pieces. *)
+    let walk f =
+      let f l e =
+        let l = max l lo and e = min e hi in
+        if l <= e then f l e
+      in
+      if h = 1 then f lo hi
       else begin
-        let b =
-          if n < Array.length b then b
-          else begin
-            let g = Array.make (2 * n) 0 in
-            Array.blit b 0 g 0 n;
-            buf.(p) <- g;
-            g
-          end
-        in
-        b.(n) <- l;
-        b.(n + 1) <- e;
-        len.(p) <- n + 2
+        if p = 0 then f lo (Safe.add o.base (-1));
+        if hi >= o.base then begin
+          let rlo = Safe.add (max lo o.base) (-o.base)
+          and rhi = Safe.add hi (-o.base) in
+          match o.period with
+          | Some d when d > 0 -> (
+              let pattern = ref [] and n = ref 0 in
+              cell ~a:0 ~b:(d - 1) (fun l e ->
+                  incr n;
+                  if !n > budget then raise Full;
+                  pattern := (l, e) :: !pattern);
+              (* A whole cell merges with the next into one interval;
+                 any other non-empty pattern adds an interval per cell,
+                 so the budget bounds the loop. *)
+              match List.rev !pattern with
+              | [] -> ()
+              | [ (0, e) ] when e = d - 1 -> f (o.base + rlo) (o.base + rhi)
+              | pattern ->
+                  for j = rlo / d to rhi / d do
+                    let at = Safe.add o.base (Safe.mul j d) in
+                    List.iter (fun (l, e) -> f (at + l) (at + e)) pattern
+                  done)
+          | _ -> cell ~a:rlo ~b:rhi (fun l e -> f (o.base + l) (o.base + e))
+        end
       end
     in
-    if walk o ~lo ~hi ~budget file then begin
-      Array.iteri
-        (fun p b ->
-          if len.(p) < Array.length b then buf.(p) <- Array.sub b 0 len.(p))
-        buf;
-      Some buf
-    end
-    else None
+    (* Two walks: one counts the merged intervals, the other fills an
+       array of exactly that size. *)
+    let n = ref 0 and last = ref 0 in
+    match
+      walk (fun l e ->
+          if !n > 0 && !last >= l - 1 then last := max e !last
+          else begin
+            if !n >= budget then raise Full;
+            incr n;
+            last := e
+          end)
+    with
+    | exception Full -> None
+    | () ->
+        let set = Array.make (2 * !n) 0 and k = ref 0 in
+        walk (fun l e ->
+            if !k > 0 && set.(!k - 1) >= l - 1 then
+              set.(!k - 1) <- max e set.(!k - 1)
+            else begin
+              set.(!k) <- l;
+              set.(!k + 1) <- e;
+              k := !k + 2
+            end);
+        Some set
 end
 
 (* {1 Progression-window hit counting}

@@ -53,7 +53,8 @@ let arb_box2 = QCheck.pair arb_box arb_box
 
 let box_of (base, dims) = Lattice.make ~base dims
 
-let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
+let prop ?(count = count) name arb f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
 (* ------------------------------------------------------------------ *)
 (* Box algebra vs the oracle. *)
@@ -247,11 +248,17 @@ let own_segments =
             segs;
           !x = 56)
 
-let own_intervals =
-  prop "Own.intervals packs each owner's addresses" arb_own (fun o ->
-      match Lattice.Own.intervals o ~lo:(-8) ~hi:55 ~budget:1000 with
-      | None -> QCheck.Test.fail_report "budget exhausted on tiny range"
-      | Some per ->
+let own_sets =
+  prop "Own.set packs each owner's addresses" arb_own (fun o ->
+      let sets =
+        List.init o.Lattice.Own.h (fun p ->
+            Lattice.Own.set o ~p ~lo:(-8) ~hi:55 ~budget:1000)
+      in
+      match List.filter_map Fun.id sets with
+      | per when List.length per < o.Lattice.Own.h ->
+          QCheck.Test.fail_report "budget exhausted on tiny range"
+      | per ->
+          let per = Array.of_list per in
           let covered = ref 0 in
           Array.iter
             (fun set ->
@@ -327,6 +334,157 @@ let window_hits_exact =
         done
       done;
       Lattice.window_hits ~a ~d ~n ~len (Lattice.Iv.pack set) = !brute)
+
+(* ------------------------------------------------------------------ *)
+(* Per-processor counting vs brute force: one random site under a
+   random CYCLIC(chunk) schedule and layout, every event replayed
+   through Own.owner.  Half the blocks are the balanced |d|*chunk,
+   where a site's runs share rotation classes; partial last chunks,
+   runs below the layout's base, and periodic or mirrored layouts take
+   the other paths. *)
+
+type tally_case = {
+  h : int;
+  chunk : int;
+  par_n : int;
+  site : Ir.Shape.site;
+  own : Lattice.Own.t option;
+  window : int;
+}
+
+let gen_tally =
+  QCheck.Gen.(
+    let* h = oneofl [ 1; 2; 3; 7; 64; 1024 ] in
+    let* chunk = int_range 1 6 in
+    let* par_n = int_range 0 30 in
+    let* d = int_range (-6) 6 in
+    let* par =
+      frequency
+        [
+          (6, return (Ir.Shape.Strided d));
+          (1, return Ir.Shape.Outside);
+          (1, map (fun i -> Ir.Shape.Fixed i) (int_range 0 40));
+        ]
+    in
+    let* seq =
+      list_size (int_range 0 2)
+        (pair (int_range 1 4) (oneofl [ -3; -1; 0; 1; 2; 5 ]))
+    in
+    let* base = int_range (-20) 40 in
+    let* work = int_range 0 3 in
+    let* access = oneofl [ Ir.Types.Read; Ir.Types.Write ] in
+    let* balanced = bool in
+    let* block =
+      if balanced && d <> 0 then return (abs d * chunk) else int_range 1 7
+    in
+    let* obase =
+      frequency
+        [ (1, int_range (-30) 60); (2, map (( + ) base) (int_range (-3) 3)) ]
+    in
+    let* kind = int_range 0 4 in
+    let* period = int_range 1 40 in
+    let* mirror = int_range 1 40 in
+    let* window = int_range 0 3 in
+    let own =
+      let plain =
+        Lattice.Own.{ h; base = obase; block; period = None; mirror = None }
+      in
+      match kind with
+      | 0 -> None
+      | 1 -> Some plain
+      | 2 -> Some { plain with period = Some period }
+      | 3 ->
+          Some
+            { plain with period = Some period; mirror = Some (min mirror period) }
+      | _ -> Some { plain with mirror = Some mirror }
+    in
+    let site = { Ir.Shape.array = "A"; access; work; base; par; seq } in
+    return { h; chunk; par_n; site; own; window })
+
+let print_tally_case c =
+  Printf.sprintf "h=%d chunk=%d par_n=%d base=%d par=%s seq=[%s] %s window=%d %s"
+    c.h c.chunk c.par_n c.site.base
+    (match c.site.par with
+    | Ir.Shape.Strided d -> Printf.sprintf "strided %d" d
+    | Outside -> "outside"
+    | Fixed i -> Printf.sprintf "fixed %d" i)
+    (String.concat ";"
+       (List.map (fun (n, s) -> Printf.sprintf "(%d,%d)" n s) c.site.seq))
+    (match c.site.access with Read -> "read" | Write -> "write")
+    c.window
+    (match c.own with
+    | None -> "unplaced"
+    | Some o ->
+        Printf.sprintf "own base=%d block=%d period=%s mirror=%s" o.base o.block
+          (Option.fold ~none:"-" ~some:string_of_int o.period)
+          (Option.fold ~none:"-" ~some:string_of_int o.mirror))
+
+(* Cases are cheap, and the rarer paths (a run touching the halo
+   window just above base on the last processor) need many draws. *)
+let per_proc_exact =
+  prop ~count:10000 "Owncount.per_proc vs brute force"
+    (QCheck.make ~print:print_tally_case gen_tally)
+    (fun c ->
+      let s = c.site and h = c.h in
+      let ghost = c.window > 0 && Ir.Types.equal_access s.access Read in
+      let events =
+        let offs =
+          List.fold_left
+            (fun acc (n, st) ->
+              List.concat_map (fun o -> List.init n (fun k -> o + (k * st))) acc)
+            [ 0 ] s.seq
+        in
+        let proc i = Ilp.Distribution.proc_of_iteration ~chunk:c.chunk ~h i in
+        let iterations =
+          match s.par with
+          | Ir.Shape.Strided d ->
+              List.init c.par_n (fun i -> (proc i, s.base + (d * i)))
+          | Outside -> [ (0, s.base) ]
+          | Fixed i -> [ (proc i, s.base) ]
+        in
+        List.concat_map
+          (fun (p, a) -> List.map (fun off -> (p, a + off)) offs)
+          iterations
+      in
+      let brute = Array.init 4 (fun _ -> Array.make h 0) in
+      List.iter
+        (fun (p, a) ->
+          let bump k = brute.(k).(p) <- brute.(k).(p) + 1 in
+          bump 0;
+          brute.(3).(p) <- brute.(3).(p) + s.work;
+          match c.own with
+          | None -> bump 1
+          | Some o ->
+              let owner = Lattice.Own.owner o in
+              if owner a = p then bump 1
+              else if
+                ghost
+                && (owner (a - c.window) = p || owner (a + c.window) = p)
+              then bump 2)
+        events;
+      let addrs = List.map snd events in
+      let owned =
+        Option.map
+          (fun o ->
+            Ilp.Owncount.sets o ~window:c.window
+              ~lo:(List.fold_left min 0 addrs) ~hi:(List.fold_left max 0 addrs))
+          c.own
+      in
+      let count slots =
+        let z () = Array.make slots 0 in
+        let k =
+          Ilp.Owncount.{ events = z (); owned = z (); ghost = z (); work = z () }
+        in
+        if
+          not
+            (Ilp.Owncount.per_proc ~chunk:c.chunk ~h
+               { Ir.Shape.par_n = c.par_n; sites = [ s ] }
+               s ~owned ~ghost k)
+        then QCheck.Test.fail_report "per_proc gave up on a tiny site";
+        [| k.events; k.owned; k.ghost; k.work |]
+      in
+      let total = Array.fold_left ( + ) 0 in
+      count h = brute && Array.map (fun a -> [| total a |]) brute = count 1)
 
 (* ------------------------------------------------------------------ *)
 (* Shape extraction vs the enumeration oracle: the symbolic event
@@ -416,56 +574,82 @@ let shape_work_matches () =
 (* The per-processor tally: on every registry kernel's own plan, the
    closed form answers (no fallback) and equals the enumeration field
    for field - per phase and array, under the plan's placement, the
-   same layout without its halo, and no placement at all. *)
+   same layout without its halo, and no placement at all - and its
+   unsplit form holds the enumeration's totals.  The points cover the
+   nine kernels at their default sizes up to H=1024, and adi at sizes 7
+   and 8 on 64 processors, where the ownership walk used to run out of
+   segments. *)
 let tally_matches_oracle () =
+  let points =
+    List.concat_map
+      (fun (e : Codes.Registry.entry) ->
+        List.map (fun h -> (e, e.default_size, h)) [ 4; 16; 64; 1024 ])
+      Codes.Registry.all
+    @ List.map (fun size -> (Codes.Registry.find "adi", size, 64)) [ 7; 8 ]
+  in
   List.iter
-    (fun (e : Codes.Registry.entry) ->
-      let env = e.env_of_size e.default_size in
-      List.iter
-        (fun h ->
-          let t = Core.Pipeline.run e.program ~env ~h in
-          let plan = t.plan in
-          List.iteri
-            (fun k (ph : Ir.Types.phase) ->
+    (fun ((e : Codes.Registry.entry), size, h) ->
+      let env = e.env_of_size size in
+      let t = Core.Pipeline.run e.program ~env ~h in
+      let plan = t.plan in
+      List.iteri
+        (fun k (ph : Ir.Types.phase) ->
+          List.iter
+            (fun (d : Ir.Types.array_decl) ->
+              let own =
+                if List.mem (k, d.name) plan.privatized then None
+                else Ilp.Distribution.layout_for plan ~array:d.name ~phase_idx:k
+              in
+              let stripped =
+                Option.map
+                  (fun (l : Ilp.Distribution.layout) -> { l with halo = 0 })
+                  own
+              in
               List.iter
-                (fun (d : Ir.Types.array_decl) ->
-                  let own =
-                    if List.mem (k, d.name) plan.privatized then None
-                    else
-                      Ilp.Distribution.layout_for plan ~array:d.name
-                        ~phase_idx:k
+                (fun (what, placement) ->
+                  let placements = [ (d.name, placement) ] in
+                  let chunk = plan.chunk.(k) in
+                  let label =
+                    Printf.sprintf "%s@%d H=%d %s/%s %s" e.name size h
+                      ph.phase_name d.name what
                   in
-                  let stripped =
-                    Option.map
-                      (fun (l : Ilp.Distribution.layout) -> { l with halo = 0 })
-                      own
+                  let symbolic ~split =
+                    match
+                      Ilp.Distribution.tally_symbolic ~split t.lcg ph ~chunk ~h
+                        placements
+                    with
+                    | None -> Alcotest.failf "%s: closed form fell back" label
+                    | Some sym -> sym
                   in
-                  List.iter
-                    (fun (what, placement) ->
-                      let placements = [ (d.name, placement) ] in
-                      let chunk = plan.chunk.(k) in
-                      let label =
-                        Printf.sprintf "%s H=%d %s/%s %s" e.name h
-                          ph.phase_name d.name what
-                      in
-                      match
-                        Ilp.Distribution.tally_symbolic t.lcg ph ~chunk ~h
-                          placements
-                      with
-                      | None -> Alcotest.failf "%s: closed form fell back" label
-                      | Some sym ->
-                          if
-                            sym
-                            <> Ilp.Distribution.tally_enum t.lcg ph ~chunk ~h
-                                 placements
-                          then Alcotest.failf "%s: tally <> enumeration" label)
-                    [
-                      ("plan", own); ("no halo", stripped); ("unplaced", None);
-                    ])
-                e.program.arrays)
-            e.program.phases)
-        [ 4; 16; 64 ])
-    Codes.Registry.all
+                  let enum =
+                    Ilp.Distribution.tally_enum t.lcg ph ~chunk ~h placements
+                  in
+                  if symbolic ~split:true <> enum then
+                    Alcotest.failf "%s: tally <> enumeration" label;
+                  let totals (c : Ilp.Owncount.counts) =
+                    let sum a = [| Array.fold_left ( + ) 0 a |] in
+                    Ilp.Owncount.
+                      {
+                        events = sum c.events;
+                        owned = sum c.owned;
+                        ghost = sum c.ghost;
+                        work = sum c.work;
+                      }
+                  in
+                  if
+                    symbolic ~split:false
+                    <> Array.map
+                         (fun (x : Ilp.Distribution.tally) ->
+                           Ilp.Distribution.
+                             { reads = totals x.reads; writes = totals x.writes })
+                         enum
+                  then
+                    Alcotest.failf "%s: unsplit tally <> enumeration totals"
+                      label)
+                [ ("plan", own); ("no halo", stripped); ("unplaced", None) ])
+            e.program.arrays)
+        e.program.phases)
+    points
 
 (* ------------------------------------------------------------------ *)
 (* Overflow boundaries (satellite): checked ops raise, saturating ops
@@ -520,8 +704,8 @@ let () =
           union_card_exact;
           iv_ops;
         ] );
-      ("ownership", [ own_vs_distribution; own_segments; own_intervals ]);
-      ("windows", [ window_hits_exact ]);
+      ("ownership", [ own_vs_distribution; own_segments; own_sets ]);
+      ("windows", [ window_hits_exact; per_proc_exact ]);
       ( "shape",
         [
           Alcotest.test_case "events = oracle on registry" `Quick
