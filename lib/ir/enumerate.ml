@@ -58,8 +58,8 @@ let compile (prog : program) (env : Env.t) (ph : phase) =
   let ph = Normalize.phase ph in
   let shapes = ref [] and unsupported = ref None and nslots = ref 0 in
   let fail msg = if !unsupported = None then unsupported := Some msg in
-  (* Parameters are substituted out first.  An expression that does
-     not compile keeps the interpreter, which raises the original
+  (* Parameters are substituted out first.  An expression that is not
+     affine is compiled by [Expr.compile_int], which raises the original
      exception when (and only if) it is evaluated. *)
   let expr scope e =
     let shape, e =
@@ -81,23 +81,27 @@ let compile (prog : program) (env : Env.t) (ph : phase) =
           (Opaque, e)
     in
     shapes := shape :: !shapes;
-    let exact slots =
-      Expr.eval_int
+    (* Loop variables read their slot; a parameter left in [e] (its
+       substitution failed) reads [env], raising [Env.Unbound] when
+       evaluated if it has no binding. *)
+    let exact () =
+      Expr.compile_int
         (fun v ->
           match List.assoc_opt v scope with
-          | Some s -> Qnum.of_int slots.(s)
-          | None -> Env.lookup env v)
+          | Some s -> Expr.Slot s
+          | None -> ( match Env.find env v with n -> Expr.Fixed n | exception Env.Unbound _ -> Expr.Free))
         e
     in
     (* Affine forms run in native ints while each of the k terms and
        [c0] stay within [max_int / (k + 1)], so the sum cannot
-       overflow; beyond that the interpreter answers exactly, raising
-       [Qnum.Overflow] where evaluation would. *)
+       overflow; beyond that the compiled expression answers exactly,
+       raising [Qnum.Overflow] where evaluation would. *)
     match shape with
     | Const c -> fun (_ : int array) -> c
-    | Opaque -> exact
+    | Opaque -> exact ()
     | Affine (c0, coeffs) -> (
         let q = max_int / (List.length coeffs + 1) in
+        let exact = exact () in
         match List.map (fun (s, c) -> (s, c, q / abs c)) coeffs with
         | _ when c0 > q || c0 < -q -> exact
         | [ (s1, c1, m1) ] ->

@@ -9,7 +9,7 @@ open Types
 
 (** A compiled bound or subscript: constant, affine in the loop slots
     [c0 + sum c_i * slot_i] (overflow-checked), or an opaque fallback
-    that interprets the expression per evaluation. *)
+    that runs the {!Expr.compile_int} closure per evaluation. *)
 type shape = Const of int | Affine of int * (int * int) list | Opaque
 
 type site = { array : string; access : access; addr : int array -> int }

@@ -13,7 +13,7 @@ module M = Map.Make (String)
    across [add] so a whole derivation chain opts out at its root. *)
 type t = { map : int M.t; id : int; ephemeral : bool }
 
-exception Unbound of string
+exception Unbound = Expr.Unbound
 
 let next_id = ref 0
 
@@ -42,12 +42,11 @@ let eval_store : Qnum.t Artifact.store =
 
 let uncached_count = Metrics.counter "env.eval_uncached"
 
-let eval_with find e =
-  Metrics.incr uncached_count;
-  Expr.eval (fun v -> Qnum.of_int (find v)) e
-
 let eval_q env e =
-  if env.ephemeral then eval_with (find env) e
+  if env.ephemeral then begin
+    Metrics.incr uncached_count;
+    Expr.eval (lookup env) e
+  end
   else
     Artifact.find eval_store
       Artifact.Key.(list [ int env.id; expr e ])
@@ -57,6 +56,23 @@ let eval env e =
   let v = eval_q env e in
   if Qnum.is_integer v then Qnum.to_int v
   else raise (Expr.Non_integral (Format.asprintf "value %a" Qnum.pp v))
+
+(* A row binds [names.(j)] at slot [j]; the last binding of a repeated
+   name wins, as in [of_list]. *)
+let slot names v =
+  let rec go j =
+    if j < 0 then Expr.Free else if String.equal names.(j) v then Expr.Slot j else go (j - 1)
+  in
+  go (Array.length names - 1)
+
+(* A row is an environment that lives for one evaluation: counted like
+   an ephemeral environment's, once per evaluation. *)
+let counted f row =
+  Metrics.incr uncached_count;
+  f row
+
+let compile names e = counted (Expr.compile (slot names) e)
+let compile_int names e = counted (Expr.compile_int (slot names) e)
 
 let pp ppf env =
   Format.fprintf ppf "{%a}"

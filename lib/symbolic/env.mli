@@ -4,7 +4,8 @@ type t
 
 exception Unbound of string
 (** Raised by {!find} (and everything built on it) for an unbound
-    variable, carrying the variable's name. *)
+    variable, carrying the variable's name.  The same exception as
+    {!Expr.Unbound}. *)
 
 val empty : t
 val of_list : (string * int) list -> t
@@ -35,9 +36,21 @@ val eval : t -> Expr.t -> int
 
 val eval_q : t -> Expr.t -> Qnum.t
 
-val eval_with : (string -> int) -> Expr.t -> Qnum.t
-(** Evaluate against a bare lookup (a {!Probe} sample row) as an
-    ephemeral environment would: no store, and counted in
-    [env.eval_uncached].  The lookup raises {!Unbound} itself. *)
+(** {1 Rows}
+
+    A row is an [int array] whose slot [j] binds [names.(j)]; the last
+    binding of a repeated name wins, as in {!of_list}.  {!Probe}'s
+    sample bank stores its samples as rows. *)
+
+val slot : string array -> string -> Expr.binding
+(** [v]'s slot in a row of [names]: [Slot j] or [Free]. *)
+
+val compile : string array -> Expr.t -> int array -> Qnum.t
+(** [compile names e] is {!Expr.compile} on rows of [names]: each call
+    evaluates [e] as {!eval_q} would on the row's ephemeral environment,
+    and counts once in [env.eval_uncached]. *)
+
+val compile_int : string array -> Expr.t -> int array -> int
+(** {!compile} with {!eval}'s integrality check. *)
 
 val pp : Format.formatter -> t -> unit

@@ -445,36 +445,223 @@ let linear_in v (e : t) =
   in
   go [] [] e.node
 
-let eval lookup (e : t) =
-  let rec eval_n (e : node) =
-    List.fold_left
-      (fun acc (m, c) ->
-        Qnum.add acc
-          (List.fold_left (fun acc (a, k) -> Qnum.mul acc (atom_val a k)) c m))
-      Qnum.zero e
-  and atom_val a k =
-    let base =
-      match a with
-      | Var v -> lookup v
-      | Pow2 e ->
-          let x = eval_n e.node in
-          if not (Qnum.is_integer x) then raise (Non_integral "Pow2 exponent");
-          Qnum.pow2 (Qnum.to_int x)
-      | Floor_div (x, y) ->
-          Qnum.of_int (Qnum.floor (Qnum.div (eval_n x.node) (eval_n y.node)))
-      | Ceil_div (x, y) ->
-          Qnum.of_int (Qnum.ceil (Qnum.div (eval_n x.node) (eval_n y.node)))
-      | Opaque_div (x, y) -> Qnum.div (eval_n x.node) (eval_n y.node)
-    in
-    let rec pow acc n = if n = 0 then acc else pow (Qnum.mul acc base) (n - 1) in
+(* ------------------------------------------------------------------ *)
+(* Evaluation.  [compile] resolves every variable once and returns a
+   closure over an [int array] row; [eval] is the same compiler's exact
+   path applied once.  One evaluation order serves both paths:
+   - the terms of a sum left to right, each added to the running sum
+     ([Qnum.add acc term]) once the term is known;
+   - a term starts from its coefficient and multiplies in its factors
+     left to right, each factor's value computed first;
+   - [base^k] multiplies [k] copies of [base] into [1], and a negative
+     [k] inverts that product;
+   - a division evaluates its divisor before its dividend.
+
+   The native path runs this order in machine ints, through the checked
+   [Qnum.mul_int]/[Qnum.add_int] that [Qnum.mul]/[Qnum.add] reduce to on
+   integers, so it raises [Overflow] at the same operation.  Whatever
+   needs a rational - a fractional coefficient, a negative exponent, a
+   negative [Pow2] exponent, an [Opaque_div] - is evaluated on the exact
+   path, in the same order, and the native path continues only if the
+   result is an integer; otherwise it raises [Rational] and the term,
+   then the whole expression, is re-evaluated exactly.  Evaluation is
+   pure, so re-evaluating from the start repeats the exact path's steps
+   up to the same point: every value and every exception is the exact
+   path's. *)
+
+exception Unbound of string
+
+type binding = Slot of int | Fixed of int | Free
+
+(* The native path's signal that a value needs a rational.  Never
+   escapes [compile]. *)
+exception Rational
+
+(* A closure built on first use.  Two domains forcing it at once both
+   build it and one write wins; the closures are pure, so either will
+   do (a [Lazy.t] would raise instead). *)
+let on_demand build =
+  let cell = ref None in
+  fun () ->
+    match !cell with
+    | Some f -> f
+    | None ->
+        let f = build () in
+        cell := Some f;
+        f
+
+(* [var v] reads [v]'s value off a row.  [exact_*] compile the exact
+   path. *)
+let rec exact_node var (e : node) : int array -> Qnum.t =
+  match Array.of_list (List.map (exact_term var) e) with
+  | [||] -> fun _ -> Qnum.zero
+  | [| t |] -> t
+  | terms ->
+      fun row ->
+        let acc = ref (terms.(0) row) in
+        for i = 1 to Array.length terms - 1 do
+          let t = terms.(i) row in
+          acc := Qnum.add !acc t
+        done;
+        !acc
+
+and exact_term var ((m, c) : mono * Qnum.t) =
+  let factors = Array.of_list (List.map (fun (a, k) -> exact_power var a k) m) in
+  fun row ->
+    let acc = ref c in
+    for i = 0 to Array.length factors - 1 do
+      let x = factors.(i) row in
+      acc := Qnum.mul !acc x
+    done;
+    !acc
+
+and exact_power var a k =
+  let base = exact_atom var a in
+  (* [1 * base] is [base] and cannot overflow. *)
+  if k = 1 then base
+  else fun row ->
+    let b = base row in
+    let rec pow acc n = if n = 0 then acc else pow (Qnum.mul acc b) (n - 1) in
     if k >= 0 then pow Qnum.one k else Qnum.inv (pow Qnum.one (-k))
+
+and exact_atom var = function
+  | Var v -> var v
+  | Pow2 e ->
+      let x = exact_node var e.node in
+      fun row ->
+        let x = x row in
+        if not (Qnum.is_integer x) then raise (Non_integral "Pow2 exponent");
+        Qnum.pow2 (Qnum.to_int x)
+  | Floor_div (x, y) -> exact_quotient var x y (fun q -> Qnum.of_int (Qnum.floor q))
+  | Ceil_div (x, y) -> exact_quotient var x y (fun q -> Qnum.of_int (Qnum.ceil q))
+  | Opaque_div (x, y) -> exact_quotient var x y Fun.id
+
+and exact_quotient var x y f =
+  let x = exact_node var x.node and y = exact_node var y.node in
+  fun row ->
+    let d = y row in
+    let n = x row in
+    f (Qnum.div n d)
+
+(* An exact closure, built on first use, whose value the native path
+   continues with if it is an integer. *)
+let via_exact build =
+  let exact = on_demand build in
+  fun row ->
+    let q = exact () row in
+    if Qnum.is_integer q then Qnum.to_int q else raise Rational
+
+(* [floor n d] and [ceil n d] as the exact path computes them.  Away
+   from [min_int] the exact path's quotient is the true one, as is the
+   native quotient; at [min_int] the exact path's own arithmetic
+   answers. *)
+let floor_int n d =
+  if d = 0 then raise Qnum.Division_by_zero
+  else if n = min_int || d = min_int then Qnum.floor (Qnum.div (Qnum.of_int n) (Qnum.of_int d))
+  else
+    let q = n / d in
+    if q * d = n || (n < 0) = (d < 0) then q else q - 1
+
+let ceil_int n d =
+  if d = 0 then raise Qnum.Division_by_zero
+  else if n = min_int || d = min_int then Qnum.ceil (Qnum.div (Qnum.of_int n) (Qnum.of_int d))
+  else
+    let q = n / d in
+    if q * d = n || (n < 0) <> (d < 0) then q else q + 1
+
+(* The native path: [nat v] reads [v] as an int, [var v] as a rational
+   for the exact fallbacks, which are built on first use. *)
+let rec native_node nat var (e : node) : int array -> int =
+  match Array.of_list (List.map (native_term nat var) e) with
+  | [||] -> fun _ -> 0
+  | [| t |] -> t
+  | terms ->
+      fun row ->
+        let acc = ref (terms.(0) row) in
+        for i = 1 to Array.length terms - 1 do
+          let t = terms.(i) row in
+          acc := Qnum.add_int !acc t
+        done;
+        !acc
+
+and native_term nat var ((m, c) as term) =
+  let fallback = via_exact (fun () -> exact_term var term) in
+  if not (Qnum.is_integer c) then fallback
+  else
+    let c = Qnum.to_int c in
+    let factors = Array.of_list (List.map (fun (a, k) -> native_power nat var a k) m) in
+    fun row ->
+      try
+        let acc = ref c in
+        for i = 0 to Array.length factors - 1 do
+          let x = factors.(i) row in
+          acc := Qnum.mul_int !acc x
+        done;
+        !acc
+      with Rational -> fallback row
+
+and native_power nat var a k =
+  if k < 0 then via_exact (fun () -> exact_power var a k)
+  else
+    let base = native_atom nat var a in
+    if k = 1 then base
+    else fun row ->
+      let b = base row in
+      let rec pow acc n = if n = 0 then acc else pow (Qnum.mul_int acc b) (n - 1) in
+      pow 1 k
+
+and native_atom nat var = function
+  | Var v -> nat v
+  | Pow2 e ->
+      let x = native_node nat var e.node in
+      fun row ->
+        let x = x row in
+        if x > 61 then raise Qnum.Overflow else if x < 0 then raise Rational else 1 lsl x
+  | Floor_div (x, y) -> native_quotient nat var x y floor_int
+  | Ceil_div (x, y) -> native_quotient nat var x y ceil_int
+  | Opaque_div _ as a -> via_exact (fun () -> exact_atom var a)
+
+and native_quotient nat var x y f =
+  let x = native_node nat var x.node and y = native_node nat var y.node in
+  fun row ->
+    let d = y row in
+    let n = x row in
+    f n d
+
+let readers slot =
+  let nat v =
+    match slot v with
+    | Slot j -> fun row -> row.(j)
+    | Fixed n -> fun _ -> n
+    | Free -> fun _ -> raise (Unbound v)
   in
-  eval_n e.node
+  (nat, fun v -> let r = nat v in fun row -> Qnum.of_int (r row))
+
+let non_integral v = Non_integral (Format.asprintf "value %a" Qnum.pp v)
+
+(* The native closure, and the exact one on demand. *)
+let paths slot (e : t) =
+  let nat, var = readers slot in
+  (native_node nat var e.node, on_demand (fun () -> exact_node var e.node))
+
+let compile slot e =
+  let native, exact = paths slot e in
+  fun row -> match native row with x -> Qnum.of_int x | exception Rational -> exact () row
+
+let compile_int slot e =
+  let native, exact = paths slot e in
+  fun row ->
+    match native row with
+    | x -> x
+    | exception Rational ->
+        let v = exact () row in
+        if Qnum.is_integer v then Qnum.to_int v else raise (non_integral v)
+
+let eval lookup (e : t) = exact_node (fun v _ -> lookup v) e.node [||]
 
 let eval_int lookup e =
   let v = eval lookup e in
-  if Qnum.is_integer v then Qnum.to_int v
-  else raise (Non_integral (Format.asprintf "value %a" Qnum.pp v))
+  if Qnum.is_integer v then Qnum.to_int v else raise (non_integral v)
 
 let rec pp ppf e = pp_node ppf e.node
 

@@ -122,9 +122,35 @@ exception Non_integral of string
 (** Raised when an integer is required (a [Pow2] exponent or a final
     [eval_int]) but the value is fractional. *)
 
+exception Unbound of string
+(** Raised by a compiled closure that evaluates a {!Free} variable,
+    carrying its name ([Env.Unbound] is the same exception). *)
+
+(** Where a compiled closure reads a variable. *)
+type binding =
+  | Slot of int  (** from this index of the row *)
+  | Fixed of int  (** this value, whatever the row *)
+  | Free  (** nowhere: evaluating it raises {!Unbound} *)
+
+val compile : (string -> binding) -> t -> int array -> Qnum.t
+(** [compile slot e] resolves each variable of [e] through [slot] once
+    and returns [e]'s evaluator on a row.  It runs in native ints while
+    the value stays integral (checked with {!Qnum.mul_int} and
+    {!Qnum.add_int}), and falls back to exact rationals for the
+    evaluation of any term that needs one.  Its value and every
+    exception it raises are {!eval}'s: the same order of operations,
+    [Qnum.Overflow] at the same operation, {!Unbound} only when the
+    variable is evaluated.  The closure keeps no per-call state, so
+    several domains may run it at once. *)
+
+val compile_int : (string -> binding) -> t -> int array -> int
+(** {!compile} then {!eval_int}'s integrality check. *)
+
 val eval : (string -> Qnum.t) -> t -> Qnum.t
-(** @raise Non_integral if a [Pow2] exponent evaluates to a non-integer.
-    @raise Not_found if a variable is unbound. *)
+(** The exact path of {!compile}, applied once; [lookup] is asked for a
+    variable each time one is evaluated.
+    @raise Non_integral if a [Pow2] exponent evaluates to a non-integer.
+    Whatever [lookup] raises propagates. *)
 
 val eval_int : (string -> Qnum.t) -> t -> int
 (** @raise Non_integral if the result is fractional. *)

@@ -73,15 +73,6 @@ let row b i =
   done;
   b.rows.(i)
 
-(* A row's value for [v]: the last binding wins, as in an [Env.t]. *)
-let find names row v =
-  let rec go j =
-    if j < 0 then raise (Env.Unbound v)
-    else if String.equal names.(j) v then row.(j)
-    else go (j - 1)
-  in
-  go (Array.length names - 1)
-
 let env_of b row =
   Env.ephemeral (Env.of_list (List.combine (Array.to_list b.names) (Array.to_list row)))
 
@@ -102,72 +93,129 @@ let memoized tag asm a b compute =
 
 let forall_count = Metrics.counter "probe.forall"
 
-(* Run [f] on the bank's first [!samples] rows; [true] if it holds on
-   every one, [false] if it fails somewhere or some draw or evaluation
-   raised an evaluation error.  Every row is visited until the first
-   exception, as a loop over fresh draws would, so an exception this
-   does not catch ([Qnum.Overflow]) escapes at the same sample. *)
-let forall_rows asm f =
-  Metrics.incr forall_count;
+(* Build [test] once for [asm]'s bank, then run it on the bank's first
+   [!samples] rows; [true] if it holds on every one, [false] if it
+   fails somewhere or some draw or evaluation raised an evaluation
+   error.  Every row is visited until the first exception, as a loop
+   over fresh draws would, so an exception this does not catch
+   ([Qnum.Overflow]) escapes at the same sample. *)
+let over_bank asm test =
   let b = bank asm in
+  let test = test b in
   let ok = ref true in
   (try
      for i = 0 to !samples - 1 do
-       if not (f b (row b i)) then ok := false
+       if not (test (row b i)) then ok := false
      done
    with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero ->
      ok := false);
   !ok
 
-(* The expression predicates evaluate straight off a row: [f] receives
-   the row's evaluator, and no [Env.t] is built. *)
-let forall asm f = forall_rows asm (fun b r -> f (Env.eval_with (find b.names r)))
+let rows asm test = over_bank asm (fun b -> test b.names)
+
+(* The predicates compile their operands once per query and evaluate
+   them straight off each row: no [Env.t] is built. *)
+let forall asm test =
+  Metrics.incr forall_count;
+  over_bank asm (fun b -> test (Env.compile b.names))
 
 let equal asm a b =
   Expr.equal a b
-  || memoized 0 asm a b (fun () -> forall asm (fun ev -> Qnum.equal (ev a) (ev b)))
+  || memoized 0 asm a b (fun () ->
+         forall asm (fun compile ->
+             let a = compile a and b = compile b in
+             fun r -> Qnum.equal (a r) (b r)))
 
-let is_zero asm e = Expr.is_zero e || forall asm (fun ev -> Qnum.is_zero (ev e))
+let is_zero asm e =
+  Expr.is_zero e
+  || forall asm (fun compile ->
+         let e = compile e in
+         fun r -> Qnum.is_zero (e r))
 
 (* The signs seen so far, as a 3-bit mask: bit [s + 1] for sign [s]. *)
 let sign asm e =
   let seen = ref 0 in
   let ok =
-    forall asm (fun ev ->
-        seen := !seen lor (1 lsl (Qnum.sign (ev e) + 1));
-        true)
+    forall asm (fun compile ->
+        let e = compile e in
+        fun r ->
+          seen := !seen lor (1 lsl (Qnum.sign (e r) + 1));
+          true)
   in
   if not ok then None
   else match !seen with 1 -> Some (-1) | 2 -> Some 0 | 4 -> Some 1 | _ -> None
 
 let nonneg asm e =
-  memoized 1 asm e Expr.zero (fun () -> forall asm (fun ev -> Qnum.sign (ev e) >= 0))
+  memoized 1 asm e Expr.zero (fun () ->
+      forall asm (fun compile ->
+          let e = compile e in
+          fun r -> Qnum.sign (e r) >= 0))
+
 let le asm a b = nonneg asm (Expr.sub b a)
-let lt asm a b = forall asm (fun ev -> Qnum.compare (ev a) (ev b) < 0)
+
+let lt asm a b =
+  forall asm (fun compile ->
+      let a = compile a and b = compile b in
+      fun r -> Qnum.compare (a r) (b r) < 0)
+
 let integral asm e =
-  memoized 3 asm e Expr.zero (fun () -> forall asm (fun ev -> Qnum.is_integer (ev e)))
+  memoized 3 asm e Expr.zero (fun () ->
+      forall asm (fun compile ->
+          let e = compile e in
+          fun r -> Qnum.is_integer (e r)))
 
 let divides asm d e =
   memoized 2 asm d e (fun () ->
-      forall asm (fun ev ->
-          let dv = ev d in
-          (not (Qnum.is_zero dv)) && Qnum.is_integer (Qnum.div (ev e) dv)))
+      forall asm (fun compile ->
+          let d = compile d and e = compile e in
+          fun r ->
+            let dv = d r in
+            (not (Qnum.is_zero dv)) && Qnum.is_integer (Qnum.div (e r) dv)))
+
+(* [Assume.range_in_env] on a row of [b]: [v]'s concrete range once the
+   variables before it are fixed, its bounds counted as evaluations. *)
+let range_in_row b v =
+  match Assume.domain_of b.asm v with
+  | None -> fun _ -> None
+  | Some (Assume.Int_range (lo, hi)) -> fun _ -> Some (lo, hi)
+  | Some (Assume.Pow2_of w) -> (
+      match Env.slot b.names w with
+      | Expr.Slot j ->
+          fun r ->
+            let e = 1 lsl r.(j) in
+            Some (e, e)
+      | _ -> fun _ -> raise (Env.Unbound w))
+  | Some (Assume.Expr_range (lo, hi)) ->
+      let lo = Env.compile_int b.names lo and hi = Env.compile_int b.names hi in
+      fun r ->
+        let hi = hi r in
+        let lo = lo r in
+        Some (lo, hi)
+
+let along asm v e test =
+  over_bank asm (fun b ->
+      let range = range_in_row b v and f = Expr.compile (Env.slot b.names) e in
+      (* [e] at [v = x], every other variable read off the row.  [v] has
+         a slot whenever it has a range: the names are [asm]'s. *)
+      let at =
+        match Env.slot b.names v with
+        | Expr.Slot j ->
+            let swept = Array.make (Array.length b.names) 0 in
+            fun r x ->
+              Array.blit r 0 swept 0 (Array.length r);
+              swept.(j) <- x;
+              f swept
+        | _ -> fun r _ -> f r
+      in
+      fun r -> match range r with None -> false | Some (lo, hi) -> test lo hi (at r))
 
 let constant_in asm v e =
   if not (Expr.mem_var v e) then true
-  else
-    forall_rows asm (fun b r ->
-        let env = env_of b r in
-        match Assume.range_in_env asm env v with
-        | None -> false
-        | Some (lo, hi) ->
-            let value_at x = Expr.eval (fun w ->
-                if String.equal w v then Qnum.of_int x else Env.lookup env w) e
-            in
-            let reference = value_at lo in
-            let steps = min 4 (hi - lo) in
-            let rec check k =
-              k > steps
-              || (Qnum.equal (value_at (lo + k)) reference && check (k + 1))
-            in
-            check 1)
+  else begin
+    Metrics.incr forall_count;
+    along asm v e (fun lo hi at ->
+        let reference = at lo in
+        let steps = min 4 (hi - lo) in
+        let rec check k = k > steps || (Qnum.equal (at (lo + k)) reference && check (k + 1)) in
+        check 1)
+  end

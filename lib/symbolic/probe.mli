@@ -53,3 +53,22 @@ val divides : Assume.t -> Expr.t -> Expr.t -> bool
 val constant_in : Assume.t -> string -> Expr.t -> bool
 (** Whether the value is independent of variable [v]: evaluates the
     expression at multiple values of [v] with everything else fixed. *)
+
+(** {1 Row loops}
+
+    The loops behind the predicates, for {!Range}: neither counts in
+    [probe.forall].  Each builds its per-row test once, then runs it on
+    the first [!samples] rows of the assumption set's bank, answering
+    [false] if the test fails on some row or an evaluation error is
+    raised, as the predicates do. *)
+
+val rows : Assume.t -> (string array -> int array -> bool) -> bool
+(** [rows asm test]: [test names] is the per-row test, where a row's
+    slot [j] binds [names.(j)] (evaluate with {!Env.compile}). *)
+
+val along : Assume.t -> string -> Expr.t -> (int -> int -> (int -> Qnum.t) -> bool) -> bool
+(** [along asm v e test]: on each row, [test lo hi at] with [v]'s
+    concrete range [lo..hi] on that row (as {!Assume.range_in_env}
+    gives it) and [at x] the value of [e] at [v = x], every other
+    variable read off the row.  A row where [v] has no range fails.
+    Only the range's bounds count in [env.eval_uncached]. *)

@@ -3,26 +3,33 @@ type t = { num : int; den : int }
 exception Overflow
 exception Division_by_zero
 
-(* Multiplication guard: detect overflow of [a * b] on 63-bit ints. *)
+(* Multiplication guard: detect overflow of [a * b] on 63-bit ints.  A
+   wrapped product fails [p / b = a] except for [min_int * -1], whose
+   wrap [min_int] divides back to [min_int]. *)
 let mul_int a b =
   if a = 0 || b = 0 then 0
   else
     let p = a * b in
-    if p / b <> a then raise Overflow else p
+    if p / b <> a || (b = -1 && a = min_int) then raise Overflow else p
 
 let add_int a b =
   let s = a + b in
   (* Overflow iff operands share a sign and the sum flips it. *)
   if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+(* [-a], except that [-min_int] does not exist. *)
+let neg_int a = if a = min_int then raise Overflow else -a
+
+(* Non-negative whenever the gcd is below 2^62, even with a [min_int]
+   argument ([a mod b] keeps [a]'s sign; only [Stdlib.abs min_int] is
+   negative). *)
+let rec gcd a b = if b = 0 then Stdlib.abs a else gcd b (a mod b)
 
 let make num den =
   if den = 0 then raise Division_by_zero
   else if num = 0 then { num = 0; den = 1 }
   else
-    let s = if den < 0 then -1 else 1 in
-    let num = s * num and den = s * den in
+    let num, den = if den < 0 then (neg_int num, neg_int den) else (num, den) in
     let g = gcd (Stdlib.abs num) den in
     { num = num / g; den = den / g }
 
@@ -35,7 +42,7 @@ let add a b =
   if a.den = b.den then make (add_int a.num b.num) a.den
   else make (add_int (mul_int a.num b.den) (mul_int b.num a.den)) (mul_int a.den b.den)
 
-let neg a = { a with num = -a.num }
+let neg a = { a with num = neg_int a.num }
 let sub a b = add a (neg b)
 
 let mul a b =
@@ -46,7 +53,7 @@ let mul a b =
 
 let inv a = if a.num = 0 then raise Division_by_zero else make a.den a.num
 let div a b = mul a (inv b)
-let abs a = { a with num = Stdlib.abs a.num }
+let abs a = if a.num < 0 then neg a else a
 let equal a b = a.num = b.num && a.den = b.den
 
 let compare a b =
@@ -82,11 +89,18 @@ let to_int a =
   if a.den = 1 then a.num
   else invalid_arg (Printf.sprintf "Qnum.to_int: %d/%d" a.num a.den)
 
+(* Division truncates toward zero, and a reduced [den > 1] never divides
+   [num]: no intermediate can wrap, even at [min_int]. *)
 let floor a =
-  if a.num >= 0 then a.num / a.den
-  else -(((-a.num) + a.den - 1) / a.den)
+  if a.den = 1 then a.num
+  else if a.num < 0 then (a.num / a.den) - 1
+  else a.num / a.den
 
-let ceil a = -floor (neg a)
+let ceil a =
+  if a.den = 1 then a.num
+  else if a.num > 0 then (a.num / a.den) + 1
+  else a.num / a.den
+
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 

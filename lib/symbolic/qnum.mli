@@ -4,8 +4,8 @@
     such as [P * 2^(-L)] produce rational coefficients during
     normalization even though every final quantity of interest is an
     integer.  Magnitudes stay far below 2{^62} for every workload in the
-    repo; overflow in the numerator/denominator products raises
-    [Overflow] rather than wrapping silently. *)
+    repo; overflow in the numerator/denominator products, and negation
+    of [min_int], raise [Overflow] rather than wrapping silently. *)
 
 type t = private { num : int; den : int }
 (** Invariant: [den > 0], [gcd num den = 1] (and [den = 1] when
@@ -16,7 +16,14 @@ exception Division_by_zero
 
 val make : int -> int -> t
 (** [make num den] is the normalized rational [num/den].
-    @raise Division_by_zero if [den = 0]. *)
+    @raise Division_by_zero if [den = 0].
+    @raise Overflow if [den < 0] and [num] or [den] is [min_int]. *)
+
+val mul_int : int -> int -> int
+val add_int : int -> int -> int
+(** The checked native products and sums every operation here is built
+    on: the exact [a * b] and [a + b], or [Overflow].  On integers,
+    {!mul} and {!add} raise exactly when these do. *)
 
 val of_int : int -> t
 val zero : t
@@ -28,7 +35,11 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
+(** @raise Overflow on [min_int]. *)
+
 val abs : t -> t
+(** @raise Overflow on [min_int]. *)
+
 val inv : t -> t
 
 val equal : t -> t -> bool

@@ -4,16 +4,10 @@ let monotonicity asm v e =
   if not (Expr.mem_var v e) then `Const
   else
     let inc = ref true and dec = ref true in
-    let check env =
-      match Assume.range_in_env asm env v with
-      | None -> false
-      | Some (lo, hi) when hi <= lo -> true
-      | Some (lo, hi) ->
-          let at x =
-            Expr.eval
-              (fun w -> if String.equal w v then Qnum.of_int x else Env.lookup env w)
-              e
-          in
+    let ok =
+      Probe.along asm v e (fun lo hi at ->
+          hi <= lo
+          ||
           let steps = min 4 (hi - lo) in
           let rec walk k prev =
             if k > steps then true
@@ -23,16 +17,9 @@ let monotonicity asm v e =
               if c > 0 then dec := false else if c < 0 then inc := false;
               walk (k + 1) cur
           in
-          walk 1 (at lo)
+          walk 1 (at lo))
     in
-    let ok = ref true in
-    (try
-       for i = 0 to !Probe.samples - 1 do
-         if not (check (Probe.sample asm i)) then ok := false
-       done
-     with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero
-     -> ok := false);
-    if not !ok then `Mixed
+    if not ok then `Mixed
     else
       match (!inc, !dec) with
       | true, true -> `Const
@@ -98,15 +85,12 @@ let eliminate_raw asm dir ~over e =
   | None -> None
   | Some bound ->
       let cmp a b = match dir with Max -> Qnum.compare a b >= 0 | Min -> Qnum.compare a b <= 0 in
-      let ok = ref true in
-      (try
-         for i = 0 to !Probe.samples - 1 do
-           let env = Probe.sample asm i in
-           if not (cmp (Env.eval_q env bound) (Env.eval_q env e)) then ok := false
-         done
-       with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero
-       -> ok := false);
-      if !ok then Some bound else None
+      let valid =
+        Probe.rows asm (fun names ->
+            let bound = Env.compile names bound and e = Env.compile names e in
+            fun r -> cmp (bound r) (e r))
+      in
+      if valid then Some bound else None
 
 let eliminate asm dir ~over e =
   let key =

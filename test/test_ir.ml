@@ -185,6 +185,143 @@ let test_enumerate_iteration () =
   Alcotest.(check (list int)) "iter 1 footprint" [ 8; 9; 10; 11 ] addrs1
 
 (* ------------------------------------------------------------------ *)
+(* Enumerator parity on non-affine phases.  [reference_iter] is
+   [Enumerate.iter] with the closure [Enumerate.compile] ran for every
+   non-affine bound and subscript before expressions were compiled:
+   the parameters substituted as [compile] substitutes them, then
+   [Expr.eval_int] with each loop variable looked up by name in the
+   scope.  The event streams and the first exceptions must match. *)
+
+let reference_iter (prog : Types.program) env (ph : Types.phase) ~f =
+  let ph = Normalize.phase ph in
+  let expr scope e =
+    let e =
+      try
+        Expr.subst_env
+          (List.filter_map
+             (fun v ->
+               if List.mem_assoc v scope then None else Some (v, Expr.int (Env.find env v)))
+             (Expr.vars e))
+          e
+      with _ -> e
+    in
+    fun slots ->
+      Expr.eval_int
+        (fun v ->
+          match List.assoc_opt v scope with
+          | Some s -> Qnum.of_int slots.(s)
+          | None -> Env.lookup env v)
+        e
+  in
+  (* column-major; the trailing extent never multiplies *)
+  let site scope (r : Types.array_ref) =
+    let dims = (Types.array_decl prog r.array).dims in
+    let dims = List.map (Env.eval env) (List.rev (List.tl (List.rev dims))) in
+    let idx = List.map (expr scope) r.index in
+    let rec flat idx dims slots =
+      match (idx, dims) with
+      | [ i ], [] -> i slots
+      | i :: idx, d :: dims ->
+          let a = i slots in
+          Stdlib.(a + (d * flat idx dims slots))
+      | _ -> invalid_arg "rank mismatch"
+    in
+    (r, flat idx dims)
+  in
+  let slots = Array.make 8 0 in
+  let rec stmt scope = function
+    | Types.Assign a ->
+        let refs = List.map (site scope) a.refs in
+        fun par ->
+          List.iteri
+            (fun k ((r : Types.array_ref), addr) ->
+              f ~par ~array:r.array ~addr:(addr slots) r.access
+                ~work:(if k = 0 then a.work else 0))
+            refs
+    | Types.Loop l ->
+        let lo = expr scope l.lo and hi = expr scope l.hi in
+        let slot = List.length scope in
+        let body = List.map (stmt ((l.var, slot) :: scope)) l.body in
+        fun par ->
+          let lo = lo slots and hi = hi slots in
+          for v = lo to hi do
+            slots.(slot) <- v;
+            let par = if l.parallel then Some v else par in
+            List.iter (fun b -> b par) body
+          done
+  in
+  stmt [] (Types.Loop ph.nest) None
+
+let event_stream iter =
+  let events = ref [] in
+  let raised =
+    match
+      iter ~f:(fun ~par ~array ~addr access ~work ->
+          events := (par, array, addr, access, work) :: !events)
+    with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  (List.rev !events, raised)
+
+let check_parity label prog env =
+  List.iter
+    (fun (ph : Types.phase) ->
+      let got = event_stream (Enumerate.iter prog env ph)
+      and want = event_stream (reference_iter prog env ph) in
+      let name = Printf.sprintf "%s %s" label ph.phase_name in
+      Alcotest.(check int) (name ^ " events") (List.length (fst want)) (List.length (fst got));
+      Alcotest.(check bool) (name ^ " stream") true (fst want = fst got);
+      Alcotest.(check (option string)) (name ^ " first exception") (snd want) (snd got))
+    prog.Types.phases
+
+let test_enumerate_parity_tfft2 () =
+  let e = Codes.Registry.find "tfft2" in
+  List.iter
+    (fun size -> check_parity (Printf.sprintf "tfft2@%d" size) e.program (e.env_of_size size))
+    [ 3; 4; 5; 6 ]
+
+(* A generated program with its subscripts passed through floor and
+   ceiling divisions.  In [zero] each subscript also divides by the
+   innermost loop variable minus its second value, so a walk that
+   reaches that iteration raises [Division_by_zero] part way through. *)
+let with_quotients ~zero (prog : Types.program) =
+  let rec stmt inner = function
+    | Types.Assign a ->
+        let index (r : Types.array_ref) =
+          List.mapi
+            (fun k s ->
+              let s =
+                match (k mod 2, inner) with
+                | 0, _ -> Expr.(floor_div (add (mul (int 3) s) one) (int 2))
+                | _, Some (l : Types.loop) -> Expr.(ceil_div (mul s s) (add (var l.var) one))
+                | _, None -> Expr.ceil_div s (i 3)
+              in
+              match inner with
+              | Some l when zero -> Expr.(add s (floor_div (int 5) (sub (var l.var) (add l.lo l.step))))
+              | _ -> s)
+            r.index
+        in
+        Types.Assign { a with refs = List.map (fun r -> { r with Types.index = index r }) a.refs }
+    | Types.Loop l -> Types.Loop (loop l)
+  and loop (l : Types.loop) = { l with body = List.map (stmt (Some l)) l.body } in
+  {
+    prog with
+    phases = List.map (fun (ph : Types.phase) -> { ph with nest = loop ph.nest }) prog.phases;
+  }
+
+let test_enumerate_parity_quotients () =
+  let prog = Fuzz.Gen.program Fuzz.Gen.default ~seed:2026 ~index:3 in
+  let env = Fuzz.Gen.midpoint_env prog in
+  check_parity "fuzz#3 floor/ceil" (with_quotients ~zero:false prog) env;
+  let zero = with_quotients ~zero:true prog in
+  check_parity "fuzz#3 zero divisor" zero env;
+  Alcotest.(check bool) "some walk raises Division_by_zero" true
+    (List.exists
+       (fun ph -> snd (event_stream (Enumerate.iter zero env ph)) <> None)
+       zero.phases)
+
+(* ------------------------------------------------------------------ *)
 (* Liveness / privatizability *)
 
 (* Two phases over a work array W: F1 writes then reads W per iteration
@@ -568,6 +705,8 @@ let () =
         [
           Alcotest.test_case "tfft2 oracle" `Quick test_enumerate_tfft2;
           Alcotest.test_case "per-iteration" `Quick test_enumerate_iteration;
+          Alcotest.test_case "tfft2 parity" `Quick test_enumerate_parity_tfft2;
+          Alcotest.test_case "floor/ceil parity" `Quick test_enumerate_parity_quotients;
         ] );
       ( "autopar",
         [

@@ -58,6 +58,35 @@ let test_qnum_boundaries () =
     (Qnum.of_int (1 lsl 61))
     (Qnum.mul (Qnum.of_int (1 lsl 30)) (Qnum.of_int (1 lsl 31)))
 
+(* At [min_int] the 63-bit representation has no negation: every
+   operation that would need one raises [Overflow] instead of wrapping
+   back to [min_int]. *)
+let test_qnum_min_int () =
+  let open Stdlib in
+  let overflows name f = Alcotest.check_raises name Qnum.Overflow (fun () -> ignore (f ())) in
+  overflows "mul_int min_int (-1)" (fun () -> Qnum.mul_int min_int (-1));
+  overflows "mul_int (-1) min_int" (fun () -> Qnum.mul_int (-1) min_int);
+  overflows "mul min_int (-1)" (fun () -> Qnum.mul (Qnum.of_int min_int) Qnum.minus_one);
+  overflows "neg min_int" (fun () -> Qnum.neg (Qnum.of_int min_int));
+  overflows "abs min_int" (fun () -> Qnum.abs (Qnum.of_int min_int));
+  overflows "make min_int (-1)" (fun () -> Qnum.make min_int (-1));
+  overflows "make 1 min_int" (fun () -> Qnum.make 1 min_int);
+  overflows "inv min_int" (fun () -> Qnum.inv (Qnum.of_int min_int));
+  Alcotest.(check int) "mul_int min_int 1" min_int (Qnum.mul_int min_int 1);
+  Alcotest.(check int) "mul_int 2^61 (-2)" min_int (Qnum.mul_int (1 lsl 61) (-2));
+  Alcotest.(check int) "add_int min_int 0" min_int (Qnum.add_int min_int 0);
+  overflows "add_int min_int (-1)" (fun () -> Qnum.add_int min_int (-1));
+  Alcotest.(check qnum) "abs (min_int + 1)" (Qnum.of_int max_int) (Qnum.abs (Qnum.of_int (min_int + 1)));
+  (* reduction by a gcd is never negative, so the denominator stays so *)
+  let q = Qnum.make min_int 3 in
+  Alcotest.(check (pair int int)) "min_int/3 reduced" (min_int, 3) (q.num, q.den);
+  (* floor and ceil never form [-num + den - 1] *)
+  Alcotest.(check int) "floor (-max_int/2)" (-(1 lsl 61)) (Qnum.floor (Qnum.make (-max_int) 2));
+  Alcotest.(check int) "ceil (max_int/2)" (1 lsl 61) (Qnum.ceil (Qnum.make max_int 2));
+  Alcotest.(check int) "floor (min_int/3)" (-1537228672809129302) (Qnum.floor q);
+  Alcotest.(check int) "ceil (min_int/3)" (-1537228672809129301) (Qnum.ceil q);
+  Alcotest.(check int) "ceil min_int" min_int (Qnum.ceil (Qnum.of_int min_int))
+
 (* Regression: [compare] used to raise [Overflow] on rationals whose
    cross products exceed Stdlib.max_int.  It now cross-reduces by gcd (exact
    when that fits) and otherwise falls back to sign / floating-point
@@ -433,6 +462,86 @@ let prop_qnum_floor_ceil =
       && Qnum.is_integer q = (f = c))
 
 (* ------------------------------------------------------------------ *)
+(* Compiled evaluation: [Expr.compile] runs native ints where it can and
+   falls back to rationals where it must; either way its value, or the
+   exception it raises, must be [Expr.eval]'s.  The generator aims at
+   the fallbacks and at the order of operations: rational coefficients,
+   [Pow2] exponents below 0 and above 61, divisions whose divisor can
+   be zero, constants near +-2^61, unbound names ([z], [w]) and a
+   repeated one ([a], whose last slot wins). *)
+
+module Compile_check = struct
+  open Stdlib
+
+  let names = [| "a"; "b"; "a"; "c" |]
+  let big = [ 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1; (1 lsl 61) + 1; max_int; min_int; min_int + 1 ]
+
+  (* a constructor that overflows or divides by a constant zero keeps
+     its first operand *)
+  let guard f a b = match f a b with e -> e | exception (Qnum.Overflow | Qnum.Division_by_zero) -> a
+
+  let gen_expr =
+    let open QCheck.Gen in
+    let leaf =
+      frequency
+        [
+          (4, map Expr.int (int_range (-3) 4));
+          (1, map Expr.int (oneofl big));
+          (2, map2 (fun n d -> Expr.q (Qnum.make n d)) (int_range (-5) 5) (int_range 2 4));
+          (6, map Expr.var (oneofl [ "a"; "b"; "c"; "p" ]));
+          (1, map Expr.var (oneofl [ "z"; "w" ]));
+        ]
+    in
+    let rec go n =
+      if n = 0 then leaf
+      else
+        let sub = go (n - 1) in
+        frequency
+          [
+            (3, leaf);
+            (2, map2 (guard Expr.add) sub sub);
+            (2, map2 (guard Expr.mul) sub sub);
+            (1, map2 (guard Expr.sub) sub sub);
+            (1, map2 (guard Expr.div) sub sub);
+            (2, map2 (guard Expr.floor_div) sub sub);
+            (2, map2 (guard Expr.ceil_div) sub sub);
+            (1, map (fun e -> match Expr.pow2 e with e -> e | exception Qnum.Overflow -> e) sub);
+          ]
+    in
+    go 3
+
+  let gen_value =
+    QCheck.Gen.(
+      frequency
+        [ (6, int_range (-3) 4); (2, oneofl big); (1, int_range 58 70); (1, int_range (-70) (-58)) ])
+
+  (* a row for [names], plus the value of [p], which compiles as [Fixed] *)
+  let gen_case =
+    QCheck.Gen.(triple gen_expr (array_repeat (Array.length names) gen_value) gen_value)
+
+  let outcome f = match f () with q -> Ok (Qnum.to_string q) | exception e -> Error (Printexc.to_string e)
+
+  let agrees (e, row, p) =
+    let lookup v =
+      if v = "p" then Qnum.of_int p
+      else
+        match Env.slot names v with
+        | Expr.Slot j -> Qnum.of_int row.(j)
+        | _ -> raise (Env.Unbound v)
+    in
+    let slot v = if v = "p" then Expr.Fixed p else Env.slot names v in
+    outcome (fun () -> Expr.compile slot e row) = outcome (fun () -> Expr.eval lookup e)
+
+  let print (e, row, p) =
+    Printf.sprintf "%s\nrow [%s], p = %d" (Expr.to_string e)
+      (String.concat "; " (Array.to_list (Array.map string_of_int row))) p
+
+  let prop =
+    QCheck.Test.make ~name:"compiled evaluation equals eval" ~count:3000
+      (QCheck.make gen_case ~print) agrees
+end
+
+(* ------------------------------------------------------------------ *)
 (* Sample bank: every probe answer equals the one a fresh fork of the
    base state gives, which is how each query drew its samples before
    the bank existed.  [fresh] keeps that per-query sampling as the
@@ -629,15 +738,21 @@ module Bank_check = struct
   (* Expressions over [scope], now and then over [z], which no set
      declares (Env.Unbound); division by a variable (Division_by_zero),
      halving (Non_integral) and powers of two of values up to 70
-     (Overflow). *)
-  (* a constant zero divisor is refused when the expression is built *)
-  let quotient f a d = match f a d with e -> e | exception Qnum.Division_by_zero -> a
+     (Overflow).  With [big] > 0, constants near +-2^61 too, so sums
+     and products overflow and the compiled evaluators fall back.  A
+     constructor that overflows, or divides by a constant zero, keeps
+     its first operand. *)
+  let guard = Compile_check.guard
 
-  let gen_expr ~unbound scope =
+  let gen_expr ?(big = 0) ~unbound scope =
     let open QCheck.Gen in
     let var = if scope = [] then [] else [ (8, map Expr.var (oneofl scope)) ] in
     let leaf =
-      frequency ((6, map Expr.int (int_range (-3) 4)) :: (unbound, return (Expr.var "z")) :: var)
+      frequency
+        ((6, map Expr.int (int_range (-3) 4))
+        :: (big, map Expr.int (oneofl Compile_check.big))
+        :: (unbound, return (Expr.var "z"))
+        :: var)
     in
     let rec go n =
       if n = 0 then leaf
@@ -645,12 +760,13 @@ module Bank_check = struct
         frequency
           [
             (3, leaf);
-            (2, map2 Expr.add (go (n - 1)) (go (n - 1)));
-            (2, map2 Expr.mul (go (n - 1)) (go (n - 1)));
-            (1, map2 Expr.sub (go (n - 1)) (go (n - 1)));
-            (1, map2 (quotient Expr.div) (go (n - 1)) (go (n - 1)));
-            (1, map2 (quotient Expr.floor_div) (go (n - 1)) (go (n - 1)));
-            (1, map Expr.pow2 (go (n - 1)));
+            (2, map2 (guard Expr.add) (go (n - 1)) (go (n - 1)));
+            (2, map2 (guard Expr.mul) (go (n - 1)) (go (n - 1)));
+            (1, map2 (guard Expr.sub) (go (n - 1)) (go (n - 1)));
+            (1, map2 (guard Expr.div) (go (n - 1)) (go (n - 1)));
+            (1, map2 (guard Expr.floor_div) (go (n - 1)) (go (n - 1)));
+            (1, map2 (guard Expr.ceil_div) (go (n - 1)) (go (n - 1)));
+            (1, map (fun e -> guard (fun e _ -> Expr.pow2 e) e e) (go (n - 1)));
           ]
     in
     go 2
@@ -671,7 +787,7 @@ module Bank_check = struct
         (3, map2 (fun lo hi -> Assume.Expr_range (lo, hi)) bound bound);
         ( 1,
           map2
-            (fun x y -> Assume.Expr_range (Expr.zero, quotient Expr.div (Expr.var x) (Expr.var y)))
+            (fun x y -> Assume.Expr_range (Expr.zero, guard Expr.div (Expr.var x) (Expr.var y)))
             (oneofl earlier) (oneofl earlier) );
       ]
 
@@ -691,7 +807,7 @@ module Bank_check = struct
     let* x = oneofl (Assume.vars asm) in
     let* d = gen_domain (Assume.vars asm) in
     let* seed = int_range 0 9999 in
-    let query = gen_expr ~unbound:1 names in
+    let query = gen_expr ~big:1 ~unbound:1 names in
     let* q = triple query query (oneofl names) in
     return (seed, [ asm; Assume.set_domain asm x d ], q)
 
@@ -723,6 +839,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_qnum_basic;
           Alcotest.test_case "overflow" `Quick test_qnum_overflow;
           Alcotest.test_case "boundaries" `Quick test_qnum_boundaries;
+          Alcotest.test_case "min_int" `Quick test_qnum_min_int;
           Alcotest.test_case "compare total" `Quick test_qnum_compare_total;
         ] );
       ( "expr",
@@ -742,6 +859,7 @@ let () =
           Alcotest.test_case "constant_in" `Quick test_probe_constant_in;
           Alcotest.test_case "planted bank caught" `Quick Bank_check.test_planted_caught;
           QCheck_alcotest.to_alcotest Bank_check.prop;
+          QCheck_alcotest.to_alcotest Compile_check.prop;
         ] );
       ( "range",
         [
