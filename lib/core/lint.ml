@@ -19,7 +19,8 @@ let catalog =
     ("LINT-NONNORMAL", Diag.Info, "loop does not run from 0 with step 1");
     ( "LINT-BOUNDS",
       Diag.Error,
-      "sampled access outside the array's declared extent" );
+      "access outside the array's declared extent (sampled or analyzed \
+       parameters)" );
     ("LINT-DEAD-WRITE", Diag.Warning, "array written but never read");
     ( "LINT-RACE",
       Diag.Error,
@@ -181,27 +182,67 @@ let rule_subscript c (ph : Types.phase) =
 (* ------------------------------------------------------------------ *)
 (* Sampled rules *)
 
-let rule_bounds c (prog : Types.program) envs (ph : Types.phase) =
+let bounds_walks = Metrics.counter "lint.bounds.walks"
+let bounds_unranged = Metrics.counter "lint.bounds.unranged"
+
+let size_of (prog : Types.program) env array =
+  let d = Types.array_decl prog array in
+  Env.eval env (Linearize.size ~dims:d.Types.dims)
+
+(* Each array's address range in [env] next to its declared size, from
+   the closed form ([Enumerate.address_range]); [None] when that has no
+   exact answer. *)
+let address_ranges prog env ph =
+  try
+    Option.map
+      (List.map (fun (array, lo, hi) -> (array, lo, hi, size_of prog env array)))
+      (Enumerate.address_range (Enumerate.compile prog env ph))
+  with e when recoverable e -> None
+
+(* A sample is walked only when its closed-form ranges are unknown or
+   leave an array, and the walk then finds the first bad address; at
+   the analyzed environment [at] the closed form alone decides and
+   reports the extreme address. *)
+let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
+  (* Normalized once for every environment below: compiling a
+     normalized phase normalizes nothing again.  If normalizing raises,
+     each compile raises it as before. *)
+  let ph = try Normalize.phase ph with e when recoverable e -> ph in
   let bad = Hashtbl.create 4 in
+  let inside (_, lo, hi, size) = 0 <= lo && hi < size in
   (try
      List.iter
        (fun env ->
-         let size =
-           let tbl = Hashtbl.create 8 in
-           fun array ->
-             match Hashtbl.find_opt tbl array with
-             | Some s -> s
-             | None ->
-                 let d = Types.array_decl prog array in
-                 let s = Env.eval env (Linearize.size ~dims:d.Types.dims) in
-                 Hashtbl.add tbl array s;
-                 s
-         in
-         Enumerate.iter prog env ph ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
-             if (addr < 0 || addr >= size array) && not (Hashtbl.mem bad array)
-             then Hashtbl.add bad array addr))
+         match address_ranges prog env ph with
+         | Some ranges when List.for_all inside ranges -> ()
+         | _ ->
+             Metrics.incr bounds_walks;
+             let size =
+               let tbl = Hashtbl.create 8 in
+               fun array ->
+                 match Hashtbl.find_opt tbl array with
+                 | Some s -> s
+                 | None ->
+                     let s = size_of prog env array in
+                     Hashtbl.add tbl array s;
+                     s
+             in
+             Enumerate.iter prog env ph ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
+                 if (addr < 0 || addr >= size array) && not (Hashtbl.mem bad array)
+                 then Hashtbl.add bad array addr))
        envs
    with e when recoverable e -> ());
+  Option.iter
+    (fun env ->
+      match address_ranges prog env ph with
+      | None -> Metrics.incr bounds_unranged
+      | Some ranges ->
+          List.iter
+            (fun ((array, lo, hi, size) as r) ->
+              if not (inside r || Hashtbl.mem bad array) then
+                Hashtbl.add bad array (if hi >= size then hi else lo))
+            ranges)
+    at;
   Hashtbl.iter
     (fun array addr ->
       Diag.addf c ~severity:Error ~stage:Lint ~where:ph.Types.phase_name
@@ -275,7 +316,7 @@ let rule_race c (prog : Types.program) envs (ph : Types.phase) =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(racecheck = true) ?envs ?diags (prog : Types.program) =
+let check ?(racecheck = true) ?envs ?at ?diags (prog : Types.program) =
   let envs = match envs with Some e -> e | None -> default_envs prog in
   let c = Diag.collector () in
   List.iter
@@ -285,7 +326,7 @@ let check ?(racecheck = true) ?envs ?diags (prog : Types.program) =
       rule_unbound c prog ph;
       rule_nonnormal c ph;
       rule_subscript c ph;
-      rule_bounds c prog envs ph;
+      rule_bounds c prog envs ?at ph;
       if racecheck then rule_race c prog envs ph)
     prog.Types.phases;
   rule_dead_write c prog;

@@ -25,7 +25,8 @@
       step 1 (normalized automatically downstream; recorded because
       the paper's formulas assume normalized indices).
     - [LINT-BOUNDS] (error): under a sampled parameter environment,
-      some access falls outside the array's declared extent.
+      or at the analyzed one when {!check} is given [at], some access
+      falls outside the array's declared extent.
     - [LINT-DEAD-WRITE] (warning): an array is written but never read
       anywhere in the program - either dead computation or the
       program's un-consumed output.
@@ -46,9 +47,14 @@ val catalog : (string * Diag.severity * string) list
 (** Every stable code with its default severity and a one-line
     description, in emission order. *)
 
+val default_envs : Ir.Types.program -> Env.t list
+(** The 3 seeded samples of the program's parameter domains that the
+    dynamic rules use unless {!check} is given [envs]. *)
+
 val check :
   ?racecheck:bool ->
   ?envs:Env.t list ->
+  ?at:Env.t ->
   ?diags:Diag.collector ->
   Ir.Types.program ->
   Diag.t list
@@ -56,8 +62,10 @@ val check :
     recorded into [diags] when given).  [racecheck] (default [true])
     controls the certifier-backed [LINT-RACE] / [LINT-UNCERTIFIED]
     rules - the only expensive ones; [envs] are the sampled parameter
-    environments for the dynamic rules (default: 3 samples of the
-    program's parameter domains). *)
+    environments for the dynamic rules (default: {!default_envs}).
+    [at] is the environment being analyzed: [LINT-BOUNDS] also checks
+    it, from the closed-form address ranges only (a phase without one
+    is skipped there and counted in [lint.bounds.unranged]). *)
 
 val autopar :
   ?envs:Env.t list -> ?diags:Diag.collector -> Ir.Types.program -> Ir.Types.program

@@ -70,7 +70,7 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   (* Lint first: malformed input is reported with positions before any
      descriptor machinery can trip over it.  Under [strict] a program
      with Error-severity findings is refused outright. *)
-  let findings = Metrics.with_timer lint_timer (fun () -> Lint.check ~diags prog) in
+  let findings = Metrics.with_timer lint_timer (fun () -> Lint.check ~at:env ~diags prog) in
   if
     strict
     && List.exists (fun (f : Diag.t) -> f.Diag.severity = Diag.Error) findings

@@ -56,10 +56,11 @@ val run :
   h:int ->
   t
 (** [strict] (default false) re-raises instead of degrading.  The
-    {!Lint} rule pass runs over the program before any analysis stage,
-    recording its findings alongside the stage diagnostics; under
-    [strict], [Error]-severity findings raise {!Lint.Failed} before
-    analysis starts.  [diags] supplies an
+    {!Lint} rule pass runs over the program before any analysis stage
+    (its [LINT-BOUNDS] rule also at [env]), recording its findings
+    alongside the stage diagnostics; under [strict], [Error]-severity
+    findings raise {!Lint.Failed} before analysis starts.  [diags]
+    supplies an
     external collector (e.g. one with a [max_errors] cap); a fresh
     unbounded one is created otherwise. *)
 

@@ -30,6 +30,49 @@ let pairs (id : Id.t) =
   in
   go tagged
 
+(* An interval set: a dimension of stride +-1 contributes one interval
+   per point of the others instead of one cell per address.  Native
+   arithmetic, as a sweep address by address computes it (a run that
+   wraps past [max_int] becomes two intervals). *)
+let region (id : Id.t) env i =
+  let run (count, stride) base =
+    let last = base + ((count - 1) * stride) in
+    let lo, hi = if stride > 0 then (base, last) else (last, base) in
+    if count <= 0 then []
+    else if lo <= hi then [ (lo, hi) ]
+    else [ (lo, max_int); (min_int, hi) ]
+  in
+  let rec unit_dim = function
+    | [] -> None
+    | ((_, s) as d) :: rest when s = 1 || s = -1 -> Some (d, rest)
+    | d :: rest -> Option.map (fun (u, rest) -> (u, d :: rest)) (unit_dim rest)
+  in
+  let rec sweep leaf acc base = function
+    | [] -> List.rev_append (leaf base) acc
+    | (count, stride) :: rest ->
+        let acc = ref acc in
+        for k = 0 to count - 1 do
+          acc := sweep leaf !acc (base + (k * stride)) rest
+        done;
+        !acc
+  in
+  List.fold_left
+    (fun acc ((g : Id.group), (r : Id.row)) ->
+      let seq =
+        List.map2
+          (fun a (d : Pd.dim) -> (Env.eval env a, Env.eval env d.stride))
+          r.seq_alphas g.seq_dims
+      in
+      let base =
+        Env.eval env r.offset0 + (i * r.par_sign * Env.eval env r.par_stride)
+      in
+      match unit_dim seq with
+      | Some (u, rest) -> sweep (run u) acc base rest
+      | None -> sweep (fun b -> [ (b, b) ]) acc base seq)
+    []
+    (List.concat_map (fun (g : Id.group) -> List.map (fun r -> (g, r)) g.rows) id.groups)
+  |> Lattice.Iv.norm
+
 let analyze_raw (id : Id.t) : t =
   let asm = id.ctx.assume in
   let shifted = ref [] and reverse = ref [] in
@@ -59,41 +102,14 @@ let analyze_raw (id : Id.t) : t =
   (* Delta_s: shared elements between the ID regions of two consecutive
      parallel iterations.  Detection is whole-ID sampled set
      intersection (covering both a row overlapping itself and a
-     stencil's cross-row ghosts); when a closed-form candidate from the
-     dense-interval formulas matches the sampled sizes it is reported
-     as the distance, otherwise the overlap is flagged with unknown
-     width. *)
+     stencil's cross-row ghosts), counted on interval sets; when a
+     closed-form candidate from the dense-interval formulas matches the
+     sampled sizes it is reported as the distance, otherwise the
+     overlap is flagged with unknown width. *)
   let tagged_rows =
     List.concat_map
       (fun (g : Id.group) -> List.map (fun r -> (g, r)) g.rows)
       id.groups
-  in
-  let region_at ?(only_writes = false) env i =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun ((g : Id.group), (r : Id.row)) ->
-        if only_writes && not r.mix.Access_mix.writes then ()
-        else begin
-        let rec sweep base = function
-          | [] -> Hashtbl.replace tbl base ()
-          | (count, stride) :: rest ->
-              for k = 0 to count - 1 do
-                sweep (base + (k * stride)) rest
-              done
-        in
-        let seq =
-          List.map2
-            (fun a (d : Pd.dim) -> (Env.eval env a, Env.eval env d.stride))
-            r.seq_alphas g.seq_dims
-        in
-        let base =
-          Env.eval env r.offset0
-          + (i * r.par_sign * Env.eval env r.par_stride)
-        in
-        sweep base seq
-        end)
-      tagged_rows;
-    tbl
   in
   let write_shared = ref false in
   let write_checks = ref 0 in
@@ -102,34 +118,24 @@ let analyze_raw (id : Id.t) : t =
     (try
        for i = 0 to 11 do
          let env = Probe.sample asm i in
-         let s0 = region_at env 0 and s1 = region_at env 1 in
-         let inter =
-           Hashtbl.fold
-             (fun a () acc -> if Hashtbl.mem s1 a then (a, env) :: acc else acc)
-             s0 []
-         in
-         sizes := (List.length inter, env) :: !sizes;
-         if inter <> [] && (not !write_shared) && !write_checks < 3 then begin
+         let shared = Lattice.Iv.(total (inter (region id env 0) (region id env 1))) in
+         sizes := (shared, env) :: !sizes;
+         if shared > 0 && (not !write_shared) && !write_checks < 3 then begin
            incr write_checks;
            (* access-precise write check via the enumeration oracle:
               the unioned rows blur R/W mixes (Fig. 3(d) fuses a read
               and a write row), so ask the IR itself which of the
-              shared cells are written *)
+              shared cells are written - walking only this array's
+              sites in parallel iterations 0 and 1 *)
            let w0 = Hashtbl.create 32
            and a0 = Hashtbl.create 32
            and w1 = Hashtbl.create 32
            and a1 = Hashtbl.create 32 in
-           Ir.Enumerate.iter id.ctx.prog env id.ctx.phase
-             ~f:(fun ~par ~array ~addr access ~work:_ ->
-               if String.equal array id.array then
-                 match par with
-                 | Some 0 ->
-                     Hashtbl.replace a0 addr ();
-                     if access = Ir.Types.Write then Hashtbl.replace w0 addr ()
-                 | Some 1 ->
-                     Hashtbl.replace a1 addr ();
-                     if access = Ir.Types.Write then Hashtbl.replace w1 addr ()
-                 | _ -> ());
+           Ir.Enumerate.iter ~only:(id.array, [ 0; 1 ]) id.ctx.prog env id.ctx.phase
+             ~f:(fun ~par ~array:_ ~addr access ~work:_ ->
+               let a, w = if par = Some 0 then (a0, w0) else (a1, w1) in
+               Hashtbl.replace a addr ();
+               if access = Ir.Types.Write then Hashtbl.replace w addr ());
            let hits w other =
              Hashtbl.fold (fun a () acc -> acc || Hashtbl.mem other a) w false
            in

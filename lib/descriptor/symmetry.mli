@@ -41,4 +41,8 @@ val analyze : Id.t -> t
 val has_overlap : Id.t -> bool
 val has_write_overlap : Id.t -> bool
 
+val region : Id.t -> Env.t -> int -> Lattice.Iv.t
+(** The cells the ID's rows cover at parallel iteration [i] in [env]:
+    the sampled region whose pairwise overlap sizes Delta_s. *)
+
 val pp : Format.formatter -> t -> unit

@@ -38,15 +38,6 @@ type run = {
   fault_stats : Fault.stats option;
 }
 
-let seq_env_run (lcg : Lcg.t) (m : Cost.machine) =
-  let total = ref 0.0 in
-  List.iter
-    (fun ph ->
-      Ir.Enumerate.iter lcg.prog lcg.env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
-          total := !total +. float_of_int (work + m.t_local)))
-    lcg.prog.phases;
-  !total
-
 (* Exponential-backoff accounting for one retried message: attempt [a]
    (1-based) pays [t_startup * 2^(a-1)] wait plus a full resend of the
    words. *)

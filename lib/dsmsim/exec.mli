@@ -78,6 +78,3 @@ val run :
 
 val pp : Format.formatter -> run -> unit
 
-val seq_env_run : Lcg.t -> Ilp.Cost.machine -> float
-(** Sequential reference time (exported for cross-checks). *)
-

@@ -12,13 +12,23 @@ open Types
     that runs the {!Expr.compile_int} closure per evaluation. *)
 type shape = Const of int | Affine of int * (int * int) list | Opaque
 
-type site = { array : string; access : access; addr : int array -> int }
+type site = {
+  array : string;
+  access : access;
+  addr : int array -> int;
+  index : shape list;  (** each subscript's shape, left to right *)
+  extents : int list;
+      (** the multiplier after each subscript: [addr] is
+          [i1 + e1 * (i2 + e2 * (...))], the trailing entry unused *)
+}
 
 type node =
   | Stmt of { refs : site list;  (** textual order *) work : int }
   | Nest of {
       lo : int array -> int;
       hi : int array -> int;
+      lo_shape : shape;
+      hi_shape : shape;
       slot : int;  (** the loop variable's slot *)
       parallel : bool;
       body : node list;
@@ -40,6 +50,7 @@ val compile : program -> Env.t -> phase -> nest
     [Invalid_argument "rank mismatch"]) when first called. *)
 
 val iter :
+  ?only:string * int list ->
   program ->
   Env.t ->
   phase ->
@@ -49,7 +60,22 @@ val iter :
     parallel-loop iteration ([None] outside it); [work] is the
     statement's cost, reported on its first reference only.  Errors
     surface lazily: an unbound parameter inside a zero-trip loop never
-    raises. *)
+    raises.
+
+    [only = (array, pars)], [pars] ascending, restricts the walk: the
+    parallel loop runs just its values in [pars], and only [array]'s
+    events inside it are reported - the events of the full walk with
+    [par] in [pars] and that array, in the same order.  Errors are
+    raised only on the restricted path. *)
+
+val address_range : nest -> (string * int * int) list option
+(** Each array's least and greatest flat address over the whole walk,
+    in order of first reference, without walking: loops are eliminated
+    from the inside out, each variable replaced by the bound its
+    coefficient's sign selects.  [None] unless the answer is provably
+    the walk's min/max: on an {!nest.unsupported} construct, an
+    {!Opaque} bound or subscript, a loop that may be empty for some
+    outer iteration, or a form whose evaluation might overflow. *)
 
 val addresses :
   program -> Env.t -> phase -> array:string -> (int * access) list
@@ -59,4 +85,4 @@ val address_set : program -> Env.t -> phase -> array:string -> (int, unit) Hasht
 
 val iteration_addresses :
   program -> Env.t -> phase -> array:string -> par:int -> (int * access) list
-(** Events of one parallel iteration only. *)
+(** Events of one parallel iteration only: the [only] walk. *)

@@ -495,6 +495,91 @@ let prop_stress_region =
       && stress_oracle prog "A" ~par:(Some 1)
       && stress_oracle prog "B" ~par:(Some 2))
 
+(* ------------------------------------------------------------------ *)
+(* Delta_s on interval sets against the address-by-address sweep *)
+
+(* The sweep [Symmetry] counted overlaps with before interval sets, kept
+   as the reference: one table of addresses per iteration. *)
+let table_region (id : Id.t) env it =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (g : Id.group) ->
+      List.iter
+        (fun (r : Id.row) ->
+          let rec sweep base = function
+            | [] -> Hashtbl.replace tbl base ()
+            | (count, stride) :: rest ->
+                for k = 0 to Stdlib.( - ) count 1 do
+                  sweep Stdlib.(base + (k * stride)) rest
+                done
+          in
+          let seq =
+            List.map2
+              (fun a (d : Pd.dim) -> (Env.eval env a, Env.eval env d.stride))
+              r.seq_alphas g.seq_dims
+          in
+          sweep
+            Stdlib.(Env.eval env r.offset0 + (it * r.par_sign * Env.eval env r.par_stride))
+            seq)
+        g.rows)
+    id.groups;
+  tbl
+
+(* On every probe sample of every array's ID: the interval region holds
+   exactly the table's cells, and the overlap counts agree. *)
+let intervals_match_tables prog =
+  List.for_all
+    (fun ph ->
+      match Phase.analyze prog ph with
+      | exception _ -> true
+      | ctx ->
+          List.for_all
+            (fun array ->
+              let id = Id.of_pd (Unionize.simplify (Pd.of_phase ctx ~array)) in
+              List.for_all
+                (fun k ->
+                  let env = Probe.sample ctx.assume k in
+                  let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+                  let ivs =
+                    outcome (fun () ->
+                        let r0 = Symmetry.region id env 0 and r1 = Symmetry.region id env 1 in
+                        (Lattice.Iv.total r0, Lattice.Iv.(total (inter r0 r1)), r0))
+                  and tables =
+                    outcome (fun () -> (table_region id env 0, table_region id env 1))
+                  in
+                  match (ivs, tables) with
+                  | Ok (n0, shared, r0), Ok (t0, t1) ->
+                      n0 = Hashtbl.length t0
+                      && Hashtbl.fold (fun a () ok -> ok && Lattice.Iv.mem r0 a) t0 true
+                      && shared
+                         = Hashtbl.fold
+                             (fun a () n -> if Hashtbl.mem t1 a then Stdlib.(n + 1) else n)
+                             t0 0
+                  | Error a, Error b -> a = b
+                  | _ -> false)
+                (List.init 12 Fun.id))
+            (Types.phase_arrays ph))
+    prog.Types.phases
+
+let test_intervals_registry () =
+  Probe.with_seed 23 (fun () ->
+      List.iter
+        (fun (e : Codes.Registry.entry) ->
+          Alcotest.(check bool) (e.name ^ ": intervals = tables") true
+            (intervals_match_tables e.program))
+        Codes.Registry.all)
+
+let prop_intervals_fuzz =
+  QCheck.Test.make ~name:"Delta_s intervals = tables (fuzz programs)" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 200))
+    (fun (seed, index) ->
+      Probe.with_seed 24 (fun () ->
+          intervals_match_tables (Fuzz.Gen.program Fuzz.Gen.default ~seed ~index)))
+
+let prop_intervals_stress =
+  QCheck.Test.make ~name:"Delta_s intervals = tables (stress nests)" ~count:100 arb_stress
+    (fun prog -> Probe.with_seed 25 (fun () -> intervals_match_tables prog))
+
 (* Homogenization merges same-pattern PDs from two phases. *)
 let test_homogenize () =
   Probe.with_seed 21 (fun () ->
@@ -656,6 +741,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_region_iteration;
           QCheck_alcotest.to_alcotest prop_simplify_idempotent;
           QCheck_alcotest.to_alcotest prop_stress_region;
+          Alcotest.test_case "Delta_s intervals (registry)" `Quick test_intervals_registry;
+          QCheck_alcotest.to_alcotest prop_intervals_fuzz;
+          QCheck_alcotest.to_alcotest prop_intervals_stress;
         ] );
       ( "fallbacks",
         [

@@ -687,6 +687,176 @@ let prop_autopar_soundness =
       | false, Some _ -> true
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Closed-form address ranges and the restricted walk, against the full
+   walk *)
+
+(* The walk's least and greatest address per array, in order of first
+   reference. *)
+let walked_ranges prog env ph =
+  let tbl = Hashtbl.create 8 and order = ref [] in
+  Enumerate.iter prog env ph ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
+      match Hashtbl.find_opt tbl array with
+      | Some (lo, hi) -> Hashtbl.replace tbl array (min lo addr, max hi addr)
+      | None ->
+          Hashtbl.add tbl array (addr, addr);
+          order := array :: !order);
+  List.rev_map
+    (fun a ->
+      let lo, hi = Hashtbl.find tbl a in
+      (a, lo, hi))
+    !order
+
+let closed_range prog env ph = Enumerate.address_range (Enumerate.compile prog env ph)
+
+(* [address_range] is the walk's answer, or none. *)
+let range_exact prog env ph =
+  match closed_range prog env ph with
+  | None -> true
+  | Some r -> ( match walked_ranges prog env ph with w -> r = w | exception _ -> false)
+
+let fuzz_program (seed, index) = Fuzz.Gen.program Fuzz.Gen.default ~seed ~index
+
+let arb_fuzz =
+  QCheck.make
+    QCheck.Gen.(pair (int_range 0 10_000) (int_range 0 200))
+    ~print:(fun (seed, index) ->
+      Format.asprintf "seed %d index %d:@.%a" seed index Types.pp_program
+        (fuzz_program (seed, index)))
+
+let on_samples prog f =
+  List.for_all
+    (fun env -> List.for_all (f env) prog.Types.phases)
+    (Core.Lint.default_envs prog)
+
+let prop_range_fuzz =
+  QCheck.Test.make ~name:"address_range = walk extremes (fuzz phases)" ~count:60 arb_fuzz
+    (fun key ->
+      let prog = fuzz_program key in
+      on_samples prog (range_exact prog))
+
+(* Random affine nests: bounds affine in the next outer variable (so
+   triangular, possibly empty), subscripts with coefficients of either
+   sign. *)
+let arb_affine_nest =
+  let open QCheck.Gen in
+  let coef = int_range (-3) 3 in
+  let gen =
+    let* depth = int_range 1 3 in
+    let* bounds =
+      list_repeat depth (pair (pair (int_range (-2) 3) coef) (pair (int_range (-1) 6) coef))
+    in
+    let* subs = list_repeat 2 (pair (int_range (-5) 5) (list_repeat depth coef)) in
+    return (bounds, subs)
+  in
+  let program (bounds, subs) =
+    let vars = List.mapi (fun k _ -> Expr.var (Printf.sprintf "v%d" k)) bounds in
+    let affine c0 terms =
+      List.fold_left (fun acc (c, x) -> Expr.add acc (Expr.mul (i c) x)) (i c0) terms
+    in
+    let sub (c0, cs) = affine c0 (List.combine cs vars) in
+    let body =
+      [ Build.assign [ Build.read "A" [ sub (List.nth subs 1) ]; Build.write "A" [ sub (List.hd subs) ] ] ]
+    in
+    let outer k = if k = 0 then [] else [ List.nth vars (k - 1) ] in
+    let nest =
+      List.fold_right
+        (fun (k, ((lo0, lo1), (hi0, hi1))) inner ->
+          let lo = affine lo0 (List.map (fun x -> (lo1, x)) (outer k))
+          and hi = affine hi0 (List.map (fun x -> (hi1, x)) (outer k)) in
+          let var = Printf.sprintf "v%d" k in
+          [ (if k = 0 then Build.doall var ~lo ~hi inner else Build.do_ var ~lo ~hi inner) ])
+        (List.mapi (fun k b -> (k, b)) bounds)
+        body
+    in
+    Build.program ~name:"aff" ~params:Assume.empty
+      ~arrays:[ Build.array "A" [ i 4000 ] ]
+      [ Build.phase "P" (List.hd nest) ]
+  in
+  QCheck.make (map program gen) ~print:(Format.asprintf "%a" Types.pp_program)
+
+let prop_range_affine =
+  QCheck.Test.make ~name:"address_range = walk extremes (affine nests)" ~count:300
+    arb_affine_nest (fun prog -> range_exact prog Env.empty (List.hd prog.Types.phases))
+
+let range_params = Assume.of_list [ ("N", Assume.Int_range (4, 12)) ]
+let range_env = Env.of_list [ ("N", 7) ]
+
+let range_program body =
+  Build.program ~name:"r" ~params:range_params
+    ~arrays:[ Build.array "A" [ v "N"; v "N" ] ]
+    [ Build.phase "P" body ]
+
+let check_range name want body =
+  let prog = range_program body in
+  let ph = List.hd prog.Types.phases in
+  Alcotest.(check (option (list (triple string int int))))
+    name want
+    (closed_range prog range_env ph);
+  Alcotest.(check bool) (name ^ ": exact or none") true (range_exact prog range_env ph)
+
+let test_range_cases () =
+  let n = v "N" in
+  (* normalized triangular nest: j runs 0..i, never empty *)
+  check_range "triangular" (Some [ ("A", 0, 48) ])
+    Build.(
+      doall "i" ~lo:(int 0) ~hi:(n - int 1)
+        [ do_ "j" ~lo:(int 0) ~hi:(var "i") [ assign [ write "A" [ var "i"; var "j" ] ] ] ]);
+  (* j runs 0..i-1, empty at i = 0: no exact answer *)
+  check_range "triangular, empty first row" None
+    Build.(
+      doall "i" ~lo:(int 0) ~hi:(n - int 1)
+        [ do_ "j" ~lo:(int 0) ~hi:(var "i" - int 1) [ assign [ write "A" [ var "i"; var "j" ] ] ] ]);
+  (* a zero-trip inner loop beside a statement that runs *)
+  check_range "zero-trip inner loop" None
+    Build.(
+      doall "i" ~lo:(int 0) ~hi:(n - int 1)
+        [
+          assign [ write "A" [ var "i"; int 0 ] ];
+          do_ "j" ~lo:(int 0) ~hi:(int (-1)) [ assign [ read "A" [ var "j"; var "i" ] ] ];
+        ]);
+  (* negative stride: 2*(N-1) - 2*i runs down from 12 to 0 *)
+  check_range "negative stride" (Some [ ("A", 0, 12) ])
+    Build.(
+      doall "i" ~lo:(int 0) ~hi:(n - int 1)
+        [ assign [ read "A" [ (int 2 * (n - int 1)) - (int 2 * var "i"); int 0 ] ] ]);
+  (* a non-affine subscript leaves the closed form *)
+  check_range "opaque subscript" None
+    Build.(
+      doall "i" ~lo:(int 0) ~hi:(n - int 1) [ assign [ read "A" [ var "i" * var "i"; int 0 ] ] ])
+
+(* [iter ~only] = the full walk filtered the same way. *)
+let restricted_equal prog env ph =
+  let events ?only keep =
+    let acc = ref [] in
+    match
+      Enumerate.iter ?only prog env ph ~f:(fun ~par ~array ~addr access ~work ->
+          if keep par array then acc := (par, array, addr, access, work) :: !acc)
+    with
+    | () -> Ok (List.rev !acc)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  List.for_all
+    (fun array ->
+      List.for_all
+        (fun pars ->
+          let full =
+            events (fun par a ->
+                String.equal a array
+                && match par with Some p -> List.mem p pars | None -> false)
+          in
+          match full with
+          | Error _ -> true (* the restricted walk may avoid the error *)
+          | Ok _ -> events ~only:(array, pars) (fun _ _ -> true) = full)
+        [ [ 0; 1 ]; [ 1 ]; [ 0; 2; 3 ] ])
+    (Types.phase_arrays ph)
+
+let prop_restricted_walk =
+  QCheck.Test.make ~name:"iter ~only = filtered full walk (fuzz phases)" ~count:60 arb_fuzz
+    (fun key ->
+      let prog = fuzz_program key in
+      on_samples prog (restricted_equal prog))
+
 let () =
   Alcotest.run "ir"
     [
@@ -707,6 +877,10 @@ let () =
           Alcotest.test_case "per-iteration" `Quick test_enumerate_iteration;
           Alcotest.test_case "tfft2 parity" `Quick test_enumerate_parity_tfft2;
           Alcotest.test_case "floor/ceil parity" `Quick test_enumerate_parity_quotients;
+          Alcotest.test_case "address range cases" `Quick test_range_cases;
+          QCheck_alcotest.to_alcotest prop_range_fuzz;
+          QCheck_alcotest.to_alcotest prop_range_affine;
+          QCheck_alcotest.to_alcotest prop_restricted_walk;
         ] );
       ( "autopar",
         [

@@ -135,6 +135,40 @@ let test_bounds () =
   in
   ignore (check_has ~racecheck:false "LINT-BOUNDS" p)
 
+(* In bounds on every default sample, out of bounds at the analyzed
+   extent: only the closed-form check at [at] sees it. *)
+let test_bounds_at_analyzed_env () =
+  let params = Assume.of_list [ ("N", Assume.Int_range (8, 4096)) ] in
+  let with_extent e =
+    prog ~params
+      ~arrays:[ Build.array "A" [ Expr.int e ] ]
+      Build.(
+        do_ "k" ~lo:(int 0) ~hi:(v "N" - int 1)
+          [ assign [ write "A" [ var "k" ] ] ])
+  in
+  let nmax =
+    List.fold_left
+      (fun m env -> max m (Env.find env "N"))
+      0
+      (Lint.default_envs (with_extent 1))
+  in
+  Alcotest.(check bool) "room above the samples" true (nmax < 4096);
+  let p = with_extent nmax in
+  Alcotest.(check bool) "samples in bounds" false (has "LINT-BOUNDS" (Lint.check p));
+  let env = Env.of_list [ ("N", nmax + 1) ] in
+  let bounds findings =
+    List.filter_map
+      (fun (d : Diag.t) -> if d.Diag.code = "LINT-BOUNDS" then Some d.Diag.message else None)
+      findings
+  in
+  let want =
+    [ Printf.sprintf "access to A at flat address %d, outside its declared extent" nmax ]
+  in
+  Alcotest.(check (list string)) "reported at the analyzed env" want
+    (bounds (Lint.check ~at:env p));
+  Alcotest.(check (list string)) "reported by the pipeline" want
+    (bounds (Core.Pipeline.diagnostics (Core.Pipeline.run p ~env ~h:4)))
+
 let test_dead_write () =
   let p =
     prog
@@ -354,6 +388,8 @@ let () =
           Alcotest.test_case "unbound param" `Quick test_unbound_param;
           Alcotest.test_case "non-normalized loop" `Quick test_nonnormal;
           Alcotest.test_case "out of bounds" `Quick test_bounds;
+          Alcotest.test_case "out of bounds at the analyzed env" `Quick
+            test_bounds_at_analyzed_env;
           Alcotest.test_case "dead write" `Quick test_dead_write;
           Alcotest.test_case "race" `Quick test_race;
           Alcotest.test_case "uncertified" `Quick test_uncertified;
