@@ -171,8 +171,9 @@ let retries_arg =
 
 let profile_arg =
   let doc =
-    "Print the metrics registry (pipeline stage timers, kernel counters, \
-     cache hit rates) as a table on stderr when the command exits."
+    "Print this run's metrics (pipeline stage timers, kernel counters, \
+     artifact cache hits and misses) as a table on stderr when the command \
+     exits; cells the run never touched are left out."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
@@ -181,37 +182,24 @@ let profile_json_arg =
   Arg.(
     value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE" ~doc)
 
-let cache_stats_arg =
-  let doc =
-    "Print the artifact cache registry (per-store entries, hit/miss counts, \
-     volatility, evictions) as a table on stderr when the command exits."
-  in
-  Arg.(value & flag & info [ "cache-stats" ] ~doc)
-
 (* Emission happens in [at_exit] because the exit-code contract above
    leaves commands through [exit] at many points (degraded runs exit 2
    from [finish]); the profile must still be written on those paths. *)
-let install_profile profile json_file cache_stats =
+let install_profile profile json_file =
   if profile || json_file <> None then
     at_exit (fun () ->
-        let snap = Core.Metrics.snapshot () in
+        let snap = Symbolic.Metrics.snapshot () in
         if profile then
-          Format.eprintf "%a@?" Core.Metrics.pp_table snap;
+          Format.eprintf "%a@?" Symbolic.Metrics.pp_table snap;
         match json_file with
         | None -> ()
         | Some path ->
             let oc = open_out path in
-            output_string oc (Core.Metrics.to_json snap);
+            output_string oc (Symbolic.Metrics.to_json snap);
             output_char oc '\n';
-            close_out oc);
-  if cache_stats then
-    at_exit (fun () ->
-        prerr_string (Core.Artifact.report ());
-        flush stderr)
+            close_out oc)
 
-let profile_term =
-  Term.(
-    const install_profile $ profile_arg $ profile_json_arg $ cache_stats_arg)
+let profile_term = Term.(const install_profile $ profile_arg $ profile_json_arg)
 
 let with_entry name size f =
   match Codes.Registry.find name with
@@ -796,7 +784,7 @@ let batch_cmd =
     in
     (* Fold the workers' per-job snapshots into the parent registry so
        the at_exit --profile/--profile-json report is fleet-wide. *)
-    Core.Metrics.absorb merged;
+    Symbolic.Metrics.absorb merged;
     (match Core.Diag.to_list diags with
     | [] -> ()
     | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds);

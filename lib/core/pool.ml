@@ -113,13 +113,12 @@ let worker_loop ~f job_r res_w =
     | `Eof | `Bad _ | `Frame Stop -> ()
     | `Frame (Job (idx, attempt, payload)) ->
         (* Per-job reset protocol (DESIGN.md section 14): zero the
-           metric cells, drop every artifact store, and drop the
-           expression intern table, so a job's result and profile are
-           identical whichever worker runs it and whatever ran on that
-           worker before.  [with_seed] below additionally pins the
-           probe stream to the job index. *)
+           metric cells and drop the expression intern table;
+           [with_seed] below drops every artifact store and pins the
+           probe stream to the job index, so a job's result and profile
+           are identical whichever worker runs it and whatever ran on
+           that worker before. *)
         Metrics.reset ();
-        Artifact.clear_all ();
         Expr.intern_reset ();
         let result =
           Probe.with_seed (job_seed idx) (fun () ->

@@ -19,11 +19,12 @@
       and from a reset metrics registry with flushed memo caches, so a
       job's result does not depend on which worker ran it or what ran
       before it.
-    - {b Observability}: every worker sends its per-job {!Metrics}
-      snapshot back in the same [Marshal] frame as the job's result;
-      the parent folds them with {!Metrics.merge} into the fleet-wide
-      snapshot returned beside the outcomes (counter totals equal the
-      sum of the per-job snapshots).
+    - {b Observability}: every worker sends its per-job
+      {!Symbolic.Metrics} snapshot back in the same [Marshal] frame as
+      the job's result; the parent folds them with
+      {!Symbolic.Metrics.merge} into the fleet-wide snapshot returned
+      beside the outcomes (counter totals equal the sum of the per-job
+      snapshots).
 
     Jobs and results cross an address-space boundary, so both must be
     marshalable: no closures, no custom blocks.  See DESIGN.md
@@ -36,7 +37,7 @@ type 'r outcome =
       lost : string list;
           (** reasons of the failed attempts that preceded success,
               oldest first (empty on a clean first attempt) *)
-      metrics : Metrics.snapshot;
+      metrics : Symbolic.Metrics.snapshot;
           (** the worker's registry deltas for this job *)
     }
   | Failed of {
@@ -50,7 +51,7 @@ val map :
   ?stream:(int -> 'b outcome -> unit) ->
   f:(attempt:int -> 'a -> 'b) ->
   'a list ->
-  'b outcome list * Metrics.snapshot
+  'b outcome list * Symbolic.Metrics.snapshot
 (** [map ~f jobs] analyses every job on a pool of [workers] (default 4,
     clamped to the job count) forked processes and returns the outcomes
     in submission order plus the merged fleet metrics snapshot.

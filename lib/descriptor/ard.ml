@@ -23,32 +23,6 @@ exception Unsupported
 
 let span d = Expr.mul (Expr.sub d.alpha Expr.one) d.stride
 
-let dim_key (d : dim) =
-  Artifact.Key.(
-    list
-      [
-        expr d.alpha;
-        expr d.stride;
-        int d.sign;
-        list (List.map str d.vars);
-        bool d.uniform;
-      ])
-
-let key (t : t) =
-  Artifact.Key.(
-    list
-      [
-        str t.array;
-        list (List.map dim_key t.dims);
-        expr t.offset;
-        list [ bool t.mix.Access_mix.reads; bool t.mix.Access_mix.writes ];
-        bool t.exact;
-        expr t.phi;
-        opt str t.par_var;
-      ])
-
-let digest t = Artifact.Key.hash (key t)
-
 let invariant_dim v =
   { alpha = Expr.one; stride = Expr.zero; sign = 1; vars = [ v ]; uniform = true }
 

@@ -42,12 +42,6 @@ exception Unsupported
     it and degrades to {!whole_array}.  Exported so callers can treat
     an escape (a bug) as a recoverable analysis failure. *)
 
-val key : t -> Artifact.Key.t
-(** Structural artifact key over the full descriptor tuple. *)
-
-val digest : t -> int
-(** Stable structural digest, [Artifact.Key.hash] of {!key}. *)
-
 val of_site : Phase.t -> Phase.site -> t
 (** Builds the descriptor of one reference site; normalizes every
     {e sequential} dimension to a positive direction (folding the span

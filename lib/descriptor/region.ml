@@ -57,11 +57,10 @@ let addresses_raw env (t : Pd.t) ~par =
    by the halo computation, the ILP word counts and the simulator's
    sizing; keyed on the environment identity (never its bindings - see
    DESIGN.md section 12) plus the PD's structural key, the second and
-   later calls are table lookups.  The store is non-volatile: addresses
-   are a pure function of (environment, descriptor).  Callers receive
-   the cached table itself and must not mutate it. *)
+   later calls are table lookups.  Callers receive the cached table
+   itself and must not mutate it. *)
 let memo : (int, unit) Hashtbl.t Artifact.store =
-  Artifact.store ~capacity:4_096 "region.addresses"
+  Artifact.store "region.addresses"
 
 let addresses_timer = Metrics.timer "region.enumerate"
 

@@ -238,13 +238,12 @@ let analyze_raw (id : Id.t) : t =
 
 (* [analyze] is re-entered for the same ID by the locality graph builder
    and again by [has_overlap]/[has_write_overlap] during modelling; the
-   verdict depends on sampled environments, so the store is volatile
-   (flushed when the probe stream is re-seeded).  The ID's structural
+   verdict depends on sampled environments, which re-seeding the probe
+   stream changes (it flushes the store).  The ID's structural
    key alone is not enough - the verdict also reads the analysis
    context (assumptions, parallel dimension, enumeration oracle), so
    the phase key is folded in. *)
-let memo : t Artifact.store =
-  Artifact.store ~capacity:4_096 ~volatile:true "symmetry.analyze"
+let memo : t Artifact.store = Artifact.store "symmetry.analyze"
 
 let analyze (id : Id.t) : t =
   Artifact.find memo

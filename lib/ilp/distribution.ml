@@ -20,15 +20,8 @@ type plan = {
 }
 
 let proc_at ~h (l : layout) addr =
-  let rel = addr - l.base in
-  let rel = if rel < 0 then 0 else rel in
-  let rel = match l.period with Some d when d > 0 -> rel mod d | _ -> rel in
-  let rel =
-    match l.mirror with
-    | Some m when m > 0 && rel < m -> min rel (m - 1 - rel)
-    | _ -> rel
-  in
-  rel / l.block mod h
+  Lattice.Own.owner_at ~h ~base:l.base ~block:l.block ~period:l.period
+    ~mirror:l.mirror addr
 
 let proc_of (plan : plan) l ~addr = proc_at ~h:plan.h l addr
 

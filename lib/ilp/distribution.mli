@@ -44,7 +44,8 @@ val proc_of : plan -> layout -> addr:int -> int
 
 val own_of : h:int -> layout -> Symbolic.Lattice.Own.t
 (** The layout's address-to-processor map as a {!Symbolic.Lattice.Own}
-    piecewise-constant function; agrees with {!proc_of} everywhere. *)
+    piecewise-constant function; {!proc_of} is its
+    {!Symbolic.Lattice.Own.owner}. *)
 
 val layout_for : plan -> array:string -> phase_idx:int -> layout option
 (** The layout epoch active at the given phase. *)

@@ -17,11 +17,11 @@ type t = {
 exception Invalid_phase of string
 
 (* Phase analysis is a pure function of the program and phase syntax
-   (no environment, no probe stream), so results live in a non-volatile
-   artifact store keyed on the structural pair.  The LCG builder
+   (no environment, no probe stream), so results live in an artifact
+   store keyed on the structural pair.  The LCG builder
    re-analyzes every phase for every array of the program; with the
    cache each phase is walked once. *)
-let cache : t Artifact.store = Artifact.store ~capacity:512 "phase.analyze"
+let cache : t Artifact.store = Artifact.store "phase.analyze"
 
 let analyze_raw (prog : program) (ph : phase) : t =
   let ph = Normalize.phase ph in

@@ -55,7 +55,7 @@ let bad_vars (pc : Phase.t) =
   done;
   bad
 
-let cache : t option Artifact.store = Artifact.store ~capacity:512 "shape.sites"
+let cache : t option Artifact.store = Artifact.store "shape.sites"
 
 let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
   match Phase.analyze prog ph with

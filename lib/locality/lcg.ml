@@ -189,11 +189,9 @@ let halo_raw (t : t) (node : node) =
       with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> 0)
 
 (* The solver's word-count pricing asks for the same node's halo once
-   per enumerated candidate; keyed on the overlap verdict (probed,
-   hence volatile) plus the environment and descriptor that determine
-   the region bounds. *)
-let halo_memo : int Artifact.store =
-  Artifact.store ~capacity:4_096 ~volatile:true "lcg.halo"
+   per enumerated candidate; keyed on the (probed) overlap verdict plus
+   the environment and descriptor that determine the region bounds. *)
+let halo_memo : int Artifact.store = Artifact.store "lcg.halo"
 
 let overlap_key = function
   | Symmetry.No_overlap -> Artifact.Key.int 0

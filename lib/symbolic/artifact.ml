@@ -1,6 +1,6 @@
-(* The unified artifact cache: one digest-keyed, bounded, generation-
-   aware store family replacing the ad-hoc memo Hashtbls that used to
-   live in Range, Probe, Phase, Region, Symmetry, Lcg and Solve.
+(* The unified artifact cache: one digest-keyed, bounded store family
+   replacing the ad-hoc memo Hashtbls that used to live in Range, Probe,
+   Phase, Region, Symmetry, Lcg and Solve.
 
    Keys are small trees whose leaves are ints, strings and *interned*
    expressions, so key equality is O(key size) with O(1) expression
@@ -8,14 +8,10 @@
    structural digests.  Collisions are therefore impossible by
    construction - the digest only accelerates bucketing.
 
-   Invalidation is by generation, not by per-table flush hooks: stores
-   created [~volatile:true] hold values that depend on the probe stream
-   and are dropped (lazily, on next access) whenever the global
-   generation advances - [Probe.with_seed] advances it on entry and
-   exit.  Non-volatile stores hold values that are pure functions of
-   their key (an [Env.id] in the key ties environment-dependent values
-   to one immutable environment) and survive re-seeding; [clear_all]
-   drops everything, which is what a pool worker does between jobs. *)
+   The cache serves one probe-seed scope.  There is one invalidation
+   rule: [clear_all] drops every store, and [Probe.with_seed] calls it
+   on entry and exit, so no value derived under one probe seed is read
+   under another. *)
 
 module Key = struct
   type t = I of int | S of string | E of Expr.t | L of int * t list
@@ -52,118 +48,34 @@ end
 
 module KT = Hashtbl.Make (Key)
 
-let generation = ref 0
+(* Every store's bound.  The largest store measured (probe.memo in one
+   fuzz program's battery) peaks at 1,353 entries; the runs that analyse
+   many programs without a clear (sweep, lint --all, the reproduction
+   harness) stay below 600 in every store.  DESIGN.md section 14.3 has
+   the numbers.  A store that reaches the bound is dropped wholesale
+   and refills. *)
+let max_entries = 4_096
 
-type 'v store = {
-  name : string;
-  capacity : int;
-  volatile : bool;
-  stats : Metrics.cache;
-  tbl : 'v KT.t;
-  mutable gen : int;  (* generation at last sync *)
-  mutable evictions : int;  (* whole-table drops on capacity overflow *)
-}
+type 'v store = { tbl : 'v KT.t; cells : Metrics.cache }
 
-type stat = {
-  s_name : string;
-  entries : int;
-  capacity : int;
-  volatile : bool;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
+(* The clear closure of every store created anywhere in the process. *)
+let clearers : (unit -> unit) list ref = ref []
 
-(* The registry erases the value type so [clear_all] / [stats] can walk
-   every store created anywhere in the process. *)
-type registered = { r_stat : unit -> stat; r_clear : unit -> unit }
-
-let registry : registered list ref = ref []
-
-let store ?(capacity = 65_536) ?(volatile = false) name =
-  let s =
-    {
-      name;
-      capacity;
-      volatile;
-      stats = Metrics.cache name;
-      tbl = KT.create 256;
-      gen = !generation;
-      evictions = 0;
-    }
-  in
-  registry :=
-    {
-      r_stat =
-        (fun () ->
-          {
-            s_name = name;
-            entries = KT.length s.tbl;
-            capacity;
-            volatile;
-            hits = Metrics.hits s.stats;
-            misses = Metrics.misses s.stats;
-            evictions = s.evictions;
-          });
-      r_clear =
-        (fun () ->
-          KT.reset s.tbl;
-          s.gen <- !generation);
-    }
-    :: !registry;
+let store name =
+  let s = { tbl = KT.create 256; cells = Metrics.cache name } in
+  clearers := (fun () -> KT.reset s.tbl) :: !clearers;
   s
 
-let sync (s : _ store) =
-  if s.volatile && s.gen <> !generation then begin
-    KT.reset s.tbl;
-    s.gen <- !generation
-  end
-
-let find (s : _ store) key compute =
-  sync s;
+let find s key compute =
   match KT.find_opt s.tbl key with
   | Some v ->
-      Metrics.hit s.stats;
+      Metrics.hit s.cells;
       v
   | None ->
-      Metrics.miss s.stats;
-      let g = !generation in
+      Metrics.miss s.cells;
       let v = compute () in
-      (* If the generation moved during the computation (a nested
-         [with_seed] scope), a volatile value was computed under a seed
-         this store no longer represents: return it but don't keep it. *)
-      if not (s.volatile && !generation <> g) then begin
-        if KT.length s.tbl >= s.capacity then begin
-          KT.reset s.tbl;
-          s.evictions <- s.evictions + 1
-        end;
-        KT.replace s.tbl key v
-      end;
+      if KT.length s.tbl >= max_entries then KT.reset s.tbl;
+      KT.replace s.tbl key v;
       v
 
-let new_generation () = incr generation
-
-let clear_all () =
-  incr generation;
-  List.iter (fun r -> r.r_clear ()) !registry
-
-let stats () =
-  List.sort
-    (fun a b -> String.compare a.s_name b.s_name)
-    (List.map (fun r -> r.r_stat ()) !registry)
-
-let pp_stats ppf () =
-  Format.fprintf ppf "%-24s %9s %9s %9s %9s %8s %5s %9s@," "artifact store"
-    "entries" "capacity" "hits" "misses" "rate" "vol" "evicted";
-  List.iter
-    (fun st ->
-      let total = st.hits + st.misses in
-      Format.fprintf ppf "%-24s %9d %9d %9d %9d %7.1f%% %5s %9d@," st.s_name
-        st.entries st.capacity st.hits st.misses
-        (if total = 0 then 0.0
-         else 100. *. float_of_int st.hits /. float_of_int total)
-        (if st.volatile then "yes" else "no")
-        st.evictions)
-    (stats ())
-
-let report () = Format.asprintf "@[<v>%a@]" pp_stats ()
+let clear_all () = List.iter (fun clear -> clear ()) !clearers

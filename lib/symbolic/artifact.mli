@@ -1,25 +1,21 @@
 (** Unified digest-keyed artifact cache.
 
-    One bounded, generation-aware store family replaces the ad-hoc memo
-    [Hashtbl]s that previously lived with each analysis stage.  Keys are
-    small trees whose leaves are ints, strings and interned {!Expr.t}
-    values: equality is structural with O(1) expression leaves, hashing
-    reuses the expressions' precomputed digests, and therefore a key can
-    never collide with a different key - the digest only buckets.
+    One bounded store family replaces the ad-hoc memo [Hashtbl]s that
+    previously lived with each analysis stage.  Keys are small trees
+    whose leaves are ints, strings and interned {!Expr.t} values:
+    equality is structural with O(1) expression leaves, hashing reuses
+    the expressions' precomputed digests, and therefore a key can never
+    collide with a different key - the digest only buckets.
 
-    Invalidation rules (see DESIGN.md section 14):
-    - a store created with [~volatile:true] holds values that depend on
-      the probe stream; its contents are dropped (lazily) whenever the
-      global generation advances, which [Probe.with_seed] does on entry
-      and exit;
-    - a non-volatile store holds pure functions of the key (values that
-      depend on an environment carry the [Env.id] in their key) and
-      survives re-seeding;
-    - {!clear_all} drops every store and advances the generation - the
-      pool worker's between-jobs reset;
-    - a store that reaches its capacity is dropped wholesale (counted in
-      {!type-stat}[.evictions]) rather than evicting piecemeal: the
-      sweeps this cache serves re-fill it in one pass. *)
+    The cache is a per-run memo (see DESIGN.md section 14):
+    - {!clear_all} drops every store; [Probe.with_seed] calls it on
+      entry and exit, so no value derived under one probe seed survives
+      into a run under another;
+    - every store holds at most 4096 entries; a store that reaches the
+      bound is dropped wholesale and refills.
+
+    Each store's hits and misses are the {!Metrics} cache cell of its
+    name, which [--profile] and [--profile-json] report. *)
 
 module Key : sig
   type t
@@ -30,44 +26,17 @@ module Key : sig
   val expr : Expr.t -> t
   val list : t list -> t
   val opt : ('a -> t) -> 'a option -> t
-  val hash : t -> int
-  val equal : t -> t -> bool
 end
 
 type 'v store
 
-val store : ?capacity:int -> ?volatile:bool -> string -> 'v store
+val store : string -> 'v store
 (** Create (and register) a store.  [name] is also the {!Metrics.cache}
-    cell receiving hit/miss counts.  Default capacity 65536,
-    non-volatile. *)
+    cell receiving hit/miss counts. *)
 
 val find : 'v store -> Key.t -> (unit -> 'v) -> 'v
 (** [find s k compute] returns the cached value for [k], or runs
-    [compute], stores and returns its result.  A volatile store whose
-    generation is stale is flushed first; a value computed while the
-    generation moved (nested re-seed) is returned but not retained. *)
-
-val new_generation : unit -> unit
-(** Advance the global generation: every volatile store is invalidated
-    (flushed lazily on next access). *)
+    [compute], stores and returns its result. *)
 
 val clear_all : unit -> unit
-(** Advance the generation and flush every store, volatile or not. *)
-
-type stat = {
-  s_name : string;
-  entries : int;
-  capacity : int;
-  volatile : bool;
-  hits : int;
-  misses : int;
-  evictions : int;
-}
-
-val stats : unit -> stat list
-(** One entry per store, sorted by name; hit/miss numbers mirror the
-    [Metrics] cells (and thus reset with [Metrics.reset]). *)
-
-val pp_stats : Format.formatter -> unit -> unit
-val report : unit -> string
-(** The [--cache-stats] table. *)
+(** Flush every store. *)

@@ -33,12 +33,11 @@ let find env v =
 let bindings env = M.bindings env.map
 let lookup env v = Qnum.of_int (find env v)
 
-(* Evaluation is a pure function of (environment, expression), so the
-   store is non-volatile; only successful evaluations are cached - an
-   evaluation that raises (unbound variable, fractional Pow2 exponent)
-   recomputes and the exception propagates unchanged. *)
-let eval_store : Qnum.t Artifact.store =
-  Artifact.store ~capacity:131_072 "env.eval"
+(* Evaluation is a pure function of (environment, expression); only
+   successful evaluations are cached - an evaluation that raises
+   (unbound variable, fractional Pow2 exponent) recomputes and the
+   exception propagates unchanged. *)
+let eval_store : Qnum.t Artifact.store = Artifact.store "env.eval"
 
 let uncached_count = Metrics.counter "env.eval_uncached"
 

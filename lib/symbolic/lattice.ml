@@ -444,18 +444,20 @@ module Own = struct
     mirror : int option;
   }
 
-  let owner o addr =
-    let rel = addr - o.base in
+  let owner_at ~h ~base ~block ~period ~mirror addr =
+    let rel = addr - base in
     let rel = if rel < 0 then 0 else rel in
+    let rel = match period with Some d when d > 0 -> rel mod d | _ -> rel in
     let rel =
-      match o.period with Some d when d > 0 -> rel mod d | _ -> rel
-    in
-    let rel =
-      match o.mirror with
+      match mirror with
       | Some m when m > 0 && rel < m -> min rel (m - 1 - rel)
       | _ -> rel
     in
-    rel / o.block mod o.h
+    rel / block mod h
+
+  let owner o addr =
+    owner_at ~h:o.h ~base:o.base ~block:o.block ~period:o.period
+      ~mirror:o.mirror addr
 
   (* Largest e in [x, hi] such that the owner is constant on [x, e]:
      intersect the current period cell, the current block of the

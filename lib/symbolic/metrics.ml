@@ -88,8 +88,6 @@ let add_time t s =
 let hit c = c.hits <- c.hits + 1
 let miss c = c.misses <- c.misses + 1
 
-let hits c = c.hits
-let misses c = c.misses
 let lookups c = c.hits + c.misses
 
 let hit_rate c =
@@ -184,31 +182,33 @@ let absorb (s : snapshot) =
       c.misses <- c.misses + misses)
     s.caches
 
+(* Only the cells this run touched: a timer with calls, a cache with
+   lookups, a nonzero counter.  [snapshot] and [to_json] keep every
+   registered cell. *)
 let pp_table ppf (s : snapshot) =
   let line fmt = Format.fprintf ppf fmt in
-  if s.timers <> [] then begin
-    line "%-28s %10s %14s %12s@," "timer" "calls" "total ms" "ms/call";
-    List.iter
-      (fun (n, (calls, sec)) ->
-        line "%-28s %10d %14.3f %12.5f@," n calls (1000. *. sec)
-          (if calls = 0 then 0.0 else 1000. *. sec /. float_of_int calls))
-      s.timers
-  end;
-  if s.caches <> [] then begin
-    line "%-28s %10s %10s %12s@," "cache" "hits" "misses" "hit rate";
-    List.iter
-      (fun (n, (h, m)) ->
-        let total = h + m in
-        line "%-28s %10d %10d %11.1f%%@," n h m
-          (if total = 0 then 0.0 else 100. *. float_of_int h /. float_of_int total))
-      s.caches
-  end;
-  if s.counters <> [] then begin
-    line "%-28s %10s@," "counter" "value";
-    List.iter (fun (n, v) -> line "%-28s %10d@," n v) s.counters
-  end
-
-let report () = Format.asprintf "@[<v>%a@]" pp_table (snapshot ())
+  let section header cells row =
+    if cells <> [] then begin
+      header ();
+      List.iter row cells
+    end
+  in
+  section
+    (fun () -> line "%-28s %10s %14s %12s@," "timer" "calls" "total ms" "ms/call")
+    (List.filter (fun (_, (calls, _)) -> calls > 0) s.timers)
+    (fun (n, (calls, sec)) ->
+      line "%-28s %10d %14.3f %12.5f@," n calls (1000. *. sec)
+        (1000. *. sec /. float_of_int calls));
+  section
+    (fun () -> line "%-28s %10s %10s %12s@," "cache" "hits" "misses" "hit rate")
+    (List.filter (fun (_, (h, m)) -> h + m > 0) s.caches)
+    (fun (n, (h, m)) ->
+      line "%-28s %10d %10d %11.1f%%@," n h m
+        (100. *. float_of_int h /. float_of_int (h + m)));
+  section
+    (fun () -> line "%-28s %10s@," "counter" "value")
+    (List.filter (fun (_, v) -> v <> 0) s.counters)
+    (fun (n, v) -> line "%-28s %10d@," n v)
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering - hand-rolled so the registry stays dependency-free.

@@ -11,7 +11,8 @@
     The registry deliberately has no dependencies beyond [unix] so every
     layer of the pipeline - [Symbolic.Expr] normalization at the bottom,
     [Core.Pipeline] stages at the top - can report into the same table.
-    [Core.Metrics] re-exports this module for pipeline-level callers. *)
+    The artifact stores ({!Artifact}) count their hits and misses in
+    cache cells of their own names. *)
 
 type counter
 type timer
@@ -37,8 +38,6 @@ val add_time : timer -> float -> unit
 
 val hit : cache -> unit
 val miss : cache -> unit
-val hits : cache -> int
-val misses : cache -> int
 val lookups : cache -> int
 val hit_rate : cache -> float
 (** Hits over total lookups; [0.0] when the cache was never consulted. *)
@@ -67,10 +66,9 @@ val absorb : snapshot -> unit
     includes its workers' merged numbers alongside its own. *)
 
 val pp_table : Format.formatter -> snapshot -> unit
-(** Human-readable table (the [--profile] stderr output). *)
-
-val report : unit -> string
-(** [pp_table] of a fresh snapshot, as a string. *)
+(** Human-readable table (the [--profile] stderr output) of the cells
+    the run touched: timers with calls, caches with lookups and nonzero
+    counters.  Untouched cells stay in {!snapshot} and {!to_json}. *)
 
 val to_json : snapshot -> string
 (** Machine-readable snapshot:

@@ -1,19 +1,19 @@
-let samples = ref 64
+let samples = 64
 let probe_state = ref (Random.State.make [| 0x5eed; 2024 |])
 
-(* Artifact stores whose contents depend on the probe stream (this
-   module's sample bank and predicate memo, Range's bound memo, the
-   symmetry and LCG stores) are created volatile: advancing the artifact generation
-   whenever the stream is re-seeded flushes them lazily, so no cached
-   answer derived under one seed survives into a run under another. *)
+(* Several artifact stores hold answers derived from the probe stream
+   (this module's sample bank and predicate memo, Range's bound memo,
+   the symmetry and LCG stores): re-seeding drops every store on entry
+   and exit, so no cached answer derived under one seed survives into
+   a run under another. *)
 let with_seed seed f =
   let saved = !probe_state in
   probe_state := Random.State.make [| seed |];
-  Artifact.new_generation ();
+  Artifact.clear_all ();
   Fun.protect
     ~finally:(fun () ->
       probe_state := saved;
-      Artifact.new_generation ())
+      Artifact.clear_all ())
     f
 
 (* The base state is never advanced by queries.  Sample [i] of an
@@ -29,9 +29,9 @@ let with_seed seed f =
    row per sample.  A draw that raises is stored and re-raised at its
    index, where a fresh fork would raise it too; no later row is ever
    asked for, because every sampling loop stops at its first exception.
-   The store is volatile, so re-seeding flushes it; a capacity drop
-   only makes the next query fork the base state again and redraw the
-   same rows.  DESIGN.md section 16.4 has the parity argument. *)
+   Re-seeding flushes the store; an overflow drop only makes the next
+   query fork the base state again and redraw the same rows.  DESIGN.md
+   section 16.4 has the parity argument. *)
 type bank = {
   asm : Assume.t;
   names : string array;  (* [Assume.vars asm]: row slot j binds names.(j) *)
@@ -41,8 +41,7 @@ type bank = {
   mutable failure : exn option;  (* raised by the draw of row [drawn] *)
 }
 
-let banks : bank Artifact.store =
-  Artifact.store ~capacity:1024 ~volatile:true "probe.bank"
+let banks : bank Artifact.store = Artifact.store "probe.bank"
 
 let bank asm =
   Artifact.find banks (Assume.key asm) (fun () ->
@@ -61,7 +60,7 @@ let row b i =
     match Assume.sample ~state:b.fork b.asm with
     | env ->
         if b.drawn = Array.length b.rows then begin
-          let rows = Array.make (max !samples (2 * b.drawn)) [||] in
+          let rows = Array.make (max samples (2 * b.drawn)) [||] in
           Array.blit b.rows 0 rows 0 b.drawn;
           b.rows <- rows
         end;
@@ -83,8 +82,7 @@ let sample asm i =
 (* Bounded memo for the public predicates: probes are deterministic
    given the seed policy, and the analysis re-asks the same questions
    (stride comparisons, offset orders) thousands of times. *)
-let memo : bool Artifact.store =
-  Artifact.store ~capacity:200_000 ~volatile:true "probe.memo"
+let memo : bool Artifact.store = Artifact.store "probe.memo"
 
 let memoized tag asm a b compute =
   Artifact.find memo
@@ -94,7 +92,7 @@ let memoized tag asm a b compute =
 let forall_count = Metrics.counter "probe.forall"
 
 (* Build [test] once for [asm]'s bank, then run it on the bank's first
-   [!samples] rows; [true] if it holds on every one, [false] if it
+   [samples] rows; [true] if it holds on every one, [false] if it
    fails somewhere or some draw or evaluation raised an evaluation
    error.  Every row is visited until the first exception, as a loop
    over fresh draws would, so an exception this does not catch
@@ -104,7 +102,7 @@ let over_bank asm test =
   let test = test b in
   let ok = ref true in
   (try
-     for i = 0 to !samples - 1 do
+     for i = 0 to samples - 1 do
        if not (test (row b i)) then ok := false
      done
    with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero ->

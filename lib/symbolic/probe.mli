@@ -14,14 +14,13 @@
     All functions answer [false] (or [None]) if evaluation fails at any
     sample (unbound variable, fractional [Pow2] exponent). *)
 
-val samples : int ref
-(** Number of sampled assignments per query (default 64). *)
+val samples : int
+(** Number of sampled assignments per query: 64. *)
 
 val with_seed : int -> (unit -> 'a) -> 'a
-(** Run a query deterministically (tests).  Entry and exit advance the
-    {!Artifact} generation, flushing every volatile store, so no cached
-    answer derived under one probe seed survives into a run under
-    another. *)
+(** Run [f] with the probe stream seeded by [seed].  Entry and exit
+    call {!Artifact.clear_all}, so no cached answer derived under one
+    probe seed survives into a run under another. *)
 
 val sample : Assume.t -> int -> Env.t
 (** [sample asm i]: the [i]-th assignment of [asm]'s sample stream, as
@@ -58,7 +57,7 @@ val constant_in : Assume.t -> string -> Expr.t -> bool
 
     The loops behind the predicates, for {!Range}: neither counts in
     [probe.forall].  Each builds its per-row test once, then runs it on
-    the first [!samples] rows of the assumption set's bank, answering
+    the first [samples] rows of the assumption set's bank, answering
     [false] if the test fails on some row or an evaluation error is
     raised, as the predicates do. *)
 

@@ -44,12 +44,10 @@ let bounds_of asm v =
 (* Bound elimination is deterministic given the probe stream, and the
    coalescing fixpoint re-asks the same (assumptions, direction, over,
    expr) queries many times per phase; memoize the final validated
-   answer.  The store is volatile (flushed on generation change, i.e.
-   whenever the probe stream is re-seeded) so an answer never crosses
-   seeds; the descriptor property suite pins that the memoized analysis
-   still matches the brute-force oracle. *)
-let memo : Expr.t option Artifact.store =
-  Artifact.store ~capacity:100_000 ~volatile:true "range.bounds"
+   answer.  Re-seeding the probe stream flushes the store, so an answer
+   never crosses seeds; the descriptor property suite pins that the
+   memoized analysis still matches the brute-force oracle. *)
+let memo : Expr.t option Artifact.store = Artifact.store "range.bounds"
 
 let eliminate_timer = Metrics.timer "range.eliminate"
 

@@ -11,7 +11,7 @@ open Symbolic
 let pipeline name ~h =
   let e = Codes.Registry.find name in
   Probe.with_seed 701 (fun () ->
-      Core.Artifact.clear_all ();
+      Symbolic.Artifact.clear_all ();
       Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h)
 
 let check_run name (t : Core.Pipeline.t) (r : Exec.Runner.result) =

@@ -22,7 +22,7 @@ let cases = deep @ default
 
 let fingerprint (profile, index, h) =
   let prog = Fuzz.Gen.program profile ~seed:2026 ~index in
-  Core.Artifact.clear_all ();
+  Symbolic.Artifact.clear_all ();
   let t = Core.Pipeline.run prog ~env:(Fuzz.Gen.midpoint_env prog) ~h in
   let report = Format.asprintf "%a@." Core.Pipeline.report t in
   let run = Core.Pipeline.simulate t in

@@ -38,7 +38,7 @@ let render (t : Locality.Lcg.t) : string =
 let snapshot name =
   let e = Codes.Registry.find name in
   Probe.with_seed 601 (fun () ->
-      Core.Artifact.clear_all ();
+      Symbolic.Artifact.clear_all ();
       let t =
         Core.Pipeline.run e.program ~env:(e.env_of_size (size_of e)) ~h:4
       in

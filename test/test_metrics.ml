@@ -1,10 +1,15 @@
-(* Unit tests for the Core.Metrics registry: interning, counters,
+(* Unit tests for the Symbolic.Metrics registry: interning, counters,
    reentrancy-safe timers, cache statistics, reset semantics, the
    hand-rolled JSON emitter (validated by a small recursive-descent
    JSON syntax checker, since the project deliberately has no JSON
    dependency), and per-phase reuse in the phase.analyze store. *)
 
-module M = Core.Metrics
+module M = Symbolic.Metrics
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 (* ------------------------------------------------------------------ *)
 (* A minimal RFC 8259 syntax checker. *)
@@ -229,13 +234,54 @@ let test_reset () =
 
 let test_clearers () =
   (* every store self-registers, so a global clear empties this one *)
-  let store : int Core.Artifact.store = Core.Artifact.store "t.artifact" in
-  let k = Core.Artifact.Key.int 1 in
-  Alcotest.(check int) "computed" 7 (Core.Artifact.find store k (fun () -> 7));
-  Alcotest.(check int) "cached" 7 (Core.Artifact.find store k (fun () -> 8));
-  Core.Artifact.clear_all ();
+  let store : int Symbolic.Artifact.store = Symbolic.Artifact.store "t.artifact" in
+  let k = Symbolic.Artifact.Key.int 1 in
+  Alcotest.(check int) "computed" 7 (Symbolic.Artifact.find store k (fun () -> 7));
+  Alcotest.(check int) "cached" 7 (Symbolic.Artifact.find store k (fun () -> 8));
+  Symbolic.Artifact.clear_all ();
   Alcotest.(check int) "flushed by clear_all" 9
-    (Core.Artifact.find store k (fun () -> 9))
+    (Symbolic.Artifact.find store k (fun () -> 9))
+
+(* The one invalidation rule: [with_seed] drops every store on entry
+   and exit, so a value cached under one seed is recomputed under the
+   next and again once each scope exits. *)
+let test_reseed_recomputes () =
+  let store : int Symbolic.Artifact.store = Symbolic.Artifact.store "t.reseed" in
+  let computed = ref 0 in
+  let find () =
+    Symbolic.Artifact.find store (Symbolic.Artifact.Key.int 1) (fun () ->
+        incr computed;
+        !computed)
+  in
+  Symbolic.Probe.with_seed 1 (fun () ->
+      Alcotest.(check int) "computed inside with_seed a" 1 (find ());
+      Alcotest.(check int) "cached inside with_seed a" 1 (find ());
+      Symbolic.Probe.with_seed 2 (fun () ->
+          Alcotest.(check int) "recomputed inside with_seed b" 2 (find ()));
+      Alcotest.(check int) "recomputed after with_seed b exits" 3 (find ()));
+  Alcotest.(check int) "recomputed after with_seed a exits" 4 (find ())
+
+(* [--profile] shows this run only: a registered cell nothing touched
+   is left out of the table but stays in the snapshot (and the JSON). *)
+let test_table_skips_untouched () =
+  let touched = M.counter "t.table-touched" in
+  ignore (M.counter "t.table-idle");
+  ignore (M.timer "t.table-idle-timer");
+  ignore (M.cache "t.table-idle-cache");
+  M.incr touched;
+  let snap = M.snapshot () in
+  let table = Format.asprintf "@[<v>%a@]" M.pp_table snap in
+  Alcotest.(check bool) "touched counter shown" true (contains table "t.table-touched");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " not in the table") false (contains table name))
+    [ "t.table-idle"; "t.table-idle-timer"; "t.table-idle-cache" ];
+  Alcotest.(check bool) "idle counter in the snapshot" true
+    (List.mem_assoc "t.table-idle" snap.counters);
+  Alcotest.(check bool) "idle timer in the snapshot" true
+    (List.mem_assoc "t.table-idle-timer" snap.timers);
+  Alcotest.(check bool) "idle cache in the snapshot" true
+    (List.mem_assoc "t.table-idle-cache" snap.caches)
 
 (* ------------------------------------------------------------------ *)
 (* JSON emission *)
@@ -256,14 +302,9 @@ let test_snapshot_json_valid () =
   M.hit (M.cache "t.json-cache");
   let doc = M.to_json (M.snapshot ()) in
   Alcotest.(check bool) "valid JSON" true (json_valid doc);
-  let contains needle hay =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go k = k + nn <= nh && (String.sub hay k nn = needle || go (k + 1)) in
-    go 0
-  in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) (needle ^ " present") true (contains needle doc))
+      Alcotest.(check bool) (needle ^ " present") true (contains doc needle))
     [ "t.json-counter"; "t.json-timer"; "t.json-cache"; "hit_rate" ]
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +366,7 @@ let test_absorb () =
    the acceptance bar for the --profile surface. *)
 let test_pipeline_populates_registry () =
   M.reset ();
-  Core.Artifact.clear_all ();
+  Symbolic.Artifact.clear_all ();
   let e = Codes.Registry.find "tfft2" in
   let env = e.env_of_size e.default_size in
   let t = Core.Pipeline.run e.program ~env ~h:4 in
@@ -356,18 +397,27 @@ let test_pipeline_populates_registry () =
     (List.assoc "exec.messages" snap.counters > 0);
   Alcotest.(check bool) "json valid" true (json_valid (M.to_json snap))
 
+(* Hits and misses summed over the artifact stores' cache cells, read
+   off a fresh snapshot; expr.intern is the one cache cell that no
+   store owns. *)
+let store_totals () =
+  List.fold_left
+    (fun (h, m) (name, (hits, misses)) ->
+      if name = "expr.intern" then (h, m) else (h + hits, m + misses))
+    (0, 0) (M.snapshot ()).caches
+
 (* Cache effectiveness on every registry kernel at size
    [min default_size 6] and H=4, seed 2026: the cold run raises
    nothing, the simulator raises only recoverable exceptions, and a
    second run in the same environment is answered from the artifact
-   stores (nonzero entries and hits) and renders a byte-identical
-   report. *)
+   stores (the cold run misses and fills them, the warm run adds hits)
+   and renders a byte-identical report. *)
 let test_warm_run_hits_artifact_stores () =
   Symbolic.Probe.with_seed 2026 @@ fun () ->
   List.iter
     (fun (e : Codes.Registry.entry) ->
       M.reset ();
-      Core.Artifact.clear_all ();
+      Symbolic.Artifact.clear_all ();
       let env = e.env_of_size (min e.default_size 6) in
       let once () =
         let t = Core.Pipeline.run e.program ~env ~h:4 in
@@ -377,32 +427,12 @@ let test_warm_run_hits_artifact_stores () =
         Format.asprintf "%a" Core.Pipeline.report t
       in
       let cold = once () in
+      let cold_hits, cold_misses = store_totals () in
+      Alcotest.(check bool) (e.name ^ ": stores populated") true (cold_misses > 0);
       Alcotest.(check string) (e.name ^ ": warm report") cold (once ());
-      let stats = Core.Artifact.stats () in
-      let total f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-      Alcotest.(check bool)
-        (e.name ^ ": stores populated")
-        true
-        (total (fun s -> s.Core.Artifact.entries) > 0);
-      Alcotest.(check bool)
-        (e.name ^ ": warm run hit the stores")
-        true
-        (total (fun s -> s.Core.Artifact.hits) > 0))
-    Codes.Registry.all;
-  (* and the --cache-stats rendering covers every registered store *)
-  let report = Core.Artifact.report () in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (s.Core.Artifact.s_name ^ " in report")
-        true
-        (contains report s.Core.Artifact.s_name))
-    (Core.Artifact.stats ())
+      let warm_hits, _ = store_totals () in
+      Alcotest.(check bool) (e.name ^ ": warm run hit the stores") true (warm_hits > cold_hits))
+    Codes.Registry.all
 
 (* The registry holds no cells of the removed analysis daemon: no
    serve.* rows and none of its pool counters show up in a --profile.
@@ -452,12 +482,7 @@ phase COPY:
   end
 |}
 
-let store_hits name =
-  match List.find_opt (fun s -> s.Core.Artifact.s_name = name)
-          (Core.Artifact.stats ())
-  with
-  | Some s -> s.Core.Artifact.hits
-  | None -> 0
+let store_hits name = fst (List.assoc name (M.snapshot ()).caches)
 
 let test_phase_key_incremental () =
   let edited =
@@ -474,7 +499,7 @@ let test_phase_key_incremental () =
   let p2 = Frontend.Parse.program edited in
   Alcotest.(check bool) "the edit changed the program" true (p1 <> p2);
   (* prime the cache from a clean slate *)
-  Core.Artifact.clear_all ();
+  Symbolic.Artifact.clear_all ();
   let analyze_all (p : Ir.Types.program) =
     List.iter (fun ph -> ignore (Ir.Phase.analyze p ph)) p.phases
   in
@@ -507,6 +532,9 @@ let () =
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "clearers" `Quick test_clearers;
+          Alcotest.test_case "re-seed recomputes" `Quick test_reseed_recomputes;
+          Alcotest.test_case "table skips untouched cells" `Quick
+            test_table_skips_untouched;
           Alcotest.test_case "warm artifact hits" `Quick
             test_warm_run_hits_artifact_stores;
           Alcotest.test_case "no daemon cells" `Quick test_no_daemon_cells;

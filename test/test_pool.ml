@@ -5,7 +5,7 @@
    handling of hostile length prefixes and truncated payloads. *)
 
 module P = Core.Pool
-module M = Core.Metrics
+module M = Symbolic.Metrics
 
 (* Worker body shared by the determinism tests: full pipeline on a
    registry kernel, rendered to the same report the CLI prints. *)

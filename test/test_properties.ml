@@ -217,23 +217,23 @@ let prop_adjust_distance =
               in
               check pd1 && check pd2)))
 
-(* Memo coherence: flushing every cache (and re-seeding the probe
-   stream, which flushes the seed-dependent tables) must not change any
-   answer - a cold run and a warm run agree. *)
+(* Memo coherence: flushing every cache must not change any answer - a
+   cold run, a warm run reading the first run's stores, and a second
+   cold run agree.  All three share one probe scope, since
+   [Probe.with_seed] clears every store on entry and exit. *)
 let prop_memo_coherence =
   QCheck.Test.make ~name:"cold and warm caches give identical results" ~count
     arb_affine (fun prog ->
       let compute () =
-        Probe.with_seed 506 (fun () ->
-            let pd = Unionize.simplify (pd_of prog 0) in
-            (expand pd ~par:None, expand pd ~par:(Some 0)))
+        let pd = Unionize.simplify (pd_of prog 0) in
+        (expand pd ~par:None, expand pd ~par:(Some 0))
       in
-      Core.Artifact.clear_all ();
-      let cold = compute () in
-      let warm = compute () in
-      Core.Artifact.clear_all ();
-      let cold2 = compute () in
-      cold = warm && cold = cold2)
+      Probe.with_seed 506 (fun () ->
+          let cold = compute () in
+          let warm = compute () in
+          Symbolic.Artifact.clear_all ();
+          let cold2 = compute () in
+          cold = warm && cold = cold2))
 
 (* ------------------------------------------------------------------ *)
 (* Interning: the hash-consed [Expr.equal]/[Expr.compare] must agree
@@ -336,22 +336,22 @@ let prop_intern_reset_coherent =
       && Expr.compare b a2 = order)
 
 (* Dedicated cold-vs-warm run over the full pipeline: the first run
-   starts from empty artifact stores and a fresh intern generation, the
-   second answers from the warm stores - the rendered reports must be
+   starts from empty artifact stores, the second answers from the warm
+   stores the first left in the same probe scope ([Probe.with_seed]
+   clears every store on entry and exit) - the rendered reports must be
    byte-identical. *)
 let report_of_cold_warm t = Format.asprintf "%a" Core.Pipeline.report t
 
 let prop_cold_warm_report =
   QCheck.Test.make ~name:"cold and warm pipeline reports byte-identical"
     ~count arb_affine (fun prog ->
-      Core.Artifact.clear_all ();
       let once () =
-        Probe.with_seed 509 (fun () ->
-            report_of_cold_warm (Core.Pipeline.run prog ~env:Env.empty ~h:4))
+        report_of_cold_warm (Core.Pipeline.run prog ~env:Env.empty ~h:4)
       in
-      let cold = once () in
-      let warm = once () in
-      cold = warm)
+      Probe.with_seed 509 (fun () ->
+          let cold = once () in
+          let warm = once () in
+          cold = warm))
 
 (* ------------------------------------------------------------------ *)
 (* Frontend round trip and pipeline determinism *)

@@ -175,9 +175,8 @@ let iv_ops =
       && Lattice.Iv.total (Lattice.Iv.norm a) = IntSet.cardinal sa)
 
 (* ------------------------------------------------------------------ *)
-(* Ownership: owner must equal Distribution.proc_of; the segment walk
-   must partition the range into constant-owner runs, for all three
-   distribution kinds. *)
+(* Ownership: the segment walk must partition the range into
+   constant-owner runs, for all three distribution kinds. *)
 
 let gen_own =
   QCheck.Gen.(
@@ -197,39 +196,6 @@ let gen_own =
     return Lattice.Own.{ h; base; block; period; mirror })
 
 let arb_own = QCheck.make gen_own
-
-let own_vs_distribution =
-  prop "Own.owner = Distribution.proc_of on all kinds" arb_own (fun o ->
-      let layout =
-        Ilp.Distribution.
-          {
-            array = "A";
-            first_phase = 0;
-            last_phase = 0;
-            base = o.Lattice.Own.base;
-            block = o.Lattice.Own.block;
-            period = o.Lattice.Own.period;
-            mirror = o.Lattice.Own.mirror;
-            halo = 0;
-          }
-      in
-      let plan =
-        Ilp.Distribution.
-          {
-            h = o.Lattice.Own.h;
-            chunk = [| 1 |];
-            layouts = [ layout ];
-            privatized = [];
-          }
-      in
-      let ok = ref true in
-      for addr = -10 to 60 do
-        if
-          Lattice.Own.owner o addr
-          <> Ilp.Distribution.proc_of plan layout ~addr
-        then ok := false
-      done;
-      !ok)
 
 let own_segments =
   prop "Own.segments partitions into constant runs" arb_own (fun o ->
@@ -704,7 +670,7 @@ let () =
           union_card_exact;
           iv_ops;
         ] );
-      ("ownership", [ own_vs_distribution; own_segments; own_sets ]);
+      ("ownership", [ own_segments; own_sets ]);
       ("windows", [ window_hits_exact; per_proc_exact ]);
       ( "shape",
         [

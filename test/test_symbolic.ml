@@ -631,7 +631,7 @@ module Bank_check = struct
   let forall_over draw asm f =
     let ok = ref true in
     (try
-       for k = 0 to !Probe.samples - 1 do
+       for k = 0 to Probe.samples - 1 do
          if not (f (draw asm k)) then ok := false
        done
      with Expr.Non_integral _ | Env.Unbound _ | Division_by_zero | Qnum.Division_by_zero ->
@@ -684,54 +684,37 @@ module Bank_check = struct
     String.concat "," (List.map (fun (x, n) -> Printf.sprintf "%s=%d" x n) (Env.bindings env))
 
   (* Every answer [p] gives for one assumption set, rendered (raised
-     exceptions included).  [memoized] answers are left out after a
-     change of [!Probe.samples] inside one generation: the predicate
-     memo is keyed on the question, not on the sample count. *)
-  let answers ~memoized p asm (a, b, x) =
+     exceptions included), then the first [Probe.samples + 8] samples:
+     those past the predicates' rows make the bank's rows extend. *)
+  let answers p asm (a, b, x) =
     let bool f = show (fun () -> string_of_bool (f ())) in
     let sign e = show (fun () -> match p.sign asm e with None -> "none" | Some s -> string_of_int s) in
-    let unmemoized =
-      [
-        bool (fun () -> p.is_zero asm a);
-        sign a;
-        sign b;
-        sign (Expr.var x);
-        bool (fun () -> p.lt asm a b);
-        bool (fun () -> p.constant_in asm x a);
-      ]
-      @ List.init !Probe.samples (fun k -> show (fun () -> show_env (p.sample asm k)))
-    in
-    if not memoized then unmemoized
-    else
-      [
-        bool (fun () -> p.equal asm a b);
-        bool (fun () -> p.nonneg asm a);
-        bool (fun () -> p.le asm a b);
-        bool (fun () -> p.integral asm b);
-        bool (fun () -> p.divides asm a b);
-      ]
-      @ unmemoized
+    [
+      bool (fun () -> p.equal asm a b);
+      bool (fun () -> p.nonneg asm a);
+      bool (fun () -> p.le asm a b);
+      bool (fun () -> p.integral asm b);
+      bool (fun () -> p.divides asm a b);
+      bool (fun () -> p.is_zero asm a);
+      sign a;
+      sign b;
+      sign (Expr.var x);
+      bool (fun () -> p.lt asm a b);
+      bool (fun () -> p.constant_in asm x a);
+    ]
+    @ List.init (Probe.samples + 8) (fun k -> show (fun () -> show_env (p.sample asm k)))
 
   (* [impl] against [fresh] on two assumption sets that share their
-     names: 8 samples, then 64 in the same generation (rows extend),
-     then inside and after a nested re-seed. *)
+     names, then inside and after a nested re-seed. *)
   let agrees impl (seed, asms, q) =
-    let phase ~memoized seed =
-      List.for_all
-        (fun asm -> answers ~memoized (impl ~seed) asm q = answers ~memoized (fresh ~seed) asm q)
-        asms
+    let phase seed =
+      List.for_all (fun asm -> answers (impl ~seed) asm q = answers (fresh ~seed) asm q) asms
     in
-    Fun.protect
-      ~finally:(fun () -> Probe.samples := 64)
-      (fun () ->
-        Probe.with_seed seed (fun () ->
-            Probe.samples := 8;
-            let at8 = phase ~memoized:true seed in
-            Probe.samples := 64;
-            let at64 = phase ~memoized:false seed in
-            let inner = Probe.with_seed (seed + 1) (fun () -> phase ~memoized:true (seed + 1)) in
-            let after = phase ~memoized:true seed in
-            at8 && at64 && inner && after))
+    Probe.with_seed seed (fun () ->
+        let outer = phase seed in
+        let inner = Probe.with_seed (seed + 1) (fun () -> phase (seed + 1)) in
+        let after = phase seed in
+        outer && inner && after)
 
   let names = [ "a"; "b"; "c"; "d" ]
 
