@@ -29,6 +29,21 @@ let x_raw () = Pd.of_phase (Lazy.force f3_ctx) ~array:"X"
 let x_final = lazy (Unionize.simplify (x_raw ()))
 let small_env = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ]
 
+(* Each paper claim below is printed with the verdict of a comparison
+   this program makes; any mismatch makes the run exit 1. *)
+let mismatches = ref 0
+
+let claim text ok =
+  if not ok then incr mismatches;
+  Printf.printf "%s  [%s]\n" text (if ok then "MATCH" else "MISMATCH")
+
+(* Symbolic equality of expressions (lists of them), and the paper's
+   parameters as expressions. *)
+let same a b = Expr.is_zero (Expr.sub a b)
+let same_all a b = List.length a = List.length b && List.for_all2 same a b
+let pp_ = Expr.var "P" and qq_ = Expr.var "Q"
+let times k e = Expr.mul (Expr.int k) e
+
 (* ------------------------------------------------------------------ *)
 (* Figure reproductions *)
 
@@ -52,21 +67,32 @@ let fig3 () =
   let raw = x_raw () in
   Format.printf "(a) raw:@.%a@." Pd.pp raw;
   Format.printf "(b,c) after stride coalescing:@.%a@." Pd.pp (Coalesce.pd raw);
-  Format.printf "(d) after access descriptor union:@.%a@." Pd.pp
-    (Lazy.force x_final);
-  Printf.printf "paper final: strides (2P, 1), alphas (Q, P), tau 0  [MATCH]\n"
+  let final = Lazy.force x_final in
+  Format.printf "(d) after access descriptor union:@.%a@." Pd.pp final;
+  claim "paper final: strides (2P, 1), alphas (Q, P), tau 0"
+    (match final.groups with
+    | [ { dims; rows = [ row ]; _ } ] ->
+        same_all (List.map (fun (d : Pd.dim) -> d.stride) dims) [ times 2 pp_; Expr.one ]
+        && same_all row.alphas [ qq_; pp_ ]
+        && Expr.is_zero row.offset
+    | _ -> false)
 
 let fig4 () =
   sep "Fig. 4: IDs of X for i = 0, 1, 2 at P=4, Q=3";
-  for it = 0 to 2 do
-    let region =
-      Region.sorted
-        (Region.addresses small_env (Lazy.force x_final) ~par:(Some it))
-    in
-    Printf.printf "  I(X,%d) = {%s}\n" it
-      (String.concat ", " (List.map string_of_int region))
-  done;
-  Printf.printf "paper: {0..3}, {8..11}, {16..19}  [MATCH]\n"
+  let regions =
+    List.map
+      (fun it ->
+        let region =
+          Region.sorted
+            (Region.addresses small_env (Lazy.force x_final) ~par:(Some it))
+        in
+        Printf.printf "  I(X,%d) = {%s}\n" it
+          (String.concat ", " (List.map string_of_int region));
+        region)
+      [ 0; 1; 2 ]
+  in
+  claim "paper: {0..3}, {8..11}, {16..19}"
+    (regions = List.map (fun lo -> List.init 4 (( + ) lo)) [ 0; 8; 16 ])
 
 let fig5 () =
   sep "Fig. 5: storage symmetry distances";
@@ -127,12 +153,31 @@ let lcg_44 =
 
 let fig6 () =
   sep "Fig. 6: LCG of the TFFT2 section (H=4, P=Q=16)";
-  Format.printf "%a@." Lcg.pp (Lazy.force lcg_44);
-  Printf.printf
+  let lcg = Lazy.force lcg_44 in
+  Format.printf "%a@." Lcg.pp lcg;
+  (* the forward edges of one array's graph as (from, to, label) *)
+  let edges array =
+    let g = List.find (fun (g : Lcg.graph) -> g.array = array) lcg.graphs in
+    let name i = (List.nth g.nodes i).Lcg.name in
+    List.filter_map
+      (fun (e : Lcg.edge) ->
+        if e.back then None
+        else Some (name e.src, name e.dst, Table1.label_to_string e.label))
+      g.edges
+  in
+  let x = edges "X" and y = edges "Y" in
+  claim
     "paper: X chain F3..F8 all L with F1-F2, F2-F3 C; Y has (F2,F3) and\n\
-     (F3,F4) un-coupled.  [MATCH, with F6-Y R/W vs the figure's P: the\n\
-     figure conflicts with Table 2's own 2Q p62 = p82 row - see\n\
-     EXPERIMENTS.md]\n"
+     (F3,F4) un-coupled."
+    (x
+     = [ ("F1", "F2", "C"); ("F2", "F3", "C") ]
+       @ List.init 5 (fun k ->
+             (Printf.sprintf "F%d" (k + 3), Printf.sprintf "F%d" (k + 4), "L"))
+    && List.mem ("F2", "F3", "D") y
+    && List.mem ("F3", "F4", "D") y);
+  Printf.printf
+    "caveat: F6-Y is R/W here, P in the figure; the figure conflicts\n\
+     with Table 2's own 2Q p62 = p82 row - see EXPERIMENTS.md\n"
 
 let fig7 () =
   sep "Fig. 7: Theorem 1 case analysis";
@@ -182,15 +227,31 @@ let fig7 () =
 let fig8 () =
   sep "Fig. 8: upper limits and memory gap (P=4, Q=3)";
   let id = Id.of_pd (Lazy.force x_final) in
-  for it = 0 to 2 do
-    match Bounds.upper_limit (Lazy.force f3_ctx).assume id ~i:(Expr.int it) with
-    | Some e -> Printf.printf "  UL(I(X,%d)) = %d\n" it (Env.eval small_env e)
-    | None -> Printf.printf "  UL(I(X,%d)) = ?\n" it
-  done;
-  (match Bounds.memory_gap id with
-  | Some g -> Format.printf "  h = %a = %d@." Expr.pp g (Env.eval small_env g)
-  | None -> Printf.printf "  h = ?\n");
-  Printf.printf "paper: UL = 3, 11, 19; h = 4  [MATCH]\n"
+  let uls =
+    List.map
+      (fun it ->
+        match Bounds.upper_limit (Lazy.force f3_ctx).assume id ~i:(Expr.int it) with
+        | Some e ->
+            let ul = Env.eval small_env e in
+            Printf.printf "  UL(I(X,%d)) = %d\n" it ul;
+            Some ul
+        | None ->
+            Printf.printf "  UL(I(X,%d)) = ?\n" it;
+            None)
+      [ 0; 1; 2 ]
+  in
+  let gap =
+    match Bounds.memory_gap id with
+    | Some g ->
+        let v = Env.eval small_env g in
+        Format.printf "  h = %a = %d@." Expr.pp g v;
+        Some v
+    | None ->
+        Printf.printf "  h = ?\n";
+        None
+  in
+  claim "paper: UL = 3, 11, 19; h = 4"
+    (uls = [ Some 3; Some 11; Some 19 ] && gap = Some 4)
 
 let fig9 () =
   sep "Fig. 9 / Eqs. 4-6: balanced locality";
@@ -213,16 +274,26 @@ let fig9 () =
   | Some r ->
       Format.printf "  F2-F3: %a  (paper Eq. 4: p2 + 2QP - P = 2P p3)@."
         Balance.pp_relation r;
-      Printf.printf
-        "         label %s: integer solution p2=P, p3=Q violates Eqs. 5-6  [MATCH]\n"
-        (Table1.label_to_string e23.label)
+      (* (p2, p3) = (P, Q) solves the relation, but lies outside the
+         load-balance windows 1 <= p <= ceil(n/H) of Eqs. 5-6 *)
+      let solves =
+        same (Expr.mul r.a pp_) (Expr.add (Expr.mul r.b qq_) r.c)
+      in
+      let outside v (node : Lcg.node) = v > (node.par_n + lcg.h - 1) / lcg.h in
+      claim
+        (Printf.sprintf
+           "         label %s: integer solution p2=P, p3=Q violates Eqs. 5-6"
+           (Table1.label_to_string e23.label))
+        (e23.label = Table1.C && solves
+        && (outside (Env.eval lcg.env pp_) (List.nth gx.nodes e23.src)
+           || outside (Env.eval lcg.env qq_) (List.nth gx.nodes e23.dst)))
   | None -> Printf.printf "  F2-F3: no relation\n"
 
 let table1 () =
   sep "Table 1: LCG edge-label classification (spec = theorem-derived)";
   Printf.printf "%-12s | %-6s %-6s | %-6s %-6s\n" "F_k - F_g" "Ov+Bal" "Ov+Unb"
     "No+Bal" "No+Unb";
-  let mismatches = ref 0 in
+  let cells = ref 0 in
   List.iter
     (fun (ak, ag) ->
       let cell overlap balanced =
@@ -232,7 +303,7 @@ let table1 () =
             let derived = Inter.derive ak ag ~overlap ~balanced in
             if Table1.equal_label spec derived then Table1.label_to_string spec
             else begin
-              incr mismatches;
+              incr cells;
               Printf.sprintf "%s!%s"
                 (Table1.label_to_string spec)
                 (Table1.label_to_string derived)
@@ -246,16 +317,48 @@ let table1 () =
         (cell false false))
     Table1.rows;
   Printf.printf "mismatches between paper table and derived rule: %d\n"
-    !mismatches
+    !cells;
+  mismatches := !mismatches + !cells
 
 let table2 () =
   sep "Table 2: TFFT2 constraint system (H=4, P=Q=16)";
   let model = Ilp.Model.of_lcg (Lazy.force lcg_44) in
   Format.printf "%a@." Ilp.Model.pp model;
-  Printf.printf
-    "paper X rows: p31=p41, P p41=Q p51, p51=p61, p61=p71, 2Q p71=p81  [MATCH]\n\
-     paper Y rows: p12=Q p22 and 2Q p62=p82 reproduced; storage rows\n\
-     p.H <= PQ, PQ/2, PQ (Delta_d, Delta_r/2) reproduced  [MATCH]\n"
+  (* a row a p_k = b p_g + c against the paper's a' p_k = b' p_g: the
+     same phases, c = 0 and a b' = b a' *)
+  let row (l : Ilp.Model.locality) (k, a, g, b) =
+    l.k = k - 1 && l.g = g - 1 && Expr.is_zero l.c
+    && same (Expr.mul l.a b) (Expr.mul l.b a)
+  in
+  let rows array =
+    List.filter (fun (l : Ilp.Model.locality) -> l.array = array) model.locality
+  in
+  let one = Expr.one in
+  claim "paper X rows: p31=p41, P p41=Q p51, p51=p61, p61=p71, 2Q p71=p81"
+    (let paper =
+       [ (3, one, 4, one); (4, pp_, 5, qq_); (5, one, 6, one); (6, one, 7, one);
+         (7, times 2 qq_, 8, one) ]
+     in
+     let xs = rows "X" in
+     List.length xs = List.length paper && List.for_all2 row xs paper);
+  let storage =
+    List.filter (fun (s : Ilp.Model.storage) -> s.array = "X") model.storage
+  in
+  let pq = Expr.mul pp_ qq_ in
+  claim
+    "paper Y rows: p12=Q p22 and 2Q p62=p82 reproduced; storage rows\n\
+     p.H <= PQ, PQ/2, PQ (Delta_d, Delta_r/2) reproduced"
+    (List.for_all
+       (fun r -> List.exists (fun l -> row l r) (rows "Y"))
+       [ (1, one, 2, qq_); (6, times 2 qq_, 8, one) ]
+    && List.map (fun (s : Ilp.Model.storage) -> s.kind) storage
+       = [ `Shifted; `Reverse; `Reverse ]
+    && List.for_all
+         (fun (s : Ilp.Model.storage) -> s.coeff = (Lazy.force lcg_44).h)
+         storage
+    && same_all
+         (List.map (fun (s : Ilp.Model.storage) -> s.limit_expr) storage)
+         [ pq; Expr.scale (Qnum.make 1 2) pq; pq ])
 
 let eq7 () =
   sep "Eq. 7: overhead objective and solved distribution";
@@ -619,7 +722,12 @@ let reproduce () =
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _ ] -> Probe.with_seed 2026 reproduce
+  | [ _ ] ->
+      Probe.with_seed 2026 reproduce;
+      if !mismatches > 0 then begin
+        Printf.printf "%d paper claim(s) not reproduced\n" !mismatches;
+        exit 1
+      end
   | [ _; "curve" ] -> Probe.with_seed 2026 bench_curve
   | _ ->
       prerr_endline "usage: main.exe [curve]";

@@ -16,11 +16,16 @@
                      [--determinism-sample N] [--wall-cap S] [--out DIR]
                      [--inject-mutation] [--no-shrink]
 
-   Exit codes: 0 clean; 1 fatal (bad arguments, parse error, strict-mode
-   failure, too many errors); 2 the analysis degraded (error-severity
-   diagnostics recorded); 3 dataflow validation found stale reads;
-   4 `run --validate` checked nothing (no reads checked and no content
-   cells compared).  3 and 2 take precedence over 4.
+   Every command evaluates to its exit code and [main] exits once.
+   Exit codes: 0 clean; 1 fatal (unknown code or target, parse error,
+   strict-mode failure, too many errors, a program that cannot be
+   replayed); 2 the analysis degraded (error-severity diagnostics
+   recorded); 3 dataflow validation found stale reads; 4 `run
+   --validate` checked nothing (no reads checked and no content cells
+   compared); 124 malformed or out-of-range arguments, rejected before
+   the command runs.  3 and 2 take precedence over 4.  Diagnostics go
+   to stderr, except that analyze, report and file embed them in the
+   report on stdout.
 *)
 
 open Cmdliner
@@ -36,53 +41,46 @@ let code_arg =
    maps onto the registry's power-of-two exponent knob (so `--size
    2^30` selects a 2^30-element extent); everywhere else it is the
    literal value (`--procs 2^10` is 1024 processors). *)
-let pow_split s =
-  match String.index_opt s '^' with
-  | None -> None
-  | Some i ->
-      Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let size_conv =
+let power_conv ~size =
   let parse s =
-    match pow_split s with
-    | None -> (
-        match int_of_string_opt s with
-        | Some v -> Ok v
-        | None -> Error (`Msg (Printf.sprintf "invalid size %S" s)))
-    | Some (b, e) -> (
-        match (int_of_string_opt b, int_of_string_opt e) with
-        | Some 2, Some e when e >= 0 && e <= 62 -> Ok e
-        | Some _, Some _ ->
-            Error
-              (`Msg
-                "power-notation sizes must be 2^E with 0 <= E <= 62 (the \
-                 size knob is a power-of-two exponent)")
-        | _ -> Error (`Msg (Printf.sprintf "invalid size %S" s)))
+    match List.map int_of_string_opt (String.split_on_char '^' s) with
+    | [ Some v ] -> Ok v
+    | [ Some 2; Some e ] when size && e >= 0 && e <= 62 -> Ok e
+    | [ Some _; Some _ ] when size ->
+        Error
+          (`Msg
+            "power-notation sizes must be 2^E with 0 <= E <= 62 (the size \
+             knob is a power-of-two exponent)")
+    | [ Some b; Some e ] when b > 0 && e >= 0 ->
+        let rec go acc k =
+          if k = 0 then Ok acc
+          else if acc > max_int / b then
+            Error (`Msg (Printf.sprintf "%S overflows" s))
+          else go (acc * b) (k - 1)
+        in
+        go 1 e
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid %s %S" (if size then "size" else "integer") s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let pow_int_conv =
+(* Numeric flags are range-checked where they are parsed: a value below
+   [lo] is a command-line error (exit 124), like a malformed one. *)
+let at_least lo conv =
+  let pp = Arg.conv_printer conv in
   let parse s =
-    let plain () =
-      match int_of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-    in
-    match pow_split s with
-    | None -> plain ()
-    | Some (b, e) -> (
-        match (int_of_string_opt b, int_of_string_opt e) with
-        | Some b, Some e when b > 0 && e >= 0 ->
-            let rec go acc k =
-              if k = 0 then Ok acc
-              else if acc > max_int / b then
-                Error (`Msg (Printf.sprintf "%S overflows" s))
-              else go (acc * b) (k - 1)
-            in
-            go 1 e
-        | _ -> plain ())
+    match Arg.conv_parser conv s with
+    | Ok v when v < lo ->
+        Error (`Msg (Format.asprintf "%S is out of range (must be >= %a)" s pp lo))
+    | r -> r
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
+
+let count = at_least 1 Arg.int
+let natural = at_least 0 Arg.int
+let width = at_least 1 (power_conv ~size:false)
 
 let size_arg =
   let doc =
@@ -90,11 +88,14 @@ let size_arg =
      the extent directly: $(b,--size 2^30) selects a 2^30-element \
      problem."
   in
-  Arg.(value & opt (some size_conv) None & info [ "size"; "s" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (at_least 0 (power_conv ~size:true))) None
+    & info [ "size"; "s" ] ~docv:"N" ~doc)
 
 let procs_arg =
   let doc = "Number of processors H (power notation accepted: 2^10)." in
-  Arg.(value & opt pow_int_conv 4 & info [ "procs"; "H" ] ~docv:"H" ~doc)
+  Arg.(value & opt width 4 & info [ "procs"; "H" ] ~docv:"H" ~doc)
 
 let symbolic_only_arg =
   let doc =
@@ -111,16 +112,16 @@ let enum_only_arg =
   in
   Arg.(value & flag & info [ "enum-only" ] ~doc)
 
-let install_mode symbolic_only enum_only =
-  match (symbolic_only, enum_only) with
-  | true, true ->
-      prerr_endline "--symbolic-only and --enum-only are mutually exclusive";
-      exit 1
-  | true, false -> Symbolic.Lattice.mode := Symbolic.Lattice.Symbolic_only
-  | false, true -> Symbolic.Lattice.mode := Symbolic.Lattice.Enumerated_only
-  | false, false -> ()
-
-let mode_term = Term.(const install_mode $ symbolic_only_arg $ enum_only_arg)
+let mode_term =
+  let install symbolic_only enum_only =
+    match (symbolic_only, enum_only) with
+    | true, true ->
+        Error (`Msg "--symbolic-only and --enum-only are mutually exclusive")
+    | true, false -> Ok (Symbolic.Lattice.mode := Symbolic.Lattice.Symbolic_only)
+    | false, true -> Ok (Symbolic.Lattice.mode := Symbolic.Lattice.Enumerated_only)
+    | false, false -> Ok ()
+  in
+  Term.(term_result (const install $ symbolic_only_arg $ enum_only_arg))
 
 let enum_oracle_arg =
   let doc =
@@ -146,7 +147,7 @@ let max_errors_arg =
     "Abort (exit 1) once more than $(docv) error-severity diagnostics \
      have been recorded."
   in
-  Arg.(value & opt (some int) None & info [ "max-errors" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some natural) None & info [ "max-errors" ] ~docv:"N" ~doc)
 
 let faults_conv =
   let parse s =
@@ -167,7 +168,11 @@ let faults_arg =
 
 let retries_arg =
   let doc = "Bounded resend budget per faulted message (default 0)." in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt natural 0 & info [ "retries" ] ~docv:"N" ~doc)
+
+let jobs_arg =
+  let doc = "Number of forked worker processes." in
+  Arg.(value & opt count 4 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let profile_arg =
   let doc =
@@ -182,37 +187,57 @@ let profile_json_arg =
   Arg.(
     value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE" ~doc)
 
-(* Emission happens in [at_exit] because the exit-code contract above
-   leaves commands through [exit] at many points (degraded runs exit 2
-   from [finish]); the profile must still be written on those paths. *)
-let install_profile profile json_file =
-  if profile || json_file <> None then
-    at_exit (fun () ->
-        let snap = Symbolic.Metrics.snapshot () in
-        if profile then
-          Format.eprintf "%a@?" Symbolic.Metrics.pp_table snap;
-        match json_file with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Symbolic.Metrics.to_json snap);
-            output_char oc '\n';
-            close_out oc)
+(* [profiled cmd] adds --profile and --profile-json to [cmd]: the
+   metrics are emitted once [cmd] has returned its exit code, whatever
+   that code is. *)
+let profiled cmd =
+  let emit profile json_file code =
+    if profile || json_file <> None then begin
+      let snap = Symbolic.Metrics.snapshot () in
+      if profile then Format.eprintf "%a@?" Symbolic.Metrics.pp_table snap;
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Symbolic.Metrics.to_json snap);
+              output_char oc '\n'))
+        json_file
+    end;
+    code
+  in
+  Term.(const emit $ profile_arg $ profile_json_arg $ cmd)
 
-let profile_term = Term.(const install_profile $ profile_arg $ profile_json_arg)
+let print_diags = function
+  | [] -> ()
+  | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds
+
+let unknown_code name =
+  Printf.eprintf "unknown code %S; try: %s\n" name
+    (String.concat ", " Codes.Registry.names);
+  1
 
 let with_entry name size f =
   match Codes.Registry.find name with
+  | exception Not_found -> unknown_code name
   | entry ->
       let size = Option.value size ~default:entry.default_size in
       f entry (entry.env_of_size size)
-  | exception Not_found ->
-      Printf.eprintf "unknown code %S; try: %s\n" name
-        (String.concat ", " Codes.Registry.names);
-      exit 1
 
-let run_pipeline ?(strict = false) ?max_errors ?(autopar = false) prog env h =
+(* The runner behind every analysis command: the pipeline on [prog],
+   then [k] on its result.  [k] prints the command's payload and
+   returns its verdict: 0, 1 (a differential diverged), 3 (stale reads)
+   or 4 (a vacuous validation).  Diagnostics then go to stderr unless
+   the payload [embeds] them, and an error-severity diagnostic turns a
+   verdict of 0 or 4 into 2.  Failures the degradation ladder does not
+   absorb are fatal: strict mode, the --max-errors cap, and a program
+   that [k] cannot replay because its sizes or bounds do not evaluate
+   (replay has no further rung to degrade to). *)
+let analysis ?(strict = false) ?max_errors ?(autopar = false)
+    ?(embeds = false) prog env h k =
   let diags = Core.Diag.collector ?max_errors () in
+  let aborted n =
+    Printf.eprintf "aborted: more than %d error-severity diagnostics\n" n;
+    1
+  in
   match
     (* Certified auto-parallelization: the descriptor-based race
        certifier decides loops statically, sampling is only the
@@ -221,43 +246,51 @@ let run_pipeline ?(strict = false) ?max_errors ?(autopar = false) prog env h =
     let prog = if autopar then Core.Lint.autopar ~diags prog else prog in
     Core.Pipeline.run ~strict ~diags prog ~env ~h
   with
-  | t -> t
-  | exception Core.Diag.Too_many_errors n ->
-      Printf.eprintf "aborted: more than %d error-severity diagnostics\n" n;
-      exit 1
+  | exception Core.Diag.Too_many_errors n -> aborted n
   | exception Core.Lint.Failed ds ->
-      Format.eprintf "%a@?" Core.Diag.pp_table ds;
+      print_diags ds;
       Printf.eprintf "strict mode: lint found errors\n";
-      exit 1
+      1
   | exception e when strict ->
       Printf.eprintf "strict mode: %s\n" (Printexc.to_string e);
-      exit 1
+      1
+  | t -> (
+      let fatal why =
+        print_diags (Core.Pipeline.diagnostics t);
+        Printf.eprintf "fatal: cannot replay the program (%s)\n" why;
+        1
+      in
+      match k t with
+      | verdict -> (
+          if not embeds then print_diags (Core.Pipeline.diagnostics t);
+          match verdict with (0 | 4) when Core.Pipeline.degraded t -> 2 | v -> v)
+      | exception Core.Diag.Too_many_errors n -> aborted n
+      | exception e when Core.Pipeline.recoverable e ->
+          fatal (Core.Pipeline.describe e)
+      | exception Exec.Runner.Unsupported m -> fatal ("unsupported: " ^ m))
 
-(* Print any accumulated diagnostics to stderr (stdout carries the
-   command's payload) and translate the run's outcome into the exit
-   code contract above. *)
-let finish ?(failed = false) t =
-  (match Core.Pipeline.diagnostics t with
-  | [] -> ()
-  | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds);
-  if failed then exit 3;
-  if Core.Pipeline.degraded t then exit 2
+(* [analysis] on a registry code: [k] also sees the registry entry. *)
+let registry ?strict ?max_errors ?embeds name size h k =
+  with_entry name size @@ fun entry env ->
+  analysis ?strict ?max_errors ?embeds entry.program env h (k entry)
 
-(* Simulation and schedule generation replay the program itself; a
-   program whose sizes or bounds do not evaluate cannot be replayed,
-   and there is no further rung to degrade to - surface as fatal with
-   whatever diagnostics were collected. *)
-let fatal_guard t f =
-  let fatal why =
-    (match Core.Pipeline.diagnostics t with
-    | [] -> ()
-    | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds);
-    Printf.eprintf "fatal: cannot replay the program (%s)\n" why;
-    exit 1
+(* A command over one registry code: CODE, --size, [width] (--procs
+   unless given), --strict and --max-errors when [ladder], and
+   --profile, --profile-json, --symbolic-only and --enum-only unless
+   [bare].  [k]'s term carries the command's own flags; it prints the
+   payload and returns the verdict [analysis] expects. *)
+let kernel_cmd ?(ladder = false) ?(bare = false) ?embeds ?(width = procs_arg)
+    name ~doc k =
+  let ladder_term =
+    if ladder then Term.(const (fun s m -> (s, m)) $ strict_arg $ max_errors_arg)
+    else Term.const (false, None)
   in
-  try f () with
-  | e when Core.Pipeline.recoverable e -> fatal (Core.Pipeline.describe e)
-  | Exec.Runner.Unsupported m -> fatal ("unsupported: " ^ m)
+  let run (strict, max_errors) name size h k =
+    registry ~strict ?max_errors ?embeds name size h k
+  in
+  let term = Term.(const run $ ladder_term $ code_arg $ size_arg $ width $ k) in
+  Cmd.v (Cmd.info name ~doc)
+    (if bare then term else profiled Term.(const (fun () c -> c) $ mode_term $ term))
 
 let list_cmd =
   let f () =
@@ -270,123 +303,119 @@ let list_cmd =
              (List.map
                 (fun (a : Ir.Types.array_decl) -> a.name)
                 e.program.arrays)))
-      Codes.Registry.all
+      Codes.Registry.all;
+    0
   in
   Cmd.v (Cmd.info "list" ~doc:"List the available benchmark codes.")
     Term.(const f $ const ())
 
 let analyze_cmd =
-  let f () () name size h strict max_errors enum_oracle =
-    with_entry name size (fun entry env ->
-        if enum_oracle then begin
-          (* Render the same analysis under both accountings.  The
-             artifact stores key mode-dependent entries on the mode
-             tag, so the two runs cannot poison each other. *)
-          let render mode =
-            Symbolic.Lattice.mode := mode;
-            let t = run_pipeline ~strict ?max_errors entry.program env h in
-            (Format.asprintf "%a@." Core.Pipeline.report_core t, t)
-          in
-          let base_mode =
-            match !Symbolic.Lattice.mode with
-            | Symbolic.Lattice.Enumerated_only -> Symbolic.Lattice.Auto
-            | m -> m
-          in
-          let sym, t = render base_mode in
-          let enu, te = render Symbolic.Lattice.Enumerated_only in
-          Format.printf "%a@." Core.Pipeline.report t;
-          (match Fuzz.Differ.first_diff sym enu with
-          | Some (line, s, e) ->
-              Printf.eprintf
-                "enum-oracle: symbolic and enumerated reports diverge at \
-                 line %d:\n\
-                \  symbolic:   %s\n\
-                \  enumerated: %s\n"
-                line s e;
-              exit 1
-          | None ->
-              if Fuzz.Differ.diag_sig t <> Fuzz.Differ.diag_sig te then begin
-                Printf.eprintf
-                  "enum-oracle: symbolic and enumerated diagnostics diverge\n";
-                exit 1
-              end;
-              Printf.eprintf "enum-oracle: reports identical\n");
-          if Core.Pipeline.degraded t then exit 2
-        end
-        else begin
-          let t = run_pipeline ~strict ?max_errors entry.program env h in
-          Format.printf "%a@." Core.Pipeline.report t;
-          if Core.Pipeline.degraded t then exit 2
-        end)
+  let f () name size h strict max_errors enum_oracle =
+    let report t = Format.printf "%a@." Core.Pipeline.report t in
+    if not enum_oracle then
+      registry ~strict ?max_errors ~embeds:true name size h (fun _ t ->
+          report t;
+          0)
+    else
+      (* Render the same analysis under both accountings.  The artifact
+         stores key mode-dependent entries on the mode tag, so the two
+         runs cannot poison each other. *)
+      let under mode k =
+        Symbolic.Lattice.mode := mode;
+        registry ~strict ?max_errors ~embeds:true name size h (fun _ -> k)
+      in
+      let base_mode =
+        match !Symbolic.Lattice.mode with
+        | Symbolic.Lattice.Enumerated_only -> Symbolic.Lattice.Auto
+        | m -> m
+      in
+      let render t = Format.asprintf "%a@." Core.Pipeline.report_core t in
+      under base_mode @@ fun t ->
+      let sym = render t in
+      under Symbolic.Lattice.Enumerated_only @@ fun te ->
+      report t;
+      match Fuzz.Differ.first_diff sym (render te) with
+      | Some (line, s, e) ->
+          Printf.eprintf
+            "enum-oracle: symbolic and enumerated reports diverge at line \
+             %d:\n\
+            \  symbolic:   %s\n\
+            \  enumerated: %s\n"
+            line s e;
+          1
+      | None when Fuzz.Differ.diag_sig t <> Fuzz.Differ.diag_sig te ->
+          Printf.eprintf
+            "enum-oracle: symbolic and enumerated diagnostics diverge\n";
+          1
+      | None ->
+          Printf.eprintf "enum-oracle: reports identical\n";
+          0
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Full pipeline report: LCG, model, solution, plan.")
-    Term.(
-      const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg
-      $ strict_arg $ max_errors_arg $ enum_oracle_arg)
+    (profiled
+       Term.(
+         const f $ mode_term $ code_arg $ size_arg $ procs_arg $ strict_arg
+         $ max_errors_arg $ enum_oracle_arg))
 
 let lcg_cmd =
-  let f () () name size h =
-    with_entry name size (fun entry env ->
-        let lcg = Locality.Lcg.build entry.program ~env ~h in
-        Format.printf "%a@." Locality.Lcg.pp lcg)
-  in
-  Cmd.v (Cmd.info "lcg" ~doc:"Print the Locality-Communication Graph.")
-    Term.(const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg)
+  kernel_cmd "lcg" ~doc:"Print the Locality-Communication Graph."
+    (Term.const (fun _ (t : Core.Pipeline.t) ->
+         Format.printf "%a@." Locality.Lcg.pp t.lcg;
+         0))
 
 let solve_cmd =
-  let f () () name size h strict max_errors =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry.program env h in
-        Format.printf "%a@.@." Ilp.Model.pp t.model;
-        Format.printf "objective %.1f (D %.1f + C %.1f)@." t.solution.objective
-          t.solution.d_cost t.solution.c_cost;
-        Format.printf "%a@." Ilp.Distribution.pp t.plan;
-        finish t)
-  in
-  Cmd.v
-    (Cmd.info "solve"
-       ~doc:"Print the Table-2 constraint model and the solved distribution.")
-    Term.(
-      const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg
-      $ strict_arg $ max_errors_arg)
+  kernel_cmd ~ladder:true "solve"
+    ~doc:"Print the Table-2 constraint model and the solved distribution."
+    (Term.const (fun _ (t : Core.Pipeline.t) ->
+         Format.printf "%a@.@." Ilp.Model.pp t.model;
+         Format.printf "objective %.1f (D %.1f + C %.1f)@." t.solution.objective
+           t.solution.d_cost t.solution.c_cost;
+         Format.printf "%a@." Ilp.Distribution.pp t.plan;
+         0))
 
 let simulate_cmd =
-  let f () () name size h baseline strict max_errors faults retries =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry.program env h in
-        let r =
-          fatal_guard t (fun () ->
-              if baseline then Core.Pipeline.simulate_baseline t
-              else Core.Pipeline.simulate ?faults ~retries t)
-        in
-        Format.printf "%a@." Dsmsim.Exec.pp r;
-        finish t)
+  let f baseline faults retries _ t =
+    let r =
+      if baseline then Core.Pipeline.simulate_baseline t
+      else Core.Pipeline.simulate ?faults ~retries t
+    in
+    Format.printf "%a@." Dsmsim.Exec.pp r;
+    0
   in
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"Replay the code on the DSM machine model.")
-    Term.(
-      const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg
-      $ baseline_arg $ strict_arg $ max_errors_arg $ faults_arg $ retries_arg)
+  kernel_cmd ~ladder:true "simulate"
+    ~doc:"Replay the code on the DSM machine model."
+    Term.(const f $ baseline_arg $ faults_arg $ retries_arg)
 
 let sweep_cmd =
-  let f () () name size =
-    with_entry name size (fun entry env ->
-        Printf.printf "%4s %12s %12s\n" "H" "LCG eff" "BLOCK eff";
-        List.iter
-          (fun h ->
-            let t = run_pipeline entry.program env h in
-            let eff, base = fatal_guard t (fun () -> Core.Pipeline.efficiency t) in
-            Printf.printf "%4d %11.1f%% %11.1f%%\n%!" h (100. *. eff)
-              (100. *. base))
-          [ 1; 2; 4; 8; 16; 32; 64 ])
+  let f () name size =
+    with_entry name size @@ fun entry env ->
+    Printf.printf "%4s %12s %12s\n" "H" "LCG eff" "BLOCK eff";
+    (* one analysis per width; a fatal one ends the sweep *)
+    let rec sweep code = function
+      | [] -> code
+      | h :: hs -> (
+          match
+            analysis entry.program env h (fun t ->
+                let eff, base = Core.Pipeline.efficiency t in
+                Printf.printf "%4d %11.1f%% %11.1f%%\n%!" h (100. *. eff)
+                  (100. *. base);
+                0)
+          with
+          | 1 -> 1
+          | c -> sweep (max code c) hs)
+    in
+    sweep 0 [ 1; 2; 4; 8; 16; 32; 64 ]
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Efficiency sweep over processor counts.")
-    Term.(const f $ profile_term $ mode_term $ code_arg $ size_arg)
+    (profiled Term.(const f $ mode_term $ code_arg $ size_arg))
 
 let table1_cmd =
-  let f () = Format.printf "%a" Locality.Table1.pp_grid () in
+  let f () =
+    Format.printf "%a" Locality.Table1.pp_grid ();
+    0
+  in
   Cmd.v
     (Cmd.info "table1" ~doc:"Print the paper's Table 1 edge classification.")
     Term.(const f $ const ())
@@ -396,7 +425,8 @@ let stability_cmd =
     with_entry name None (fun entry _env ->
         let t = Locality.Stability.analyze entry.program in
         Format.printf "@[<v>%a@]@." Locality.Stability.pp t;
-        Format.printf "all edges stable: %b@." (Locality.Stability.all_stable t))
+        Format.printf "all edges stable: %b@." (Locality.Stability.all_stable t);
+        0)
   in
   Cmd.v
     (Cmd.info "stability"
@@ -404,84 +434,66 @@ let stability_cmd =
     Term.(const f $ code_arg)
 
 let validate_cmd =
-  let f () () name size h strict max_errors faults retries =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry.program env h in
-        fatal_guard t @@ fun () ->
-        let rounds = if entry.program.repeats then 2 else 1 in
-        let sched =
-          match faults with
-          | None -> None
-          | Some spec ->
-              let base =
-                Dsmsim.Comm.generate
-                  ~on_error:(Core.Pipeline.record_comm_error t)
-                  t.lcg t.plan
-              in
-              let delivered, st = Dsmsim.Fault.apply spec ~retries base in
-              Core.Pipeline.record_fault_stats t st;
-              Some delivered
-        in
-        let r =
-          Exec.Validate.run ~rounds
-            ~on_error:(Core.Pipeline.record_comm_error t)
-            ?sched t.lcg t.plan
-        in
-        Format.printf "%a@." Exec.Validate.pp r;
-        finish ~failed:(not (Exec.Validate.ok r)) t)
+  let f faults retries (entry : Codes.Registry.entry) (t : Core.Pipeline.t) =
+    let rounds = if entry.program.repeats then 2 else 1 in
+    let sched =
+      Option.map
+        (fun spec ->
+          let base =
+            Dsmsim.Comm.generate
+              ~on_error:(Core.Pipeline.record_comm_error t)
+              t.lcg t.plan
+          in
+          let delivered, st = Dsmsim.Fault.apply spec ~retries base in
+          Core.Pipeline.record_fault_stats t st;
+          delivered)
+        faults
+    in
+    let r =
+      Exec.Validate.run ~rounds
+        ~on_error:(Core.Pipeline.record_comm_error t)
+        ?sched t.lcg t.plan
+    in
+    Format.printf "%a@." Exec.Validate.pp r;
+    if Exec.Validate.ok r then 0 else 3
   in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Replay with versioned memory: certify every read is fresh \
-          (optionally under injected message faults).")
-    Term.(
-      const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg
-      $ strict_arg $ max_errors_arg $ faults_arg $ retries_arg)
+  kernel_cmd ~ladder:true "validate"
+    ~doc:
+      "Replay with versioned memory: certify every read is fresh \
+       (optionally under injected message faults)."
+    Term.(const f $ faults_arg $ retries_arg)
 
 let report_cmd =
-  let f () () name size h strict max_errors =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline ~strict ?max_errors entry.program env h in
-        print_string (fatal_guard t (fun () -> Core.Report.markdown t));
-        if Core.Pipeline.degraded t then exit 2)
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Full markdown analysis report.")
-    Term.(
-      const f $ profile_term $ mode_term $ code_arg $ size_arg $ procs_arg
-      $ strict_arg $ max_errors_arg)
+  kernel_cmd ~ladder:true ~embeds:true "report"
+    ~doc:"Full markdown analysis report."
+    (Term.const (fun _ t ->
+         print_string (Core.Report.markdown t);
+         0))
 
 let spmd_cmd =
-  let f name size h =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline entry.program env h in
-        print_string
-          (fatal_guard t (fun () -> Codegen.Spmd.generate t.lcg t.plan t.machine));
-        finish t)
-  in
-  Cmd.v
-    (Cmd.info "spmd" ~doc:"Emit the SPMD pseudo-code the plan implies.")
-    Term.(const f $ code_arg $ size_arg $ procs_arg)
+  kernel_cmd ~bare:true "spmd" ~doc:"Emit the SPMD pseudo-code the plan implies."
+    (Term.const (fun _ (t : Core.Pipeline.t) ->
+         print_string (Codegen.Spmd.generate t.lcg t.plan t.machine);
+         0))
 
 let run_cmd =
   let domains_arg =
     let doc = "Number of OCaml domains to execute on (the machine width H)." in
-    Arg.(value & opt pow_int_conv 4 & info [ "domains"; "d" ] ~docv:"H" ~doc)
+    Arg.(value & opt width 4 & info [ "domains"; "d" ] ~docv:"H" ~doc)
   in
   let rounds_arg =
     let doc =
       "Traversals of the phase sequence (default: 2 for repeating programs, \
        1 otherwise)."
     in
-    Arg.(value & opt (some int) None & info [ "rounds" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some count) None & info [ "rounds" ] ~docv:"N" ~doc)
   in
   let spin_arg =
     let doc =
       "Busy-loop iterations per abstract work cycle, scaling statement \
        compute into real time."
     in
-    Arg.(value & opt int 0 & info [ "spin" ] ~docv:"K" ~doc)
+    Arg.(value & opt natural 0 & info [ "spin" ] ~docv:"K" ~doc)
   in
   let validate_run_arg =
     let doc =
@@ -492,99 +504,108 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
-  let f name size h rounds spin validate =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline entry.program env h in
-        fatal_guard t @@ fun () ->
-        let rounds =
-          match rounds with
-          | Some r -> r
-          | None -> if entry.program.repeats then 2 else 1
-        in
-        let r = Exec.Runner.execute ~rounds ~spin t.lcg t.plan in
-        let sim =
-          Dsmsim.Exec.run ~rounds
-            ~on_error:(Core.Pipeline.record_comm_error t)
-            t.lcg t.plan t.machine
-        in
-        Format.printf "%a@." Exec.Runner.pp r;
-        Format.printf
-          "simulator: T_par=%.0f T_seq=%.0f efficiency=%.1f%% (%d remote \
-           accesses predicted, %d measured)@."
-          sim.par_time sim.seq_time
-          (100.0 *. sim.efficiency)
-          sim.total_remote
-          (r.remote_gets + r.remote_puts);
-        let failed =
-          (not (Exec.Runner.schedule_parity r))
-          || r.errors <> []
-          || (validate && (r.stale > 0 || r.content_mismatches > 0))
-        in
-        (* A validation that compared nothing is not a pass: both
-           checks empty exits 4, one of them empty warns. *)
-        let no_reads = r.reads_checked = 0 and no_cells = r.content_cells = 0 in
-        let vacuous = validate && no_reads && no_cells in
-        if vacuous then
-          prerr_endline
-            "error: --validate checked nothing (0 reads checked, 0 \
-             content cells)"
-        else if validate then begin
-          if no_reads then
-            prerr_endline
-              "warning: --validate staleness check is vacuous (0 reads \
-               checked)";
-          if no_cells then
-            Printf.eprintf
-              "warning: --validate content check is vacuous (0 content \
-               cells; skipped %s)\n"
-              (String.concat " " r.arrays_skipped)
-        end;
-        finish ~failed t;
-        if vacuous then exit 4)
+  let f rounds spin validate (entry : Codes.Registry.entry) (t : Core.Pipeline.t) =
+    let rounds =
+      match rounds with
+      | Some r -> r
+      | None -> if entry.program.repeats then 2 else 1
+    in
+    let r = Exec.Runner.execute ~rounds ~spin t.lcg t.plan in
+    let sim =
+      Dsmsim.Exec.run ~rounds
+        ~on_error:(Core.Pipeline.record_comm_error t)
+        t.lcg t.plan t.machine
+    in
+    Format.printf "%a@." Exec.Runner.pp r;
+    Format.printf
+      "simulator: T_par=%.0f T_seq=%.0f efficiency=%.1f%% (%d remote \
+       accesses predicted, %d measured)@."
+      sim.par_time sim.seq_time
+      (100.0 *. sim.efficiency)
+      sim.total_remote
+      (r.remote_gets + r.remote_puts);
+    let failed =
+      (not (Exec.Runner.schedule_parity r))
+      || r.errors <> []
+      || (validate && (r.stale > 0 || r.content_mismatches > 0))
+    in
+    (* A validation that compared nothing is not a pass: both checks
+       empty exits 4, one of them empty warns. *)
+    let no_reads = r.reads_checked = 0 and no_cells = r.content_cells = 0 in
+    let vacuous = validate && no_reads && no_cells in
+    if vacuous then
+      prerr_endline
+        "error: --validate checked nothing (0 reads checked, 0 content cells)"
+    else if validate then begin
+      if no_reads then
+        prerr_endline
+          "warning: --validate staleness check is vacuous (0 reads checked)";
+      if no_cells then
+        Printf.eprintf
+          "warning: --validate content check is vacuous (0 content cells; \
+           skipped %s)\n"
+          (String.concat " " r.arrays_skipped)
+    end;
+    if failed then 3 else if vacuous then 4 else 0
   in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Execute the compiled program on OCaml domains over put-style \
-          shared windows and check it against the schedule and a \
-          sequential replay.")
-    Term.(
-      const f $ code_arg $ size_arg $ domains_arg $ rounds_arg $ spin_arg
-      $ validate_run_arg)
+  kernel_cmd ~bare:true ~width:domains_arg "run"
+    ~doc:
+      "Execute the compiled program on OCaml domains over put-style shared \
+       windows and check it against the schedule and a sequential replay."
+    Term.(const f $ rounds_arg $ spin_arg $ validate_run_arg)
 
 let dot_cmd =
-  let f name size h =
-    with_entry name size (fun entry env ->
-        let lcg = Locality.Lcg.build entry.program ~env ~h in
-        print_string (Locality.Lcg.to_dot lcg))
-  in
-  Cmd.v
-    (Cmd.info "dot" ~doc:"Emit the LCG as Graphviz (pipe into `dot -Tsvg`).")
-    Term.(const f $ code_arg $ size_arg $ procs_arg)
+  kernel_cmd ~bare:true "dot"
+    ~doc:"Emit the LCG as Graphviz (pipe into `dot -Tsvg`)."
+    (Term.const (fun _ (t : Core.Pipeline.t) ->
+         print_string (Locality.Lcg.to_dot t.lcg);
+         0))
 
 let comm_cmd =
-  let f name size h =
-    with_entry name size (fun entry env ->
-        let t = run_pipeline entry.program env h in
-        let sched =
-          fatal_guard t (fun () ->
-              Dsmsim.Comm.generate
-                ~on_error:(Core.Pipeline.record_comm_error t)
-                t.lcg t.plan)
-        in
-        Format.printf "%a@." Dsmsim.Comm.pp sched;
-        Format.printf
-          "total: %d messages, %d words (%d redistribution events, %d frontier events)@."
-          (Dsmsim.Comm.message_count sched)
-          (Dsmsim.Comm.total_words sched)
-          (List.length (Dsmsim.Comm.redistributions sched))
-          (List.length (Dsmsim.Comm.frontiers sched));
-        finish t)
-  in
-  Cmd.v
-    (Cmd.info "comm"
-       ~doc:"Print the generated single-sided communication schedule.")
-    Term.(const f $ code_arg $ size_arg $ procs_arg)
+  kernel_cmd ~bare:true "comm"
+    ~doc:"Print the generated single-sided communication schedule."
+    (Term.const (fun _ (t : Core.Pipeline.t) ->
+         let sched =
+           Dsmsim.Comm.generate
+             ~on_error:(Core.Pipeline.record_comm_error t)
+             t.lcg t.plan
+         in
+         Format.printf "%a@." Dsmsim.Comm.pp sched;
+         Format.printf
+           "total: %d messages, %d words (%d redistribution events, %d \
+            frontier events)@."
+           (Dsmsim.Comm.message_count sched)
+           (Dsmsim.Comm.total_words sched)
+           (List.length (Dsmsim.Comm.redistributions sched))
+           (List.length (Dsmsim.Comm.frontiers sched));
+         0))
+
+(* The parameter environment of a .dsm program: the --env bindings,
+   or the midpoint of each declared parameter range. *)
+let file_env (prog : Ir.Types.program) bindings =
+  if bindings = "" then
+    try Ok (Fuzz.Gen.midpoint_env prog)
+    with Symbolic.Env.Unbound w ->
+      let v, _ =
+        List.find
+          (function _, Symbolic.Assume.Pow2_of b -> b = w | _ -> false)
+          (Symbolic.Assume.to_list prog.params)
+      in
+      Error
+        (Printf.sprintf
+           "parameter %s = 2^%s: %s is not bound (declare it first or pass \
+            --env)"
+           v w w)
+  else
+    List.fold_left
+      (fun env kv ->
+        Result.bind env (fun env ->
+            match String.split_on_char '=' kv with
+            | [ k; v ] when int_of_string_opt v <> None ->
+                Ok (Symbolic.Env.add k (int_of_string v) env)
+            | _ -> Error (Printf.sprintf "bad binding %S" kv)))
+      (Ok Symbolic.Env.empty)
+      (String.split_on_char ',' bindings)
 
 let file_cmd =
   let path_arg =
@@ -601,52 +622,33 @@ let file_cmd =
     in
     Arg.(value & flag & info [ "autopar" ] ~doc)
   in
-  let f () () path h bindings autopar strict max_errors =
+  let f () path h bindings autopar strict max_errors =
     match Frontend.Parse.program_file path with
     | exception Frontend.Parse.Error { line; message } ->
         Printf.eprintf "%s:%d: %s\n" path line message;
-        exit 1
-    | prog ->
-        let env =
-          if bindings = "" then
-            (* default: midpoint of each declared parameter range *)
-            try Fuzz.Gen.midpoint_env prog
-            with Symbolic.Env.Unbound w ->
-              let v, _ =
-                List.find
-                  (function
-                    | _, Symbolic.Assume.Pow2_of b -> b = w | _ -> false)
-                  (Symbolic.Assume.to_list prog.params)
-              in
-              Printf.eprintf
-                "parameter %s = 2^%s: %s is not bound (declare it first or \
-                 pass --env)\n"
-                v w w;
-              exit 1
-          else
-            String.split_on_char ',' bindings
-            |> List.fold_left
-                 (fun env kv ->
-                   match String.split_on_char '=' kv with
-                   | [ k; v ] -> Symbolic.Env.add k (int_of_string v) env
-                   | _ ->
-                       Printf.eprintf "bad binding %S\n" kv;
-                       exit 1)
-                 Symbolic.Env.empty
-        in
-        let t = run_pipeline ~strict ?max_errors ~autopar prog env h in
-        Format.printf "%a@.@." Core.Pipeline.report t;
-        let eff, base = fatal_guard t (fun () -> Core.Pipeline.efficiency t) in
-        Format.printf "Simulated efficiency: %.1f%% (LCG) vs %.1f%% (BLOCK)@."
-          (100. *. eff) (100. *. base);
-        if Core.Pipeline.degraded t then exit 2
+        1
+    | prog -> (
+        match file_env prog bindings with
+        | Error msg ->
+            prerr_endline msg;
+            1
+        | Ok env ->
+            analysis ~strict ?max_errors ~autopar ~embeds:true prog env h
+              (fun t ->
+                Format.printf "%a@.@." Core.Pipeline.report t;
+                let eff, base = Core.Pipeline.efficiency t in
+                Format.printf
+                  "Simulated efficiency: %.1f%% (LCG) vs %.1f%% (BLOCK)@."
+                  (100. *. eff) (100. *. base);
+                0))
   in
   Cmd.v
     (Cmd.info "file"
        ~doc:"Parse a surface-language program and run the full pipeline on it.")
-    Term.(
-      const f $ profile_term $ mode_term $ path_arg $ procs_arg $ env_arg
-      $ autopar_arg $ strict_arg $ max_errors_arg)
+    (profiled
+       Term.(
+         const f $ mode_term $ path_arg $ procs_arg $ env_arg $ autopar_arg
+         $ strict_arg $ max_errors_arg))
 
 (* ------------------------------------------------------------------ *)
 (* batch: sharded multi-process analysis over many codes at once.
@@ -698,17 +700,12 @@ let batch_cmd =
     let doc = "Analyze every registry benchmark (in addition to CODEs)." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
-  let jobs_arg =
-    let doc = "Number of forked worker processes." in
-    Arg.(value & opt int 4 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let procs_list_arg =
     let doc =
       "Comma-separated processor counts; each code is analyzed once per \
        count."
     in
-    Arg.(
-      value & opt (list pow_int_conv) [ 4 ] & info [ "procs"; "H" ] ~docv:"H,.." ~doc)
+    Arg.(value & opt (list width) [ 4 ] & info [ "procs"; "H" ] ~docv:"H,.." ~doc)
   in
   let crash_arg =
     let doc =
@@ -719,76 +716,71 @@ let batch_cmd =
     Arg.(
       value & opt (some string) None & info [ "inject-crash" ] ~docv:"CODE" ~doc)
   in
-  let f () () names all jobs size hs crash =
+  let f () names all jobs size hs crash =
     let names = names @ (if all then Codes.Registry.names else []) in
     let names = if names = [] then Codes.Registry.names else names in
-    List.iter
-      (fun n ->
-        if not (List.mem n Codes.Registry.names) then begin
-          Printf.eprintf "unknown code %S; try: %s\n" n
-            (String.concat ", " Codes.Registry.names);
-          exit 1
-        end)
-      names;
-    (match crash with
-    | Some c when not (List.mem c names) ->
+    match
+      ( List.find_opt (fun n -> not (List.mem n Codes.Registry.names)) names,
+        crash )
+    with
+    | Some n, _ -> unknown_code n
+    | None, Some c when not (List.mem c names) ->
         Printf.eprintf "--inject-crash %s: code is not part of this batch\n" c;
-        exit 1
-    | _ -> ());
-    let job_list =
-      List.concat_map
-        (fun name ->
-          let entry = Codes.Registry.find name in
-          let sz = Option.value size ~default:entry.default_size in
-          List.map
-            (fun h ->
-              { bj_name = name; bj_size = sz; bj_h = h;
-                bj_crash = crash = Some name })
-            hs)
-        names
-    in
-    let diags = Core.Diag.collector () in
-    let failed = ref false in
-    let describe (j : batch_job) =
-      Printf.sprintf "%s (size %d, H=%d)" j.bj_name j.bj_size j.bj_h
-    in
-    let stream idx outcome =
-      let j = List.nth job_list idx in
-      match outcome with
-      | Core.Pool.Done d ->
-          List.iter
-            (fun reason ->
+        1
+    | None, _ ->
+        let job_list =
+          List.concat_map
+            (fun name ->
+              let entry = Codes.Registry.find name in
+              let sz = Option.value size ~default:entry.default_size in
+              List.map
+                (fun h ->
+                  { bj_name = name; bj_size = sz; bj_h = h;
+                    bj_crash = crash = Some name })
+                hs)
+            names
+        in
+        let diags = Core.Diag.collector () in
+        let failed = ref false in
+        let describe (j : batch_job) =
+          Printf.sprintf "%s (size %d, H=%d)" j.bj_name j.bj_size j.bj_h
+        in
+        let stream idx outcome =
+          let j = List.nth job_list idx in
+          match outcome with
+          | Core.Pool.Done d ->
+              List.iter
+                (fun reason ->
+                  Core.Diag.addf diags ~severity:Core.Diag.Error
+                    ~stage:Core.Diag.Pool ~where:j.bj_name
+                    ~code:"POOL-WORKER-LOST"
+                    "job %s lost an attempt (%s); retried on a fresh worker"
+                    (describe j) reason)
+                d.lost;
+              let (r : batch_result) = d.value in
+              Printf.printf "=== %s ===\n" (describe j);
+              print_string r.br_body;
+              print_newline ();
+              prerr_string r.br_diags;
+              if r.br_degraded then failed := true
+          | Core.Pool.Failed { attempts; reasons } ->
               Core.Diag.addf diags ~severity:Core.Diag.Error
                 ~stage:Core.Diag.Pool ~where:j.bj_name ~code:"POOL-WORKER-LOST"
-                "job %s lost an attempt (%s); retried on a fresh worker"
-                (describe j) reason)
-            d.lost;
-          let (r : batch_result) = d.value in
-          Printf.printf "=== %s ===\n" (describe j);
-          print_string r.br_body;
-          print_newline ();
-          prerr_string r.br_diags;
-          if r.br_degraded then failed := true
-      | Core.Pool.Failed { attempts; reasons } ->
-          Core.Diag.addf diags ~severity:Core.Diag.Error ~stage:Core.Diag.Pool
-            ~where:j.bj_name ~code:"POOL-WORKER-LOST"
-            "job %s failed permanently after %d attempts (%s)" (describe j)
-            attempts
-            (String.concat "; " reasons);
-          Printf.printf "=== %s ===\n" (describe j);
-          Printf.printf "FAILED after %d attempts\n\n" attempts;
-          failed := true
-    in
-    let _outcomes, merged =
-      Core.Pool.map ~workers:jobs ~f:batch_worker ~stream job_list
-    in
-    (* Fold the workers' per-job snapshots into the parent registry so
-       the at_exit --profile/--profile-json report is fleet-wide. *)
-    Symbolic.Metrics.absorb merged;
-    (match Core.Diag.to_list diags with
-    | [] -> ()
-    | ds -> Format.eprintf "%a@?" Core.Diag.pp_table ds);
-    if !failed then exit 2
+                "job %s failed permanently after %d attempts (%s)" (describe j)
+                attempts
+                (String.concat "; " reasons);
+              Printf.printf "=== %s ===\n" (describe j);
+              Printf.printf "FAILED after %d attempts\n\n" attempts;
+              failed := true
+        in
+        let _outcomes, merged =
+          Core.Pool.map ~workers:jobs ~f:batch_worker ~stream job_list
+        in
+        (* Fold the workers' per-job snapshots into the parent registry
+           so the --profile/--profile-json report is fleet-wide. *)
+        Symbolic.Metrics.absorb merged;
+        print_diags (Core.Diag.to_list diags);
+        if !failed then 2 else 0
   in
   Cmd.v
     (Cmd.info "batch"
@@ -796,9 +788,10 @@ let batch_cmd =
          "Analyze many codes in parallel on a pool of forked worker \
           processes: crash-isolated, deterministically ordered output, \
           fleet-merged metrics.")
-    Term.(
-      const f $ profile_term $ mode_term $ codes_arg $ all_arg $ jobs_arg
-      $ size_arg $ procs_list_arg $ crash_arg)
+    (profiled
+       Term.(
+         const f $ mode_term $ codes_arg $ all_arg $ jobs_arg $ size_arg
+         $ procs_list_arg $ crash_arg))
 
 let lint_cmd =
   let targets_arg =
@@ -815,51 +808,51 @@ let lint_cmd =
     let doc = "Fail (exit 2) on warning-severity findings too." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
+  let load target =
+    if Filename.check_suffix target ".dsm" || Sys.file_exists target then
+      match Frontend.Parse.program_file target with
+      | p -> Ok p
+      | exception Frontend.Parse.Error { line; message } ->
+          Error (Printf.sprintf "%s:%d: %s" target line message)
+      | exception Sys_error msg -> Error msg
+    else
+      match Codes.Registry.find target with
+      | e -> Ok e.program
+      | exception Not_found ->
+          Error
+            (Printf.sprintf "unknown target %S; try a .dsm path or: %s" target
+               (String.concat ", " Codes.Registry.names))
+  in
+  (* one tab-separated line per finding: machine-readable, stable
+     columns target/severity/code/where/message; the first target that
+     does not load ends the run *)
+  let rec lint strict failed = function
+    | [] -> if failed then 2 else 0
+    | target :: rest -> (
+        match load target with
+        | Error msg ->
+            prerr_endline msg;
+            1
+        | Ok prog ->
+            let flag failed (d : Core.Diag.t) =
+              Printf.printf "%s\t%s\t%s\t%s\t%s\n" target
+                (Core.Diag.severity_to_string d.severity)
+                d.code
+                (Core.Diag.where_to_string d)
+                d.message;
+              failed
+              || d.severity = Core.Diag.Error
+              || (strict && d.severity = Core.Diag.Warning)
+            in
+            lint strict (List.fold_left flag failed (Core.Lint.check prog)) rest)
+  in
   let f targets all strict =
-    let targets = targets @ if all then Codes.Registry.names else [] in
-    if targets = [] then begin
-      Printf.eprintf
-        "nothing to lint; give a benchmark name or a .dsm file, or --all\n";
-      exit 1
-    end;
-    let failed = ref false in
-    List.iter
-      (fun target ->
-        let prog =
-          if Filename.check_suffix target ".dsm" || Sys.file_exists target then
-            match Frontend.Parse.program_file target with
-            | p -> p
-            | exception Frontend.Parse.Error { line; message } ->
-                Printf.eprintf "%s:%d: %s\n" target line message;
-                exit 1
-            | exception Sys_error msg ->
-                Printf.eprintf "%s\n" msg;
-                exit 1
-          else
-            match Codes.Registry.find target with
-            | e -> e.program
-            | exception Not_found ->
-                Printf.eprintf "unknown target %S; try a .dsm path or: %s\n"
-                  target
-                  (String.concat ", " Codes.Registry.names);
-                exit 1
-        in
-        (* one tab-separated line per finding: machine-readable, stable
-           columns target/severity/code/where/message *)
-        List.iter
-          (fun (d : Core.Diag.t) ->
-            Printf.printf "%s\t%s\t%s\t%s\t%s\n" target
-              (Core.Diag.severity_to_string d.severity)
-              d.code
-              (Core.Diag.where_to_string d)
-              d.message;
-            match d.severity with
-            | Core.Diag.Error -> failed := true
-            | Core.Diag.Warning -> if strict then failed := true
-            | Core.Diag.Info -> ())
-          (Core.Lint.check prog))
-      targets;
-    if !failed then exit 2
+    match targets @ if all then Codes.Registry.names else [] with
+    | [] ->
+        Printf.eprintf
+          "nothing to lint; give a benchmark name or a .dsm file, or --all\n";
+        1
+    | targets -> lint strict false targets
   in
   Cmd.v
     (Cmd.info "lint"
@@ -875,7 +868,7 @@ let lint_cmd =
 let fuzz_cmd =
   let count_arg =
     let doc = "Number of programs to generate and run through the battery." in
-    Arg.(value & opt int 200 & info [ "count"; "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt count 200 & info [ "count"; "n" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc =
@@ -883,16 +876,12 @@ let fuzz_cmd =
     in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let jobs_arg =
-    let doc = "Number of forked worker processes." in
-    Arg.(value & opt int 4 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let deep_arg =
     let doc =
       "Every $(docv)-th program uses the deep 50-100-phase profile (0 \
        disables deep programs)."
     in
-    Arg.(value & opt int 25 & info [ "deep-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt natural 25 & info [ "deep-every" ] ~docv:"N" ~doc)
   in
   let det_arg =
     let doc =
@@ -900,14 +889,17 @@ let fuzz_cmd =
        verdict-vector equality (the 1-vs-N determinism differential; 0 \
        disables)."
     in
-    Arg.(value & opt int 8 & info [ "determinism-sample" ] ~docv:"N" ~doc)
+    Arg.(value & opt natural 8 & info [ "determinism-sample" ] ~docv:"N" ~doc)
   in
   let wall_arg =
     let doc =
       "Wall-clock cap in seconds, checked between scheduling chunks; 0 \
        means uncapped."
     in
-    Arg.(value & opt float 0. & info [ "wall-cap" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value
+      & opt (at_least 0. Arg.float) 0.
+      & info [ "wall-cap" ] ~docv:"SECONDS" ~doc)
   in
   let out_arg =
     let doc = "Directory where shrunk reproducers (and .golden snapshots) land." in
@@ -929,7 +921,7 @@ let fuzz_cmd =
     let doc = "Keep failing programs at full size (skip the shrinker)." in
     Arg.(value & flag & info [ "no-shrink" ] ~doc)
   in
-  let f () count seed jobs deep_every det wall out mutation no_shrink =
+  let f count seed jobs deep_every det wall out mutation no_shrink =
     let cfg =
       {
         Fuzz.Campaign.count;
@@ -958,9 +950,10 @@ let fuzz_cmd =
       prerr_endline
         "fuzz: --inject-mutation produced no findings - the differential \
          battery failed to catch a known-bad descriptor algebra";
-      exit 1
-    end;
-    if st.s_findings <> [] then exit 2
+      1
+    end
+    else if st.s_findings <> [] then 2
+    else 0
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -971,9 +964,10 @@ let fuzz_cmd =
           oracle, ILP vs chain solver, schedule parity, cold-vs-warm, \
           1-vs-N determinism) on a crash-isolated worker pool, and \
           shrink every mismatch to a minimal reproducer.")
-    Term.(
-      const f $ profile_term $ count_arg $ seed_arg $ jobs_arg $ deep_arg
-      $ det_arg $ wall_arg $ out_arg $ mutation_arg $ no_shrink_arg)
+    (profiled
+       Term.(
+         const f $ count_arg $ seed_arg $ jobs_arg $ deep_arg $ det_arg
+         $ wall_arg $ out_arg $ mutation_arg $ no_shrink_arg))
 
 let () =
   let info =
@@ -983,6 +977,6 @@ let () =
          (Navarro, Asenjo, Zapata, Padua; ICPP'99)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [ list_cmd; analyze_cmd; batch_cmd; lcg_cmd; solve_cmd; simulate_cmd; sweep_cmd; comm_cmd; dot_cmd; spmd_cmd; run_cmd; report_cmd; table1_cmd; stability_cmd; validate_cmd; file_cmd; lint_cmd; fuzz_cmd ]))

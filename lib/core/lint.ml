@@ -185,9 +185,10 @@ let rule_subscript c (ph : Types.phase) =
 let bounds_walks = Metrics.counter "lint.bounds.walks"
 let bounds_unranged = Metrics.counter "lint.bounds.unranged"
 
+(* A size that does not evaluate raises [Exit], which the callers
+   below treat as one more recoverable failure. *)
 let size_of (prog : Types.program) env array =
-  let d = Types.array_decl prog array in
-  Env.eval env (Linearize.size ~dims:d.Types.dims)
+  match Linearize.array_size env prog array with Ok n -> n | Error _ -> raise Exit
 
 (* Each array's address range in [env] next to its declared size, from
    the closed form ([Enumerate.address_range]); [None] when that has no
@@ -197,7 +198,7 @@ let address_ranges prog env ph =
     Option.map
       (List.map (fun (array, lo, hi) -> (array, lo, hi, size_of prog env array)))
       (Enumerate.address_range (Enumerate.compile prog env ph))
-  with e when recoverable e -> None
+  with Exit -> None | e when recoverable e -> None
 
 (* A sample is walked only when its closed-form ranges are unknown or
    leave an array, and the walk then finds the first bad address; at
@@ -231,7 +232,7 @@ let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
                  if (addr < 0 || addr >= size array) && not (Hashtbl.mem bad array)
                  then Hashtbl.add bad array addr))
        envs
-   with e when recoverable e -> ());
+   with Exit -> () | e when recoverable e -> ());
   Option.iter
     (fun env ->
       match address_ranges prog env ph with

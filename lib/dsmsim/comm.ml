@@ -19,37 +19,24 @@ type event =
 
 type schedule = event list
 
-(* Narrowed to the symbolic-evaluation failures only (an undeclared
-   array is an internal invariant violation and must keep crashing): a
-   size that does not evaluate means this array's messages cannot be
+(* A size that does not evaluate means this array's messages cannot be
    generated, which [on_error] surfaces and [None] makes explicit so
    callers skip the array's events instead of doing layout math on a
-   phantom size-0 array. *)
+   phantom size-0 array.  An undeclared array is an internal invariant
+   violation and keeps crashing ([Not_found]). *)
 let array_size ?on_error (lcg : Lcg.t) array =
-  let report msg =
-    match on_error with Some f -> f msg | None -> ()
-  in
-  try
-    Some
-      (Env.eval lcg.env
-         (Ir.Linearize.size ~dims:(Ir.Types.array_decl lcg.prog array).dims))
-  with
-  | Env.Unbound v ->
-      report
-        (Printf.sprintf
-           "array %s: size has unbound parameter %s; omitting its messages"
-           array v);
-      None
-  | Expr.Non_integral e ->
-      report
-        (Printf.sprintf
-           "array %s: size is non-integral (%s); omitting its messages" array
-           e);
-      None
-  | Qnum.Overflow ->
-      report
-        (Printf.sprintf "array %s: size overflowed; omitting its messages"
-           array);
+  match Ir.Linearize.array_size lcg.env lcg.prog array with
+  | Ok n -> Some n
+  | Error why ->
+      Option.iter
+        (fun report ->
+          report
+            (Printf.sprintf "array %s: size %s; omitting its messages" array
+               (match why with
+               | Unbound v -> "has unbound parameter " ^ v
+               | Non_integral e -> "is non-integral (" ^ e ^ ")"
+               | Overflow -> "overflowed")))
+        on_error;
       None
 
 let size_of ?on_error lcg =
@@ -62,52 +49,35 @@ let size_of ?on_error lcg =
         Hashtbl.add sizes array s;
         s
 
-(* Group (src, dst, addr) triples into aggregated messages with maximal
-   contiguous ranges. *)
-let aggregate (triples : (int * int * int) list) : message list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, addr) ->
-      let key = (src, dst) in
-      let prev = try Hashtbl.find tbl key with Not_found -> [] in
-      Hashtbl.replace tbl key (addr :: prev))
-    triples;
-  Hashtbl.fold
-    (fun (src, dst) addrs acc ->
-      let sorted = List.sort_uniq compare addrs in
-      let ranges =
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | (lo, hi) :: rest when a = hi + 1 -> (lo, a) :: rest
-            | _ -> (a, a) :: acc)
-          [] sorted
-        |> List.rev
-      in
-      let words = List.length sorted in
-      { src; dst; ranges; words } :: acc)
-    tbl []
-  |> List.sort (fun a b -> compare (a.src, a.dst) (b.src, b.dst))
+module Pairs = Hashtbl.Make (Int)
 
-(* Group (src, dst, [lo..hi]) range contributions into the same
-   aggregated messages [aggregate] builds from per-address triples:
-   per (src, dst) pair, maximal contiguous ascending ranges, words =
-   addresses covered. *)
-let aggregate_ranges (ranges : (int * int * (int * int)) list) : message list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, r) ->
-      let key = (src, dst) in
-      let prev = try Hashtbl.find tbl key with Not_found -> [] in
-      Hashtbl.replace tbl key (r :: prev))
-    ranges;
-  Hashtbl.fold
-    (fun (src, dst) rs acc ->
-      let ranges = Lattice.Iv.norm rs in
+(* The messages the (src, dst, [lo..hi]) contributions [emit] makes
+   through its [add] callback, on a machine of [h] processors: per
+   (src, dst) pair, maximal contiguous ascending ranges, words =
+   addresses covered.  A pair's contributions made in ascending
+   address order (the redistribution walks) are merged as they arrive
+   and need no sort; any other order is normalized. *)
+let aggregate_ranges ~h emit : message list =
+  let tbl = Pairs.create 16 in
+  emit (fun src dst lo hi ->
+      let key = (src * h) + dst in
+      Pairs.replace tbl key
+        (match Pairs.find_opt tbl key with
+        | Some ((l, e) :: rs) when lo = e + 1 -> (l, hi) :: rs
+        | Some rs -> (lo, hi) :: rs
+        | None -> [ (lo, hi) ]));
+  let rec descending = function
+    | (l1, _) :: ((_, h2) :: _ as rest) -> h2 + 1 < l1 && descending rest
+    | _ -> true
+  in
+  Pairs.fold
+    (fun key rs acc ->
+      let ranges = if descending rs then List.rev rs else Lattice.Iv.norm rs in
       let words = List.fold_left (fun a (lo, hi) -> a + (hi - lo + 1)) 0 ranges in
-      { src; dst; ranges; words } :: acc)
+      (key, { src = key / h; dst = key mod h; ranges; words }) :: acc)
     tbl []
-  |> List.sort (fun a b -> compare (a.src, a.dst) (b.src, b.dst))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 (* Copy-in elision: entering a new layout epoch needs no
    redistribution when the epoch's accesses are all covered by writes
@@ -225,10 +195,10 @@ let write_covers_epoch (lcg : Lcg.t) (l : Distribution.layout) =
    cells, addressed to the neighbouring blocks' owners.  Emitted as
    per-block ranges - the strips are contiguous by construction, so no
    per-address walk is needed. *)
-let strip_ranges (plan : Distribution.plan) (l : Distribution.layout) size =
+let strip_messages (plan : Distribution.plan) (l : Distribution.layout) size =
   if l.halo <= 0 || l.halo >= size then []
-  else begin
-    let ranges = ref [] in
+  else
+    aggregate_ranges ~h:plan.h @@ fun add ->
     let b = l.block in
     let w = Distribution.halo_window l in
     let nblocks = ((size - l.base) + b - 1) / b in
@@ -238,7 +208,7 @@ let strip_ranges (plan : Distribution.plan) (l : Distribution.layout) size =
       let strip lo hi target =
         if target >= 0 && target < plan.h && target <> owner then begin
           let lo = max 0 lo and hi = min (size - 1) hi in
-          if lo <= hi then ranges := (owner, target, (lo, hi)) :: !ranges
+          if lo <= hi then add owner target lo hi
         end
       in
       if start + b < size then
@@ -247,58 +217,35 @@ let strip_ranges (plan : Distribution.plan) (l : Distribution.layout) size =
       if blk > 0 || l.base > 0 then
         strip start (start + w - 1)
           (Distribution.proc_of plan l ~addr:(start - 1))
-    done;
-    !ranges
-  end
-
-let strip_messages plan l size = aggregate_ranges (strip_ranges plan l size)
+    done
 
 (* Redistribution traffic between two layouts: in closed form, the
-   owner maps of both layouts are walked as maximal constant-owner
-   segments and their refinement yields per-(src, dst) ranges directly;
-   the per-address loop survives as the oracle (and the fallback when
-   a segment walk exhausts its budget, e.g. CYCLIC(1) on a huge
-   array). *)
+   owner maps of both layouts are walked together as segments of
+   constant (old owner, new owner), each of which is one range of one
+   message.  There are never more segments than addresses, so the
+   per-address loop is only the enumerated twin, never a fallback. *)
 let redistribution_messages_enum (plan : Distribution.plan) prev next size =
-  let triples = ref [] in
+  aggregate_ranges ~h:plan.h @@ fun add ->
   for a = 0 to size - 1 do
     let po = Distribution.proc_of plan prev ~addr:a in
     let no = Distribution.proc_of plan next ~addr:a in
-    if po <> no then triples := (po, no, a) :: !triples
-  done;
-  aggregate !triples
+    if po <> no then add po no a a
+  done
 
 let redistribution_messages_symbolic (plan : Distribution.plan) prev next size
     =
-  let segs l =
-    Lattice.Own.segments
-      (Distribution.own_of ~h:plan.h l)
-      ~lo:0 ~hi:(size - 1) ~budget:Owncount.budget
-  in
-  match (segs prev, segs next) with
-  | Some sp, Some sn ->
-      (* refine the two segmentations *)
-      let ranges = ref [] in
-      let rec walk sp sn =
-        match (sp, sn) with
-        | [], [] -> ()
-        | (lo1, hi1, p1) :: tp, (lo2, hi2, p2) :: tn ->
-            let lo = max lo1 lo2 in
-            let hi = min hi1 hi2 in
-            if lo <= hi && p1 <> p2 then ranges := (p1, p2, (lo, hi)) :: !ranges;
-            if hi1 <= hi2 then
-              walk tp (if hi1 = hi2 then tn else sn)
-            else walk sp tn
-        | _, [] | [], _ -> ()
-      in
-      walk sp sn;
-      Some (aggregate_ranges !ranges)
-  | _ -> None
+  let own = Distribution.own_of ~h:plan.h in
+  aggregate_ranges ~h:plan.h @@ fun add ->
+  Lattice.Own.segments (own prev) (own next) ~lo:0 ~hi:(size - 1)
+    (fun lo hi p q -> if p <> q then add p q lo hi)
 
+(* The closed form always answers, so the dispatch only picks the
+   twin: the reason is never asked for. *)
 let redistribution_messages plan prev next size =
   Lattice.closed_or_enumerate ~stage:"comm"
     ~reason:(fun () -> prev.Distribution.array ^ " redistribution walk")
-    ~symbolic:(fun () -> redistribution_messages_symbolic plan prev next size)
+    ~symbolic:(fun () ->
+      Some (redistribution_messages_symbolic plan prev next size))
     ~enum:(fun () -> redistribution_messages_enum plan prev next size)
 
 let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =

@@ -55,10 +55,7 @@ let read_is_local plan (l : layout) ~size_of ~proc ~addr =
         || proc_of plan l ~addr:(addr + w) = proc)
 
 let array_size (lcg : Lcg.t) array =
-  try
-    Env.eval lcg.env
-      (Ir.Linearize.size ~dims:(Ir.Types.array_decl lcg.prog array).dims)
-  with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> 1
+  Result.value (Ir.Linearize.array_size lcg.env lcg.prog array) ~default:1
 
 let ceil_div a b = (a + b - 1) / b
 

@@ -26,14 +26,9 @@ let communication_words (lcg : Lcg.t) ~array ~phase_idx =
       | None -> 0
       | Some node -> (
           let whole_array () =
-            try
-              Symbolic.Env.eval lcg.env
-                (Ir.Linearize.size
-                   ~dims:(Ir.Types.array_decl lcg.prog array).dims)
-            with
-            | Symbolic.Expr.Non_integral _ | Symbolic.Env.Unbound _
-            | Symbolic.Qnum.Overflow ->
-                0
+            Result.value
+              (Ir.Linearize.array_size lcg.env lcg.prog array)
+              ~default:0
           in
           let enum () =
             try

@@ -14,3 +14,13 @@ let address ~dims index =
   go index dims
 
 let size ~dims = Expr.prod dims
+
+type size_failure = Unbound of string | Non_integral of string | Overflow
+
+let array_size env prog array =
+  let dims = (Types.array_decl prog array).Types.dims in
+  match Env.eval env (size ~dims) with
+  | n -> Ok n
+  | exception Env.Unbound v -> Error (Unbound v)
+  | exception Expr.Non_integral e -> Error (Non_integral e)
+  | exception Qnum.Overflow -> Error Overflow

@@ -12,3 +12,16 @@ val address : dims:Expr.t list -> Expr.t list -> Expr.t
 
 val size : dims:Expr.t list -> Expr.t
 (** Total element count. *)
+
+(** Why a size does not evaluate. *)
+type size_failure =
+  | Unbound of string  (** a parameter without a binding *)
+  | Non_integral of string  (** a fractional value *)
+  | Overflow  (** symbolic arithmetic overflowed *)
+
+val array_size :
+  Env.t -> Types.program -> string -> (int, size_failure) result
+(** The element count of a declared array under an environment, or why
+    it does not evaluate.  The one size evaluator: callers choose their
+    own fallback.
+    @raise Not_found when the array is not declared. *)

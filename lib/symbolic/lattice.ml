@@ -491,28 +491,19 @@ module Own = struct
       min hi e
     end
 
-  (* Calls [f x e owner] on each maximal constant-owner run of
-     [lo..hi], in order; [false] when more than [budget] runs would be
-     needed. *)
-  let walk o ~lo ~hi ~budget f =
-    lo > hi || o.h <= 0 || o.block <= 0
-    ||
-    let x = ref lo and n = ref 0 in
-    while !x <= hi && !n < budget do
-      incr n;
-      let e = run_end o ~hi !x in
-      let ow = owner o !x in
-      assert (owner o e = ow);
-      f !x e ow;
-      x := e + 1
-    done;
-    !x > hi
-
-  let segments o ~lo ~hi ~budget =
-    let acc = ref [] in
-    if walk o ~lo ~hi ~budget (fun l e p -> acc := (l, e, p) :: !acc) then
-      Some (List.rev !acc)
-    else None
+  (* The refinement of two owner maps' constant-owner runs, walked
+     together: each step ends where either map's run ends. *)
+  let segments a b ~lo ~hi f =
+    let rec go x =
+      if x <= hi then begin
+        let e = min (run_end a ~hi x) (run_end b ~hi x) in
+        let p = owner a x and q = owner b x in
+        assert (owner a e = p && owner b e = q);
+        f x e p q;
+        go (e + 1)
+      end
+    in
+    if a.h > 0 && a.block > 0 && b.h > 0 && b.block > 0 then go lo
 
   (* One processor's set in closed form.  Above [base] the owner only
      depends on the fold coordinate [f] of [rel] (period cell, then

@@ -191,10 +191,14 @@ module Own : sig
   val owner : t -> int -> int
   (** {!owner_at} on [t]'s fields. *)
 
-  val segments : t -> lo:int -> hi:int -> budget:int -> (int * int * int) list option
-  (** Maximal constant-owner runs [(lo, hi, proc)] covering [lo..hi] in
-      order, or [None] when more than [budget] segments would be
-      needed.  Runs are exact: [owner] is constant on each. *)
+  val segments :
+    t -> t -> lo:int -> hi:int -> (int -> int -> int -> int -> unit) -> unit
+  (** [segments a b ~lo ~hi f] calls [f x e p q] on each segment
+      [x..e] of [lo..hi], in ascending order, on which [a]'s owner is
+      [p] and [b]'s owner is [q] throughout: the refinement of the two
+      maps' constant-owner runs (adjacent segments may share both
+      owners).  There are never more segments than addresses, so the
+      walk needs no budget. *)
 
   val set : t -> p:int -> lo:int -> hi:int -> budget:int -> Iv.packed option
   (** Processor [p]'s addresses in [lo..hi], as a packed array
