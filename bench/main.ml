@@ -591,10 +591,11 @@ let ablations () =
    time, the Eq. 7 overhead, and the model-level efficiency estimate
    (ideal per-processor work over work-plus-overhead).  Kernels whose
    analysis leaves the closed-form fragment degrade and are reported
-   with [degraded=true] rather than silently skipped.  When the Eq. 7
-   search exhausts its budget the pipeline ships the BLOCK plan, not the
-   abandoned incumbent whose objective the solution still carries, so
-   such points record [budget_exhausted=true] and no efficiency. *)
+   with [degraded=true] rather than silently skipped.  When an Eq. 7
+   window is wider than the plan stage can tally the pipeline ships the
+   BLOCK plan, not the exact optimum whose objective the solution
+   carries, so such points record [budget_exhausted=true] and no
+   efficiency. *)
 
 let git_rev () =
   try

@@ -22,8 +22,9 @@
    replayed); 2 the analysis degraded (error-severity diagnostics
    recorded); 3 dataflow validation found stale reads; 4 `run
    --validate` checked nothing (no reads checked and no content cells
-   compared); 124 malformed or out-of-range arguments, rejected before
-   the command runs.  3 and 2 take precedence over 4.  Diagnostics go
+   compared); 124 malformed or out-of-range arguments (a --size whose
+   extent or array sizes overflow included), rejected before the
+   command runs.  3 and 2 take precedence over 4.  Diagnostics go
    to stderr, except that analyze, report and file embed them in the
    report on stdout.
 *)
@@ -215,12 +216,34 @@ let unknown_code name =
     (String.concat ", " Codes.Registry.names);
   1
 
+(* The environment a registry code runs at, or exit 124 when its
+   --size is out of range: the extent 2^size does not fit an int, or a
+   declared array's size does not evaluate. *)
+let sized_env (entry : Codes.Registry.entry) size =
+  let refuse why =
+    Printf.eprintf "dsmloc: option '--size': %d is out of range for %s (%s)\n"
+      size entry.name why;
+    Error 124
+  in
+  if Codes.Registry.pow2 size <= 0 then
+    refuse (Printf.sprintf "2^%d does not fit an int" size)
+  else
+    let env = entry.env_of_size size in
+    let refused (a : Ir.Types.array_decl) =
+      match Ir.Linearize.array_size env entry.program a.name with
+      | Ok _ -> None
+      | Error _ -> Some (Printf.sprintf "the size of array %s does not evaluate" a.name)
+    in
+    match List.find_map refused entry.program.arrays with
+    | None -> Ok env
+    | Some why -> refuse why
+
 let with_entry name size f =
   match Codes.Registry.find name with
   | exception Not_found -> unknown_code name
-  | entry ->
+  | entry -> (
       let size = Option.value size ~default:entry.default_size in
-      f entry (entry.env_of_size size)
+      match sized_env entry size with Ok env -> f entry env | Error code -> code)
 
 (* The runner behind every analysis command: the pipeline on [prog],
    then [k] on its result.  [k] prints the command's payload and
@@ -727,7 +750,16 @@ let batch_cmd =
     | None, Some c when not (List.mem c names) ->
         Printf.eprintf "--inject-crash %s: code is not part of this batch\n" c;
         1
-    | None, _ ->
+    | None, _ -> (
+        let refused name =
+          let entry = Codes.Registry.find name in
+          match sized_env entry (Option.value size ~default:entry.default_size) with
+          | Ok _ -> None
+          | Error code -> Some code
+        in
+        match List.find_map refused names with
+        | Some code -> code
+        | None ->
         let job_list =
           List.concat_map
             (fun name ->
@@ -780,7 +812,7 @@ let batch_cmd =
            so the --profile/--profile-json report is fleet-wide. *)
         Symbolic.Metrics.absorb merged;
         print_diags (Core.Diag.to_list diags);
-        if !failed then 2 else 0
+        if !failed then 2 else 0)
   in
   Cmd.v
     (Cmd.info "batch"

@@ -8,6 +8,8 @@ type entry = {
   default_size : int;
 }
 
+let pow2 s = if s < Sys.int_size - 1 then 1 lsl s else 0
+
 let all =
   [
     {
@@ -19,49 +21,49 @@ let all =
     {
       name = "jacobi2d";
       program = Jacobi.program;
-      env_of_size = (fun s -> Jacobi.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Jacobi.env ~n:(pow2 s));
       default_size = 5;
     };
     {
       name = "swim";
       program = Swim.program;
-      env_of_size = (fun s -> Swim.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Swim.env ~n:(pow2 s));
       default_size = 5;
     };
     {
       name = "tomcatv";
       program = Tomcatv.program;
-      env_of_size = (fun s -> Tomcatv.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Tomcatv.env ~n:(pow2 s));
       default_size = 5;
     };
     {
       name = "matmul";
       program = Matmul.program;
-      env_of_size = (fun s -> Matmul.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Matmul.env ~n:(pow2 s));
       default_size = 4;
     };
     {
       name = "adi";
       program = Adi.program;
-      env_of_size = (fun s -> Adi.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Adi.env ~n:(pow2 s));
       default_size = 5;
     };
     {
       name = "redblack";
       program = Redblack.program;
-      env_of_size = (fun s -> Redblack.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Redblack.env ~n:(pow2 s));
       default_size = 6;
     };
     {
       name = "trisolve";
       program = Trisolve.program;
-      env_of_size = (fun s -> Trisolve.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Trisolve.env ~n:(pow2 s));
       default_size = 4;
     };
     {
       name = "mgrid";
       program = Mgrid.program;
-      env_of_size = (fun s -> Mgrid.env ~n:(1 lsl s));
+      env_of_size = (fun s -> Mgrid.env ~n:(pow2 s));
       default_size = 7;
     };
   ]

@@ -22,9 +22,10 @@
       degradation to the documented fallback;
     - [SOLVE-BROKEN]: the solver kept a plan that violates locality
       rows (they are priced as communication instead);
-    - [SOLVE-BUDGET]: the solver's search budget ran out before the
-      enumeration finished; the incumbent solution may be sub-optimal,
-      so the run falls back to the BLOCK baseline plan;
+    - [SOLVE-BUDGET]: the Eq. 7 solution is exact, but some
+      component's representative window is wider than the plan stage
+      can tally (see {!Ilp.Solve.result}), so the run falls back to the
+      BLOCK baseline plan;
     - [POOL-WORKER-LOST]: a batch worker process died mid-job (signal
       or unclean exit); the job was retried on a freshly forked worker
       (or, past the retry budget, reported as permanently failed);

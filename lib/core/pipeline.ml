@@ -135,8 +135,9 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   if solution.budget_exhausted then begin
     Diag.addf diags ~severity:Diag.Warning ~stage:Diag.Solve
       ~code:"SOLVE-BUDGET"
-      "solver search budget exhausted (incumbent may be sub-optimal); \
-       falling back to the BLOCK baseline plan";
+      "the Eq. 7 solution is exact, but a representative window is wider \
+       than the plan stage can tally; falling back to the BLOCK baseline \
+       plan";
     solve_failed := true
   end;
   let plan =

@@ -101,7 +101,6 @@ let satisfies_lp (lp : Ilp.Lp.problem) p =
 let ilp_chain prog =
   let t = with_mode Lattice.Auto (fun () -> run_pipeline prog) in
   if Core.Pipeline.degraded t then Skip "pipeline degraded"
-  else if t.solution.budget_exhausted then Skip "chain enumeration budget exhausted"
   else begin
     let model = t.model in
     let sol = t.solution in

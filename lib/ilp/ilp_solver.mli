@@ -19,8 +19,7 @@ val solve_budgeted : ?max_nodes:int -> Lp.problem -> outcome * bool
     returns the incumbent found so far as [Optimal] (or [Infeasible]
     when none), never an exception.  The boolean is true exactly when
     the budget was exhausted, i.e. the outcome may be sub-optimal; the
-    pipeline surfaces it as a [SOLVE-BUDGET] warning and falls back to
-    the BLOCK baseline plan. *)
+    fuzz battery's ILP-vs-chain check skips such instances. *)
 
 val solve : ?max_nodes:int -> Lp.problem -> outcome
 (** [solve_budgeted] without the budget flag, for callers that only

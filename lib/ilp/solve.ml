@@ -9,9 +9,9 @@ type result = {
   budget_exhausted : bool;
 }
 
-(* Cap on the representative values enumerated per component; a
-   component whose feasible window extends past it is only partially
-   searched, which the result records as budget exhaustion. *)
+(* Widest representative window the plan stage can tally: a component
+   whose window extends past it is still minimized exactly, but the
+   result flags it so the pipeline ships the BLOCK plan instead. *)
 let t_budget = 200_000
 
 (* Footprint (distinct addresses) of one phase's accesses to one array:
@@ -46,8 +46,6 @@ let communication_words (lcg : Lcg.t) ~array ~phase_idx =
                 Some (whole_array ()))
             ~enum))
 
-(* The affine-rational value of a variable in terms of the component
-   representative t: p = (num * t + off) / den. *)
 type affine = { num : int; off : int; den : int }
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
@@ -64,9 +62,252 @@ let eval_affine (a : affine) t =
   let v = (a.num * t) + a.off in
   if v mod a.den <> 0 then None else Some (v / a.den)
 
+type member = {
+  phase : int;
+  expr : affine;
+  bound : int;
+  storage : (int * int) list;
+  lead : (int * int) option;
+  frontier : (int * int) list;
+}
+
+type component = { members : member list; t_max : int }
+
+let member_cost (m : Cost.machine) mem p =
+  match mem.lead with
+  | None -> 0.0
+  | Some (n, work) ->
+      let imbalance = Cost.load_imbalance ~n ~p ~h:m.h ~work in
+      (* Frontier traffic: each processor owns ~n/(pH) blocks and per
+         writing phase ships two strip messages per block (the
+         per-processor costing of Exec.event_time). *)
+      let frontier =
+        List.fold_left
+          (fun acc (par_n, w) ->
+            let blocks_per_proc =
+              float_of_int par_n /. float_of_int (max 1 p) /. float_of_int m.h
+            in
+            acc
+            +. (blocks_per_proc
+               *. float_of_int ((2 * m.t_startup) + (4 * w * m.t_word))))
+          0.0 mem.frontier
+      in
+      imbalance +. frontier
+
+(* Floor and ceiling of a / b for a divisor of either sign. *)
+let fdiv a b =
+  let q = a / b in
+  if a mod b <> 0 && (a < 0) <> (b < 0) then q - 1 else q
+
+let cdiv a b = -fdiv (-a) b
+let pmod a m = ((a mod m) + m) mod m
+
+(* The inverse of [a] modulo [m], for [a] and [m] coprime. *)
+let inverse a m =
+  let rec egcd a b =
+    if b = 0 then (1, 0)
+    else
+      let x, y = egcd b (a mod b) in
+      (y, x - (a / b * y))
+  in
+  pmod (fst (egcd a m)) m
+
+(* The t at which [e] is integral, as the class t = r (mod l). *)
+let residue (e : affine) =
+  let a = pmod e.num e.den and b = pmod (-e.off) e.den in
+  let g = gcd a e.den in
+  if b mod g <> 0 then None
+  else
+    let l = e.den / g in
+    Some (pmod (b / g * inverse (a / g) l) l, l)
+
+(* Chinese remaindering for moduli that need not be coprime. *)
+let meet (r1, l1) (r2, l2) =
+  let g = gcd l1 l2 in
+  if (r2 - r1) mod g <> 0 then None
+  else
+    let l2' = l2 / g in
+    let k = pmod ((r2 - r1) / g * inverse (pmod (l1 / g) l2') l2') l2' in
+    let l = l1 * l2' in
+    Some (pmod (r1 + (l1 * k)) l, l)
+
+(* The t at which a member's p = (num t + off) / den, where integral,
+   lies within its bound and storage caps and is at least 1. *)
+let t_window mem =
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) (coeff, limit) ->
+        if coeff > 0 then (lo, min hi (fdiv limit coeff))
+        else if coeff < 0 then (max lo (cdiv limit coeff), hi)
+        else if limit >= 0 then (lo, hi)
+        else (lo, lo - 1))
+      (1, mem.bound) mem.storage
+  in
+  let { num; off; den } = mem.expr in
+  if num > 0 then (cdiv ((lo * den) - off) num, fdiv ((hi * den) - off) num)
+  else if num < 0 then (cdiv (off - (hi * den)) (-num), fdiv (off - (lo * den)) (-num))
+  else if lo * den <= off && off <= hi * den then (min_int, max_int)
+  else (1, 0)
+
+(* The chunk sizes s in (lo, hi] at which a member's load term changes
+   formula: the starts of the blocks of constant q = floor(n / (p h)),
+   and within each block the first p past the switch of
+   min(p, n mod (p h)) from p to the remainder. *)
+let load_breaks ~n ~h ~lo ~hi =
+  let nh = n / h in
+  let rec go p acc =
+    let q = nh / p in
+    let last = if q = 0 then hi else min hi (nh / q) in
+    let switch = (n / (1 + (q * h))) + 1 in
+    let acc = if switch > p && switch <= last then switch :: acc else acc in
+    if last < hi then go (last + 1) ((last + 1) :: acc) else acc
+  in
+  if lo >= hi then [] else go lo []
+
+let candidates = Symbolic.Metrics.counter "solve.candidates"
+
+let argmin (m : Cost.machine) (c : component) =
+  let h = m.h in
+  let members = Array.of_list c.members in
+  let progression =
+    Array.fold_left
+      (fun acc mem ->
+        match acc with
+        | None -> None
+        | Some rl -> Option.bind (residue mem.expr) (meet rl))
+      (Some (0, 1)) members
+  in
+  match progression with
+  | None -> None
+  | Some (r, l) ->
+      let lo, hi =
+        Array.fold_left
+          (fun (lo, hi) mem ->
+            let a, b = t_window mem in
+            (max lo a, min hi b))
+          (1, c.t_max) members
+      in
+      let up t = t + pmod (r - t) l and down t = t - pmod (t - r) l in
+      let first = up lo and last = down hi in
+      if first > last then None
+      else begin
+        let p_at mem t = ((mem.expr.num * t) + mem.expr.off) / mem.expr.den in
+        (* Cut points: the t at which some member's p enters a new
+           load piece. *)
+        let cuts =
+          Array.fold_left
+            (fun acc mem ->
+              match mem.lead with
+              | Some (n, work) when n > 0 && work > 0 && mem.expr.num <> 0 ->
+                  let { num; off; den } = mem.expr in
+                  let pa = p_at mem first and pb = p_at mem last in
+                  List.fold_left
+                    (fun acc s ->
+                      (if num > 0 then cdiv ((s * den) - off) num
+                       else fdiv (off - (s * den)) (-num) + 1)
+                      :: acc)
+                    acc
+                    (load_breaks ~n ~h ~lo:(min pa pb) ~hi:(max pa pb))
+              | _ -> acc)
+            [] members
+          |> List.filter (fun t -> t > first && t <= last)
+          |> List.sort_uniq compare
+        in
+        (* The real cost on a piece is sum_k load_k(p_k) + K_k / p_k
+           with each load_k affine in p_k, so its t-derivative is
+           sum_k dp_k/dt (slope_k - K_k / p_k^2). *)
+        let rate =
+          Array.map
+            (fun mem -> float_of_int mem.expr.num /. float_of_int mem.expr.den)
+            members
+        and hyperbola =
+          Array.map
+            (fun mem ->
+              List.fold_left
+                (fun acc (par_n, w) ->
+                  acc
+                  +. float_of_int par_n
+                     *. float_of_int ((2 * m.t_startup) + (4 * w * m.t_word))
+                     /. float_of_int h)
+                0.0 mem.frontier)
+            members
+        in
+        (* d load / dp on the piece holding p: q + 1 while p <= the
+           remainder n mod (p h), else -q (h - 1). *)
+        let load_slope mem p =
+          match mem.lead with
+          | Some (n, work) when n > 0 && work > 0 ->
+              let q = n / (p * h) in
+              let per_p = if p <= n - (q * p * h) then q + 1 else -(q * (h - 1)) in
+              float_of_int work /. float_of_int n *. float_of_int per_p
+          | _ -> 0.0
+        in
+        let derivative t0 =
+          let slope = Array.map (fun mem -> load_slope mem (p_at mem t0)) members in
+          fun t ->
+            let d = ref 0.0 in
+            Array.iteri
+              (fun i mem ->
+                let p =
+                  ((float_of_int mem.expr.num *. t) +. float_of_int mem.expr.off)
+                  /. float_of_int mem.expr.den
+                in
+                d := !d +. (rate.(i) *. (slope.(i) -. (hyperbola.(i) /. (p *. p)))))
+              members;
+            !d
+        in
+        let best = ref None in
+        let visit t =
+          Symbolic.Metrics.incr candidates;
+          let cost =
+            Array.fold_left
+              (fun acc mem -> acc +. member_cost m mem (p_at mem t))
+              0.0 members
+          in
+          match !best with
+          | Some (bc, _) when bc <= cost -> ()
+          | _ -> best := Some (cost, t)
+        in
+        (* The piece [a, b] in ascending t: its first and last feasible
+           points and, when the convex cost turns from falling to rising
+           inside, the feasible points either side of the turn. *)
+        let piece a b =
+          let fa = up a and fb = down b in
+          if fa <= fb then begin
+            visit fa;
+            if fb > fa then begin
+              let d = derivative fa in
+              let at i = fa + (i * l) in
+              if d (float_of_int fa) < 0.0 && d (float_of_int fb) > 0.0 then begin
+                let rec bisect i j =
+                  if j - i <= 1 then (i, j)
+                  else
+                    let mid = (i + j) / 2 in
+                    if d (float_of_int (at mid)) < 0.0 then bisect mid j
+                    else bisect i mid
+                in
+                let i, j = bisect 0 ((fb - fa) / l) in
+                if at i > fa then visit (at i);
+                if at j < fb then visit (at j)
+              end;
+              visit fb
+            end
+          end
+        in
+        let a =
+          List.fold_left
+            (fun a cut ->
+              piece a (cut - 1);
+              cut)
+            first cuts
+        in
+        piece a last;
+        Option.map snd !best
+      end
+
 let solve_timer = Symbolic.Metrics.timer "ilp.solve"
 
-let solve (model : Model.t) (m : Cost.machine) : result =
+let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
   Symbolic.Metrics.with_timer solve_timer @@ fun () ->
   let lcg = model.lcg in
   let n = model.n_phases in
@@ -135,7 +376,8 @@ let solve (model : Model.t) (m : Cost.machine) : result =
   (* Storage constraints indexed per phase. *)
   let storage_of = Array.make n [] in
   List.iter
-    (fun (s : Model.storage) -> storage_of.(s.k) <- s :: storage_of.(s.k))
+    (fun (s : Model.storage) ->
+      storage_of.(s.k) <- (s.coeff, s.limit) :: storage_of.(s.k))
     model.storage;
   let nodes_of_phase k =
     List.concat_map
@@ -160,92 +402,53 @@ let solve (model : Model.t) (m : Cost.machine) : result =
       lcg.graphs;
     fun a -> Hashtbl.mem tbl a
   in
-  (* The t-search below prices every candidate chunking, so the
-     per-phase constants (lead node, halo widths, written flags) are
-     hoisted out of the loop; only the p-dependent arithmetic stays
-     inside. *)
-  let phase_nodes = Array.init n nodes_of_phase in
-  let frontier_terms =
-    Array.map
-      (fun nodes ->
+  let member k =
+    let nodes = nodes_of_phase k in
+    {
+      phase = k;
+      expr = exprs.(k);
+      bound = bound.(k);
+      storage = storage_of.(k);
+      lead =
+        (match nodes with
+        | [] -> None
+        | (_, (nd : Lcg.node)) :: _ -> Some (nd.par_n, nd.work));
+      frontier =
         List.filter_map
           (fun (array, (nd : Lcg.node)) ->
             let w = Lcg.halo lcg nd in
             if w > 0 && array_written array then Some (nd.par_n, w) else None)
-          nodes)
-      phase_nodes
+          nodes;
+    }
   in
-  let d_cost_of k p =
-    match phase_nodes.(k) with
-    | [] -> 0.0
-    | (_, node) :: _ ->
-        let imbalance =
-          Cost.load_imbalance ~n:node.par_n ~p ~h:m.h ~work:node.work
-        in
-        (* Frontier traffic: each processor owns ~n/(pH) blocks and per
-           writing phase ships two strip messages per block (the
-           per-processor costing of Exec.event_time). *)
-        let frontier =
-          List.fold_left
-            (fun acc (par_n, w) ->
-              let blocks_per_proc =
-                float_of_int par_n
-                /. float_of_int (max 1 p)
-                /. float_of_int m.h
-              in
-              acc
-              +. (blocks_per_proc
-                  *. float_of_int ((2 * m.t_startup) + (4 * w * m.t_word))))
-            0.0 frontier_terms.(k)
-        in
-        imbalance +. frontier
-  in
-  let feasible_p k p =
-    p >= 1 && p <= bound.(k)
-    && List.for_all
-         (fun (s : Model.storage) -> s.coeff * p <= s.limit)
-         storage_of.(k)
-  in
+  let members = Array.init n member in
   (* Choose t per component minimizing the component's D cost. *)
   let p = Array.make n 1 in
   let budget_exhausted = ref false in
   for c = 0 to !n_comp - 1 do
-    let members = List.filter (fun k -> comp.(k) = c) (List.init n Fun.id) in
-    let best = ref None in
+    let members =
+      List.filter (fun mem -> comp.(mem.phase) = c) (Array.to_list members)
+    in
     let t_max =
       List.fold_left
-        (fun acc k ->
-          let e = exprs.(k) in
+        (fun acc mem ->
+          let e = mem.expr in
           if e.num = 0 then acc
           else
             (* p_k <= bound implies t <= (bound*den - off)/num *)
-            min acc (((bound.(k) * abs e.den) - e.off) / abs e.num))
-        1_000_000 members
+            min acc (((mem.bound * abs e.den) - e.off) / abs e.num))
+        max_int members
     in
     if t_max > t_budget then budget_exhausted := true;
-    for t = 1 to min t_max t_budget do
-      let vals =
-        List.map (fun k -> (k, eval_affine exprs.(k) t)) members
-      in
-      if List.for_all (function _, Some v -> v >= 1 | _, None -> false) vals
-      then begin
-        let vals = List.map (function k, Some v -> (k, v) | _ -> assert false) vals in
-        if List.for_all (fun (k, v) -> feasible_p k v) vals then begin
-          let cost =
-            List.fold_left (fun acc (k, v) -> acc +. d_cost_of k v) 0.0 vals
-          in
-          match !best with
-          | Some (bc, _) when bc <= cost -> ()
-          | _ -> best := Some (cost, vals)
-        end
-      end
-    done;
-    match !best with
-    | Some (_, vals) -> List.iter (fun (k, v) -> p.(k) <- v) vals
+    match argmin m { members; t_max } with
+    | Some t ->
+        List.iter
+          (fun mem -> p.(mem.phase) <- Option.get (eval_affine mem.expr t))
+          members
     | None ->
         (* No consistent t: fall back to p=1 and record every L edge
            within the component as broken. *)
-        List.iter (fun k -> p.(k) <- min 1 bound.(k)) members;
+        List.iter (fun mem -> p.(mem.phase) <- min 1 mem.bound) members;
         List.iter
           (fun (l : Model.locality) ->
             if comp.(l.k) = c then broken := (l.array, l.k, l.g) :: !broken)
@@ -253,10 +456,7 @@ let solve (model : Model.t) (m : Cost.machine) : result =
   done;
   (* Costs. *)
   let d_cost =
-    List.fold_left
-      (fun acc k -> acc +. d_cost_of k p.(k))
-      0.0
-      (List.init n Fun.id)
+    Array.fold_left (fun acc mem -> acc +. member_cost m mem p.(mem.phase)) 0.0 members
   in
   let c_edge_cost (g : Lcg.graph) (e : Lcg.edge) =
     let dst = List.nth g.nodes e.dst in
@@ -284,3 +484,5 @@ let solve (model : Model.t) (m : Cost.machine) : result =
   in
   { p; d_cost; c_cost; objective = d_cost +. c_cost; broken = !broken;
     budget_exhausted = !budget_exhausted }
+
+let solve = solve_with ~argmin

@@ -72,9 +72,13 @@ let () =
         [
           case "clean analyze exits 0" (exits 0 [ "analyze"; "jacobi2d" ]);
           case "lcg with a failed LCG stage exits 2"
-            (exits ~stderr:"LCG-FAIL" 2 [ "lcg"; "tfft2"; "--size"; "62" ]);
-          case "dot with a failed LCG stage exits 2"
-            (exits ~stderr:"LCG-FAIL" 2 [ "dot"; "tfft2"; "--size"; "62" ]);
+            (exits ~stderr:"LCG-FAIL" 2 [ "lcg"; "matmul"; "--symbolic-only" ]);
+          case "file with an overflowing --env fails its LCG stage"
+            (exits ~stderr:"LCG-FAIL" 1
+               [
+                 "file"; "../examples/programs/jacobi.dsm"; "--env";
+                 "N=4611686018427387903";
+               ]);
           case "unrecovered faulted validation exits 3"
             (exits 3
                [
@@ -83,7 +87,7 @@ let () =
                ]);
           case "vacuous run --validate exits 4"
             (exits ~stderr:"checked nothing" 4
-               [ "run"; "jacobi2d"; "--domains"; "2"; "--size"; "512"; "--validate" ]);
+               [ "run"; "jacobi2d"; "--domains"; "2"; "--size"; "0"; "--validate" ]);
           case "unknown code exits 1" (exits 1 [ "analyze"; "no-such-kernel" ]);
           case "malformed --env binding exits 1"
             (exits ~stderr:"bad binding" 1
@@ -102,5 +106,13 @@ let () =
             [ "run"; "jacobi2d"; "--domains"; "2"; "--rounds=-1" ];
             [ "analyze"; "jacobi2d"; "--size=-1" ];
             [ "analyze"; "jacobi2d"; "--procs"; "abc" ];
+            (* sizes past the code's range: an extent 2^size or an
+               array size that overflows *)
+            [ "analyze"; "jacobi2d"; "--size"; "70" ];
+            [ "lcg"; "jacobi2d"; "--size"; "62" ];
+            [ "lcg"; "tfft2"; "--size"; "62" ];
+            [ "dot"; "tfft2"; "--size"; "62" ];
+            [ "analyze"; "tfft2"; "--size"; "31" ];
+            [ "batch"; "jacobi2d"; "--size"; "62" ];
           ] );
     ]

@@ -278,6 +278,141 @@ let test_solve_tfft2 () =
       (* affinity/locality: p1 = Q p2 *)
       Alcotest.(check int) "p1 = Q p2" (16 * r.p.(1)) r.p.(0))
 
+(* The exhaustive scan Solve.argmin replaces, kept as its oracle: every
+   t in 1..t_max whose chunks are integral and within their caps,
+   costed in phase order, the first of least cost kept. *)
+let scan m (c : Solve.component) =
+  let best = ref None in
+  for t = 1 to c.t_max do
+    let vals =
+      List.map
+        (fun (mem : Solve.member) -> (mem, Solve.eval_affine mem.expr t))
+        c.members
+    in
+    let feasible ((mem : Solve.member), v) =
+      match v with
+      | Some p ->
+          p >= 1 && p <= mem.bound
+          && List.for_all (fun (coeff, limit) -> coeff * p <= limit) mem.storage
+      | None -> false
+    in
+    if List.for_all feasible vals then begin
+      let cost =
+        List.fold_left
+          (fun acc (mem, v) -> acc +. Solve.member_cost m mem (Option.get v))
+          0.0 vals
+      in
+      match !best with
+      | Some (bc, _) when bc <= cost -> ()
+      | _ -> best := Some (cost, t)
+    end
+  done;
+  Option.map snd !best
+
+let same_result (a : Solve.result) (b : Solve.result) =
+  let bits = Int64.bits_of_float in
+  a.p = b.p
+  && bits a.d_cost = bits b.d_cost
+  && bits a.c_cost = bits b.c_cost
+  && bits a.objective = bits b.objective
+  && a.broken = b.broken
+  && a.budget_exhausted = b.budget_exhausted
+
+let check_against_scan what model h =
+  let m = Cost.default_machine ~h in
+  let got = Solve.solve model m and want = Solve.solve_with ~argmin:scan model m in
+  if not (same_result got want) then
+    Alcotest.failf "%s: piecewise objective %h (p %s), scan %h (p %s)" what
+      got.objective
+      (String.concat "," (Array.to_list (Array.map string_of_int got.p)))
+      want.objective
+      (String.concat "," (Array.to_list (Array.map string_of_int want.p)))
+
+(* Every registry kernel at H in {2,4,16,64,1024}: default size, 10, 16
+   and 20, except where the LCG construction leaves the closed form and
+   enumerates for seconds: tfft2 and matmul past size 6, trisolve past
+   13. *)
+let test_solve_registry_vs_scan () =
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      let sizes =
+        match e.name with
+        | "tfft2" | "matmul" -> [ e.default_size; 6 ]
+        | "trisolve" -> [ e.default_size; 10; 13 ]
+        | _ -> [ e.default_size; 10; 16; 20 ]
+      in
+      List.iter
+        (fun size ->
+          List.iter
+            (fun h ->
+              let lcg = Locality.Lcg.build e.program ~env:(e.env_of_size size) ~h in
+              check_against_scan
+                (Printf.sprintf "%s@%d H=%d" e.name size h)
+                (Model.of_lcg lcg) h)
+            [ 2; 4; 16; 64; 1024 ])
+        sizes)
+    Codes.Registry.all
+
+(* Generated programs: the twelve deep programs of campaign 2026 at
+   H=16 and default programs #0-199 at H=4, at their midpoint
+   environments. *)
+let test_solve_fuzz_vs_scan () =
+  let cases =
+    List.init 12 (fun i -> ("deep", Fuzz.Gen.deep, i, 16))
+    @ List.init 200 (fun i -> ("default", Fuzz.Gen.default, i, 4))
+  in
+  List.iter
+    (fun (name, profile, index, h) ->
+      let prog = Fuzz.Gen.program profile ~seed:2026 ~index in
+      let lcg = Locality.Lcg.build prog ~env:(Fuzz.Gen.midpoint_env prog) ~h in
+      check_against_scan
+        (Printf.sprintf "%s#%d H=%d" name index h)
+        (Model.of_lcg lcg) h)
+    cases
+
+(* Random components: negative slopes, residues with den > 1, storage
+   caps of either sign, phases without load or frontier (all-zero
+   costs, so every t ties), pure-frontier and pure-load members. *)
+let component_gen =
+  let open QCheck.Gen in
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b) in
+  let affine =
+    let* num = int_range (-3) 3 and* off = int_range (-30) 30 and* den = int_range 1 4 in
+    return (num, off, den)
+  in
+  let member phase =
+    let* num, off, den = if phase = 0 then return (1, 0, 1) else affine
+    and* bound = int_range 0 400
+    and* storage =
+      list_size (int_range 0 2)
+        (pair (int_range (-3) 6) (int_range (-20) 600))
+    and* lead =
+      opt ~ratio:0.8 (pair (int_range 0 3000) (int_range 0 9000))
+    and* frontier =
+      list_size (int_range 0 2) (pair (int_range 1 3000) (int_range 1 4))
+    in
+    let g = gcd (gcd num off) den in
+    return
+      {
+        Solve.phase;
+        expr = { num = num / g; off = off / g; den = den / g };
+        bound;
+        storage;
+        lead;
+        frontier = (if lead = None then [] else frontier);
+      }
+  in
+  let* n = int_range 1 4 and* t_max = int_range 0 500 and* h = oneofl [ 1; 2; 3; 4; 8; 16 ] in
+  let* members = flatten_l (List.init n member) in
+  return (h, { Solve.members; t_max })
+
+let prop_argmin_matches_scan =
+  QCheck.Test.make ~name:"Solve.argmin = scan on random components" ~count:2000
+    (QCheck.make component_gen)
+    (fun (h, c) ->
+      let m = Cost.default_machine ~h in
+      Solve.argmin m c = scan m c)
+
 let test_max_chunk_load () =
   Alcotest.(check int) "even" 25 (Cost.max_chunk_load ~n:100 ~p:25 ~h:4);
   Alcotest.(check int) "cyclic 1" 25 (Cost.max_chunk_load ~n:100 ~p:1 ~h:4);
@@ -405,6 +540,9 @@ let () =
         [
           Alcotest.test_case "tfft2" `Quick test_solve_tfft2;
           Alcotest.test_case "max chunk load" `Quick test_max_chunk_load;
+          Alcotest.test_case "registry = scan" `Slow test_solve_registry_vs_scan;
+          Alcotest.test_case "fuzz programs = scan" `Slow test_solve_fuzz_vs_scan;
+          QCheck_alcotest.to_alcotest prop_argmin_matches_scan;
         ] );
       ( "distribution",
         [
