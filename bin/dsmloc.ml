@@ -3,7 +3,6 @@
      dsmloc list
      dsmloc analyze  <code> [--size N] [--procs H] [--strict] [--max-errors N]
      dsmloc batch    [CODE...] [--all] [--jobs N] [--size N] [--procs H,H..]
-                              [--inject-crash CODE]
      dsmloc lcg      <code> [--size N] [--procs H]
      dsmloc solve    <code> [--size N] [--procs H]
      dsmloc simulate <code> [--size N] [--procs H] [--baseline]
@@ -75,6 +74,16 @@ let at_least lo conv =
     match Arg.conv_parser conv s with
     | Ok v when v < lo ->
         Error (`Msg (Format.asprintf "%S is out of range (must be >= %a)" s pp lo))
+    | r -> r
+  in
+  Arg.conv (parse, pp)
+
+let at_most hi conv =
+  let pp = Arg.conv_printer conv in
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v > hi ->
+        Error (`Msg (Format.asprintf "%S is out of range (must be <= %a)" s pp hi))
     | r -> r
   in
   Arg.conv (parse, pp)
@@ -172,8 +181,17 @@ let retries_arg =
   Arg.(value & opt natural 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let jobs_arg =
-  let doc = "Number of forked worker processes." in
-  Arg.(value & opt count 4 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  let doc =
+    Printf.sprintf
+      "Number of jobs run at once, each on a domain of its own; never more \
+       than the machine's cores, and at most %d (OCaml keeps %d domains \
+       alive, the calling one included)."
+      (Core.Jobs.max_domains - 1) Core.Jobs.max_domains
+  in
+  Arg.(
+    value
+    & opt (at_most (Core.Jobs.max_domains - 1) count) 4
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let profile_arg =
   let doc =
@@ -216,25 +234,34 @@ let unknown_code name =
     (String.concat ", " Codes.Registry.names);
   1
 
+(* Why [env] is out of range for [prog]: the first declared array
+   whose size does not evaluate under it. *)
+let unsized_array env (prog : Ir.Types.program) =
+  List.find_map
+    (fun (a : Ir.Types.array_decl) ->
+      match Ir.Linearize.array_size env prog a.name with
+      | Ok _ -> None
+      | Error _ -> Some (Printf.sprintf "the size of array %s does not evaluate" a.name))
+    prog.arrays
+
+(* Exit 124 for an option value [v] out of range for [target]. *)
+let out_of_range ~option v target why =
+  Printf.eprintf "dsmloc: option '%s': %s is out of range for %s (%s)\n" option v
+    target why;
+  124
+
 (* The environment a registry code runs at, or exit 124 when its
    --size is out of range: the extent 2^size does not fit an int, or a
    declared array's size does not evaluate. *)
 let sized_env (entry : Codes.Registry.entry) size =
   let refuse why =
-    Printf.eprintf "dsmloc: option '--size': %d is out of range for %s (%s)\n"
-      size entry.name why;
-    Error 124
+    Error (out_of_range ~option:"--size" (string_of_int size) entry.name why)
   in
   if Codes.Registry.pow2 size <= 0 then
     refuse (Printf.sprintf "2^%d does not fit an int" size)
   else
     let env = entry.env_of_size size in
-    let refused (a : Ir.Types.array_decl) =
-      match Ir.Linearize.array_size env entry.program a.name with
-      | Ok _ -> None
-      | Error _ -> Some (Printf.sprintf "the size of array %s does not evaluate" a.name)
-    in
-    match List.find_map refused entry.program.arrays with
+    match unsized_array env entry.program with
     | None -> Ok env
     | Some why -> refuse why
 
@@ -501,8 +528,15 @@ let spmd_cmd =
 
 let run_cmd =
   let domains_arg =
-    let doc = "Number of OCaml domains to execute on (the machine width H)." in
-    Arg.(value & opt width 4 & info [ "domains"; "d" ] ~docv:"H" ~doc)
+    let doc =
+      Printf.sprintf
+        "Number of OCaml domains to execute on (the machine width H, at most %d)."
+        Core.Jobs.max_domains
+    in
+    Arg.(
+      value
+      & opt (at_most Core.Jobs.max_domains width) 4
+      & info [ "domains"; "d" ] ~docv:"H" ~doc)
   in
   let rounds_arg =
     let doc =
@@ -655,15 +689,20 @@ let file_cmd =
         | Error msg ->
             prerr_endline msg;
             1
-        | Ok env ->
-            analysis ~strict ?max_errors ~autopar ~embeds:true prog env h
-              (fun t ->
-                Format.printf "%a@.@." Core.Pipeline.report t;
-                let eff, base = Core.Pipeline.efficiency t in
-                Format.printf
-                  "Simulated efficiency: %.1f%% (LCG) vs %.1f%% (BLOCK)@."
-                  (100. *. eff) (100. *. base);
-                0))
+        | Ok env -> (
+            (* an --env is refused like a --size: the midpoint is the
+               program's own choice *)
+            match if bindings = "" then None else unsized_array env prog with
+            | Some why -> out_of_range ~option:"--env" bindings path why
+            | None ->
+                analysis ~strict ?max_errors ~autopar ~embeds:true prog env h
+                  (fun t ->
+                    Format.printf "%a@.@." Core.Pipeline.report t;
+                    let eff, base = Core.Pipeline.efficiency t in
+                    Format.printf
+                      "Simulated efficiency: %.1f%% (LCG) vs %.1f%% (BLOCK)@."
+                      (100. *. eff) (100. *. base);
+                    0)))
   in
   Cmd.v
     (Cmd.info "file"
@@ -674,18 +713,11 @@ let file_cmd =
          $ strict_arg $ max_errors_arg))
 
 (* ------------------------------------------------------------------ *)
-(* batch: sharded multi-process analysis over many codes at once.
+(* batch: many codes at once, each analysis a job on a domain of its
+   own (Core.Jobs).  A job renders its report and diagnostics where it
+   ran: they read that domain's probe stream and artifact stores. *)
 
-   Jobs and results cross the fork boundary by Marshal, so both are
-   plain records of strings/ints; the worker renders its report and
-   diagnostics to strings before shipping them back. *)
-
-type batch_job = {
-  bj_name : string;
-  bj_size : int;
-  bj_h : int;
-  bj_crash : bool;  (* fault injection: die on the first attempt *)
-}
+type batch_job = { bj_name : string; bj_size : int; bj_h : int }
 
 type batch_result = {
   br_body : string;  (* rendered pipeline report *)
@@ -693,11 +725,7 @@ type batch_result = {
   br_degraded : bool;
 }
 
-let batch_worker ~attempt (j : batch_job) =
-  (* --inject-crash: SIGKILL ourselves on the first attempt only, so
-     the retry (on a fresh worker) succeeds and the batch exits 0 with
-     the loss on record as a POOL-WORKER-LOST diagnostic. *)
-  if j.bj_crash && attempt = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+let batch_worker (j : batch_job) =
   let entry = Codes.Registry.find j.bj_name in
   let env = entry.env_of_size j.bj_size in
   let diags = Core.Diag.collector () in
@@ -730,27 +758,12 @@ let batch_cmd =
     in
     Arg.(value & opt (list width) [ 4 ] & info [ "procs"; "H" ] ~docv:"H,.." ~doc)
   in
-  let crash_arg =
-    let doc =
-      "Fault injection: the worker running $(docv)'s first attempt kills \
-       itself (SIGKILL) mid-job, exercising the pool's crash-recovery \
-       path.  The job is retried on a fresh worker."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "inject-crash" ] ~docv:"CODE" ~doc)
-  in
-  let f () names all jobs size hs crash =
+  let f () names all jobs size hs =
     let names = names @ (if all then Codes.Registry.names else []) in
     let names = if names = [] then Codes.Registry.names else names in
-    match
-      ( List.find_opt (fun n -> not (List.mem n Codes.Registry.names)) names,
-        crash )
-    with
-    | Some n, _ -> unknown_code n
-    | None, Some c when not (List.mem c names) ->
-        Printf.eprintf "--inject-crash %s: code is not part of this batch\n" c;
-        1
-    | None, _ -> (
+    match List.find_opt (fun n -> not (List.mem n Codes.Registry.names)) names with
+    | Some n -> unknown_code n
+    | None -> (
         let refused name =
           let entry = Codes.Registry.find name in
           match sized_env entry (Option.value size ~default:entry.default_size) with
@@ -760,70 +773,44 @@ let batch_cmd =
         match List.find_map refused names with
         | Some code -> code
         | None ->
-        let job_list =
-          List.concat_map
-            (fun name ->
-              let entry = Codes.Registry.find name in
-              let sz = Option.value size ~default:entry.default_size in
-              List.map
-                (fun h ->
-                  { bj_name = name; bj_size = sz; bj_h = h;
-                    bj_crash = crash = Some name })
-                hs)
-            names
-        in
-        let diags = Core.Diag.collector () in
-        let failed = ref false in
-        let describe (j : batch_job) =
-          Printf.sprintf "%s (size %d, H=%d)" j.bj_name j.bj_size j.bj_h
-        in
-        let stream idx outcome =
-          let j = List.nth job_list idx in
-          match outcome with
-          | Core.Pool.Done d ->
-              List.iter
-                (fun reason ->
-                  Core.Diag.addf diags ~severity:Core.Diag.Error
-                    ~stage:Core.Diag.Pool ~where:j.bj_name
-                    ~code:"POOL-WORKER-LOST"
-                    "job %s lost an attempt (%s); retried on a fresh worker"
-                    (describe j) reason)
-                d.lost;
-              let (r : batch_result) = d.value in
-              Printf.printf "=== %s ===\n" (describe j);
-              print_string r.br_body;
-              print_newline ();
-              prerr_string r.br_diags;
-              if r.br_degraded then failed := true
-          | Core.Pool.Failed { attempts; reasons } ->
-              Core.Diag.addf diags ~severity:Core.Diag.Error
-                ~stage:Core.Diag.Pool ~where:j.bj_name ~code:"POOL-WORKER-LOST"
-                "job %s failed permanently after %d attempts (%s)" (describe j)
-                attempts
-                (String.concat "; " reasons);
-              Printf.printf "=== %s ===\n" (describe j);
-              Printf.printf "FAILED after %d attempts\n\n" attempts;
-              failed := true
-        in
-        let _outcomes, merged =
-          Core.Pool.map ~workers:jobs ~f:batch_worker ~stream job_list
-        in
-        (* Fold the workers' per-job snapshots into the parent registry
-           so the --profile/--profile-json report is fleet-wide. *)
-        Symbolic.Metrics.absorb merged;
-        print_diags (Core.Diag.to_list diags);
-        if !failed then 2 else 0)
+            let job_list =
+              List.concat_map
+                (fun name ->
+                  let entry = Codes.Registry.find name in
+                  let sz = Option.value size ~default:entry.default_size in
+                  List.map (fun h -> { bj_name = name; bj_size = sz; bj_h = h }) hs)
+                names
+            in
+            let jobs_a = Array.of_list job_list in
+            let failed = ref false in
+            let stream idx outcome =
+              let j = jobs_a.(idx) in
+              Printf.printf "=== %s (size %d, H=%d) ===\n" j.bj_name j.bj_size j.bj_h;
+              match outcome with
+              | Core.Jobs.Done { value = r; _ } ->
+                  print_string r.br_body;
+                  print_newline ();
+                  prerr_string r.br_diags;
+                  if r.br_degraded then failed := true
+              | Core.Jobs.Failed reason ->
+                  Printf.printf "FAILED: the job raised %s\n\n" reason;
+                  failed := true
+            in
+            let _, merged = Core.Jobs.map ~workers:jobs ~f:batch_worker ~stream job_list in
+            (* The jobs' snapshots join this domain's numbers, so the
+               --profile/--profile-json report covers the whole batch. *)
+            Symbolic.Metrics.absorb merged;
+            if !failed then 2 else 0)
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Analyze many codes in parallel on a pool of forked worker \
-          processes: crash-isolated, deterministically ordered output, \
-          fleet-merged metrics.")
+         "Analyze many codes in parallel, each on a domain of its own: \
+          deterministically ordered output, merged metrics.")
     (profiled
        Term.(
          const f $ mode_term $ codes_arg $ all_arg $ jobs_arg $ size_arg
-         $ procs_list_arg $ crash_arg))
+         $ procs_list_arg))
 
 let lint_cmd =
   let targets_arg =
@@ -944,7 +931,7 @@ let fuzz_cmd =
     let doc =
       "Self-test fault injection: skew every closed-form union \
        cardinality by +1 (Symbolic.Lattice.test_card_skew) in every \
-       worker.  The enum-parity differential must catch it, so a clean \
+       job.  The enum-parity differential must catch it, so a clean \
        exit under this flag is itself a campaign failure."
     in
     Arg.(value & flag & info [ "inject-mutation" ] ~doc)
@@ -994,7 +981,7 @@ let fuzz_cmd =
           pipelines, run each through the differential battery \
           (symbolic-vs-enumerated parity, race certifier vs dynamic \
           oracle, ILP vs chain solver, schedule parity, cold-vs-warm, \
-          1-vs-N determinism) on a crash-isolated worker pool, and \
+          1-vs-N determinism), each program on a domain of its own, and \
           shrink every mismatch to a minimal reproducer.")
     (profiled
        Term.(

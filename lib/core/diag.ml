@@ -12,7 +12,6 @@ type stage =
   | Comm
   | Exec
   | Validation
-  | Pool
 
 type t = {
   severity : severity;
@@ -49,7 +48,6 @@ let stage_to_string = function
   | Comm -> "comm"
   | Exec -> "exec"
   | Validation -> "validation"
-  | Pool -> "pool"
 
 let add c ~severity ~stage ?where ~code message =
   (* the diagnostic that would exceed the cap is not recorded *)

@@ -26,12 +26,6 @@
       component's representative window is wider than the plan stage
       can tally (see {!Ilp.Solve.result}), so the run falls back to the
       BLOCK baseline plan;
-    - [POOL-WORKER-LOST]: a batch worker process died mid-job (signal
-      or unclean exit); the job was retried on a freshly forked worker
-      (or, past the retry budget, reported as permanently failed);
-    - [POOL-BAD-FRAME]: a worker emitted a corrupt or over-cap marshal
-      frame; it was killed and the job failed instead of the parent
-      allocating an adversarial length;
     - [COMM-SIZE]: an array size would not evaluate while generating
       the communication schedule (the array's messages are omitted);
     - [FAULT-INJECTED], [FAULT-UNRECOVERED]: fault-injection summary /
@@ -61,7 +55,6 @@ type stage =
   | Comm
   | Exec
   | Validation
-  | Pool  (** the batch driver's forked-worker pool (see {!Pool}) *)
 
 type t = {
   severity : severity;

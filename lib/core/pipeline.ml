@@ -152,7 +152,7 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
      the same answers) but mark where the closed-form fragment was left
      behind - the spots where analysis cost scales with data size. *)
   let fallbacks = Lattice.fallback_count () - fallbacks_before in
-  if fallbacks > 0 && !Lattice.mode <> Lattice.Enumerated_only then
+  if fallbacks > 0 && !(Lattice.mode_cell ()) <> Lattice.Enumerated_only then
     Diag.addf diags ~severity:Diag.Info ~stage:Diag.Lint
       ~code:"LINT-SYMBOLIC-FALLBACK"
       "%d analysis step(s) left the closed-form symbolic fragment and fell \

@@ -1,9 +1,11 @@
 (** The mass differential-fuzzing campaign behind [dsmloc fuzz].
 
     Generated programs are dispatched in deterministic submission order
-    through {!Core.Pool.map} - each battery run is crash-isolated in a
-    forked worker with fully reset analysis state - in bounded chunks
-    so a wall-clock cap can stop between chunks.  The campaign then:
+    through {!Core.Jobs.map} - each battery runs on a domain of its own,
+    from fresh analysis state - in bounded chunks so a wall-clock cap
+    can stop between chunks.  At most 31 batteries run at once, since
+    each may run the executor on {!Differ.h} domains.  The campaign
+    then:
 
     - re-runs a prefix of the indices on a single worker and compares
       the verdict vectors structurally (the 1-vs-N worker determinism
@@ -12,18 +14,19 @@
       {!Shrink} under the finding's own check as the keep predicate,
       and writes a [fuzz_<check>_s<seed>_<index>.dsm] reproducer plus a
       [.golden] snapshot of the verdict into [out_dir];
-    - converts worker crashes and non-reproducible failures into
-      findings of their own rather than dropping them.
+    - converts a battery that raised, and failures that do not
+      reproduce, into findings of their own rather than dropping them.
 
-    [skew] threads {!Symbolic.Lattice.test_card_skew} into every worker
-    (and into in-process reproduction), so the deliberately injected
-    descriptor-algebra mutation exercises the whole detect-shrink-write
-    path as a self-test. *)
+    [skew] is set as the calling domain's
+    {!Symbolic.Lattice.test_card_skew} for the whole campaign: every job
+    domain inherits it, and in-process reproduction runs under it, so
+    the deliberately injected descriptor-algebra mutation exercises the
+    whole detect-shrink-write path as a self-test. *)
 
 type config = {
   count : int;  (** programs to generate *)
   seed : int;  (** campaign seed; program i is [Gen.program ~seed ~index:i] *)
-  jobs : int;  (** pool worker processes *)
+  jobs : int;  (** batteries run at once, each on a domain *)
   deep_every : int;  (** every n-th program uses {!Gen.deep}; 0 = never *)
   determinism_sample : int;  (** prefix re-run at 1 worker; 0 = skip *)
   wall_cap : float;  (** seconds; 0 = uncapped.  Checked between chunks. *)
@@ -35,7 +38,7 @@ type config = {
 type finding = {
   f_index : int;  (** generation index, -1 for campaign-level findings *)
   f_profile : string;  (** ["default"] | ["deep"] | ["campaign"] *)
-  f_check : string;  (** failing check, or ["worker-crash"] / ["determinism"] *)
+  f_check : string;  (** failing check, or ["job-failed"] / ["determinism"] *)
   f_detail : string;
   f_source : string;  (** unshrunk source ([""] for campaign-level) *)
   f_shrunk : string option;  (** minimized source, when shrinking succeeded *)
@@ -43,7 +46,7 @@ type finding = {
 }
 
 type stats = {
-  s_ran : int;  (** battery runs completed (including retried ones) *)
+  s_ran : int;  (** battery runs that finished *)
   s_findings : finding list;  (** in index order *)
   s_wall_capped : bool;  (** true when the cap stopped the campaign early *)
 }

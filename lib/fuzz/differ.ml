@@ -11,11 +11,12 @@ type check = {
 let h = 4
 
 let with_mode m f =
-  let saved = !Lattice.mode in
+  let cell = Lattice.mode_cell () in
+  let saved = !cell in
   Fun.protect
-    ~finally:(fun () -> Lattice.mode := saved)
+    ~finally:(fun () -> cell := saved)
     (fun () ->
-      Lattice.mode := m;
+      cell := m;
       f ())
 
 let run_pipeline prog =

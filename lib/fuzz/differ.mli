@@ -27,12 +27,16 @@
       {!Exec.Validate} already finds the plan stale, or the program
       cannot be compiled).
 
-    All checks run at [h = 4] processors under the program's midpoint
-    parameter environment ({!Gen.midpoint_env}), leave
-    [Lattice.mode] as they found it, and convert any escaped exception
-    into a [Fail] - the battery itself never raises. *)
+    All checks run at {!h} processors under the program's midpoint
+    parameter environment ({!Gen.midpoint_env}), leave the calling
+    domain's [Lattice.mode_cell] as they found it, and convert any
+    escaped exception into a [Fail] - the battery itself never raises. *)
 
 type verdict = Pass | Skip of string | Fail of string
+
+val h : int
+(** The processor count every check runs at: 4.  The executor check
+    runs on that many domains. *)
 
 type check = {
   name : string;

@@ -11,7 +11,8 @@
    The cache serves one probe-seed scope.  There is one invalidation
    rule: [clear_all] drops every store, and [Probe.with_seed] calls it
    on entry and exit, so no value derived under one probe seed is read
-   under another. *)
+   under another.  The stores are domain-local: each domain fills its
+   own tables, and [clear_all] drops the calling domain's. *)
 
 module Key = struct
   type t = I of int | S of string | E of Expr.t | L of int * t list
@@ -56,26 +57,37 @@ module KT = Hashtbl.Make (Key)
    and refills. *)
 let max_entries = 4_096
 
-type 'v store = { tbl : 'v KT.t; cells : Metrics.cache }
+(* A store is the calling domain's table and its hit/miss counts. *)
+type 'v local = { tbl : 'v KT.t; stats : Metrics.local }
+type 'v store = 'v local Domain.DLS.key
 
-(* The clear closure of every store created anywhere in the process. *)
-let clearers : (unit -> unit) list ref = ref []
+(* The clear closure of every store, each acting on the calling
+   domain's table. *)
+let clearers : (unit -> unit) list Atomic.t = Atomic.make []
 
 let store name =
-  let s = { tbl = KT.create 256; cells = Metrics.cache name } in
-  clearers := (fun () -> KT.reset s.tbl) :: !clearers;
+  let cells = Metrics.cache name in
+  let s =
+    Domain.DLS.new_key (fun () -> { tbl = KT.create 256; stats = Metrics.local_cache cells })
+  in
+  let rec register clear =
+    let l = Atomic.get clearers in
+    if not (Atomic.compare_and_set clearers l (clear :: l)) then register clear
+  in
+  register (fun () -> KT.reset (Domain.DLS.get s).tbl);
   s
 
 let find s key compute =
-  match KT.find_opt s.tbl key with
+  let { tbl; stats } = Domain.DLS.get s in
+  match KT.find_opt tbl key with
   | Some v ->
-      Metrics.hit s.cells;
+      Metrics.hit_local stats;
       v
   | None ->
-      Metrics.miss s.cells;
+      Metrics.miss_local stats;
       let v = compute () in
-      if KT.length s.tbl >= max_entries then KT.reset s.tbl;
-      KT.replace s.tbl key v;
+      if KT.length tbl >= max_entries then KT.reset tbl;
+      KT.replace tbl key v;
       v
 
-let clear_all () = List.iter (fun clear -> clear ()) !clearers
+let clear_all () = List.iter (fun clear -> clear ()) (Atomic.get clearers)

@@ -7,7 +7,9 @@
     the expressions' precomputed digests, and therefore a key can never
     collide with a different key - the digest only buckets.
 
-    The cache is a per-run memo (see DESIGN.md section 14):
+    The cache is a per-run memo (see DESIGN.md section 14).  Stores
+    are domain-local: a domain reads and fills only its own tables, and
+    a fresh domain starts with empty ones.
     - {!clear_all} drops every store; [Probe.with_seed] calls it on
       entry and exit, so no value derived under one probe seed survives
       into a run under another;
@@ -39,4 +41,4 @@ val find : 'v store -> Key.t -> (unit -> 'v) -> 'v
     [compute], stores and returns its result. *)
 
 val clear_all : unit -> unit
-(** Flush every store. *)
+(** Flush every store of the calling domain. *)

@@ -15,11 +15,12 @@ type t = { map : int M.t; id : int; ephemeral : bool }
 
 exception Unbound = Expr.Unbound
 
-let next_id = ref 0
+(* Process-wide: an environment built on one domain and one built on
+   another never share an id, so neither reads the other's entries. *)
+let next_id = Atomic.make 1
 
 let make ?(ephemeral = false) map =
-  incr next_id;
-  { map; id = !next_id; ephemeral }
+  { map; id = Atomic.fetch_and_add next_id 1; ephemeral }
 
 let empty = make M.empty
 let of_list l = make (List.fold_left (fun m (k, v) -> M.add k v m) M.empty l)
@@ -65,10 +66,13 @@ let slot names v =
   go (Array.length names - 1)
 
 (* A row is an environment that lives for one evaluation: counted like
-   an ephemeral environment's, once per evaluation. *)
-let counted f row =
-  Metrics.incr uncached_count;
-  f row
+   an ephemeral environment's, once per evaluation, on the domain that
+   compiled it. *)
+let counted f =
+  let uncached = Metrics.local_counter uncached_count in
+  fun row ->
+    Metrics.incr_local uncached;
+    f row
 
 let compile names e = counted (Expr.compile (slot names) e)
 let compile_int names e = counted (Expr.compile_int (slot names) e)

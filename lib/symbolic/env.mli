@@ -16,10 +16,12 @@ val find : t -> string -> int
 val bindings : t -> (string * int) list
 
 val id : t -> int
-(** Unique identity of this environment value, assigned at creation.
-    Caches keyed on an environment use this id (never the bindings), so
-    two environments with equal bindings still have distinct cache
-    lines - the memo-coherence argument of DESIGN.md section 12. *)
+(** Unique identity of this environment value, assigned at creation
+    and never shared by two environments of the process, whichever
+    domains built them.  Caches keyed on an environment use this id
+    (never the bindings), so two environments with equal bindings still
+    have distinct cache lines - the memo-coherence argument of DESIGN.md
+    section 12. *)
 
 val ephemeral : t -> t
 (** A copy (fresh id) whose evaluations bypass the global artifact

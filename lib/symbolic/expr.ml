@@ -1,13 +1,13 @@
 (* Hash-consed symbolic expressions.  Every [t] is interned: the [node]
-   (canonical sum-of-monomials payload) lives in a global weak-ish table
+   (canonical sum-of-monomials payload) lives in a domain-local table
    keyed by shallow structure, so within one intern generation two
    structurally equal expressions are the *same* record.  [equal] is a
    physical check with a hash-gated structural fallback (the fallback
-   only fires for duplicates that survive an [intern_reset], e.g.
-   registry programs built before a pool worker reset); [compare] keeps
-   the exact ordering of the pre-interning structural compare so every
-   sorted artifact (symmetry distance lists, golden snapshots) is
-   byte-identical to before. *)
+   only fires for duplicates across generations or domains, e.g.
+   registry programs built before an [intern_reset] or on the domain
+   that spawned a batch job); [compare] keeps the exact ordering of the
+   pre-interning structural compare so every sorted artifact (symmetry
+   distance lists, golden snapshots) is byte-identical to before. *)
 
 type t = { id : int; hash : int; node : node }
 
@@ -175,22 +175,46 @@ module Tbl = Hashtbl.Make (struct
 end)
 
 let intern_stats = Metrics.cache "expr.intern"
-let table : t Tbl.t = Tbl.create 4096
-let next_id = ref 0
+let norm_count = Metrics.counter "expr.norm"
+
+(* The module-level constants, filled in below once they exist: every
+   fresh table holds them, so they keep their canonical identity on
+   every domain and after [intern_reset]. *)
+let canonical : t list ref = ref []
+
+let seeded () =
+  let table = Tbl.create 4096 in
+  List.iter (fun e -> Tbl.replace table e.node e) !canonical;
+  table
+
+(* The calling domain's table, with its intern and normalization
+   counts at hand. *)
+type interns = { mutable table : t Tbl.t; stats : Metrics.local; norms : Metrics.local }
+
+let interns =
+  Domain.DLS.new_key (fun () ->
+      {
+        table = seeded ();
+        stats = Metrics.local_cache intern_stats;
+        norms = Metrics.local_counter norm_count;
+      })
+
+(* Process-wide, so no two domains hand out the same id. *)
+let next_id = Atomic.make 1
 
 let intern (node : node) : t =
-  match Tbl.find_opt table node with
+  let st = Domain.DLS.get interns in
+  match Tbl.find_opt st.table node with
   | Some e ->
-      Metrics.hit intern_stats;
+      Metrics.hit_local st.stats;
       e
   | None ->
-      Metrics.miss intern_stats;
-      incr next_id;
-      let e = { id = !next_id; hash = hash_node node; node } in
-      Tbl.add table node e;
+      Metrics.miss_local st.stats;
+      let e = { id = Atomic.fetch_and_add next_id 1; hash = hash_node node; node } in
+      Tbl.add st.table node e;
       e
 
-let intern_size () = Tbl.length table
+let intern_size () = Tbl.length (Domain.DLS.get interns).table
 
 (* ------------------------------------------------------------------ *)
 (* Constructors.  The algebra below works on raw [node] lists and
@@ -203,16 +227,15 @@ let one = int 1
 let var v : t = intern [ ([ (Var v, 1) ], Qnum.one) ]
 let is_zero e = match e.node with [] -> true | _ -> false
 
-(* [intern_reset] clears the table (so a forked worker or a fresh batch
-   job starts with a bounded, history-free intern state) but keeps the
+let () = canonical := [ zero; one ]
+
+(* [intern_reset] replaces the calling domain's table (so a profiled
+   run starts with a bounded, history-free intern state) but keeps the
    id counter monotonic: ids are never reused, so expressions created
    before the reset can safely coexist with expressions created after -
    [equal]/[compare] fall back to structure for such cross-generation
-   duplicates.  The module-level constants are re-seeded so they keep
-   their canonical identity. *)
-let intern_reset () =
-  Tbl.reset table;
-  List.iter (fun e -> Tbl.replace table e.node e) [ zero; one ]
+   duplicates. *)
+let intern_reset () = (Domain.DLS.get interns).table <- seeded ()
 
 let to_q e =
   match e.node with
@@ -262,14 +285,12 @@ let split_const (e : node) : int * node =
     let k = Qnum.floor c in
     if k = 0 then (0, e) else (k, add_n e [ ([], Qnum.of_int (-k)) ])
 
-let norm_count = Metrics.counter "expr.norm"
-
 (* Build a normalized monomial*coefficient from a raw atom^exp listing.
    All Pow2 atoms are fused: their exponents are summed (weighted by the
    integer power) and any constant part of the sum moves into the
    coefficient. *)
 let norm_factors (factors : (atom * int) list) (coeff : Qnum.t) : node =
-  Metrics.incr norm_count;
+  Metrics.incr_local (Domain.DLS.get interns).norms;
   let pow2_exp = ref [] in
   let others = ref [] in
   List.iter

@@ -27,9 +27,10 @@ type t
 (** {1 Identity} *)
 
 val id : t -> int
-(** Unique per interned value, monotonically increasing, never reused
-    (even across {!intern_reset}).  Ids depend on construction history;
-    never persist them - use {!digest} for stable keys. *)
+(** Unique per interned value across the process, never reused (even
+    across {!intern_reset} or between domains).  Ids depend on
+    construction history; never persist them - use {!digest} for stable
+    keys. *)
 
 val digest : t -> int
 (** Precomputed structural hash: deterministic across processes and
@@ -37,8 +38,8 @@ val digest : t -> int
 
 val equal : t -> t -> bool
 (** Physical equality, with a hash-gated structural fallback that only
-    fires for duplicates surviving an {!intern_reset}.  Agrees with
-    {!structural_equal} on all inputs. *)
+    fires for duplicates across intern generations or domains.  Agrees
+    with {!structural_equal} on all inputs. *)
 
 val compare : t -> t -> int
 (** Total order identical to {!structural_compare} (the historical
@@ -52,13 +53,16 @@ val structural_compare : t -> t -> int
 (** {1 Intern state} *)
 
 val intern_size : unit -> int
-(** Number of live interned expressions in the current generation. *)
+(** Number of live interned expressions in the calling domain's
+    current generation.  Each domain interns into its own table; a
+    fresh domain starts a fresh generation. *)
 
 val intern_reset : unit -> unit
-(** Drop the intern table (pool workers call this per job so intern
-    state stays bounded and history-free).  The id counter is {e not}
-    reset: expressions created before the reset remain valid and compare
-    correctly against post-reset values, they just lose sharing. *)
+(** Drop the calling domain's intern table (a profiling driver calls
+    this between runs so intern state stays bounded and history-free).
+    The id counter is {e not} reset: expressions created before the
+    reset remain valid and compare correctly against post-reset values,
+    they just lose sharing. *)
 
 (** {1 Constructors} *)
 

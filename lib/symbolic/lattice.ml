@@ -426,11 +426,13 @@ let union_card_exact boxes =
         end
       with Overflow -> None)
 
-let test_card_skew = ref 0
+(* Domain-local; a spawned domain starts with its parent's value. *)
+let card_skew = Domain.DLS.new_key ~split_from_parent:(fun r -> ref !r) (fun () -> ref 0)
+let test_card_skew () = Domain.DLS.get card_skew
 
 let union_card boxes =
   match union_card_exact boxes with
-  | Some n when !test_card_skew <> 0 && n > 0 -> Some (n + !test_card_skew)
+  | Some n when n > 0 && !(test_card_skew ()) <> 0 -> Some (n + !(test_card_skew ()))
   | r -> r
 
 (* {1 Ownership} *)
@@ -698,25 +700,29 @@ let window_hits ~a ~d ~n ~len set =
 
 type mode = Auto | Symbolic_only | Enumerated_only
 
+(* Domain-local like [card_skew]; [mode] is the main domain's cell. *)
 let mode = ref Auto
+let mode_key = Domain.DLS.new_key ~split_from_parent:(fun r -> ref !r) (fun () -> ref Auto)
+let () = Domain.DLS.set mode_key mode
+let mode_cell () = Domain.DLS.get mode_key
 
 let mode_tag () =
-  match !mode with Auto -> 0 | Symbolic_only -> 1 | Enumerated_only -> 2
+  match !(mode_cell ()) with Auto -> 0 | Symbolic_only -> 1 | Enumerated_only -> 2
 
 exception Outside_fragment of string
 
 let fallback_counter = Metrics.counter "symbolic.fallback"
-let fallbacks = ref 0
+let fallbacks = Domain.DLS.new_key (fun () -> ref 0)
 
 let note_fallback ~stage reason =
-  incr fallbacks;
+  incr (Domain.DLS.get fallbacks);
   Metrics.incr fallback_counter;
   Metrics.incr (Metrics.counter ("symbolic.fallback." ^ stage));
-  if !mode = Symbolic_only then
+  if !(mode_cell ()) = Symbolic_only then
     raise (Outside_fragment (stage ^ ": " ^ reason))
 
 let closed_or_enumerate ~stage ~reason ~symbolic ~enum =
-  match !mode with
+  match !(mode_cell ()) with
   | Enumerated_only -> enum ()
   | Auto | Symbolic_only -> (
       match symbolic () with
@@ -725,4 +731,4 @@ let closed_or_enumerate ~stage ~reason ~symbolic ~enum =
           note_fallback ~stage (reason ());
           enum ())
 
-let fallback_count () = !fallbacks
+let fallback_count () = !(Domain.DLS.get fallbacks)

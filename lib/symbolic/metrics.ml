@@ -1,110 +1,124 @@
-(* Process-wide registry of named counters, timers and cache
-   statistics.  Cells are created on first use and live for the
-   whole process; [reset] zeroes the numbers but keeps the cells, so a
-   handle obtained at module-initialization time stays valid across
-   resets (the profiling drivers reset between kernels). *)
+(* Named counters, timers and cache statistics.  The catalog of cells
+   (name, kind, slot) is process-wide and only grows; the numbers are
+   domain-local: each domain counts into its own slots, and a fresh
+   domain starts at zero.  [reset] zeroes the calling domain's numbers
+   but keeps the cells, so a handle obtained at module-initialization
+   time stays valid on every domain and across resets. *)
 
-type counter = { c_name : string; mutable count : int }
+type kind = Counter | Timer | Cache
 
-type timer = {
-  t_name : string;
-  mutable calls : int;
-  mutable seconds : float;
-  mutable depth : int;  (* reentrancy guard: only the outermost call times *)
+(* A handle is the cell's slot. *)
+type counter = int
+type timer = int
+type cache = int
+
+(* One cell's numbers on one domain.  A counter uses [a]; a cache [a]
+   (hits) and [b] (misses); a timer [a] (calls), [secs] and [depth],
+   the reentrancy guard: only the outermost call times. *)
+type slot = {
+  mutable a : int;
+  mutable b : int;
+  mutable secs : float;
+  mutable depth : int;
 }
 
-type cache = { k_name : string; mutable hits : int; mutable misses : int }
+let lock = Mutex.create ()
+let index : (string, kind * int) Hashtbl.t = Hashtbl.create 64
 
-type cell =
-  | Counter of counter
-  | Timer of timer
-  | Cache of cache
+(* Creation order, newest first, so reports are stable and grouped the
+   way the cells were introduced rather than in hash order.  The slot
+   of the n-th cell is n. *)
+let cells : (string * kind * int) list ref = ref []
 
-let registry : (string, cell) Hashtbl.t = Hashtbl.create 64
+let find_or_create name kind =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt index name with
+      | Some (k, i) when k = kind -> i
+      | Some _ -> invalid_arg ("Metrics: cell kind mismatch for " ^ name)
+      | None ->
+          let i = Hashtbl.length index in
+          Hashtbl.add index name (kind, i);
+          cells := (name, kind, i) :: !cells;
+          i)
 
-(* Creation order, so reports are stable and grouped the way the cells
-   were introduced rather than in hash order. *)
-let order : string list ref = ref []
+let counter name = find_or_create name Counter
+let timer name = find_or_create name Timer
+let cache name = find_or_create name Cache
 
-let find_or_create name make =
-  match Hashtbl.find_opt registry name with
-  | Some c -> c
-  | None ->
-      let c = make () in
-      Hashtbl.add registry name c;
-      order := name :: !order;
-      c
+let fresh () = { a = 0; b = 0; secs = 0.0; depth = 0 }
+let slots : slot array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
 
-let mismatch name = invalid_arg ("Metrics: cell kind mismatch for " ^ name)
+(* Growing keeps the slot records, so a slot held across a growth (by
+   [with_timer], or as a [local] handle) is still the cell's. *)
+let grow old i =
+  let n = Array.length old in
+  let a =
+    Array.init (max (i + 1) (max 64 (2 * n))) (fun j -> if j < n then old.(j) else fresh ())
+  in
+  Domain.DLS.set slots a;
+  a.(i)
 
-let counter name =
-  match
-    find_or_create name (fun () -> Counter { c_name = name; count = 0 })
-  with
-  | Counter c -> c
-  | _ -> mismatch name
+let slot i =
+  let a = Domain.DLS.get slots in
+  if i < Array.length a then Array.unsafe_get a i else grow a i
 
-let timer name =
-  match
-    find_or_create name (fun () ->
-        Timer { t_name = name; calls = 0; seconds = 0.0; depth = 0 })
-  with
-  | Timer t -> t
-  | _ -> mismatch name
+(* A handle on one cell's slot on the calling domain. *)
+type local = slot
 
-let cache name =
-  match
-    find_or_create name (fun () -> Cache { k_name = name; hits = 0; misses = 0 })
-  with
-  | Cache c -> c
-  | _ -> mismatch name
+let local_counter = slot
+let local_cache = slot
+let incr_local s = s.a <- s.a + 1
+let hit_local s = s.a <- s.a + 1
+let miss_local s = s.b <- s.b + 1
 
-let incr ?(by = 1) c = c.count <- c.count + by
+let incr ?(by = 1) c =
+  let s = slot c in
+  s.a <- s.a + by
 
 let now = Unix.gettimeofday
 
 let with_timer t f =
-  t.calls <- t.calls + 1;
-  if t.depth > 0 then begin
+  let s = slot t in
+  s.a <- s.a + 1;
+  if s.depth > 0 then begin
     (* Recursive entry: count the call but let the outer frame own the
        wall clock, otherwise recursion double-bills. *)
-    t.depth <- t.depth + 1;
-    Fun.protect ~finally:(fun () -> t.depth <- t.depth - 1) f
+    s.depth <- s.depth + 1;
+    Fun.protect ~finally:(fun () -> s.depth <- s.depth - 1) f
   end
   else begin
-    t.depth <- 1;
+    s.depth <- 1;
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
-        t.seconds <- t.seconds +. (now () -. t0);
-        t.depth <- t.depth - 1)
+        s.secs <- s.secs +. (now () -. t0);
+        s.depth <- s.depth - 1)
       f
   end
 
-let add_time t s =
-  t.calls <- t.calls + 1;
-  t.seconds <- t.seconds +. s
+let add_time t secs =
+  let s = slot t in
+  s.a <- s.a + 1;
+  s.secs <- s.secs +. secs
 
-let hit c = c.hits <- c.hits + 1
-let miss c = c.misses <- c.misses + 1
+let hit c = hit_local (slot c)
+let miss c = miss_local (slot c)
 
-let lookups c = c.hits + c.misses
+let lookups c =
+  let s = slot c in
+  s.a + s.b
 
 let hit_rate c =
   let n = lookups c in
-  if n = 0 then 0.0 else float_of_int c.hits /. float_of_int n
+  if n = 0 then 0.0 else float_of_int (slot c).a /. float_of_int n
 
 let reset () =
-  Hashtbl.iter
-    (fun _ -> function
-      | Counter c -> c.count <- 0
-      | Timer t ->
-          t.calls <- 0;
-          t.seconds <- 0.0
-      | Cache c ->
-          c.hits <- 0;
-          c.misses <- 0)
-    registry
+  Array.iter
+    (fun s ->
+      s.a <- 0;
+      s.b <- 0;
+      s.secs <- 0.0)
+    (Domain.DLS.get slots)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
@@ -116,29 +130,24 @@ type snapshot = {
 }
 
 let snapshot () =
-  let names = List.rev !order in
-  let pick f = List.filter_map f names in
+  let cells = List.rev (Mutex.protect lock (fun () -> !cells)) in
+  let a = Domain.DLS.get slots in
+  let pick kind value =
+    List.filter_map
+      (fun (n, k, i) ->
+        if k <> kind then None
+        else Some (n, value (if i < Array.length a then a.(i) else fresh ())))
+      cells
+  in
   {
-    counters =
-      pick (fun n ->
-          match Hashtbl.find_opt registry n with
-          | Some (Counter c) -> Some (n, c.count)
-          | _ -> None);
-    timers =
-      pick (fun n ->
-          match Hashtbl.find_opt registry n with
-          | Some (Timer t) -> Some (n, (t.calls, t.seconds))
-          | _ -> None);
-    caches =
-      pick (fun n ->
-          match Hashtbl.find_opt registry n with
-          | Some (Cache c) -> Some (n, (c.hits, c.misses))
-          | _ -> None);
+    counters = pick Counter (fun s -> s.a);
+    timers = pick Timer (fun s -> (s.a, s.secs));
+    caches = pick Cache (fun s -> (s.a, s.b));
   }
 
-(* Fleet-wide aggregation: the batch driver's workers each report a
-   per-job snapshot over the result pipe; the parent folds them into
-   one registry-shaped view by adding the numbers. *)
+(* Fleet-wide aggregation: each batch job reports the snapshot of its
+   own domain; the caller folds them into one registry-shaped view by
+   adding the numbers. *)
 let merge (a : snapshot) (b : snapshot) : snapshot =
   let union ~combine xs ys =
     let merged =
@@ -164,22 +173,18 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   }
 
 let absorb (s : snapshot) =
-  List.iter
-    (fun (n, v) ->
-      let c = counter n in
-      c.count <- c.count + v)
-    s.counters;
+  List.iter (fun (n, v) -> incr (counter n) ~by:v) s.counters;
   List.iter
     (fun (n, (calls, secs)) ->
-      let t = timer n in
-      t.calls <- t.calls + calls;
-      t.seconds <- t.seconds +. secs)
+      let t = slot (timer n) in
+      t.a <- t.a + calls;
+      t.secs <- t.secs +. secs)
     s.timers;
   List.iter
     (fun (n, (hits, misses)) ->
-      let c = cache n in
-      c.hits <- c.hits + hits;
-      c.misses <- c.misses + misses)
+      let c = slot (cache n) in
+      c.a <- c.a + hits;
+      c.b <- c.b + misses)
     s.caches
 
 (* Only the cells this run touched: a timer with calls, a cache with

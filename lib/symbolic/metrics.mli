@@ -1,9 +1,12 @@
-(** Process-wide metrics registry: named counters, wall-clock timers
-    and cache (memo-table) statistics.
+(** Metrics registry: named counters, wall-clock timers and cache
+    (memo-table) statistics.
 
-    Cells are interned by name on first use and survive {!reset} (which
-    only zeroes their numbers), so modules may safely capture handles at
-    initialization time.  Timers use the monotonic-enough
+    Cells are interned by name on first use, from any domain, and
+    survive {!reset} (which only zeroes their numbers), so modules may
+    safely capture handles at initialization time.  The cells are
+    process-wide; their numbers are domain-local: every domain counts
+    into its own copy, a fresh domain starts at zero, and {!reset},
+    {!snapshot} and {!absorb} act on the calling domain's numbers.  Timers use the monotonic-enough
     [Unix.gettimeofday] and are reentrancy-safe: a recursive entry is
     counted as a call but only the outermost frame accumulates wall
     time, so nested or recursive kernels never double-bill.
@@ -42,8 +45,23 @@ val lookups : cache -> int
 val hit_rate : cache -> float
 (** Hits over total lookups; [0.0] when the cache was never consulted. *)
 
+(** {2 Domain-local handles}
+
+    A cell's numbers on the domain that took the handle.  A hot path
+    keeps one in its own domain-local state, or for the length of one
+    query, and counts through it without looking its domain up again.
+    A handle must not count on another domain. *)
+
+type local
+
+val local_counter : counter -> local
+val local_cache : cache -> local
+val incr_local : local -> unit
+val hit_local : local -> unit
+val miss_local : local -> unit
+
 val reset : unit -> unit
-(** Zero every cell, keeping registrations. *)
+(** Zero the calling domain's numbers, keeping registrations. *)
 
 type snapshot = {
   counters : (string * int) list;
@@ -52,18 +70,19 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Cells in creation order. *)
+(** Every registered cell, in creation order, with the calling
+    domain's numbers. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Fleet-wide aggregation: counter values, timer calls/seconds and
     cache hits/misses add.  Cell order follows the first
     snapshot, then any names only the second contains.  Used by the
-    batch driver to fold per-job worker snapshots into one view. *)
+    batch driver to fold per-job snapshots into one view. *)
 
 val absorb : snapshot -> unit
-(** Add a snapshot's numbers into the live registry (creating cells as
-    needed), so a parent process's [--profile]/[--profile-json] report
-    includes its workers' merged numbers alongside its own. *)
+(** Add a snapshot's numbers into the calling domain's (creating cells
+    as needed), so the [--profile]/[--profile-json] report of a batch
+    includes its jobs' merged numbers alongside its own. *)
 
 val pp_table : Format.formatter -> snapshot -> unit
 (** Human-readable table (the [--profile] stderr output) of the cells

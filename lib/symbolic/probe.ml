@@ -1,5 +1,7 @@
 let samples = 64
-let probe_state = ref (Random.State.make [| 0x5eed; 2024 |])
+(* The calling domain's base state; a fresh domain starts from the
+   default seed. *)
+let probe_state = Domain.DLS.new_key (fun () -> Random.State.make [| 0x5eed; 2024 |])
 
 (* Several artifact stores hold answers derived from the probe stream
    (this module's sample bank and predicate memo, Range's bound memo,
@@ -7,12 +9,12 @@ let probe_state = ref (Random.State.make [| 0x5eed; 2024 |])
    and exit, so no cached answer derived under one seed survives into
    a run under another. *)
 let with_seed seed f =
-  let saved = !probe_state in
-  probe_state := Random.State.make [| seed |];
+  let saved = Domain.DLS.get probe_state in
+  Domain.DLS.set probe_state (Random.State.make [| seed |]);
   Artifact.clear_all ();
   Fun.protect
     ~finally:(fun () ->
-      probe_state := saved;
+      Domain.DLS.set probe_state saved;
       Artifact.clear_all ())
     f
 
@@ -48,7 +50,7 @@ let bank asm =
       {
         asm;
         names = Array.of_list (Assume.vars asm);
-        fork = Random.State.copy !probe_state;
+        fork = Random.State.copy (Domain.DLS.get probe_state);
         rows = [||];
         drawn = 0;
         failure = None;

@@ -18,9 +18,10 @@ val samples : int
 (** Number of sampled assignments per query: 64. *)
 
 val with_seed : int -> (unit -> 'a) -> 'a
-(** Run [f] with the probe stream seeded by [seed].  Entry and exit
-    call {!Artifact.clear_all}, so no cached answer derived under one
-    probe seed survives into a run under another. *)
+(** Run [f] with the calling domain's probe stream seeded by [seed].
+    Entry and exit call {!Artifact.clear_all}, so no cached answer
+    derived under one probe seed survives into a run under another.  A
+    fresh domain starts from the default seed. *)
 
 val sample : Assume.t -> int -> Env.t
 (** [sample asm i]: the [i]-th assignment of [asm]'s sample stream, as

@@ -65,6 +65,21 @@ let rejected args () =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* A program whose own parameter range overflows its array's size: no
+   --env to refuse, so the run degrades (LCG-FAIL) and cannot replay. *)
+let overflowing_program () =
+  let path = Filename.temp_file "dsmloc" ".dsm" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "program huge\n\
+         param N = 1152921504606846975..1152921504606846975\n\
+         real A(N^2)\n\n\
+         phase P:\n\
+        \  doall i = 0, 3\n\
+        \    A(N*N - i) = A(i) work 1\n\
+        \  end\n");
+  path
+
 let () =
   Alcotest.run "cli"
     [
@@ -73,12 +88,17 @@ let () =
           case "clean analyze exits 0" (exits 0 [ "analyze"; "jacobi2d" ]);
           case "lcg with a failed LCG stage exits 2"
             (exits ~stderr:"LCG-FAIL" 2 [ "lcg"; "matmul"; "--symbolic-only" ]);
-          case "file with an overflowing --env fails its LCG stage"
-            (exits ~stderr:"LCG-FAIL" 1
+          case "file with an overflowing --env exits 124"
+            (exits ~stderr:"out of range" 124
                [
                  "file"; "../examples/programs/jacobi.dsm"; "--env";
                  "N=4611686018427387903";
                ]);
+          case "file with an overflowing range fails its LCG stage" (fun () ->
+              let path = overflowing_program () in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove path)
+                (exits ~stderr:"LCG-FAIL" 1 [ "file"; path ]));
           case "unrecovered faulted validation exits 3"
             (exits 3
                [
@@ -114,5 +134,14 @@ let () =
             [ "dot"; "tfft2"; "--size"; "62" ];
             [ "analyze"; "tfft2"; "--size"; "31" ];
             [ "batch"; "jacobi2d"; "--size"; "62" ];
+            (* an --env under which a declared array's size (N*N)
+               overflows *)
+            [ "file"; "--env"; "N=4294967296"; "../examples/programs/jacobi.dsm" ];
+            [ "file"; "--env"; "N=3037000500"; "../examples/programs/jacobi.dsm" ];
+            (* more job domains than OCaml keeps alive; refused before
+               any is spawned *)
+            [ "batch"; "--all"; "--jobs"; "128" ];
+            [ "run"; "jacobi2d"; "--domains"; "129" ];
+            [ "fuzz"; "--count"; "1"; "--jobs"; "128" ];
           ] );
     ]

@@ -107,11 +107,12 @@ let line_count s =
   String.split_on_char '\n' (String.trim s) |> List.length
 
 let with_skew k f =
-  let saved = !Lattice.test_card_skew in
+  let skew = Lattice.test_card_skew () in
+  let saved = !skew in
   Fun.protect
-    ~finally:(fun () -> Lattice.test_card_skew := saved)
+    ~finally:(fun () -> skew := saved)
     (fun () ->
-      Lattice.test_card_skew := k;
+      skew := k;
       f ())
 
 let test_injected_mutation () =
