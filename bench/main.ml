@@ -504,8 +504,10 @@ let validation () =
           let rounds = if e.program.repeats then 2 else 1 in
           let r = Exec.Validate.run ~rounds t.lcg t.plan in
           Printf.printf " %7s "
-            (if Exec.Validate.ok r then "PASS"
-             else Printf.sprintf "%d!" r.stale))
+            (match Exec.Validate.verdict r with
+            | Pass -> "PASS"
+            | Stale -> Printf.sprintf "%d!" r.stale
+            | Checked_nothing -> "EMPTY"))
         [ 4; 16; 64 ];
       Printf.printf "\n%!")
     Codes.Registry.all

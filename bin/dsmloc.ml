@@ -6,9 +6,7 @@
      dsmloc lcg      <code> [--size N] [--procs H]
      dsmloc solve    <code> [--size N] [--procs H]
      dsmloc simulate <code> [--size N] [--procs H] [--baseline]
-                            [--inject-faults SEED:RATE] [--retries N]
      dsmloc validate <code> [--size N] [--procs H]
-                            [--inject-faults SEED:RATE] [--retries N]
      dsmloc sweep    <code> [--size N]
      dsmloc file     <path.dsm> [--procs H] [--env K=V,K=V]
      dsmloc fuzz     [--count N] [--seed S] [--jobs N] [--deep-every N]
@@ -19,13 +17,13 @@
    Exit codes: 0 clean; 1 fatal (unknown code or target, parse error,
    strict-mode failure, too many errors, a program that cannot be
    replayed); 2 the analysis degraded (error-severity diagnostics
-   recorded); 3 dataflow validation found stale reads; 4 `run
-   --validate` checked nothing (no reads checked and no content cells
-   compared); 124 malformed or out-of-range arguments (a --size whose
-   extent or array sizes overflow included), rejected before the
-   command runs.  3 and 2 take precedence over 4.  Diagnostics go
-   to stderr, except that analyze, report and file embed them in the
-   report on stdout.
+   recorded); 3 dataflow validation found stale reads; 4 a validation
+   checked nothing (`validate` checked no reads, `run --validate`
+   checked no reads and compared no content cells); 124 malformed or
+   out-of-range arguments (a --size whose extent or array sizes
+   overflow included), rejected before the command runs.  3 and 2
+   take precedence over 4.  Diagnostics go to stderr, except that
+   analyze, report and file embed them in the report on stdout.
 *)
 
 open Cmdliner
@@ -158,27 +156,6 @@ let max_errors_arg =
      have been recorded."
   in
   Arg.(value & opt (some natural) None & info [ "max-errors" ] ~docv:"N" ~doc)
-
-let faults_conv =
-  let parse s =
-    match Dsmsim.Fault.parse s with Ok v -> Ok v | Error e -> Error (`Msg e)
-  in
-  let print ppf s = Format.pp_print_string ppf (Dsmsim.Fault.to_string s) in
-  Arg.conv (parse, print)
-
-let faults_arg =
-  let doc =
-    "Inject deterministic message faults into the communication schedule: \
-     $(docv) is SEED:RATE (drop rate) or SEED:DROP:DUP:TRUNC."
-  in
-  Arg.(
-    value
-    & opt (some faults_conv) None
-    & info [ "inject-faults" ] ~docv:"SPEC" ~doc)
-
-let retries_arg =
-  let doc = "Bounded resend budget per faulted message (default 0)." in
-  Arg.(value & opt natural 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
@@ -425,17 +402,17 @@ let solve_cmd =
          0))
 
 let simulate_cmd =
-  let f baseline faults retries _ t =
+  let f baseline _ t =
     let r =
       if baseline then Core.Pipeline.simulate_baseline t
-      else Core.Pipeline.simulate ?faults ~retries t
+      else Core.Pipeline.simulate t
     in
     Format.printf "%a@." Dsmsim.Exec.pp r;
     0
   in
   kernel_cmd ~ladder:true "simulate"
     ~doc:"Replay the code on the DSM machine model."
-    Term.(const f $ baseline_arg $ faults_arg $ retries_arg)
+    Term.(const f $ baseline_arg)
 
 let sweep_cmd =
   let f () name size =
@@ -484,34 +461,24 @@ let stability_cmd =
     Term.(const f $ code_arg)
 
 let validate_cmd =
-  let f faults retries (entry : Codes.Registry.entry) (t : Core.Pipeline.t) =
+  let f (entry : Codes.Registry.entry) (t : Core.Pipeline.t) =
     let rounds = if entry.program.repeats then 2 else 1 in
-    let sched =
-      Option.map
-        (fun spec ->
-          let base =
-            Dsmsim.Comm.generate
-              ~on_error:(Core.Pipeline.record_comm_error t)
-              t.lcg t.plan
-          in
-          let delivered, st = Dsmsim.Fault.apply spec ~retries base in
-          Core.Pipeline.record_fault_stats t st;
-          delivered)
-        faults
-    in
     let r =
       Exec.Validate.run ~rounds
         ~on_error:(Core.Pipeline.record_comm_error t)
-        ?sched t.lcg t.plan
+        t.lcg t.plan
     in
     Format.printf "%a@." Exec.Validate.pp r;
-    if Exec.Validate.ok r then 0 else 3
+    match Exec.Validate.verdict r with
+    | Pass -> 0
+    | Stale -> 3
+    | Checked_nothing ->
+        prerr_endline "error: validate checked nothing (0 reads checked)";
+        4
   in
   kernel_cmd ~ladder:true "validate"
-    ~doc:
-      "Replay with versioned memory: certify every read is fresh \
-       (optionally under injected message faults)."
-    Term.(const f $ faults_arg $ retries_arg)
+    ~doc:"Replay with versioned memory: certify every read is fresh."
+    (Term.const f)
 
 let report_cmd =
   kernel_cmd ~ladder:true ~embeds:true "report"

@@ -83,5 +83,7 @@ let () =
   let v = Exec.Validate.run ~rounds:2 t.lcg t.plan in
   Format.printf "%a@." Exec.Validate.pp v;
   Format.printf "verdict: %s@."
-    (if Exec.Validate.ok v then "all reads sequentially fresh"
-     else "STALE READS - schedule incomplete")
+    (match Exec.Validate.verdict v with
+    | Pass -> "all reads sequentially fresh"
+    | Stale -> "STALE READS - schedule incomplete"
+    | Checked_nothing -> "NOTHING CHECKED - no reads replayed")

@@ -10,7 +10,6 @@ type stage =
   | Solve
   | Plan
   | Comm
-  | Exec
   | Validation
 
 type t = {
@@ -46,7 +45,6 @@ let stage_to_string = function
   | Solve -> "solve"
   | Plan -> "plan"
   | Comm -> "comm"
-  | Exec -> "exec"
   | Validation -> "validation"
 
 let add c ~severity ~stage ?where ~code message =

@@ -9,7 +9,7 @@
     [max_errors] cap aborts runs that degrade too much to be useful.
 
     Severities:
-    - [Info]: bookkeeping (e.g. fault-injection summaries);
+    - [Info]: bookkeeping (e.g. where analysis left the closed form);
     - [Warning]: the analysis degraded conservatively but the result is
       still sound (whole-array descriptors, violated locality rows);
     - [Error]: a whole stage failed and was replaced by its documented
@@ -28,8 +28,6 @@
       BLOCK baseline plan;
     - [COMM-SIZE]: an array size would not evaluate while generating
       the communication schedule (the array's messages are omitted);
-    - [FAULT-INJECTED], [FAULT-UNRECOVERED]: fault-injection summary /
-      corruption that survived the bounded-retry budget;
     - [LINT-*]: the static lint catalog (see {!Lint.catalog} and
       DESIGN.md, "Static certification & lint catalog");
     - [RACE-ORACLE-MISMATCH]: the static race certifier and the dynamic
@@ -53,7 +51,6 @@ type stage =
   | Solve
   | Plan
   | Comm
-  | Exec
   | Validation
 
 type t = {

@@ -167,28 +167,8 @@ let degraded t = Diag.has_errors t.diags
 let record_comm_error t msg =
   Diag.add t.diags ~severity:Diag.Error ~stage:Diag.Comm ~code:"COMM-SIZE" msg
 
-let record_fault_stats t (st : Dsmsim.Fault.stats) =
-  Diag.addf t.diags ~severity:Diag.Info ~stage:Diag.Exec ~code:"FAULT-INJECTED"
-    "%d message(s): %d dropped, %d duplicated, %d truncated, %d recovered"
-    st.messages st.dropped st.duplicated st.truncated st.recovered;
-  let lost = Dsmsim.Fault.unrecovered st in
-  if lost > 0 then
-    Diag.addf t.diags ~severity:Diag.Warning ~stage:Diag.Exec
-      ~code:"FAULT-UNRECOVERED"
-      "%d corrupted message(s) survived the retry budget" lost
-
-let record_faults t (r : Dsmsim.Exec.run) =
-  match r.fault_stats with
-  | None -> ()
-  | Some st -> record_fault_stats t st
-
-let simulate ?rounds ?faults ?retries t =
-  let r =
-    Dsmsim.Exec.run ?rounds ~on_error:(record_comm_error t) ?faults ?retries t.lcg
-      t.plan t.machine
-  in
-  record_faults t r;
-  r
+let simulate ?rounds t =
+  Dsmsim.Exec.run ?rounds ~on_error:(record_comm_error t) t.lcg t.plan t.machine
 
 let simulate_baseline ?rounds t =
   Dsmsim.Exec.run ?rounds ~on_error:(record_comm_error t) t.lcg

@@ -74,7 +74,7 @@ val parse_program :
 
 val diagnostics : t -> Diag.t list
 (** Diagnostics recorded so far, in order - grows as [simulate] /
-    [simulate_baseline] record communication and fault diagnostics. *)
+    [simulate_baseline] record communication diagnostics. *)
 
 val degraded : t -> bool
 (** True when any [Error]-severity diagnostic was recorded, i.e. at
@@ -84,18 +84,9 @@ val record_comm_error : t -> string -> unit
 (** Record a [COMM-SIZE] error - the [on_error] callback to hand to
     {!Dsmsim.Comm.generate} when driving the simulator manually. *)
 
-val record_fault_stats : t -> Dsmsim.Fault.stats -> unit
-(** Record [FAULT-INJECTED] (and [FAULT-UNRECOVERED] when corruption
-    survived the retry budget) for a manually-applied {!Dsmsim.Fault}
-    perturbation. *)
-
-val simulate :
-  ?rounds:int -> ?faults:Dsmsim.Fault.spec -> ?retries:int -> t -> Dsmsim.Exec.run
-(** Replays under the derived plan.  [faults]/[retries] inject
-    deterministic message corruption with a bounded resend budget
-    ({!Dsmsim.Fault}); fault summaries and unrecovered corruption are
-    recorded into [t.diags] ([FAULT-INJECTED] / [FAULT-UNRECOVERED]),
-    as are communication-schedule size failures ([COMM-SIZE]). *)
+val simulate : ?rounds:int -> t -> Dsmsim.Exec.run
+(** Replays under the derived plan, recording communication-schedule
+    size failures ([COMM-SIZE]) into [t.diags]. *)
 
 val simulate_baseline : ?rounds:int -> t -> Dsmsim.Exec.run
 

@@ -56,7 +56,10 @@ let markdown (t : Pipeline.t) =
   add "## Dataflow validation\n\n";
   add
     "%s - %d reads replayed against versioned memory, %d stale.\n"
-    (if Exec.Validate.ok v then "**PASS**" else "**FAIL**")
+    (match Exec.Validate.verdict v with
+    | Pass -> "**PASS**"
+    | Stale -> "**FAIL**"
+    | Checked_nothing -> "**CHECKED NOTHING**")
     v.reads v.stale;
 
   (match Pipeline.diagnostics t with

@@ -34,22 +34,7 @@ type run = {
   total_local : int;
   total_remote : int;
   per_proc : proc_stats array;
-  retry_time : float;
-  fault_stats : Fault.stats option;
 }
-
-(* Exponential-backoff accounting for one retried message: attempt [a]
-   (1-based) pays [t_startup * 2^(a-1)] wait plus a full resend of the
-   words. *)
-let retry_cost (m : Cost.machine) (r : Fault.retry) =
-  let rec go a acc =
-    if a > r.attempts then acc
-    else
-      go (a + 1)
-        (acc
-        +. float_of_int ((m.t_startup * (1 lsl (a - 1))) + (r.words * m.t_word)))
-  in
-  go 1 0.0
 
 module L = Symbolic.Lattice
 
@@ -168,31 +153,15 @@ let event_time (m : Cost.machine) ~h messages =
   done;
   !worst
 
-(* Summation order is part of the contract: [par_time] starts at the
-   retry budget, each redistribution's time is added as it fires, then
-   phase time plus the summed frontier time in one addition, so
-   reports stay bit-identical across refactors (the golden simulator
-   table pins it). *)
-let run ?(rounds = 1) ?on_error ?faults ?(retries = 0) (lcg : Lcg.t)
-    (plan : Distribution.plan) (m : Cost.machine) : run =
+(* Summation order is part of the contract: [par_time] starts at 0,
+   each redistribution's time is added as it fires, then phase time
+   plus the summed frontier time in one addition, so reports stay
+   bit-identical across refactors (the golden simulator table pins
+   it). *)
+let run ?(rounds = 1) ?on_error (lcg : Lcg.t) (plan : Distribution.plan)
+    (m : Cost.machine) : run =
   Symbolic.Metrics.with_timer exec_timer @@ fun () ->
   let sched = Comm.generate ?on_error lcg plan in
-  (* Fault injection perturbs the delivered schedule; retry attempts
-     are charged per round (every round faces the same loss). *)
-  let sched, fault_stats =
-    match faults with
-    | None -> (sched, None)
-    | Some spec ->
-        let delivered, st = Fault.apply spec ~retries sched in
-        (delivered, Some st)
-  in
-  let retry_time_per_round =
-    match fault_stats with
-    | None -> 0.0
-    | Some st ->
-        List.fold_left (fun acc r -> acc +. retry_cost m r) 0.0 st.retries
-  in
-  let retry_time = float_of_int rounds *. retry_time_per_round in
   let h = plan.h in
   let size_of = Comm.size_of ?on_error lcg in
   (* The same accesses play out every round: summarize each phase once. *)
@@ -205,7 +174,7 @@ let run ?(rounds = 1) ?on_error ?faults ?(retries = 0) (lcg : Lcg.t)
   let proc_compute = Array.make h 0.0 and proc_access = Array.make h 0.0 in
   let phases = ref [] and comms = ref [] in
   let total_local = ref 0 and total_remote = ref 0 in
-  let par_time = ref retry_time and seq_time = ref 0.0 in
+  let par_time = ref 0.0 and seq_time = ref 0.0 in
   let price kind ~before_phase array messages =
     let time = event_time m ~h messages in
     comms :=
@@ -270,8 +239,6 @@ let run ?(rounds = 1) ?on_error ?faults ?(retries = 0) (lcg : Lcg.t)
     per_proc =
       Array.init h (fun p0 ->
           { compute_time = proc_compute.(p0); access_time = proc_access.(p0) });
-    retry_time;
-    fault_stats;
   }
 
 let pp ppf (r : run) =
@@ -294,12 +261,4 @@ let pp ppf (r : run) =
         (match c.kind with Redistribution -> "before" | Frontier_update -> "after")
         c.before_phase c.words c.time)
     r.comms;
-  (match r.fault_stats with
-  | None -> ()
-  | Some st ->
-      Format.fprintf ppf
-        "  faults: %d msgs, %d dropped, %d duplicated, %d truncated, %d \
-         recovered (%d resend attempts, backoff t=%.0f)@,"
-        st.messages st.dropped st.duplicated st.truncated st.recovered
-        (Fault.total_attempts st) r.retry_time);
   Format.fprintf ppf "@]"

@@ -46,23 +46,17 @@ type run = {
   h : int;
   phases : phase_stats list;
   comms : comm_stats list;
-  par_time : float;  (** sum of phase maxima + communication + retries *)
+  par_time : float;  (** sum of phase maxima + communication *)
   seq_time : float;  (** one processor, all local *)
   efficiency : float;  (** seq / (h * par) *)
   total_local : int;
   total_remote : int;
   per_proc : proc_stats array;  (** work distribution across processors *)
-  retry_time : float;
-      (** exponential-backoff cycles spent resending faulted messages
-          (0 when fault injection is off) *)
-  fault_stats : Fault.stats option;  (** present when [faults] was given *)
 }
 
 val run :
   ?rounds:int ->
   ?on_error:(string -> unit) ->
-  ?faults:Fault.spec ->
-  ?retries:int ->
   Lcg.t ->
   Ilp.Distribution.plan ->
   Ilp.Cost.machine ->
@@ -71,10 +65,8 @@ val run :
     times - the steady state of a repeating (timestep) program,
     including the wrap-around layout boundary between the last and
     first phases.  [on_error] receives schedule-generation diagnostics
-    (see {!Comm.generate}); [faults] perturbs the delivered schedule
-    with {!Fault.apply} under a [retries]-bounded resend budget whose
-    backoff cost is charged to [par_time] and reported in
-    [retry_time]. *)
+    (see {!Comm.generate}).  The schedule is delivered as generated:
+    the modelled machine's single-sided [put]s do not drop. *)
 
 val pp : Format.formatter -> run -> unit
 

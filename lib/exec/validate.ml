@@ -64,7 +64,10 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
       List.iter (Runner.deliver m) outgoing);
   { reads = !reads; stale = !stale; stale_examples = List.rev !examples }
 
-let ok r = r.stale = 0
+type verdict = Pass | Stale | Checked_nothing
+
+let verdict r =
+  if r.stale > 0 then Stale else if r.reads = 0 then Checked_nothing else Pass
 
 let pp ppf r =
   Format.fprintf ppf "reads %d, stale %d" r.reads r.stale;

@@ -37,15 +37,20 @@ val run :
   Ilp.Distribution.plan ->
   report
 (** [sched] overrides the generated communication schedule - used to
-    demonstrate that omitting messages is detected, and to replay
-    fault-injected deliveries ({!Dsmsim.Fault.apply}).  [on_error]
+    show that a schedule with messages removed is caught.  [on_error]
     receives schedule-generation diagnostics (see
     {!Dsmsim.Comm.generate}).  The replica machine holds [h] windows
     per array.  @raise Runner.Unsupported when the program cannot be
     compiled, an array size does not evaluate or an access falls
     outside its array. *)
 
-val ok : report -> bool
-(** [stale = 0]. *)
+type verdict =
+  | Pass  (** some reads were checked and none was stale *)
+  | Stale  (** at least one read was stale *)
+  | Checked_nothing  (** no read was checked, so nothing was certified *)
+
+val verdict : report -> verdict
+(** The one rule for reading a report: [Stale] wins, and a report of
+    zero reads is [Checked_nothing], never a pass. *)
 
 val pp : Format.formatter -> report -> unit

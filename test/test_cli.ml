@@ -99,12 +99,9 @@ let () =
               Fun.protect
                 ~finally:(fun () -> Sys.remove path)
                 (exits ~stderr:"LCG-FAIL" 1 [ "file"; path ]));
-          case "unrecovered faulted validation exits 3"
-            (exits 3
-               [
-                 "validate"; "jacobi2d"; "--size"; "4"; "--procs"; "4";
-                 "--inject-faults"; "42:0.5";
-               ]);
+          case "vacuous validate exits 4"
+            (exits ~stderr:"checked nothing" 4
+               [ "validate"; "jacobi2d"; "--size"; "0"; "--procs"; "4" ]);
           case "vacuous run --validate exits 4"
             (exits ~stderr:"checked nothing" 4
                [ "run"; "jacobi2d"; "--domains"; "2"; "--size"; "0"; "--validate" ]);

@@ -3,12 +3,11 @@
 
    [golden] pins the exact text of `Codegen.Spmd.generate`, so a change
    to the plan or schedule machinery cannot silently change emitted
-   code.  [sim_golden] pins three simulator runs per kernel (the LCG
-   plan, the BLOCK baseline, and the LCG plan under fault spec 7:0.3
-   with 2 retries), each as `Dsmsim.Exec.pp` text plus every time it
-   reports printed with %h - `pp`'s %.0f cannot see a change in
-   float-summation order - followed by the validator's verdict on the
-   plain and the fault-injected schedule.
+   code.  [sim_golden] pins two simulator runs per kernel (the LCG
+   plan and the BLOCK baseline), each as `Dsmsim.Exec.pp` text plus
+   every time it reports printed with %h - `pp`'s %.0f cannot see a
+   change in float-summation order - followed by the validator's
+   verdict on the generated schedule.
 
    Regenerate after an intentional change with
 
@@ -28,14 +27,9 @@ let snapshot name =
       Codegen.Spmd.generate t.Core.Pipeline.lcg t.Core.Pipeline.plan
         t.Core.Pipeline.machine)
 
-let fault_spec =
-  match Dsmsim.Fault.parse "7:0.3" with
-  | Ok s -> s
-  | Error m -> failwith m
-
 let pp_exact ppf (r : Dsmsim.Exec.run) =
-  Format.fprintf ppf "@[<v>par=%h seq=%h eff=%h retry=%h@," r.par_time
-    r.seq_time r.efficiency r.retry_time;
+  Format.fprintf ppf "@[<v>par=%h seq=%h eff=%h@," r.par_time r.seq_time
+    r.efficiency;
   List.iter
     (fun (p : Dsmsim.Exec.phase_stats) ->
       Format.fprintf ppf "  phase %s t=%h@," p.name p.time)
@@ -63,21 +57,9 @@ let sim_snapshot name =
         [
           ("lcg", Core.Pipeline.simulate ~rounds t);
           ("block", Core.Pipeline.simulate_baseline ~rounds t);
-          ( "faults 7:0.3 retries 2",
-            Core.Pipeline.simulate ~rounds ~faults:fault_spec ~retries:2 t );
         ]
       in
-      let faulty, _ =
-        Dsmsim.Fault.apply fault_spec ~retries:2
-          (Dsmsim.Comm.generate t.lcg t.plan)
-      in
-      let validations =
-        [
-          ("validate", Exec.Validate.run ~rounds t.lcg t.plan);
-          ( "validate faults 7:0.3 retries 2",
-            Exec.Validate.run ~rounds ~sched:faulty t.lcg t.plan );
-        ]
-      in
+      let validations = [ ("validate", Exec.Validate.run ~rounds t.lcg t.plan) ] in
       Format.asprintf "@[<v>rounds %d@,%a@,%a@]@." rounds
         (Format.pp_print_list (fun ppf (label, r) ->
              Format.fprintf ppf "== %s@,%a@,%a" label Dsmsim.Exec.pp r
@@ -591,7 +573,7 @@ H=4  T_par=44888  T_seq=125952  efficiency=70.1%  local=39936 remote=2048
   redistribute X before phase 2: 1536 words (t=2604)
   redistribute Y before phase 4: 1536 words (t=2604)
 
-par=0x1.5ebp+15 seq=0x1.ecp+16 eff=0x1.6728495d4d6cdp-1 retry=0x0p+0
+par=0x1.5ebp+15 seq=0x1.ecp+16 eff=0x1.6728495d4d6cdp-1
   phase F1 t=0x1p+11
   phase F2 t=0x1p+11
   phase F3 t=0x1.2p+13
@@ -618,7 +600,7 @@ H=4  T_par=62464  T_seq=125952  efficiency=50.4%  local=32768 remote=9216
   F7     local=2048     remote=0        t=1536
   F8     local=1024     remote=3072     t=15360
 
-par=0x1.e8p+15 seq=0x1.ecp+16 eff=0x1.02192e29f79b4p-1 retry=0x0p+0
+par=0x1.e8p+15 seq=0x1.ecp+16 eff=0x1.02192e29f79b4p-1
   phase F1 t=0x1.cp+11
   phase F2 t=0x1.1ap+14
   phase F3 t=0x1.2p+13
@@ -632,50 +614,8 @@ par=0x1.e8p+15 seq=0x1.ecp+16 eff=0x1.02192e29f79b4p-1 retry=0x0p+0
   proc 2 compute=0x1.48p+14 access=0x1.44p+15
   proc 3 compute=0x1.48p+14 access=0x1.04p+15
 
-== faults 7:0.3 retries 2
-H=4  T_par=50512  T_seq=125952  efficiency=62.3%  local=39936 remote=2048
-  F1     local=4096     remote=0        t=2048
-  F2     local=4096     remote=0        t=2048
-  F3     local=12288    remote=0        t=9216
-  F4     local=3072     remote=0        t=2304
-  F5     local=4096     remote=0        t=4096
-  F6     local=8192     remote=0        t=7168
-  F7     local=2048     remote=0        t=1536
-  F8     local=2048     remote=2048     t=11264
-  redistribute X before phase 2: 1408 words (t=2604)
-  redistribute Y before phase 4: 1536 words (t=2604)
-  faults: 24 msgs, 1 dropped, 0 duplicated, 0 truncated, 7 recovered (11 resend attempts, backoff t=5624)
-
-par=0x1.8aap+15 seq=0x1.ecp+16 eff=0x1.3f2b3884fcacep-1 retry=0x1.5f8p+12
-  phase F1 t=0x1p+11
-  phase F2 t=0x1p+11
-  phase F3 t=0x1.2p+13
-  phase F4 t=0x1.2p+11
-  phase F5 t=0x1p+12
-  phase F6 t=0x1.cp+12
-  phase F7 t=0x1.8p+10
-  phase F8 t=0x1.6p+13
-  comm X 2 t=0x1.458p+11
-  comm Y 4 t=0x1.458p+11
-  proc 0 compute=0x1.48p+14 access=0x1.24p+14
-  proc 1 compute=0x1.48p+14 access=0x1.24p+14
-  proc 2 compute=0x1.48p+14 access=0x1.24p+14
-  proc 3 compute=0x1.48p+14 access=0x1.24p+14
-
 == validate
 reads 20480, stale 0
-== validate faults 7:0.3 retries 2
-reads 20480, stale 224
-  stale X(193) in phase 2
-  stale X(209) in phase 2
-  stale X(197) in phase 2
-  stale X(213) in phase 2
-  stale X(201) in phase 2
-  stale X(217) in phase 2
-  stale X(205) in phase 2
-  stale X(221) in phase 2
-  stale X(209) in phase 2
-  stale X(213) in phase 2
 |golden});
     ("jacobi2d", {golden|rounds 2
 == lcg
@@ -687,7 +627,7 @@ H=4  T_par=7888  T_seq=25200  efficiency=79.9%  local=14400 remote=0
   frontier U after phase 2: 192 words (t=584)
   frontier U after phase 2: 192 words (t=584)
 
-par=0x1.edp+12 seq=0x1.89cp+14 eff=0x1.98ecc97a07451p-1 retry=0x0p+0
+par=0x1.edp+12 seq=0x1.89cp+14 eff=0x1.98ecc97a07451p-1
   phase SWEEP t=0x1.4ap+11
   phase COPY t=0x1.68p+9
   phase SWEEP t=0x1.4ap+11
@@ -706,7 +646,7 @@ H=4  T_par=17520  T_seq=25200  efficiency=36.0%  local=12960 remote=1440
   SWEEP  local=4860     remote=540      t=7080
   COPY   local=1620     remote=180      t=1680
 
-par=0x1.11cp+14 seq=0x1.89cp+14 eff=0x1.70381c0e07038p-2 retry=0x0p+0
+par=0x1.11cp+14 seq=0x1.89cp+14 eff=0x1.70381c0e07038p-2
   phase SWEEP t=0x1.ba8p+12
   phase COPY t=0x1.a4p+10
   phase SWEEP t=0x1.ba8p+12
@@ -716,42 +656,8 @@ par=0x1.11cp+14 seq=0x1.89cp+14 eff=0x1.70381c0e07038p-2 retry=0x0p+0
   proc 2 compute=0x1.68p+11 access=0x1.c98p+13
   proc 3 compute=0x1.0ep+11 access=0x1.68p+11
 
-== faults 7:0.3 retries 2
-H=4  T_par=9264  T_seq=25200  efficiency=68.0%  local=14400 remote=0
-  SWEEP  local=5400     remote=0        t=2640
-  COPY   local=1800     remote=0        t=720
-  SWEEP  local=5400     remote=0        t=2640
-  COPY   local=1800     remote=0        t=720
-  frontier U after phase 2: 160 words (t=584)
-  frontier U after phase 2: 160 words (t=584)
-  faults: 6 msgs, 1 dropped, 0 duplicated, 0 truncated, 1 recovered (3 resend attempts, backoff t=1376)
-
-par=0x1.218p+13 seq=0x1.89cp+14 eff=0x1.5c2fc054e4252p-1 retry=0x1.58p+10
-  phase SWEEP t=0x1.4ap+11
-  phase COPY t=0x1.68p+9
-  phase SWEEP t=0x1.4ap+11
-  phase COPY t=0x1.68p+9
-  comm U 2 t=0x1.24p+9
-  comm U 2 t=0x1.24p+9
-  proc 0 compute=0x1.68p+11 access=0x1.ep+11
-  proc 1 compute=0x1.68p+11 access=0x1.ep+11
-  proc 2 compute=0x1.68p+11 access=0x1.ep+11
-  proc 3 compute=0x1.0ep+11 access=0x1.68p+11
-
 == validate
 reads 10800, stale 0
-== validate faults 7:0.3 retries 2
-reads 10800, stale 30
-  stale U(801) in phase 0
-  stale U(802) in phase 0
-  stale U(803) in phase 0
-  stale U(804) in phase 0
-  stale U(805) in phase 0
-  stale U(806) in phase 0
-  stale U(807) in phase 0
-  stale U(808) in phase 0
-  stale U(809) in phase 0
-  stale U(810) in phase 0
 |golden});
     ("swim", {golden|rounds 2
 == lcg
@@ -769,7 +675,7 @@ H=4  T_par=26632  T_seq=86400  efficiency=81.1%  local=34176 remote=24
   frontier P after phase 3: 180 words (t=560)
   frontier V after phase 3: 180 words (t=560)
 
-par=0x1.a02p+14 seq=0x1.518p+16 eff=0x1.9f4284bab68f8p-1 retry=0x0p+0
+par=0x1.a02p+14 seq=0x1.518p+16 eff=0x1.9f4284bab68f8p-1
   phase CALC1 t=0x1.7e4p+12
   phase CALC2 t=0x1.ep+11
   phase CALC3 t=0x1.a4p+10
@@ -796,7 +702,7 @@ H=4  T_par=45000  T_seq=86400  efficiency=48.0%  local=30960 remote=3240
   CALC2  local=4770     remote=630      t=9150
   CALC3  local=3240     remote=360      t=2820
 
-par=0x1.5f9p+15 seq=0x1.518p+16 eff=0x1.eb851eb851eb8p-2 retry=0x0p+0
+par=0x1.5f9p+15 seq=0x1.518p+16 eff=0x1.eb851eb851eb8p-2
   phase CALC1 t=0x1.491p+13
   phase CALC2 t=0x1.1dfp+13
   phase CALC3 t=0x1.608p+11
@@ -808,54 +714,8 @@ par=0x1.5f9p+15 seq=0x1.518p+16 eff=0x1.eb851eb851eb8p-2 retry=0x0p+0
   proc 2 compute=0x1.b3p+13 access=0x1.e5ap+14
   proc 3 compute=0x1.464p+13 access=0x1.ab8p+12
 
-== faults 7:0.3 retries 2
-H=4  T_par=30072  T_seq=86400  efficiency=71.8%  local=34176 remote=24
-  CALC1  local=8088     remote=12       t=6116
-  CALC2  local=5400     remote=0        t=3840
-  CALC3  local=3600     remote=0        t=1680
-  CALC1  local=8088     remote=12       t=6116
-  CALC2  local=5400     remote=0        t=3840
-  CALC3  local=3600     remote=0        t=1680
-  frontier CU after phase 1: 150 words (t=560)
-  frontier P after phase 3: 180 words (t=560)
-  frontier V after phase 3: 180 words (t=560)
-  frontier CU after phase 1: 150 words (t=560)
-  frontier P after phase 3: 180 words (t=560)
-  frontier V after phase 3: 180 words (t=560)
-  faults: 18 msgs, 1 dropped, 0 duplicated, 0 truncated, 5 recovered (8 resend attempts, backoff t=3440)
-
-par=0x1.d5ep+14 seq=0x1.518p+16 eff=0x1.6fc1e3ce26007p-1 retry=0x1.aep+11
-  phase CALC1 t=0x1.7e4p+12
-  phase CALC2 t=0x1.ep+11
-  phase CALC3 t=0x1.a4p+10
-  phase CALC1 t=0x1.7e4p+12
-  phase CALC2 t=0x1.ep+11
-  phase CALC3 t=0x1.a4p+10
-  comm CU 1 t=0x1.18p+9
-  comm P 3 t=0x1.18p+9
-  comm V 3 t=0x1.18p+9
-  comm CU 1 t=0x1.18p+9
-  comm P 3 t=0x1.18p+9
-  comm V 3 t=0x1.18p+9
-  proc 0 compute=0x1.b3p+13 access=0x1.1dp+13
-  proc 1 compute=0x1.b3p+13 access=0x1.244p+13
-  proc 2 compute=0x1.b3p+13 access=0x1.244p+13
-  proc 3 compute=0x1.464p+13 access=0x1.bap+12
-
 == validate
 reads 23400, stale 0
-== validate faults 7:0.3 retries 2
-reads 23400, stale 60
-  stale CU(801) in phase 1
-  stale CU(802) in phase 1
-  stale CU(803) in phase 1
-  stale CU(804) in phase 1
-  stale CU(805) in phase 1
-  stale CU(806) in phase 1
-  stale CU(807) in phase 1
-  stale CU(808) in phase 1
-  stale CU(809) in phase 1
-  stale CU(810) in phase 1
 |golden});
     ("tomcatv", {golden|rounds 2
 == lcg
@@ -876,7 +736,7 @@ H=4  T_par=30508  T_seq=99120  efficiency=81.2%  local=37814 remote=46
   frontier X after phase 4: 192 words (t=584)
   frontier Y after phase 4: 192 words (t=584)
 
-par=0x1.dcbp+14 seq=0x1.833p+16 eff=0x1.9fdeb41c0f70ap-1 retry=0x0p+0
+par=0x1.dcbp+14 seq=0x1.833p+16 eff=0x1.9fdeb41c0f70ap-1
   phase RESID t=0x1.0ep+13
   phase NORM t=0x1.2cp+10
   phase COMBINE t=0x1.6b8p+9
@@ -908,7 +768,7 @@ H=4  T_par=56594  T_seq=99120  efficiency=43.8%  local=34034 remote=3826
   COMBINE local=7        remote=23       t=727
   UPDATE local=4860     remote=540      t=7020
 
-par=0x1.ba24p+15 seq=0x1.833p+16 eff=0x1.c05d381e2e318p-2 retry=0x0p+0
+par=0x1.ba24p+15 seq=0x1.833p+16 eff=0x1.c05d381e2e318p-2
   phase RESID t=0x1.11cp+14
   phase NORM t=0x1.7acp+11
   phase COMBINE t=0x1.6b8p+9
@@ -922,52 +782,8 @@ par=0x1.ba24p+15 seq=0x1.833p+16 eff=0x1.c05d381e2e318p-2 retry=0x0p+0
   proc 2 compute=0x1.fep+13 access=0x1.2f48p+15
   proc 3 compute=0x1.7e8p+13 access=0x1.d88p+12
 
-== faults 7:0.3 retries 2
-H=4  T_par=33486  T_seq=99120  efficiency=74.0%  local=37814 remote=46
-  RESID  local=10800    remote=0        t=8640
-  NORM   local=2700     remote=0        t=1200
-  COMBINE local=7        remote=23       t=727
-  UPDATE local=5400     remote=0        t=3360
-  RESID  local=10800    remote=0        t=8640
-  NORM   local=2700     remote=0        t=1200
-  COMBINE local=7        remote=23       t=727
-  UPDATE local=5400     remote=0        t=3360
-  redistribute PARTIAL before phase 2: 2 words (t=106)
-  frontier X after phase 4: 192 words (t=584)
-  frontier Y after phase 4: 192 words (t=584)
-  redistribute PARTIAL before phase 0: 3 words (t=106)
-  redistribute PARTIAL before phase 2: 2 words (t=106)
-  frontier X after phase 4: 192 words (t=584)
-  frontier Y after phase 4: 192 words (t=584)
-  faults: 18 msgs, 1 dropped, 0 duplicated, 0 truncated, 5 recovered (8 resend attempts, backoff t=2978)
-
-par=0x1.059cp+15 seq=0x1.833p+16 eff=0x1.7ae2b06a6b0f7p-1 retry=0x1.744p+11
-  phase RESID t=0x1.0ep+13
-  phase NORM t=0x1.2cp+10
-  phase COMBINE t=0x1.6b8p+9
-  phase UPDATE t=0x1.a4p+11
-  phase RESID t=0x1.0ep+13
-  phase NORM t=0x1.2cp+10
-  phase COMBINE t=0x1.6b8p+9
-  phase UPDATE t=0x1.a4p+11
-  comm PARTIAL 2 t=0x1.a8p+6
-  comm X 4 t=0x1.24p+9
-  comm Y 4 t=0x1.24p+9
-  comm PARTIAL 0 t=0x1.a8p+6
-  comm PARTIAL 2 t=0x1.a8p+6
-  comm X 4 t=0x1.24p+9
-  comm Y 4 t=0x1.24p+9
-  proc 0 compute=0x1.ffep+13 access=0x1.669p+13
-  proc 1 compute=0x1.fep+13 access=0x1.3bp+13
-  proc 2 compute=0x1.fep+13 access=0x1.3bp+13
-  proc 3 compute=0x1.7e8p+13 access=0x1.d88p+12
-
 == validate
 reads 28860, stale 0
-== validate faults 7:0.3 retries 2
-reads 28860, stale 2
-  stale PARTIAL(24) in phase 2
-  stale PARTIAL(24) in phase 2
 |golden});
     ("matmul", {golden|rounds 1
 == lcg
@@ -976,7 +792,7 @@ H=4  T_par=6464  T_seq=25856  efficiency=100.0%  local=17152 remote=0
   MULT   local=16384    remote=0        t=6144
   SCALE  local=512      remote=0        t=192
 
-par=0x1.94p+12 seq=0x1.94p+14 eff=0x1p+0 retry=0x0p+0
+par=0x1.94p+12 seq=0x1.94p+14 eff=0x1p+0
   phase INIT t=0x1p+7
   phase MULT t=0x1.8p+12
   phase SCALE t=0x1.8p+7
@@ -991,7 +807,7 @@ H=4  T_par=28736  T_seq=25856  efficiency=22.5%  local=14080 remote=3072
   MULT   local=13312    remote=3072     t=28416
   SCALE  local=512      remote=0        t=192
 
-par=0x1.c1p+14 seq=0x1.94p+14 eff=0x1.ccaf9ba70e41p-3 retry=0x0p+0
+par=0x1.c1p+14 seq=0x1.94p+14 eff=0x1.ccaf9ba70e41p-3
   phase INIT t=0x1p+7
   phase MULT t=0x1.bcp+14
   phase SCALE t=0x1.8p+7
@@ -1000,25 +816,7 @@ par=0x1.c1p+14 seq=0x1.94p+14 eff=0x1.ccaf9ba70e41p-3 retry=0x0p+0
   proc 2 compute=0x1.1p+11 access=0x1.9fp+14
   proc 3 compute=0x1.1p+11 access=0x1.9fp+14
 
-== faults 7:0.3 retries 2
-H=4  T_par=6464  T_seq=25856  efficiency=100.0%  local=17152 remote=0
-  INIT   local=256      remote=0        t=128
-  MULT   local=16384    remote=0        t=6144
-  SCALE  local=512      remote=0        t=192
-  faults: 0 msgs, 0 dropped, 0 duplicated, 0 truncated, 0 recovered (0 resend attempts, backoff t=0)
-
-par=0x1.94p+12 seq=0x1.94p+14 eff=0x1p+0 retry=0x0p+0
-  phase INIT t=0x1p+7
-  phase MULT t=0x1.8p+12
-  phase SCALE t=0x1.8p+7
-  proc 0 compute=0x1.1p+11 access=0x1.0cp+12
-  proc 1 compute=0x1.1p+11 access=0x1.0cp+12
-  proc 2 compute=0x1.1p+11 access=0x1.0cp+12
-  proc 3 compute=0x1.1p+11 access=0x1.0cp+12
-
 == validate
-reads 12544, stale 0
-== validate faults 7:0.3 retries 2
 reads 12544, stale 0
 |golden});
     ("adi", {golden|rounds 2
@@ -1032,7 +830,7 @@ H=4  T_par=13284  T_seq=35712  efficiency=67.2%  local=11904 remote=0
   redistribute U before phase 0: 768 words (t=1452)
   redistribute U before phase 1: 768 words (t=1452)
 
-par=0x1.9f2p+13 seq=0x1.17p+15 eff=0x1.581bc02c66ad7p-1 retry=0x0p+0
+par=0x1.9f2p+13 seq=0x1.17p+15 eff=0x1.581bc02c66ad7p-1
   phase COLSWEEP t=0x1.17p+11
   phase ROWSWEEP t=0x1.17p+11
   phase COLSWEEP t=0x1.17p+11
@@ -1052,7 +850,7 @@ H=4  T_par=31888  T_seq=35712  efficiency=28.0%  local=7440 remote=4464
   COLSWEEP local=2976     remote=0        t=2232
   ROWSWEEP local=744      remote=2232     t=13712
 
-par=0x1.f24p+14 seq=0x1.17p+15 eff=0x1.1eb30f0752561p-2 retry=0x0p+0
+par=0x1.f24p+14 seq=0x1.17p+15 eff=0x1.1eb30f0752561p-2
   phase COLSWEEP t=0x1.17p+11
   phase ROWSWEEP t=0x1.ac8p+13
   phase COLSWEEP t=0x1.17p+11
@@ -1062,44 +860,8 @@ par=0x1.f24p+14 seq=0x1.17p+15 eff=0x1.1eb30f0752561p-2 retry=0x0p+0
   proc 2 compute=0x1.74p+12 access=0x1.8d4p+14
   proc 3 compute=0x1.74p+12 access=0x1.948p+14
 
-== faults 7:0.3 retries 2
-H=4  T_par=20308  T_seq=35712  efficiency=44.0%  local=11904 remote=0
-  COLSWEEP local=2976     remote=0        t=2232
-  ROWSWEEP local=2976     remote=0        t=2232
-  COLSWEEP local=2976     remote=0        t=2232
-  ROWSWEEP local=2976     remote=0        t=2232
-  redistribute U before phase 1: 768 words (t=1452)
-  redistribute U before phase 0: 704 words (t=1452)
-  redistribute U before phase 1: 768 words (t=1452)
-  faults: 24 msgs, 1 dropped, 0 duplicated, 0 truncated, 7 recovered (11 resend attempts, backoff t=7024)
-
-par=0x1.3d5p+14 seq=0x1.17p+15 eff=0x1.c22e49ebbad1bp-2 retry=0x1.b7p+12
-  phase COLSWEEP t=0x1.17p+11
-  phase ROWSWEEP t=0x1.17p+11
-  phase COLSWEEP t=0x1.17p+11
-  phase ROWSWEEP t=0x1.17p+11
-  comm U 1 t=0x1.6bp+10
-  comm U 0 t=0x1.6bp+10
-  comm U 1 t=0x1.6bp+10
-  proc 0 compute=0x1.74p+12 access=0x1.74p+11
-  proc 1 compute=0x1.74p+12 access=0x1.74p+11
-  proc 2 compute=0x1.74p+12 access=0x1.74p+11
-  proc 3 compute=0x1.74p+12 access=0x1.74p+11
-
 == validate
 reads 7936, stale 0
-== validate faults 7:0.3 retries 2
-reads 7936, stale 64
-  stale U(97) in phase 0
-  stale U(101) in phase 0
-  stale U(105) in phase 0
-  stale U(109) in phase 0
-  stale U(113) in phase 0
-  stale U(117) in phase 0
-  stale U(121) in phase 0
-  stale U(125) in phase 0
-  stale U(225) in phase 0
-  stale U(229) in phase 0
 |golden});
     ("redblack", {golden|rounds 2
 == lcg
@@ -1109,7 +871,7 @@ H=4  T_par=564  T_seq=1764  efficiency=78.2%  local=744 remote=12
   RED    local=186      remote=3        t=141
   BLACK  local=186      remote=3        t=141
 
-par=0x1.1ap+9 seq=0x1.b9p+10 eff=0x1.90572620ae4c4p-1 retry=0x0p+0
+par=0x1.1ap+9 seq=0x1.b9p+10 eff=0x1.90572620ae4c4p-1
   phase RED t=0x1.1ap+7
   phase BLACK t=0x1.1ap+7
   phase RED t=0x1.1ap+7
@@ -1126,7 +888,7 @@ H=4  T_par=570  T_seq=1764  efficiency=77.4%  local=738 remote=18
   RED    local=183      remote=6        t=144
   BLACK  local=186      remote=3        t=141
 
-par=0x1.1dp+9 seq=0x1.b9p+10 eff=0x1.8c20563b48c2p-1 retry=0x0p+0
+par=0x1.1dp+9 seq=0x1.b9p+10 eff=0x1.8c20563b48c2p-1
   phase RED t=0x1.2p+7
   phase BLACK t=0x1.1ap+7
   phase RED t=0x1.2p+7
@@ -1136,27 +898,7 @@ par=0x1.1dp+9 seq=0x1.b9p+10 eff=0x1.8c20563b48c2p-1 retry=0x0p+0
   proc 2 compute=0x1p+8 access=0x1.3ap+8
   proc 3 compute=0x1.ep+7 access=0x1.68p+7
 
-== faults 7:0.3 retries 2
-H=4  T_par=564  T_seq=1764  efficiency=78.2%  local=744 remote=12
-  RED    local=186      remote=3        t=141
-  BLACK  local=186      remote=3        t=141
-  RED    local=186      remote=3        t=141
-  BLACK  local=186      remote=3        t=141
-  faults: 0 msgs, 0 dropped, 0 duplicated, 0 truncated, 0 recovered (0 resend attempts, backoff t=0)
-
-par=0x1.1ap+9 seq=0x1.b9p+10 eff=0x1.90572620ae4c4p-1 retry=0x0p+0
-  phase RED t=0x1.1ap+7
-  phase BLACK t=0x1.1ap+7
-  phase RED t=0x1.1ap+7
-  phase BLACK t=0x1.1ap+7
-  proc 0 compute=0x1p+8 access=0x1.f4p+7
-  proc 1 compute=0x1p+8 access=0x1.34p+8
-  proc 2 compute=0x1p+8 access=0x1.34p+8
-  proc 3 compute=0x1.ep+7 access=0x1.dcp+7
-
 == validate
-reads 504, stale 0
-== validate faults 7:0.3 retries 2
 reads 504, stale 0
 |golden});
     ("trisolve", {golden|rounds 1
@@ -1165,7 +907,7 @@ H=4  T_par=2931  T_seq=1224  efficiency=10.4%  local=136 remote=408
   SOLVE  local=102      remote=306      t=2092
   REDUCE local=34       remote=102      t=839
 
-par=0x1.6e6p+11 seq=0x1.32p+10 eff=0x1.aba09f4feb09bp-4 retry=0x0p+0
+par=0x1.6e6p+11 seq=0x1.32p+10 eff=0x1.aba09f4feb09bp-4
   phase SOLVE t=0x1.058p+11
   phase REDUCE t=0x1.a38p+9
   proc 0 compute=0x1.18p+7 access=0x1.124p+11
@@ -1178,7 +920,7 @@ H=4  T_par=1914  T_seq=1224  efficiency=16.0%  local=448 remote=96
   SOLVE  local=312      remote=96       t=1798
   REDUCE local=136      remote=0        t=116
 
-par=0x1.de8p+10 seq=0x1.32p+10 eff=0x1.476c56abbc96ep-3 retry=0x0p+0
+par=0x1.de8p+10 seq=0x1.32p+10 eff=0x1.476c56abbc96ep-3
   phase SOLVE t=0x1.c18p+10
   phase REDUCE t=0x1.dp+6
   proc 0 compute=0x1.9p+5 access=0x1.4p+5
@@ -1186,23 +928,7 @@ par=0x1.de8p+10 seq=0x1.32p+10 eff=0x1.476c56abbc96ep-3 retry=0x0p+0
   proc 2 compute=0x1.a4p+7 access=0x1.12p+10
   proc 3 compute=0x1.22p+8 access=0x1.96p+10
 
-== faults 7:0.3 retries 2
-H=4  T_par=2931  T_seq=1224  efficiency=10.4%  local=136 remote=408
-  SOLVE  local=102      remote=306      t=2092
-  REDUCE local=34       remote=102      t=839
-  faults: 0 msgs, 0 dropped, 0 duplicated, 0 truncated, 0 recovered (0 resend attempts, backoff t=0)
-
-par=0x1.6e6p+11 seq=0x1.32p+10 eff=0x1.aba09f4feb09bp-4 retry=0x0p+0
-  phase SOLVE t=0x1.058p+11
-  phase REDUCE t=0x1.a38p+9
-  proc 0 compute=0x1.18p+7 access=0x1.124p+11
-  proc 1 compute=0x1.4p+7 access=0x1.26p+11
-  proc 2 compute=0x1.68p+7 access=0x1.39cp+11
-  proc 3 compute=0x1.9p+7 access=0x1.4d8p+11
-
 == validate
-reads 408, stale 0
-== validate faults 7:0.3 retries 2
 reads 408, stale 0
 |golden});
     ("mgrid", {golden|rounds 2
@@ -1217,7 +943,7 @@ H=4  T_par=3228  T_seq=11120  efficiency=86.1%  local=5512 remote=48
   SMOOTHC local=498      remote=6        t=314
   PROLONG local=747      remote=9        t=445
 
-par=0x1.938p+11 seq=0x1.5b8p+13 eff=0x1.b8f1172849989p-1 retry=0x0p+0
+par=0x1.938p+11 seq=0x1.5b8p+13 eff=0x1.b8f1172849989p-1
   phase SMOOTHF t=0x1.1dp+9
   phase RESTRICT t=0x1.1dp+8
   phase SMOOTHC t=0x1.3ap+8
@@ -1242,7 +968,7 @@ H=4  T_par=3600  T_seq=11120  efficiency=77.2%  local=5452 remote=108
   SMOOTHC local=492      remote=12       t=346
   PROLONG local=735      remote=21       t=535
 
-par=0x1.c2p+11 seq=0x1.5b8p+13 eff=0x1.8b60b60b60b61p-1 retry=0x0p+0
+par=0x1.c2p+11 seq=0x1.5b8p+13 eff=0x1.8b60b60b60b61p-1
   phase SMOOTHF t=0x1.2dp+9
   phase RESTRICT t=0x1.3dp+8
   phase SMOOTHC t=0x1.5ap+8
@@ -1256,35 +982,7 @@ par=0x1.c2p+11 seq=0x1.5b8p+13 eff=0x1.8b60b60b60b61p-1 retry=0x0p+0
   proc 2 compute=0x1.6p+10 access=0x1.12p+11
   proc 3 compute=0x1.4ep+10 access=0x1.4ep+10
 
-== faults 7:0.3 retries 2
-H=4  T_par=3228  T_seq=11120  efficiency=86.1%  local=5512 remote=48
-  SMOOTHF local=1010     remote=6        t=570
-  RESTRICT local=501      remote=3        t=285
-  SMOOTHC local=498      remote=6        t=314
-  PROLONG local=747      remote=9        t=445
-  SMOOTHF local=1010     remote=6        t=570
-  RESTRICT local=501      remote=3        t=285
-  SMOOTHC local=498      remote=6        t=314
-  PROLONG local=747      remote=9        t=445
-  faults: 0 msgs, 0 dropped, 0 duplicated, 0 truncated, 0 recovered (0 resend attempts, backoff t=0)
-
-par=0x1.938p+11 seq=0x1.5b8p+13 eff=0x1.b8f1172849989p-1 retry=0x0p+0
-  phase SMOOTHF t=0x1.1dp+9
-  phase RESTRICT t=0x1.1dp+8
-  phase SMOOTHC t=0x1.3ap+8
-  phase PROLONG t=0x1.bdp+8
-  phase SMOOTHF t=0x1.1dp+9
-  phase RESTRICT t=0x1.1dp+8
-  phase SMOOTHC t=0x1.3ap+8
-  phase PROLONG t=0x1.bdp+8
-  proc 0 compute=0x1.6p+10 access=0x1.aap+10
-  proc 1 compute=0x1.6p+10 access=0x1.c7p+10
-  proc 2 compute=0x1.6p+10 access=0x1.c7p+10
-  proc 3 compute=0x1.4ep+10 access=0x1.6bp+10
-
 == validate
-reads 4044, stale 0
-== validate faults 7:0.3 retries 2
 reads 4044, stale 0
 |golden});
   ]

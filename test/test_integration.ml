@@ -1,6 +1,7 @@
 (* End-to-end integration tests: the full pipeline on random programs
-   (robustness: no crashes, invariants hold) and cross-validation of
-   the analysis against simulation. *)
+   (robustness: no crashes, invariants hold), cross-validation of the
+   analysis against simulation, and the degradation ladder (total
+   analysis with recorded diagnostics instead of crashes). *)
 
 open Symbolic
 open Ir
@@ -196,6 +197,92 @@ let test_report_markdown () =
           "digraph lcg";
         ])
 
+(* ------------------------------------------------------------------ *)
+(* Degradation ladder *)
+
+let test_registry_codes_clean () =
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      let env = e.env_of_size e.default_size in
+      let t = Core.Pipeline.run e.program ~env ~h:4 in
+      Alcotest.(check bool)
+        (e.name ^ " no error diagnostics")
+        false
+        (Core.Pipeline.degraded t))
+    Codes.Registry.all
+
+(* A quadratic subscript on the parallel loop is outside the ARD
+   grammar: descriptor construction degrades the reference to the
+   whole-array descriptor and the pipeline must still produce a plan. *)
+let quad_program =
+  Ir.Build.(
+    program ~name:"quad"
+      ~params:(Assume.of_list [ ("N", Assume.Int_range (8, 64)) ])
+      ~arrays:[ array "A" [ var "N" * var "N" ]; array "B" [ var "N" ] ]
+      [
+        phase "QUAD"
+          (doall "i" ~lo:(int 0)
+             ~hi:(var "N" - int 1)
+             [ assign [ read "A" [ var "i" * var "i" ]; write "B" [ var "i" ] ] ]);
+        phase "SUM"
+          (doall "i" ~lo:(int 0)
+             ~hi:(var "N" - int 1)
+             [ assign [ read "B" [ var "i" ]; write "B" [ var "i" ] ] ]);
+      ])
+
+let test_unsupported_subscript_degrades () =
+  let env = Env.add "N" 16 Env.empty in
+  let t = Core.Pipeline.run quad_program ~env ~h:4 in
+  (* a full plan exists... *)
+  Alcotest.(check int) "chunk per phase" 2 (Array.length t.plan.chunk);
+  (* ...the degraded reference was diagnosed... *)
+  Alcotest.(check bool) "DESC-WHOLE-ARRAY recorded" true
+    (List.exists
+       (fun (d : Core.Diag.t) -> d.code = "DESC-WHOLE-ARRAY")
+       (Core.Pipeline.diagnostics t));
+  (* ...the degraded node's pd is marked inexact... *)
+  let inexact =
+    List.exists
+      (fun (g : Locality.Lcg.graph) ->
+        List.exists
+          (fun (n : Locality.Lcg.node) -> not n.pd.Descriptor.Pd.exact)
+          g.nodes)
+      t.lcg.graphs
+  in
+  Alcotest.(check bool) "inexact node present" true inexact;
+  (* ...no edge incident to an inexact node claims locality... *)
+  List.iter
+    (fun (g : Locality.Lcg.graph) ->
+      let nodes = Array.of_list g.nodes in
+      List.iter
+        (fun (e : Locality.Lcg.edge) ->
+          let exact n = nodes.(n).Locality.Lcg.pd.Descriptor.Pd.exact in
+          if not (exact e.src && exact e.dst) then
+            Alcotest.(check bool)
+              "degraded endpoints never L" true
+              (e.label <> Locality.Table1.L))
+        g.edges)
+    t.lcg.graphs;
+  (* ...and the program still simulates and validates end to end *)
+  let r = Core.Pipeline.simulate t in
+  Alcotest.(check bool) "simulates" true (r.par_time > 0.0);
+  let v = Exec.Validate.run t.lcg t.plan in
+  Alcotest.(check int) "dataflow still sound" 0 v.stale
+
+let test_max_errors_cap () =
+  let d = Core.Diag.collector ~max_errors:2 () in
+  let add () =
+    Core.Diag.add d ~severity:Core.Diag.Error ~stage:Core.Diag.Solve ~code:"X"
+      "boom"
+  in
+  add ();
+  add ();
+  Alcotest.check_raises "cap enforced" (Core.Diag.Too_many_errors 2) add;
+  (* warnings never count against the cap *)
+  Core.Diag.add d ~severity:Core.Diag.Warning ~stage:Core.Diag.Solve ~code:"Y"
+    "fine";
+  Alcotest.(check int) "errors counted" 2 (Core.Diag.errors d)
+
 let () =
   Alcotest.run "integration"
     [
@@ -213,5 +300,13 @@ let () =
           Alcotest.test_case "markdown report" `Quick test_report_markdown;
           Alcotest.test_case "symbolic/enumerated parity" `Quick
             test_symbolic_enum_parity;
+        ] );
+      ( "degradation",
+        [
+          Alcotest.test_case "registry codes clean" `Quick
+            test_registry_codes_clean;
+          Alcotest.test_case "unsupported subscript" `Quick
+            test_unsupported_subscript_degrades;
+          Alcotest.test_case "max-errors cap" `Quick test_max_errors_cap;
         ] );
     ]
