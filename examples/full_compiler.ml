@@ -42,7 +42,7 @@ let () =
     (List.length prog.arrays);
 
   Format.printf "=== 2. Auto-parallelize ===@.";
-  let prog = Ir.Autopar.mark prog in
+  let prog = Core.Lint.autopar prog in
   List.iter
     (fun ph ->
       let ctx = Ir.Phase.analyze prog ph in

@@ -10,7 +10,6 @@ type stage =
   | Solve
   | Plan
   | Comm
-  | Validation
 
 type t = {
   severity : severity;
@@ -45,7 +44,6 @@ let stage_to_string = function
   | Solve -> "solve"
   | Plan -> "plan"
   | Comm -> "comm"
-  | Validation -> "validation"
 
 let add c ~severity ~stage ?where ~code message =
   (* the diagnostic that would exceed the cap is not recorded *)

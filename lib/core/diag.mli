@@ -51,7 +51,6 @@ type stage =
   | Solve
   | Plan
   | Comm
-  | Validation
 
 type t = {
   severity : severity;

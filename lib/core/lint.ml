@@ -36,16 +36,6 @@ let catalog =
 
 let where_loop (ph : Types.phase) v = ph.Types.phase_name ^ "/" ^ v
 
-(* Exceptions descriptor/enumeration machinery may raise on malformed
-   or out-of-class programs; lint rules that depend on analysis skip
-   the phase on these (the structural rules report the cause). *)
-let recoverable = function
-  | Phase.Invalid_phase _ | Env.Unbound _ | Expr.Non_integral _ | Not_found
-  | Invalid_argument _ | Division_by_zero | Qnum.Overflow
-  | Qnum.Division_by_zero ->
-      true
-  | _ -> false
-
 let default_envs (prog : Types.program) =
   let st = Random.State.make [| 5; 13; 1999 |] in
   List.init 3 (fun _ -> Assume.sample ~state:st prog.Types.params)
@@ -198,7 +188,7 @@ let address_ranges prog env ph =
     Option.map
       (List.map (fun (array, lo, hi) -> (array, lo, hi, size_of prog env array)))
       (Enumerate.address_range (Enumerate.compile prog env ph))
-  with Exit -> None | e when recoverable e -> None
+  with Exit -> None | e when Autopar.unevaluable e -> None
 
 (* A sample is walked only when its closed-form ranges are unknown or
    leave an array, and the walk then finds the first bad address; at
@@ -208,7 +198,7 @@ let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
   (* Normalized once for every environment below: compiling a
      normalized phase normalizes nothing again.  If normalizing raises,
      each compile raises it as before. *)
-  let ph = try Normalize.phase ph with e when recoverable e -> ph in
+  let ph = try Normalize.phase ph with e when Autopar.unevaluable e -> ph in
   let bad = Hashtbl.create 4 in
   let inside (_, lo, hi, size) = 0 <= lo && hi < size in
   (try
@@ -232,7 +222,7 @@ let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
                  if (addr < 0 || addr >= size array) && not (Hashtbl.mem bad array)
                  then Hashtbl.add bad array addr))
        envs
-   with Exit -> () | e when recoverable e -> ());
+   with Exit -> () | e when Autopar.unevaluable e -> ());
   Option.iter
     (fun env ->
       match address_ranges prog env ph with
@@ -261,7 +251,7 @@ let rule_dead_write c (prog : Types.program) =
           (fun ph ->
             if List.mem name (Types.phase_arrays ph) then
               try Some (Liveness.static_attr prog ph ~array:name)
-              with e when recoverable e -> None
+              with e when Autopar.unevaluable e -> None
             else None)
           prog.Types.phases
       in
@@ -295,14 +285,7 @@ let rule_race c (prog : Types.program) envs (ph : Types.phase) =
             w.Racecheck.w_array w.Racecheck.w_kind w.Racecheck.w_distance
             w.Racecheck.w_note
       | Racecheck.Unknown reason -> (
-          match
-            try
-              Some
-                (List.for_all
-                   (fun env -> Autopar.independent prog env ph ~loop_path:path)
-                   envs)
-            with e when recoverable e -> None
-          with
+          match Autopar.sampled ~envs prog ph ~loop_path:path with
           | Some true | None ->
               Diag.addf c ~severity:Info ~stage:Lint ~where:(where_loop ph var)
                 ~code:"LINT-UNCERTIFIED"
@@ -317,7 +300,7 @@ let rule_race c (prog : Types.program) envs (ph : Types.phase) =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(racecheck = true) ?envs ?at ?diags (prog : Types.program) =
+let check ?envs ?at ?diags (prog : Types.program) =
   let envs = match envs with Some e -> e | None -> default_envs prog in
   let c = Diag.collector () in
   List.iter
@@ -328,7 +311,7 @@ let check ?(racecheck = true) ?envs ?at ?diags (prog : Types.program) =
       rule_nonnormal c ph;
       rule_subscript c ph;
       rule_bounds c prog envs ?at ph;
-      if racecheck then rule_race c prog envs ph)
+      rule_race c prog envs ph)
     prog.Types.phases;
   rule_dead_write c prog;
   let findings = Diag.to_list c in
@@ -348,29 +331,26 @@ let autopar ?envs ?diags (prog : Types.program) =
   let phases =
     List.map
       (fun ph ->
-        let d = Autopar.decide ~certify:Racecheck.certifier ~envs prog ph in
-        (match diags with
-        | None -> ()
-        | Some c ->
+        let d = Racecheck.decide ~envs prog ph in
+        Option.iter
+          (fun c ->
             List.iter
-              (fun (r : Autopar.probe_report) ->
-                let static =
-                  match r.Autopar.static_verdict with
-                  | Some `Independent -> "independent"
-                  | Some `Dependent -> "dependent"
-                  | _ -> "unknown"
-                in
-                Diag.addf c ~severity:Error ~stage:Autopar
-                  ~where:(where_loop ph r.Autopar.var)
-                  ~code:"RACE-ORACLE-MISMATCH"
-                  "certifier says %s but the sampling oracle %s; one of them \
-                   is wrong - please report"
-                  static
-                  (if r.Autopar.sampled = Some true then
-                     "found no conflict on any sample"
-                   else "found a conflict"))
-              (Autopar.mismatches d));
-        d.Autopar.dec_phase)
+              (fun (p : Racecheck.probe) ->
+                if Racecheck.mismatch p then
+                  Diag.addf c ~severity:Error ~stage:Autopar
+                    ~where:(where_loop ph p.Racecheck.var)
+                    ~code:"RACE-ORACLE-MISMATCH"
+                    "certifier says %s but the sampling oracle %s; one of \
+                     them is wrong - please report"
+                    (match p.Racecheck.verdict with
+                    | Racecheck.Proved_independent -> "independent"
+                    | _ -> "dependent")
+                    (if p.Racecheck.sampled = Some true then
+                       "found no conflict on any sample"
+                     else "found a conflict"))
+              d.Racecheck.probes)
+          diags;
+        d.Racecheck.phase)
       prog.Types.phases
   in
   { prog with Types.phases }

@@ -52,17 +52,17 @@ val default_envs : Ir.Types.program -> Env.t list
     dynamic rules use unless {!check} is given [envs]. *)
 
 val check :
-  ?racecheck:bool ->
   ?envs:Env.t list ->
   ?at:Env.t ->
   ?diags:Diag.collector ->
   Ir.Types.program ->
   Diag.t list
 (** Run every rule over every phase and return the findings (also
-    recorded into [diags] when given).  [racecheck] (default [true])
-    controls the certifier-backed [LINT-RACE] / [LINT-UNCERTIFIED]
-    rules - the only expensive ones; [envs] are the sampled parameter
+    recorded into [diags] when given).  [envs] are the sampled parameter
     environments for the dynamic rules (default: {!default_envs}).
+    [LINT-RACE] / [LINT-UNCERTIFIED] judge each declared parallel loop
+    by {!Descriptor.Racecheck.certify} and sample it with
+    {!Ir.Autopar.sampled} only when the certifier answers [Unknown].
     [at] is the environment being analyzed: [LINT-BOUNDS] also checks
     it, from the closed-form address ranges only (a phase without one
     is skipped there and counted in [lint.bounds.unranged]). *)
@@ -70,8 +70,11 @@ val check :
 val autopar :
   ?envs:Env.t list -> ?diags:Diag.collector -> Ir.Types.program -> Ir.Types.program
 (** Certified auto-parallelization: {!Ir.Autopar.recognize_reductions}
-    followed by {!Ir.Autopar.mark} with {!Descriptor.Racecheck} as the
-    injected certifier.  Any static/dynamic disagreement found while
-    marking is emitted as an [Error] diagnostic with code
-    [RACE-ORACLE-MISMATCH] (stage [Autopar]) instead of being silently
-    resolved; the marking itself always trusts the certifier. *)
+    followed, phase by phase, by {!Descriptor.Racecheck.decide}, both
+    sampling [envs] (default: {!default_envs}).  Every
+    {!Descriptor.Racecheck.mismatch} found while marking is emitted as
+    an [Error] diagnostic with code [RACE-ORACLE-MISMATCH] (stage
+    [Autopar]) instead of being silently resolved; the marking itself
+    always trusts the certifier.  A sample that cannot be evaluated
+    (an unbound variable, say) marks nothing and raises nothing: the
+    lint rules then report the cause. *)

@@ -120,21 +120,6 @@ let of_site (ctx : Phase.t) (site : Phase.site) : t =
     let decl = Types.array_decl ctx.prog site.ref_.array in
     whole_array ctx ~array ~size:(Linearize.size ~dims:decl.dims) ~mix
 
-let par_dim t =
-  match t.par_var with
-  | None -> None
-  | Some v -> List.find_opt (fun d -> List.mem v d.vars) t.dims
-
-let seq_dims t =
-  List.filter
-    (fun d ->
-      (not (Expr.is_zero d.stride))
-      &&
-      match t.par_var with
-      | Some v -> not (List.mem v d.vars)
-      | None -> true)
-    t.dims
-
 let pp ppf t =
   let pp_dim ppf d =
     Format.fprintf ppf "(a=%a, d=%a%s)" Expr.pp d.alpha Expr.pp d.stride

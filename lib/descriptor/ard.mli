@@ -52,12 +52,6 @@ val of_site : Phase.t -> Phase.site -> t
 val whole_array : Phase.t -> array:string -> size:Expr.t -> mix:Access_mix.t -> t
 (** The conservative fallback: stride-1 coverage of the full array. *)
 
-val par_dim : t -> dim option
-(** The dimension of the parallel loop, if the phase has one. *)
-
-val seq_dims : t -> dim list
-(** All non-parallel dims with non-zero stride. *)
-
 val span : dim -> Expr.t
 (** [(alpha - 1) * stride]. *)
 

@@ -16,12 +16,8 @@ type verdict =
 type pair_result = Disjoint | Conflict of witness | Cannot of string
 
 let recoverable = function
-  | Ard.Unsupported | Region.Not_rectangular _ | Qnum.Overflow
-  | Qnum.Division_by_zero | Division_by_zero | Env.Unbound _
-  | Expr.Non_integral _ | Ir.Phase.Invalid_phase _ | Not_found
-  | Invalid_argument _ ->
-      true
-  | _ -> false
+  | Ard.Unsupported | Region.Not_rectangular _ -> true
+  | e -> Ir.Autopar.unevaluable e
 
 (* A row of an ID paired with the structural facts the tests need. *)
 type trow = {
@@ -366,12 +362,52 @@ let certify prog ph ~loop_path =
   with e when recoverable e ->
     Unknown ("descriptor construction failed: " ^ Printexc.to_string e)
 
-let certifier : Ir.Autopar.certifier =
- fun prog ph ~loop_path ->
-  match certify prog ph ~loop_path with
-  | Proved_independent -> `Independent
-  | Proved_dependent _ -> `Dependent
-  | Unknown _ -> `Unknown
+type source = Certified | Sampled
+
+type probe = {
+  path : int list;
+  var : string;
+  verdict : verdict;
+  sampled : bool option;
+}
+
+type decision = {
+  phase : Ir.Types.phase;
+  chosen : (int list * source) option;
+  probes : probe list;
+}
+
+let mismatch p =
+  match (p.verdict, p.sampled) with
+  | Proved_independent, Some false | Proved_dependent _, Some true -> true
+  | _ -> false
+
+let decide ~envs prog (ph : Ir.Types.phase) =
+  let nest = ph.Ir.Types.nest in
+  let rec scan probes = function
+    | [] -> (None, probes)
+    | path :: rest -> (
+        let verdict = certify prog ph ~loop_path:path in
+        (* Sampled even when the certifier has decided, so that a
+           contradiction surfaces as a {!mismatch} instead of being
+           silently resolved. *)
+        let sampled = Ir.Autopar.sampled ~envs prog ph ~loop_path:path in
+        let probes =
+          { path; var = Ir.Autopar.loop_var_at nest path; verdict; sampled }
+          :: probes
+        in
+        match (verdict, sampled) with
+        | Proved_independent, _ -> (Some (path, Certified), probes)
+        | Unknown _, Some true -> (Some (path, Sampled), probes)
+        | _ -> scan probes rest)
+  in
+  let chosen, probes = scan [] (Ir.Autopar.loop_paths nest) in
+  let nest =
+    match chosen with
+    | Some (path, _) -> Ir.Autopar.set_parallel nest path
+    | None -> Ir.Autopar.clear_markings nest
+  in
+  { phase = { ph with Ir.Types.nest }; chosen; probes = List.rev probes }
 
 let verdict_to_string = function
   | Proved_independent -> "independent"

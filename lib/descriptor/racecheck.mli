@@ -29,7 +29,8 @@
     - [Unknown] means the loop is outside the class the certifier can
       decide (non-affine subscripts degraded to whole-array
       descriptors, non-uniform strides, row extents that cannot be
-      separated); callers fall back to the sampling oracle.
+      separated); {!decide} and [LINT-UNCERTIFIED] fall back to the
+      sampling oracle.
 
     Soundness argument (see DESIGN.md, "Static certification"): every
     simplification is one-directional.  Whole-array or non-rectangular
@@ -58,10 +59,45 @@ val certify :
     parallel loop and its cross-iteration dependence structure is
     decided from the per-array Iteration Descriptors. *)
 
-val certifier : Ir.Autopar.certifier
-(** {!certify} collapsed to the three-valued shape {!Ir.Autopar}
-    consumes ([Proved_dependent] witnesses and [Unknown] reasons
-    dropped). *)
+(** {1 Marking}
+
+    The one answer to "which loop of this phase is parallel?", used by
+    [Core.Lint.autopar] (and so by [dsmloc file --autopar]).  The
+    certifier's [Proved_independent] and [Proved_dependent] are trusted
+    as proofs; the sampling oracle {!Ir.Autopar.sampled} decides only
+    loops the certifier leaves [Unknown]. *)
+
+type source = Certified | Sampled  (** which procedure justified a marking *)
+
+type probe = {
+  path : int list;
+  var : string;  (** loop variable at [path] *)
+  verdict : verdict;  (** the certifier's answer, witness included *)
+  sampled : bool option;  (** {!Ir.Autopar.sampled} for the same loop *)
+}
+
+type decision = {
+  phase : Ir.Types.phase;  (** the re-marked phase *)
+  chosen : (int list * source) option;
+      (** the marked loop and which procedure justified it *)
+  probes : probe list;
+      (** every loop examined, outermost-first, ending at the chosen one *)
+}
+
+val decide :
+  envs:Symbolic.Env.t list -> Ir.Types.program -> Ir.Types.phase -> decision
+(** Walk the loops outermost-first and mark the first that {!certify}
+    proves independent or, when the certifier answers [Unknown], that
+    every environment of [envs] samples as independent.  A
+    [Proved_dependent] verdict rejects the loop even when sampling
+    disagrees.  Every probed loop is also sampled, so a disagreement is
+    visible through {!mismatch}.  With no chosen loop every marking of
+    the phase is cleared. *)
+
+val mismatch : probe -> bool
+(** The certifier and the sampling oracle contradict each other: a
+    proved independence some sample refutes, or a proved dependence no
+    sample observes. *)
 
 val verdict_to_string : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -237,9 +237,9 @@ let analyze_raw (id : Id.t) : t =
   }
 
 (* [analyze] is re-entered for the same ID by the locality graph builder
-   and again by [has_overlap]/[has_write_overlap] during modelling; the
-   verdict depends on sampled environments, which re-seeding the probe
-   stream changes (it flushes the store).  The ID's structural
+   and again by [has_overlap] during modelling; the verdict depends on
+   sampled environments, which re-seeding the probe stream changes (it
+   flushes the store).  The ID's structural
    key alone is not enough - the verdict also reads the analysis
    context (assumptions, parallel dimension, enumeration oracle), so
    the phase key is folded in. *)
@@ -251,7 +251,6 @@ let analyze (id : Id.t) : t =
     (fun () -> analyze_raw id)
 
 let has_overlap id = (analyze id).overlap <> No_overlap
-let has_write_overlap id = (analyze id).write_overlap
 
 let pp ppf t =
   let pl name ppf = function

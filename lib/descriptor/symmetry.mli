@@ -39,7 +39,6 @@ type t = {
 
 val analyze : Id.t -> t
 val has_overlap : Id.t -> bool
-val has_write_overlap : Id.t -> bool
 
 val region : Id.t -> Env.t -> int -> Lattice.Iv.t
 (** The cells the ID's rows cover at parallel iteration [i] in [env]:

@@ -20,6 +20,16 @@ let loop_paths (nest : loop) : int list list =
   walk [] nest;
   List.rev !acc
 
+let rec clear_markings (l : loop) =
+  {
+    l with
+    parallel = false;
+    body =
+      List.map
+        (function Loop i -> Loop (clear_markings i) | Assign a -> Assign a)
+        l.body;
+  }
+
 (* Rewrite the nest so that exactly the loop at [path] is parallel. *)
 let set_parallel (nest : loop) (path : int list) : loop =
   let rec go (l : loop) path =
@@ -34,20 +44,11 @@ let set_parallel (nest : loop) (path : int list) : loop =
               Loop
                 (match path with
                 | k :: rest when k = !li -> go inner rest
-                | _ -> go_clear inner)
+                | _ -> clear_markings inner)
           | Assign a -> Assign a)
         l.body
     in
     { l with parallel; body }
-  and go_clear (l : loop) =
-    {
-      l with
-      parallel = false;
-      body =
-        List.map
-          (function Loop i -> Loop (go_clear i) | Assign a -> Assign a)
-          l.body;
-    }
   in
   go nest path
 
@@ -88,26 +89,18 @@ let independent (prog : program) (env : Env.t) (ph : phase) ~loop_path =
           ());
   !ok
 
-let default_envs (prog : program) =
-  let st = Random.State.make [| 11; 17; 2029 |] in
-  List.init 3 (fun _ -> Assume.sample ~state:st prog.params)
+let unevaluable = function
+  | Phase.Invalid_phase _ | Env.Unbound _ | Expr.Non_integral _ | Not_found
+  | Invalid_argument _ | Division_by_zero | Qnum.Overflow
+  | Qnum.Division_by_zero ->
+      true
+  | _ -> false
 
-type verdict = [ `Independent | `Dependent | `Unknown ]
-type certifier = program -> phase -> loop_path:int list -> verdict
-type source = Certified | Sampled
-
-type probe_report = {
-  path : int list;
-  var : string;
-  static_verdict : verdict option;
-  sampled : bool option;
-}
-
-type decision = {
-  dec_phase : phase;
-  chosen : (int list * source) option;
-  probes : probe_report list;
-}
+let sampled ~envs (prog : program) (ph : phase) ~loop_path =
+  if envs = [] then None
+  else
+    try Some (List.for_all (fun env -> independent prog env ph ~loop_path) envs)
+    with e when unevaluable e -> None
 
 let rec loop_at (l : loop) = function
   | [] -> l
@@ -119,76 +112,6 @@ let rec loop_at (l : loop) = function
 
 let loop_var_at (nest : loop) (path : int list) : string =
   (loop_at nest path).var
-
-let mismatch (r : probe_report) =
-  match (r.static_verdict, r.sampled) with
-  | Some `Independent, Some false -> true
-  | Some `Dependent, Some true -> true
-  | _ -> false
-
-let mismatches (d : decision) = List.filter mismatch d.probes
-
-let clear_markings (l : loop) =
-  let rec clear (l : loop) =
-    {
-      l with
-      parallel = false;
-      body =
-        List.map
-          (function Loop i -> Loop (clear i) | Assign a -> Assign a)
-          l.body;
-    }
-  in
-  clear l
-
-let decide ?certify ?envs (prog : program) (ph : phase) : decision =
-  let envs = match envs with Some e -> e | None -> default_envs prog in
-  let paths = loop_paths ph.nest in
-  let probes = ref [] in
-  let rec scan = function
-    | [] -> None
-    | path :: rest ->
-        let static_verdict =
-          Option.map (fun c -> c prog ph ~loop_path:path) certify
-        in
-        (* The sampled verdict is always computed when environments are
-           available - even when the certifier has already decided - so
-           that static/dynamic disagreements are visible to callers
-           rather than silently resolved. *)
-        let sampled =
-          if envs = [] then None
-          else
-            Some
-              (List.for_all
-                 (fun env -> independent prog env ph ~loop_path:path)
-                 envs)
-        in
-        probes :=
-          { path; var = loop_var_at ph.nest path; static_verdict; sampled }
-          :: !probes;
-        (match (static_verdict, sampled) with
-        | Some `Independent, _ -> Some (path, Certified)
-        | Some `Dependent, _ ->
-            (* The certifier's refutation wins even when sampling saw no
-               conflict (a missed-by-sampling race); the disagreement is
-               recorded in the probe report. *)
-            scan rest
-        | _, Some true -> Some (path, Sampled)
-        | _, _ -> scan rest)
-  in
-  let chosen = scan paths in
-  let dec_phase =
-    match chosen with
-    | Some (path, _) -> { ph with nest = set_parallel ph.nest path }
-    | None -> { ph with nest = clear_markings ph.nest }
-  in
-  { dec_phase; chosen; probes = List.rev !probes }
-
-let mark_phase ?certify ?envs (prog : program) (ph : phase) : phase =
-  (decide ?certify ?envs prog ph).dec_phase
-
-let mark ?certify ?envs (prog : program) : program =
-  { prog with phases = List.map (mark_phase ?certify ?envs prog) prog.phases }
 
 (* ------------------------------------------------------------------ *)
 (* Reduction privatization *)
@@ -245,18 +168,14 @@ let accumulator_subscript (ph : phase) acc =
   walk (Loop ph.nest);
   if !ok then !subscript else None
 
-let recognize_reductions ?envs (prog : program) : program =
-  let envs = match envs with Some e -> e | None -> default_envs prog in
+let recognize_reductions ~envs (prog : program) : program =
   let fresh_arrays = ref [] in
   let phases =
     List.concat_map
       (fun (ph : phase) ->
         let root = ph.nest in
         (* only attack phases whose root loop is not already independent *)
-        let root_indep =
-          envs <> []
-          && List.for_all (fun env -> independent prog env ph ~loop_path:[]) envs
-        in
+        let root_indep = sampled ~envs prog ph ~loop_path:[] = Some true in
         if root_indep then [ ph ]
         else begin
           (* candidate accumulators: arrays whose every appearance is a
@@ -287,11 +206,7 @@ let recognize_reductions ?envs (prog : program) : program =
                 }
               in
               let indep =
-                envs <> []
-                && List.for_all
-                     (fun env ->
-                       independent trial_prog env rewritten ~loop_path:[])
-                     envs
+                sampled ~envs trial_prog rewritten ~loop_path:[] = Some true
               in
               if not indep then [ ph ]
               else begin

@@ -239,34 +239,18 @@ let dead_after prog env k ~array =
     ~symbolic:(fun () -> dead_after_symbolic prog env k ~array)
     ~enum:(fun () -> dead_after_enum prog env k ~array)
 
-let default_envs prog =
-  (* Small, deterministic parameter samples. *)
-  let st = Random.State.make [| 7; 13; 2029 |] in
-  List.init 3 (fun _ -> Assume.sample ~state:st prog.params)
-
-let attr ?envs prog k ~array =
+let attr prog env k ~array =
   let ph = List.nth prog.phases k in
   match static_attr prog ph ~array with
   | R -> R
-  | W | RW -> (
-      let envs = match envs with Some e -> e | None -> default_envs prog in
-      let privatizable =
-        envs <> []
-        && List.for_all
-             (fun env ->
-               def_before_use prog env ph ~array && dead_after prog env k ~array)
-             envs
-      in
-      if privatizable then P
-      else match static_attr prog ph ~array with W -> W | _ -> RW)
+  | (W | RW) as a ->
+      if def_before_use prog env ph ~array && dead_after prog env k ~array then P
+      else a
   | P -> assert false
 
-let attrs ?envs prog =
-  let arrays = List.map (fun (a : array_decl) -> a.name) prog.arrays in
-  let envs = match envs with Some e -> e | None -> default_envs prog in
+let attrs prog env =
   List.map
-    (fun name ->
-      ( name,
-        Array.init (List.length prog.phases) (fun k -> attr ~envs prog k ~array:name)
-      ))
-    arrays
+    (fun (a : array_decl) ->
+      ( a.name,
+        Array.init (List.length prog.phases) (fun k -> attr prog env k ~array:a.name) ))
+    prog.arrays

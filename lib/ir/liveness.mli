@@ -9,8 +9,8 @@
     before reading, considering the wrap-around edge when the program
     repeats.
 
-    Both conditions are checked concretely under sampled parameter
-    environments (the analysis-time analogue of the paper relying on
+    Both conditions are checked concretely under the analyzed parameter
+    environment (the analysis-time analogue of the paper relying on
     Polaris' dynamic-scope privatization tests): a location-precise
     def-before-use scan per iteration, and a forward kill/expose scan
     across the following phases. *)
@@ -32,12 +32,11 @@ val def_before_use : program -> Env.t -> phase -> array:string -> bool
 val dead_after : program -> Env.t -> int -> array:string -> bool
 (** Condition (b) for phase index [k] under one concrete environment. *)
 
-val attr : ?envs:Env.t list -> program -> int -> array:string -> attr
-(** Attribute of phase [k] for [array].  [envs] are the sample
-    parameter environments (default: 3 samples from [program.params]);
-    P is reported only when every sample agrees. *)
+val attr : program -> Env.t -> int -> array:string -> attr
+(** Attribute of phase [k] for [array] under [env]: P when the phase
+    writes [array] and both conditions hold there. *)
 
-val attrs : ?envs:Env.t list -> program -> (string * attr array) list
+val attrs : program -> Env.t -> (string * attr array) list
 (** Per array: attribute of each phase that references it, indexed by
     phase position ([attr] of unreferenced phases is irrelevant and
     reported as [R]). *)

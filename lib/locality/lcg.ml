@@ -48,7 +48,7 @@ let edge_count = Metrics.counter "table1.edges"
 
 let build (prog : Types.program) ~env ~h : t =
   Metrics.with_timer build_timer @@ fun () ->
-  let attrs = Liveness.attrs prog ~envs:[ env ] in
+  let attrs = Liveness.attrs prog env in
   let phase_ctxs =
     List.map (fun ph -> (ph, Phase.analyze prog ph)) prog.phases
   in

@@ -10,13 +10,12 @@ type edge_report = {
 
 type t = edge_report list
 
-let sample_envs ?(samples = 3) (prog : Ir.Types.program) =
+let sample_envs (prog : Ir.Types.program) =
   let st = Random.State.make [| 23; 42; 2029 |] in
-  List.init samples (fun _ -> Assume.sample ~state:st prog.params)
+  List.init 3 (fun _ -> Assume.sample ~state:st prog.params)
 
-let analyze ?(samples = 3) ?(h_values = [ 2; 4; 8; 16; 32; 64 ])
-    (prog : Ir.Types.program) : t =
-  let envs = sample_envs ~samples prog in
+let analyze ?(h_values = [ 2; 4; 8; 16; 32; 64 ]) (prog : Ir.Types.program) : t =
+  let envs = sample_envs prog in
   (* index edges structurally via the first build *)
   let builds =
     List.map

@@ -23,10 +23,11 @@ type edge_report = {
 
 type t = edge_report list
 
-val analyze :
-  ?samples:int -> ?h_values:int list -> Ir.Types.program -> t
-(** Default: 3 sampled environments, H in [2; 4; 8; 16; 32; 64]. *)
+val analyze : ?h_values:int list -> Ir.Types.program -> t
+(** Each edge's label under every {!sample_envs} environment at each H
+    of [h_values] (default [2; 4; 8; 16; 32; 64]). *)
 
 val all_stable : t -> bool
 val pp : Format.formatter -> t -> unit
-val sample_envs : ?samples:int -> Ir.Types.program -> Env.t list
+val sample_envs : Ir.Types.program -> Env.t list
+(** The 3 seeded samples of the program's parameter domains. *)

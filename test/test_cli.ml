@@ -65,20 +65,45 @@ let rejected args () =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Run [f] on a temporary file holding [source], removed afterwards. *)
+let with_program source f () =
+  let path = Filename.temp_file "dsmloc" ".dsm" in
+  Out_channel.with_open_text path (fun oc -> output_string oc source);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 (* A program whose own parameter range overflows its array's size: no
    --env to refuse, so the run degrades (LCG-FAIL) and cannot replay. *)
-let overflowing_program () =
-  let path = Filename.temp_file "dsmloc" ".dsm" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc
-        "program huge\n\
-         param N = 1152921504606846975..1152921504606846975\n\
-         real A(N^2)\n\n\
-         phase P:\n\
-        \  doall i = 0, 3\n\
-        \    A(N*N - i) = A(i) work 1\n\
-        \  end\n");
-  path
+let overflowing_program =
+  with_program
+    "program huge\n\
+     param N = 1152921504606846975..1152921504606846975\n\
+     real A(N^2)\n\n\
+     phase P:\n\
+    \  doall i = 0, 3\n\
+    \    A(N*N - i) = A(i) work 1\n\
+    \  end\n"
+
+(* A subscript naming an undeclared variable: with or without
+   --autopar the lint pass reports it and the run cannot replay. *)
+let unbound_program =
+  with_program
+    "program unbound\n\
+     param N = 4..16\n\
+     real A(N)\n\n\
+     phase P:\n\
+    \  do i = 0, N-1\n\
+    \    A(i + M) = A(i)\n\
+    \  end\n"
+
+let no_internal_error args () =
+  let code, err, _ = run args in
+  Alcotest.(check int) (String.concat " " args) 1 code;
+  List.iter
+    (fun (present, sub) ->
+      if contains err sub <> present then
+        Alcotest.failf "dsmloc %s: stderr %s %S:\n%s" (String.concat " " args)
+          (if present then "lacks" else "has") sub err)
+    [ (true, "LINT-UNBOUND-PARAM"); (false, "internal error") ]
 
 let () =
   Alcotest.run "cli"
@@ -94,11 +119,14 @@ let () =
                  "file"; "../examples/programs/jacobi.dsm"; "--env";
                  "N=4611686018427387903";
                ]);
-          case "file with an overflowing range fails its LCG stage" (fun () ->
-              let path = overflowing_program () in
-              Fun.protect
-                ~finally:(fun () -> Sys.remove path)
-                (exits ~stderr:"LCG-FAIL" 1 [ "file"; path ]));
+          case "file with an overflowing range fails its LCG stage"
+            (overflowing_program (fun path ->
+                 exits ~stderr:"LCG-FAIL" 1 [ "file"; path ] ()));
+          case "file with an unbound variable exits 1"
+            (unbound_program (fun path -> no_internal_error [ "file"; path ] ()));
+          case "file --autopar with an unbound variable exits 1"
+            (unbound_program (fun path ->
+                 no_internal_error [ "file"; path; "--autopar" ] ()));
           case "vacuous validate exits 4"
             (exits ~stderr:"checked nothing" 4
                [ "validate"; "jacobi2d"; "--size"; "0"; "--procs"; "4" ]);

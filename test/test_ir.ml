@@ -327,6 +327,7 @@ let test_enumerate_parity_quotients () =
 (* Two phases over a work array W: F1 writes then reads W per iteration
    (classic privatizable workspace), F2 overwrites W entirely. *)
 let priv_params = Assume.of_list [ ("N", Assume.Int_range (4, 16)) ]
+let priv_env = Env.of_list [ ("N", 8) ]
 
 let priv_f1 =
   Build.(
@@ -349,13 +350,13 @@ let priv_prog =
     [ priv_f1; priv_f2 ]
 
 let test_privatizable () =
-  let attr = Liveness.attr priv_prog 0 ~array:"W" in
+  let attr = Liveness.attr priv_prog priv_env 0 ~array:"W" in
   Alcotest.(check string) "W privatizable in F1" "P" (Liveness.attr_to_string attr);
-  let attr_a = Liveness.attr priv_prog 0 ~array:"A" in
+  let attr_a = Liveness.attr priv_prog priv_env 0 ~array:"A" in
   Alcotest.(check string) "A read-only" "R" (Liveness.attr_to_string attr_a);
   (* B is written and never overwritten: it survives to program exit,
      i.e. it is an output - live, hence W rather than P. *)
-  let attr_b = Liveness.attr priv_prog 0 ~array:"B" in
+  let attr_b = Liveness.attr priv_prog priv_env 0 ~array:"B" in
   Alcotest.(check string) "B is a live-out write" "W"
     (Liveness.attr_to_string attr_b)
 
@@ -373,7 +374,7 @@ let live_prog =
     [ priv_f1; live_f2 ]
 
 let test_live_not_privatizable () =
-  let attr = Liveness.attr live_prog 0 ~array:"W" in
+  let attr = Liveness.attr live_prog priv_env 0 ~array:"W" in
   Alcotest.(check string) "W live after F1" "R/W" (Liveness.attr_to_string attr)
 
 (* Upward-exposed read inside the phase: not privatizable either. *)
@@ -392,7 +393,7 @@ let exposed_prog =
     [ exposed_f1; priv_f2 ]
 
 let test_exposed_read () =
-  let attr = Liveness.attr exposed_prog 0 ~array:"W" in
+  let attr = Liveness.attr exposed_prog priv_env 0 ~array:"W" in
   Alcotest.(check string) "read before write" "R/W" (Liveness.attr_to_string attr)
 
 (* Repetition wraps liveness around: F1 writes W, F2 reads W, and with
@@ -402,10 +403,10 @@ let test_exposed_read () =
 let test_repeats_wrap () =
   let prog = { live_prog with repeats = true } in
   Alcotest.(check string) "wrap: W live" "R/W"
-    (Liveness.attr_to_string (Liveness.attr prog 0 ~array:"W"));
+    (Liveness.attr_to_string (Liveness.attr prog priv_env 0 ~array:"W"));
   (* C is written in F2 and never read, even on wrap: P. *)
   Alcotest.(check string) "wrap: C dead" "P"
-    (Liveness.attr_to_string (Liveness.attr prog 1 ~array:"C"))
+    (Liveness.attr_to_string (Liveness.attr prog priv_env 1 ~array:"C"))
 
 (* ------------------------------------------------------------------ *)
 (* Inter-procedural inlining with reshaping *)
@@ -517,13 +518,25 @@ let par_vars (prog : Types.program) =
       Option.map (fun (l : Phase.loop_info) -> l.var) ctx.par)
     prog.phases
 
+(* Every phase re-marked by the one marking decision, without the
+   reduction rewrite [Core.Lint.autopar] runs first. *)
+let mark (prog : Types.program) =
+  let envs = Core.Lint.default_envs prog in
+  {
+    prog with
+    phases =
+      List.map
+        (fun ph -> (Descriptor.Racecheck.decide ~envs prog ph).phase)
+        prog.phases;
+  }
+
 let test_autopar_recovers_markings () =
   (* Stripping the hand markings and re-deriving them restores the same
      parallel loop in every phase of every benchmark. *)
   List.iter
     (fun (e : Codes.Registry.entry) ->
       let stripped = strip_markings e.program in
-      let marked = Autopar.mark stripped in
+      let marked = mark stripped in
       (* every hand-marked parallel loop must be recovered exactly; a
          hand-sequential phase may legitimately gain parallelism (e.g.
          a read-only scan) *)
@@ -560,7 +573,7 @@ let test_autopar_rejects_recurrence () =
                ]));
       ]
   in
-  let marked = Autopar.mark prog in
+  let marked = mark prog in
   (* the outer j loop is independent (disjoint columns); the inner scan
      is not - autopar must pick j *)
   Alcotest.(check (list (option string))) "j chosen" [ Some "j" ] (par_vars marked);
@@ -578,7 +591,7 @@ let test_autopar_rejects_recurrence () =
                ]));
       ]
   in
-  let marked2 = Autopar.mark inner_only in
+  let marked2 = mark inner_only in
   Alcotest.(check (list (option string))) "nothing parallel" [ None ]
     (par_vars marked2)
 
@@ -598,7 +611,7 @@ let test_autopar_reduction_blocked () =
                ]));
       ]
   in
-  let marked = Autopar.mark prog in
+  let marked = mark prog in
   Alcotest.(check (list (option string))) "blocked" [ None ] (par_vars marked)
 
 (* Property: disjoint-write loops parallelize; adding a carried flow
@@ -620,10 +633,10 @@ let test_reduction_recognition () =
                ]));
       ]
   in
-  let blocked = Autopar.mark prog in
+  let blocked = mark prog in
   Alcotest.(check (list (option string))) "plain: blocked" [ None ]
     (par_vars blocked);
-  let transformed = Autopar.mark (Autopar.recognize_reductions prog) in
+  let transformed = Core.Lint.autopar prog in
   Alcotest.(check (list string)) "split into accumulate + combine"
     [ "SUM"; "SUM_COMBINE" ]
     (List.map (fun (p : Types.phase) -> p.phase_name) transformed.phases);
@@ -680,7 +693,7 @@ let prop_autopar_soundness =
               (Build.do_ "k" ~lo:(Expr.int 1) ~hi:(Expr.int n) refs_body);
           ]
       in
-      let marked = Autopar.mark prog in
+      let marked = mark prog in
       let ctx = Phase.analyze marked (List.hd marked.phases) in
       match (carried, ctx.par) with
       | true, None -> true

@@ -7,6 +7,7 @@ open Symbolic
 open Ir
 module Diag = Core.Diag
 module Lint = Core.Lint
+module Racecheck = Descriptor.Racecheck
 
 let v = Expr.var
 
@@ -19,8 +20,8 @@ let codes findings =
 
 let has code findings = List.mem code (codes findings)
 
-let check_has ?(racecheck = true) code p =
-  let findings = Lint.check ~racecheck p in
+let check_has code p =
+  let findings = Lint.check p in
   Alcotest.(check bool)
     (code ^ " fires")
     true (has code findings);
@@ -61,7 +62,7 @@ let test_multi_parallel () =
         { p with Types.phases = [ { ph with Types.nest = force ph.Types.nest } ] }
     | _ -> assert false
   in
-  let f = check_has ~racecheck:false "LINT-MULTI-PARALLEL" p in
+  let f = check_has "LINT-MULTI-PARALLEL" p in
   Alcotest.(check bool)
     "error severity" true
     (severity_of "LINT-MULTI-PARALLEL" f = Diag.Error)
@@ -74,7 +75,7 @@ let test_undeclared_array () =
         doall "k" ~lo:(int 0) ~hi:(v "N" - int 1)
           [ assign [ read "A" [ var "k" ]; write "B" [ var "k" ] ] ])
   in
-  ignore (check_has ~racecheck:false "LINT-UNDECLARED-ARRAY" p)
+  ignore (check_has "LINT-UNDECLARED-ARRAY" p)
 
 let test_rank_mismatch () =
   let p =
@@ -84,7 +85,7 @@ let test_rank_mismatch () =
         doall "k" ~lo:(int 0) ~hi:(v "N" - int 1)
           [ assign [ write "A" [ var "k" ] ] ])
   in
-  let f = check_has ~racecheck:false "LINT-SUBSCRIPT" p in
+  let f = check_has "LINT-SUBSCRIPT" p in
   Alcotest.(check bool)
     "rank mismatch is an error" true
     (severity_of "LINT-SUBSCRIPT" f = Diag.Error)
@@ -97,7 +98,7 @@ let test_nonaffine_subscript () =
         do_ "k" ~lo:(int 0) ~hi:(v "N" - int 1)
           [ assign [ write "A" [ var "k" * var "k" ] ] ])
   in
-  let f = check_has ~racecheck:false "LINT-SUBSCRIPT" p in
+  let f = check_has "LINT-SUBSCRIPT" p in
   Alcotest.(check bool)
     "non-affine is a warning" true
     (severity_of "LINT-SUBSCRIPT" f = Diag.Warning)
@@ -110,7 +111,7 @@ let test_unbound_param () =
         do_ "k" ~lo:(int 0) ~hi:(v "M" - int 1)
           [ assign [ write "A" [ var "k" ] ] ])
   in
-  ignore (check_has ~racecheck:false "LINT-UNBOUND-PARAM" p)
+  ignore (check_has "LINT-UNBOUND-PARAM" p)
 
 let test_nonnormal () =
   let p =
@@ -120,7 +121,7 @@ let test_nonnormal () =
         do_ "k" ~lo:(int 1) ~hi:(v "N" - int 1)
           [ assign [ write "A" [ var "k" ] ] ])
   in
-  let f = check_has ~racecheck:false "LINT-NONNORMAL" p in
+  let f = check_has "LINT-NONNORMAL" p in
   Alcotest.(check bool)
     "info severity" true
     (severity_of "LINT-NONNORMAL" f = Diag.Info)
@@ -133,7 +134,7 @@ let test_bounds () =
         do_ "k" ~lo:(int 0) ~hi:(v "N" - int 1)
           [ assign [ write "A" [ var "k" + var "N" ] ] ])
   in
-  ignore (check_has ~racecheck:false "LINT-BOUNDS" p)
+  ignore (check_has "LINT-BOUNDS" p)
 
 (* In bounds on every default sample, out of bounds at the analyzed
    extent: only the closed-form check at [at] sees it. *)
@@ -177,7 +178,7 @@ let test_dead_write () =
         do_ "k" ~lo:(int 0) ~hi:(v "N" - int 1)
           [ assign [ read "A" [ var "k" ]; write "B" [ var "k" ] ] ])
   in
-  let f = check_has ~racecheck:false "LINT-DEAD-WRITE" p in
+  let f = check_has "LINT-DEAD-WRITE" p in
   Alcotest.(check bool)
     "names the array" true
     (List.exists
@@ -307,24 +308,25 @@ let sample_dir () =
   in
   up (Sys.getcwd ())
 
-let test_samples_no_errors () =
+let sample_programs () =
   let dir = sample_dir () in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".dsm")
-    |> List.sort String.compare
-  in
-  Alcotest.(check bool) "found samples" true (files <> []);
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".dsm")
+  |> List.sort String.compare
+  |> List.map (fun f -> (f, Frontend.Parse.program_file (Filename.concat dir f)))
+
+let test_samples_no_errors () =
+  let samples = sample_programs () in
+  Alcotest.(check bool) "found samples" true (samples <> []);
   List.iter
-    (fun f ->
-      let p = Frontend.Parse.program_file (Filename.concat dir f) in
+    (fun (f, p) ->
       List.iter
         (fun (d : Diag.t) ->
           if d.Diag.severity = Diag.Error then
             Alcotest.failf "%s: unexpected lint error %s (%s)" f d.Diag.code
               d.Diag.message)
         (Lint.check p))
-    files
+    samples
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline and autopar wiring *)
@@ -371,9 +373,123 @@ let test_autopar_no_mismatch_diags () =
         0 (Diag.count c);
       Alcotest.(check int)
         (e.name ^ ": phase count preserved (modulo reduction splits)")
-        (List.length (Autopar.recognize_reductions e.program).Types.phases)
+        (List.length
+           (Autopar.recognize_reductions ~envs:(Lint.default_envs e.program)
+              e.program)
+             .Types.phases)
         (List.length marked.Types.phases))
     Codes.Registry.all
+
+(* ------------------------------------------------------------------ *)
+(* Pins: the loop autopar marks in each phase, and the enumeration lint
+   pays for its sampling *)
+
+let strip (p : Types.program) =
+  {
+    p with
+    Types.phases =
+      List.map
+        (fun (ph : Types.phase) ->
+          { ph with Types.nest = Autopar.clear_markings ph.Types.nest })
+        p.Types.phases;
+  }
+
+(* "PHASE=var/source" per phase ("PHASE=-" when none is marked), as
+   Lint.autopar decides; the phases it returns must carry exactly the
+   chosen marking. *)
+let marking p =
+  Symbolic.Probe.with_seed 2026 @@ fun () ->
+  let envs = Lint.default_envs p in
+  let reduced = Autopar.recognize_reductions ~envs p in
+  let marked = Lint.autopar p in
+  List.map2
+    (fun (ph : Types.phase) (out : Types.phase) ->
+      let d = Racecheck.decide ~envs reduced ph in
+      let chosen = Option.map fst d.Racecheck.chosen in
+      let out_paths =
+        List.filter
+          (fun path -> (Autopar.loop_at out.Types.nest path).Types.parallel)
+          (Autopar.loop_paths out.Types.nest)
+      in
+      if out_paths <> Option.to_list chosen then
+        Alcotest.failf "%s: Lint.autopar marks another loop" ph.Types.phase_name;
+      ph.Types.phase_name ^ "="
+      ^
+      match d.Racecheck.chosen with
+      | None -> "-"
+      | Some (path, source) ->
+          Autopar.loop_var_at ph.Types.nest path
+          ^ if source = Racecheck.Certified then "/certified" else "/sampled")
+    reduced.Types.phases marked.Types.phases
+  |> String.concat " "
+
+let marking_golden =
+  [
+    ("tfft2", "F1=M/certified F2=J/sampled F3=I/sampled F4=I/certified F5=J/certified F6=J/certified F7=J/certified F8=M/certified");
+    ("jacobi2d", "SWEEP=c/certified COPY=c/certified");
+    ("swim", "CALC1=c/certified CALC2=c/certified CALC3=c/certified");
+    ("tomcatv", "RESID=c/certified NORM=c/certified COMBINE=c/certified UPDATE=c/certified");
+    ("matmul", "INIT=j/certified MULT=j/certified SCALE=j/certified");
+    ("adi", "COLSWEEP=c/certified ROWSWEEP=r/certified");
+    ("redblack", "RED=i/certified BLACK=i/certified");
+    ("trisolve", "SOLVE=j/certified REDUCE=j/certified");
+    ("mgrid", "SMOOTHF=i/certified RESTRICT=i/certified SMOOTHC=i/certified PROLONG=i/certified");
+    ("adi.dsm", "COLSWEEP=c/certified ROWSWEEP=r/certified");
+    ("jacobi.dsm", "SWEEP=c/certified COPY=c/certified");
+    ("jacobi2d.dsm", "SWEEP=c/certified COPY=c/certified");
+    ("matmul.dsm", "INIT=j/certified MULT=j/certified SCALE=j/certified");
+    ("mgrid.dsm", "SMOOTHF=i/certified RESTRICT=i/certified SMOOTHC=i/certified PROLONG=i/certified");
+    ("producer_consumer.dsm", "PRODUCE=i/certified CONSUME=k/certified");
+    ("redblack.dsm", "RED=i/certified BLACK=i/certified");
+    ("reshape_calls.dsm", "INIT=j/certified C1_SMOOTH=j/certified C2_SMOOTH=j/certified USE=k/certified");
+    ("swim.dsm", "CALC1=c/certified CALC2=c/certified CALC3=c/certified");
+    ("tfft2.dsm", "F1=M/certified F2=J/sampled F3=I/sampled F4=I/certified F5=J/certified F6=J/certified F7=J/certified F8=M/certified");
+    ("tfft2_f3.dsm", "F3=I/sampled");
+    ("tomcatv.dsm", "RESID=c/certified NORM=c/certified COMBINE=c/certified UPDATE=c/certified");
+    ("trisolve.dsm", "SOLVE=j/certified REDUCE=j/certified");
+  ]
+
+let test_marking_golden () =
+  let programs =
+    List.map (fun (e : Codes.Registry.entry) -> (e.name, strip e.program)) Codes.Registry.all
+    @ sample_programs ()
+  in
+  Alcotest.(check (list string)) "programs" (List.map fst marking_golden) (List.map fst programs);
+  List.iter2
+    (fun (name, expected) (_, p) -> Alcotest.(check string) name expected (marking p))
+    marking_golden programs
+
+(* enum.iter and enum.addresses after Lint.check at each kernel's
+   default size: a rule that starts sampling loops the certifier
+   already decided shows up here. *)
+let sampling_golden =
+  [
+    ("tfft2", (9, 19968));
+    ("jacobi2d", (0, 0));
+    ("swim", (0, 0));
+    ("tomcatv", (0, 0));
+    ("matmul", (0, 0));
+    ("adi", (0, 0));
+    ("redblack", (0, 0));
+    ("trisolve", (0, 0));
+    ("mgrid", (0, 0));
+  ]
+
+let enum_counts (e : Codes.Registry.entry) =
+  Symbolic.Probe.with_seed 2026 @@ fun () ->
+  Metrics.reset ();
+  ignore (Lint.check ~at:(e.env_of_size e.default_size) e.program);
+  let c = (Metrics.snapshot ()).Metrics.counters in
+  (List.assoc "enum.iter" c, List.assoc "enum.addresses" c)
+
+let test_sampling_pin () =
+  Alcotest.(check (list string)) "kernels" (List.map fst sampling_golden)
+    (List.map (fun (e : Codes.Registry.entry) -> e.name) Codes.Registry.all);
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check (pair int int)) (name ^ " enum.iter, enum.addresses") expected
+        (enum_counts (Codes.Registry.find name)))
+    sampling_golden
 
 let () =
   Alcotest.run "lint"
@@ -412,5 +528,10 @@ let () =
             test_pipeline_strict_refuses;
           Alcotest.test_case "autopar mismatch-free" `Quick
             test_autopar_no_mismatch_diags;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "autopar marking" `Quick test_marking_golden;
+          Alcotest.test_case "lint sampling cost" `Quick test_sampling_pin;
         ] );
     ]

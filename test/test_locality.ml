@@ -310,8 +310,8 @@ let test_chain_summaries () =
         x_chain.covers_alike)
 
 let test_stability_envs_deterministic () =
-  let a = Stability.sample_envs ~samples:3 Codes.Tfft2.program in
-  let b = Stability.sample_envs ~samples:3 Codes.Tfft2.program in
+  let a = Stability.sample_envs Codes.Tfft2.program in
+  let b = Stability.sample_envs Codes.Tfft2.program in
   Alcotest.(check int) "same count" (List.length a) (List.length b);
   List.iter2
     (fun ea eb ->

@@ -294,7 +294,7 @@ let test_registry_marked_loops_certified () =
     Codes.Registry.all
 
 (* ------------------------------------------------------------------ *)
-(* Certified marking through Autopar *)
+(* Certified marking through Racecheck.decide *)
 
 let strip (prog : Types.program) : Types.program =
   {
@@ -317,7 +317,16 @@ let test_certified_mark_recovers_markings () =
   List.iter
     (fun (e : Codes.Registry.entry) ->
       let stripped = strip e.program in
-      let marked = Autopar.mark ~certify:Racecheck.certifier stripped in
+      let envs = Core.Lint.default_envs stripped in
+      let marked =
+        {
+          stripped with
+          phases =
+            List.map
+              (fun ph -> (Racecheck.decide ~envs stripped ph).phase)
+              stripped.phases;
+        }
+      in
       List.iter2
         (fun original recovered ->
           match original with
@@ -333,13 +342,16 @@ let test_no_mismatches_on_registry () =
   List.iter
     (fun (e : Codes.Registry.entry) ->
       let stripped = strip e.program in
+      let envs = Core.Lint.default_envs stripped in
       List.iter
         (fun ph ->
-          let d = Autopar.decide ~certify:Racecheck.certifier stripped ph in
+          let d = Racecheck.decide ~envs stripped ph in
           List.iter
-            (fun (r : Autopar.probe_report) ->
-              Alcotest.failf "%s: RACE-ORACLE-MISMATCH at loop %s" e.name r.var)
-            (Autopar.mismatches d))
+            (fun (p : Racecheck.probe) ->
+              if Racecheck.mismatch p then
+                Alcotest.failf "%s: RACE-ORACLE-MISMATCH at loop %s" e.name
+                  p.var)
+            d.probes)
         stripped.phases)
     Codes.Registry.all
 
@@ -354,14 +366,19 @@ let test_decision_source_recorded () =
           [ assign [ write "A" [ var "k" ] ] ])
   in
   let d =
-    Autopar.decide ~certify:Racecheck.certifier prog (List.hd prog.phases)
+    Racecheck.decide ~envs:(Core.Lint.default_envs prog) prog
+      (List.hd prog.phases)
   in
   (match d.chosen with
-  | Some ([], Autopar.Certified) -> ()
-  | Some (_, Autopar.Sampled) -> Alcotest.fail "expected a certified decision"
+  | Some ([], Racecheck.Certified) -> ()
+  | Some (_, Racecheck.Sampled) -> Alcotest.fail "expected a certified decision"
   | _ -> Alcotest.fail "expected the root loop to be chosen");
   match d.probes with
-  | [ { static_verdict = Some `Independent; sampled = Some true; _ } ] -> ()
+  | [ ({ verdict = Proved_independent; sampled = Some true; _ } as p) ] ->
+      (* agreement is no mismatch; a refuting sample would be one *)
+      Alcotest.(check (list bool)) "mismatch" [ false; true; false ]
+        (List.map Racecheck.mismatch
+           [ p; { p with sampled = Some false }; { p with sampled = None } ])
   | _ -> Alcotest.fail "probe trail incomplete"
 
 let () =
