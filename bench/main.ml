@@ -13,6 +13,8 @@ open Symbolic
 open Descriptor
 open Locality
 
+let tfft2 = (Codes.Registry.find "tfft2").program
+
 let sep title =
   Printf.printf "\n==================== %s ====================\n" title
 
@@ -23,7 +25,7 @@ let sep title =
    initialization would run phase analysis and probe-driven
    simplification before [Probe.with_seed] takes effect in [main],
    making the printed artifacts depend on the ambient seed. *)
-let fig1_prog = Codes.Tfft2.fig1_program
+let fig1_prog = Codes.Registry.fig1
 let f3_ctx = lazy (Ir.Phase.analyze fig1_prog (List.hd fig1_prog.phases))
 let x_raw () = Pd.of_phase (Lazy.force f3_ctx) ~array:"X"
 let x_final = lazy (Unionize.simplify (x_raw ()))
@@ -149,7 +151,7 @@ let fig5 () =
   show "c: overlap, paper Delta_s = 5" overlap
 
 let lcg_44 =
-  lazy (Lcg.build Codes.Tfft2.program ~env:(Codes.Tfft2.env ~p:4 ~q:4) ~h:4)
+  lazy (Lcg.build tfft2 ~env:((Codes.Registry.find "tfft2").env_of_size 4) ~h:4)
 
 let fig6 () =
   sep "Fig. 6: LCG of the TFFT2 section (H=4, P=Q=16)";
@@ -366,7 +368,7 @@ let eq7 () =
   List.iter
     (fun h ->
       let lcg =
-        Lcg.build Codes.Tfft2.program ~env:(Codes.Tfft2.env ~p:4 ~q:4) ~h
+        Lcg.build tfft2 ~env:((Codes.Registry.find "tfft2").env_of_size 4) ~h
       in
       let model = Ilp.Model.of_lcg lcg in
       let r = Ilp.Solve.solve model (Ilp.Cost.default_machine ~h) in
@@ -482,7 +484,7 @@ let weak_scaling () =
 
 let stability () =
   sep "Compile-time label stability (TFFT2, sampled sizes, H = 2..64)";
-  let t = Locality.Stability.analyze Codes.Tfft2.program in
+  let t = Locality.Stability.analyze tfft2 in
   Format.printf "@[<v>%a@]@." Locality.Stability.pp t;
   Printf.printf
     "reading: couplings like P p4 = Q p5 and 2Q p7 = p8 hold while the\n\

@@ -13,8 +13,8 @@ open Locality
 let () =
   let n = 1 lsl (try int_of_string Sys.argv.(1) with _ -> 5) in
   let h = try int_of_string Sys.argv.(2) with _ -> 4 in
-  let prog = Codes.Jacobi.program in
-  let env = Codes.Jacobi.env ~n in
+  let prog = (Codes.Registry.find "jacobi2d").program in
+  let env = Symbolic.Env.of_list [ ("N", n) ] in
 
   Format.printf "=== Jacobi 2-D, N = %d, H = %d ===@.@." n h;
 

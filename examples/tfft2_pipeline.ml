@@ -15,13 +15,14 @@ let () =
   let p = try int_of_string Sys.argv.(1) with _ -> 4 in
   let q = try int_of_string Sys.argv.(2) with _ -> 4 in
   let h = try int_of_string Sys.argv.(3) with _ -> 4 in
-  let env = Codes.Tfft2.env ~p ~q in
+  let tfft2 = (Codes.Registry.find "tfft2").program in
+  let env = Codes.Registry.bind tfft2 [ ("p", p); ("q", q) ] in
 
   Format.printf "=== TFFT2 (P = 2^%d = %d, Q = 2^%d = %d, H = %d) ===@.@."
     p (1 lsl p) q (1 lsl q) h;
 
   (* Fig. 1 / Fig. 2: phase F3 and its ARDs. *)
-  let fig1 = Codes.Tfft2.fig1_program in
+  let fig1 = Codes.Registry.fig1 in
   let ctx = Ir.Phase.analyze fig1 (List.hd fig1.phases) in
   Format.printf "--- Fig. 2: ARDs of X in F3 (normalized loops) ---@.";
   List.iter
@@ -59,7 +60,7 @@ let () =
   | None -> Format.printf "  memory gap: n/a@.");
 
   (* The full pipeline: Fig. 6 LCG, Table 2, solution, plan. *)
-  let t = Core.Pipeline.run Codes.Tfft2.program ~env ~h in
+  let t = Core.Pipeline.run tfft2 ~env ~h in
   Format.printf "@.--- Fig. 6 LCG + Table 2 + solution ---@.%a@.@."
     Core.Pipeline.report t;
 

@@ -10,63 +10,38 @@ type entry = {
 
 let pow2 s = if s < Sys.int_size - 1 then 1 lsl s else 0
 
+(* The sources are compiled in, so a parse error is a defect of the
+   build, reported when the library is initialized. *)
+let parse file source =
+  try Frontend.Parse.program source
+  with Frontend.Parse.Error { line; message } ->
+    failwith (Printf.sprintf "examples/programs/%s.dsm:%d: %s" file line message)
+
+let bind (p : program) binds =
+  let derived (x, d) =
+    match d with
+    | Assume.Pow2_of base -> Option.map (fun v -> (x, pow2 v)) (List.assoc_opt base binds)
+    | _ -> None
+  in
+  Env.of_list (binds @ List.filter_map derived (Assume.to_list p.params))
+
+let entry ?(knob = fun s -> [ ("N", pow2 s) ]) name source default_size =
+  let program = parse name source in
+  { name; program; env_of_size = (fun s -> bind program (knob s)); default_size }
+
 let all =
   [
-    {
-      name = "tfft2";
-      program = Tfft2.program;
-      env_of_size = (fun s -> Tfft2.env ~p:s ~q:s);
-      default_size = 5;
-    };
-    {
-      name = "jacobi2d";
-      program = Jacobi.program;
-      env_of_size = (fun s -> Jacobi.env ~n:(pow2 s));
-      default_size = 5;
-    };
-    {
-      name = "swim";
-      program = Swim.program;
-      env_of_size = (fun s -> Swim.env ~n:(pow2 s));
-      default_size = 5;
-    };
-    {
-      name = "tomcatv";
-      program = Tomcatv.program;
-      env_of_size = (fun s -> Tomcatv.env ~n:(pow2 s));
-      default_size = 5;
-    };
-    {
-      name = "matmul";
-      program = Matmul.program;
-      env_of_size = (fun s -> Matmul.env ~n:(pow2 s));
-      default_size = 4;
-    };
-    {
-      name = "adi";
-      program = Adi.program;
-      env_of_size = (fun s -> Adi.env ~n:(pow2 s));
-      default_size = 5;
-    };
-    {
-      name = "redblack";
-      program = Redblack.program;
-      env_of_size = (fun s -> Redblack.env ~n:(pow2 s));
-      default_size = 6;
-    };
-    {
-      name = "trisolve";
-      program = Trisolve.program;
-      env_of_size = (fun s -> Trisolve.env ~n:(pow2 s));
-      default_size = 4;
-    };
-    {
-      name = "mgrid";
-      program = Mgrid.program;
-      env_of_size = (fun s -> Mgrid.env ~n:(pow2 s));
-      default_size = 7;
-    };
+    entry "tfft2" Sources.tfft2 5 ~knob:(fun s -> [ ("p", s); ("q", s) ]);
+    entry "jacobi2d" Sources.jacobi2d 5;
+    entry "swim" Sources.swim 5;
+    entry "tomcatv" Sources.tomcatv 5;
+    entry "matmul" Sources.matmul 4;
+    entry "adi" Sources.adi 5;
+    entry "redblack" Sources.redblack 6;
+    entry "trisolve" Sources.trisolve 4;
+    entry "mgrid" Sources.mgrid 7;
   ]
 
+let fig1 = parse "tfft2_f3" Sources.tfft2_f3
 let find name = List.find (fun e -> String.equal e.name name) all
 let names = List.map (fun e -> e.name) all

@@ -209,21 +209,30 @@ and parse_loop st : Types.stmt =
   Types.Loop { var; lo; hi; step; parallel; body }
 
 and parse_stmt st : Types.stmt =
-  (* ref [= expr] [work N] *)
-  let name = expect_ident st in
-  if not (is_array st name) then fail st (name ^ " is not a declared array");
-  expect st Lexer.LPAREN;
-  let subscripts = parse_subscripts st [] in
-  let lhs = { Types.array = name; index = subscripts; access = Types.Write } in
-  let refs, is_assign =
+  (* ref {, ref} [= expr] [work N]: with [=] the listed references are
+     written after the right-hand side's reads; without it they are
+     read-only sinks *)
+  let rec parse_refs acc =
+    let name = expect_ident st in
+    if not (is_array st name) then fail st (name ^ " is not a declared array");
+    expect st Lexer.LPAREN;
+    let index = parse_subscripts st [] in
+    let acc = { Types.array = name; index; access = Types.Read } :: acc in
+    if Lexer.peek st.lx = Lexer.COMMA then begin
+      ignore (Lexer.next st.lx);
+      parse_refs acc
+    end
+    else List.rev acc
+  in
+  let listed = parse_refs [] in
+  let refs =
     if Lexer.peek st.lx = Lexer.EQUAL then begin
       ignore (Lexer.next st.lx);
       let rhs = parse_expr st in
-      (rhs.reads @ [ lhs ], true)
+      rhs.reads @ List.map (fun r -> { r with Types.access = Types.Write }) listed
     end
-    else ([ { lhs with access = Types.Read } ], false)
+    else listed
   in
-  ignore is_assign;
   let work =
     if Lexer.peek st.lx = Lexer.KW "work" then begin
       ignore (Lexer.next st.lx);

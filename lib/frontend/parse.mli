@@ -27,10 +27,11 @@
     - [real A(e1, e2, ...)] declares an array with symbolic extents.
     - [phase NAME:] introduces one loop nest; [doall] marks the (single)
       parallel loop.  Loop syntax: [do I = lo, hi [step s]] ... [end].
-    - A statement [A(e) = rhs [work N]] writes its left-hand reference
-      and reads every array reference in [rhs]; [work] sets the
-      abstract per-execution cost (default 1).  A bare reference line
-      [A(e)] is a read-only sink.
+    - A statement [A(e1), B(e2) = rhs [work N]] writes every
+      reference listed before [=] and reads every array reference in
+      [rhs]; its references are the reads, in order, then the writes.
+      [work] sets the abstract per-execution cost (default 1).  A bare
+      list [A(e1), B(e2) [work N]] is one read-only statement.
     - [sub NAME(A(dims), ...)] ... [endsub] declares a subroutine over
       dummy arrays; [call NAME(G, G2(offset))] splices its phases with
       each formal rebound to the actual array section (Fortran

@@ -3,41 +3,27 @@ open Ir.Types
 
 let expr = Expr.pp
 
-let pp_ref ppf (r : array_ref) =
-  Format.fprintf ppf "%s(%a)" r.array
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       expr)
-    r.index
+let pp_list sep pp =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf sep) pp
 
-(* One Assign may carry several writes; the surface grammar has one
-   write per statement, so extra writes are emitted as separate
-   zero-work statements (the access multiset and total work are
-   preserved). *)
+let pp_ref ppf (r : array_ref) =
+  Format.fprintf ppf "%s(%a)" r.array (pp_list ", " expr) r.index
+
+(* Each Assign is one statement: its writes before [=] and its reads
+   after it ([0] when there are none), or, when nothing is written, its
+   reads as a bare list.  The parser puts a statement's reads before its
+   writes, so the trip is exact on the IR's reads-then-writes order. *)
 let pp_assign ppf (a : assign) =
   let reads, writes =
     List.partition (fun r -> equal_access r.access Read) a.refs
   in
-  match writes with
-  | [] ->
-      (* read-only sinks, one per line *)
-      Format.pp_print_list
-        ~pp_sep:Format.pp_print_cut
-        (fun ppf r -> pp_ref ppf r)
-        ppf reads
-  | w :: rest ->
-      Format.fprintf ppf "%a = %a" pp_ref w
-        (fun ppf -> function
-          | [] -> Format.pp_print_string ppf "0"
-          | reads ->
-              Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " + ")
-                pp_ref ppf reads)
-        reads;
-      if a.work <> 1 then Format.fprintf ppf " work %d" a.work;
-      List.iter
-        (fun w -> Format.fprintf ppf "@,%a = 0 work 0" pp_ref w)
-        rest
+  (match (writes, reads) with
+  | [], _ -> pp_list ", " pp_ref ppf reads
+  | _, [] -> Format.fprintf ppf "%a = 0" (pp_list ", " pp_ref) writes
+  | _ ->
+      Format.fprintf ppf "%a = %a" (pp_list ", " pp_ref) writes
+        (pp_list " + " pp_ref) reads);
+  if a.work <> 1 then Format.fprintf ppf " work %d" a.work
 
 let rec pp_stmt ppf = function
   | Assign a -> pp_assign ppf a
@@ -64,11 +50,7 @@ let program ppf (p : program) =
     (Assume.to_list p.params);
   List.iter
     (fun (a : array_decl) ->
-      Format.fprintf ppf "real %s(%a)@," a.name
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           expr)
-        a.dims)
+      Format.fprintf ppf "real %s(%a)@," a.name (pp_list ", " expr) a.dims)
     p.arrays;
   List.iter
     (fun (ph : phase) ->

@@ -174,71 +174,67 @@ let recognize_reductions ~envs (prog : program) : program =
     List.concat_map
       (fun (ph : phase) ->
         let root = ph.nest in
-        (* only attack phases whose root loop is not already independent *)
-        let root_indep = sampled ~envs prog ph ~loop_path:[] = Some true in
-        if root_indep then [ ph ]
-        else begin
-          (* candidate accumulators: arrays whose every appearance is a
-             read-modify-write with a loop-invariant subscript *)
-          let arrays = Types.phase_arrays ph in
-          let candidates =
-            List.filter_map
-              (fun a ->
-                Option.map (fun e -> (a, e)) (accumulator_subscript ph a))
-              arrays
-          in
-          match candidates with
-          | [] -> [ ph ]
-          | (acc, e) :: _ ->
-              let part = "__red_" ^ acc in
-              let v = root.var in
-              let rewritten =
-                match subst_acc ~acc ~part v (Loop root) with
-                | Loop nest -> { ph with nest }
-                | Assign _ -> assert false
-              in
-              (* is the rewritten root loop independent now? *)
-              let count = Expr.add (Expr.sub root.hi root.lo) Expr.one in
-              let trial_prog =
+        (* candidate accumulators: arrays whose every appearance is a
+           read-modify-write with a loop-invariant subscript *)
+        let candidates =
+          List.filter_map
+            (fun a -> Option.map (fun e -> (a, e)) (accumulator_subscript ph a))
+            (Types.phase_arrays ph)
+        in
+        (* only attack phases that have one and whose root loop is not
+           already independent *)
+        match candidates with
+        | [] -> [ ph ]
+        | _ when sampled ~envs prog ph ~loop_path:[] = Some true -> [ ph ]
+        | (acc, e) :: _ ->
+            let part = "__red_" ^ acc in
+            let v = root.var in
+            let rewritten =
+              match subst_acc ~acc ~part v (Loop root) with
+              | Loop nest -> { ph with nest }
+              | Assign _ -> assert false
+            in
+            (* is the rewritten root loop independent now? *)
+            let count = Expr.add (Expr.sub root.hi root.lo) Expr.one in
+            let trial_prog =
+              {
+                prog with
+                arrays = prog.arrays @ [ { name = part; dims = [ count ] } ];
+              }
+            in
+            let indep =
+              sampled ~envs trial_prog rewritten ~loop_path:[] = Some true
+            in
+            if not indep then [ ph ]
+            else begin
+              fresh_arrays := { name = part; dims = [ count ] } :: !fresh_arrays;
+              let combine =
                 {
-                  prog with
-                  arrays = prog.arrays @ [ { name = part; dims = [ count ] } ];
+                  phase_name = ph.phase_name ^ "_COMBINE";
+                  nest =
+                    {
+                      var = v;
+                      lo = Expr.zero;
+                      hi = Expr.sub count Expr.one;
+                      step = Expr.one;
+                      parallel = false;
+                      body =
+                        [
+                          Assign
+                            {
+                              refs =
+                                [
+                                  { array = part; index = [ Expr.var v ]; access = Read };
+                                  { array = acc; index = [ e ]; access = Write };
+                                ];
+                              work = 1;
+                            };
+                        ];
+                    };
                 }
               in
-              let indep =
-                sampled ~envs trial_prog rewritten ~loop_path:[] = Some true
-              in
-              if not indep then [ ph ]
-              else begin
-                fresh_arrays := { name = part; dims = [ count ] } :: !fresh_arrays;
-                let combine =
-                  {
-                    phase_name = ph.phase_name ^ "_COMBINE";
-                    nest =
-                      {
-                        var = v;
-                        lo = Expr.zero;
-                        hi = Expr.sub count Expr.one;
-                        step = Expr.one;
-                        parallel = false;
-                        body =
-                          [
-                            Assign
-                              {
-                                refs =
-                                  [
-                                    { array = part; index = [ Expr.var v ]; access = Read };
-                                    { array = acc; index = [ e ]; access = Write };
-                                  ];
-                                work = 1;
-                              };
-                          ];
-                      };
-                  }
-                in
-                [ rewritten; combine ]
-              end
-        end)
+              [ rewritten; combine ]
+            end)
       prog.phases
   in
   { prog with phases; arrays = prog.arrays @ List.rev !fresh_arrays }

@@ -1,4 +1,6 @@
-(** Combinator DSL for writing benchmark kernels in the IR.
+(** Combinator DSL for building IR programs in OCaml (tests, synthetic
+    phases, examples); the benchmark kernels are written in the
+    surface language instead ([examples/programs/*.dsm]).
 
     Mirrors the Fortran surface syntax of the paper's examples:
     {[

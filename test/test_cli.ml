@@ -116,7 +116,7 @@ let () =
           case "file with an overflowing --env exits 124"
             (exits ~stderr:"out of range" 124
                [
-                 "file"; "../examples/programs/jacobi.dsm"; "--env";
+                 "file"; "../examples/programs/jacobi2d.dsm"; "--env";
                  "N=4611686018427387903";
                ]);
           case "file with an overflowing range fails its LCG stage"
@@ -136,7 +136,7 @@ let () =
           case "unknown code exits 1" (exits 1 [ "analyze"; "no-such-kernel" ]);
           case "malformed --env binding exits 1"
             (exits ~stderr:"bad binding" 1
-               [ "file"; "../examples/programs/jacobi.dsm"; "--env"; "N=abc" ]);
+               [ "file"; "../examples/programs/jacobi2d.dsm"; "--env"; "N=abc" ]);
         ] );
       ( "rejected arguments",
         List.map
@@ -161,8 +161,8 @@ let () =
             [ "batch"; "jacobi2d"; "--size"; "62" ];
             (* an --env under which a declared array's size (N*N)
                overflows *)
-            [ "file"; "--env"; "N=4294967296"; "../examples/programs/jacobi.dsm" ];
-            [ "file"; "--env"; "N=3037000500"; "../examples/programs/jacobi.dsm" ];
+            [ "file"; "--env"; "N=4294967296"; "../examples/programs/jacobi2d.dsm" ];
+            [ "file"; "--env"; "N=3037000500"; "../examples/programs/jacobi2d.dsm" ];
             (* more job domains than OCaml keeps alive; refused before
                any is spawned *)
             [ "batch"; "--all"; "--jobs"; "128" ];

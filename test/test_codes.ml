@@ -5,6 +5,8 @@ open Symbolic
 open Ir
 open Locality
 
+let tfft2 = (Codes.Registry.find "tfft2").program
+
 let graph_of (lcg : Lcg.t) array =
   List.find (fun (g : Lcg.graph) -> String.equal g.array array) lcg.graphs
 
@@ -143,11 +145,11 @@ let test_swim_all_chains () =
 (* The fig-1-only program stays in sync with the full pipeline's F3. *)
 let test_tfft2_fig1_consistency () =
   Probe.with_seed 66 (fun () ->
-      let fig1 = Codes.Tfft2.fig1_program in
-      let full = Codes.Tfft2.program in
+      let fig1 = Codes.Registry.fig1 in
+      let full = tfft2 in
       let f3_fig1 = List.hd fig1.phases in
       let f3_full = List.nth full.phases 2 in
-      let env = Codes.Tfft2.env ~p:3 ~q:2 in
+      let env = Codes.Registry.bind tfft2 [ ("p", 3); ("q", 2) ] in
       let a = Enumerate.address_set fig1 env f3_fig1 ~array:"X" in
       let b = Enumerate.address_set full env f3_full ~array:"X" in
       Alcotest.(check (list int)) "same X footprint"

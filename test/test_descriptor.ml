@@ -8,6 +8,8 @@ open Symbolic
 open Ir
 open Descriptor
 
+let tfft2 = (Codes.Registry.find "tfft2").program
+
 let expr = Alcotest.testable Expr.pp Expr.equal
 let v = Expr.var
 let i = Expr.int
@@ -17,7 +19,7 @@ let ( * ) = Expr.mul
 let ( / ) = Expr.div
 let p2 = Expr.pow2
 
-let fig1 = Codes.Tfft2.fig1_program
+let fig1 = Codes.Registry.fig1
 let f3_ctx = Phase.analyze fig1 (List.hd fig1.phases)
 let asm = f3_ctx.assume
 let peq msg a b = Alcotest.(check bool) msg true (Probe.equal asm a b)
@@ -234,7 +236,7 @@ let test_no_overlap_dense () =
 
 let test_f8_symmetry () =
   Probe.with_seed 16 (fun () ->
-      let prog = Codes.Tfft2.program in
+      let prog = tfft2 in
       let id = id_of prog "F8" "X" in
       let sym = Symmetry.analyze id in
       let pq = v "P" * v "Q" in
@@ -252,7 +254,7 @@ let test_f8_symmetry () =
 
 let test_f2_columns () =
   Probe.with_seed 17 (fun () ->
-      let prog = Codes.Tfft2.program in
+      let prog = tfft2 in
       let ph = List.nth prog.phases 1 in
       let ctx = Phase.analyze prog ph in
       let pd = Unionize.simplify (Pd.of_phase ctx ~array:"X") in
@@ -274,7 +276,7 @@ let test_f2_columns () =
    region and disappears; one dense RW row of width 2P remains. *)
 let test_f3_workspace_containment () =
   Probe.with_seed 18 (fun () ->
-      let prog = Codes.Tfft2.program in
+      let prog = tfft2 in
       let ph = List.nth prog.phases 2 in
       let ctx = Phase.analyze prog ph in
       let pd = Unionize.simplify (Pd.of_phase ctx ~array:"Y") in
@@ -393,7 +395,7 @@ let test_tfft2_region_oracle () =
       let pd = x_pd_final () in
       List.iter
         (fun (p, q) ->
-          let env = Codes.Tfft2.env ~p ~q in
+          let env = Codes.Registry.bind tfft2 [ ("p", p); ("q", q) ] in
           let got = Region.sorted (Region.addresses env pd ~par:None) in
           let expected =
             Region.sorted

@@ -1,5 +1,5 @@
 (* Tests for the surface-language frontend: lexing, parsing, error
-   reporting, and semantic agreement with the DSL-built kernels. *)
+   reporting, and the unparse/parse round trip. *)
 
 open Symbolic
 open Ir
@@ -41,14 +41,14 @@ let test_parse_tfft2 () =
   | Some l -> Alcotest.(check string) "parallel over I" "I" l.var
   | None -> Alcotest.fail "expected a parallel loop"
 
-(* The parsed phase touches exactly the same addresses as the DSL-built
-   Fig. 1 program, read/write multiset included. *)
+(* The parsed phase touches exactly the same addresses as the
+   registry's Fig. 1 program, read/write multiset included. *)
 let test_tfft2_semantics () =
   let parsed = parse tfft2_src in
-  let built = Codes.Tfft2.fig1_program in
+  let built = Codes.Registry.fig1 in
   List.iter
     (fun (p, q) ->
-      let env = Codes.Tfft2.env ~p ~q in
+      let env = Codes.Registry.bind built [ ("p", p); ("q", q) ] in
       let a =
         Enumerate.addresses parsed env (List.hd parsed.phases) ~array:"X"
       in
@@ -89,7 +89,7 @@ let sample name =
   up (Sys.getcwd ())
 
 let test_parse_file () =
-  let prog = Parse.program_file (sample "jacobi.dsm") in
+  let prog = Parse.program_file (sample "jacobi2d.dsm") in
   Alcotest.(check string) "name" "jacobi2d" prog.Types.prog_name;
   Alcotest.(check bool) "repeats" true prog.repeats;
   Alcotest.(check int) "two phases" 2 (List.length prog.phases);
@@ -191,19 +191,79 @@ let same_events prog_a prog_b env =
            prog_a.arrays)
        prog_a.phases prog_b.phases
 
+(* Structural identity of two programs: the names of the fields that
+   differ (name, params, arrays, phases, repeats), expressions compared
+   with [Expr.equal], references in order with their access and work. *)
+let differences (a : Types.program) (b : Types.program) =
+  let all2 f x y = List.length x = List.length y && List.for_all2 f x y in
+  let exprs = all2 Expr.equal in
+  let domain (x, d) (y, e) =
+    String.equal x y
+    &&
+    match (d, e) with
+    | Assume.Int_range (l, h), Assume.Int_range (l', h') -> l = l' && h = h'
+    | Assume.Pow2_of v, Assume.Pow2_of w -> String.equal v w
+    | Assume.Expr_range (l, h), Assume.Expr_range (l', h') ->
+        Expr.equal l l' && Expr.equal h h'
+    | _ -> false
+  in
+  let reference (r : Types.array_ref) (s : Types.array_ref) =
+    String.equal r.array s.array
+    && Types.equal_access r.access s.access
+    && exprs r.index s.index
+  in
+  let rec stmt x y =
+    match (x, y) with
+    | Types.Assign x, Types.Assign y -> x.work = y.work && all2 reference x.refs y.refs
+    | Types.Loop x, Types.Loop y -> loop x y
+    | _ -> false
+  and loop (x : Types.loop) (y : Types.loop) =
+    String.equal x.var y.var && x.parallel = y.parallel
+    && exprs [ x.lo; x.hi; x.step ] [ y.lo; y.hi; y.step ]
+    && all2 stmt x.body y.body
+  in
+  [
+    ("name", String.equal a.prog_name b.prog_name);
+    ("params", all2 domain (Assume.to_list a.params) (Assume.to_list b.params));
+    ( "arrays",
+      all2
+        (fun (x : Types.array_decl) (y : Types.array_decl) ->
+          String.equal x.name y.name && exprs x.dims y.dims)
+        a.arrays b.arrays );
+    ( "phases",
+      all2
+        (fun (x : Types.phase) (y : Types.phase) ->
+          String.equal x.phase_name y.phase_name && loop x.nest y.nest)
+        a.phases b.phases );
+    ("repeats", a.repeats = b.repeats);
+  ]
+  |> List.filter_map (fun (field, same) -> if same then None else Some field)
+
+let check_roundtrip (label, prog) =
+  match Parse.program (Unparse.to_string prog) with
+  | parsed ->
+      Alcotest.(check (list string)) (label ^ " roundtrip") [] (differences prog parsed)
+  | exception Parse.Error { line; message } ->
+      Alcotest.fail
+        (Printf.sprintf "%s: unparsed text fails to parse at line %d: %s" label
+           line message)
+
+(* Parse (Unparse p) = p for the registry kernels and Fig. 1 ... *)
 let test_roundtrip_registry () =
-  List.iter
-    (fun (e : Codes.Registry.entry) ->
-      let text = Unparse.to_string e.program in
-      match Parse.program text with
-      | prog ->
-          Alcotest.(check bool) (e.name ^ " roundtrip") true
-            (same_events e.program prog (e.env_of_size 3))
-      | exception Parse.Error { line; message } ->
-          Alcotest.fail
-            (Printf.sprintf "%s: unparsed text fails to parse at line %d: %s"
-               e.name line message))
-    Codes.Registry.all
+  List.iter check_roundtrip
+    (("fig1", Codes.Registry.fig1)
+    :: List.map (fun (e : Codes.Registry.entry) -> (e.name, e.program)) Codes.Registry.all)
+
+(* ... and for the fuzz campaign 2026: default programs #0-199, deep
+   #0-11. *)
+let test_roundtrip_fuzz () =
+  let campaign name profile count =
+    List.init count (fun index ->
+        ( Printf.sprintf "%s#%d" name index,
+          Fuzz.Gen.program profile ~seed:2026 ~index ))
+  in
+  List.iter check_roundtrip
+    (campaign "default" Fuzz.Gen.default 200 @ campaign "deep" Fuzz.Gen.deep 12)
 
 let gen_simple_program =
   let open QCheck.Gen in
@@ -291,7 +351,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let hostile_corpus () =
-  let base = read_file (sample "jacobi.dsm") in
+  let base = read_file (sample "jacobi2d.dsm") in
   let n = String.length base in
   (* truncations at many offsets *)
   let truncations =
@@ -379,7 +439,7 @@ let test_hostile_inputs () =
 
 (* Every shipped .dsm sample parses and analyzes. *)
 let test_all_samples_parse () =
-  let dir = Filename.dirname (sample "jacobi.dsm") in
+  let dir = Filename.dirname (sample "jacobi2d.dsm") in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".dsm")
@@ -414,6 +474,7 @@ let () =
       ( "roundtrip",
         [
           Alcotest.test_case "registry codes" `Quick test_roundtrip_registry;
+          Alcotest.test_case "fuzz programs" `Quick test_roundtrip_fuzz;
           Alcotest.test_case "all shipped samples parse" `Quick
             test_all_samples_parse;
           Alcotest.test_case "sub/call reshaping" `Quick test_sub_call;

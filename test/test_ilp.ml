@@ -5,6 +5,8 @@
 open Symbolic
 open Ilp
 
+let tfft2 = (Codes.Registry.find "tfft2").program
+
 let q = Qnum.of_int
 let qq a b = Qnum.make a b
 
@@ -207,8 +209,8 @@ let prop_ilp_matches_bruteforce =
 (* The Table 2 model from the TFFT2 LCG *)
 
 let tfft2_model ~p ~q:qv ~h =
-  let env = Codes.Tfft2.env ~p ~q:qv in
-  let lcg = Locality.Lcg.build Codes.Tfft2.program ~env ~h in
+  let env = Codes.Registry.bind tfft2 [ ("p", p); ("q", qv) ] in
+  let lcg = Locality.Lcg.build tfft2 ~env ~h in
   Model.of_lcg lcg
 
 let test_model_table2 () =
@@ -267,8 +269,8 @@ let test_model_lp_relaxation () =
 
 let test_solve_tfft2 () =
   Probe.with_seed 42 (fun () ->
-      let env = Codes.Tfft2.env ~p:4 ~q:4 in
-      let lcg = Locality.Lcg.build Codes.Tfft2.program ~env ~h:4 in
+      let env = (Codes.Registry.find "tfft2").env_of_size 4 in
+      let lcg = Locality.Lcg.build tfft2 ~env ~h:4 in
       let model = Model.of_lcg lcg in
       let r = Solve.solve model (Cost.default_machine ~h:4) in
       Alcotest.(check int) "no broken rows" 0 (List.length r.broken);
@@ -424,8 +426,8 @@ let test_max_chunk_load () =
 
 let test_distribution_plan () =
   Probe.with_seed 43 (fun () ->
-      let env = Codes.Tfft2.env ~p:4 ~q:4 in
-      let lcg = Locality.Lcg.build Codes.Tfft2.program ~env ~h:4 in
+      let env = (Codes.Registry.find "tfft2").env_of_size 4 in
+      let lcg = Locality.Lcg.build tfft2 ~env ~h:4 in
       let model = Model.of_lcg lcg in
       let r = Solve.solve model (Cost.default_machine ~h:4) in
       let plan = Distribution.of_solution lcg ~p:r.p in
@@ -448,8 +450,8 @@ let test_distribution_plan () =
 
 let test_block_plan () =
   Probe.with_seed 44 (fun () ->
-      let env = Codes.Jacobi.env ~n:16 in
-      let lcg = Locality.Lcg.build Codes.Jacobi.program ~env ~h:4 in
+      let env = Env.of_list [ ("N", 16) ] in
+      let lcg = Locality.Lcg.build (Codes.Registry.find "jacobi2d").program ~env ~h:4 in
       let plan = Distribution.block_plan lcg in
       Alcotest.(check int) "one layout per array" 2 (List.length plan.layouts);
       List.iter
@@ -499,7 +501,7 @@ let test_stencil_base_alignment () =
       let e = Codes.Registry.find "jacobi2d" in
       let n = 64 in
       let t =
-        Core.Pipeline.run e.program ~env:(Codes.Jacobi.env ~n) ~h:4
+        Core.Pipeline.run e.program ~env:(Env.of_list [ ("N", n) ]) ~h:4
       in
       let u =
         List.find

@@ -8,6 +8,8 @@ open Ir
 open Descriptor
 open Locality
 
+let tfft2 = (Codes.Registry.find "tfft2").program
+
 let v = Expr.var
 let i = Expr.int
 let ( + ) = Expr.add
@@ -56,7 +58,7 @@ let test_intra_cases () =
    Eqs. 4-6 (F2-F3 infeasible). *)
 
 let tfft2_lcg ~p ~q ~h =
-  Lcg.build Codes.Tfft2.program ~env:(Codes.Tfft2.env ~p ~q) ~h
+  Lcg.build tfft2 ~env:(Codes.Registry.bind tfft2 [ ("p", p); ("q", q) ]) ~h
 
 let graph_of lcg array =
   List.find (fun (g : Lcg.graph) -> String.equal g.array array) lcg.Lcg.graphs
@@ -92,7 +94,7 @@ let test_eq4_f2_f3 () =
       (* The relation is Eq. 4: p2 + 2QP - P = 2P p3. *)
       match e.relation with
       | Some r ->
-          let asm = Codes.Tfft2.params in
+          let asm = tfft2.params in
           Alcotest.(check bool) "a = 1" true (Probe.equal asm r.a Expr.one);
           Alcotest.(check bool) "b = 2P" true
             (Probe.equal asm r.b Expr.(mul (int 2) (v "P")));
@@ -101,7 +103,7 @@ let test_eq4_f2_f3 () =
                Expr.(sub (v "P") (mul (int 2) (mul (v "P") (v "Q")))));
           (* Integer solution p2 = P, p3 = Q exists but violates the
              load-balance bounds (Eqs. 5-6). *)
-          let env = Codes.Tfft2.env ~p:4 ~q:4 in
+          let env = (Codes.Registry.find "tfft2").env_of_size 4 in
           let unbounded =
             Balance.solve ~env ~h:1 ~nk:100_000 ~ng:100_000 r
           in
@@ -239,8 +241,8 @@ let test_uncoupled_edges () =
 (* The halo of a stencil node measures the ghost frontier. *)
 let test_halo () =
   Probe.with_seed 36 (fun () ->
-      let prog = Codes.Jacobi.program in
-      let env = Codes.Jacobi.env ~n:16 in
+      let prog = (Codes.Registry.find "jacobi2d").program in
+      let env = Env.of_list [ ("N", 16) ] in
       let lcg = Lcg.build prog ~env ~h:2 in
       let gu = graph_of lcg "U" in
       let sweep = List.hd gu.nodes in
@@ -310,8 +312,8 @@ let test_chain_summaries () =
         x_chain.covers_alike)
 
 let test_stability_envs_deterministic () =
-  let a = Stability.sample_envs Codes.Tfft2.program in
-  let b = Stability.sample_envs Codes.Tfft2.program in
+  let a = Stability.sample_envs tfft2 in
+  let b = Stability.sample_envs tfft2 in
   Alcotest.(check int) "same count" (List.length a) (List.length b);
   List.iter2
     (fun ea eb ->
@@ -321,7 +323,7 @@ let test_stability_envs_deterministic () =
 
 let test_stability () =
   Probe.with_seed 38 (fun () ->
-      let t = Stability.analyze ~h_values:[ 2; 4 ] Codes.Jacobi.program in
+      let t = Stability.analyze ~h_values:[ 2; 4 ] (Codes.Registry.find "jacobi2d").program in
       (* jacobi's cyclic chain is L at every size and width *)
       Alcotest.(check bool) "jacobi fully stable" true (Stability.all_stable t);
       List.iter
@@ -331,7 +333,7 @@ let test_stability () =
         t;
       (* tfft2's F4-F5 coupling (P p4 = Q p5) degrades with H *)
       let t2 =
-        Stability.analyze ~h_values:[ 2; 64 ] Codes.Tfft2.program
+        Stability.analyze ~h_values:[ 2; 64 ] tfft2
       in
       let f45 =
         List.find

@@ -188,7 +188,7 @@ let test_congruence_row_crossing_not_certified () =
    verdict and replay it against the dynamic oracle on sampled
    environments. *)
 let test_congruence_adi_rowsweep () =
-  let prog = Codes.Adi.program in
+  let prog = (Codes.Registry.find "adi").program in
   let ph =
     List.find
       (fun (p : Types.phase) -> String.equal p.phase_name "ROWSWEEP")
