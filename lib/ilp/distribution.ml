@@ -132,12 +132,11 @@ let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
       end);
   tallies
 
-(* The same counts in closed form: each placed array gets one set
-   family over the hull of its sites (ownership sets, and ghost zones
-   when the layout has a halo and the array is read), built per
-   processor as the runs ask, and every site is counted against it by
-   window sweeps, one rotation class at a time.  An array placed
-   nowhere owns every access. *)
+(* The same counts in closed form: every site is counted by window
+   sweeps against ownership sets (and ghost zones when the layout has a
+   halo and the array is read) built over one chunk run's hull at a
+   time, one rotation class at a time.  An array placed nowhere owns
+   every access. *)
 let tally_symbolic ?(split = true) (lcg : Lcg.t) ph ~chunk ~h placements =
   Metrics.with_timer tally_timer @@ fun () ->
   match Ir.Shape.of_phase lcg.prog lcg.env ph with
@@ -152,30 +151,26 @@ let tally_symbolic ?(split = true) (lcg : Lcg.t) ph ~chunk ~h placements =
             (fun (s : Ir.Shape.site) -> Ir.Types.equal_access s.access access)
             sites
         in
-        let owned, ghost =
-          match
-            (placement, Lattice.bounds (List.filter_map (Ir.Shape.box t) sites))
-          with
-          | None, _ | _, None -> (None, false)
-          | Some l, Some (lo, hi) ->
-              ( Some
-                  (Owncount.sets (own_of ~h l) ~window:(halo_window l) ~lo ~hi),
-                l.halo > 0 && has Read )
+        let own = Option.map (own_of ~h) placement in
+        let window =
+          match placement with
+          | Some l when l.halo > 0 && has Read -> halo_window l
+          | _ -> 0
         in
         let tl =
           {
-            reads = counts ~zeros ~used:(has Read) ~ghost;
+            reads = counts ~zeros ~used:(has Read) ~ghost:(window > 0);
             writes = counts ~zeros ~used:(has Write) ~ghost:false;
           }
         in
         List.iter
           (fun (s : Ir.Shape.site) ->
-            let c, ghost =
+            let c, window =
               match s.access with
-              | Ir.Types.Read -> (tl.reads, ghost)
-              | Ir.Types.Write -> (tl.writes, false)
+              | Ir.Types.Read -> (tl.reads, window)
+              | Ir.Types.Write -> (tl.writes, 0)
             in
-            if not (Owncount.per_proc ~chunk ~h t s ~owned ~ghost c) then
+            if not (Owncount.per_proc ~chunk ~h t s ~own ~window c) then
               raise Subtle)
           sites;
         tl

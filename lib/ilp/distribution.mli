@@ -102,8 +102,8 @@ val tally_symbolic :
   (string * layout option) list ->
   tally array option
 (** One tally per placement, in order, counted by rotation class
-    ({!Owncount.per_proc}) against ownership sets built per processor
-    as the classes ask; all arithmetic is overflow-checked.  With
+    ({!Owncount.per_proc}) against ownership sets built over one chunk
+    run's hull per class; all arithmetic is overflow-checked.  With
     [~split:false] every count has a single slot holding the
     machine-wide total - all the layout scoring of {!of_solution}
     reads, at a cost that does not grow with [h].  [None] when the

@@ -2,61 +2,34 @@ open Symbolic
 
 let budget = 8192
 let windows = Metrics.counter "tally.windows"
+let alone = Metrics.counter "tally.alone"
 
 exception Exhausted
 
-type sets = {
-  own : Lattice.Own.t;
-  window : int;
-  lo : int;
-  hi : int;
-  cycle : int option;  (* block*h on a plain layout: rotation classes *)
-  owned : (int, Lattice.Iv.packed) Hashtbl.t;
-  ghost : (int, Lattice.Iv.packed) Hashtbl.t;
-}
-
-let sets (own : Lattice.Own.t) ~window ~lo ~hi =
-  let plain =
-    (match own.period with Some d -> d <= 0 | None -> true)
-    && match own.mirror with Some m -> m <= 0 | None -> true
+(* The monotone piece of the owner map that holds address [x >= base]:
+   its first address, its last ([None] when it is unbounded), its
+   direction and the fold at its first address.  With [c = rel mod d]
+   (or [rel] without a period) the fold is [c] on [0..half], [m-1-c] on
+   [half+1..m-1] and [c] on [m..d-1], and the owner is [fold / block mod
+   h]. *)
+let piece (own : Lattice.Own.t) x =
+  let rel = Lattice.Safe.add x (-own.base) in
+  let cell, c, last =
+    match own.period with
+    | Some d when d > 0 -> (rel - (rel mod d), rel mod d, Some (d - 1))
+    | _ -> (0, rel, None)
   in
-  {
-    own;
-    window;
-    lo = Lattice.Safe.add lo (-window);
-    hi = Lattice.Safe.add hi window;
-    cycle =
-      (if plain then
-         try Some (Lattice.Safe.mul own.block own.h)
-         with Lattice.Overflow -> None
-       else None);
-    owned = Hashtbl.create 8;
-    ghost = Hashtbl.create 8;
-  }
-
-(* Hits allocate nothing: runs outside every class ask once each. *)
-let owned_set s p =
-  match Hashtbl.find s.owned p with
-  | set -> set
-  | exception Not_found -> (
-      match Lattice.Own.set s.own ~p ~lo:s.lo ~hi:s.hi ~budget with
-      | Some set ->
-          Hashtbl.add s.owned p set;
-          set
-      | None -> raise Exhausted)
-
-(* Addresses within the window of [p]'s set but not in it: exact on
-   [lo + window .. hi - window], the hull the events lie in. *)
-let ghost_set s p =
-  match Hashtbl.find s.ghost p with
-  | set -> set
-  | exception Not_found ->
-      let o = Lattice.Iv.unpack (owned_set s p) and w = s.window in
-      let set =
-        Lattice.Iv.(pack (subtract (union (shift o w) (shift o (-w))) o))
-      in
-      Hashtbl.add s.ghost p set;
-      set
+  let m = match own.mirror with Some m when m > 0 -> m | _ -> 0 in
+  let half = (m - 1) / 2 in
+  let a, e, sigma, fold =
+    if c < m && c <= half then (0, Some half, 1, 0)
+    else if c < m then
+      let e = Option.fold ~none:(m - 1) ~some:(min (m - 1)) last in
+      (half + 1, Some e, -1, m - 2 - half)
+    else (m, last, 1, m)
+  in
+  let at = Lattice.Safe.add own.base cell in
+  (Lattice.Safe.add at a, Option.map (Lattice.Safe.add at) e, sigma, fold)
 
 (* Enumerate the address offsets of the non-window sequential
    dimensions, with multiplicity (zero and duplicate strides emit
@@ -89,7 +62,7 @@ type counts = {
 
 let proc_of_iteration ~chunk ~h i = i / Int.max 1 chunk mod h
 
-let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~owned ~ghost
+let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window
     (c : counts) =
   let par_n = t.par_n and seq = s.seq in
   let empty =
@@ -120,13 +93,16 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~owned ~ghost
     &&
     let offs = offsets rest in
     let per_iter = Lattice.Safe.mul len prod in
+    (* Every event of an iteration at [a] lies in [a + reach_lo .. a +
+       reach_hi]. *)
+    let reach_lo = Lattice.Safe.add woff (List.fold_left Int.min 0 offs)
+    and reach_hi =
+      Lattice.Safe.(add (add woff (List.fold_left Int.max 0 offs)) (len - 1))
+    in
+    let ghost = window > 0 in
     let hits set ~n ~d start =
       Metrics.incr windows;
       window_sum set ~d ~n ~len ~base:(Lattice.Safe.add start woff) 0 offs
-    in
-    let owned_hits sets ~pr ~n ~d start = hits (owned_set sets pr) ~n ~d start in
-    let ghost_hits sets ~pr ~n ~d start =
-      if ghost then hits (ghost_set sets pr) ~n ~d start else 0
     in
     let bump a pr v = a.(pr) <- Lattice.Safe.add a.(pr) v in
     (* Adds one run's counts to each run [r0], [r0 + every], ... up to
@@ -164,76 +140,95 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~owned ~ghost
       let work = Lattice.Safe.mul s.work ev in
       let last = count - 1 in
       let start_of r = Lattice.Safe.(add start (mul step r)) in
-      match owned with
+      match own with
       | None -> attribute ~pr0 ~r0:0 ~every:1 ~r1:last ~ev ~work ~o:ev ~g:0
-      | Some sets -> (
-          let alone r =
-            let pr = (pr0 + r) mod h and start = start_of r in
-            attribute ~pr0 ~r0:r ~every:1 ~r1:r ~ev ~work
-              ~o:(owned_hits sets ~pr ~n ~d start)
-              ~g:(ghost_hits sets ~pr ~n ~d start)
+      | Some (own : Lattice.Own.t) ->
+          (* A run's event hull, widened by the halo window when ghosts
+             are counted, is [start + lo .. start + hi]. *)
+          let span = Lattice.Safe.mul d (n - 1) in
+          let lo = Lattice.Safe.add reach_lo (Int.min 0 span) - window
+          and hi = Lattice.Safe.add reach_hi (Int.max 0 span) + window in
+          (* The run at [start]'s owned and ghost hits on [pr]'s set,
+             built over that run's hull only: the ghost zone (the
+             addresses within [window] of the set, less the set) is
+             exact on the unwidened hull. *)
+          let eval ~pr start =
+            match
+              Lattice.Own.set own ~p:pr ~lo:(Lattice.Safe.add start lo)
+                ~hi:(Lattice.Safe.add start hi) ~budget
+            with
+            | None -> raise Exhausted
+            | Some set ->
+                ( hits set ~n ~d start,
+                  if ghost then
+                    let o = Lattice.Iv.unpack set and w = window in
+                    hits
+                      Lattice.Iv.(
+                        pack (subtract (union (shift o w) (shift o (-w))) o))
+                      ~n ~d start
+                  else 0 )
           in
-          match sets.cycle with
-          | None ->
-              for r = 0 to last do
-                alone r
-              done
-          | Some cycle ->
-              (* The equivariant runs [ra..rb]: those whose lowest
-                 address, less the halo window, is at or above [base]
-                 - a prefix or suffix of the group, as starts move
-                 monotonically. *)
-              let own = sets.own in
-              let reach =
+          (* Runs [ra..rb] lie in one piece of direction [sigma] that
+             starts at address [pa] with fold [fa].  Run [r]'s class
+             kappa = (F - block*pr) mod (block*h), F the fold of its
+             start extended affinely along the piece, advances by
+             (sigma*step - block) per run, so runs [period] apart share
+             a class and those closer do not: one window evaluation per
+             class. *)
+          let cycle = Lattice.Safe.mul own.block h in
+          let classes_of ~ra ~rb ~sigma ~pa ~fa =
+            let shift = Lattice.Safe.add (sigma * step) (-own.block) in
+            let period = cycle / Lattice.gcd (shift mod cycle) cycle in
+            for r = ra to ra + Int.min (rb - ra) (period - 1) do
+              let pr = (pr0 + r) mod h and start = start_of r in
+              let kappa =
                 Lattice.Safe.(
-                  add
-                    (add woff (List.fold_left Int.min 0 offs))
-                    (Int.min 0 (mul d (n - 1))))
-                - if ghost then sets.window else 0
+                  add (add fa (mul sigma (add start (-pa)))) (-own.block * pr))
               in
-              let above = Lattice.Safe.(add start (add reach (-own.base))) in
-              let ra, rb =
-                if above >= 0 then
-                  (0, if step >= 0 then last else Int.min last (above / -step))
-                else if step > 0 then ((-above + step - 1) / step, last)
-                else (count, last)
+              let k = kappa mod cycle in
+              let key = (n, sigma, if k < 0 then k + cycle else k) in
+              let o, g =
+                match Hashtbl.find classes key with
+                | hits -> hits
+                | exception Not_found ->
+                    let hits = eval ~pr start in
+                    Hashtbl.add classes key hits;
+                    hits
               in
-              for r = 0 to Int.min last (ra - 1) do
-                alone r
-              done;
-              for r = Int.max ra (rb + 1) to last do
-                alone r
-              done;
-              (* Run [r]'s class kappa = (start - base - block*pr) mod
-                 (block*h) advances by (step - block) per run, so runs
-                 [period] apart share a class and those closer do not:
-                 one window evaluation per class. *)
-              if ra <= rb then begin
-                let shift = Lattice.Safe.add step (-own.block) mod cycle in
-                let period = cycle / Lattice.gcd shift cycle in
-                let first_period =
-                  if period > rb - ra then rb else ra + period - 1
-                in
-                for r = ra to first_period do
-                  let pr = (pr0 + r) mod h and start = start_of r in
-                  let kappa =
-                    Lattice.Safe.add start (-own.base) - (own.block * pr)
+              attribute ~pr0 ~r0:r ~every:period ~r1:rb ~ev ~work ~o ~g
+            done
+          in
+          (* Starts move monotonically, so the runs from [r] on whose
+             hulls fit the piece holding run [r]'s lowest address are
+             one range, found by one division (an unbounded piece has
+             no end to divide); a run below [base] or straddling a
+             piece boundary is counted alone. *)
+          let rec walk r =
+            if r <= last then
+              let lo_r = Lattice.Safe.add (start_of r) lo
+              and hi_r = Lattice.Safe.add (start_of r) hi in
+              match if lo_r < own.base then None else Some (piece own lo_r) with
+              | Some (pa, pb, sigma, fa)
+                when Option.fold ~none:true ~some:(fun pb -> hi_r <= pb) pb ->
+                  let room =
+                    if step > 0 then Option.map (fun pb -> pb - hi_r) pb
+                    else if step < 0 then Some (lo_r - pa)
+                    else None
                   in
-                  let key = (n, ((kappa mod cycle) + cycle) mod cycle) in
-                  let o, g =
-                    match Hashtbl.find classes key with
-                    | hits -> hits
-                    | exception Not_found ->
-                        let hits =
-                          ( owned_hits sets ~pr ~n ~d start,
-                            ghost_hits sets ~pr ~n ~d start )
-                        in
-                        Hashtbl.add classes key hits;
-                        hits
+                  let rb =
+                    Option.fold ~none:last
+                      ~some:(fun x -> r + Int.min (last - r) (x / abs step))
+                      room
                   in
-                  attribute ~pr0 ~r0:r ~every:period ~r1:rb ~ev ~work ~o ~g
-                done
-              end)
+                  classes_of ~ra:r ~rb ~sigma ~pa ~fa;
+                  walk (rb + 1)
+              | _ ->
+                  Metrics.incr alone;
+                  let o, g = eval ~pr:((pr0 + r) mod h) (start_of r) in
+                  attribute ~pr0 ~r0:r ~every:1 ~r1:r ~ev ~work ~o ~g;
+                  walk (r + 1)
+          in
+          walk 0
     in
     match s.par with
     | Ir.Shape.Outside ->

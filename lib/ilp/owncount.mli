@@ -12,38 +12,33 @@
     and the remaining sequential dimensions are enumerated under a
     budget.
 
-    Runs are counted by {e rotation class}.  On a layout with no period
-    and no mirror, moving an address up one block moves its owner up
-    one processor, so two runs of a site with the same length whose
-    starts sit at the same offset from their own processors' blocks
-    (modulo [block * h]) hit their own sets alike, as long as no
-    address of either, less the halo window, falls below the layout's
-    base.  The window sums are evaluated once per class and added to
-    each run's processor; under the balanced-locality condition a
-    site's interior runs all share one class, so the number of window
-    sums no longer grows with [h].  Other runs, and every run on a
-    periodic or mirrored layout, are classes of their own.
+    Runs are counted by {e rotation class}.  Above the layout's base
+    the owner map is [fold / block mod h], and the fold is monotone on
+    pieces: one unbounded ascending piece on a plain layout; per period
+    cell, an ascending half, a descending half under the mirror and an
+    ascending rest on a periodic or mirrored one.  Two runs of a site
+    whose hulls (widened by the halo window when ghosts are counted)
+    each lie inside a piece hit their own processors' sets alike when
+    they have the same length, the same piece direction, and starts at
+    the same offset from their own processors' blocks in the fold
+    extended along the piece (modulo [block * h]).  The runs that fit a
+    piece are one contiguous range, found by one division; the window
+    sums are evaluated once per class and added to each run's
+    processor, so under the balanced-locality condition the number of
+    window sums does not grow with [h], and grows with the extent only
+    through the runs that straddle a piece boundary.  Those runs, and
+    the runs below the base, are classes of their own.
 
-    Ownership sets are built per processor, on first use, by
-    {!Lattice.Own.set}, and ghost zones only for the processors a class
-    asks about.  Counts are exact: they must reproduce the enumerating
-    oracle's totals event-for-event. *)
+    Each evaluation builds the processor's ownership set
+    ({!Lattice.Own.set}), and its ghost zone, over that run's hull only.
+    Counts are exact: they must reproduce the enumerating oracle's
+    totals event-for-event. *)
 
 open Symbolic
 
 val budget : int
 (** Cap on chunk runs, enumerated sequential combinations, and the
     intervals of one processor's ownership set. *)
-
-type sets
-(** One layout's per-processor ownership sets and ghost zones over an
-    address range, built on demand and kept for the life of the
-    value. *)
-
-val sets : Lattice.Own.t -> window:int -> lo:int -> hi:int -> sets
-(** The sets of a layout for events in [lo..hi], with halo window
-    [window] (the ghost zone of a processor is the addresses within
-    [window] of its set, less the set). *)
 
 val proc_of_iteration : chunk:int -> h:int -> int -> int
 (** [i / max 1 chunk mod h]: consecutive chunk runs go to consecutive
@@ -64,15 +59,18 @@ val per_proc :
   h:int ->
   Ir.Shape.t ->
   Ir.Shape.site ->
-  owned:sets option ->
-  ghost:bool ->
+  own:Lattice.Own.t option ->
+  window:int ->
   counts ->
   bool
-(** Adds the site's events to the counts: with [owned = None] every
-    event counts as owned; the ghost count is touched only with
-    [ghost] and a layout.  Events outside the parallel loop
+(** Adds the site's events to the counts: with [own = None] every event
+    counts as owned; the ghost count (the addresses within [window] of
+    a processor's set, less the set) is touched only with
+    [window > 0] and a layout.  Events outside the parallel loop
     ([Outside]) execute on processor 0, like the enumerator's
     [par = None] convention.  [false] (with the counts partly updated)
     when the chunk-run or sequential enumeration or an ownership set
     exceeds {!budget}, or the arithmetic overflows.  Every window-sum
-    evaluation ticks the [tally.windows] counter. *)
+    evaluation ticks the [tally.windows] counter, and every run counted
+    alone (below the base, or on no one piece) the [tally.alone]
+    counter. *)

@@ -302,8 +302,8 @@ let window_hits_exact =
    random CYCLIC(chunk) schedule and layout, every event replayed
    through Own.owner.  Half the blocks are the balanced |d|*chunk,
    where a site's runs share rotation classes; partial last chunks,
-   runs below the layout's base, and periodic or mirrored layouts take
-   the other paths. *)
+   runs below the layout's base, and runs straddling the pieces of
+   short periods and mirrors take the other paths. *)
 
 type tally_case = {
   h : int;
@@ -381,72 +381,143 @@ let print_tally_case c =
           (Option.fold ~none:"-" ~some:string_of_int o.period)
           (Option.fold ~none:"-" ~some:string_of_int o.mirror))
 
+(* [c]'s per-processor and one-slot counts equal a replay of every
+   event through [Own.owner]; [windows] receives the window sums the
+   per-processor count spent. *)
+let tally_exact ?(windows = ref 0) c =
+  let s = c.site and h = c.h in
+  let ghost = c.window > 0 && Ir.Types.equal_access s.access Read in
+  let events =
+    let offs =
+      List.fold_left
+        (fun acc (n, st) ->
+          List.concat_map (fun o -> List.init n (fun k -> o + (k * st))) acc)
+        [ 0 ] s.seq
+    in
+    let proc i = Ilp.Distribution.proc_of_iteration ~chunk:c.chunk ~h i in
+    let iterations =
+      match s.par with
+      | Ir.Shape.Strided d ->
+          List.init c.par_n (fun i -> (proc i, s.base + (d * i)))
+      | Outside -> [ (0, s.base) ]
+      | Fixed i -> [ (proc i, s.base) ]
+    in
+    List.concat_map
+      (fun (p, a) -> List.map (fun off -> (p, a + off)) offs)
+      iterations
+  in
+  let brute = Array.init 4 (fun _ -> Array.make h 0) in
+  List.iter
+    (fun (p, a) ->
+      let bump k = brute.(k).(p) <- brute.(k).(p) + 1 in
+      bump 0;
+      brute.(3).(p) <- brute.(3).(p) + s.work;
+      match c.own with
+      | None -> bump 1
+      | Some o ->
+          let owner = Lattice.Own.owner o in
+          if owner a = p then bump 1
+          else if
+            ghost && (owner (a - c.window) = p || owner (a + c.window) = p)
+          then bump 2)
+    events;
+  let spent () = List.assoc "tally.windows" (Metrics.snapshot ()).counters in
+  let count slots =
+    let z () = Array.make slots 0 in
+    let k =
+      Ilp.Owncount.{ events = z (); owned = z (); ghost = z (); work = z () }
+    in
+    let before = spent () in
+    if
+      not
+        (Ilp.Owncount.per_proc ~chunk:c.chunk ~h
+           { Ir.Shape.par_n = c.par_n; sites = [ s ] }
+           s ~own:c.own
+           ~window:(if ghost then c.window else 0)
+           k)
+    then QCheck.Test.fail_report "per_proc gave up on a tiny site";
+    windows := spent () - before;
+    [| k.events; k.owned; k.ghost; k.work |]
+  in
+  let total = Array.fold_left ( + ) 0 in
+  count h = brute && Array.map (fun a -> [| total a |]) brute = count 1
+
 (* Cases are cheap, and the rarer paths (a run touching the halo
    window just above base on the last processor) need many draws. *)
 let per_proc_exact =
   prop ~count:10000 "Owncount.per_proc vs brute force"
     (QCheck.make ~print:print_tally_case gen_tally)
-    (fun c ->
-      let s = c.site and h = c.h in
-      let ghost = c.window > 0 && Ir.Types.equal_access s.access Read in
-      let events =
-        let offs =
-          List.fold_left
-            (fun acc (n, st) ->
-              List.concat_map (fun o -> List.init n (fun k -> o + (k * st))) acc)
-            [ 0 ] s.seq
-        in
-        let proc i = Ilp.Distribution.proc_of_iteration ~chunk:c.chunk ~h i in
-        let iterations =
-          match s.par with
-          | Ir.Shape.Strided d ->
-              List.init c.par_n (fun i -> (proc i, s.base + (d * i)))
-          | Outside -> [ (0, s.base) ]
-          | Fixed i -> [ (proc i, s.base) ]
-        in
-        List.concat_map
-          (fun (p, a) -> List.map (fun off -> (p, a + off)) offs)
-          iterations
+    (fun c -> tally_exact c)
+
+(* Long sites on periodic and mirrored layouts whose pieces hold many
+   chunk runs: the cases [gen_tally] seldom draws.  The site mostly
+   starts above the layout's base (below it when it runs downwards from
+   there), so most runs fit a piece. *)
+let gen_pieces =
+  QCheck.Gen.(
+    let* h = oneofl [ 2; 3; 7; 64 ] in
+    let* chunk = int_range 1 3 in
+    let* par_n = int_range 1 400 in
+    let* d = map2 ( * ) (oneofl [ -1; 1 ]) (int_range 1 3) in
+    let* block = int_range 1 4 in
+    let* period = int_range 32 256 in
+    let* mirror = int_range 32 256 in
+    let* kind = int_range 0 3 in
+    let* window = int_range 0 3 in
+    let* contig = pair (int_range 1 4) (oneofl [ -1; 1 ]) in
+    let* extra = oneofl [ []; [ (2, 5) ]; [ (3, -7) ] ] in
+    let* obase = int_range (-20) 20 in
+    let* above = int_range (-8) (2 * period) in
+    let* work = int_range 0 2 in
+    let* access = oneofl [ Ir.Types.Read; Ir.Types.Write ] in
+    let base = obase + above + if d < 0 then par_n * -d else 0 in
+    let own =
+      let o =
+        Lattice.Own.{ h; base = obase; block; period = None; mirror = None }
       in
-      let brute = Array.init 4 (fun _ -> Array.make h 0) in
-      List.iter
-        (fun (p, a) ->
-          let bump k = brute.(k).(p) <- brute.(k).(p) + 1 in
-          bump 0;
-          brute.(3).(p) <- brute.(3).(p) + s.work;
-          match c.own with
-          | None -> bump 1
-          | Some o ->
-              let owner = Lattice.Own.owner o in
-              if owner a = p then bump 1
-              else if
-                ghost
-                && (owner (a - c.window) = p || owner (a + c.window) = p)
-              then bump 2)
-        events;
-      let addrs = List.map snd events in
-      let owned =
-        Option.map
-          (fun o ->
-            Ilp.Owncount.sets o ~window:c.window
-              ~lo:(List.fold_left min 0 addrs) ~hi:(List.fold_left max 0 addrs))
-          c.own
-      in
-      let count slots =
-        let z () = Array.make slots 0 in
-        let k =
-          Ilp.Owncount.{ events = z (); owned = z (); ghost = z (); work = z () }
-        in
-        if
-          not
-            (Ilp.Owncount.per_proc ~chunk:c.chunk ~h
-               { Ir.Shape.par_n = c.par_n; sites = [ s ] }
-               s ~owned ~ghost k)
-        then QCheck.Test.fail_report "per_proc gave up on a tiny site";
-        [| k.events; k.owned; k.ghost; k.work |]
-      in
-      let total = Array.fold_left ( + ) 0 in
-      count h = brute && Array.map (fun a -> [| total a |]) brute = count 1)
+      match kind with
+      | 0 -> { o with period = Some period }
+      | 1 -> { o with mirror = Some mirror }
+      | 2 -> { o with period = Some period; mirror = Some (min mirror period) }
+      | _ -> { o with period = Some period; mirror = Some period }
+    in
+    let site =
+      {
+        Ir.Shape.array = "A";
+        access;
+        work;
+        base;
+        par = Ir.Shape.Strided d;
+        seq = contig :: extra;
+      }
+    in
+    return { h; chunk; par_n; site; own = Some own; window })
+
+(* The same check where pieces fill, and a count of the cases that
+   spend fewer window sums than they have chunk runs: most must, or the
+   property could pass with every run counted alone. *)
+let per_proc_pieces =
+  let fewer = ref 0 and cases = ref 0 in
+  let name, speed, run =
+    prop ~count:2000 "Owncount.per_proc pieces vs brute force"
+      (QCheck.make ~print:print_tally_case gen_pieces)
+      (fun c ->
+        let windows = ref 0 in
+        tally_exact ~windows c
+        && begin
+             incr cases;
+             let runs = (c.par_n + c.chunk - 1) / c.chunk in
+             if !windows < runs then incr fewer;
+             true
+           end)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      if 2 * !fewer <= !cases then
+        Alcotest.failf "%d of %d cases spent fewer window sums than runs"
+          !fewer !cases )
 
 (* ------------------------------------------------------------------ *)
 (* Shape extraction vs the enumeration oracle: the symbolic event
@@ -538,9 +609,10 @@ let shape_work_matches () =
    for field - per phase and array, under the plan's placement, the
    same layout without its halo, and no placement at all - and its
    unsplit form holds the enumeration's totals.  The points cover the
-   nine kernels at their default sizes up to H=1024, and adi at sizes 7
+   nine kernels at their default sizes up to H=1024, adi at sizes 7
    and 8 on 64 processors, where the ownership walk used to run out of
-   segments. *)
+   segments, and tfft2 at sizes 6 and 7 on 64 processors, where F8's
+   mirrored layout has thousands of chunk runs for the piece walk. *)
 let tally_matches_oracle () =
   let points =
     List.concat_map
@@ -548,6 +620,7 @@ let tally_matches_oracle () =
         List.map (fun h -> (e, e.default_size, h)) [ 4; 16; 64; 1024 ])
       Codes.Registry.all
     @ List.map (fun size -> (Codes.Registry.find "adi", size, 64)) [ 7; 8 ]
+    @ List.map (fun size -> (Codes.Registry.find "tfft2", size, 64)) [ 6; 7 ]
   in
   List.iter
     (fun ((e : Codes.Registry.entry), size, h) ->
@@ -667,7 +740,7 @@ let () =
           iv_ops;
         ] );
       ("ownership", [ own_segments; own_sets ]);
-      ("windows", [ window_hits_exact; per_proc_exact ]);
+      ("windows", [ window_hits_exact; per_proc_exact; per_proc_pieces ]);
       ( "shape",
         [
           Alcotest.test_case "events = oracle on registry" `Quick
