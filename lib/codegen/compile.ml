@@ -4,11 +4,17 @@ module E = Ir.Enumerate
 
 exception Unsupported of string
 
-type handlers = {
-  read : par:int option -> array:string -> addr:int -> float;
-  write : par:int option -> array:string -> addr:int -> v:float -> unit;
-  stamp : site:int -> addr:int -> float;
-  work : par:int option -> work:int -> unit;
+type site = {
+  array : string;
+  access : Ir.Types.access;
+  index : int;
+  parallel : bool;
+}
+
+type consumer = {
+  bind : site -> int -> unit;
+  assign : int -> unit;
+  iteration : int -> unit;
   sync : unit -> unit;
 }
 
@@ -16,99 +22,97 @@ type t = {
   phase_name : string;
   nslots : int;
   shapes : E.shape list;
-  sweep : slots:int array -> me:int option -> handlers -> unit;
+  sweep : me:int option -> consumer -> unit;
 }
 
 let rec has_parallel = function
   | E.Stmt _ -> false
   | E.Nest l -> l.parallel || List.exists has_parallel l.body
 
-(* One compiled node of the nest: a closure [slots -> par -> me ->
-   handlers].  Ownership filtering happens at the parallel loop (a
-   phase has at most one), and again defensively at each assignment for
-   serial statements, which run on processor 0. *)
-let rec node ~chunk ~h (n : E.node) =
-  let owner i = Distribution.proc_of_iteration ~chunk ~h i in
+let nop (_ : int array) = ()
+
+(* One compiled node of the nest: given the sweep's processor and
+   consumer, it binds its sites and returns the closure that runs it
+   over the slot file.  Ownership is decided once, at the parallel loop
+   (a phase has at most one), whose iterations [me] walks chunk by
+   chunk; serial statements run on processor 0. *)
+let rec node ~chunk ~h ~parallel (n : E.node) ~me (c : consumer) =
   match n with
+  | E.Stmt _ when (not parallel) && me <> None && me <> Some 0 -> nop
   | E.Stmt s ->
-      let sites = List.mapi (fun site (r : E.site) -> (site, r)) s.refs in
-      let pick access =
-        List.filter
-          (fun (_, (r : E.site)) -> Ir.Types.equal_access r.access access)
-          sites
+      let bind access =
+        List.mapi (fun index (r : E.site) -> (index, r)) s.refs
+        |> List.filter (fun (_, (r : E.site)) ->
+               Ir.Types.equal_access r.access access)
+        |> List.map (fun (index, (r : E.site)) ->
+               (c.bind { array = r.array; access; index; parallel }, r.addr))
+        |> Array.of_list
       in
-      let creads = pick Ir.Types.Read and cwrites = pick Ir.Types.Write in
+      let reads = bind Ir.Types.Read in
+      let writes = bind Ir.Types.Write in
       let work = s.work in
-      fun slots par me (hd : handlers) ->
-        let mine =
-          match me with
-          | None -> true
-          | Some p -> (
-              match par with Some i -> owner i = p | None -> p = 0)
-        in
-        if mine then begin
-          hd.work ~par ~work;
-          let sum = ref 0.0 in
-          List.iter
-            (fun (_, (r : E.site)) ->
-              sum := !sum +. hd.read ~par ~array:r.array ~addr:(r.addr slots))
-            creads;
-          List.iter
-            (fun (site, (r : E.site)) ->
-              let addr = r.addr slots in
-              hd.write ~par ~array:r.array ~addr
-                ~v:(!sum +. hd.stamp ~site ~addr))
-            cwrites
-        end
+      fun slots ->
+        c.assign work;
+        for j = 0 to Array.length reads - 1 do
+          let act, addr = reads.(j) in
+          act (addr slots)
+        done;
+        for j = 0 to Array.length writes - 1 do
+          let act, addr = writes.(j) in
+          act (addr slots)
+        done
   | E.Nest l ->
-      let lo = l.lo and hi = l.hi and slot = l.slot and parallel = l.parallel in
-      let body = List.map (node ~chunk ~h) l.body in
-      let deeper = List.exists has_parallel l.body in
-      (* at the (unique) parallel loop, skip foreign iterations
-         wholesale - everything beneath belongs to the owner *)
-      let prune = parallel && not deeper in
+      let inner = parallel || l.parallel in
+      let body =
+        Array.of_list
+          (List.map (fun n -> node ~chunk ~h ~parallel:inner n ~me c) l.body)
+      in
       (* a serial loop above the parallel loop carries cross-processor
          dependences (its iterations, and the serial statements among
          its children, are ordered against every processor's parallel
          work), so every processor syncs after each child - trip counts
          at these levels are identical across processors, so the sync
          counts align *)
-      let sync_after = (not parallel) && deeper in
-      fun slots par me hd ->
-        let lo = lo slots and hi = hi slots in
-        for v = lo to hi do
-          let skip =
-            prune
-            && match me with Some p -> owner v <> p | None -> false
-          in
-          if not skip then begin
-            slots.(slot) <- v;
-            let par = if parallel then Some v else par in
-            List.iter
-              (fun f ->
-                f slots par me hd;
-                if sync_after then hd.sync ())
-              body
-          end
+      let sync_after = (not l.parallel) && List.exists has_parallel l.body in
+      let run slots v =
+        slots.(l.slot) <- v;
+        if l.parallel then c.iteration v;
+        for j = 0 to Array.length body - 1 do
+          body.(j) slots;
+          if sync_after then c.sync ()
         done
+      in
+      fun slots ->
+        let lo = l.lo slots and hi = l.hi slots in
+        match me with
+        | Some p when l.parallel ->
+            Distribution.own_chunks ~chunk ~h ~me:p ~lo ~hi (fun a b ->
+                for v = a to b do
+                  run slots v
+                done)
+        | _ ->
+            for v = lo to hi do
+              run slots v
+            done
 
 let phase (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan) k
     (ph : Ir.Types.phase) : t =
   let nest = E.compile prog env ph in
   Option.iter (fun msg -> raise (Unsupported msg)) nest.unsupported;
   let chunk = plan.chunk.(k) and h = plan.h in
-  let body = node ~chunk ~h nest.root in
   let parallel = has_parallel nest.root in
   {
     phase_name = ph.phase_name;
     nslots = nest.nslots;
     shapes = nest.shapes;
     sweep =
-      (fun ~slots ~me hd ->
+      (fun ~me c ->
         match me with
         (* a phase with no parallel loop runs wholly on processor 0 *)
         | Some p when p <> 0 && not parallel -> ()
-        | _ -> body slots None me hd);
+        | _ ->
+            node ~chunk ~h ~parallel:false nest.root ~me c
+              (Array.make (max 1 nest.nslots) 0));
   }
 
 let program (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan)

@@ -4,10 +4,13 @@
     it as closures the real executor (library [exec]) runs, on top of
     the compiled nest of {!Ir.Enumerate.compile} - the same addressing
     the enumerating oracle walks.  It adds only the CYCLIC(p_k)
-    schedule of {!Ilp.Distribution.proc_of_iteration}, serial
-    statements on processor 0, barriers above the parallel loop and
-    reads-then-writes {!handlers} dispatch, so a parallel execution and
-    a sequential replay are comparable address by address. *)
+    schedule of {!Ilp.Distribution.proc_of_iteration}, walked chunk by
+    chunk ({!Ilp.Distribution.own_chunks}), serial statements on
+    processor 0, barriers above the parallel loop and reads-then-writes
+    order within each assignment.  What an access does is the
+    {!consumer}'s: each site is bound to it once per sweep, so a
+    parallel execution, a sequential replay and the validator walk the
+    same addresses in the same order. *)
 
 open Symbolic
 open Ilp
@@ -17,21 +20,27 @@ exception Unsupported of string
     an array extent that does not evaluate, a rank mismatch (the
     {!Ir.Enumerate.nest.unsupported} of the phase). *)
 
-type handlers = {
-  read : par:int option -> array:string -> addr:int -> float;
-      (** value of one array cell; [par] is the parallel-loop iteration
-          (None in serial statements) *)
-  write : par:int option -> array:string -> addr:int -> v:float -> unit;
-  stamp : site:int -> addr:int -> float;
-      (** deterministic per-write salt; [site] is the reference's
-          textual position within its statement *)
-  work : par:int option -> work:int -> unit;
-      (** charged once per executed assignment *)
+type site = {
+  array : string;
+  access : Ir.Types.access;
+  index : int;  (** the reference's textual position within its statement *)
+  parallel : bool;  (** inside the parallel loop *)
+}
+
+type consumer = {
+  bind : site -> int -> unit;
+      (** asked once per site at the start of a sweep; the returned
+          action runs on each executed access, given its flat address *)
+  assign : int -> unit;
+      (** at the start of each executed assignment, given its work
+          cycles; its reads, then its writes, follow in textual order *)
+  iteration : int -> unit;
+      (** at the start of each executed parallel-loop iteration *)
   sync : unit -> unit;
       (** called by {e every} processor (regardless of ownership) after
           each child of a serial loop that encloses the parallel loop -
           the points where cross-processor dependences can cross.  The
-          executor parks a barrier here; the replay and the simulator
+          executor parks a barrier here; the replay and the validator
           pass a no-op. *)
 }
 
@@ -40,13 +49,12 @@ type t = {
   nslots : int;  (** loop-variable slot file size the sweep needs *)
   shapes : Ir.Enumerate.shape list;
       (** every compiled expression, in compile order *)
-  sweep : slots:int array -> me:int option -> handlers -> unit;
-      (** [me = Some p] executes only processor [p]'s share of the
+  sweep : me:int option -> consumer -> unit;
+      (** [me = Some p] executes only processor [p]'s chunks of the
           CYCLIC(chunk) schedule (serial statements run on processor 0;
           a phase with no parallel loop is a no-op for [p <> 0]);
           [me = None] executes every iteration in program order - the
-          sequential replay.  [slots] must have at least [nslots]
-          cells and is scratch space owned by the caller. *)
+          sequential replay. *)
 }
 
 val phase :

@@ -20,6 +20,7 @@ type result = {
   remote_puts : int;
   local_accesses : int;
   reads_checked : int;
+  reads_unchecked : int;
   stale : int;
   stale_examples : (string * int * int) list;
   content_cells : int;
@@ -39,7 +40,7 @@ let ok r =
 (* Deterministic per-write salt, identical in the sequential replay and
    the parallel run, so value equality means the same write reached the
    same cell. *)
-let stamp_value ~round ~k ~site ~addr =
+let[@inline] stamp ~round ~k ~site ~addr =
   float_of_int ((((round * 67) + k) * 131) + (site * 8191) + (addr * 3) + 1)
 
 let spin_work spin work =
@@ -97,61 +98,45 @@ let machine ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan) =
     shim = Shim.create ~h:plan.h sizes;
   }
 
-let seq_window seq ~array ~addr =
-  let w = Shim.window seq ~proc:0 ~array in
-  if addr < 0 || addr >= Bigarray.Array1.dim w then
-    raise (Unsupported (Printf.sprintf "%s(%d) out of bounds" array addr));
-  w
+type accessor = {
+  me : int;
+  own : Shim.window;
+  wins : Shim.window array;
+  local : int -> bool;
+  owner : int -> int;
+}
 
-type check = par:int option -> array:string -> addr:int -> float -> unit
+let accessor m ~me ~k array =
+  let wins = Hashtbl.find m.shim.replicas array in
+  let own = wins.(me) in
+  match Hashtbl.find m.placement.(k) array with
+  | None -> { me; own; wins; local = (fun _ -> true); owner = (fun _ -> me) }
+  | Some l ->
+      let size_of a = List.assoc_opt a m.sizes in
+      {
+        me;
+        own;
+        wins;
+        local = Distribution.read_is_local m.plan l ~size_of ~proc:me;
+        owner = Distribution.owner_runs m.plan l;
+      }
 
-let par_handlers m ~spin ~sync ~(check : check) ~me ~round ~k :
-    Compile.handlers =
-  let c = m.shim.counters.(me) in
-  let own array = Shim.window m.shim ~proc:me ~array in
-  let placement = m.placement.(k) in
-  let size_of a = List.assoc_opt a m.sizes in
-  {
-    read =
-      (fun ~par ~array ~addr ->
-        let v =
-          match Hashtbl.find placement array with
-          | Some l
-            when not
-                   (Distribution.read_is_local m.plan l ~size_of ~proc:me ~addr) ->
-              c.gets <- c.gets + 1;
-              Bigarray.Array1.get
-                (Shim.window m.shim
-                   ~proc:(Distribution.proc_of m.plan l ~addr)
-                   ~array)
-                addr
-          | _ ->
-              c.local <- c.local + 1;
-              Bigarray.Array1.get (own array) addr
-        in
-        check ~par ~array ~addr v;
-        v);
-    write =
-      (fun ~par:_ ~array ~addr ~v ->
-        Bigarray.Array1.set (own array) addr v;
-        match Hashtbl.find placement array with
-        | None -> c.local <- c.local + 1
-        | Some l ->
-            let owner = Distribution.proc_of m.plan l ~addr in
-            if owner <> me then begin
-              Bigarray.Array1.set
-                (Shim.window m.shim ~proc:owner ~array)
-                addr v;
-              c.puts <- c.puts + 1
-            end
-            else c.local <- c.local + 1);
-    stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
-    work =
-      (fun ~par:_ ~work ->
-        c.workc <- c.workc + work;
-        spin_work spin work);
-    sync;
-  }
+let[@inline] served a addr = if a.local addr then a.own else a.wins.(a.owner addr)
+
+let[@inline] store a addr v =
+  Bigarray.Array1.set a.own addr v;
+  let o = a.owner addr in
+  o <> a.me
+  && begin
+       Bigarray.Array1.set a.wins.(o) addr v;
+       true
+     end
+
+let out_of_bounds array addr =
+  raise (Unsupported (Printf.sprintf "%s(%d) out of bounds" array addr))
+
+let[@inline] in_bounds (w : Shim.window) ~array addr =
+  if addr < 0 || addr >= Bigarray.Array1.dim w then out_of_bounds array addr
 
 (* Scheduled communication runs on the main thread while every domain
    is parked at the barrier. *)
@@ -160,16 +145,33 @@ let deliver m = function
   | Comm.Frontier { array; messages; _ } ->
       List.iter (Shim.deliver m.shim ~array) messages
 
-let sweep_seq (cp : Compile.t) hd =
-  cp.sweep ~slots:(Array.make (max 1 cp.nslots) 0) ~me:None hd
+(* The assignment being executed: the sum of its reads so far (a record
+   of floats only, so stores stay unboxed). *)
+type acc = { mutable sum : float }
 
 (* -- the parallel run *)
 
 (* Replayed reads are recorded per (round, phase, parallel iteration)
-   stream; within one stream the parallel run reads in exactly the
-   replay's order (same closures, same nesting), so a per-stream cursor
-   pairs each executed read with its sequential value. *)
+   stream, -1 for the serial statements; within one stream the parallel
+   run reads in exactly the replay's order (same closures, same
+   nesting), so the stream's cursor pairs each executed read with its
+   sequential value.  Only the iteration's owner reads a stream. *)
 let read_budget = 5_000_000
+
+type stream = { mutable vals : Float.Array.t; mutable len : int; mutable pos : int }
+
+let stream () = { vals = Float.Array.create 0; len = 0; pos = 0 }
+let unrecorded = stream ()
+
+let grow s =
+  let a = Float.Array.create (max 16 (2 * s.len)) in
+  Float.Array.blit s.vals 0 a 0 s.len;
+  s.vals <- a
+
+let[@inline] push s v =
+  if s.len = Float.Array.length s.vals then grow s;
+  Float.Array.set s.vals s.len v;
+  s.len <- s.len + 1
 
 type job = Quit | Sweep of int * int  (* round, phase *)
 
@@ -177,9 +179,9 @@ type state = {
   m : machine;
   spin : int;
   check_reads : bool;
-  expected : (int * int * int, float array) Hashtbl.t;
-  cursors : (int * int * int, int ref) Hashtbl.t array;  (* per domain *)
+  expected : (int * int * int, stream) Hashtbl.t;
   reads_checked : int array;
+  reads_unchecked : int array;
   stale : int array;
   stale_examples : (string * int * int) list ref array;
   worker_errors : string option array;
@@ -198,49 +200,71 @@ let record_failure st p e =
   Shim.Barrier.poison st.fin;
   Shim.Barrier.poison st.sync
 
-let key_of ~round ~k ~par =
-  (round, k, match par with Some i -> i | None -> -1)
+(* One sweep's traffic, local to the sweep and added to the shared
+   totals once it ends. *)
+type tally = {
+  mutable gets : int;
+  mutable puts : int;
+  mutable local : int;
+  mutable checked : int;
+  mutable unchecked : int;
+}
 
-(* Pair processor [me]'s reads in phase [k] of [round] with the
-   replay's streams. *)
-let stream_check st ~me ~round ~k : check =
-  let cursors = st.cursors.(me) in
-  fun ~par ~array ~addr v ->
-    let key = key_of ~round ~k ~par in
-    match Hashtbl.find_opt st.expected key with
-    | None -> ()
-    | Some arr ->
-        let cur =
-          match Hashtbl.find_opt cursors key with
-          | Some r -> r
-          | None ->
-              let r = ref 0 in
-              Hashtbl.add cursors key r;
-              r
-        in
-        if !cur < Array.length arr then begin
-          let want = arr.(!cur) in
-          incr cur;
-          st.reads_checked.(me) <- st.reads_checked.(me) + 1;
-          if v <> want then begin
-            st.stale.(me) <- st.stale.(me) + 1;
-            let ex = st.stale_examples.(me) in
-            if List.length !ex < 4 then ex := (array, addr, k) :: !ex
+let stale st ~me ~k array addr =
+  st.stale.(me) <- st.stale.(me) + 1;
+  let ex = st.stale_examples.(me) in
+  if List.length !ex < 4 then ex := (array, addr, k) :: !ex
+
+(* Processor [me]'s binding in phase [k] of [round]: a read is served
+   by {!served} and paired with the replay's stream, a write stores its
+   assignment's sum plus the salt through {!store}. *)
+let par_consumer st (t : tally) ~me ~round ~k : Compile.consumer =
+  let find i =
+    Option.value ~default:unrecorded (Hashtbl.find_opt st.expected (round, k, i))
+  in
+  let serial = find (-1) and cur = ref unrecorded and acc = { sum = 0.0 } in
+  let bind (s : Compile.site) =
+    let a = accessor st.m ~me ~k s.array in
+    match s.access with
+    | Ir.Types.Read ->
+        fun addr ->
+          let w = served a addr in
+          if w == a.own then t.local <- t.local + 1 else t.gets <- t.gets + 1;
+          let v = Bigarray.Array1.get w addr in
+          acc.sum <- acc.sum +. v;
+          let str = if s.parallel then !cur else serial in
+          if str.pos < str.len then begin
+            t.checked <- t.checked + 1;
+            if v <> Float.Array.get str.vals str.pos then stale st ~me ~k s.array addr;
+            str.pos <- str.pos + 1
           end
-        end
-
-let no_check : check = fun ~par:_ ~array:_ ~addr:_ _ -> ()
+          else t.unchecked <- t.unchecked + 1
+    | Ir.Types.Write ->
+        fun addr ->
+          if store a addr (acc.sum +. stamp ~round ~k ~site:s.index ~addr) then
+            t.puts <- t.puts + 1
+          else t.local <- t.local + 1
+  in
+  {
+    bind;
+    assign =
+      (fun work ->
+        acc.sum <- 0.0;
+        spin_work st.spin work);
+    iteration = (fun i -> if st.check_reads then cur := find i);
+    sync = (fun () -> Shim.Barrier.await st.sync);
+  }
 
 let run_share st ~me ~round ~k =
   let t0 = now () in
-  let cp = st.m.compiled.(k) in
-  let slots = Array.make (max 1 cp.nslots) 0 in
-  let check = if st.check_reads then stream_check st ~me ~round ~k else no_check in
-  cp.sweep ~slots ~me:(Some me)
-    (par_handlers st.m ~spin:st.spin
-       ~sync:(fun () -> Shim.Barrier.await st.sync)
-       ~check ~me ~round ~k);
+  let t = { gets = 0; puts = 0; local = 0; checked = 0; unchecked = 0 } in
+  st.m.compiled.(k).sweep ~me:(Some me) (par_consumer st t ~me ~round ~k);
   let c = st.m.shim.counters.(me) in
+  c.gets <- c.gets + t.gets;
+  c.puts <- c.puts + t.puts;
+  c.local <- c.local + t.local;
+  st.reads_checked.(me) <- st.reads_checked.(me) + t.checked;
+  st.reads_unchecked.(me) <- st.reads_unchecked.(me) + t.unchecked;
   c.busy <- c.busy +. (now () -. t0)
 
 let worker st p =
@@ -290,50 +314,62 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   List.iter
     (fun (n, s) -> Hashtbl.replace final_mask n (Bytes.make (max 1 s) '\000'))
     m.sizes;
-  let expected_acc : (int * int * int, float list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let expected_len = ref 0 in
-  let replay_handlers ~round ~k : Compile.handlers =
+  let expected = Hashtbl.create 256 in
+  let budget = ref (if check_reads then read_budget else 0) in
+  let replay ~round ~k : Compile.consumer =
+    let find i =
+      match Hashtbl.find_opt expected (round, k, i) with
+      | Some s -> s
+      | None ->
+          let s = stream () in
+          Hashtbl.add expected (round, k, i) s;
+          s
+    in
+    let serial = find (-1) and cur = ref unrecorded and acc = { sum = 0.0 } in
+    let bind (s : Compile.site) =
+      let g = Shim.window golden ~proc:0 ~array:s.array in
+      match s.access with
+      | Ir.Types.Read ->
+          fun addr ->
+            in_bounds g ~array:s.array addr;
+            let v = Bigarray.Array1.get g addr in
+            acc.sum <- acc.sum +. v;
+            if !budget > 0 then begin
+              push (if s.parallel then !cur else serial) v;
+              decr budget
+            end
+      | Ir.Types.Write -> (
+          let site = s.index in
+          match
+            if round = rounds - 1 && in_final_epoch k s.array then
+              Hashtbl.find_opt final_mask s.array
+            else None
+          with
+          | Some mask ->
+              fun addr ->
+                in_bounds g ~array:s.array addr;
+                Bigarray.Array1.set g addr (acc.sum +. stamp ~round ~k ~site ~addr);
+                Bytes.set mask addr '\001'
+          | None ->
+              fun addr ->
+                in_bounds g ~array:s.array addr;
+                Bigarray.Array1.set g addr (acc.sum +. stamp ~round ~k ~site ~addr))
+    in
     {
-      read =
-        (fun ~par ~array ~addr ->
-          let v = Bigarray.Array1.get (seq_window golden ~array ~addr) addr in
-          if check_reads && !expected_len < read_budget then begin
-            let key = key_of ~round ~k ~par in
-            let r =
-              match Hashtbl.find_opt expected_acc key with
-              | Some r -> r
-              | None ->
-                  let r = ref [] in
-                  Hashtbl.add expected_acc key r;
-                  r
-            in
-            r := v :: !r;
-            incr expected_len
-          end;
-          v);
-      write =
-        (fun ~par:_ ~array ~addr ~v ->
-          Bigarray.Array1.set (seq_window golden ~array ~addr) addr v;
-          if round = rounds - 1 && in_final_epoch k array then
-            Bytes.set (Hashtbl.find final_mask array) addr '\001');
-      stamp = (fun ~site ~addr -> stamp_value ~round ~k ~site ~addr);
-      work = (fun ~par:_ ~work -> spin_work spin work);
-      sync = (fun () -> ());
+      bind;
+      assign =
+        (fun work ->
+          acc.sum <- 0.0;
+          spin_work spin work);
+      iteration = (fun i -> if !budget > 0 then cur := find i);
+      sync = ignore;
     }
   in
   let t0 = now () in
   for round = 0 to rounds - 1 do
-    Array.iteri
-      (fun k cp -> sweep_seq cp (replay_handlers ~round ~k))
-      m.compiled
+    Array.iteri (fun k (cp : Compile.t) -> cp.sweep ~me:None (replay ~round ~k)) m.compiled
   done;
   let wall_seq = now () -. t0 in
-  let expected = Hashtbl.create (Hashtbl.length expected_acc) in
-  Hashtbl.iter
-    (fun key r -> Hashtbl.replace expected key (Array.of_list (List.rev !r)))
-    expected_acc;
   (* -- expected schedule: the walk's gating, delivering nothing *)
   let exp_msgs = ref 0 and exp_words = ref 0 in
   Comm.walk ~rounds ~sched:m.sched ~phases
@@ -348,8 +384,8 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       spin;
       check_reads;
       expected;
-      cursors = Array.init h (fun _ -> Hashtbl.create 64);
       reads_checked = Array.make h 0;
+      reads_unchecked = Array.make h 0;
       stale = Array.make h 0;
       stale_examples = Array.init h (fun _ -> ref []);
       worker_errors = Array.make h None;
@@ -359,6 +395,11 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       job = Quit;
     }
   in
+  (* Empty the minor heap (the machine and the replay's leftovers)
+     before the workers start: without it, a process running the
+     executor again and again grew its major heap by one 32 KB pool per
+     run (OCaml 5.1; dsmbench exec: +4 MB peak RSS over 150 runs). *)
+  Gc.minor ();
   let domains =
     List.init (h - 1) (fun i -> Domain.spawn (fun () -> worker st (i + 1)))
   in
@@ -418,6 +459,8 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     remote_puts = sum (fun c -> c.puts);
     local_accesses = sum (fun c -> c.local);
     reads_checked = Array.fold_left ( + ) 0 st.reads_checked;
+    reads_unchecked =
+      (if check_reads then Array.fold_left ( + ) 0 st.reads_unchecked else 0);
     stale = Array.fold_left ( + ) 0 st.stale;
     stale_examples =
       List.concat_map (fun r -> List.rev !r) (Array.to_list st.stale_examples);

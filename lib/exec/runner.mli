@@ -36,7 +36,7 @@ exception Unsupported of string
 
     What the parallel run and the dataflow validator ({!Validate})
     share: the compiled phases and one {!Shim} window per processor
-    and array, served by the same handlers. *)
+    and array, accessed through the same {!accessor}s. *)
 
 type machine = {
   plan : Distribution.plan;
@@ -58,32 +58,35 @@ val machine :
     its and the array sizes' diagnostics.  @raise Unsupported as
     {!execute}. *)
 
-type check = par:int option -> array:string -> addr:int -> float -> unit
+type accessor = {
+  me : int;  (** the accessing processor *)
+  own : Shim.window;  (** [me]'s replica: local reads and every write *)
+  wins : Shim.window array;  (** every processor's replica, by processor *)
+  local : int -> bool;
+      (** {!Ilp.Distribution.read_is_local} for [me], specialised to the
+          phase's placement; always true when the array has none *)
+  owner : int -> int;
+      (** {!Ilp.Distribution.owner_runs} under the placement; [me] when
+          there is none *)
+}
 
-val par_handlers :
-  machine ->
-  spin:int ->
-  sync:(unit -> unit) ->
-  check:check ->
-  me:int ->
-  round:int ->
-  k:int ->
-  Codegen.Compile.handlers
-(** Processor [me]'s accesses in phase [k] of [round].  A read is
-    served from [me]'s window when {!Ilp.Distribution.read_is_local}
-    holds or the array has no placement, else from the owner's, and
-    its value passed to [check]; a write stores the given value in
-    [me]'s window and through to the owner's. *)
+val accessor : machine -> me:int -> k:int -> string -> accessor
+(** Processor [me]'s view of one array in phase [k], resolved once: a
+    sweep binds each site to one. *)
+
+val served : accessor -> int -> Shim.window
+(** The window a read of the address is served from: [own] when it is
+    local, else the owner's. *)
+
+val store : accessor -> int -> float -> bool
+(** Write the value to [own] and through to the owner's replica;
+    true when the owner is another processor (a direct put). *)
+
+val in_bounds : Shim.window -> array:string -> int -> unit
+(** @raise Unsupported when the address is outside the window. *)
 
 val deliver : machine -> Dsmsim.Comm.event -> unit
 (** One scheduled event's messages, by {!Shim.deliver}. *)
-
-val sweep_seq : Codegen.Compile.t -> Codegen.Compile.handlers -> unit
-(** Every iteration of the phase, in program order. *)
-
-val seq_window : Shim.t -> array:string -> addr:int -> Shim.window
-(** The window of a one-processor shim holding a sequential memory.
-    @raise Unsupported when [addr] is outside the array. *)
 
 (** {1 The parallel run} *)
 
@@ -102,6 +105,9 @@ type result = {
   remote_puts : int;  (** direct write-throughs to an owner's replica *)
   local_accesses : int;
   reads_checked : int;  (** reads paired with a replay value *)
+  reads_unchecked : int;
+      (** executed reads past the replay's recording cap (5M reads);
+          0 when [check_reads] is false *)
   stale : int;
   stale_examples : (string * int * int) list;  (** array, addr, phase *)
   content_cells : int;  (** final-epoch cells compared *)

@@ -10,7 +10,6 @@ type counters = {
   mutable gets : int;
   mutable puts : int;
   mutable local : int;
-  mutable workc : int;
   mutable busy : float;
 }
 
@@ -22,7 +21,7 @@ type t = {
 
 let fresh_counters () =
   { sched_msgs = 0; sched_words = 0; gets = 0; puts = 0; local = 0;
-    workc = 0; busy = 0.0 }
+    busy = 0.0 }
 
 let create ~h sizes =
   let replicas = Hashtbl.create 8 in

@@ -16,7 +16,6 @@ type counters = {
   mutable gets : int;  (** direct remote reads served by an owner *)
   mutable puts : int;  (** direct write-throughs to an owner *)
   mutable local : int;  (** replica-local accesses *)
-  mutable workc : int;  (** abstract work cycles executed *)
   mutable busy : float;  (** seconds spent inside phase sweeps *)
 }
 

@@ -16,51 +16,49 @@ let run ?(rounds = 1) ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan)
   let version = ref 0 in
   let reads = ref 0 and stale = ref 0 in
   let examples = ref [] in
-  let handlers ~round ~k : Codegen.Compile.handlers =
-    let privatized array = List.mem (k, array) plan.privatized in
-    let check ~par:_ ~array ~addr v =
-      if not (privatized array) then begin
-        incr reads;
-        if v <> Bigarray.Array1.get (Shim.window golden ~proc:0 ~array) addr
-        then begin
-          incr stale;
-          if List.length !examples < 10 then
-            examples := (array, addr, k) :: !examples
-        end
-      end
-    in
-    let procs =
-      Array.init h (fun me ->
-          Runner.par_handlers m ~spin:0 ~sync:ignore ~check ~me ~round ~k)
-    in
-    let chunk = plan.chunk.(k) in
-    let on = function
-      | Some i -> procs.(Distribution.proc_of_iteration ~chunk ~h i)
-      | None -> procs.(0)
+  (* Each access goes to the accessor of the processor that owns the
+     current parallel iteration (serial statements: processor 0). *)
+  let consumer ~k : Codegen.Compile.consumer =
+    let chunk = plan.chunk.(k) and on = ref 0 in
+    let bind (s : Codegen.Compile.site) =
+      let g = Shim.window golden ~proc:0 ~array:s.array in
+      let accs = Array.init h (fun me -> Runner.accessor m ~me ~k s.array) in
+      let proc () = if s.parallel then !on else 0 in
+      let checked = not (List.mem (k, s.array) plan.privatized) in
+      match s.access with
+      | Ir.Types.Read ->
+          fun addr ->
+            Runner.in_bounds g ~array:s.array addr;
+            if checked then begin
+              incr reads;
+              let w = Runner.served accs.(proc ()) addr in
+              if Bigarray.Array1.get w addr <> Bigarray.Array1.get g addr then begin
+                incr stale;
+                if List.length !examples < 10 then
+                  examples := (s.array, addr, k) :: !examples
+              end
+            end
+      | Ir.Types.Write ->
+          fun addr ->
+            Runner.in_bounds g ~array:s.array addr;
+            if checked then begin
+              incr version;
+              let v = float_of_int !version in
+              Bigarray.Array1.set g addr v;
+              ignore (Runner.store accs.(proc ()) addr v)
+            end
     in
     {
-      read =
-        (fun ~par ~array ~addr ->
-          ignore (Runner.seq_window golden ~array ~addr);
-          (on par).read ~par ~array ~addr);
-      write =
-        (fun ~par ~array ~addr ~v:_ ->
-          let g = Runner.seq_window golden ~array ~addr in
-          if not (privatized array) then begin
-            incr version;
-            let v = float_of_int !version in
-            Bigarray.Array1.set g addr v;
-            (on par).write ~par ~array ~addr ~v
-          end);
-      stamp = (fun ~site:_ ~addr:_ -> 0.0);
-      work = (fun ~par:_ ~work:_ -> ());
+      bind;
+      assign = ignore;
+      iteration = (fun i -> on := Distribution.proc_of_iteration ~chunk ~h i);
       sync = ignore;
     }
   in
   Dsmsim.Comm.walk ~rounds ~sched:m.sched ~phases:lcg.prog.phases
-    ~step:(fun ~round ~k _ ~incoming ~outgoing ->
+    ~step:(fun ~round:_ ~k _ ~incoming ~outgoing ->
       List.iter (Runner.deliver m) incoming;
-      Runner.sweep_seq m.compiled.(k) (handlers ~round ~k);
+      m.compiled.(k).sweep ~me:None (consumer ~k);
       List.iter (Runner.deliver m) outgoing);
   { reads = !reads; stale = !stale; stale_examples = List.rev !examples }
 

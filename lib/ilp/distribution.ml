@@ -39,20 +39,29 @@ let placement (plan : plan) ~array ~phase_idx =
 
 let proc_of_iteration = Owncount.proc_of_iteration
 
+(* The chunks are the classes of the truncated quotient [q = i / c],
+   owned when [q mod h = me]: q >= 0 when [me > 0], any multiple of h
+   when [me = 0] (a negative q owns processor [-(-q mod h)]).  Quotient
+   0 spans [-c+1 .. c-1]. *)
+let own_chunks ~chunk ~h ~me ~lo ~hi f =
+  let c = Int.max 1 chunk in
+  if lo <= hi then begin
+    let q0 = if me = 0 then lo / c else Int.max 0 (lo / c) in
+    let q = ref (q0 + ((((me - q0) mod h) + h) mod h)) in
+    while !q <= hi / c do
+      let q' = !q in
+      let a = if q' > 0 then q' * c else (q' * c) - c + 1
+      and b = if q' >= 0 then (q' * c) + c - 1 else q' * c in
+      f (Int.max lo a) (Int.min hi b);
+      q := q' + h
+    done
+  end
+
 let halo_window (l : layout) = min l.halo l.block
 
 let fully_replicated (l : layout) ~size_of =
   l.halo > 0
   && match size_of l.array with Some s -> l.halo >= s | None -> false
-
-let read_is_local plan (l : layout) ~size_of ~proc ~addr =
-  proc_of plan l ~addr = proc
-  || l.halo > 0
-     && (fully_replicated l ~size_of
-        ||
-        let w = halo_window l in
-        proc_of plan l ~addr:(addr - w) = proc
-        || proc_of plan l ~addr:(addr + w) = proc)
 
 let array_size (lcg : Lcg.t) array =
   Result.value (Ir.Linearize.array_size lcg.env lcg.prog array) ~default:1
@@ -67,6 +76,36 @@ let own_of ~h (l : layout) : Lattice.Own.t =
     period = l.period;
     mirror = l.mirror;
   }
+
+(* A piecewise-constant [f] whose value at [x] holds on [x .. until x],
+   with the last run looked up remembered. *)
+let memo_runs f until =
+  let lo = ref 1 and hi = ref 0 and v = ref (f 0) in
+  fun x ->
+    if !lo <= x && x <= !hi then !v
+    else begin
+      lo := x;
+      hi := until x;
+      v := f x;
+      !v
+    end
+
+let owner_runs plan l =
+  let o = own_of ~h:plan.h l in
+  memo_runs (Lattice.Own.owner o) (Lattice.Own.run_end o ~hi:max_int)
+
+let read_is_local plan (l : layout) ~size_of ~proc =
+  let o = own_of ~h:plan.h l in
+  let owned x = Lattice.Own.owner o x = proc
+  and until = Lattice.Own.run_end o ~hi:max_int in
+  if l.halo = 0 then memo_runs owned until
+  else if fully_replicated l ~size_of then fun _ -> true
+  else
+    let w = halo_window l in
+    (* each of the three owners holds on its own run *)
+    memo_runs
+      (fun x -> owned x || owned (x - w) || owned (x + w))
+      (fun x -> min (until x) (min (until (x - w) + w) (until (x + w) - w)))
 
 (* {1 The per-processor tally} *)
 

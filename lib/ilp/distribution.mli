@@ -63,6 +63,14 @@ val placement : plan -> array:string -> phase_idx:int -> layout option
 val proc_of_iteration : chunk:int -> h:int -> int -> int
 (** CYCLIC(p): parallel iteration [i] runs on [(i / max 1 p) mod h]. *)
 
+val own_chunks :
+  chunk:int -> h:int -> me:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** [own_chunks ~chunk ~h ~me ~lo ~hi f] calls [f a b] on processor
+    [me]'s chunks of [lo..hi], ascending: together they are exactly the
+    iterations [i] with [proc_of_iteration ~chunk ~h i = me], with no
+    per-iteration test.  Division truncates, so below zero the chunks
+    follow the truncated quotient too. *)
+
 val halo_window : layout -> int
 (** [min halo block]: ghost cells on each side of an owned block. *)
 
@@ -70,10 +78,20 @@ val fully_replicated : layout -> size_of:(string -> int option) -> bool
 (** [halo >= size] (an unknown size never is). *)
 
 val read_is_local :
-  plan -> layout -> size_of:(string -> int option) -> proc:int -> addr:int -> bool
-(** Owned, within {!halo_window} of an owned block, or
-    {!fully_replicated}; [size_of] is asked only for an unowned read of
-    a halo'd layout. *)
+  plan -> layout -> size_of:(string -> int option) -> proc:int -> int -> bool
+(** [read_is_local plan l ~size_of ~proc addr]: owned, within
+    {!halo_window} of an owned block, or {!fully_replicated}.  Applied
+    up to [~proc] it is specialised to the layout once (asking
+    [size_of] there, for a halo'd layout only) and remembers the last
+    run of addresses on which the answer is constant, as {!owner_runs}
+    does. *)
+
+val owner_runs : plan -> layout -> int -> int
+(** {!proc_of} specialised to one layout.  The owner is constant on
+    runs of addresses ({!Symbolic.Lattice.Own.run_end}); the closure
+    remembers the last run it looked up, so a walk through climbing
+    addresses pays a comparison per address.  Each closure is meant for
+    one domain. *)
 
 (** {1 The per-processor tally}
 

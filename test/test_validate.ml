@@ -77,7 +77,7 @@ let reference ?(rounds = 1) ~sched (lcg : Lcg.t) (plan : Distribution.plan) :
                   | Some l
                     when not
                            (Distribution.read_is_local plan l ~size_of ~proc
-                              ~addr) ->
+                              addr) ->
                       owner
                   | _ -> proc
                 in
