@@ -541,6 +541,11 @@ let run_cmd =
         t.lcg t.plan t.machine
     in
     Format.printf "%a@." Exec.Runner.pp r;
+    if r.reads_unchecked > 0 then
+      Printf.eprintf
+        "warning: the staleness check stopped at the replay's %d-read cap: \
+         %d executed reads unchecked\n"
+        Exec.Runner.read_budget r.reads_unchecked;
     Format.printf
       "simulator: T_par=%.0f T_seq=%.0f efficiency=%.1f%% (%d remote \
        accesses predicted, %d measured)@."

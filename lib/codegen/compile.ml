@@ -20,7 +20,6 @@ type consumer = {
 
 type t = {
   phase_name : string;
-  nslots : int;
   shapes : E.shape list;
   sweep : me:int option -> consumer -> unit;
 }
@@ -40,25 +39,22 @@ let rec node ~chunk ~h ~parallel (n : E.node) ~me (c : consumer) =
   match n with
   | E.Stmt _ when (not parallel) && me <> None && me <> Some 0 -> nop
   | E.Stmt s ->
-      let bind access =
-        List.mapi (fun index (r : E.site) -> (index, r)) s.refs
-        |> List.filter (fun (_, (r : E.site)) ->
-               Ir.Types.equal_access r.access access)
-        |> List.map (fun (index, (r : E.site)) ->
-               (c.bind { array = r.array; access; index; parallel }, r.addr))
-        |> Array.of_list
+      (* reads, then writes, each in textual order *)
+      let sites access =
+        List.concat
+          (List.mapi
+             (fun index (r : E.site) ->
+               if Ir.Types.equal_access r.access access then
+                 [ (c.bind { array = r.array; access; index; parallel }, r.addr) ]
+               else [])
+             s.refs)
       in
-      let reads = bind Ir.Types.Read in
-      let writes = bind Ir.Types.Write in
+      let acts = Array.of_list (sites Ir.Types.Read @ sites Ir.Types.Write) in
       let work = s.work in
       fun slots ->
         c.assign work;
-        for j = 0 to Array.length reads - 1 do
-          let act, addr = reads.(j) in
-          act (addr slots)
-        done;
-        for j = 0 to Array.length writes - 1 do
-          let act, addr = writes.(j) in
+        for j = 0 to Array.length acts - 1 do
+          let act, addr = acts.(j) in
           act (addr slots)
         done
   | E.Nest l ->
@@ -103,7 +99,6 @@ let phase (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan) k
   let parallel = has_parallel nest.root in
   {
     phase_name = ph.phase_name;
-    nslots = nest.nslots;
     shapes = nest.shapes;
     sweep =
       (fun ~me c ->

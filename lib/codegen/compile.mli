@@ -46,7 +46,6 @@ type consumer = {
 
 type t = {
   phase_name : string;
-  nslots : int;  (** loop-variable slot file size the sweep needs *)
   shapes : Ir.Enumerate.shape list;
       (** every compiled expression, in compile order *)
   sweep : me:int option -> consumer -> unit;

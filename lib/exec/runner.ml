@@ -12,6 +12,7 @@ type result = {
   wall_seq : float;
   speedup : float;
   busy : float array;
+  sweep_words : float array;
   sched_messages : int;
   sched_words : int;
   expected_messages : int;
@@ -43,7 +44,14 @@ let ok r =
 let[@inline] stamp ~round ~k ~site ~addr =
   float_of_int ((((round * 67) + k) * 131) + (site * 8191) + (addr * 3) + 1)
 
-let spin_work spin work =
+(* The assignment being executed: the sum of its reads so far (a record
+   of floats only, so stores stay unboxed). *)
+type acc = { mutable sum : float }
+
+(* The start of an assignment: its sum restarts and [spin] scales its
+   work cycles into a busy loop. *)
+let assign acc spin work =
+  acc.sum <- 0.0;
   if spin > 0 then begin
     let x = ref 0 in
     for i = 1 to work * spin do
@@ -61,7 +69,6 @@ type machine = {
   sched : Comm.schedule;
   compiled : Compile.t array;
   sizes : (string * int) list;
-  placement : (string, Distribution.layout option) Hashtbl.t array;
   shim : Shim.t;
 }
 
@@ -79,24 +86,7 @@ let machine ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan) =
             raise (Unsupported ("size of " ^ d.name ^ " does not evaluate")))
       lcg.prog.arrays
   in
-  let placement =
-    Array.init (List.length lcg.prog.phases) (fun k ->
-        let t = Hashtbl.create 8 in
-        List.iter
-          (fun (d : Ir.Types.array_decl) ->
-            Hashtbl.replace t d.name
-              (Distribution.placement plan ~array:d.name ~phase_idx:k))
-          lcg.prog.arrays;
-        t)
-  in
-  {
-    plan;
-    sched;
-    compiled;
-    sizes;
-    placement;
-    shim = Shim.create ~h:plan.h sizes;
-  }
+  { plan; sched; compiled; sizes; shim = Shim.create ~h:plan.h sizes }
 
 type accessor = {
   me : int;
@@ -109,28 +99,20 @@ type accessor = {
 let accessor m ~me ~k array =
   let wins = Hashtbl.find m.shim.replicas array in
   let own = wins.(me) in
-  match Hashtbl.find m.placement.(k) array with
+  match Distribution.placement m.plan ~array ~phase_idx:k with
   | None -> { me; own; wins; local = (fun _ -> true); owner = (fun _ -> me) }
   | Some l ->
       let size_of a = List.assoc_opt a m.sizes in
-      {
-        me;
-        own;
-        wins;
-        local = Distribution.read_is_local m.plan l ~size_of ~proc:me;
-        owner = Distribution.owner_runs m.plan l;
-      }
+      let local = Distribution.read_is_local m.plan l ~size_of ~proc:me in
+      { me; own; wins; local; owner = Distribution.owner_runs m.plan l }
 
 let[@inline] served a addr = if a.local addr then a.own else a.wins.(a.owner addr)
 
 let[@inline] store a addr v =
   Bigarray.Array1.set a.own addr v;
   let o = a.owner addr in
+  if o <> a.me then Bigarray.Array1.set a.wins.(o) addr v;
   o <> a.me
-  && begin
-       Bigarray.Array1.set a.wins.(o) addr v;
-       true
-     end
 
 let out_of_bounds array addr =
   raise (Unsupported (Printf.sprintf "%s(%d) out of bounds" array addr))
@@ -144,10 +126,6 @@ let deliver m = function
   | Comm.Redistribute { array; messages; _ }
   | Comm.Frontier { array; messages; _ } ->
       List.iter (Shim.deliver m.shim ~array) messages
-
-(* The assignment being executed: the sum of its reads so far (a record
-   of floats only, so stores stay unboxed). *)
-type acc = { mutable sum : float }
 
 (* -- the parallel run *)
 
@@ -180,8 +158,6 @@ type state = {
   spin : int;
   check_reads : bool;
   expected : (int * int * int, stream) Hashtbl.t;
-  reads_checked : int array;
-  reads_unchecked : int array;
   stale : int array;
   stale_examples : (string * int * int) list ref array;
   worker_errors : string option array;
@@ -200,16 +176,6 @@ let record_failure st p e =
   Shim.Barrier.poison st.fin;
   Shim.Barrier.poison st.sync
 
-(* One sweep's traffic, local to the sweep and added to the shared
-   totals once it ends. *)
-type tally = {
-  mutable gets : int;
-  mutable puts : int;
-  mutable local : int;
-  mutable checked : int;
-  mutable unchecked : int;
-}
-
 let stale st ~me ~k array addr =
   st.stale.(me) <- st.stale.(me) + 1;
   let ex = st.stale_examples.(me) in
@@ -218,7 +184,7 @@ let stale st ~me ~k array addr =
 (* Processor [me]'s binding in phase [k] of [round]: a read is served
    by {!served} and paired with the replay's stream, a write stores its
    assignment's sum plus the salt through {!store}. *)
-let par_consumer st (t : tally) ~me ~round ~k : Compile.consumer =
+let par_consumer st (t : Shim.counters) ~me ~round ~k : Compile.consumer =
   let find i =
     Option.value ~default:unrecorded (Hashtbl.find_opt st.expected (round, k, i))
   in
@@ -245,27 +211,21 @@ let par_consumer st (t : tally) ~me ~round ~k : Compile.consumer =
             t.puts <- t.puts + 1
           else t.local <- t.local + 1
   in
-  {
-    bind;
-    assign =
-      (fun work ->
-        acc.sum <- 0.0;
-        spin_work st.spin work);
-    iteration = (fun i -> if st.check_reads then cur := find i);
-    sync = (fun () -> Shim.Barrier.await st.sync);
-  }
+  let iteration i = if st.check_reads then cur := find i in
+  { bind; assign = assign acc st.spin; iteration; sync = (fun () -> Shim.Barrier.await st.sync) }
 
 let run_share st ~me ~round ~k =
-  let t0 = now () in
-  let t = { gets = 0; puts = 0; local = 0; checked = 0; unchecked = 0 } in
+  let t0 = now () and w0 = Gc.minor_words () in
+  let t = Shim.counters () in
   st.m.compiled.(k).sweep ~me:(Some me) (par_consumer st t ~me ~round ~k);
   let c = st.m.shim.counters.(me) in
   c.gets <- c.gets + t.gets;
   c.puts <- c.puts + t.puts;
   c.local <- c.local + t.local;
-  st.reads_checked.(me) <- st.reads_checked.(me) + t.checked;
-  st.reads_unchecked.(me) <- st.reads_unchecked.(me) + t.unchecked;
-  c.busy <- c.busy +. (now () -. t0)
+  c.checked <- c.checked + t.checked;
+  c.unchecked <- c.unchecked + t.unchecked;
+  c.busy <- c.busy +. (now () -. t0);
+  c.words <- c.words +. (Gc.minor_words () -. w0)
 
 let worker st p =
   let rec loop () =
@@ -303,13 +263,11 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   (* cells written during the final layout epoch (last round): the ones
      whose freshest value the epoch's owner is guaranteed to hold *)
   let final_mask = Hashtbl.create 8 in
+  let final array = Distribution.placement plan ~array ~phase_idx:(nphases - 1) in
   let in_final_epoch k array =
-    match Hashtbl.find m.placement.(nphases - 1) array with
-    | None -> false
-    | Some lf -> (
-        match Hashtbl.find m.placement.(k) array with
-        | Some l -> l.Distribution.first_phase = lf.Distribution.first_phase
-        | None -> false)
+    match (final array, Distribution.placement plan ~array ~phase_idx:k) with
+    | Some lf, Some l -> l.first_phase = lf.first_phase
+    | _ -> false
   in
   List.iter
     (fun (n, s) -> Hashtbl.replace final_mask n (Bytes.make (max 1 s) '\000'))
@@ -338,32 +296,16 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
               push (if s.parallel then !cur else serial) v;
               decr budget
             end
-      | Ir.Types.Write -> (
-          let site = s.index in
-          match
-            if round = rounds - 1 && in_final_epoch k s.array then
-              Hashtbl.find_opt final_mask s.array
-            else None
-          with
-          | Some mask ->
-              fun addr ->
-                in_bounds g ~array:s.array addr;
-                Bigarray.Array1.set g addr (acc.sum +. stamp ~round ~k ~site ~addr);
-                Bytes.set mask addr '\001'
-          | None ->
-              fun addr ->
-                in_bounds g ~array:s.array addr;
-                Bigarray.Array1.set g addr (acc.sum +. stamp ~round ~k ~site ~addr))
+      | Ir.Types.Write ->
+          let marks = round = rounds - 1 && in_final_epoch k s.array in
+          let mask = Hashtbl.find final_mask s.array in
+          fun addr ->
+            in_bounds g ~array:s.array addr;
+            Bigarray.Array1.set g addr (acc.sum +. stamp ~round ~k ~site:s.index ~addr);
+            if marks then Bytes.set mask addr '\001'
     in
-    {
-      bind;
-      assign =
-        (fun work ->
-          acc.sum <- 0.0;
-          spin_work spin work);
-      iteration = (fun i -> if !budget > 0 then cur := find i);
-      sync = ignore;
-    }
+    let iteration i = if !budget > 0 then cur := find i in
+    { bind; assign = assign acc spin; iteration; sync = ignore }
   in
   let t0 = now () in
   for round = 0 to rounds - 1 do
@@ -384,8 +326,6 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       spin;
       check_reads;
       expected;
-      reads_checked = Array.make h 0;
-      reads_unchecked = Array.make h 0;
       stale = Array.make h 0;
       stale_examples = Array.init h (fun _ -> ref []);
       worker_errors = Array.make h None;
@@ -422,7 +362,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   let compared = ref [] and skipped = ref [] in
   List.iter
     (fun (name, size) ->
-      match Hashtbl.find m.placement.(nphases - 1) name with
+      match final name with
       | None -> skipped := name :: !skipped
       | Some l ->
           let g = Shim.window golden ~proc:0 ~array:name in
@@ -451,6 +391,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     wall_seq;
     speedup = wall_seq /. wall_par;
     busy = Array.map (fun (c : Shim.counters) -> c.busy) m.shim.counters;
+    sweep_words = Array.map (fun (c : Shim.counters) -> c.words) m.shim.counters;
     sched_messages = sum (fun c -> c.sched_msgs);
     sched_words = sum (fun c -> c.sched_words);
     expected_messages = !exp_msgs;
@@ -458,9 +399,8 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     remote_gets = sum (fun c -> c.gets);
     remote_puts = sum (fun c -> c.puts);
     local_accesses = sum (fun c -> c.local);
-    reads_checked = Array.fold_left ( + ) 0 st.reads_checked;
-    reads_unchecked =
-      (if check_reads then Array.fold_left ( + ) 0 st.reads_unchecked else 0);
+    reads_checked = sum (fun c -> c.checked);
+    reads_unchecked = (if check_reads then sum (fun c -> c.unchecked) else 0);
     stale = Array.fold_left ( + ) 0 st.stale;
     stale_examples =
       List.concat_map (fun r -> List.rev !r) (Array.to_list st.stale_examples);

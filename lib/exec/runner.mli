@@ -2,13 +2,13 @@
 
     Where {!Dsmsim.Exec} prices a program's traffic in cycles, this
     module runs it: each phase is compiled to closures
-    ({!Codegen.Compile}) and swept in parallel by [h] domains (this
-    thread doubles as processor 0) over per-processor {!Shim} replicas.
-    The run follows {!Dsmsim.Comm.walk}: before each sweep the incoming
-    redistributions are performed as range copies, after it the
-    outgoing frontier updates, all while the domains are parked at a
-    barrier.  Three checks compare the
-    execution against its model:
+    ({!Codegen.Compile}) and swept by [h] domains (this thread doubles
+    as processor 0) over per-processor {!Shim} replicas, each binding
+    every site to an {!accessor} once per sweep and walking only its
+    own chunks.  The run follows {!Dsmsim.Comm.walk}: before each sweep
+    the incoming redistributions are performed as range copies, after
+    it the outgoing frontier updates, all while the domains are parked
+    at a barrier.  Three checks compare the execution against its model:
 
     - {b schedule parity}: messages/words actually delivered vs the
       {!Dsmsim.Comm} schedule under the same gating, counted by a
@@ -43,8 +43,6 @@ type machine = {
   sched : Dsmsim.Comm.schedule;
   compiled : Codegen.Compile.t array;  (** one per phase *)
   sizes : (string * int) list;  (** every declared array, in order *)
-  placement : (string, Distribution.layout option) Hashtbl.t array;
-      (** per phase, {!Ilp.Distribution.placement} of every array *)
   shim : Shim.t;
 }
 
@@ -58,29 +56,23 @@ val machine :
     its and the array sizes' diagnostics.  @raise Unsupported as
     {!execute}. *)
 
-type accessor = {
-  me : int;  (** the accessing processor *)
-  own : Shim.window;  (** [me]'s replica: local reads and every write *)
-  wins : Shim.window array;  (** every processor's replica, by processor *)
-  local : int -> bool;
-      (** {!Ilp.Distribution.read_is_local} for [me], specialised to the
-          phase's placement; always true when the array has none *)
-  owner : int -> int;
-      (** {!Ilp.Distribution.owner_runs} under the placement; [me] when
-          there is none *)
-}
+type accessor
+(** Processor [me]'s view of one array in one phase: its replica, every
+    processor's, and the locality and owner tests of
+    {!Ilp.Distribution.read_is_local} and {!Ilp.Distribution.owner_runs}
+    specialised to the phase's placement (everything is local, and
+    owned by [me], when the array has none). *)
 
 val accessor : machine -> me:int -> k:int -> string -> accessor
-(** Processor [me]'s view of one array in phase [k], resolved once: a
-    sweep binds each site to one. *)
+(** Resolved once per site and sweep. *)
 
 val served : accessor -> int -> Shim.window
-(** The window a read of the address is served from: [own] when it is
-    local, else the owner's. *)
+(** The window a read of the address is served from: [me]'s when the
+    read is local, else the owner's. *)
 
 val store : accessor -> int -> float -> bool
-(** Write the value to [own] and through to the owner's replica;
-    true when the owner is another processor (a direct put). *)
+(** Write the value to [me]'s replica and through to the owner's; true
+    when the owner is another processor (a direct put). *)
 
 val in_bounds : Shim.window -> array:string -> int -> unit
 (** @raise Unsupported when the address is outside the window. *)
@@ -97,6 +89,8 @@ type result = {
   wall_seq : float;  (** seconds, sequential replay *)
   speedup : float;  (** wall_seq / wall_par *)
   busy : float array;  (** per-domain seconds inside phase sweeps *)
+  sweep_words : float array;
+      (** per-domain minor-heap words allocated inside phase sweeps *)
   sched_messages : int;  (** scheduled messages actually delivered *)
   sched_words : int;
   expected_messages : int;  (** the Comm schedule under the same gating *)
@@ -106,8 +100,8 @@ type result = {
   local_accesses : int;
   reads_checked : int;  (** reads paired with a replay value *)
   reads_unchecked : int;
-      (** executed reads past the replay's recording cap (5M reads);
-          0 when [check_reads] is false *)
+      (** executed reads past the replay's {!read_budget}; 0 when
+          [check_reads] is false *)
   stale : int;
   stale_examples : (string * int * int) list;  (** array, addr, phase *)
   content_cells : int;  (** final-epoch cells compared *)
@@ -117,6 +111,9 @@ type result = {
       (** no layout in the final epoch, or nothing written under it *)
   errors : string list;  (** schedule diagnostics and worker failures *)
 }
+
+val read_budget : int
+(** How many reads the replay records for the staleness check (5M). *)
 
 val schedule_parity : result -> bool
 (** Delivered messages and words equal the schedule's exactly. *)
@@ -134,8 +131,8 @@ val execute :
 (** [rounds] (default 1) as in {!Dsmsim.Exec.run}.  [spin] (default 0)
     multiplies each statement's work cycles into a busy-loop of that
     many iterations.  [check_reads] (default true) builds the replay's
-    expected-read streams (capped at 5M reads; reads beyond the cap are
-    executed but not checked).  @raise Unsupported when the program
-    cannot be compiled or an array cannot be allocated. *)
+    expected-read streams (capped at {!read_budget} reads; reads beyond
+    the cap are executed, not checked, and counted).  @raise Unsupported
+    when the program cannot be compiled or an array cannot be allocated. *)
 
 val pp : Format.formatter -> result -> unit

@@ -2,15 +2,19 @@ module A = Bigarray.Array1
 
 type window = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
 
-(* Per-domain traffic clocks.  Each domain writes only its own record,
-   so there is no contention; sums are read after the barriers. *)
+(* Per-domain traffic clocks.  Sweeps count into a record of their own
+   and add it to their domain's once they end; sums are read after the
+   barriers. *)
 type counters = {
   mutable sched_msgs : int;
   mutable sched_words : int;
   mutable gets : int;
   mutable puts : int;
   mutable local : int;
+  mutable checked : int;
+  mutable unchecked : int;
   mutable busy : float;
+  mutable words : float;
 }
 
 type t = {
@@ -19,9 +23,9 @@ type t = {
   counters : counters array;
 }
 
-let fresh_counters () =
+let counters () =
   { sched_msgs = 0; sched_words = 0; gets = 0; puts = 0; local = 0;
-    busy = 0.0 }
+    checked = 0; unchecked = 0; busy = 0.0; words = 0.0 }
 
 let create ~h sizes =
   let replicas = Hashtbl.create 8 in
@@ -34,7 +38,7 @@ let create ~h sizes =
       in
       Hashtbl.replace replicas name (Array.init h mk))
     sizes;
-  { h; replicas; counters = Array.init h (fun _ -> fresh_counters ()) }
+  { h; replicas; counters = Array.init h (fun _ -> counters ()) }
 
 let window t ~proc ~array = (Hashtbl.find t.replicas array).(proc)
 

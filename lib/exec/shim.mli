@@ -16,14 +16,20 @@ type counters = {
   mutable gets : int;  (** direct remote reads served by an owner *)
   mutable puts : int;  (** direct write-throughs to an owner *)
   mutable local : int;  (** replica-local accesses *)
+  mutable checked : int;  (** reads paired with a replayed value *)
+  mutable unchecked : int;  (** reads past the replay's recording cap *)
   mutable busy : float;  (** seconds spent inside phase sweeps *)
+  mutable words : float;  (** minor-heap words allocated inside them *)
 }
 
 type t = {
   h : int;
   replicas : (string, window array) Hashtbl.t;
-  counters : counters array;  (** one record per domain, uncontended *)
+  counters : counters array;  (** one record per domain *)
 }
+
+val counters : unit -> counters
+(** All zero. *)
 
 val create : h:int -> (string * int) list -> t
 (** [create ~h sizes] allocates [h] zero-filled replicas per named

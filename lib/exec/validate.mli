@@ -8,7 +8,7 @@
     It runs on the executor's replica machine ({!Runner.machine}), in
     one domain: each phase's compiled closures sweep in sequential
     order under {!Dsmsim.Comm.walk}, and each access goes to the
-    {!Runner.par_handlers} of the processor that owns its parallel
+    {!Runner.accessor} of the processor that owns its parallel
     iteration (serial statements to processor 0) - the same per-processor
     {!Shim} windows, serving rule, write-through and message delivery
     the parallel run uses.  Each write stores a version, the count of

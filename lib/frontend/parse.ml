@@ -71,9 +71,17 @@ type value = { expr : Expr.t option; reads : Types.array_ref list }
 
 let pure e = { expr = Some e; reads = [] }
 
+(* Constant folding runs on hostile input too: a constant division by
+   zero or an overflowing constant is a positioned error. *)
+let fold st f =
+  try f () with
+  | Qnum.Division_by_zero -> fail st "division by zero in a constant expression"
+  | Qnum.Overflow -> fail st "integer overflow in a constant expression"
+
 let lift2 st op a b =
   match (a.expr, b.expr) with
-  | Some x, Some y -> { expr = Some (op x y); reads = a.reads @ b.reads }
+  | Some x, Some y ->
+      { expr = Some (fold st (fun () -> op x y)); reads = a.reads @ b.reads }
   | _ ->
       if a.reads = [] && b.reads = [] then fail st "malformed expression"
       else { expr = None; reads = a.reads @ b.reads }
@@ -114,12 +122,15 @@ and parse_pow st =
       let exponent = deeper st (fun () -> parse_pow st) (* right associative *) in
       match (base.expr, exponent.expr) with
       | Some b, Some e when Expr.equal b (Expr.int 2) ->
-          { expr = Some (Expr.pow2 e); reads = base.reads @ exponent.reads }
+          { expr = Some (fold st (fun () -> Expr.pow2 e)); reads = base.reads @ exponent.reads }
       | Some b, Some e -> (
           match Expr.to_int e with
           | Some n when n >= 0 ->
               let rec pow acc k = if k = 0 then acc else pow (Expr.mul acc b) (k - 1) in
-              { expr = Some (pow Expr.one n); reads = base.reads @ exponent.reads }
+              {
+                expr = Some (fold st (fun () -> pow Expr.one n));
+                reads = base.reads @ exponent.reads;
+              }
           | _ -> fail st "only 2^e or a constant exponent is supported")
       | _ -> fail st "array reference in exponent")
   | _ -> base

@@ -83,6 +83,17 @@ let overflowing_program =
     \    A(N*N - i) = A(i) work 1\n\
     \  end\n"
 
+(* A subscript whose constant fold divides by zero: a parse error. *)
+let dividing_program =
+  with_program
+    "program x\n\
+     param N = 4..8\n\
+     real U(N)\n\
+     phase P:\n\
+     doall c = 0, N - 1\n\
+    \  U(c / (N - N)) = U(c)\n\
+     end\n"
+
 (* A subscript naming an undeclared variable: with or without
    --autopar the lint pass reports it and the run cannot replay. *)
 let unbound_program =
@@ -122,6 +133,12 @@ let () =
           case "file with an overflowing range fails its LCG stage"
             (overflowing_program (fun path ->
                  exits ~stderr:"LCG-FAIL" 1 [ "file"; path ] ()));
+          case "file dividing by a zero constant exits 1"
+            (dividing_program (fun path ->
+                 exits ~stderr:"division by zero" 1 [ "file"; path ] ()));
+          case "run past the read-check cap says so"
+            (exits ~stderr:"executed reads unchecked" 0
+               [ "run"; "jacobi2d"; "--domains"; "2"; "--size"; "10" ]);
           case "file with an unbound variable exits 1"
             (unbound_program (fun path -> no_internal_error [ "file"; path ] ()));
           case "file --autopar with an unbound variable exits 1"

@@ -120,6 +120,55 @@ let test_compile_refuses_unbound () =
           Alcotest.(check string) "message" "parameter M has no binding" msg)
     [ false; true ]
 
+(* The parallel loop's own-chunk walk: over processors 0..h-1 the
+   walks partition [lo, hi] exactly as proc_of_iteration assigns it -
+   each iteration walked once, by its owner, each walk ascending.  An
+   iteration whose owner is no processor (truncated division puts some
+   negative ones on a negative processor) is walked by none. *)
+let own_chunks_partition (lo, hi, chunk, h) =
+  let walked = Hashtbl.create 64 in
+  let ascending = ref true in
+  for me = 0 to h - 1 do
+    let last = ref min_int in
+    Ilp.Distribution.own_chunks ~chunk ~h ~me ~lo ~hi (fun a b ->
+        if a > b || a <= !last then ascending := false;
+        last := b;
+        for i = a to b do
+          Hashtbl.add walked i me
+        done)
+  done;
+  let owners_ok = ref true in
+  for i = lo to hi do
+    let owner = Ilp.Distribution.proc_of_iteration ~chunk ~h i in
+    match Hashtbl.find_all walked i with
+    | [] -> if owner >= 0 then owners_ok := false
+    | [ p ] -> if p <> owner then owners_ok := false
+    | _ -> owners_ok := false
+  done;
+  let inside = Hashtbl.fold (fun i _ ok -> ok && lo <= i && i <= hi) walked true in
+  !ascending && !owners_ok && inside
+
+let prop_own_chunks =
+  QCheck.Test.make ~count:3000 ~name:"own chunks = proc_of_iteration"
+    QCheck.(
+      quad (int_range (-70) 70) (int_range (-5) 90) (int_range 0 40)
+        (int_range 1 9))
+    (fun (lo, len, chunk, h) -> own_chunks_partition (lo, lo + len, chunk, h))
+
+let test_own_chunks_cases () =
+  List.iter
+    (fun (label, case) ->
+      Alcotest.(check bool) label true (own_chunks_partition case))
+    [
+      ("lo not aligned to a chunk", (3, 37, 4, 2));
+      ("chunk above the trip count", (0, 5, 40, 2));
+      ("h above the number of blocks", (0, 10, 4, 9));
+      ("empty loop", (5, 4, 3, 2));
+      ("negative lo", (-13, 6, 4, 3));
+      ("negative bounds, chunk 1", (-9, -2, 1, 4));
+      ("chunk 0 is chunk 1", (0, 7, 0, 3));
+    ]
+
 let () =
   Alcotest.run "codegen"
     [
@@ -138,5 +187,8 @@ let () =
           Alcotest.test_case "reached unbound" `Quick test_reached_unbound;
           Alcotest.test_case "refuses unbound" `Quick
             test_compile_refuses_unbound;
+          Alcotest.test_case "own chunks: edge cases" `Quick
+            test_own_chunks_cases;
+          QCheck_alcotest.to_alcotest prop_own_chunks;
         ] );
     ]

@@ -103,6 +103,28 @@ let test_spin_speedup_fields () =
   Alcotest.check Alcotest.bool "wall_seq positive" true (r.wall_seq > 0.0);
   Alcotest.check Alcotest.bool "speedup positive" true (r.speedup > 0.0)
 
+(* The hot loop stays unboxed: a sweep binds its sites once and then
+   allocates nothing per access.  Allocation is deterministic, so this
+   guard needs no timing.  (Per-access handlers allocated 12 words per
+   access here.) *)
+let test_sweep_allocation () =
+  let e = Codes.Registry.find "jacobi2d" in
+  let t =
+    Probe.with_seed 701 (fun () ->
+        Symbolic.Artifact.clear_all ();
+        Core.Pipeline.run e.program ~env:(e.env_of_size 8) ~h:2)
+  in
+  let r =
+    Exec.Runner.execute ~rounds:2 ~check_reads:false t.Core.Pipeline.lcg
+      t.Core.Pipeline.plan
+  in
+  let accesses = r.remote_gets + r.remote_puts + r.local_accesses in
+  let words = Array.fold_left ( +. ) 0.0 r.sweep_words in
+  Alcotest.(check bool) "jacobi2d@8 executed its sweeps" true (accesses > 1_000_000);
+  if words /. float_of_int accesses > 1.0 then
+    Alcotest.failf "%.2f minor words per executed access (at most 1)"
+      (words /. float_of_int accesses)
+
 let kernels =
   [
     "jacobi2d";
@@ -133,5 +155,6 @@ let () =
           Alcotest.test_case "affine-shapes" `Quick test_affine_shapes;
           Alcotest.test_case "opaque-fallback" `Quick test_opaque_still_runs;
           Alcotest.test_case "spin-speedup" `Quick test_spin_speedup_fields;
+          Alcotest.test_case "sweep allocation" `Quick test_sweep_allocation;
         ] );
     ]

@@ -390,6 +390,19 @@ let hostile_corpus () =
       ^ ") = 0\nend\n";
     ]
   in
+  (* constant folds that divide by zero or overflow *)
+  let folds =
+    let phase body =
+      "program x\nparam N = 4..8\nreal U(N)\nphase P:\ndoall c = 0, N - 1\n  "
+      ^ body ^ "\nend\n"
+    in
+    [
+      phase "U(c / 0) = U(c)";
+      phase "U(c / (N - N)) = U(c)";
+      phase "U(c * 3037000500 * 3037000500) = U(c)";
+      "program x\nreal U(2^70)\nphase P:\ndoall c = 0, 3\n  U(c) = U(c)\nend\n";
+    ]
+  in
   let unterminated =
     [
       "program x\nreal A(4)\nphase P:\ndo i = 0, 3\n  A(i) = 0\n";
@@ -400,7 +413,7 @@ let hostile_corpus () =
       "";
     ]
   in
-  truncations @ garbage @ spliced @ nuls @ huge @ deep @ unterminated
+  truncations @ garbage @ spliced @ nuls @ huge @ deep @ folds @ unterminated
 
 let test_hostile_inputs () =
   let cases = hostile_corpus () in
