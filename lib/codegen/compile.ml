@@ -49,13 +49,13 @@ let rec node ~chunk ~h ~parallel (n : E.node) ~me (c : consumer) =
                else [])
              s.refs)
       in
-      let acts = Array.of_list (sites Ir.Types.Read @ sites Ir.Types.Write) in
+      let l = sites Ir.Types.Read @ sites Ir.Types.Write in
+      let acts = Array.of_list (List.map fst l) and addrs = Array.of_list (List.map snd l) in
       let work = s.work in
       fun slots ->
         c.assign work;
         for j = 0 to Array.length acts - 1 do
-          let act, addr = acts.(j) in
-          act (addr slots)
+          acts.(j) (addrs.(j) slots)
         done
   | E.Nest l ->
       let inner = parallel || l.parallel in
