@@ -104,7 +104,8 @@ let accessor m ~me ~k array =
   | Some l ->
       let size_of a = List.assoc_opt a m.sizes in
       let local = Distribution.read_is_local m.plan l ~size_of ~proc:me in
-      { me; own; wins; local; owner = Distribution.owner_runs m.plan l }
+      let o = Distribution.own_of ~h:m.plan.h l in
+      { me; own; wins; local; owner = Symbolic.Lattice.Own.owner o }
 
 let[@inline] served a addr = if a.local addr then a.own else a.wins.(a.owner addr)
 
@@ -204,7 +205,6 @@ let par_consumer st (t : Shim.counters) ~me ~round ~k : Compile.consumer =
             if v <> Float.Array.get str.vals str.pos then stale st ~me ~k s.array addr;
             str.pos <- str.pos + 1
           end
-          else t.unchecked <- t.unchecked + 1
     | Ir.Types.Write ->
         fun addr ->
           if store a addr (acc.sum +. stamp ~round ~k ~site:s.index ~addr) then
@@ -223,7 +223,6 @@ let run_share st ~me ~round ~k =
   c.puts <- c.puts + t.puts;
   c.local <- c.local + t.local;
   c.checked <- c.checked + t.checked;
-  c.unchecked <- c.unchecked + t.unchecked;
   c.busy <- c.busy +. (now () -. t0);
   c.words <- c.words +. (Gc.minor_words () -. w0)
 
@@ -273,7 +272,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     (fun (n, s) -> Hashtbl.replace final_mask n (Bytes.make (max 1 s) '\000'))
     m.sizes;
   let expected = Hashtbl.create 256 in
-  let budget = ref (if check_reads then read_budget else 0) in
+  let budget = ref (if check_reads then read_budget else 0) and unchecked = ref 0 in
   let replay ~round ~k : Compile.consumer =
     let find i =
       match Hashtbl.find_opt expected (round, k, i) with
@@ -296,6 +295,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
               push (if s.parallel then !cur else serial) v;
               decr budget
             end
+            else if check_reads then incr unchecked
       | Ir.Types.Write ->
           let marks = round = rounds - 1 && in_final_epoch k s.array in
           let mask = Hashtbl.find final_mask s.array in
@@ -400,7 +400,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     remote_puts = sum (fun c -> c.puts);
     local_accesses = sum (fun c -> c.local);
     reads_checked = sum (fun c -> c.checked);
-    reads_unchecked = (if check_reads then sum (fun c -> c.unchecked) else 0);
+    reads_unchecked = !unchecked;
     stale = Array.fold_left ( + ) 0 st.stale;
     stale_examples =
       List.concat_map (fun r -> List.rev !r) (Array.to_list st.stale_examples);

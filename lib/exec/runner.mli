@@ -58,8 +58,8 @@ val machine :
 
 type accessor
 (** Processor [me]'s view of one array in one phase: its replica, every
-    processor's, and the locality and owner tests of
-    {!Ilp.Distribution.read_is_local} and {!Ilp.Distribution.owner_runs}
+    processor's, and the locality and owner tests
+    ({!Ilp.Distribution.read_is_local}, {!Ilp.Distribution.proc_of})
     specialised to the phase's placement (everything is local, and
     owned by [me], when the array has none). *)
 
@@ -90,7 +90,9 @@ type result = {
   speedup : float;  (** wall_seq / wall_par *)
   busy : float array;  (** per-domain seconds inside phase sweeps *)
   sweep_words : float array;
-      (** per-domain minor-heap words allocated inside phase sweeps *)
+      (** per-domain minor-heap words allocated inside phase sweeps: a
+          diagnostic (two [Gc.minor_words] reads per sweep), which the
+          tests use to pin the sweep's allocation *)
   sched_messages : int;  (** scheduled messages actually delivered *)
   sched_words : int;
   expected_messages : int;  (** the Comm schedule under the same gating *)
@@ -100,7 +102,8 @@ type result = {
   local_accesses : int;
   reads_checked : int;  (** reads paired with a replay value *)
   reads_unchecked : int;
-      (** executed reads past the replay's {!read_budget}; 0 when
+      (** reads past the replay's {!read_budget}, counted by the
+          replay (the parallel run executes the same reads); 0 when
           [check_reads] is false *)
   stale : int;
   stale_examples : (string * int * int) list;  (** array, addr, phase *)

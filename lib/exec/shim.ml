@@ -12,7 +12,6 @@ type counters = {
   mutable puts : int;
   mutable local : int;
   mutable checked : int;
-  mutable unchecked : int;
   mutable busy : float;
   mutable words : float;
 }
@@ -25,7 +24,7 @@ type t = {
 
 let counters () =
   { sched_msgs = 0; sched_words = 0; gets = 0; puts = 0; local = 0;
-    checked = 0; unchecked = 0; busy = 0.0; words = 0.0 }
+    checked = 0; busy = 0.0; words = 0.0 }
 
 let create ~h sizes =
   let replicas = Hashtbl.create 8 in

@@ -17,7 +17,6 @@ type counters = {
   mutable puts : int;  (** direct write-throughs to an owner *)
   mutable local : int;  (** replica-local accesses *)
   mutable checked : int;  (** reads paired with a replayed value *)
-  mutable unchecked : int;  (** reads past the replay's recording cap *)
   mutable busy : float;  (** seconds spent inside phase sweeps *)
   mutable words : float;  (** minor-heap words allocated inside them *)
 }

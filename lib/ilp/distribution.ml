@@ -77,35 +77,14 @@ let own_of ~h (l : layout) : Lattice.Own.t =
     mirror = l.mirror;
   }
 
-(* A piecewise-constant [f] whose value at [x] holds on [x .. until x],
-   with the last run looked up remembered. *)
-let memo_runs f until =
-  let lo = ref 1 and hi = ref 0 and v = ref (f 0) in
-  fun x ->
-    if !lo <= x && x <= !hi then !v
-    else begin
-      lo := x;
-      hi := until x;
-      v := f x;
-      !v
-    end
-
-let owner_runs plan l =
-  let o = own_of ~h:plan.h l in
-  memo_runs (Lattice.Own.owner o) (Lattice.Own.run_end o ~hi:max_int)
-
 let read_is_local plan (l : layout) ~size_of ~proc =
   let o = own_of ~h:plan.h l in
-  let owned x = Lattice.Own.owner o x = proc
-  and until = Lattice.Own.run_end o ~hi:max_int in
-  if l.halo = 0 then memo_runs owned until
+  let owned x = Lattice.Own.owner o x = proc in
+  if l.halo = 0 then owned
   else if fully_replicated l ~size_of then fun _ -> true
   else
     let w = halo_window l in
-    (* each of the three owners holds on its own run *)
-    memo_runs
-      (fun x -> owned x || owned (x - w) || owned (x + w))
-      (fun x -> min (until x) (min (until (x - w) + w) (until (x + w) - w)))
+    fun x -> owned x || owned (x - w) || owned (x + w)
 
 (* {1 The per-processor tally} *)
 

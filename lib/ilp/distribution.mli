@@ -82,16 +82,7 @@ val read_is_local :
 (** [read_is_local plan l ~size_of ~proc addr]: owned, within
     {!halo_window} of an owned block, or {!fully_replicated}.  Applied
     up to [~proc] it is specialised to the layout once (asking
-    [size_of] there, for a halo'd layout only) and remembers the last
-    run of addresses on which the answer is constant, as {!owner_runs}
-    does. *)
-
-val owner_runs : plan -> layout -> int -> int
-(** {!proc_of} specialised to one layout.  The owner is constant on
-    runs of addresses ({!Symbolic.Lattice.Own.run_end}); the closure
-    remembers the last run it looked up, so a walk through climbing
-    addresses pays a comparison per address.  Each closure is meant for
-    one domain. *)
+    [size_of] there, for a halo'd layout only). *)
 
 (** {1 The per-processor tally}
 

@@ -192,11 +192,6 @@ module Own : sig
   val owner : t -> int -> int
   (** {!owner_at} on [t]'s fields. *)
 
-  val run_end : t -> hi:int -> int -> int
-  (** [run_end o ~hi x]: the largest [e] in [x..hi] such that the owner
-      is constant on [x..e] (not always the whole run: below [base] it
-      stops at [base - 1]). *)
-
   val segments :
     t -> t -> lo:int -> hi:int -> (int -> int -> int -> int -> unit) -> unit
   (** [segments a b ~lo ~hi f] calls [f x e p q] on each segment
