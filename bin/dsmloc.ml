@@ -113,23 +113,11 @@ let symbolic_only_arg =
   in
   Arg.(value & flag & info [ "symbolic-only" ] ~doc)
 
-let enum_only_arg =
-  let doc =
-    "Force the historical enumerated accounting everywhere (the \
-     differential baseline for --enum-oracle)."
-  in
-  Arg.(value & flag & info [ "enum-only" ] ~doc)
-
 let mode_term =
-  let install symbolic_only enum_only =
-    match (symbolic_only, enum_only) with
-    | true, true ->
-        Error (`Msg "--symbolic-only and --enum-only are mutually exclusive")
-    | true, false -> Ok (Symbolic.Lattice.mode := Symbolic.Lattice.Symbolic_only)
-    | false, true -> Ok (Symbolic.Lattice.mode := Symbolic.Lattice.Enumerated_only)
-    | false, false -> Ok ()
+  let install symbolic_only =
+    if symbolic_only then Symbolic.Lattice.mode := Symbolic.Lattice.Symbolic_only
   in
-  Term.(term_result (const install $ symbolic_only_arg $ enum_only_arg))
+  Term.(const install $ symbolic_only_arg)
 
 let enum_oracle_arg =
   let doc =
@@ -303,9 +291,9 @@ let registry ?strict ?max_errors ?embeds name size h k =
 
 (* A command over one registry code: CODE, --size, [width] (--procs
    unless given), --strict and --max-errors when [ladder], and
-   --profile, --profile-json, --symbolic-only and --enum-only unless
-   [bare].  [k]'s term carries the command's own flags; it prints the
-   payload and returns the verdict [analysis] expects. *)
+   --profile, --profile-json and --symbolic-only unless [bare].  [k]'s
+   term carries the command's own flags; it prints the payload and
+   returns the verdict [analysis] expects. *)
 let kernel_cmd ?(ladder = false) ?(bare = false) ?embeds ?(width = procs_arg)
     name ~doc k =
   let ladder_term =
@@ -347,19 +335,12 @@ let analyze_cmd =
       (* Render the same analysis under both accountings.  The artifact
          stores key mode-dependent entries on the mode tag, so the two
          runs cannot poison each other. *)
-      let under mode k =
-        Symbolic.Lattice.mode := mode;
-        registry ~strict ?max_errors ~embeds:true name size h (fun _ -> k)
-      in
-      let base_mode =
-        match !Symbolic.Lattice.mode with
-        | Symbolic.Lattice.Enumerated_only -> Symbolic.Lattice.Auto
-        | m -> m
-      in
+      let run k = registry ~strict ?max_errors ~embeds:true name size h (fun _ -> k) in
       let render t = Format.asprintf "%a@." Core.Pipeline.report_core t in
-      under base_mode @@ fun t ->
+      run @@ fun t ->
       let sym = render t in
-      under Symbolic.Lattice.Enumerated_only @@ fun te ->
+      Symbolic.Lattice.mode := Symbolic.Lattice.Enumerated_only;
+      run @@ fun te ->
       report t;
       match Fuzz.Differ.first_diff sym (render te) with
       | Some (line, s, e) ->

@@ -12,7 +12,6 @@ type result = {
   wall_seq : float;
   speedup : float;
   busy : float array;
-  sweep_words : float array;
   sched_messages : int;
   sched_words : int;
   expected_messages : int;
@@ -215,7 +214,7 @@ let par_consumer st (t : Shim.counters) ~me ~round ~k : Compile.consumer =
   { bind; assign = assign acc st.spin; iteration; sync = (fun () -> Shim.Barrier.await st.sync) }
 
 let run_share st ~me ~round ~k =
-  let t0 = now () and w0 = Gc.minor_words () in
+  let t0 = now () in
   let t = Shim.counters () in
   st.m.compiled.(k).sweep ~me:(Some me) (par_consumer st t ~me ~round ~k);
   let c = st.m.shim.counters.(me) in
@@ -223,8 +222,7 @@ let run_share st ~me ~round ~k =
   c.puts <- c.puts + t.puts;
   c.local <- c.local + t.local;
   c.checked <- c.checked + t.checked;
-  c.busy <- c.busy +. (now () -. t0);
-  c.words <- c.words +. (Gc.minor_words () -. w0)
+  c.busy <- c.busy +. (now () -. t0)
 
 let worker st p =
   let rec loop () =
@@ -391,7 +389,6 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
     wall_seq;
     speedup = wall_seq /. wall_par;
     busy = Array.map (fun (c : Shim.counters) -> c.busy) m.shim.counters;
-    sweep_words = Array.map (fun (c : Shim.counters) -> c.words) m.shim.counters;
     sched_messages = sum (fun c -> c.sched_msgs);
     sched_words = sum (fun c -> c.sched_words);
     expected_messages = !exp_msgs;

@@ -89,10 +89,6 @@ type result = {
   wall_seq : float;  (** seconds, sequential replay *)
   speedup : float;  (** wall_seq / wall_par *)
   busy : float array;  (** per-domain seconds inside phase sweeps *)
-  sweep_words : float array;
-      (** per-domain minor-heap words allocated inside phase sweeps: a
-          diagnostic (two [Gc.minor_words] reads per sweep), which the
-          tests use to pin the sweep's allocation *)
   sched_messages : int;  (** scheduled messages actually delivered *)
   sched_words : int;
   expected_messages : int;  (** the Comm schedule under the same gating *)

@@ -13,7 +13,6 @@ type counters = {
   mutable local : int;
   mutable checked : int;
   mutable busy : float;
-  mutable words : float;
 }
 
 type t = {
@@ -24,7 +23,7 @@ type t = {
 
 let counters () =
   { sched_msgs = 0; sched_words = 0; gets = 0; puts = 0; local = 0;
-    checked = 0; busy = 0.0; words = 0.0 }
+    checked = 0; busy = 0.0 }
 
 let create ~h sizes =
   let replicas = Hashtbl.create 8 in

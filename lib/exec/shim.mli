@@ -18,7 +18,6 @@ type counters = {
   mutable local : int;  (** replica-local accesses *)
   mutable checked : int;  (** reads paired with a replayed value *)
   mutable busy : float;  (** seconds spent inside phase sweeps *)
-  mutable words : float;  (** minor-heap words allocated inside them *)
 }
 
 type t = {

@@ -87,87 +87,54 @@ let race_oracle prog =
   | Some d -> Fail ("certifier vs dynamic oracle: " ^ d.message)
   | None -> Pass
 
-(* Exact evaluation of an LP row at an integer point. *)
-let satisfies_row (c : Ilp.Lp.constr) (p : int array) =
-  let s = ref Qnum.zero in
-  Array.iteri (fun i q -> s := Qnum.add !s (Qnum.mul q (Qnum.of_int p.(i)))) c.coeffs;
-  match c.cmp with
-  | Ilp.Lp.Le -> Qnum.compare !s c.rhs <= 0
-  | Ilp.Lp.Ge -> Qnum.compare !s c.rhs >= 0
-  | Ilp.Lp.Eq -> Qnum.equal !s c.rhs
-
-let satisfies_lp (lp : Ilp.Lp.problem) p =
-  List.for_all (fun c -> satisfies_row c p) lp.constraints
-
+(* The chain point checked in exact integers against every row it must
+   satisfy: the unbroken locality equalities, the load-balance bounds,
+   and each storage cap [coeff p <= limit] that some chunk >= 1 meets
+   ([coeff <= limit]). *)
 let ilp_chain prog =
   let t = with_mode Lattice.Auto (fun () -> run_pipeline prog) in
   if Core.Pipeline.degraded t then Skip "pipeline degraded"
   else begin
     let model = t.model in
-    let sol = t.solution in
-    (* 1. The chain point satisfies every row it claims to: the
-       non-broken locality equalities and the load-balance bounds. *)
+    let p = t.solution.p in
     let broken (l : Ilp.Model.locality) =
       List.exists
         (fun (a, k, g) -> String.equal a l.array && k = l.k && g = l.g)
-        sol.broken
+        t.solution.broken
     in
     let bad_loc =
       List.find_opt
         (fun (l : Ilp.Model.locality) ->
-          (not (broken l)) && l.ai * sol.p.(l.k) <> (l.bi * sol.p.(l.g)) + l.ci)
+          (not (broken l)) && l.ai * p.(l.k) <> (l.bi * p.(l.g)) + l.ci)
         model.locality
     in
     let bad_bound =
       List.find_opt
-        (fun (b : Ilp.Model.bound) -> sol.p.(b.k) < 1 || sol.p.(b.k) > b.hi)
+        (fun (b : Ilp.Model.bound) -> p.(b.k) < 1 || p.(b.k) > b.hi)
         model.bounds
     in
-    match (bad_loc, bad_bound) with
-    | Some l, _ ->
+    let bad_storage =
+      List.find_opt
+        (fun (s : Ilp.Model.storage) ->
+          s.coeff <= s.limit && p.(s.k) > s.limit / s.coeff)
+        model.storage
+    in
+    match (bad_loc, bad_bound, bad_storage) with
+    | Some l, _, _ ->
         Fail
           (Printf.sprintf
              "chain point violates unbroken locality row %s: %d p%d = %d p%d + %d"
              l.array l.ai l.k l.bi l.g l.ci)
-    | _, Some b ->
+    | _, Some b, _ ->
         Fail
           (Printf.sprintf "chain point violates bound row: p%d = %d not in 1..%d"
-             b.k sol.p.(b.k) b.hi)
-    | None, None -> (
-        (* 2. Branch-and-bound over the same rows (maximize sum p_k)
-           must agree on feasibility, and its optimum bounds any chain
-           point that satisfies the full row set (storage included). *)
-        let lp =
-          Ilp.Model.to_lp model
-            ~objective:(Array.make model.n_phases Qnum.one)
-        in
-        let chain_fully_feasible = sol.broken = [] && satisfies_lp lp sol.p in
-        match Ilp.Ilp_solver.solve_budgeted lp with
-        | _, true -> Skip "branch-and-bound budget exhausted"
-        | Ilp.Ilp_solver.Infeasible, false ->
-            if chain_fully_feasible then
-              Fail "B&B says infeasible, but the chain point satisfies every row"
-            else Pass
-        | Ilp.Ilp_solver.Unbounded, false ->
-            if model.bounds <> [] then
-              Fail "B&B says unbounded despite load-balance bound rows"
-            else Skip "no bound rows"
-        | Ilp.Ilp_solver.Optimal { value; point }, false ->
-            if not (satisfies_lp lp point) then
-              Fail "B&B optimum violates its own rows"
-            else if
-              chain_fully_feasible
-              && Qnum.compare
-                   (Qnum.of_int (Array.fold_left ( + ) 0 sol.p))
-                   value
-                 > 0
-            then
-              Fail
-                (Printf.sprintf
-                   "chain point is feasible with sum %d, above the B&B maximum %s"
-                   (Array.fold_left ( + ) 0 sol.p)
-                   (Qnum.to_string value))
-            else Pass)
+             b.k p.(b.k) b.hi)
+    | _, _, Some s ->
+        Fail
+          (Printf.sprintf
+             "chain point violates storage row %s: %d p%d <= %d at p%d = %d"
+             s.array s.coeff s.k s.limit s.k p.(s.k))
+    | None, None, None -> Pass
   end
 
 let comm_parity prog =
@@ -288,7 +255,7 @@ let checks =
       run = guarded race_oracle;
     };
     { name = "ilp-chain";
-      doc = "chain enumerator and branch-and-bound agree on the Table-2 rows";
+      doc = "the solve's chain point satisfies every Table-2 row it must";
       run = guarded ilp_chain;
     };
     { name = "comm-parity";

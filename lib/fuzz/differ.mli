@@ -12,11 +12,10 @@
     - [race-oracle]: the static race certifier never contradicts the
       dynamic sampling oracle ({!Core.Lint.autopar}'s
       [RACE-ORACLE-MISMATCH]);
-    - [ilp-chain]: the exact chain enumerator's point satisfies the
-      model's locality and bound rows, and the branch-and-bound solver
-      over the same {!Ilp.Model.to_lp} rows agrees on feasibility (and
-      bounds the chain point's objective when the chain point happens
-      to satisfy every LP row, storage included);
+    - [ilp-chain]: the Eq. 7 solve's chain point ({!Ilp.Solve.solve})
+      satisfies, in exact integers, the model's unbroken locality rows,
+      its load-balance bounds and every storage row that some chunk
+      [>= 1] can satisfy;
     - [comm-parity]: the communication schedule generated from a fixed
       (LCG, plan) pair is identical under both accounting modes;
     - [cold-warm]: re-analyzing the same source with a warm artifact

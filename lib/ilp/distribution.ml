@@ -39,21 +39,19 @@ let placement (plan : plan) ~array ~phase_idx =
 
 let proc_of_iteration = Owncount.proc_of_iteration
 
-(* The chunks are the classes of the truncated quotient [q = i / c],
-   owned when [q mod h = me]: q >= 0 when [me > 0], any multiple of h
-   when [me = 0] (a negative q owns processor [-(-q mod h)]).  Quotient
-   0 spans [-c+1 .. c-1]. *)
+(* The chunks are the classes of the floored quotient [q = i / c],
+   chunk [q] spanning [q c .. q c + c - 1], owned when [q mod h = me]
+   (Euclidean modulus). *)
 let own_chunks ~chunk ~h ~me ~lo ~hi f =
   let c = Int.max 1 chunk in
+  let fdiv i = (if i >= 0 then i else i - c + 1) / c in
   if lo <= hi then begin
-    let q0 = if me = 0 then lo / c else Int.max 0 (lo / c) in
+    let q0 = fdiv lo and q1 = fdiv hi in
     let q = ref (q0 + ((((me - q0) mod h) + h) mod h)) in
-    while !q <= hi / c do
-      let q' = !q in
-      let a = if q' > 0 then q' * c else (q' * c) - c + 1
-      and b = if q' >= 0 then (q' * c) + c - 1 else q' * c in
-      f (Int.max lo a) (Int.min hi b);
-      q := q' + h
+    while !q <= q1 do
+      let a = !q * c in
+      f (Int.max lo a) (Int.min hi (a + c - 1));
+      q := !q + h
     done
   end
 

@@ -61,15 +61,15 @@ val placement : plan -> array:string -> phase_idx:int -> layout option
     code all ask. *)
 
 val proc_of_iteration : chunk:int -> h:int -> int -> int
-(** CYCLIC(p): parallel iteration [i] runs on [(i / max 1 p) mod h]. *)
+(** CYCLIC(p): parallel iteration [i] runs on [floor (i / max 1 p)]
+    modulo [h], a processor in [0..h-1] for every [i]. *)
 
 val own_chunks :
   chunk:int -> h:int -> me:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [own_chunks ~chunk ~h ~me ~lo ~hi f] calls [f a b] on processor
     [me]'s chunks of [lo..hi], ascending: together they are exactly the
     iterations [i] with [proc_of_iteration ~chunk ~h i = me], with no
-    per-iteration test.  Division truncates, so below zero the chunks
-    follow the truncated quotient too. *)
+    per-iteration test. *)
 
 val halo_window : layout -> int
 (** [min halo block]: ghost cells on each side of an owned block. *)

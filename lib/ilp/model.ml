@@ -147,44 +147,6 @@ let of_lcg (lcg : Lcg.t) : t =
   in
   { lcg; n_phases; locality; bounds; storage }
 
-let to_lp (t : t) ~objective : Lp.problem =
-  let n = t.n_phases in
-  let unit_row f =
-    let r = Array.make n Qnum.zero in
-    f r;
-    r
-  in
-  let loc_rows =
-    List.map
-      (fun (l : locality) ->
-        Lp.constr
-          (unit_row (fun r ->
-               r.(l.k) <- Qnum.of_int l.ai;
-               r.(l.g) <- Qnum.add r.(l.g) (Qnum.of_int (-l.bi))))
-          Lp.Eq (Qnum.of_int l.ci))
-      t.locality
-  in
-  let bound_rows =
-    List.concat_map
-      (fun (b : bound) ->
-        [
-          Lp.constr (unit_row (fun r -> r.(b.k) <- Qnum.one)) Lp.Ge Qnum.one;
-          Lp.constr
-            (unit_row (fun r -> r.(b.k) <- Qnum.one))
-            Lp.Le (Qnum.of_int b.hi);
-        ])
-      t.bounds
-  in
-  let storage_rows =
-    List.map
-      (fun (s : storage) ->
-        Lp.constr
-          (unit_row (fun r -> r.(s.k) <- Qnum.of_int s.coeff))
-          Lp.Le (Qnum.of_int s.limit))
-      t.storage
-  in
-  { Lp.n_vars = n; objective; constraints = loc_rows @ bound_rows @ storage_rows }
-
 let pp ppf (t : t) =
   let pname k =
     (List.nth t.lcg.prog.phases k).Ir.Types.phase_name

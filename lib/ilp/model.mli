@@ -53,10 +53,5 @@ type t = {
 
 val of_lcg : Locality.Lcg.t -> t
 
-val to_lp : t -> objective:Qnum.t array -> Lp.problem
-(** Linear relaxation with the given objective over the [p_k]; the
-    locality rows become equalities, bounds and storage become
-    inequalities. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders the model in the layout of Table 2. *)

@@ -41,8 +41,9 @@ val budget : int
     intervals of one processor's ownership set. *)
 
 val proc_of_iteration : chunk:int -> h:int -> int -> int
-(** [i / max 1 chunk mod h]: consecutive chunk runs go to consecutive
-    processors ({!Distribution.proc_of_iteration} is this function). *)
+(** [floor (i / max 1 chunk)] modulo [h], in [0..h-1] for every [i]:
+    consecutive chunk runs go to consecutive processors
+    ({!Distribution.proc_of_iteration} is this function). *)
 
 type counts = {
   events : int array;  (** per processor: events executed *)

@@ -6,9 +6,8 @@
     class (every [p_k] integral) cut to a window (every [p_k] at least
     1 and within its load-balance bound and storage caps, and [t] in
     [1..t_max]).  The objective's D terms contain floors, so it is not
-    linear; {!Ilp_solver} remains available for linear objectives.
-    Instead of enumerating the window, {!argmin} minimizes each
-    component piecewise.
+    linear.  Instead of enumerating the window, {!argmin} minimizes
+    each component piecewise; this is the model's only solver.
 
     {b Pieces.}  A member's cost at chunk [p] is
     [load(p) + K / p] with [K = sum par_n (2 t_startup + 4 w t_word) / H]

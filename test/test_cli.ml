@@ -185,5 +185,7 @@ let () =
             [ "batch"; "--all"; "--jobs"; "128" ];
             [ "run"; "jacobi2d"; "--domains"; "129" ];
             [ "fuzz"; "--count"; "1"; "--jobs"; "128" ];
+            (* a removed option is an unknown one *)
+            [ "analyze"; "tfft2"; "--enum-only" ];
           ] );
     ]

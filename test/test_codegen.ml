@@ -122,9 +122,7 @@ let test_compile_refuses_unbound () =
 
 (* The parallel loop's own-chunk walk: over processors 0..h-1 the
    walks partition [lo, hi] exactly as proc_of_iteration assigns it -
-   each iteration walked once, by its owner, each walk ascending.  An
-   iteration whose owner is no processor (truncated division puts some
-   negative ones on a negative processor) is walked by none. *)
+   each iteration walked once, by its owner, each walk ascending. *)
 let own_chunks_partition (lo, hi, chunk, h) =
   let walked = Hashtbl.create 64 in
   let ascending = ref true in
@@ -141,7 +139,6 @@ let own_chunks_partition (lo, hi, chunk, h) =
   for i = lo to hi do
     let owner = Ilp.Distribution.proc_of_iteration ~chunk ~h i in
     match Hashtbl.find_all walked i with
-    | [] -> if owner >= 0 then owners_ok := false
     | [ p ] -> if p <> owner then owners_ok := false
     | _ -> owners_ok := false
   done;

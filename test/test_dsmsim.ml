@@ -75,7 +75,9 @@ let test_seq_time_independent_of_plan () =
 let test_proc_of_iteration () =
   Alcotest.(check int) "cyclic(2) i=5 h=4" 2 (Distribution.proc_of_iteration ~chunk:2 ~h:4 5);
   Alcotest.(check int) "wraps" 0 (Distribution.proc_of_iteration ~chunk:2 ~h:4 8);
-  Alcotest.(check int) "chunk 0 guarded" 3 (Distribution.proc_of_iteration ~chunk:0 ~h:4 3)
+  Alcotest.(check int) "chunk 0 guarded" 3 (Distribution.proc_of_iteration ~chunk:0 ~h:4 3);
+  Alcotest.(check int) "floors below 0" 3 (Distribution.proc_of_iteration ~chunk:2 ~h:4 (-1));
+  Alcotest.(check int) "wraps below 0" 0 (Distribution.proc_of_iteration ~chunk:2 ~h:4 (-8))
 
 let test_halo_reduces_remote () =
   Probe.with_seed 53 (fun () ->

@@ -1,209 +1,10 @@
-(* Tests for the ILP layer: the exact simplex, branch & bound, the
-   Table 2 model generated from the TFFT2 LCG, the enumeration solver,
-   and distribution plans. *)
+(* Tests for the ILP layer: the Table 2 model generated from the TFFT2
+   LCG, the Eq. 7 solver, and distribution plans. *)
 
 open Symbolic
 open Ilp
 
 let tfft2 = (Codes.Registry.find "tfft2").program
-
-let q = Qnum.of_int
-let qq a b = Qnum.make a b
-
-(* ------------------------------------------------------------------ *)
-(* Simplex *)
-
-let test_lp_basic () =
-  (* max x + y  s.t. x + 2y <= 4; 3x + y <= 6  -> (8/5, 6/5), value 14/5 *)
-  let p =
-    {
-      Lp.n_vars = 2;
-      objective = [| q 1; q 1 |];
-      constraints =
-        [
-          Lp.constr [| q 1; q 2 |] Lp.Le (q 4);
-          Lp.constr [| q 3; q 1 |] Lp.Le (q 6);
-        ];
-    }
-  in
-  match Lp.solve p with
-  | Lp.Optimal { value; point } ->
-      Alcotest.(check bool) "value 14/5" true (Qnum.equal value (qq 14 5));
-      Alcotest.(check bool) "x = 8/5" true (Qnum.equal point.(0) (qq 8 5));
-      Alcotest.(check bool) "y = 6/5" true (Qnum.equal point.(1) (qq 6 5))
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_lp_equality_and_ge () =
-  (* max x  s.t. x + y = 10; x >= 2; y >= 3  ->  x = 7 *)
-  let p =
-    {
-      Lp.n_vars = 2;
-      objective = [| q 1; q 0 |];
-      constraints =
-        [
-          Lp.constr [| q 1; q 1 |] Lp.Eq (q 10);
-          Lp.constr [| q 1; q 0 |] Lp.Ge (q 2);
-          Lp.constr [| q 0; q 1 |] Lp.Ge (q 3);
-        ];
-    }
-  in
-  match Lp.solve p with
-  | Lp.Optimal { value; _ } ->
-      Alcotest.(check bool) "x = 7" true (Qnum.equal value (q 7))
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_lp_infeasible () =
-  let p =
-    {
-      Lp.n_vars = 1;
-      objective = [| q 1 |];
-      constraints =
-        [ Lp.constr [| q 1 |] Lp.Ge (q 5); Lp.constr [| q 1 |] Lp.Le (q 3) ];
-    }
-  in
-  Alcotest.(check bool) "infeasible" true (Lp.solve p = Lp.Infeasible)
-
-let test_lp_unbounded () =
-  let p = { Lp.n_vars = 1; objective = [| q 1 |]; constraints = [] } in
-  Alcotest.(check bool) "unbounded" true (Lp.solve p = Lp.Unbounded)
-
-(* Brute-force check on random small LPs: simplex optimum dominates
-   every lattice point. *)
-let prop_lp_dominates_lattice =
-  QCheck.Test.make ~name:"simplex dominates feasible lattice points" ~count:100
-    QCheck.(
-      triple
-        (list_of_size (Gen.int_range 1 3)
-           (triple (int_range (-4) 4) (int_range (-4) 4) (int_range 1 12)))
-        (int_range (-3) 3) (int_range (-3) 3))
-    (fun (rows, c1, c2) ->
-      let p =
-        {
-          Lp.n_vars = 2;
-          objective = [| q c1; q c2 |];
-          constraints =
-            List.map (fun (a, b, r) -> Lp.constr [| q a; q b |] Lp.Le (q r)) rows
-            (* keep it bounded *)
-            @ [
-                Lp.constr [| q 1; q 0 |] Lp.Le (q 20);
-                Lp.constr [| q 0; q 1 |] Lp.Le (q 20);
-              ];
-        }
-      in
-      match Lp.solve p with
-      | Lp.Unbounded -> false
-      | Lp.Infeasible ->
-          (* no lattice point may be feasible either *)
-          let feasible = ref false in
-          for x = 0 to 20 do
-            for y = 0 to 20 do
-              if
-                List.for_all
-                  (fun (a, b, r) -> (a * x) + (b * y) <= r)
-                  rows
-              then feasible := true
-            done
-          done;
-          not !feasible
-      | Lp.Optimal { value; _ } ->
-          let ok = ref true in
-          for x = 0 to 20 do
-            for y = 0 to 20 do
-              if List.for_all (fun (a, b, r) -> (a * x) + (b * y) <= r) rows
-              then
-                if Qnum.compare (q ((c1 * x) + (c2 * y))) value > 0 then
-                  ok := false
-            done
-          done;
-          !ok)
-
-(* ------------------------------------------------------------------ *)
-(* Branch & bound *)
-
-let test_ilp_knapsack () =
-  (* max 5x + 4y s.t. 6x + 4y <= 24; x + 2y <= 6 -> LP opt fractional,
-     integer opt x=4 y=0 value 20 *)
-  let p =
-    {
-      Lp.n_vars = 2;
-      objective = [| q 5; q 4 |];
-      constraints =
-        [
-          Lp.constr [| q 6; q 4 |] Lp.Le (q 24);
-          Lp.constr [| q 1; q 2 |] Lp.Le (q 6);
-        ];
-    }
-  in
-  match Ilp_solver.solve p with
-  | Ilp_solver.Optimal { value; point } ->
-      Alcotest.(check bool) "value 20" true (Qnum.equal value (q 20));
-      Alcotest.(check (array int)) "point" [| 4; 0 |] point
-  | _ -> Alcotest.fail "expected optimal"
-
-(* Regression: the branch & bound used to [failwith "node budget
-   exceeded"] when the search tree outgrew [max_nodes].  It now prunes
-   instead, returning the best incumbent found (or [Infeasible] when
-   none was) together with an exhaustion flag. *)
-let test_ilp_budget () =
-  let p =
-    {
-      Lp.n_vars = 2;
-      objective = [| q 5; q 4 |];
-      constraints =
-        [
-          Lp.constr [| q 6; q 4 |] Lp.Le (q 24);
-          Lp.constr [| q 1; q 2 |] Lp.Le (q 6);
-        ];
-    }
-  in
-  (* a one-node budget cannot finish the knapsack search: no exception,
-     a total outcome, and the flag raised *)
-  (match Ilp_solver.solve_budgeted ~max_nodes:1 p with
-  | outcome, exhausted ->
-      Alcotest.(check bool) "budget reported exhausted" true exhausted;
-      (match outcome with
-      | Ilp_solver.Optimal { value; _ } ->
-          (* whatever incumbent survived is feasible, so <= true optimum *)
-          Alcotest.(check bool) "incumbent bounded by optimum" true
-            (Qnum.compare value (q 20) <= 0)
-      | Ilp_solver.Infeasible -> ()
-      | Ilp_solver.Unbounded -> Alcotest.fail "unbounded under a finite box"));
-  (* an ample budget reproduces the exact optimum with the flag down *)
-  match Ilp_solver.solve_budgeted p with
-  | Ilp_solver.Optimal { value; point }, exhausted ->
-      Alcotest.(check bool) "no exhaustion" false exhausted;
-      Alcotest.(check bool) "value 20" true (Qnum.equal value (q 20));
-      Alcotest.(check (array int)) "point" [| 4; 0 |] point
-  | _ -> Alcotest.fail "expected optimal"
-
-let prop_ilp_matches_bruteforce =
-  QCheck.Test.make ~name:"B&B = brute force on small ILPs" ~count:80
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 3)
-           (triple (int_range 0 5) (int_range 0 5) (int_range 1 25)))
-        (pair (int_range 0 4) (int_range 0 4)))
-    (fun (rows, (c1, c2)) ->
-      let rows = (1, 1, 15) :: rows (* bounded *) in
-      let p =
-        {
-          Lp.n_vars = 2;
-          objective = [| q c1; q c2 |];
-          constraints =
-            List.map (fun (a, b, r) -> Lp.constr [| q a; q b |] Lp.Le (q r)) rows;
-        }
-      in
-      let brute = ref min_int in
-      for x = 0 to 15 do
-        for y = 0 to 15 do
-          if List.for_all (fun (a, b, r) -> (a * x) + (b * y) <= r) rows then
-            brute := max !brute ((c1 * x) + (c2 * y))
-        done
-      done;
-      match Ilp_solver.solve p with
-      | Ilp_solver.Optimal { value; _ } -> Qnum.equal value (q !brute)
-      | Ilp_solver.Infeasible -> !brute = min_int
-      | Ilp_solver.Unbounded -> false)
 
 (* ------------------------------------------------------------------ *)
 (* The Table 2 model from the TFFT2 LCG *)
@@ -248,21 +49,37 @@ let test_model_table2 () =
       let limits = List.sort compare (List.map (fun (s : Model.storage) -> s.limit) sx) in
       Alcotest.(check (list int)) "limits PQ/2, PQ, PQ" [ 128; 256; 256 ] limits)
 
-let test_model_lp_relaxation () =
+(* Every row holds at the solve's point, and F8's storage rows keep the
+   X chain at p3 = 1: doubling the chain (p3 = 2, p8 = 64) keeps every
+   locality row but exceeds the cap 128/4 = 32.  (F8's load-balance
+   bound, 128/4 = 32, rules that point out too.) *)
+let test_model_rows_at_solve () =
   Probe.with_seed 41 (fun () ->
       let m = tfft2_model ~p:4 ~q:4 ~h:4 in
-      (* Maximize p[F3] under the constraints: the chain and the F8
-         storage rows cap it. *)
-      let obj = Array.make m.n_phases Qnum.zero in
-      obj.(2) <- Qnum.one;
-      let lp = Model.to_lp m ~objective:obj in
-      match Ilp_solver.solve lp with
-      | Ilp_solver.Optimal { value; point } ->
-          (* p3 = p4; 2P p4 = 2Q p5 => p5 = p3; p8 = 2Q p7 = 32 p3 and
-             p8 <= min(bound 64, storage 128/4 = 32) => p3 = 1. *)
-          Alcotest.(check bool) "max p3 = 1" true (Qnum.equal value (Qnum.of_int 1));
-          Alcotest.(check int) "p8 = 32" 32 point.(7)
-      | _ -> Alcotest.fail "expected optimal")
+      let r = Solve.solve m (Cost.default_machine ~h:4) in
+      let locality p =
+        List.for_all
+          (fun (l : Model.locality) -> l.ai * p.(l.k) = (l.bi * p.(l.g)) + l.ci)
+          m.locality
+      and bounds p =
+        List.for_all
+          (fun (b : Model.bound) -> 1 <= p.(b.k) && p.(b.k) <= b.hi)
+          m.bounds
+      and storage p =
+        List.for_all
+          (fun (s : Model.storage) -> s.coeff * p.(s.k) <= s.limit)
+          m.storage
+      in
+      Alcotest.(check int) "no broken rows" 0 (List.length r.broken);
+      Alcotest.(check bool) "locality rows hold" true (locality r.p);
+      Alcotest.(check bool) "bound rows hold" true (bounds r.p);
+      Alcotest.(check bool) "storage rows hold" true (storage r.p);
+      Alcotest.(check (pair int int)) "p3, p8" (1, 32) (r.p.(2), r.p.(7));
+      let doubled = Array.mapi (fun k v -> if k >= 2 then 2 * v else v) r.p in
+      Alcotest.(check int) "doubled p8" 64 doubled.(7);
+      Alcotest.(check bool) "doubled chain keeps the locality rows" true
+        (locality doubled);
+      Alcotest.(check bool) "F8 storage rules out p3 = 2" false (storage doubled))
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration solver + distribution *)
@@ -519,24 +336,11 @@ let test_stencil_base_alignment () =
 let () =
   Alcotest.run "ilp"
     [
-      ( "lp",
-        [
-          Alcotest.test_case "basic" `Quick test_lp_basic;
-          Alcotest.test_case "eq and ge" `Quick test_lp_equality_and_ge;
-          Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_lp_unbounded;
-          QCheck_alcotest.to_alcotest prop_lp_dominates_lattice;
-        ] );
-      ( "bb",
-        [
-          Alcotest.test_case "knapsack" `Quick test_ilp_knapsack;
-          Alcotest.test_case "node budget total" `Quick test_ilp_budget;
-          QCheck_alcotest.to_alcotest prop_ilp_matches_bruteforce;
-        ] );
       ( "model",
         [
           Alcotest.test_case "table 2" `Quick test_model_table2;
-          Alcotest.test_case "lp relaxation" `Quick test_model_lp_relaxation;
+          Alcotest.test_case "rows at the solve's point" `Quick
+            test_model_rows_at_solve;
         ] );
       ( "solve",
         [
