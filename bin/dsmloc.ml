@@ -9,9 +9,8 @@
      dsmloc validate <code> [--size N] [--procs H]
      dsmloc sweep    <code> [--size N]
      dsmloc file     <path.dsm> [--procs H] [--env K=V,K=V]
-     dsmloc fuzz     [--count N] [--seed S] [--jobs N] [--deep-every N]
-                     [--determinism-sample N] [--wall-cap S] [--out DIR]
-                     [--inject-mutation] [--no-shrink]
+     dsmloc fuzz     [--count N] [--seed S] [--jobs N] [--wall-cap S]
+                     [--out DIR] [--inject-mutation]
 
    Every command evaluates to its exit code and [main] exits once.
    Exit codes: 0 clean; 1 fatal (unknown code or target, parse error,
@@ -848,21 +847,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let deep_arg =
-    let doc =
-      "Every $(docv)-th program uses the deep 50-100-phase profile (0 \
-       disables deep programs)."
-    in
-    Arg.(value & opt natural 25 & info [ "deep-every" ] ~docv:"N" ~doc)
-  in
-  let det_arg =
-    let doc =
-      "Re-run the first $(docv) programs on a single worker and require \
-       verdict-vector equality (the 1-vs-N determinism differential; 0 \
-       disables)."
-    in
-    Arg.(value & opt natural 8 & info [ "determinism-sample" ] ~docv:"N" ~doc)
-  in
   let wall_arg =
     let doc =
       "Wall-clock cap in seconds, checked between scheduling chunks; 0 \
@@ -889,22 +873,15 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "inject-mutation" ] ~doc)
   in
-  let no_shrink_arg =
-    let doc = "Keep failing programs at full size (skip the shrinker)." in
-    Arg.(value & flag & info [ "no-shrink" ] ~doc)
-  in
-  let f count seed jobs deep_every det wall out mutation no_shrink =
+  let f count seed jobs wall out mutation =
     let cfg =
       {
         Fuzz.Campaign.count;
         seed;
         jobs;
-        deep_every;
-        determinism_sample = det;
         wall_cap = wall;
         out_dir = out;
         skew = (if mutation then 1 else 0);
-        shrink = not no_shrink;
       }
     in
     let st = Fuzz.Campaign.run ~log:prerr_endline cfg in
@@ -938,8 +915,8 @@ let fuzz_cmd =
           shrink every mismatch to a minimal reproducer.")
     (profiled
        Term.(
-         const f $ count_arg $ seed_arg $ jobs_arg $ deep_arg $ det_arg
-         $ wall_arg $ out_arg $ mutation_arg $ no_shrink_arg))
+         const f $ count_arg $ seed_arg $ jobs_arg $ wall_arg $ out_arg
+         $ mutation_arg))
 
 let () =
   let info =

@@ -30,7 +30,7 @@ let () =
     Descriptor.Symmetry.pp sweep.sym
     (Intra.case_to_string sweep.intra.case);
   Format.printf "ghost-zone (halo) width measured: %d addresses@.@."
-    (Lcg.halo t.lcg sweep);
+    sweep.halo;
 
   Format.printf "%a@.@." Core.Pipeline.report t;
 

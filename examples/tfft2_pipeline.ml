@@ -41,22 +41,23 @@ let () =
 
   (* Fig. 4 / Fig. 8: IDs, upper limits, memory gap at P=4, Q=3. *)
   let small = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ] in
-  let id = Id.of_pd final in
+  let side = Locality.Balance.side (Id.of_pd final) in
   Format.printf "@.--- Fig. 4/8: IDs at P=4, Q=3 ---@.";
   for it = 0 to 2 do
     let region = Region.sorted (Region.addresses small final ~par:(Some it)) in
     let ul =
-      match Bounds.upper_limit ctx.assume id ~i:(Expr.int it) with
-      | Some e -> Env.eval small e
+      match side with
+      | Some s -> Env.eval small (Id.upper_at s.primary ~i:(Expr.int it))
       | None -> -1
     in
     Format.printf "  I(X,%d) = {%s}   UL = %d@." it
       (String.concat ", " (List.map string_of_int region))
       ul
   done;
-  (match Bounds.memory_gap id with
-  | Some g ->
-      Format.printf "  memory gap h = %a = %d@." Expr.pp g (Env.eval small g)
+  (match side with
+  | Some s ->
+      Format.printf "  memory gap h = %a = %d@." Expr.pp s.gap
+        (Env.eval small s.gap)
   | None -> Format.printf "  memory gap: n/a@.");
 
   (* The full pipeline: Fig. 6 LCG, Table 2, solution, plan. *)

@@ -64,11 +64,9 @@ val row_span_seq : group -> row -> Expr.t
     the per-iteration region of the row stretches from its offset to
     offset + span. *)
 
-val group_mix : group -> Access_mix.t
 val pd_mix : t -> Access_mix.t
 
 val finest_seq : Assume.t -> group -> (int * dim) option
 (** Sequential dim with the (probed) smallest stride. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_group : Format.formatter -> group -> unit

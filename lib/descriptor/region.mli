@@ -13,13 +13,9 @@ exception Not_rectangular of string
 (** Raised when a dim's count or stride does not evaluate to a constant
     under the environment (non-uniform dims that survived coalescing). *)
 
-val row_addresses :
-  Env.t -> Pd.group -> Pd.row -> par:int option -> (int, unit) Hashtbl.t -> unit
-(** Accumulate the addresses of one row.  [par = Some i] fixes the
-    parallel iteration; [None] sweeps all of them. *)
-
 val addresses : Env.t -> Pd.t -> par:int option -> (int, unit) Hashtbl.t
-(** Union over all groups and rows.  Results are memoized per
+(** Union over all groups and rows.  [par = Some i] fixes the parallel
+    iteration; [None] sweeps all of them.  Results are memoized per
     ([Env.id], descriptor, [par]) triple, and the cached table itself is
     returned: treat it as read-only. *)
 

@@ -2,7 +2,7 @@
 
     The facade between the descriptor layer and {!Symbolic.Lattice}:
     evaluates a PD's rows under a concrete environment into stride-span
-    boxes - mirroring {!Region.row_addresses} element-for-element (same
+    boxes - mirroring {!Region.addresses} row for row (same
     offset evaluation, same signed parallel contribution, same unsigned
     sequential sweeps, empty rows dropped) - and answers the questions
     the pipeline used to answer by materializing the region in a hash
@@ -18,19 +18,13 @@
 
 open Symbolic
 
-val row_box :
-  Env.t -> Pd.group -> Pd.row -> par:int option -> Lattice.box option
-(** The box of one row ([None] when the row denotes no addresses, i.e.
-    some count evaluates [<= 0]).  [par = Some i] fixes the parallel
-    iteration, [None] sweeps it as an extra dimension - the same
-    convention as {!Region.row_addresses}.
+val boxes : Env.t -> Pd.t -> par:int option -> Lattice.box list
+(** The box of every row of every group, rows that denote no addresses
+    (some count evaluates [<= 0]) left out.  [par = Some i] fixes the
+    parallel iteration, [None] sweeps it as an extra dimension - the
+    same convention as {!Region.addresses}.
     @raise Region.Not_rectangular when a value does not evaluate.
     @raise Lattice.Overflow on address arithmetic past native range. *)
-
-val boxes : Env.t -> Pd.t -> par:int option -> Lattice.box list
-(** All non-empty row boxes of all groups.
-    @raise Region.Not_rectangular
-    @raise Lattice.Overflow *)
 
 val card : Env.t -> Pd.t -> par:int option -> int option
 (** Exact cardinality of the region (union of all rows), or [None]

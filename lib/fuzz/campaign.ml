@@ -4,12 +4,9 @@ type config = {
   count : int;
   seed : int;
   jobs : int;
-  deep_every : int;
-  determinism_sample : int;
   wall_cap : float;
   out_dir : string;
   skew : int;
-  shrink : bool;
 }
 
 type finding = {
@@ -81,7 +78,7 @@ let materialize ~log cfg (j : fz_job) check detail =
       f_repro = None;
     }
   else begin
-    let small = if cfg.shrink then Shrink.run ~keep prog else prog in
+    let small = Shrink.run ~keep prog in
     let shrunk = Frontend.Unparse.to_string small in
     let shrunk_detail =
       match c.run small with Differ.Fail d -> d | _ -> detail
@@ -120,6 +117,12 @@ let chunks_of n l =
    included, so at most this many run at once. *)
 let max_jobs = (Core.Jobs.max_domains - 1) / Differ.h
 
+(* Every [deep_every]-th program after the first uses the deep profile;
+   the first [determinism_sample] finished programs are re-run on a
+   single worker. *)
+let deep_every = 25
+let determinism_sample = 8
+
 let run ?(log = fun _ -> ()) cfg =
   (* The skew is set on the calling domain for the whole campaign: job
      domains inherit it, and in-process reproduction runs under it. *)
@@ -134,7 +137,7 @@ let run ?(log = fun _ -> ()) cfg =
         {
           fz_index = i;
           fz_seed = cfg.seed;
-          fz_deep = cfg.deep_every > 0 && i > 0 && i mod cfg.deep_every = 0;
+          fz_deep = i > 0 && i mod deep_every = 0;
         })
   in
   let chunk_size = max (4 * workers) 32 in
@@ -193,7 +196,7 @@ let run ?(log = fun _ -> ()) cfg =
     completed;
   (* 1-vs-N worker determinism: the verdict vectors of a sample prefix
      must be identical when recomputed on a single worker. *)
-  let det_n = min cfg.determinism_sample (List.length completed) in
+  let det_n = min determinism_sample (List.length completed) in
   if det_n > 0 && workers > 1 then begin
     let sample = List.filteri (fun i _ -> i < det_n) completed in
     let solo, _ = Core.Jobs.map ~workers:1 ~f:fz_worker (List.map fst sample) in

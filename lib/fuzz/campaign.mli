@@ -3,13 +3,14 @@
     Generated programs are dispatched in deterministic submission order
     through {!Core.Jobs.map} - each battery runs on a domain of its own,
     from fresh analysis state - in bounded chunks so a wall-clock cap
-    can stop between chunks.  At most 31 batteries run at once, since
-    each may run the executor on {!Differ.h} domains.  The campaign
-    then:
+    can stop between chunks.  Every 25th program after the first uses
+    the deep profile {!Gen.deep}.  At most 31 batteries run at once,
+    since each may run the executor on {!Differ.h} domains.  The
+    campaign then:
 
-    - re-runs a prefix of the indices on a single worker and compares
-      the verdict vectors structurally (the 1-vs-N worker determinism
-      differential);
+    - re-runs the first 8 finished programs on a single worker and
+      compares the verdict vectors structurally (the 1-vs-N worker
+      determinism differential);
     - reproduces every failing index in-process, shrinks it with
       {!Shrink} under the finding's own check as the keep predicate,
       and writes a [fuzz_<check>_s<seed>_<index>.dsm] reproducer plus a
@@ -27,12 +28,9 @@ type config = {
   count : int;  (** programs to generate *)
   seed : int;  (** campaign seed; program i is [Gen.program ~seed ~index:i] *)
   jobs : int;  (** batteries run at once, each on a domain *)
-  deep_every : int;  (** every n-th program uses {!Gen.deep}; 0 = never *)
-  determinism_sample : int;  (** prefix re-run at 1 worker; 0 = skip *)
   wall_cap : float;  (** seconds; 0 = uncapped.  Checked between chunks. *)
   out_dir : string;  (** where reproducers and goldens are written *)
   skew : int;  (** injected {!Symbolic.Lattice.test_card_skew} *)
-  shrink : bool;  (** minimize failing programs before writing *)
 }
 
 type finding = {

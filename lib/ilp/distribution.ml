@@ -44,9 +44,8 @@ let proc_of_iteration = Owncount.proc_of_iteration
    (Euclidean modulus). *)
 let own_chunks ~chunk ~h ~me ~lo ~hi f =
   let c = Int.max 1 chunk in
-  let fdiv i = (if i >= 0 then i else i - c + 1) / c in
   if lo <= hi then begin
-    let q0 = fdiv lo and q1 = fdiv hi in
+    let q0 = Lattice.fdiv lo c and q1 = Lattice.fdiv hi c in
     let q = ref (q0 + ((((me - q0) mod h) + h) mod h)) in
     while !q <= q1 do
       let a = !q * c in
@@ -63,8 +62,6 @@ let fully_replicated (l : layout) ~size_of =
 
 let array_size (lcg : Lcg.t) array =
   Result.value (Ir.Linearize.array_size lcg.env lcg.prog array) ~default:1
-
-let ceil_div a b = (a + b - 1) / b
 
 let own_of ~h (l : layout) : Lattice.Own.t =
   {
@@ -336,7 +333,7 @@ let of_solution (lcg : Lcg.t) ~p : plan =
             let chain_nodes = List.map (List.nth g.nodes) chain in
             let halo =
               List.fold_left
-                (fun acc (n : Lcg.node) -> max acc (Lcg.halo lcg n))
+                (fun acc (n : Lcg.node) -> max acc n.halo)
                 0 chain_nodes
             in
             let fallback =
@@ -345,7 +342,7 @@ let of_solution (lcg : Lcg.t) ~p : plan =
                 first_phase;
                 last_phase;
                 base = 0;
-                block = max 1 (ceil_div (array_size lcg g.array) h);
+                block = max 1 (Lattice.cdiv (array_size lcg g.array) h);
                 period = None;
                 mirror = None;
                 halo;
@@ -355,127 +352,108 @@ let of_solution (lcg : Lcg.t) ~p : plan =
             | None -> fallback
             | Some side -> (
                 try
-                  let dp = Env.eval lcg.env side.primary.par_stride in
-                  let tau = Env.eval lcg.env side.primary.offset0 in
-                  if dp <= 0 then fallback
-                  else begin
-                    let block = max 1 (dp * p.(head.phase_idx)) in
-                    let plain =
-                      {
-                        array = g.array;
-                        first_phase;
-                        last_phase;
-                        base = tau;
-                        block;
-                        period = None;
-                        mirror = None;
-                        halo;
-                      }
-                    in
-                    (* Candidate shifted / reverse refinements from the
-                       storage distances of every chain node. *)
-                    let near =
-                      try Env.eval lcg.env side.primary.span_seq + (2 * dp)
-                      with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> 0
-                    in
-                    let eval_dists dists =
-                      List.filter_map
-                        (fun d ->
-                          try
-                            let v = Qnum.floor (Env.eval_q lcg.env d) in
-                            if v > near then Some v else None
-                          with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None)
-                        dists
-                      |> List.sort_uniq compare
-                    in
-                    let periods =
-                      eval_dists
-                        (List.concat_map
-                           (fun (n : Lcg.node) -> n.sym.shifted)
-                           chain_nodes)
-                    in
-                    let mirrors =
-                      eval_dists
-                        (List.concat_map
-                           (fun (n : Lcg.node) -> n.sym.reverse)
-                           chain_nodes)
-                    in
-                    (* base variants: a stencil chain's tau_min is the
-                       lowest ghost-read offset; anchoring a stride or
-                       two higher can align blocks with the core
-                       (written) region *)
-                    let base_variants =
-                      List.filter_map
-                        (fun k ->
-                          if k = 0 then Some plain
-                          else
-                            let b = tau + (k * dp) in
-                            Some { plain with base = b })
-                        [ 0; 1; 2 ]
-                    in
-                    let candidates =
-                      base_variants
-                      @ List.concat_map
-                          (fun per ->
-                            { plain with period = Some per }
-                            :: List.map
-                                 (fun m ->
-                                   { plain with period = Some per; mirror = Some m })
-                                 (List.filter (fun m -> m <= per) mirrors))
-                          periods
-                      @ List.map (fun m -> { plain with mirror = Some m }) mirrors
-                    in
-                    let refit_halo (l : layout) =
-                      if l.halo <= 0 then l
-                      else
-                        let size = array_size lcg g.array in
-                        if l.halo >= size then l
+                  match Balance.reach lcg.env side with
+                  | None -> fallback
+                  | Some (dp, near) ->
+                      let tau = Env.eval lcg.env side.primary.offset0 in
+                      let block = max 1 (dp * p.(head.phase_idx)) in
+                      let plain =
+                        {
+                          array = g.array;
+                          first_phase;
+                          last_phase;
+                          base = tau;
+                          block;
+                          period = None;
+                          mirror = None;
+                          halo;
+                        }
+                      in
+                      (* Candidate shifted / reverse refinements from the
+                         storage distances of every chain node. *)
+                      let eval_dists dists =
+                        List.filter_map
+                          (fun d ->
+                            try
+                              let v = Qnum.floor (Env.eval_q lcg.env d) in
+                              if v > near then Some v else None
+                            with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None)
+                          dists
+                        |> List.sort_uniq compare
+                      in
+                      let periods =
+                        eval_dists
+                          (List.concat_map
+                             (fun (n : Lcg.node) -> n.sym.shifted)
+                             chain_nodes)
+                      in
+                      let mirrors =
+                        eval_dists
+                          (List.concat_map
+                             (fun (n : Lcg.node) -> n.sym.reverse)
+                             chain_nodes)
+                      in
+                      (* Base variants: a stencil chain's tau_min is the
+                         lowest ghost-read offset; anchoring a stride or
+                         two higher can align blocks with the core
+                         (written) region. *)
+                      let variants =
+                        { plain with base = tau + dp }
+                        :: { plain with base = tau + (2 * dp) }
+                        :: List.concat_map
+                            (fun per ->
+                              { plain with period = Some per }
+                              :: List.map
+                                   (fun m ->
+                                     { plain with period = Some per; mirror = Some m })
+                                   (List.filter (fun m -> m <= per) mirrors))
+                            periods
+                        @ List.map (fun m -> { plain with mirror = Some m }) mirrors
+                      in
+                      let refit_halo (l : layout) =
+                        if l.halo <= 0 then l
                         else
-                          let stray =
-                            List.fold_left
-                              (fun acc (n : Lcg.node) ->
-                                match
-                                  ( Lcg.region_bounds lcg n ~par:0,
-                                    Lcg.region_bounds lcg n ~par:1 )
-                                with
-                                | Some (lo0, hi0), Some (lo1, _) ->
-                                    let d = max 1 (lo1 - lo0) in
-                                    let up = hi0 - (l.base + d - 1) in
-                                    let down = l.base - lo0 in
-                                    max acc (max 0 (max up down))
-                                | _ -> max acc l.halo)
-                              0 chain_nodes
-                          in
-                          { l with halo = min l.halo stray }
-                    in
-                    match candidates with
-                    | [ only ] -> refit_halo only
-                    | _ ->
-                        (* score on remote accesses, tie-break on the
-                           fitted halo (smaller ghost zones mean smaller
-                           frontier updates) *)
-                        let score l =
-                          let l = refit_halo l in
-                          ( List.fold_left
-                              (fun acc (n : Lcg.node) ->
-                                acc
-                                + remote_count lcg plan0 l ~phase_idx:n.phase_idx)
-                              0 chain_nodes,
-                            l.halo,
-                            l )
-                        in
-                        let br, bh, bl =
-                          List.fold_left
-                            (fun (br, bh, bl) cand ->
-                              let r, hh, l = score cand in
-                              if r < br || (r = br && hh < bh) then (r, hh, l)
-                              else (br, bh, bl))
-                            (score plain)
-                            (List.tl candidates)
-                        in
-                        ignore (br, bh);
-                        bl
-                  end
+                          let size = array_size lcg g.array in
+                          if l.halo >= size then l
+                          else
+                            let stray =
+                              List.fold_left
+                                (fun acc (n : Lcg.node) ->
+                                  match
+                                    ( Lcg.region_bounds lcg n ~par:0,
+                                      Lcg.region_bounds lcg n ~par:1 )
+                                  with
+                                  | Some (lo0, hi0), Some (lo1, _) ->
+                                      let d = max 1 (lo1 - lo0) in
+                                      let up = hi0 - (l.base + d - 1) in
+                                      let down = l.base - lo0 in
+                                      max acc (max 0 (max up down))
+                                  | _ -> max acc l.halo)
+                                0 chain_nodes
+                            in
+                            { l with halo = min l.halo stray }
+                      in
+                      (* score on remote accesses, tie-break on the fitted
+                         halo (smaller ghost zones mean smaller frontier
+                         updates) *)
+                      let score l =
+                        let l = refit_halo l in
+                        ( List.fold_left
+                            (fun acc (n : Lcg.node) ->
+                              acc + remote_count lcg plan0 l ~phase_idx:n.phase_idx)
+                            0 chain_nodes,
+                          l.halo,
+                          l )
+                      in
+                      let _, _, best =
+                        List.fold_left
+                          (fun (br, bh, bl) cand ->
+                            let r, hh, l = score cand in
+                            if r < br || (r = br && hh < bh) then (r, hh, l)
+                            else (br, bh, bl))
+                          (score plain) variants
+                      in
+                      best
                 with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> fallback))
           chains)
       lcg.graphs
@@ -542,7 +520,7 @@ let block_plan (lcg : Lcg.t) : plan =
                 (Lcg.node_of_phase g ~phase_idx:k))
             lcg.graphs
         in
-        match counts with [] -> 1 | c :: _ -> max 1 (ceil_div c h))
+        match counts with [] -> 1 | c :: _ -> max 1 (Lattice.cdiv c h))
   in
   let layouts =
     List.map
@@ -552,7 +530,7 @@ let block_plan (lcg : Lcg.t) : plan =
           first_phase = 0;
           last_phase = n - 1;
           base = 0;
-          block = max 1 (ceil_div (array_size lcg decl.name) h);
+          block = max 1 (Lattice.cdiv (array_size lcg decl.name) h);
           period = None;
           mirror = None;
           halo = 0;

@@ -33,8 +33,6 @@ type t = {
   storage : storage list;
 }
 
-let ceil_div a b = (a + b - 1) / b
-
 let of_lcg (lcg : Lcg.t) : t =
   let env = lcg.env and h = lcg.h in
   let n_phases = List.length lcg.prog.phases in
@@ -59,10 +57,8 @@ let of_lcg (lcg : Lcg.t) : t =
                       ai = Env.eval env r.a;
                       bi = Env.eval env r.b;
                       ci =
-                        (let ai = Env.eval env r.a
-                         and bi = Env.eval env r.b
-                         and ci = Env.eval env r.c in
-                         if ci <> 0 && abs ci < max ai bi then 0 else ci);
+                        Balance.snap ~a:(Env.eval env r.a) ~b:(Env.eval env r.b)
+                          (Env.eval env r.c);
                     }
                 with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None)
             | _ -> None)
@@ -87,7 +83,7 @@ let of_lcg (lcg : Lcg.t) : t =
             Some
               {
                 k;
-                hi = max 1 (ceil_div n h);
+                hi = max 1 (Lattice.cdiv n h);
                 hi_expr = Expr.ceil_div ne (Expr.var "H");
               })
     |> List.filter_map Fun.id
@@ -101,46 +97,37 @@ let of_lcg (lcg : Lcg.t) : t =
             | None -> []
             | Some side -> (
                 try
-                  let dp = Env.eval env side.primary.par_stride in
-                  if dp <= 0 then []
-                  else
-                    (* A distance within one iteration's reach (span +
-                       stride) is a stencil frame, not a distant copy:
-                       it constrains nothing - the overlap machinery
-                       owns it. *)
-                    let near =
-                      try Env.eval env side.primary.span_seq + (2 * dp)
-                      with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> 0
-                    in
-                    let coeff = dp * h in
-                    let coeff_expr =
-                      Expr.mul side.primary.par_stride (Expr.int h)
-                    in
-                    let mk kind limit_expr =
-                      try
-                        let lim = Qnum.floor (Env.eval_q env limit_expr) in
-                        if lim <= near then None
-                        else
-                        Some
-                          {
-                            array = g.array;
-                            k = n.phase_idx;
-                            kind;
-                            coeff;
-                            coeff_expr;
-                            limit =
-                              Qnum.floor (Env.eval_q env limit_expr);
-                            limit_expr;
-                          }
-                      with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None
-                    in
-                    List.filter_map Fun.id
-                      (List.map (fun d -> mk `Shifted d) n.sym.shifted
-                      @ List.map
-                          (fun d ->
-                            mk `Reverse
-                              (Expr.scale (Qnum.make 1 2) d))
-                          n.sym.reverse)
+                  match Balance.reach env side with
+                  | None -> []
+                  | Some (dp, near) ->
+                      let coeff = dp * h in
+                      let coeff_expr =
+                        Expr.mul side.primary.par_stride (Expr.int h)
+                      in
+                      let mk kind limit_expr =
+                        try
+                          let lim = Qnum.floor (Env.eval_q env limit_expr) in
+                          if lim <= near then None
+                          else
+                            Some
+                              {
+                                array = g.array;
+                                k = n.phase_idx;
+                                kind;
+                                coeff;
+                                coeff_expr;
+                                limit = Qnum.floor (Env.eval_q env limit_expr);
+                                limit_expr;
+                              }
+                        with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None
+                      in
+                      List.filter_map Fun.id
+                        (List.map (fun d -> mk `Shifted d) n.sym.shifted
+                        @ List.map
+                            (fun d ->
+                              mk `Reverse
+                                (Expr.scale (Qnum.make 1 2) d))
+                            n.sym.reverse)
                 with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> []))
           g.nodes)
       lcg.graphs

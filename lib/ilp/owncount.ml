@@ -62,7 +62,7 @@ type counts = {
 
 let proc_of_iteration ~chunk ~h i =
   let c = Int.max 1 chunk in
-  let r = (if i >= 0 then i else i - c + 1) / c mod h in
+  let r = Lattice.fdiv i c mod h in
   if r >= 0 then r else r + h
 
 let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window

@@ -48,7 +48,9 @@ let communication_words (lcg : Lcg.t) ~array ~phase_idx =
 
 type affine = { num : int; off : int; den : int }
 
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+let gcd = Symbolic.Lattice.gcd
+let fdiv = Symbolic.Lattice.fdiv
+let cdiv = Symbolic.Lattice.cdiv
 
 (* Keep affines in lowest terms with positive denominator so that equal
    rationals compare structurally equal. *)
@@ -94,23 +96,12 @@ let member_cost (m : Cost.machine) mem p =
       in
       imbalance +. frontier
 
-(* Floor and ceiling of a / b for a divisor of either sign. *)
-let fdiv a b =
-  let q = a / b in
-  if a mod b <> 0 && (a < 0) <> (b < 0) then q - 1 else q
-
-let cdiv a b = -fdiv (-a) b
 let pmod a m = ((a mod m) + m) mod m
 
 (* The inverse of [a] modulo [m], for [a] and [m] coprime. *)
 let inverse a m =
-  let rec egcd a b =
-    if b = 0 then (1, 0)
-    else
-      let x, y = egcd b (a mod b) in
-      (y, x - (a / b * y))
-  in
-  pmod (fst (egcd a m)) m
+  let _, x, _ = Symbolic.Lattice.egcd a m in
+  pmod x m
 
 (* The t at which [e] is integral, as the class t = r (mod l). *)
 let residue (e : affine) =
@@ -416,8 +407,8 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
       frontier =
         List.filter_map
           (fun (array, (nd : Lcg.node)) ->
-            let w = Lcg.halo lcg nd in
-            if w > 0 && array_written array then Some (nd.par_n, w) else None)
+            if nd.halo > 0 && array_written array then Some (nd.par_n, nd.halo)
+            else None)
           nodes;
     }
   in

@@ -26,15 +26,9 @@ val attr_to_string : attr -> string
 val static_attr : program -> phase -> array:string -> attr
 (** R / W / RW from the reference kinds alone (never P). *)
 
-val def_before_use : program -> Env.t -> phase -> array:string -> bool
-(** Condition (a) under one concrete environment. *)
-
-val dead_after : program -> Env.t -> int -> array:string -> bool
-(** Condition (b) for phase index [k] under one concrete environment. *)
-
 val attr : program -> Env.t -> int -> array:string -> attr
 (** Attribute of phase [k] for [array] under [env]: P when the phase
-    writes [array] and both conditions hold there. *)
+    writes [array] and both conditions, (a) and (b), hold there. *)
 
 val attrs : program -> Env.t -> (string * attr array) list
 (** Per array: attribute of each phase that references it, indexed by

@@ -65,10 +65,6 @@ val events : site -> int
 (** Number of events the site generates per parallel iteration it
     occurs in (product of sequential counts, saturating). *)
 
-val occurrences : t -> site -> int
-(** How many parallel iterations the site occurs in: [par_n] for
-    [Strided] sites, [1] otherwise. *)
-
 val emits : t -> site -> bool
 (** Does the site generate any event at all? *)
 

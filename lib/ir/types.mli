@@ -65,7 +65,6 @@ val phase_context_key : program -> phase -> Artifact.Key.t
     artifacts (incremental reuse within one process). *)
 
 val equal_access : access -> access -> bool
-val pp_access : Format.formatter -> access -> unit
 val pp_ref : Format.formatter -> array_ref -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp_phase : Format.formatter -> phase -> unit

@@ -75,13 +75,12 @@ type relation = { a : Expr.t; b : Expr.t; c : Expr.t }
    tau_min by subtracting R = floor((tau - tau_min)/delta_P) parallel
    strides, so phases whose regions differ by whole iterations (e.g. a
    stencil's read frame vs. its write frame) compare aligned. *)
-let adjust asm (s : side) ~tau_min =
+let adjust (s : side) ~tau_min =
   if Expr.is_zero s.primary.par_stride then s
   else
     let r =
       Expr.floor_div (Expr.sub s.primary.offset0 tau_min) s.primary.par_stride
     in
-    ignore asm;
     {
       s with
       primary =
@@ -100,41 +99,42 @@ let relation ?overlap_k ?overlap_g idk idg =
           sk.primary.offset0
         else sg.primary.offset0
       in
-      let sk = adjust asm sk ~tau_min and sg = adjust asm sg ~tau_min in
+      let sk = adjust sk ~tau_min and sg = adjust sg ~tau_min in
       (* lhs(p_k) = a*p_k + ck ; rhs(p_g) = b*p_g + cg.
          Equation: a*p_k = b*p_g + (cg - ck). *)
-      let pk = Expr.var "&pk" and pg = Expr.var "&pg" in
-      let lhs = ul_plus_h sk ~p:pk and rhs = ul_plus_h sg ~p:pg in
+      let lhs = ul_plus_h sk ~p:(Expr.var "&pk")
+      and rhs = ul_plus_h sg ~p:(Expr.var "&pg") in
       Option.bind (Expr.linear_in "&pk" lhs) (fun (a, ck) ->
           Option.bind (Expr.linear_in "&pg" rhs) (fun (b, cg) ->
-              ignore pg;
               Some { a; b; c = Expr.sub cg ck }))
   | _ -> None
 
+(* Sub-stride misalignment (|c| below one stride of the coarser side)
+   stays inside a block for any chunking: absorb it. *)
+let snap ~a ~b c = if c <> 0 && abs c < max a b then 0 else c
+
+let reach env (s : side) =
+  let dp = Env.eval env s.primary.par_stride in
+  if dp <= 0 then None
+  else
+    Some
+      ( dp,
+        try Env.eval env s.primary.span_seq + (2 * dp)
+        with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> 0 )
+
 type solution = { pk : int; pg : int; count : int }
-
-let rec egcd a b = if b = 0 then (a, 1, 0) else
-    let g, x, y = egcd b (a mod b) in
-    (g, y, x - (a / b * y))
-
-(* Floor/ceil division for any numerator, positive divisor. *)
-let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
-let cdiv a b = -fdiv (-a) b
-let ceil_div a b = cdiv a b
 
 let solve ~env ~h ~nk ~ng (rel : relation) =
   try
     let a = Env.eval env rel.a
     and b = Env.eval env rel.b
     and c = Env.eval env rel.c in
-    (* Sub-stride misalignment (|c| below one stride of the coarser
-       side) stays inside a block for any chunking: absorb it. *)
-    let c = if c <> 0 && abs c < max a b then 0 else c in
+    let c = snap ~a ~b c in
     if a <= 0 || b <= 0 then None
     else
-      let pk_max = ceil_div nk h and pg_max = ceil_div ng h in
+      let pk_max = Lattice.cdiv nk h and pg_max = Lattice.cdiv ng h in
       (* a*pk - b*pg = c *)
-      let g, u, _v = egcd a b in
+      let g, u, _v = Lattice.egcd a b in
       if c mod g <> 0 then None
       else
         let a' = a / g and b' = b / g in
@@ -142,8 +142,10 @@ let solve ~env ~h ~nk ~ng (rel : relation) =
         let pk0 = u * (c / g) in
         let pg0 = ((a * pk0) - c) / b in
         (* family: pk = pk0 + b'*t ; pg = pg0 + a'*t *)
-        let t_lo = max (cdiv (1 - pk0) b') (cdiv (1 - pg0) a') in
-        let t_hi = min (fdiv (pk_max - pk0) b') (fdiv (pg_max - pg0) a') in
+        let t_lo = max (Lattice.cdiv (1 - pk0) b') (Lattice.cdiv (1 - pg0) a') in
+        let t_hi =
+          min (Lattice.fdiv (pk_max - pk0) b') (Lattice.fdiv (pg_max - pg0) a')
+        in
         if t_lo > t_hi then None
         else
           Some

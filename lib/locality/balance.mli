@@ -46,6 +46,22 @@ val relation :
   ?overlap_k:bool -> ?overlap_g:bool -> Id.t -> Id.t -> relation option
 (** The balanced equation between two phases' IDs of the same array. *)
 
+val snap : a:int -> b:int -> int -> int
+(** The sub-stride residue snap: [snap ~a ~b c] is 0 when [0 < |c| <
+    max a b] - a misalignment below one stride of the coarser side
+    stays inside a block for any chunking - and [c] otherwise.  Applied
+    to a relation's evaluated constant before it is solved or written
+    as a model row. *)
+
+val reach : Env.t -> side -> (int * int) option
+(** [Some (delta_P, span + 2 delta_P)]: the representative's parallel
+    stride under the environment and one iteration's reach.  A storage
+    distance within the reach is a stencil frame, not a distant copy,
+    so it constrains nothing.  [None] when [delta_P <= 0]; the reach
+    reads 0 when the span does not evaluate.  Raises what {!Env.eval}
+    raises when [delta_P] does not evaluate: each caller keeps its own
+    policy for that. *)
+
 type solution = {
   pk : int;
   pg : int;  (** smallest feasible pair *)

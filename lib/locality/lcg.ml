@@ -13,6 +13,7 @@ type node = {
   par_n : int;
   par_expr : Expr.t;
   work : int;
+  halo : int;
 }
 
 type edge = {
@@ -41,6 +42,33 @@ let phase_work prog env ph =
       Enumerate.iter prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
           total := !total + work);
       !total)
+
+(* Exact inclusive hull of one parallel iteration's region:
+   (max_int, min_int) when empty, mirroring the enumerating fold. *)
+let iteration_bounds env ~name pd par =
+  Lattice.closed_or_enumerate ~stage:"lcg"
+    ~reason:(fun () -> name ^ " iteration bounds")
+    ~symbolic:(fun () ->
+      (* Hull bounds of a union are always closed-form; Overflow means
+         addresses past native range, which enumeration could not
+         represent either - degrade the same way. *)
+      Some
+        (Option.value ~default:(max_int, min_int)
+           (Setalg.bounds env pd ~par:(Some par))))
+    ~enum:(fun () ->
+      let tbl = Region.addresses env pd ~par:(Some par) in
+      Hashtbl.fold (fun a () (lo, hi) -> (min lo a, max hi a)) tbl
+        (max_int, min_int))
+
+let halo env ~name pd (sym : Symmetry.t) =
+  match sym.overlap with
+  | Symmetry.No_overlap -> 0
+  | Symmetry.Overlap _ | Symmetry.Overlap_unknown -> (
+      try
+        let _, ul0 = iteration_bounds env ~name pd 0
+        and lb1, _ = iteration_bounds env ~name pd 1 in
+        if ul0 = min_int || lb1 = max_int then 0 else max 0 (ul0 - lb1 + 1)
+      with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> 0)
 
 let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"
@@ -83,6 +111,7 @@ let build (prog : Types.program) ~env ~h : t =
                           with Expr.Non_integral _ | Env.Unbound _ -> 1);
                        par_expr = Phase.par_count ctx;
                        work = List.nth works k;
+                       halo = halo env ~name:ph.phase_name pd sym;
                      };
                    ]
                  end
@@ -161,55 +190,6 @@ let chains (g : graph) =
 let node_of_phase (g : graph) ~phase_idx =
   List.find_opt (fun n -> n.phase_idx = phase_idx) g.nodes
 
-(* Exact inclusive hull of one parallel iteration's region:
-   (max_int, min_int) when empty, mirroring the enumerating fold. *)
-let iteration_bounds (t : t) (node : node) par =
-  Lattice.closed_or_enumerate ~stage:"lcg"
-    ~reason:(fun () -> node.name ^ " iteration bounds")
-    ~symbolic:(fun () ->
-      (* Hull bounds of a union are always closed-form; Overflow means
-         addresses past native range, which enumeration could not
-         represent either - degrade the same way. *)
-      Some
-        (Option.value ~default:(max_int, min_int)
-           (Setalg.bounds t.env node.pd ~par:(Some par))))
-    ~enum:(fun () ->
-      let tbl = Region.addresses t.env node.pd ~par:(Some par) in
-      Hashtbl.fold (fun a () (lo, hi) -> (min lo a, max hi a)) tbl
-        (max_int, min_int))
-
-let halo_raw (t : t) (node : node) =
-  match node.sym.overlap with
-  | Symmetry.No_overlap -> 0
-  | Symmetry.Overlap _ | Symmetry.Overlap_unknown -> (
-      try
-        let _, ul0 = iteration_bounds t node 0
-        and lb1, _ = iteration_bounds t node 1 in
-        if ul0 = min_int || lb1 = max_int then 0 else max 0 (ul0 - lb1 + 1)
-      with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> 0)
-
-(* The solver's word-count pricing asks for the same node's halo once
-   per enumerated candidate; keyed on the (probed) overlap verdict plus
-   the environment and descriptor that determine the region bounds. *)
-let halo_memo : int Artifact.store = Artifact.store "lcg.halo"
-
-let overlap_key = function
-  | Symmetry.No_overlap -> Artifact.Key.int 0
-  | Symmetry.Overlap e -> Artifact.Key.(list [ int 1; expr e ])
-  | Symmetry.Overlap_unknown -> Artifact.Key.int 2
-
-let halo (t : t) (node : node) =
-  Artifact.find halo_memo
-    Artifact.Key.(
-      list
-        [
-          int (Env.id t.env);
-          Pd.key node.pd;
-          overlap_key node.sym.overlap;
-          int (Lattice.mode_tag ());
-        ])
-    (fun () -> halo_raw t node)
-
 let pp ppf (t : t) =
   Format.fprintf ppf "@[<v>LCG (H=%d, %a)@," t.h Env.pp t.env;
   List.iter
@@ -234,7 +214,7 @@ let pp ppf (t : t) =
 
 let region_bounds (t : t) (node : node) ~par =
   try
-    let b = iteration_bounds t node par in
+    let b = iteration_bounds t.env ~name:node.name node.pd par in
     if fst b = max_int then None else Some b
   with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> None
 

@@ -25,6 +25,11 @@ type node = {
   par_n : int;  (** concrete parallel trip count *)
   par_expr : Expr.t;  (** symbolic parallel trip count *)
   work : int;  (** total abstract work of the phase under [env] *)
+  halo : int;
+      (** concrete width of the frontier between consecutive parallel
+          iterations' regions: [UL(I(0)) - LB(I(1)) + 1] when positive,
+          else 0.  This is the span a runtime replicates as ghost cells
+          (Theorem 1c) and the volume a frontier update ships. *)
 }
 
 type edge = {
@@ -55,12 +60,6 @@ val chains : graph -> int list list
     edges themselves. *)
 
 val node_of_phase : graph -> phase_idx:int -> node option
-
-val halo : t -> node -> int
-(** Concrete width of the frontier between consecutive parallel
-    iterations' regions: [UL(I(0)) - LB(I(1)) + 1] when positive, else
-    0.  This is the span a runtime replicates as ghost cells (Theorem
-    1c) and the volume a frontier update ships. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -35,9 +35,22 @@ end
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(* Floor/ceiling division with a positive divisor and any dividend. *)
-let fdiv a b = if a >= 0 then a / b else -((-a + b - 1) / b)
-let cdiv a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
+let rec egcd a b =
+  if b = 0 then (a, 1, 0)
+  else
+    let g, x, y = egcd b (a mod b) in
+    (g, y, x - (a / b * y))
+
+(* [/] truncates toward zero: step the quotient once when the true
+   quotient lies on the other side (sign test first, so a non-negative
+   floor costs one branch) and the division is inexact. *)
+let fdiv a b =
+  let q = a / b in
+  if (a lxor b) < 0 && a <> q * b then q - 1 else q
+
+let cdiv a b =
+  let q = a / b in
+  if (a lxor b) >= 0 && a <> q * b then q + 1 else q
 
 (* {1 Boxes} *)
 
@@ -705,9 +718,6 @@ let mode = ref Auto
 let mode_key = Domain.DLS.new_key ~split_from_parent:(fun r -> ref !r) (fun () -> ref Auto)
 let () = Domain.DLS.set mode_key mode
 let mode_cell () = Domain.DLS.get mode_key
-
-let mode_tag () =
-  match !(mode_cell ()) with Auto -> 0 | Symbolic_only -> 1 | Enumerated_only -> 2
 
 exception Outside_fragment of string
 

@@ -56,6 +56,16 @@ end
 val gcd : int -> int -> int
 (** Non-negative gcd; [gcd 0 0 = 0]. *)
 
+val egcd : int -> int -> int * int * int
+(** [egcd a b = (g, x, y)] with [a x + b y = g]; [g = gcd a b] when
+    [a, b >= 0]. *)
+
+val fdiv : int -> int -> int
+(** Floor of [a / b], for a divisor of either sign. *)
+
+val cdiv : int -> int -> int
+(** Ceiling of [a / b], for a divisor of either sign. *)
+
 (** {1 Stride-span boxes} *)
 
 type box
@@ -110,12 +120,9 @@ val disjoint : box -> box -> verdict
 val union_card : box list -> int option
 (** Exact cardinality of the union.  Closed form when all members are
     intervals, or when they share a common positional stride basis (at
-    most {!union_dims_limit} distinct strides) - e.g. the rows of a
-    stencil descriptor.  [None] outside the fragment. *)
-
-val union_dims_limit : int
-(** Maximum number of distinct strides accepted by {!union_card}'s
-    digit-space rectangle union (cost is exponential in it). *)
+    most four distinct strides: the digit-space rectangle union costs
+    exponentially in their number) - e.g. the rows of a stencil
+    descriptor.  [None] outside the fragment. *)
 
 val test_card_skew : unit -> int ref
 (** The calling domain's fault-injection cell, copied from its
@@ -239,10 +246,6 @@ val mode_cell : unit -> mode ref
 
 val mode : mode ref
 (** The main domain's {!mode_cell}, for drivers that run there. *)
-
-val mode_tag : unit -> int
-(** Small integer identifying the current mode, for cache keys whose
-    values depend on which path computed them. *)
 
 exception Outside_fragment of string
 (** Raised by {!closed_or_enumerate} under [Symbolic_only]. *)

@@ -10,18 +10,15 @@
     reported as [None] (callers then fall back to conservative
     behaviour) rather than silently used. *)
 
-type direction = Max | Min
-
-val eliminate :
-  Assume.t -> direction -> over:string list -> Expr.t -> Expr.t option
-(** [eliminate asm dir ~over e] returns a symbolic upper (resp. lower)
-    bound of [e] over all assignments of the variables in [over], as an
-    expression in the remaining variables.  [over] must be a subset of
-    [Assume.vars asm]; elimination proceeds in reverse declaration
-    order so that substituted bounds only mention earlier variables. *)
-
 val maximize : Assume.t -> over:string list -> Expr.t -> Expr.t option
+(** [maximize asm ~over e] returns a symbolic upper bound of [e] over
+    all assignments of the variables in [over], as an expression in the
+    remaining variables.  [over] must be a subset of [Assume.vars asm];
+    elimination proceeds in reverse declaration order so that
+    substituted bounds only mention earlier variables. *)
+
 val minimize : Assume.t -> over:string list -> Expr.t -> Expr.t option
+(** The lower bound, as {!maximize}. *)
 
 val monotonicity :
   Assume.t -> string -> Expr.t -> [ `Inc | `Dec | `Const | `Mixed ]

@@ -187,5 +187,8 @@ let () =
             [ "fuzz"; "--count"; "1"; "--jobs"; "128" ];
             (* a removed option is an unknown one *)
             [ "analyze"; "tfft2"; "--enum-only" ];
+            [ "fuzz"; "--count"; "1"; "--deep-every"; "5" ];
+            [ "fuzz"; "--count"; "1"; "--determinism-sample"; "2" ];
+            [ "fuzz"; "--count"; "1"; "--no-shrink" ];
           ] );
     ]

@@ -123,33 +123,29 @@ let test_fig4_ids () =
       Alcotest.(check bool) "rectangular" true (Id.rectangular id))
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 8: upper limits UL = 3, 11, 19 and memory gap h = 4 *)
+(* Fig. 8: upper limits UL = 3, 11, 19 and memory gap h = 4, read from
+   the balanced-locality side the LCG builds its edges from *)
 
 let test_fig8_bounds () =
   Probe.with_seed 11 (fun () ->
-      let id = Id.of_pd (x_pd_final ()) in
-      let env = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ] in
-      let ul k =
-        match Bounds.upper_limit asm id ~i:(Expr.int k) with
-        | Some e -> Env.eval env e
-        | None -> Alcotest.fail "no UL"
+      let side =
+        match Locality.Balance.side (Id.of_pd (x_pd_final ())) with
+        | Some s -> s
+        | None -> Alcotest.fail "no balanced-locality side"
       in
+      let env = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ] in
+      let ul k = Env.eval env (Id.upper_at side.primary ~i:(Expr.int k)) in
       Alcotest.(check int) "UL(I(X,0))" 3 (ul 0);
       Alcotest.(check int) "UL(I(X,1))" 11 (ul 1);
       Alcotest.(check int) "UL(I(X,2))" 19 (ul 2);
-      (match Bounds.memory_gap id with
-      | Some h ->
-          peq "h = P symbolically" (v "P") h;
-          Alcotest.(check int) "h = 4 at P=4" 4 (Env.eval env h)
-      | None -> Alcotest.fail "no gap");
-      (* chunked UL: UL(I, 0, p) = 2P(p-1) + P - 1 *)
+      peq "h = P symbolically" (v "P") side.gap;
+      Alcotest.(check int) "h = 4 at P=4" 4 (Env.eval env side.gap);
+      (* chunked: UL(I, 0, p) + h = 2P(p-1) + P - 1 + P = 2Pp - 1 *)
       let asm' = Assume.add asm "pk" (Assume.Int_range (1, 8)) in
-      match Bounds.upper_limit_chunk asm' id ~i:Expr.zero ~p:(v "pk") with
-      | Some e ->
-          Alcotest.(check bool) "UL chunk" true
-            (Probe.equal asm' e
-               ((i 2 * v "P" * (v "pk" - i 1)) + v "P" - i 1))
-      | None -> Alcotest.fail "no chunk UL")
+      Alcotest.(check bool) "UL + h of a chunk" true
+        (Probe.equal asm'
+           (Locality.Balance.ul_plus_h side ~p:(v "pk"))
+           ((i 2 * v "P" * v "pk") - i 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: the three storage symmetries with the paper's distances *)
@@ -286,7 +282,7 @@ let test_f3_workspace_containment () =
       Alcotest.(check bool) "RW" true (r.mix.reads && r.mix.writes))
 
 (* ------------------------------------------------------------------ *)
-(* Offset adjustment *)
+(* Offset adjustment (Sec. 2.1) *)
 
 let test_offset_adjust () =
   Probe.with_seed 19 (fun () ->
@@ -307,13 +303,16 @@ let test_offset_adjust () =
         let ph = List.find (fun (ph : Types.phase) -> ph.phase_name = name) prog.phases in
         Unionize.simplify (Pd.of_phase (Phase.analyze prog ph) ~array:"A")
       in
-      let pd1 = pd_of "A1" and pd2 = pd_of "A2" in
-      (match Offset.tau_min [ pd1; pd2 ] with
-      | Some t -> Alcotest.(check expr) "tau_min 0" Expr.zero t
-      | None -> Alcotest.fail "no tau_min");
-      match Offset.adjust_distance pd1 ~tau_min:Expr.zero with
-      | Some r -> Alcotest.(check expr) "R = floor(12/4) = 3" (i 3) r
-      | None -> Alcotest.fail "no adjust distance")
+      (* tau_min = 0 and A1 sits R = floor(12/4) = 3 strides above it:
+         adjusted, the two sides compare aligned (unadjusted, the
+         relation would read 4 * p_k = 4 * p_g + -12). *)
+      match
+        Locality.Balance.relation (Id.of_pd (pd_of "A1")) (Id.of_pd (pd_of "A2"))
+      with
+      | Some r ->
+          Alcotest.(check string) "relation" "4 * p_k = 4 * p_g"
+            (Format.asprintf "%a" Locality.Balance.pp_relation r)
+      | None -> Alcotest.fail "no relation")
 
 (* ------------------------------------------------------------------ *)
 (* Property: descriptor region = oracle region, for random affine nests *)

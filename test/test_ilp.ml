@@ -333,6 +333,47 @@ let test_stencil_base_alignment () =
       let r = Core.Pipeline.simulate t in
       Alcotest.(check int) "all local" 0 r.total_remote)
 
+(* One storage-distance rule ({!Locality.Balance.reach}) feeds both the
+   model's storage rows and the plan's period candidates: a shifted pair
+   A(j), A(j + d) (stride 1, span 0: reach 2) yields a row and a period
+   only when d lies beyond the reach. *)
+let test_storage_reach () =
+  Probe.with_seed 47 (fun () ->
+      let v = Expr.var and i = Expr.int in
+      let run d =
+        let prog =
+          Ir.Build.program ~name:"shift" ~params:Assume.empty
+            ~arrays:[ Ir.Build.array "A" [ i (3 + d) ] ]
+            [
+              Ir.Build.phase "S"
+                (Ir.Build.doall "j" ~lo:(i 0) ~hi:(i 2)
+                   [
+                     Ir.Build.assign
+                       [
+                         Ir.Build.read "A" [ v "j" ];
+                         Ir.Build.read "A" [ Expr.add (v "j") (i d) ];
+                       ];
+                   ]);
+            ]
+        in
+        let t = Core.Pipeline.run prog ~env:Env.empty ~h:2 in
+        let layout =
+          List.find (fun (l : Distribution.layout) -> l.array = "A") t.plan.layouts
+        in
+        ( ( List.map
+              (fun (s : Model.storage) -> (s.coeff, s.limit))
+              t.model.storage,
+            layout.period ),
+          (Core.Pipeline.simulate t).total_remote )
+      in
+      let rows_and_period = Alcotest.(pair (list (pair int int)) (option int)) in
+      Alcotest.check rows_and_period "d = 2: no storage row, no period"
+        ([], None) (fst (run 2));
+      let got, remote = run 3 in
+      Alcotest.check rows_and_period "d = 3: row 2 p <= 3 and period 3"
+        ([ (2, 3) ], Some 3) got;
+      Alcotest.(check int) "d = 3: all local" 0 remote)
+
 let () =
   Alcotest.run "ilp"
     [
@@ -358,5 +399,6 @@ let () =
             test_mirror_distribution;
           Alcotest.test_case "stencil base alignment" `Quick
             test_stencil_base_alignment;
+          Alcotest.test_case "storage distance reach" `Quick test_storage_reach;
         ] );
     ]

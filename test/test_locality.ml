@@ -248,10 +248,10 @@ let test_halo () =
       let sweep = List.hd gu.nodes in
       (* U regions of consecutive columns share 2 ghost columns:
          UL(I(0)) - LB(I(1)) + 1 = 2N - 2 = 30 *)
-      Alcotest.(check int) "jacobi U halo" 30 (Lcg.halo lcg sweep);
+      Alcotest.(check int) "jacobi U halo" 30 sweep.halo;
       let gv = graph_of lcg "V" in
       let sweep_v = List.hd gv.nodes in
-      Alcotest.(check int) "jacobi V halo" 0 (Lcg.halo lcg sweep_v))
+      Alcotest.(check int) "jacobi V halo" 0 sweep_v.halo)
 
 (* ------------------------------------------------------------------ *)
 (* The diophantine solver against brute force *)

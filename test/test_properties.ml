@@ -1,7 +1,7 @@
 (* Property layer guarding the descriptor algebra and the pipeline.
 
    Every algebraic operation (stride coalescing, row union, full
-   simplification, offset adjustment, homogenization) is checked
+   simplification, hull bounds, homogenization) is checked
    against the brute-force enumeration oracle (Ir.Enumerate expands the
    loop nest reference by reference), on randomly generated affine
    nests.  Two meta-properties pin the new memoization layer: results
@@ -161,17 +161,27 @@ let prop_simplify_idempotent =
           expand once ~par:None = expand twice ~par:None
           && expand once ~par:(Some 0) = expand twice ~par:(Some 0)))
 
-let prop_min_offset_oracle =
-  QCheck.Test.make ~name:"Offset.min_offset = smallest oracle address" ~count
-    arb_affine (fun prog ->
+(* A simplified PD's closed-form hull is the oracle's, and its smallest
+   row offset is the smallest address touched. *)
+let prop_bounds_oracle =
+  QCheck.Test.make ~name:"Setalg.bounds = oracle hull, lo = least row offset"
+    ~count arb_affine (fun prog ->
       Probe.with_seed 503 (fun () ->
           let pd = Unionize.simplify (pd_of prog 0) in
-          match Offset.min_offset pd with
-          | None -> false
-          | Some e -> (
-              match oracle prog 0 ~par:None with
-              | [] -> false
-              | lo :: _ -> Env.eval Env.empty e = lo)))
+          match oracle prog 0 ~par:None with
+          | [] -> false
+          | lo :: _ as addrs ->
+              let offsets =
+                List.concat_map
+                  (fun (g : Pd.group) ->
+                    List.map
+                      (fun (r : Pd.row) -> Env.eval Env.empty r.offset)
+                      g.rows)
+                  pd.groups
+              in
+              Setalg.bounds Env.empty pd ~par:None
+              = Some (lo, List.nth addrs (List.length addrs - 1))
+              && List.fold_left min max_int offsets = lo))
 
 let prop_homogenize_union =
   QCheck.Test.make ~name:"Unionize.homogenize denotes the union of regions"
@@ -191,31 +201,6 @@ let prop_homogenize_union =
                   got
                   = List.sort_uniq compare
                       (oracle prog 0 ~par:None @ oracle prog 1 ~par:None))))
-
-(* Offset adjustment: R = (tau - tau_min) / delta_par in parallel-stride
-   steps; re-deriving tau from R must land back on the row offset. *)
-let prop_adjust_distance =
-  QCheck.Test.make ~name:"Offset.adjust_distance inverts to the offset" ~count
-    arb_shifted_pair (fun prog ->
-      Probe.with_seed 505 (fun () ->
-          let pd1 = Unionize.simplify (pd_of prog 0) in
-          let pd2 = Unionize.simplify (pd_of prog 1) in
-          match Offset.tau_min [ pd1; pd2 ] with
-          | None -> false
-          | Some tau_min -> (
-              let check pd =
-                match
-                  ( Offset.adjust_distance pd ~tau_min,
-                    Offset.min_offset pd,
-                    Pd.par_stride (List.hd pd.Pd.groups) )
-                with
-                | Some r, Some tau, Some dp ->
-                    Env.eval Env.empty tau
-                    = Env.eval Env.empty tau_min
-                      + (Env.eval Env.empty r * Env.eval Env.empty dp)
-                | _ -> false
-              in
-              check pd1 && check pd2)))
 
 (* Memo coherence: flushing every cache must not change any answer - a
    cold run, a warm run reading the first run's stores, and a second
@@ -447,9 +432,8 @@ let () =
             prop_unionize_rows_oracle;
             prop_simplify_oracle;
             prop_simplify_idempotent;
-            prop_min_offset_oracle;
+            prop_bounds_oracle;
             prop_homogenize_union;
-            prop_adjust_distance;
           ] );
       ( "caching",
         [

@@ -727,6 +727,23 @@ let saturating_window () =
   in
   Alcotest.(check bool) "saturates at max_int" true (hits = max_int)
 
+(* The one floor/ceiling division and extended gcd, for either sign. *)
+let division_helpers () =
+  for a = -30 to 30 do
+    for b = -7 to 7 do
+      if b <> 0 then begin
+        let q = float_of_int a /. float_of_int b in
+        Alcotest.(check int) "fdiv" (int_of_float (Float.floor q)) (Lattice.fdiv a b);
+        Alcotest.(check int) "cdiv" (int_of_float (Float.ceil q)) (Lattice.cdiv a b)
+      end;
+      if a >= 0 && b >= 0 then begin
+        let g, x, y = Lattice.egcd a b in
+        Alcotest.(check int) "egcd gcd" (Lattice.gcd a b) g;
+        Alcotest.(check int) "egcd bezout" g ((a * x) + (b * y))
+      end
+    done
+  done
+
 let () =
   Alcotest.run "setalg"
     [
@@ -738,6 +755,8 @@ let () =
           disjoint_sound;
           union_card_exact;
           iv_ops;
+          Alcotest.test_case "fdiv/cdiv/egcd, either sign" `Quick
+            division_helpers;
         ] );
       ("ownership", [ own_segments; own_sets ]);
       ("windows", [ window_hits_exact; per_proc_exact; per_proc_pieces ]);
