@@ -112,9 +112,12 @@ let write_covers_epoch_enum (lcg : Lcg.t) (l : Distribution.layout) =
            !covered)
          (phases_of (fun k -> k > l.first_phase && k <= l.last_phase))
 
-(* The same test by box subset algebra: answers only when certain
-   (both the covering and some definite counterexample are provable),
-   [None] otherwise. *)
+(* The same test by box algebra, answering [None] only outside the
+   fragment.  A read box is covered when it lies inside the union of
+   the head phase's write boxes.  A containing write box, apartness
+   from every write box, or a lone write box that does not contain
+   [b] answers at once; otherwise [b ⊆ ∪W] exactly when adding [b]
+   leaves the union's cardinality unchanged. *)
 let write_covers_epoch_symbolic (lcg : Lcg.t) (l : Distribution.layout) =
   let exception Subtle in
   try
@@ -138,27 +141,20 @@ let write_covers_epoch_symbolic (lcg : Lcg.t) (l : Distribution.layout) =
           sites
       in
       let wboxes = boxes_of th head Ir.Types.Write in
+      let wcard = lazy (Lattice.union_card wboxes) in
       let covered b =
-        match
-          List.exists
-            (fun w ->
-              match Lattice.subset b w with
-              | Lattice.Yes -> true
-              | Lattice.No | Lattice.Unknown -> false)
-            wboxes
-        with
-        | true -> Lattice.Yes
-        | false ->
-            (* definitely uncovered only when apart from every write *)
-            if
-              List.for_all
-                (fun w ->
-                  match Lattice.disjoint b w with
-                  | Lattice.Yes -> true
-                  | Lattice.No | Lattice.Unknown -> false)
-                wboxes
-            then Lattice.No
-            else Lattice.Unknown
+        if List.exists (fun w -> Lattice.subset b w = Lattice.Yes) wboxes then
+          Lattice.Yes
+        else if
+          List.for_all (fun w -> Lattice.disjoint b w = Lattice.Yes) wboxes
+        then Lattice.No
+        else
+          match wboxes with
+          | [ w ] when Lattice.subset b w = Lattice.No -> Lattice.No
+          | _ -> (
+              match (Lattice.union_card (b :: wboxes), Lazy.force wcard) with
+              | Some u, Some n -> if u = n then Lattice.Yes else Lattice.No
+              | _ -> Lattice.Unknown)
       in
       let all_covered boxes =
         List.fold_left

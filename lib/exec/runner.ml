@@ -355,7 +355,8 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   Array.iter
     (function Some e -> errors := e :: !errors | None -> ())
     st.worker_errors;
-  (* -- content parity under the final epoch's owners *)
+  (* -- content parity under the final epoch's owners, one owner
+     window per constant-owner segment of the final layout *)
   let content_cells = ref 0 and content_mismatches = ref 0 in
   let compared = ref [] and skipped = ref [] in
   List.iter
@@ -364,18 +365,21 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       | None -> skipped := name :: !skipped
       | Some l ->
           let g = Shim.window golden ~proc:0 ~array:name in
+          let wins = Hashtbl.find m.shim.replicas name in
           let mask = Hashtbl.find final_mask name in
+          let own = Distribution.own_of ~h l in
           let any = ref false in
-          for a = 0 to size - 1 do
-            if Bytes.get mask a = '\001' then begin
-              any := true;
-              incr content_cells;
-              let owner = Distribution.proc_of plan l ~addr:a in
-              let w = Shim.window m.shim ~proc:owner ~array:name in
-              if Bigarray.Array1.get w a <> Bigarray.Array1.get g a then
-                incr content_mismatches
-            end
-          done;
+          Symbolic.Lattice.Own.segments own own ~lo:0 ~hi:(size - 1)
+            (fun lo hi owner _ ->
+              let w = wins.(owner) in
+              for a = lo to hi do
+                if Bytes.get mask a = '\001' then begin
+                  any := true;
+                  incr content_cells;
+                  if Bigarray.Array1.get w a <> Bigarray.Array1.get g a then
+                    incr content_mismatches
+                end
+              done);
           if !any then compared := name :: !compared
           else skipped := name :: !skipped)
     m.sizes;

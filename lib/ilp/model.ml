@@ -116,7 +116,7 @@ let of_lcg (lcg : Lcg.t) : t =
                                 kind;
                                 coeff;
                                 coeff_expr;
-                                limit = Qnum.floor (Env.eval_q env limit_expr);
+                                limit = lim;
                                 limit_expr;
                               }
                         with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None

@@ -507,18 +507,27 @@ module Own = struct
     end
 
   (* The refinement of two owner maps' constant-owner runs, walked
-     together: each step ends where either map's run ends. *)
+     together: each step ends where either map's run ends.  A map's
+     run end and owner are recomputed only once the walk leaves its
+     current run. *)
   let segments a b ~lo ~hi f =
-    let rec go x =
-      if x <= hi then begin
-        let e = min (run_end a ~hi x) (run_end b ~hi x) in
-        let p = owner a x and q = owner b x in
-        assert (owner a e = p && owner b e = q);
-        f x e p q;
-        go (e + 1)
-      end
-    in
-    if a.h > 0 && a.block > 0 && b.h > 0 && b.block > 0 then go lo
+    if a.h > 0 && a.block > 0 && b.h > 0 && b.block > 0 then begin
+      let x = ref lo and ea = ref (lo - 1) and pa = ref 0 in
+      let eb = ref (lo - 1) and pb = ref 0 in
+      while !x <= hi do
+        if !ea < !x then begin
+          ea := run_end a ~hi !x;
+          pa := owner a !x
+        end;
+        if !eb < !x then begin
+          eb := run_end b ~hi !x;
+          pb := owner b !x
+        end;
+        let e = min !ea !eb in
+        f !x e !pa !pb;
+        x := e + 1
+      done
+    end
 
   (* One processor's set in closed form.  Above [base] the owner only
      depends on the fold coordinate [f] of [rel] (period cell, then

@@ -477,6 +477,143 @@ let test_comm_walk () =
     ]
     (List.rev !steps)
 
+(* The comm fallbacks [run] takes, with its result. *)
+let comm_fallbacks run =
+  Metrics.reset ();
+  let r = run () in
+  let c = (Metrics.snapshot ()).Metrics.counters in
+  (r, Option.value ~default:0 (List.assoc_opt "symbolic.fallback.comm" c))
+
+(* Checks that the schedule in closed form prints as the one the
+   enumerating twins give; returns it and its comm fallbacks. *)
+let check_closed_vs_enum what lcg plan =
+  let print () = Format.asprintf "%a" Comm.pp (Comm.generate lcg plan) in
+  let closed, fallbacks = comm_fallbacks print in
+  let mode = Lattice.mode_cell () in
+  let prev = !mode in
+  let enum =
+    Fun.protect
+      ~finally:(fun () -> mode := prev)
+      (fun () ->
+        mode := Lattice.Enumerated_only;
+        print ())
+  in
+  Alcotest.(check string) (what ^ ": schedule") enum closed;
+  fallbacks
+
+(* The nine kernels at their default size and adi at sizes 5-8, each
+   at H 2, 4, 16 and 64.  adi's copy-in elision needs the union of the
+   head phase's write boxes (its reads straddle two of them), so no
+   comm fallback may answer there. *)
+let test_comm_closed_form_vs_enum () =
+  let points =
+    List.map
+      (fun (e : Codes.Registry.entry) -> (e.name, e.default_size))
+      Codes.Registry.all
+    @ List.map (fun size -> ("adi", size)) [ 5; 6; 7; 8 ]
+  in
+  List.iter
+    (fun (code, size) ->
+      List.iter
+        (fun h ->
+          Probe.with_seed 78 (fun () ->
+              let t = pipeline code size h in
+              let point = Printf.sprintf "%s@%d H=%d" code size h in
+              let fallbacks = check_closed_vs_enum point t.lcg t.plan in
+              if code = "adi" then
+                Alcotest.(check int) (point ^ ": comm fallbacks") 0 fallbacks))
+        [ 2; 4; 16; 64 ])
+    points
+
+(* Copy-in elision where the epoch's reads straddle the head phase's
+   two write boxes, under a hand-built plan that moves A from CYCLIC(1)
+   to CYCLIC(4) before the head phase.  The head writes A(i) and
+   A(i + N + gap), i = 0..N-1, and the next phase reads A(0..2N-1+gap):
+   with no gap the union of the writes covers every read and the
+   redistribution is elided; with a gap of one, cell N is read before
+   any write in the epoch and the redistribution stays.  Neither write
+   box alone contains the read box, so only the union test decides. *)
+let test_comm_union_cover () =
+  List.iter
+    (fun gap ->
+      Probe.with_seed 79 (fun () ->
+          let open Ir.Build in
+          let n = var "N" in
+          let last = (int 2 * n) - int 1 + int gap in
+          let prog =
+            program ~name:"straddle"
+              ~params:(Assume.of_list [ ("N", Assume.Int_range (4, 16)) ])
+              ~arrays:[ array "A" [ last + int 1 ] ]
+              [
+                phase "init"
+                  (doall "i" ~lo:(int 0) ~hi:last [ assign [ write "A" [ var "i" ] ] ]);
+                phase "head"
+                  (doall "i" ~lo:(int 0)
+                     ~hi:(n - int 1)
+                     [
+                       assign
+                         [
+                           write "A" [ var "i" ];
+                           write "A" [ var "i" + n + int gap ];
+                         ];
+                     ]);
+                phase "tail"
+                  (doall "i" ~lo:(int 0) ~hi:last [ assign [ read "A" [ var "i" ] ] ]);
+              ]
+          in
+          let lcg = Locality.Lcg.build prog ~env:(Env.of_list [ ("N", 8) ]) ~h:2 in
+          let layout first_phase last_phase block =
+            {
+              Distribution.array = "A";
+              first_phase;
+              last_phase;
+              base = 0;
+              block;
+              period = None;
+              mirror = None;
+              halo = 0;
+            }
+          in
+          let plan =
+            {
+              Distribution.h = 2;
+              chunk = [| 1; 1; 1 |];
+              layouts = [ layout 0 0 1; layout 1 2 4 ];
+              privatized = [];
+            }
+          in
+          let what = Printf.sprintf "gap %d" gap in
+          Alcotest.(check int) (what ^ ": comm fallbacks") 0
+            (check_closed_vs_enum what lcg plan);
+          Alcotest.(check bool) (what ^ ": redistributes") (gap > 0)
+            (Comm.redistributions (Comm.generate lcg plan) <> [])))
+    [ 0; 1 ]
+
+(* A ratchet on the comm stage's fallbacks under [Pipeline.simulate],
+   summed over the twelve deep programs of campaign 2026 at H=16 and
+   default programs #0-199 of campaign 42 at H=4, at their midpoint
+   environments.  Lower the bounds when a change lowers the counts. *)
+let test_comm_fallback_ratchet () =
+  let corpus profile seed n h =
+    List.fold_left ( + ) 0
+      (List.init n (fun index ->
+           let prog = Fuzz.Gen.program profile ~seed ~index in
+           Probe.with_seed 2026 (fun () ->
+               snd
+                 (comm_fallbacks (fun () ->
+                      let env = Fuzz.Gen.midpoint_env prog in
+                      ignore
+                        (Core.Pipeline.simulate (Core.Pipeline.run prog ~env ~h)))))))
+  in
+  let deep = corpus Fuzz.Gen.deep 2026 12 16
+  and default = corpus Fuzz.Gen.default 42 200 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "deep-2026 #0-11: %d comm fallbacks <= 141" deep)
+    true (deep <= 141);
+  Alcotest.(check bool)
+    (Printf.sprintf "default-42 #0-199: %d comm fallbacks <= 75" default)
+    true (default <= 75)
+
 let () =
   Alcotest.run "dsmsim"
     [
@@ -523,5 +660,11 @@ let () =
           Alcotest.test_case "stencil frontier" `Quick
             test_comm_frontier_for_stencil;
           Alcotest.test_case "walk gating" `Quick test_comm_walk;
+          Alcotest.test_case "union of write boxes" `Quick
+            test_comm_union_cover;
+          Alcotest.test_case "closed form = enumerated" `Slow
+            test_comm_closed_form_vs_enum;
+          Alcotest.test_case "fallback ratchet" `Slow
+            test_comm_fallback_ratchet;
         ] );
     ]

@@ -197,18 +197,22 @@ let gen_own =
 
 let arb_own = QCheck.make gen_own
 
+(* Checked on two maps and on one map walked against itself. *)
 let own_segments =
   prop "Own.segments partitions into constant runs"
     (QCheck.pair arb_own arb_own) (fun (a, b) ->
-      let x = ref (-8) in
-      Lattice.Own.segments a b ~lo:(-8) ~hi:55 (fun l h p q ->
-          if l <> !x || h < l then QCheck.Test.fail_report "not a partition";
-          for i = l to h do
-            if Lattice.Own.owner a i <> p || Lattice.Own.owner b i <> q then
-              QCheck.Test.fail_report "owner not constant on run"
-          done;
-          x := h + 1);
-      !x = 56)
+      let partitions a b =
+        let x = ref (-8) in
+        Lattice.Own.segments a b ~lo:(-8) ~hi:55 (fun l h p q ->
+            if l <> !x || h < l then QCheck.Test.fail_report "not a partition";
+            for i = l to h do
+              if Lattice.Own.owner a i <> p || Lattice.Own.owner b i <> q then
+                QCheck.Test.fail_report "owner not constant on run"
+            done;
+            x := h + 1);
+        !x = 56
+      in
+      partitions a b && partitions a a)
 
 let own_sets =
   prop "Own.set packs each owner's addresses" arb_own (fun o ->
