@@ -859,10 +859,7 @@ let fuzz_cmd =
   in
   let out_arg =
     let doc = "Directory where shrunk reproducers (and .golden snapshots) land." in
-    Arg.(
-      value
-      & opt string (Filename.concat "examples" "programs")
-      & info [ "out" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt string "fuzz_findings" & info [ "out" ] ~docv:"DIR" ~doc)
   in
   let mutation_arg =
     let doc =
@@ -910,9 +907,10 @@ let fuzz_cmd =
          "Mass differential fuzzing: generate seeded random phase \
           pipelines, run each through the differential battery \
           (symbolic-vs-enumerated parity, race certifier vs dynamic \
-          oracle, ILP vs chain solver, schedule parity, cold-vs-warm, \
-          1-vs-N determinism), each program on a domain of its own, and \
-          shrink every mismatch to a minimal reproducer.")
+          oracle, the Eq. 7 solve's point against the model rows, \
+          schedule parity, cold-vs-warm, 1-vs-N determinism), each \
+          program on a domain of its own, and shrink every mismatch to a \
+          minimal reproducer.")
     (profiled
        Term.(
          const f $ count_arg $ seed_arg $ jobs_arg $ wall_arg $ out_arg

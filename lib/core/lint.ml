@@ -172,68 +172,53 @@ let rule_subscript c (ph : Types.phase) =
 (* ------------------------------------------------------------------ *)
 (* Sampled rules *)
 
-let bounds_walks = Metrics.counter "lint.bounds.walks"
-let bounds_unranged = Metrics.counter "lint.bounds.unranged"
-
 (* A size that does not evaluate raises [Exit], which the callers
    below treat as one more recoverable failure. *)
 let size_of (prog : Types.program) env array =
   match Linearize.array_size env prog array with Ok n -> n | Error _ -> raise Exit
 
-(* Each array's address range in [env] next to its declared size, from
-   the closed form ([Enumerate.address_range]); [None] when that has no
-   exact answer. *)
-let address_ranges prog env ph =
-  try
-    Option.map
-      (List.map (fun (array, lo, hi) -> (array, lo, hi, size_of prog env array)))
-      (Enumerate.address_range (Enumerate.compile prog env ph))
-  with Exit -> None | e when Autopar.unevaluable e -> None
-
-(* A sample is walked only when its closed-form ranges are unknown or
-   leave an array, and the walk then finds the first bad address; at
-   the analyzed environment [at] the closed form alone decides and
-   reports the extreme address. *)
+(* Every environment takes one path: each array's address range from
+   the phase's closed form ([Shape.ranges]), reporting the extreme
+   address that leaves the declared extent.  Where the closed form has
+   no answer, the walk that finds the first bad address instead is a
+   counted fallback; under [--symbolic-only] it is reported, not
+   taken.  A sampled environment that does not evaluate ends the
+   samples; the analyzed one [at] is judged on its own. *)
 let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
-  (* Normalized once for every environment below: compiling a
-     normalized phase normalizes nothing again.  If normalizing raises,
-     each compile raises it as before. *)
-  let ph = try Normalize.phase ph with e when Autopar.unevaluable e -> ph in
   let bad = Hashtbl.create 4 in
-  let inside (_, lo, hi, size) = 0 <= lo && hi < size in
-  (try
-     List.iter
-       (fun env ->
-         match address_ranges prog env ph with
-         | Some ranges when List.for_all inside ranges -> ()
-         | _ ->
-             Metrics.incr bounds_walks;
-             let size =
-               let tbl = Hashtbl.create 8 in
-               fun array ->
-                 match Hashtbl.find_opt tbl array with
-                 | Some s -> s
-                 | None ->
-                     let s = size_of prog env array in
-                     Hashtbl.add tbl array s;
-                     s
-             in
-             Enumerate.iter prog env ph ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
-                 if (addr < 0 || addr >= size array) && not (Hashtbl.mem bad array)
-                 then Hashtbl.add bad array addr))
-       envs
-   with Exit -> () | e when Autopar.unevaluable e -> ());
-  Option.iter
-    (fun env ->
-      match address_ranges prog env ph with
-      | None -> Metrics.incr bounds_unranged
-      | Some ranges ->
-          List.iter
-            (fun ((array, lo, hi, size) as r) ->
-              if not (inside r || Hashtbl.mem bad array) then
-                Hashtbl.add bad array (if hi >= size then hi else lo))
-            ranges)
-    at;
+  let record array addr = if not (Hashtbl.mem bad array) then Hashtbl.add bad array addr in
+  let check env =
+    let sizes = Hashtbl.create 8 in
+    let size array =
+      match Hashtbl.find_opt sizes array with
+      | Some s -> s
+      | None ->
+          let s = size_of prog env array in
+          Hashtbl.add sizes array s;
+          s
+    in
+    match Option.bind (Shape.of_phase prog env ph) Shape.ranges with
+    | Some ranges ->
+        List.iter
+          (fun (array, lo, hi) ->
+            let size = size array in
+            if hi >= size then record array hi else if lo < 0 then record array lo)
+          ranges
+    | None -> (
+        match Lattice.note_fallback ~stage:"lint-bounds" (ph.Types.phase_name ^ " address ranges") with
+        | () ->
+            Enumerate.iter prog env ph ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
+                if addr < 0 || addr >= size array then record array addr)
+        | exception Lattice.Outside_fragment reason ->
+            Diag.addf c ~severity:Error ~stage:Lint ~where:ph.Types.phase_name
+              ~code:"LINT-SYMBOLIC-FALLBACK"
+              "bounds not checked: outside the closed-form fragment under \
+               --symbolic-only: %s"
+              reason)
+  in
+  let guarded f = try f () with Exit -> () | e when Autopar.unevaluable e -> () in
+  guarded (fun () -> List.iter check envs);
+  Option.iter (fun env -> guarded (fun () -> check env)) at;
   Hashtbl.iter
     (fun array addr ->
       Diag.addf c ~severity:Error ~stage:Lint ~where:ph.Types.phase_name

@@ -64,8 +64,10 @@ val check :
     by {!Descriptor.Racecheck.certify} and sample it with
     {!Ir.Autopar.sampled} only when the certifier answers [Unknown].
     [at] is the environment being analyzed: [LINT-BOUNDS] also checks
-    it, from the closed-form address ranges only (a phase without one
-    is skipped there and counted in [lint.bounds.unranged]). *)
+    it.  Every environment is judged from {!Ir.Shape.ranges}, reporting
+    the extreme address outside an extent; a phase without them is
+    walked as a [lint-bounds] fallback ({!Symbolic.Lattice.note_fallback}),
+    reported as [LINT-SYMBOLIC-FALLBACK] under [Symbolic_only]. *)
 
 val autopar :
   ?envs:Env.t list -> ?diags:Diag.collector -> Ir.Types.program -> Ir.Types.program

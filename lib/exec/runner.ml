@@ -48,13 +48,22 @@ let[@inline] stamp ~round ~k ~site ~addr =
 type acc = { mutable sum : float }
 
 (* The start of an assignment: its sum restarts and [spin] scales its
-   work cycles into a busy loop. *)
+   work cycles into a busy loop of that many additions.  Eight additions
+   per trip make one chain of dependent adds, so the loop runs at the
+   chain's speed wherever its code lands: a one-addition loop took half
+   again as long when it straddled a 64-byte line, which the code size
+   of every module linked ahead of this one decided. *)
 let assign acc spin work =
   acc.sum <- 0.0;
   if spin > 0 then begin
-    let x = ref 0 in
-    for i = 1 to work * spin do
-      x := !x + i
+    let n = work * spin and x = ref 0 and i = ref 1 in
+    while !i + 7 <= n do
+      let j = !i in
+      x := !x + j + (j + 1) + (j + 2) + (j + 3) + (j + 4) + (j + 5) + (j + 6) + (j + 7);
+      i := j + 8
+    done;
+    for j = !i to n do
+      x := !x + j
     done;
     ignore (Sys.opaque_identity !x)
   end

@@ -149,7 +149,10 @@ let run ?(log = fun _ -> ()) cfg =
       if (not !capped)
          && (cfg.wall_cap <= 0. || Unix.gettimeofday () -. t0 < cfg.wall_cap)
       then begin
-        let outcomes, _metrics = Core.Jobs.map ~workers ~f:fz_worker chunk in
+        let outcomes, metrics = Core.Jobs.map ~workers ~f:fz_worker chunk in
+        (* The jobs' numbers join the calling domain's, so --profile
+           covers the campaign (the determinism re-run is not added). *)
+        Metrics.absorb metrics;
         List.iter2 (fun j o -> completed := (j, o) :: !completed) chunk outcomes;
         List.iter (function Core.Jobs.Done _ -> incr ran | _ -> ()) outcomes;
         log

@@ -51,6 +51,7 @@ type stats = {
 
 val run : ?log:(string -> unit) -> config -> stats
 (** Execute the campaign.  [log] receives one-line progress messages
-    (chunk boundaries, findings, reproducer paths).  Never raises on
+    (chunk boundaries, findings, reproducer paths).  The batteries'
+    {!Symbolic.Metrics} join the calling domain's.  Never raises on
     differential findings - they are data; file-system errors writing
     reproducers do raise. *)

@@ -16,8 +16,6 @@ type site = {
   array : string;
   access : access;
   addr : int array -> int;
-  index : shape list;
-  extents : int list;
 }
 
 type node =
@@ -25,8 +23,6 @@ type node =
   | Nest of {
       lo : int array -> int;
       hi : int array -> int;
-      lo_shape : shape;
-      hi_shape : shape;
       slot : int;
       parallel : bool;
       body : node list;
@@ -128,7 +124,7 @@ let compile (prog : program) (env : Env.t) (ph : phase) =
                   List.fold_left (fun a (s, c, _) -> a + (c * slots.(s))) c0 coeffs
                 else exact slots)
     in
-    (shape, eval)
+    eval
   in
   (* Column-major, subscripts evaluated left to right; the trailing
      extent never multiplies, so it stays unevaluated (sentinel 0) and
@@ -158,29 +154,28 @@ let compile (prog : program) (env : Env.t) (ph : phase) =
               fail (Printf.sprintf "extent of %s does not evaluate" r.array);
               Error ex)
     in
-    let index, idx = List.split (List.map (expr scope) r.index) in
-    let addr, extents =
+    let idx = List.map (expr scope) r.index in
+    let addr =
       match dims with
-      | Error ex -> ((fun _ -> raise ex), [])
-      | Ok dims when List.compare_lengths dims idx = 0 -> (flat idx dims, dims)
+      | Error ex -> fun _ -> raise ex
+      | Ok dims when List.compare_lengths dims idx = 0 -> flat idx dims
       | Ok _ ->
           fail ("rank mismatch on " ^ r.array);
-          ( (fun slots ->
-              List.iter (fun i -> ignore (i slots)) idx;
-              invalid_arg "rank mismatch"),
-            [] )
+          fun slots ->
+            List.iter (fun i -> ignore (i slots)) idx;
+            invalid_arg "rank mismatch"
     in
-    { array = r.array; access = r.access; addr; index; extents }
+    { array = r.array; access = r.access; addr }
   in
   let rec stmt scope = function
     | Assign a -> Stmt { refs = List.map (site scope) a.refs; work = a.work }
     | Loop l ->
-        let lo_shape, lo = expr scope l.lo in
-        let hi_shape, hi = expr scope l.hi in
+        let lo = expr scope l.lo in
+        let hi = expr scope l.hi in
         let slot = List.length scope in
         nslots := max !nslots (slot + 1);
         let body = List.map (stmt ((l.var, slot) :: scope)) l.body in
-        Nest { lo; hi; lo_shape; hi_shape; slot; parallel = l.parallel; body }
+        Nest { lo; hi; slot; parallel = l.parallel; body }
   in
   let root = stmt [] (Loop ph.nest) in
   { root; nslots = !nslots; shapes = List.rev !shapes; unsupported = !unsupported }
@@ -227,98 +222,6 @@ let iter ?only (prog : program) (env : Env.t) (ph : phase) ~f =
   Fun.protect
     ~finally:(fun () -> Metrics.incr ~by:!events address_count)
     (fun () -> walk None nest.root)
-
-exception Unranged
-
-(* Affine forms over the loop slots as coefficient arrays, the constant
-   last; all arithmetic checked. *)
-let address_range (n : nest) =
-  let k = n.nslots in
-  let form = function
-    | Const c -> Array.init (k + 1) (fun j -> if j = k then c else 0)
-    | Affine (c0, cs) ->
-        let a = Array.make (k + 1) 0 in
-        a.(k) <- c0;
-        List.iter (fun (s, c) -> a.(s) <- c) cs;
-        a
-    | Opaque -> raise Unranged
-  in
-  let sabs x = if x = min_int then raise Lattice.Overflow else abs x in
-  (* The extreme of [f] over the enclosing loops [(slot, lo, hi)],
-     innermost first: each loop variable is replaced by the bound its
-     coefficient's sign selects.  Exact while every loop is non-empty,
-     which [visit] checks before descending. *)
-  let extreme loops ~max f =
-    let f =
-      List.fold_left
-        (fun f (s, lo, hi) ->
-          let c = f.(s) in
-          if c = 0 then f
-          else
-            let b = if c > 0 = max then hi else lo in
-            Array.mapi
-              (fun j x -> if j = s then 0 else Lattice.Safe.add x (Lattice.Safe.mul c b.(j)))
-              f)
-        f loops
-    in
-    f.(k)
-  in
-  (* [mag.(s)] bounds [|slot s|] over the domain; a form whose terms'
-     magnitudes sum without overflow evaluates without overflow in any
-     order, so the compiled closures agree with the affine form. *)
-  let mag = Array.make k 0 in
-  let bound f =
-    let m = ref (sabs f.(k)) in
-    for s = 0 to k - 1 do
-      m := Lattice.Safe.add !m (Lattice.Safe.mul (sabs f.(s)) mag.(s))
-    done;
-    !m
-  in
-  let ranges = Hashtbl.create 8 and order = ref [] in
-  let site loops (r : site) =
-    let idx = List.map form r.index in
-    (* the flat address in [compile]'s Horner order, then its bound *)
-    let rec flat idx dims =
-      match (idx, dims) with
-      | [ i ], [ _ ] -> (i, bound i)
-      | i :: idx, d :: dims ->
-          let rest, m = flat idx dims in
-          ( Array.mapi (fun j x -> Lattice.Safe.add x (Lattice.Safe.mul d rest.(j))) i,
-            Lattice.Safe.add (bound i) (Lattice.Safe.mul (sabs d) m) )
-      | _ -> (form (Const 0), 0)
-    in
-    let f, _ = flat idx r.extents in
-    let lo = extreme loops ~max:false f and hi = extreme loops ~max:true f in
-    match Hashtbl.find_opt ranges r.array with
-    | Some (l, h) -> Hashtbl.replace ranges r.array (min l lo, max h hi)
-    | None ->
-        Hashtbl.add ranges r.array (lo, hi);
-        order := r.array :: !order
-  in
-  let rec visit loops = function
-    | Stmt s -> List.iter (site loops) s.refs
-    | Nest l ->
-        let lo = form l.lo_shape and hi = form l.hi_shape in
-        ignore (bound lo);
-        ignore (bound hi);
-        let trip = Array.mapi (fun j h -> Lattice.Safe.(add h (mul (-1) lo.(j)))) hi in
-        if extreme loops ~max:false trip < 0 then raise Unranged;
-        mag.(l.slot) <-
-          max (sabs (extreme loops ~max:false lo)) (sabs (extreme loops ~max:true hi));
-        List.iter (visit ((l.slot, lo, hi) :: loops)) l.body
-  in
-  match n.unsupported with
-  | Some _ -> None
-  | None -> (
-      match visit [] n.root with
-      | () ->
-          Some
-            (List.rev_map
-               (fun a ->
-                 let lo, hi = Hashtbl.find ranges a in
-                 (a, lo, hi))
-               !order)
-      | exception (Unranged | Lattice.Overflow) -> None)
 
 let addresses prog env ph ~array =
   let acc = ref [] in

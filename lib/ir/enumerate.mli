@@ -16,10 +16,6 @@ type site = {
   array : string;
   access : access;
   addr : int array -> int;
-  index : shape list;  (** each subscript's shape, left to right *)
-  extents : int list;
-      (** the multiplier after each subscript: [addr] is
-          [i1 + e1 * (i2 + e2 * (...))], the trailing entry unused *)
 }
 
 type node =
@@ -27,8 +23,6 @@ type node =
   | Nest of {
       lo : int array -> int;
       hi : int array -> int;
-      lo_shape : shape;
-      hi_shape : shape;
       slot : int;  (** the loop variable's slot *)
       parallel : bool;
       body : node list;
@@ -67,15 +61,6 @@ val iter :
     events inside it are reported - the events of the full walk with
     [par] in [pars] and that array, in the same order.  Errors are
     raised only on the restricted path. *)
-
-val address_range : nest -> (string * int * int) list option
-(** Each array's least and greatest flat address over the whole walk,
-    in order of first reference, without walking: loops are eliminated
-    from the inside out, each variable replaced by the bound its
-    coefficient's sign selects.  [None] unless the answer is provably
-    the walk's min/max: on an {!nest.unsupported} construct, an
-    {!Opaque} bound or subscript, a loop that may be empty for some
-    outer iteration, or a form whose evaluation might overflow. *)
 
 val addresses :
   program -> Env.t -> phase -> array:string -> (int * access) list

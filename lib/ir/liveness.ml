@@ -60,11 +60,12 @@ let equal_par a b =
    - every read site has a strictly-earlier write site of *identical*
      shape (base, parallel shape, sequential dims): then at every
      iteration the read's address was written earlier in the same
-     parallel iteration - definitely true.  For sites outside the
-     parallel loop the per-iteration write table is reset when the
-     loop's event group starts and ends, so the covering write must
-     additionally sit on the same side of the parallel loop: no
-     emitting in-loop site may separate the pair. *)
+     parallel iteration - definitely true.  The per-iteration write
+     table is reset whenever the parallel iteration changes, so for a
+     site outside the parallel loop, or pinned to one iteration of a
+     partially-evaluated one (which may run again under an outer
+     loop), no emitting site of another parallel shape may separate
+     the pair. *)
 let def_before_use_symbolic prog env ph ~array =
   match Shape.of_phase prog env ph with
   | None -> None
@@ -82,13 +83,9 @@ let def_before_use_symbolic prog env ph ~array =
         | (_, first) :: _ when Types.equal_access first.access Types.Read ->
             Some false
         | _ ->
-            let same_side wi ri =
+            let same_group wi ri par =
               List.for_all
-                (fun (j, s) ->
-                  j <= wi || j >= ri
-                  || match s.Shape.par with
-                     | Shape.Outside -> true
-                     | Shape.Strided _ | Shape.Fixed _ -> false)
+                (fun (j, s) -> j <= wi || j >= ri || equal_par s.Shape.par par)
                 sites
             in
             let covered (ri, (r : Shape.site)) =
@@ -101,8 +98,8 @@ let def_before_use_symbolic prog env ph ~array =
                      && equal_par w.par r.par
                      && w.seq = r.seq
                      && (match r.par with
-                        | Shape.Outside -> same_side wi ri
-                        | Shape.Strided _ | Shape.Fixed _ -> true))
+                        | Shape.Outside | Shape.Fixed _ -> same_group wi ri r.par
+                        | Shape.Strided _ -> true))
                    mine
             in
             if List.for_all covered mine then Some true else None

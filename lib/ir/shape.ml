@@ -25,8 +25,10 @@ let expand_budget = 8192
 
 (* The set of loop variables that must be enumerated concretely: those
    appearing in loop bounds, in non-affine subscript positions, or in
-   another variable's subscript coefficient.  Computed as a fixpoint
-   over the phase's loops and sites. *)
+   another variable's subscript coefficient, and a parallel loop whose
+   own bound mentions a loop variable (its trip count varies, so no one
+   [par_n] strides it).  Computed as a fixpoint over the phase's loops
+   and sites. *)
 let bad_vars (pc : Phase.t) =
   let loopvars = List.map (fun (l : Phase.loop_info) -> l.var) pc.loops in
   let is_loopvar v = List.mem v loopvars in
@@ -38,7 +40,9 @@ let bad_vars (pc : Phase.t) =
     let n0 = Hashtbl.length bad in
     List.iter
       (fun (l : Phase.loop_info) ->
-        List.iter (fun v -> if is_loopvar v then add v) (Expr.vars l.hi))
+        let outer = List.filter is_loopvar (Expr.vars l.hi) in
+        List.iter add outer;
+        if l.parallel && outer <> [] then add l.var)
       pc.loops;
     List.iter
       (fun (s : Phase.site) ->
@@ -122,10 +126,12 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
                 end
         in
         walk env0 [] `No (Loop pc.phase.nest);
+        (* Read only by [Strided] sites: a partially-evaluated parallel
+           loop's bound may mention loop variables. *)
         let par_n =
           match pc.par with
-          | Some l -> max 0 (Env.eval env0 l.hi + 1)
-          | None -> 1
+          | Some l when not (Hashtbl.mem bad l.var) -> max 0 (Env.eval env0 l.hi + 1)
+          | Some _ | None -> 1
         in
         Some { par_n; sites = List.rev !sites }
       with
@@ -133,10 +139,14 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
       | Division_by_zero | Qnum.Division_by_zero ->
         None)
 
+(* A sampled environment is used once: its shapes bypass the store, as
+   its evaluations do. *)
 let of_phase prog env ph =
-  Artifact.find cache
-    Artifact.Key.(list [ Types.phase_context_key prog ph; int (Env.id env) ])
-    (fun () -> of_phase_raw prog env ph)
+  if Env.is_ephemeral env then of_phase_raw prog env ph
+  else
+    Artifact.find cache
+      Artifact.Key.(list [ Types.phase_context_key prog ph; int (Env.id env) ])
+      (fun () -> of_phase_raw prog env ph)
 
 let events (s : site) =
   List.fold_left (fun acc (c, _) -> Lattice.Safe.mul_sat acc c) 1 s.seq
@@ -158,6 +168,21 @@ let box (t : t) (s : site) =
     | Strided st -> (t.par_n, st) :: s.seq
   in
   Lattice.make ~base:s.base dims
+
+let ranges (t : t) =
+  let arrays =
+    List.fold_left
+      (fun acc s -> if emits t s && not (List.mem s.array acc) then s.array :: acc else acc)
+      [] t.sites
+  in
+  try
+    Some
+      (List.rev_map
+         (fun a ->
+           let lo, hi = Option.get (Lattice.bounds (List.filter_map (box t) (on_array t a))) in
+           (a, lo, hi))
+         arrays)
+  with Lattice.Overflow -> None
 
 let total_work (t : t) =
   List.fold_left

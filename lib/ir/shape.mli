@@ -5,8 +5,9 @@
     extracts the same event multiset {e symbolically}: each reference
     site becomes a [base + par_stride*i + sum_j k_j*s_j] generator
     whose dimension counts and strides are concrete integers, so
-    consumers (phase work, liveness, the DSM simulator's accounting)
-    can reason about all [n * prod c_j] events in O(sites) time.
+    consumers (phase work, liveness, lint's bounds rule, the DSM
+    simulator's accounting) can reason about all [n * prod c_j] events
+    in O(sites) time.  It is the one closed form of a phase's events.
 
     Loop variables whose trip count or subscript coefficient is not
     affine-with-constant-coefficient under the environment (triangular
@@ -15,8 +16,10 @@
     and the sites under them are emitted once per value, closing the
     gap between the affine fragment and real kernels at small extents.
     When the parallel variable itself is bad (it bounds an inner loop,
-    as in triangular solves), the parallel loop is partially evaluated
-    too and each emitted site is pinned to one parallel iteration.
+    as in triangular solves, or its own bound mentions an outer loop
+    variable, as in [do i / doall j = 0, i]), the parallel loop is
+    partially evaluated too and each emitted site is pinned to one
+    parallel iteration.
 
     Extraction is exact: the emitted sites denote event-for-event the
     multiset {!Enumerate.iter} produces (same linearization, same
@@ -52,14 +55,18 @@ type site = {
 }
 
 type t = {
-  par_n : int;  (** parallel trip count ([1] when the phase has none) *)
+  par_n : int;
+      (** trip count of the [Strided] parallel loop, read only by
+          [Strided] sites ([1] when the phase has none or its parallel
+          loop is partially evaluated) *)
   sites : site list;
 }
 
 val of_phase : program -> Env.t -> phase -> t option
 (** [None] when the phase is outside the affine fragment under this
     environment (non-affine parallel subscripts, unbounded partial
-    evaluation, unevaluable parameters).  Memoized per (phase, env). *)
+    evaluation, unevaluable parameters).  Memoized per (phase, env),
+    unless the environment is {!Env.ephemeral}. *)
 
 val events : site -> int
 (** Number of events the site generates per parallel iteration it
@@ -75,6 +82,11 @@ val box : t -> site -> Lattice.box option
 (** The address {e set} the site touches over all its occurrences
     (multiplicity dropped): [None] when it emits nothing.
     @raise Lattice.Overflow *)
+
+val ranges : t -> (string * int * int) list option
+(** Each array's least and greatest address over the phase, in order
+    of first emitting reference: the hull ({!Lattice.bounds}) of its
+    site {!box}es.  [None] when a box overflows. *)
 
 val total_work : t -> int
 (** Total statement work of the phase, saturating - the closed form of

@@ -27,6 +27,7 @@ let of_list l = make (List.fold_left (fun m (k, v) -> M.add k v m) M.empty l)
 let add k v t = make ~ephemeral:t.ephemeral (M.add k v t.map)
 let id t = t.id
 let ephemeral t = if t.ephemeral then t else make ~ephemeral:true t.map
+let is_ephemeral t = t.ephemeral
 
 let find env v =
   match M.find_opt v env.map with Some x -> x | None -> raise (Unbound v)

@@ -30,6 +30,8 @@ val ephemeral : t -> t
     enumerator's per-iteration bindings - so they do not churn the
     store or drag short-lived cache entries into the major heap. *)
 
+val is_ephemeral : t -> bool
+
 val lookup : t -> string -> Qnum.t
 (** Shape expected by {!Expr.eval}. *)
 

@@ -1,7 +1,7 @@
 (* The dsmloc executable end to end: the exit-code contract of its
    header, for clean, degraded, stale, vacuous and rejected runs. *)
 
-let dsmloc = "../bin/dsmloc.exe"
+let dsmloc = Filename.concat (Sys.getcwd ()) "../bin/dsmloc.exe"
 
 (* Runs dsmloc on [args] with stdout discarded: its exit code, its
    stderr and the wall seconds it took.  A run still going after
@@ -116,6 +116,33 @@ let no_internal_error args () =
           (if present then "lacks" else "has") sub err)
     [ (true, "LINT-UNBOUND-PARAM"); (false, "internal error") ]
 
+(* A mutation campaign still fails (exit 2), and its reproducers land
+   under fuzz_findings/ of the working directory by default, never
+   among the sample programs. *)
+let fuzz_default_out () =
+  let samples () = List.sort compare (Array.to_list (Sys.readdir "../examples/programs")) in
+  let before = samples () in
+  let dir = Filename.temp_dir "dsmloc" "fuzz" in
+  let cwd = Sys.getcwd () in
+  let code, _, _ =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        Sys.chdir dir;
+        run [ "fuzz"; "--count"; "20"; "--seed"; "7"; "--inject-mutation" ])
+  in
+  let out = Filename.concat dir "fuzz_findings" in
+  let written = if Sys.file_exists out then Array.to_list (Sys.readdir out) else [] in
+  let examples = Sys.file_exists (Filename.concat dir "examples") in
+  List.iter (fun f -> Sys.remove (Filename.concat out f)) written;
+  if Sys.file_exists out then Sys.rmdir out;
+  Sys.rmdir dir;
+  Alcotest.(check int) "exit" 2 code;
+  Alcotest.(check bool) "reproducers under fuzz_findings/" true
+    (List.exists (fun f -> Filename.check_suffix f ".dsm") written);
+  Alcotest.(check bool) "no examples/ written" false examples;
+  Alcotest.(check (list string)) "sample programs" before (samples ())
+
 let () =
   Alcotest.run "cli"
     [
@@ -151,6 +178,7 @@ let () =
             (exits ~stderr:"checked nothing" 4
                [ "run"; "jacobi2d"; "--domains"; "2"; "--size"; "0"; "--validate" ]);
           case "unknown code exits 1" (exits 1 [ "analyze"; "no-such-kernel" ]);
+          case "fuzz reproducers land in fuzz_findings" fuzz_default_out;
           case "malformed --env binding exits 1"
             (exits ~stderr:"bad binding" 1
                [ "file"; "../examples/programs/jacobi2d.dsm"; "--env"; "N=abc" ]);

@@ -589,30 +589,62 @@ let test_comm_union_cover () =
             (Comm.redistributions (Comm.generate lcg plan) <> [])))
     [ 0; 1 ]
 
-(* A ratchet on the comm stage's fallbacks under [Pipeline.simulate],
+(* A ratchet on every stage's fallbacks under [Pipeline.simulate],
    summed over the twelve deep programs of campaign 2026 at H=16 and
    default programs #0-199 of campaign 42 at H=4, at their midpoint
-   environments.  Lower the bounds when a change lowers the counts. *)
-let test_comm_fallback_ratchet () =
+   environments: (stage, deep bound, default bound).  Lower the bounds
+   when a change lowers the counts. *)
+let fallback_bounds =
+  [
+    ("comm", 2, 3);
+    ("liveness", 122, 71);
+    ("solve-words", 206, 97);
+    ("lcg-work", 0, 0);
+    ("lcg", 0, 0);
+    ("chain", 0, 0);
+    ("distribution", 0, 0);
+    ("exec", 0, 0);
+    ("lint-bounds", 0, 0);
+  ]
+
+let test_fallback_ratchet () =
   let corpus profile seed n h =
-    List.fold_left ( + ) 0
-      (List.init n (fun index ->
-           let prog = Fuzz.Gen.program profile ~seed ~index in
-           Probe.with_seed 2026 (fun () ->
-               snd
-                 (comm_fallbacks (fun () ->
-                      let env = Fuzz.Gen.midpoint_env prog in
-                      ignore
-                        (Core.Pipeline.simulate (Core.Pipeline.run prog ~env ~h)))))))
+    let totals = Hashtbl.create 8 in
+    for index = 0 to n - 1 do
+      let prog = Fuzz.Gen.program profile ~seed ~index in
+      Probe.with_seed 2026 (fun () ->
+          Metrics.reset ();
+          let env = Fuzz.Gen.midpoint_env prog in
+          ignore (Core.Pipeline.simulate (Core.Pipeline.run prog ~env ~h));
+          List.iter
+            (fun (k, v) -> Hashtbl.replace totals k (v + Option.value ~default:0 (Hashtbl.find_opt totals k)))
+            (Metrics.snapshot ()).Metrics.counters)
+    done;
+    (* a stage without a bound fails here instead of passing unseen *)
+    Hashtbl.iter
+      (fun k _ ->
+        let prefix = "symbolic.fallback." in
+        if String.starts_with ~prefix k then
+          let stage = String.sub k (String.length prefix) (String.length k - String.length prefix) in
+          if not (List.exists (fun (s, _, _) -> s = stage) fallback_bounds) then
+            Alcotest.failf "stage %s has no ratchet bound" stage)
+      totals;
+    fun stage -> Option.value ~default:0 (Hashtbl.find_opt totals ("symbolic.fallback." ^ stage))
   in
   let deep = corpus Fuzz.Gen.deep 2026 12 16
   and default = corpus Fuzz.Gen.default 42 200 4 in
-  Alcotest.(check bool)
-    (Printf.sprintf "deep-2026 #0-11: %d comm fallbacks <= 141" deep)
-    true (deep <= 141);
-  Alcotest.(check bool)
-    (Printf.sprintf "default-42 #0-199: %d comm fallbacks <= 75" default)
-    true (default <= 75)
+  List.iter
+    (fun (stage, deep_bound, default_bound) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "deep-2026 #0-11: %d %s fallbacks <= %d" (deep stage) stage deep_bound)
+        true
+        (deep stage <= deep_bound);
+      Alcotest.(check bool)
+        (Printf.sprintf "default-42 #0-199: %d %s fallbacks <= %d" (default stage) stage
+           default_bound)
+        true
+        (default stage <= default_bound))
+    fallback_bounds
 
 let () =
   Alcotest.run "dsmsim"
@@ -665,6 +697,6 @@ let () =
           Alcotest.test_case "closed form = enumerated" `Slow
             test_comm_closed_form_vs_enum;
           Alcotest.test_case "fallback ratchet" `Slow
-            test_comm_fallback_ratchet;
+            test_fallback_ratchet;
         ] );
     ]

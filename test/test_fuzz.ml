@@ -158,6 +158,28 @@ let test_battery_clean () =
         (Fuzz.Differ.battery p))
     (gen_programs ~seed:5 10)
 
+(* The batteries run on domains of their own; their metrics must reach
+   the caller, or [fuzz --profile] reports an empty campaign. *)
+let test_campaign_metrics () =
+  Metrics.reset ();
+  let st =
+    Fuzz.Campaign.run
+      {
+        Fuzz.Campaign.count = 5;
+        seed = 42;
+        jobs = 2;
+        wall_cap = 0.;
+        out_dir = Filename.get_temp_dir_name ();
+        skew = 0;
+      }
+  in
+  Alcotest.(check int) "ran" 5 st.s_ran;
+  let calls =
+    Option.fold ~none:0 ~some:fst
+      (List.assoc_opt "pipeline.run" (Metrics.snapshot ()).Metrics.timers)
+  in
+  Alcotest.(check bool) (Printf.sprintf "pipeline.run calls %d > 0" calls) true (calls > 0)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -182,5 +204,7 @@ let () =
             test_battery_clean;
           Alcotest.test_case "injected mutation caught and shrunk" `Slow
             test_injected_mutation;
+          Alcotest.test_case "campaign metrics reach the caller" `Quick
+            test_campaign_metrics;
         ] );
     ]

@@ -31,38 +31,38 @@ let fingerprint (profile, index, h) =
 
 let golden : (string * (string * string)) list =
   [
-    ("deep#0", ("fc3cbec24d6f634b2df54174565d9a77", "0x1.0dcf1fa117e25p-9"));
-    ("deep#1", ("2b3109c49fc07edb6faa9f0a49888b6d", "0x1.df5ae33e55e23p-9"));
-    ("deep#2", ("40e7756a73b27d72a36aea375f8dd02d", "0x1.4fc3345c43ecp-9"));
-    ("deep#3", ("ca867d69a13abbde59735e17abbbecb0", "0x1.d5f7c7cf81fc7p-8"));
-    ("deep#4", ("d6eafe9df17029bf2313f13c64c07c45", "0x1.ae177823df665p-8"));
-    ("deep#5", ("1deece68df136b6f6f20d7011243a780", "0x1.be1e3a815f1fdp-9"));
-    ("deep#6", ("61712a5667affe13c0bbbdc5c4cda9d8", "0x1.1fb7398f8ee36p-9"));
-    ("deep#7", ("bc13ea84114cb53d941cb5aedbad6c44", "0x1.c10362ddcdff2p-8"));
-    ("deep#8", ("66f09e1cd6131b52c55469de0a6dcb64", "0x1.dee769ebd48ap-9"));
-    ("deep#9", ("a22bcb4c4e3d9098f2466b7302c2a876", "0x1.5f90c06b20c84p-9"));
-    ("deep#10", ("2fccc5bca6d254e440a011b4106d217e", "0x1.3de3840ebefbdp-8"));
-    ("deep#11", ("b5d63383df8b169730fd53d097bbc3fc", "0x1.843295ff451d9p-9"));
-    ("default#0", ("f759378cb320cd75ecd626f5d83efa33", "0x1.d4a1176009032p-6"));
-    ("default#1", ("f6eb442461a22ce9b3537d12194e6518", "0x1.c00ae2e9b789ap-4"));
-    ("default#2", ("f725ba56b0f19481f92d0f5e362b24c7", "0x1.e201dba31a24ep-7"));
+    ("deep#0", ("40fddab210262da4b733d5f19ff23d0b", "0x1.0dcf1fa117e25p-9"));
+    ("deep#1", ("391667f26d6589bc14e1fc59487f9bd7", "0x1.df5ae33e55e23p-9"));
+    ("deep#2", ("2f2d761812cbdea817c8aeaa948a171e", "0x1.4fc3345c43ecp-9"));
+    ("deep#3", ("cbed110f9bbbc42b125457f69069e86b", "0x1.d5f7c7cf81fc7p-8"));
+    ("deep#4", ("44f28b3364868a57a22809e567212fd5", "0x1.ae177823df665p-8"));
+    ("deep#5", ("50035e73ec5c4dd0c7ab6b77a462fa53", "0x1.be1e3a815f1fdp-9"));
+    ("deep#6", ("13660b4fc5380fa1355645f38abcfe8a", "0x1.1fb7398f8ee36p-9"));
+    ("deep#7", ("11e7eb8770f6b35bbe6976906e953977", "0x1.c10362ddcdff2p-8"));
+    ("deep#8", ("871906120eeaae52fd7d66beb4ac34e0", "0x1.dee769ebd48ap-9"));
+    ("deep#9", ("513d3e09875bca3e52bfc26e764da863", "0x1.5f90c06b20c84p-9"));
+    ("deep#10", ("ece948f4d9fe2cd94c5efb4b45270223", "0x1.3de3840ebefbdp-8"));
+    ("deep#11", ("f32cd69fdef8ca25a05e9c3c35ba9d8d", "0x1.843295ff451d9p-9"));
+    ("default#0", ("73846672619af88878ae2e4e432079ea", "0x1.d4a1176009032p-6"));
+    ("default#1", ("77d84c2b9dd8caabc132e87947fe8c00", "0x1.c00ae2e9b789ap-4"));
+    ("default#2", ("584d49aae6086ca38f06573907876861", "0x1.e201dba31a24ep-7"));
     ("default#3", ("595344c56b4eb82277fa5c9d1cf9e910", "0x1.041041041041p-4"));
-    ("default#4", ("aa3fb4dcd15818b7668ff4b1b5564945", "0x1.106011778a192p-4"));
+    ("default#4", ("48641328f3b9ce357f956230d4135b86", "0x1.106011778a192p-4"));
     ("default#5", ("a1ebcea783a0743385af10e9f5e5a2df", "0x1.52a2e7944087cp-5"));
     ("default#6", ("706dfa99f94e2b77e466336846c0d3c9", "0x1.1dd2c3c0c0267p-6"));
     ("default#7", ("499422e5811bed8c61077de2cac6c36c", "0x1.d49c34115b1e6p-7"));
     ("default#8", ("5ba2737d0ae71f600eb2eb091e3d3395", "0x1.1077f9d540673p-7"));
-    ("default#9", ("e603781a8a24a76efd535c6250abf7b7", "0x1.66d66d66d66d6p-5"));
+    ("default#9", ("a313be44f93d428a9a6e4a95bc4a9e15", "0x1.66d66d66d66d6p-5"));
     ("default#10", ("6953584f2de2cc43e8f7573f5011cc19", "0x1.c38c076704517p-5"));
-    ("default#11", ("15ce71a29c1ccd0bec964aa57e468e81", "0x1.dd2a5a262cfb5p-7"));
+    ("default#11", ("39eb68dffd1373629dc832bf3239921a", "0x1.dd2a5a262cfb5p-7"));
     ("default#12", ("24fbba658c1ee316a9a9ed56d2f25eb5", "0x1.cc1e963a06f3ap-7"));
     ("default#13", ("2f66ea403f0cea56b5509ad860bdd541", "0x1.55a2a9755a2a9p-4"));
     ("default#14", ("7172121f3ce957315efe2f0cbd96a89c", "0x1.914b0541ae83p-6"));
     ("default#15", ("4b20e0b182ef5a9896bc47e433316742", "0x1.8p-1"));
     ("default#16", ("64af8859e99306137f6ccdd9e277b8e0", "0x1p+0"));
     ("default#17", ("37b365c8be0081c5a90c2da5dc8c3b42", "0x1.010632fec299ep-4"));
-    ("default#18", ("b52731a7c969dcdf8610e7e87c5e64b1", "0x1.4b91f77642aa2p-7"));
-    ("default#19", ("5c580b98a2932fafcee54b84c4ec9ec5", "0x1.aefd579fec2d5p-5"));
+    ("default#18", ("684b6d5ad17bcd3abf46194d3cde3b06", "0x1.4b91f77642aa2p-7"));
+    ("default#19", ("a31c4a1b611a8403d9de2e2530306b6b", "0x1.aefd579fec2d5p-5"));
     ("default#20", ("7979c1de8c26e6d5023e039b97f7319c", "0x1.4bd619fa225b5p-4"));
     ("default#21", ("bceb6d3eb4bae4b2186468f398275426", "0x1.91ca915d0f20ap-5"));
     ("default#22", ("364651eef36a82297383fa1305a6c9c9", "0x1.7efc9f68b2527p-5"));
@@ -72,17 +72,17 @@ let golden : (string * (string * string)) list =
     ("default#26", ("aa442ff7f3f5e12f44d72938aeb21213", "0x1.f748930b2e0bcp-7"));
     ("default#27", ("844b515d72af9223585f464def7b3b2e", "0x1.3dd4e1e82ea1bp-5"));
     ("default#28", ("30a5849136a847b9d21f5bc0d62ae9ea", "0x1.c70e406dc5afp-6"));
-    ("default#29", ("423c41f7eed027286b2dacd239cd5fc5", "0x1.27047e6b92ecdp-7"));
+    ("default#29", ("8e965c4aeb65625eef175174e6e6468b", "0x1.27047e6b92ecdp-7"));
     ("default#30", ("cdb0cc033e9311301cc653a27af6ddda", "0x1.f417d05f417dp-3"));
     ("default#31", ("34ec721cbe51cee92be985c169ad6fdd", "0x1.0d0456c797dd5p-4"));
     ("default#32", ("5c59fb201c4fc29d26822b376484129a", "0x1.71e8cab74c04cp-4"));
     ("default#33", ("9a5b13afb457540dc2d5bede05058b68", "0x1.eaed6af597674p-5"));
-    ("default#34", ("4a3d61cc042de3a7bf41a13b96c67fe0", "0x1.952a54a952a55p-4"));
+    ("default#34", ("6aaa494a17f6f5434c400b83dc611e96", "0x1.952a54a952a55p-4"));
     ("default#35", ("fc76dbbe148a2c4631867394d980cce8", "0x1.f0ba21420423bp-5"));
-    ("default#36", ("435a8ba611ed4a4e659c19a181759c55", "0x1.c24a8a14c5f5p-3"));
-    ("default#37", ("8f963f76727e11720c462e77a1173a3a", "0x1.47ae147ae147bp-1"));
+    ("default#36", ("193173eb502a9c12348cdb8c337eef69", "0x1.c24a8a14c5f5p-3"));
+    ("default#37", ("cd8ad8625311ea1c2805b49329a2b68d", "0x1.47ae147ae147bp-1"));
     ("default#38", ("a9833fdcf407aa45c92eab5003693d4b", "0x1.ffe57e7909795p-6"));
-    ("default#39", ("56875df8b8b56ae9665680b56eedcbd1", "0x1.190a080e88a63p-3"));
+    ("default#39", ("1253872ed8e5bf15140de306d06a7387", "0x1.190a080e88a63p-3"));
   ]
 
 let update_mode = Sys.getenv_opt "GOLDEN_UPDATE" = Some "1"

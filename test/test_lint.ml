@@ -231,6 +231,36 @@ let test_symbolic_fallback () =
     "info severity" true
     (severity_of "LINT-SYMBOLIC-FALLBACK" f = Diag.Info)
 
+(* Past Shape's partial-evaluation budget (10^4 values of a non-affine
+   subscript) the bounds walk is a counted lint-bounds fallback; under
+   --symbolic-only it is a positioned diagnostic instead. *)
+let test_bounds_fallback () =
+  let p =
+    prog
+      ~params:(Assume.of_list [ ("N", Assume.Int_range (10000, 10000)) ])
+      ~arrays:[ Build.array "A" [ Expr.mul (v "N") (v "N") ] ]
+      Build.(
+        do_ "k" ~lo:(int 0) ~hi:(v "N" - int 1)
+          [ assign [ write "A" [ (var "k" * var "k") + (int 2 * v "N") ] ] ])
+  in
+  Metrics.reset ();
+  let findings = Lint.check p in
+  Alcotest.(check bool) "LINT-BOUNDS fires" true (has "LINT-BOUNDS" findings);
+  Alcotest.(check (option int)) "one fallback per sample" (Some 3)
+    (List.assoc_opt "symbolic.fallback.lint-bounds" (Metrics.snapshot ()).Metrics.counters);
+  let mode = Lattice.mode_cell () in
+  let findings =
+    Fun.protect
+      ~finally:(fun () -> mode := Lattice.Auto)
+      (fun () ->
+        mode := Lattice.Symbolic_only;
+        Lint.check p)
+  in
+  Alcotest.(check bool) "no walk" false (has "LINT-BOUNDS" findings);
+  let d = List.find (fun (d : Diag.t) -> d.Diag.code = "LINT-SYMBOLIC-FALLBACK") findings in
+  Alcotest.(check (option string)) "positioned" (Some "P") d.Diag.where;
+  Alcotest.(check bool) "error" true (d.Diag.severity = Diag.Error)
+
 let test_catalog_covered () =
   (* every cataloged code has a negative test in this file *)
   let tested =
@@ -463,7 +493,7 @@ let test_marking_golden () =
    already decided shows up here. *)
 let sampling_golden =
   [
-    ("tfft2", (9, 19968));
+    ("tfft2", (6, 11392));
     ("jacobi2d", (0, 0));
     ("swim", (0, 0));
     ("tomcatv", (0, 0));
@@ -520,6 +550,7 @@ let () =
           Alcotest.test_case "race" `Quick test_race;
           Alcotest.test_case "uncertified" `Quick test_uncertified;
           Alcotest.test_case "symbolic fallback" `Quick test_symbolic_fallback;
+          Alcotest.test_case "bounds fallback" `Quick test_bounds_fallback;
           Alcotest.test_case "catalog covered" `Quick test_catalog_covered;
         ] );
       ( "golden",

@@ -565,30 +565,60 @@ let event_multiset_shape (t : Ir.Shape.t) =
     t.Ir.Shape.sites;
   tbl
 
+(* [Shape.of_phase] answers, with [Enumerate.iter]'s event multiset. *)
+let check_shape what prog env (ph : Ir.Types.phase) =
+  match Ir.Shape.of_phase prog env ph with
+  | None -> Alcotest.failf "%s/%s: outside fragment" what ph.phase_name
+  | Some t ->
+      let want = event_multiset_enum prog env ph in
+      let got = event_multiset_shape t in
+      let agree =
+        Hashtbl.length want = Hashtbl.length got
+        && Hashtbl.fold (fun k n acc -> acc && Hashtbl.find_opt got k = Some n) want true
+      in
+      if not agree then
+        Alcotest.failf "%s/%s: symbolic events <> enumerated" what ph.phase_name
+
 let shape_matches_oracle () =
   List.iter
     (fun (e : Codes.Registry.entry) ->
       let env = e.env_of_size e.default_size in
-      List.iter
-        (fun (ph : Ir.Types.phase) ->
-          match Ir.Shape.of_phase e.program env ph with
-          | None ->
-              Alcotest.failf "%s/%s: outside fragment at seed size" e.name
-                ph.phase_name
-          | Some t ->
-              let want = event_multiset_enum e.program env ph in
-              let got = event_multiset_shape t in
-              let agree =
-                Hashtbl.length want = Hashtbl.length got
-                && Hashtbl.fold
-                     (fun k n acc -> acc && Hashtbl.find_opt got k = Some n)
-                     want true
-              in
-              if not agree then
-                Alcotest.failf "%s/%s: symbolic events <> enumerated" e.name
-                  ph.phase_name)
-        e.program.phases)
+      List.iter (check_shape e.name e.program env) e.program.phases)
     Codes.Registry.all
+
+(* Every phase of default programs #0-199 of campaign 42 and deep
+   programs #0-11 of campaign 2026, at the midpoint and at lint's
+   sampled environments, and a parallel loop whose trip count depends
+   on the enclosing sequential loop. *)
+let shape_matches_oracle_fuzz () =
+  let corpus profile seed n =
+    List.iter
+      (fun index ->
+        let prog = Fuzz.Gen.program profile ~seed ~index in
+        let what = Printf.sprintf "seed %d #%d" seed index in
+        List.iter
+          (fun env -> List.iter (check_shape what prog env) prog.phases)
+          (Fuzz.Gen.midpoint_env prog :: Core.Lint.default_envs prog))
+      (List.init n Fun.id)
+  in
+  corpus Fuzz.Gen.default 42 200;
+  corpus Fuzz.Gen.deep 2026 12;
+  let open Ir.Build in
+  let n = var "N" in
+  let prog =
+    program ~name:"tri"
+      ~params:(Assume.of_list [ ("N", Assume.Int_range (4, 12)) ])
+      ~arrays:[ array "A" [ n; n ] ]
+      [
+        phase "P"
+          (do_ "i" ~lo:(int 0) ~hi:(n - int 1)
+             [
+              doall "j" ~lo:(int 0) ~hi:(var "i")
+                 [ assign [ read "A" [ var "j"; var "i" ]; write "A" [ var "i"; var "j" ] ] ];
+             ]);
+      ]
+  in
+  check_shape "do i / doall j = 0, i" prog (Env.of_list [ ("N", 7) ]) (List.hd prog.phases)
 
 let shape_work_matches () =
   List.iter
@@ -768,6 +798,8 @@ let () =
         [
           Alcotest.test_case "events = oracle on registry" `Quick
             shape_matches_oracle;
+          Alcotest.test_case "events = oracle on fuzz corpora" `Quick
+            shape_matches_oracle_fuzz;
           Alcotest.test_case "work = oracle on registry" `Quick
             shape_work_matches;
           Alcotest.test_case "tally = oracle on registry" `Quick
