@@ -52,20 +52,53 @@ let equal_par a b =
   | Shape.Fixed x, Shape.Fixed y -> x = y
   | (Shape.Outside | Shape.Strided _ | Shape.Fixed _), _ -> false
 
+(* Does [w] hold, at every event, the address [r] holds at the event
+   with the same indices: the same base, parallel shape and sequential
+   dimensions? *)
+let same_shape (w : Shape.site) (r : Shape.site) =
+  w.base = r.base && equal_par w.par r.par && w.seq = r.seq
+
+(* Does [w]'s box contain [r]'s within every instance of the good
+   sequential loops the two share?  Shared loops enclose both sites, so
+   they are a common prefix of both dimension lists; their dimensions
+   must be identical (then both boxes move together from instance to
+   instance), and the remaining dimensions span each site's box within
+   one instance, parallel dimension dropped. *)
+let box_covers (w : Shape.site) (r : Shape.site) =
+  let rec split ws rs wl rl =
+    match (ws, rs, wl, rl) with
+    | w :: ws, r :: rs, a :: wl, b :: rl when a = b ->
+        if w = r then split ws rs wl rl else None
+    | _ -> Some (ws, rs)
+  in
+  match split w.seq r.seq w.loops r.loops with
+  | None -> false
+  | Some (ws, rs) -> (
+      match (Lattice.make ~base:r.base rs, Lattice.make ~base:w.base ws) with
+      | Some rb, Some wb -> Lattice.subset rb wb = Lattice.Yes
+      | _ -> false)
+
 (* [def_before_use] in closed form.  Sound cases:
    - no reads on the array: vacuously true;
    - the first emitting site on the array is a read: its first event is
      the first event on the array in the whole phase, so it cannot be
      covered - definitely false;
-   - every read site has a strictly-earlier write site of *identical*
-     shape (base, parallel shape, sequential dims): then at every
-     iteration the read's address was written earlier in the same
-     parallel iteration - definitely true.  The per-iteration write
-     table is reset whenever the parallel iteration changes, so for a
-     site outside the parallel loop, or pinned to one iteration of a
-     partially-evaluated one (which may run again under an outer
-     loop), no emitting site of another parallel shape may separate
-     the pair. *)
+   - every read site is covered by a strictly-earlier write site in the
+     same parallel iteration - definitely true.  The oracle resets its
+     per-iteration write table whenever the parallel iteration changes,
+     so a cover counts only within one:
+     - a [Strided] read is covered by a write of the same run (the
+       partially evaluated loops above the parallel loop take the same
+       values) and parallel stride whose events hold the read's
+       addresses in every instance of the good loops they share: an
+       identical shape, or a box cover ({!box_covers}).  Every event
+       of the write in such an instance precedes every event of the
+       read there, since the sites diverge below the shared loops and
+       the write comes first in textual order;
+     - a read outside the parallel loop, or pinned to one iteration of
+       a partially-evaluated one (which may run again under an outer
+       loop), needs a write of identical shape with no emitting site
+       of another parallel shape between them. *)
 let def_before_use_symbolic prog env ph ~array =
   match Shape.of_phase prog env ph with
   | None -> None
@@ -88,19 +121,19 @@ let def_before_use_symbolic prog env ph ~array =
                 (fun (j, s) -> j <= wi || j >= ri || equal_par s.Shape.par par)
                 sites
             in
-            let covered (ri, (r : Shape.site)) =
+            let covers (wi, (w : Shape.site)) (ri, (r : Shape.site)) =
+              wi < ri
+              && Types.equal_access w.access Types.Write
+              &&
+              match r.par with
+              | Shape.Outside | Shape.Fixed _ -> same_shape w r && same_group wi ri r.par
+              | Shape.Strided _ ->
+                  w.run = r.run && equal_par w.par r.par
+                  && (same_shape w r || box_covers w r)
+            in
+            let covered ((_, (r : Shape.site)) as read) =
               Types.equal_access r.access Types.Write
-              || List.exists
-                   (fun (wi, (w : Shape.site)) ->
-                     wi < ri
-                     && Types.equal_access w.access Types.Write
-                     && w.base = r.base
-                     && equal_par w.par r.par
-                     && w.seq = r.seq
-                     && (match r.par with
-                        | Shape.Outside | Shape.Fixed _ -> same_group wi ri r.par
-                        | Shape.Strided _ -> true))
-                   mine
+              || List.exists (fun write -> covers write read) mine
             in
             if List.for_all covered mine then Some true else None
       with Lattice.Overflow -> None)
@@ -142,11 +175,28 @@ let dead_after_enum prog env k ~array =
      to program exit are live. *)
   (not !live) && (prog.repeats || Hashtbl.length exposed = 0)
 
+(* Is every address the phase writes on [array] read before it is
+   written?  It is when every write site has a textually earlier read
+   site of the same shape: at the write's first event on an address,
+   the read's event with the same indices holds that address and comes
+   first (the two agree on every loop they share, and the read is
+   earlier wherever they diverge). *)
+let reads_first (t : Shape.t) ~array =
+  let rec go seen = function
+    | [] -> true
+    | (s : Shape.site) :: rest -> (
+        match s.access with
+        | Types.Read -> go (s :: seen) rest
+        | Types.Write -> List.exists (fun r -> same_shape s r) seen && go seen rest)
+  in
+  go [] (Shape.on_array t array)
+
 (* [dead_after] in closed form.  The exposed set is carried as an exact
    list of boxes; each later phase either certainly leaves it alone
    (all its reads and writes provably disjoint), certainly reads it
    while unable to kill it first (some read definitely intersects and
-   the phase writes nothing on the array), or certainly erases it
+   the phase writes nothing on the array, or reads every address it
+   writes before writing it: {!reads_first}), or certainly erases it
    (every exposed box inside some write box).  Any subtler interaction
    - partial kills, possible-but-unproven overlap - returns [None]. *)
 let dead_after_symbolic prog env k ~array =
@@ -215,7 +265,7 @@ let dead_after_symbolic prog env k ~array =
                 !exposed
             then exposed := []
             else raise Subtle
-          else if writes = [] && some_certainly_meets reads !exposed then
+          else if reads_first tg ~array && some_certainly_meets reads !exposed then
             (* nothing in this phase can kill an address first *)
             live := true
           else raise Subtle

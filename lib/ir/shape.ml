@@ -10,6 +10,8 @@ type site = {
   base : int;
   par : par_shape;
   seq : (int * int) list;
+  loops : int list;
+  run : int list;
 }
 
 type t = { par_n : int; sites : site list }
@@ -61,6 +63,13 @@ let bad_vars (pc : Phase.t) =
 
 let cache : t option Artifact.store = Artifact.store "shape.sites"
 
+(* Loop nodes in a statement subtree: a loop's id is its preorder
+   position in the nest, so a partially evaluated loop's body gets the
+   same ids in every run. *)
+let rec loops_in = function
+  | Assign _ -> 0
+  | Loop l -> List.fold_left (fun n s -> n + loops_in s) 1 l.body
+
 let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
   match Phase.analyze prog ph with
   | exception Phase.Invalid_phase _ -> None
@@ -75,9 +84,11 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
            sequential indices 0), and coefficient expressions - which
            the fixpoint guarantees contain only bad vars and
            parameters - evaluate as well.  [goods]: (var, count) of
-           enclosing good sequential loops, outermost first; [par]:
-           the site's parallel-iteration shape so far. *)
-        let rec walk env goods par = function
+           enclosing good sequential loops, outermost first, and
+           [loops] their ids; [par]: the site's parallel-iteration
+           shape so far; [run]: the site's run so far; [id]: the
+           statement's preorder loop id. *)
+        let rec walk env goods loops par run id = function
           | Assign a ->
               List.iteri
                 (fun k (r : array_ref) ->
@@ -104,28 +115,39 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
                       base;
                       par;
                       seq;
+                      loops;
+                      run;
                     }
                     :: !sites)
                 a.refs
           | Loop l ->
               let hi = Env.eval env l.hi in
+              let body env goods loops par run =
+                ignore
+                  (List.fold_left
+                     (fun id s ->
+                       walk env goods loops par run id s;
+                       id + loops_in s)
+                     (id + 1) l.body)
+              in
               if hi >= 0 then
                 if Hashtbl.mem bad l.var then
                   for v = 0 to hi do
                     decr budget;
                     if !budget < 0 then raise Out_of_fragment;
-                    let par = if l.parallel then `At v else par in
-                    List.iter (walk (Env.add l.var v env) goods par) l.body
+                    let env = Env.add l.var v env in
+                    match par with
+                    | `No when l.parallel -> body env goods loops (`At v) run
+                    | `No -> body env goods loops par (run @ [ v ])
+                    | `Var _ | `At _ -> body env goods loops par run
                   done
                 else begin
-                  let par = if l.parallel then `Var l.var else par in
-                  let goods =
-                    if l.parallel then goods else goods @ [ (l.var, hi + 1) ]
-                  in
-                  List.iter (walk (Env.add l.var 0 env) goods par) l.body
+                  let env = Env.add l.var 0 env in
+                  if l.parallel then body env goods loops (`Var l.var) run
+                  else body env (goods @ [ (l.var, hi + 1) ]) (loops @ [ id ]) par run
                 end
         in
-        walk env0 [] `No (Loop pc.phase.nest);
+        walk env0 [] [] `No [] 0 (Loop pc.phase.nest);
         (* Read only by [Strided] sites: a partially-evaluated parallel
            loop's bound may mention loop variables. *)
         let par_n =

@@ -52,6 +52,14 @@ type site = {
       (** one [(count, stride)] per enclosing good sequential loop,
           outermost first; zero strides and repeated strides are kept -
           the event multiset has multiplicity *)
+  loops : int list;
+      (** the loop node each [seq] dimension comes from (its preorder
+          position in the normalized nest), parallel to [seq]: two
+          sites share a sequential loop when they share an id *)
+  run : int list;
+      (** the values of the partially evaluated loops that enclose the
+          site outside the parallel loop, outermost first: the sites
+          of one run of a [Strided] parallel loop share it *)
 }
 
 type t = {

@@ -32,14 +32,14 @@ let fingerprint (profile, index, h) =
 let golden : (string * (string * string)) list =
   [
     ("deep#0", ("40fddab210262da4b733d5f19ff23d0b", "0x1.0dcf1fa117e25p-9"));
-    ("deep#1", ("391667f26d6589bc14e1fc59487f9bd7", "0x1.df5ae33e55e23p-9"));
+    ("deep#1", ("34fe22bcf15c71c5f947def7d7a4ba5d", "0x1.df5ae33e55e23p-9"));
     ("deep#2", ("2f2d761812cbdea817c8aeaa948a171e", "0x1.4fc3345c43ecp-9"));
     ("deep#3", ("cbed110f9bbbc42b125457f69069e86b", "0x1.d5f7c7cf81fc7p-8"));
     ("deep#4", ("44f28b3364868a57a22809e567212fd5", "0x1.ae177823df665p-8"));
-    ("deep#5", ("50035e73ec5c4dd0c7ab6b77a462fa53", "0x1.be1e3a815f1fdp-9"));
+    ("deep#5", ("0f638df07100ee33f03ed33b001b01f2", "0x1.be1e3a815f1fdp-9"));
     ("deep#6", ("13660b4fc5380fa1355645f38abcfe8a", "0x1.1fb7398f8ee36p-9"));
     ("deep#7", ("11e7eb8770f6b35bbe6976906e953977", "0x1.c10362ddcdff2p-8"));
-    ("deep#8", ("871906120eeaae52fd7d66beb4ac34e0", "0x1.dee769ebd48ap-9"));
+    ("deep#8", ("8ea10590d65cd380832709c16a4664e0", "0x1.dee769ebd48ap-9"));
     ("deep#9", ("513d3e09875bca3e52bfc26e764da863", "0x1.5f90c06b20c84p-9"));
     ("deep#10", ("ece948f4d9fe2cd94c5efb4b45270223", "0x1.3de3840ebefbdp-8"));
     ("deep#11", ("f32cd69fdef8ca25a05e9c3c35ba9d8d", "0x1.843295ff451d9p-9"));
@@ -60,7 +60,7 @@ let golden : (string * (string * string)) list =
     ("default#14", ("7172121f3ce957315efe2f0cbd96a89c", "0x1.914b0541ae83p-6"));
     ("default#15", ("4b20e0b182ef5a9896bc47e433316742", "0x1.8p-1"));
     ("default#16", ("64af8859e99306137f6ccdd9e277b8e0", "0x1p+0"));
-    ("default#17", ("37b365c8be0081c5a90c2da5dc8c3b42", "0x1.010632fec299ep-4"));
+    ("default#17", ("3d13ee101a99eef70530d8a2b0d22990", "0x1.010632fec299ep-4"));
     ("default#18", ("684b6d5ad17bcd3abf46194d3cde3b06", "0x1.4b91f77642aa2p-7"));
     ("default#19", ("a31c4a1b611a8403d9de2e2530306b6b", "0x1.aefd579fec2d5p-5"));
     ("default#20", ("7979c1de8c26e6d5023e039b97f7319c", "0x1.4bd619fa225b5p-4"));
@@ -74,7 +74,7 @@ let golden : (string * (string * string)) list =
     ("default#28", ("30a5849136a847b9d21f5bc0d62ae9ea", "0x1.c70e406dc5afp-6"));
     ("default#29", ("8e965c4aeb65625eef175174e6e6468b", "0x1.27047e6b92ecdp-7"));
     ("default#30", ("cdb0cc033e9311301cc653a27af6ddda", "0x1.f417d05f417dp-3"));
-    ("default#31", ("34ec721cbe51cee92be985c169ad6fdd", "0x1.0d0456c797dd5p-4"));
+    ("default#31", ("adea8bfa6e62caae1b7e9e7c9191baa0", "0x1.0d0456c797dd5p-4"));
     ("default#32", ("5c59fb201c4fc29d26822b376484129a", "0x1.71e8cab74c04cp-4"));
     ("default#33", ("9a5b13afb457540dc2d5bede05058b68", "0x1.eaed6af597674p-5"));
     ("default#34", ("6aaa494a17f6f5434c400b83dc611e96", "0x1.952a54a952a55p-4"));

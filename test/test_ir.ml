@@ -433,6 +433,180 @@ let test_triangular_parallel_rerun () =
   Alcotest.(check string) "A not privatizable" "R/W"
     (Liveness.attr_to_string (Liveness.attr prog Env.empty 0 ~array:"A"))
 
+(* [f ()] under one [Lattice.mode], restored afterwards. *)
+let in_mode mode f =
+  let saved = !Lattice.mode in
+  Lattice.mode := mode;
+  Fun.protect ~finally:(fun () -> Lattice.mode := saved) f
+
+let attr_in mode prog env k ~array =
+  in_mode mode (fun () -> Liveness.attr_to_string (Liveness.attr prog env k ~array))
+
+(* [closed]: the closed form answers both questions, with no fallback. *)
+let check_both ?(closed = false) name want prog env k ~array =
+  let before = Lattice.fallback_count () in
+  Alcotest.(check string) (name ^ " (closed form)") want
+    (attr_in Lattice.Auto prog env k ~array);
+  if closed then
+    Alcotest.(check int) (name ^ ": no fallback") before (Lattice.fallback_count ());
+  Alcotest.(check string) (name ^ " (oracle)") want
+    (attr_in Lattice.Enumerated_only prog env k ~array)
+
+(* The quadratic term partially evaluates [i], so the doall's sites are
+   listed once per run; at i = 2 the writes move to A(4), A(5) while
+   the reads stay on A(0), A(1).  A write of run 0 has the read's shape
+   but belongs to another run of the parallel loop: it covers nothing. *)
+let test_cover_across_runs () =
+  let open Build in
+  let i = var "i" and j = var "j" in
+  let prog =
+    program ~repeats:true ~name:"runs" ~params:Assume.empty ~arrays:[ array "A" [ int 8 ] ]
+      [
+        phase "P"
+          (do_ "i" ~lo:(int 0) ~hi:(int 2)
+             [
+               doall "j" ~lo:(int 0) ~hi:(int 1)
+                 [
+                   assign [ write "A" [ j + (int 2 * i * (i - int 1)) ] ];
+                   assign [ read "A" [ j ] ];
+                 ];
+             ]);
+      ]
+  in
+  check_both "identical shape, another run" "R/W" prog Env.empty 0 ~array:"A";
+  (* The same through the box cover: each run writes A(4j..4j+3) + 8i(i-1)
+     and reads A(4j), A(4j+1). *)
+  let prog =
+    program ~repeats:true ~name:"runs" ~params:Assume.empty ~arrays:[ array "A" [ int 24 ] ]
+      [
+        phase "P"
+          (do_ "i" ~lo:(int 0) ~hi:(int 2)
+             [
+               doall "j" ~lo:(int 0) ~hi:(int 1)
+                 [
+                   do_ "s" ~lo:(int 0) ~hi:(int 3)
+                     [ assign [ write "A" [ (int 4 * j) + var "s" + (int 8 * i * (i - int 1)) ] ] ];
+                   do_ "t" ~lo:(int 0) ~hi:(int 1)
+                     [ assign [ read "A" [ (int 4 * j) + var "t" ] ] ];
+                 ];
+             ]);
+      ]
+  in
+  check_both "box cover, another run" "R/W" prog Env.empty 0 ~array:"A"
+
+(* A write and a read under one sequential loop: iteration i's write box
+   A(4i..4i+3) holds its read box, but at k = 0 the read of A(4i+3)
+   comes before its write.  F2 overwrites A, so only def-before-use
+   decides the attribute. *)
+let test_cover_in_shared_loop () =
+  let open Build in
+  let i = var "i" and k = var "k" in
+  let prog =
+    program ~name:"shared" ~params:priv_params ~arrays:[ array "A" [ int 4 * var "N" ] ]
+      [
+        phase "F1"
+          (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1)
+             [
+               do_ "k" ~lo:(int 0) ~hi:(int 3)
+                 [
+                   assign [ write "A" [ (int 4 * i) + k ] ];
+                   assign [ read "A" [ (int 4 * i) + int 3 - k ] ];
+                 ];
+             ]);
+        phase "F2"
+          (doall "i" ~lo:(int 0) ~hi:(int 4 * var "N" - int 1) [ assign [ write "A" [ i ] ] ]);
+      ]
+  in
+  check_both "read first in a shared loop" "R/W" prog priv_env 0 ~array:"A";
+  (* The same with the shared loop above the parallel one: over both
+     values of t the write box A(2i..2i+1) holds the read box, but at
+     t = 0 iteration i reads A(2i+1) before anything writes it. *)
+  let prog =
+    program ~name:"outer" ~params:priv_params ~arrays:[ array "A" [ int 2 * var "N" ] ]
+      [
+        phase "F1"
+          (do_ "t" ~lo:(int 0) ~hi:(int 1)
+             [
+               doall "i" ~lo:(int 0) ~hi:(var "N" - int 1)
+                 [
+                   assign [ write "A" [ (int 2 * i) + var "t" ] ];
+                   assign [ read "A" [ (int 2 * i) + int 1 - var "t" ] ];
+                 ];
+             ]);
+        phase "F2"
+          (doall "i" ~lo:(int 0) ~hi:(int 2 * var "N" - int 1) [ assign [ write "A" [ i ] ] ]);
+      ]
+  in
+  check_both "read first under a loop above the parallel one" "R/W" prog priv_env 0 ~array:"A";
+  (* Written in a loop of its own before the reads: P. *)
+  let prog =
+    program ~name:"apart" ~params:priv_params ~arrays:[ array "A" [ int 4 * var "N" ] ]
+      [
+        phase "F1"
+          (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1)
+             [
+               do_ "k" ~lo:(int 0) ~hi:(int 3) [ assign [ write "A" [ (int 4 * i) + k ] ] ];
+               do_ "m" ~lo:(int 0) ~hi:(int 3)
+                 [ assign [ read "A" [ (int 4 * i) + int 3 - var "m" ] ] ];
+             ]);
+        phase "F2"
+          (doall "i" ~lo:(int 0) ~hi:(int 4 * var "N" - int 1) [ assign [ write "A" [ i ] ] ]);
+      ]
+  in
+  check_both ~closed:true "written in a loop before" "P" prog priv_env 0 ~array:"A"
+
+(* F2 reads every address it writes, but only after writing it: the
+   values F1 leaves in A are dead. *)
+let test_write_before_read_later () =
+  let open Build in
+  let i = var "i" in
+  let prog =
+    program ~name:"kill" ~params:priv_params ~arrays:[ array "A" [ var "N" ] ]
+      [
+        phase "F1" (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1) [ assign [ write "A" [ i ] ] ]);
+        phase "F2"
+          (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1)
+             [ assign [ write "A" [ i ] ]; assign [ read "A" [ i ] ] ]);
+      ]
+  in
+  check_both "killed before read" "P" prog priv_env 0 ~array:"A";
+  (* Read first: live. *)
+  let prog =
+    program ~name:"use" ~params:priv_params ~arrays:[ array "A" [ var "N" ] ]
+      [
+        phase "F1" (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1) [ assign [ write "A" [ i ] ] ]);
+        phase "F2"
+          (doall "i" ~lo:(int 0) ~hi:(var "N" - int 1)
+             [ assign [ read "A" [ i ]; write "A" [ i ] ] ]);
+      ]
+  in
+  check_both ~closed:true "read before killed" "W" prog priv_env 0 ~array:"A"
+
+(* The closed form answers every liveness question of the nine kernels
+   (no fallback) and agrees with the enumerating oracle, at every size
+   from the default up: tfft2 and trisolve to 8, matmul to 7 (the oracle
+   walks 4^size and 8^size addresses there), the others to 8. *)
+let test_registry_closed_form () =
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      let top = if e.name = "matmul" then 7 else 8 in
+      for size = e.default_size to top do
+        let env = e.env_of_size size in
+        let attrs mode =
+          in_mode mode (fun () ->
+              List.map
+                (fun (a, xs) -> (a, Array.to_list (Array.map Liveness.attr_to_string xs)))
+                (Liveness.attrs e.program env))
+        in
+        let name = Printf.sprintf "%s@%d" e.name size in
+        let before = Lattice.fallback_count () in
+        let closed = attrs Lattice.Auto in
+        Alcotest.(check int) (name ^ ": no fallback") before (Lattice.fallback_count ());
+        Alcotest.(check (list (pair string (list string))))
+          (name ^ ": closed form = oracle") (attrs Lattice.Enumerated_only) closed
+      done)
+    Codes.Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* Inter-procedural inlining with reshaping *)
 
@@ -959,5 +1133,11 @@ let () =
           Alcotest.test_case "repeats wrap" `Quick test_repeats_wrap;
           Alcotest.test_case "triangular parallel loop re-run" `Quick
             test_triangular_parallel_rerun;
+          Alcotest.test_case "cover across runs" `Quick test_cover_across_runs;
+          Alcotest.test_case "cover in a shared loop" `Quick test_cover_in_shared_loop;
+          Alcotest.test_case "write before read in a later phase" `Quick
+            test_write_before_read_later;
+          Alcotest.test_case "registry closed form = oracle" `Slow
+            test_registry_closed_form;
         ] );
     ]

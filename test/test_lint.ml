@@ -218,11 +218,23 @@ let test_uncertified () =
 let test_symbolic_fallback () =
   (* emitted by the pipeline rather than a lint rule: an analysis step
      that leaves the closed-form symbolic fragment falls back to
-     address enumeration and the run records the count *)
-  let e = Codes.Registry.find "tfft2" in
-  let t =
-    Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h:4
+     address enumeration and the run records the count.  Here the
+     def-before-use of A: at k = 0 the read of A(4i+3) precedes its
+     write, under the loop the two share *)
+  let p =
+    prog
+      ~arrays:[ Build.array "A" [ Expr.mul (Expr.int 4) (v "N") ] ]
+      Build.(
+        doall "i" ~lo:(int 0) ~hi:(v "N" - int 1)
+          [
+            do_ "k" ~lo:(int 0) ~hi:(int 3)
+              [
+                assign [ write "A" [ (int 4 * var "i") + var "k" ] ];
+                assign [ read "A" [ (int 4 * var "i") + int 3 - var "k" ] ];
+              ];
+          ])
   in
+  let t = Core.Pipeline.run p ~env:(Env.of_list [ ("N", 8) ]) ~h:4 in
   let f = Core.Pipeline.diagnostics t in
   Alcotest.(check bool)
     "LINT-SYMBOLIC-FALLBACK fires" true

@@ -344,6 +344,31 @@ let test_stability () =
       Alcotest.(check bool) "F4-F5 not stable across H" true
         (f45.stable = None))
 
+(* The LCG of tfft2 and matmul is built in closed form at every size:
+   no fallback, and no walk over the analyzed extents, so its cost does
+   not grow with them (liveness enumerated 4.8 M addresses on tfft2 at
+   size 8 and 67 M on matmul before its closed form covered them).
+   matmul's three walks are Symmetry's write checks of A at sampled
+   environments, the same 882 addresses at every size.  Each build is
+   cold, as one dsmloc invocation is. *)
+let test_lcg_closed_form () =
+  List.iter
+    (fun (name, walks) ->
+      let e = Codes.Registry.find name in
+      List.iter
+        (fun size ->
+          Artifact.clear_all ();
+          Metrics.reset ();
+          ignore (Lcg.build e.program ~env:(e.env_of_size size) ~h:2);
+          let counters = (Metrics.snapshot ()).Metrics.counters in
+          let count c = Option.value ~default:0 (List.assoc_opt c counters) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s@%d: fallbacks, walks, addresses" name size)
+            walks
+            (List.map count [ "symbolic.fallback"; "enum.iter"; "enum.addresses" ]))
+        [ 8; 10; 12 ])
+    [ ("tfft2", [ 0; 0; 0 ]); ("matmul", [ 0; 3; 882 ]) ]
+
 let () =
   Alcotest.run "locality"
     [
@@ -371,5 +396,7 @@ let () =
           Alcotest.test_case "label stability" `Slow test_stability;
           Alcotest.test_case "stability envs deterministic" `Quick
             test_stability_envs_deterministic;
+          Alcotest.test_case "tfft2 and matmul without enumeration" `Quick
+            test_lcg_closed_form;
         ] );
     ]

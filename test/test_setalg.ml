@@ -364,7 +364,9 @@ let gen_tally =
             { plain with period = Some period; mirror = Some (min mirror period) }
       | _ -> Some { plain with mirror = Some mirror }
     in
-    let site = { Ir.Shape.array = "A"; access; work; base; par; seq } in
+    let site =
+      { Ir.Shape.array = "A"; access; work; base; par; seq; loops = List.mapi (fun i _ -> i + 1) seq; run = [] }
+    in
     return { h; chunk; par_n; site; own; window })
 
 let print_tally_case c =
@@ -493,6 +495,8 @@ let gen_pieces =
         base;
         par = Ir.Shape.Strided d;
         seq = contig :: extra;
+        loops = List.mapi (fun i _ -> i + 1) (contig :: extra);
+        run = [];
       }
     in
     return { h; chunk; par_n; site; own = Some own; window })
