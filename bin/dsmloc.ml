@@ -376,8 +376,7 @@ let solve_cmd =
     ~doc:"Print the Table-2 constraint model and the solved distribution."
     (Term.const (fun _ (t : Core.Pipeline.t) ->
          Format.printf "%a@.@." Ilp.Model.pp t.model;
-         Format.printf "objective %.1f (D %.1f + C %.1f)@." t.solution.objective
-           t.solution.d_cost t.solution.c_cost;
+         Format.printf "%a@." (Ilp.Solve.pp t.model) t.solution;
          Format.printf "%a@." Ilp.Distribution.pp t.plan;
          0))
 

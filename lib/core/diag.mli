@@ -20,8 +20,10 @@
       whole-array descriptor (its phase's edges are forced to C);
     - [LCG-FAIL], [MODEL-FAIL], [SOLVE-FAIL], [PLAN-FAIL]: stage-level
       degradation to the documented fallback;
-    - [SOLVE-BROKEN]: the solver kept a plan that violates locality
-      rows (they are priced as communication instead);
+    - [SOLVE-BROKEN]: one per row the solve could not meet, led by
+      its reason code ({!Ilp.Solve.pp_broken}): [locality-violated]
+      (priced as communication instead) or [storage-unmeetable] (its
+      phase is capped at [p = 1]);
     - [SOLVE-BUDGET]: the Eq. 7 solution is exact, but some
       component's representative window is wider than the plan stage
       can tally (see {!Ilp.Solve.result}), so the run falls back to the

@@ -128,10 +128,12 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
         })
       (fun () -> Ilp.Solve.solve model machine)
   in
-  if solution.broken <> [] then
-    Diag.addf diags ~severity:Diag.Warning ~stage:Diag.Solve
-      ~code:"SOLVE-BROKEN" "%d locality row(s) violated (priced as extra C)"
-      (List.length solution.broken);
+  List.iter
+    (fun b ->
+      Diag.add diags ~severity:Diag.Warning ~stage:Diag.Solve
+        ~code:"SOLVE-BROKEN"
+        (Format.asprintf "%a" (Ilp.Solve.pp_broken model) b))
+    solution.broken;
   if solution.budget_exhausted then begin
     Diag.addf diags ~severity:Diag.Warning ~stage:Diag.Solve
       ~code:"SOLVE-BUDGET"
@@ -185,11 +187,8 @@ let efficiency t = ((simulate t).efficiency, (simulate_baseline t).efficiency)
 let report_core ppf t =
   Format.fprintf ppf "@[<v>%a@,=== Constraint model (Table 2 form) ===@,%a@,"
     Locality.Lcg.pp t.lcg Ilp.Model.pp t.model;
-  Format.fprintf ppf "=== Solution ===@,objective %.1f (D %.1f + C %.1f)%s@,"
-    t.solution.objective t.solution.d_cost t.solution.c_cost
-    (match t.solution.broken with
-    | [] -> ""
-    | b -> Printf.sprintf "  (%d violated locality rows)" (List.length b));
+  Format.fprintf ppf "=== Solution ===@,%a@," (Ilp.Solve.pp t.model)
+    t.solution;
   Format.fprintf ppf "%a" Ilp.Distribution.pp t.plan;
   Format.fprintf ppf "@]"
 

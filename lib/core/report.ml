@@ -16,11 +16,13 @@ let markdown (t : Pipeline.t) =
     (Format.asprintf "%a" Ilp.Model.pp t.model);
 
   add "## Solution and distribution plan\n\n";
-  add "objective **%.1f** = load imbalance %.1f + communication %.1f%s\n\n"
-    t.solution.objective t.solution.d_cost t.solution.c_cost
-    (match t.solution.broken with
-    | [] -> ""
-    | b -> Printf.sprintf " (%d violated rows)" (List.length b));
+  add "objective **%.1f** = load imbalance %.1f + communication %.1f\n\n"
+    t.solution.objective t.solution.d_cost t.solution.c_cost;
+  List.iter
+    (fun b ->
+      add "- broken `%s`\n\n"
+        (Format.asprintf "%a" (Ilp.Solve.pp_broken t.model) b))
+    t.solution.broken;
   add "```\n%s```\n\n" (Format.asprintf "%a" Ilp.Distribution.pp t.plan);
 
   add "## Chains\n\n```\n%s```\n\n"

@@ -89,23 +89,19 @@ let race_oracle prog =
 
 (* The chain point checked in exact integers against every row it must
    satisfy: the unbroken locality equalities, the load-balance bounds,
-   and each storage cap [coeff p <= limit] that some chunk >= 1 meets
-   ([coeff <= limit]). *)
+   and the unbroken storage caps [coeff p <= limit]. *)
 let ilp_chain prog =
   let t = with_mode Lattice.Auto (fun () -> run_pipeline prog) in
   if Core.Pipeline.degraded t then Skip "pipeline degraded"
   else begin
     let model = t.model in
     let p = t.solution.p in
-    let broken (l : Ilp.Model.locality) =
-      List.exists
-        (fun (a, k, g) -> String.equal a l.array && k = l.k && g = l.g)
-        t.solution.broken
-    in
+    let broken b = List.mem b t.solution.broken in
     let bad_loc =
       List.find_opt
         (fun (l : Ilp.Model.locality) ->
-          (not (broken l)) && l.ai * p.(l.k) <> (l.bi * p.(l.g)) + l.ci)
+          (not (broken (Ilp.Solve.Locality (l.array, l.k, l.g))))
+          && l.ai * p.(l.k) <> (l.bi * p.(l.g)) + l.ci)
         model.locality
     in
     let bad_bound =
@@ -116,7 +112,7 @@ let ilp_chain prog =
     let bad_storage =
       List.find_opt
         (fun (s : Ilp.Model.storage) ->
-          s.coeff <= s.limit && p.(s.k) > s.limit / s.coeff)
+          (not (broken (Ilp.Solve.Storage s))) && s.coeff * p.(s.k) > s.limit)
         model.storage
     in
     match (bad_loc, bad_bound, bad_storage) with

@@ -14,8 +14,7 @@
       [RACE-ORACLE-MISMATCH]);
     - [ilp-chain]: the Eq. 7 solve's chain point ({!Ilp.Solve.solve})
       satisfies, in exact integers, the model's unbroken locality rows,
-      its load-balance bounds and every storage row that some chunk
-      [>= 1] can satisfy;
+      its load-balance bounds and its unbroken storage rows;
     - [comm-parity]: the communication schedule generated from a fixed
       (LCG, plan) pair is identical under both accounting modes;
     - [cold-warm]: re-analyzing the same source with a warm artifact

@@ -336,124 +336,88 @@ let of_solution (lcg : Lcg.t) ~p : plan =
                 (fun acc (n : Lcg.node) -> max acc n.halo)
                 0 chain_nodes
             in
-            let fallback =
-              {
-                array = g.array;
-                first_phase;
-                last_phase;
-                base = 0;
-                block = max 1 (Lattice.cdiv (array_size lcg g.array) h);
-                period = None;
-                mirror = None;
-                halo;
-              }
+            let layout ~base ~block =
+              { array = g.array; first_phase; last_phase; base; block;
+                period = None; mirror = None; halo }
             in
-            match Balance.side head.id with
+            let fallback =
+              layout ~base:0 ~block:(max 1 (Lattice.cdiv (array_size lcg g.array) h))
+            in
+            match head.anchor with
             | None -> fallback
-            | Some side -> (
+            | Some (tau, dp) -> (
                 try
-                  match Balance.reach lcg.env side with
-                  | None -> fallback
-                  | Some (dp, near) ->
-                      let tau = Env.eval lcg.env side.primary.offset0 in
-                      let block = max 1 (dp * p.(head.phase_idx)) in
-                      let plain =
-                        {
-                          array = g.array;
-                          first_phase;
-                          last_phase;
-                          base = tau;
-                          block;
-                          period = None;
-                          mirror = None;
-                          halo;
-                        }
-                      in
-                      (* Candidate shifted / reverse refinements from the
-                         storage distances of every chain node. *)
-                      let eval_dists dists =
-                        List.filter_map
-                          (fun d ->
-                            try
-                              let v = Qnum.floor (Env.eval_q lcg.env d) in
-                              if v > near then Some v else None
-                            with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None)
-                          dists
-                        |> List.sort_uniq compare
-                      in
-                      let periods =
-                        eval_dists
-                          (List.concat_map
-                             (fun (n : Lcg.node) -> n.sym.shifted)
-                             chain_nodes)
-                      in
-                      let mirrors =
-                        eval_dists
-                          (List.concat_map
-                             (fun (n : Lcg.node) -> n.sym.reverse)
-                             chain_nodes)
-                      in
-                      (* Base variants: a stencil chain's tau_min is the
-                         lowest ghost-read offset; anchoring a stride or
-                         two higher can align blocks with the core
-                         (written) region. *)
-                      let variants =
-                        { plain with base = tau + dp }
-                        :: { plain with base = tau + (2 * dp) }
-                        :: List.concat_map
-                            (fun per ->
-                              { plain with period = Some per }
-                              :: List.map
-                                   (fun m ->
-                                     { plain with period = Some per; mirror = Some m })
-                                   (List.filter (fun m -> m <= per) mirrors))
-                            periods
-                        @ List.map (fun m -> { plain with mirror = Some m }) mirrors
-                      in
-                      let refit_halo (l : layout) =
-                        if l.halo <= 0 then l
-                        else
-                          let size = array_size lcg g.array in
-                          if l.halo >= size then l
-                          else
-                            let stray =
-                              List.fold_left
-                                (fun acc (n : Lcg.node) ->
-                                  match
-                                    ( Lcg.region_bounds lcg n ~par:0,
-                                      Lcg.region_bounds lcg n ~par:1 )
-                                  with
-                                  | Some (lo0, hi0), Some (lo1, _) ->
-                                      let d = max 1 (lo1 - lo0) in
-                                      let up = hi0 - (l.base + d - 1) in
-                                      let down = l.base - lo0 in
-                                      max acc (max 0 (max up down))
-                                  | _ -> max acc l.halo)
-                                0 chain_nodes
-                            in
-                            { l with halo = min l.halo stray }
-                      in
-                      (* score on remote accesses, tie-break on the fitted
-                         halo (smaller ghost zones mean smaller frontier
-                         updates) *)
-                      let score l =
-                        let l = refit_halo l in
-                        ( List.fold_left
+                  let plain = layout ~base:tau ~block:(max 1 (dp * p.(head.phase_idx))) in
+                  (* Candidate shifted / reverse refinements: the
+                     storage distances of every chain node. *)
+                  let dists kind =
+                    List.concat_map (fun (n : Lcg.node) -> n.storage) chain_nodes
+                    |> List.filter_map (fun (f : Balance.storage) ->
+                           if f.kind = kind then Some f.dist else None)
+                    |> List.sort_uniq compare
+                  in
+                  let periods = dists `Shifted and mirrors = dists `Reverse in
+                  (* Base variants: a stencil chain's tau_min is the
+                     lowest ghost-read offset; anchoring a stride or
+                     two higher can align blocks with the core
+                     (written) region. *)
+                  let variants =
+                    { plain with base = tau + dp }
+                    :: { plain with base = tau + (2 * dp) }
+                    :: List.concat_map
+                        (fun per ->
+                          { plain with period = Some per }
+                          :: List.map
+                               (fun m ->
+                                 { plain with period = Some per; mirror = Some m })
+                               (List.filter (fun m -> m <= per) mirrors))
+                        periods
+                    @ List.map (fun m -> { plain with mirror = Some m }) mirrors
+                  in
+                  let refit_halo (l : layout) =
+                    if l.halo <= 0 then l
+                    else
+                      let size = array_size lcg g.array in
+                      if l.halo >= size then l
+                      else
+                        let stray =
+                          List.fold_left
                             (fun acc (n : Lcg.node) ->
-                              acc + remote_count lcg plan0 l ~phase_idx:n.phase_idx)
-                            0 chain_nodes,
-                          l.halo,
-                          l )
-                      in
-                      let _, _, best =
-                        List.fold_left
-                          (fun (br, bh, bl) cand ->
-                            let r, hh, l = score cand in
-                            if r < br || (r = br && hh < bh) then (r, hh, l)
-                            else (br, bh, bl))
-                          (score plain) variants
-                      in
-                      best
+                              match
+                                ( Lcg.region_bounds lcg n ~par:0,
+                                  Lcg.region_bounds lcg n ~par:1 )
+                              with
+                              | Some (lo0, hi0), Some (lo1, _) ->
+                                  let d = max 1 (lo1 - lo0) in
+                                  let up = hi0 - (l.base + d - 1) in
+                                  let down = l.base - lo0 in
+                                  max acc (max 0 (max up down))
+                              | _ -> max acc l.halo)
+                            0 chain_nodes
+                        in
+                        { l with halo = min l.halo stray }
+                  in
+                  (* score on remote accesses, tie-break on the fitted
+                     halo (smaller ghost zones mean smaller frontier
+                     updates) *)
+                  let score l =
+                    let l = refit_halo l in
+                    ( List.fold_left
+                        (fun acc (n : Lcg.node) ->
+                          acc + remote_count lcg plan0 l ~phase_idx:n.phase_idx)
+                        0 chain_nodes,
+                      l.halo,
+                      l )
+                  in
+                  let _, _, best =
+                    List.fold_left
+                      (fun (br, bh, bl) cand ->
+                        let r, hh, l = score cand in
+                        if r < br || (r = br && hh < bh) then (r, hh, l)
+                        else (br, bh, bl))
+                      (score plain) variants
+                  in
+                  best
                 with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> fallback))
           chains)
       lcg.graphs

@@ -34,33 +34,19 @@ type t = {
 }
 
 let of_lcg (lcg : Lcg.t) : t =
-  let env = lcg.env and h = lcg.h in
+  let h = lcg.h in
   let n_phases = List.length lcg.prog.phases in
   let locality =
     List.concat_map
       (fun (g : Lcg.graph) ->
         List.filter_map
           (fun (e : Lcg.edge) ->
-            match (e.label, e.relation) with
-            | Table1.L, Some r -> (
-                try
-                  let nk = List.nth g.nodes e.src
-                  and ng = List.nth g.nodes e.dst in
-                  Some
-                    {
-                      array = g.array;
-                      k = nk.phase_idx;
-                      g = ng.phase_idx;
-                      a = r.a;
-                      b = r.b;
-                      c = r.c;
-                      ai = Env.eval env r.a;
-                      bi = Env.eval env r.b;
-                      ci =
-                        Balance.snap ~a:(Env.eval env r.a) ~b:(Env.eval env r.b)
-                          (Env.eval env r.c);
-                    }
-                with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None)
+            match (e.label, e.relation, e.solution) with
+            | Table1.L, Some r, Some s ->
+                Some
+                  { array = g.array; k = (List.nth g.nodes e.src).phase_idx;
+                    g = (List.nth g.nodes e.dst).phase_idx; a = r.a; b = r.b;
+                    c = r.c; ai = s.ai; bi = s.bi; ci = s.ci }
             | _ -> None)
           g.edges)
       lcg.graphs
@@ -93,51 +79,28 @@ let of_lcg (lcg : Lcg.t) : t =
       (fun (g : Lcg.graph) ->
         List.concat_map
           (fun (n : Lcg.node) ->
-            match Balance.side n.id with
-            | None -> []
-            | Some side -> (
-                try
-                  match Balance.reach env side with
-                  | None -> []
-                  | Some (dp, near) ->
-                      let coeff = dp * h in
-                      let coeff_expr =
-                        Expr.mul side.primary.par_stride (Expr.int h)
-                      in
-                      let mk kind limit_expr =
-                        try
-                          let lim = Qnum.floor (Env.eval_q env limit_expr) in
-                          if lim <= near then None
-                          else
-                            Some
-                              {
-                                array = g.array;
-                                k = n.phase_idx;
-                                kind;
-                                coeff;
-                                coeff_expr;
-                                limit = lim;
-                                limit_expr;
-                              }
-                        with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None
-                      in
-                      List.filter_map Fun.id
-                        (List.map (fun d -> mk `Shifted d) n.sym.shifted
-                        @ List.map
-                            (fun d ->
-                              mk `Reverse
-                                (Expr.scale (Qnum.make 1 2) d))
-                            n.sym.reverse)
-                with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> []))
+            List.map
+              (fun (f : Balance.storage) ->
+                { array = g.array; k = n.phase_idx; kind = f.kind;
+                  coeff = f.stride * h;
+                  coeff_expr = Expr.mul f.stride_expr (Expr.int h);
+                  limit = f.limit; limit_expr = f.limit_expr })
+              n.storage)
           g.nodes)
       lcg.graphs
   in
   { lcg; n_phases; locality; bounds; storage }
 
+let phase_name (t : t) k = (List.nth t.lcg.prog.phases k).Ir.Types.phase_name
+
+let pp_storage t ppf (s : storage) =
+  Format.fprintf ppf "[%s] %a * p[%s] <= %a  (%s, = %d)" s.array Expr.pp
+    s.coeff_expr (phase_name t s.k) Expr.pp s.limit_expr
+    (match s.kind with `Shifted -> "Delta_d" | `Reverse -> "Delta_r/2")
+    s.limit
+
 let pp ppf (t : t) =
-  let pname k =
-    (List.nth t.lcg.prog.phases k).Ir.Types.phase_name
-  in
+  let pname = phase_name t in
   Format.fprintf ppf "@[<v>Locality constraints:@,";
   List.iter
     (fun l ->
@@ -163,11 +126,5 @@ let pp ppf (t : t) =
     "Affinity constraints: implicit (one variable per phase; the@,\
     \  paper's p_k1 = p_k2 = ... rows are folded into p_k)@,";
   Format.fprintf ppf "Storage constraints:@,";
-  List.iter
-    (fun (s : storage) ->
-      Format.fprintf ppf "  [%s] %a * p[%s] <= %a  (%s, = %d)@," s.array
-        Expr.pp s.coeff_expr (pname s.k) Expr.pp s.limit_expr
-        (match s.kind with `Shifted -> "Delta_d" | `Reverse -> "Delta_r/2")
-        s.limit)
-    t.storage;
+  List.iter (Format.fprintf ppf "  %a@," (pp_storage t)) t.storage;
   Format.fprintf ppf "@]"

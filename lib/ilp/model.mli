@@ -8,14 +8,16 @@
     - {b locality}: for every L edge of every array graph, the balanced
       relation [a p_k = b p_g + c];
     - {b load balance}: [1 <= p_k <= ceil(n_k / H)];
-    - {b storage}: for every shifted distance,
-      [delta_P * H * p_k <= Delta_d]; for every reverse distance,
+    - {b storage}: for every storage fact of an LCG node
+      ({!Locality.Balance.frame}), [delta_P * H * p_k <= Delta_d], or
       [delta_P * H * p_k <= Delta_r / 2];
     - {b affinity}: implicit (single variable per phase).
 
     Constraints carry both the symbolic form (for reproducing the
     printed Table 2) and concrete coefficients under the LCG's
-    environment (for solving). *)
+    environment (for solving).  Both are read off the LCG (the L edges'
+    {!Locality.Balance.solution}s and the nodes' storage facts): the
+    model evaluates nothing itself. *)
 
 open Symbolic
 
@@ -52,6 +54,11 @@ type t = {
 }
 
 val of_lcg : Locality.Lcg.t -> t
+
+val phase_name : t -> int -> string
+
+val pp_storage : t -> Format.formatter -> storage -> unit
+(** One storage row as {!pp} prints it, without indent or newline. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders the model in the layout of Table 2. *)

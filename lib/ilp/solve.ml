@@ -5,9 +5,11 @@ type result = {
   d_cost : float;
   c_cost : float;
   objective : float;
-  broken : (string * int * int) list;
+  broken : broken list;
   budget_exhausted : bool;
 }
+
+and broken = Locality of string * int * int | Storage of Model.storage
 
 (* Widest representative window the plan stage can tally: a component
    whose window extends past it is still minimized exactly, but the
@@ -46,6 +48,21 @@ let communication_words (lcg : Lcg.t) ~array ~phase_idx =
                 Some (whole_array ()))
             ~enum))
 
+let pp_broken (model : Model.t) ppf = function
+  | Storage s ->
+      Format.fprintf ppf "storage-unmeetable: %a: %d > %d, p[%s] capped at 1"
+        (Model.pp_storage model) s s.coeff s.limit (Model.phase_name model s.k)
+  | Locality (array, k, g) ->
+      Format.fprintf ppf
+        "locality-violated: [%s] L edge p[%s] -> p[%s], priced as an extra C edge"
+        array (Model.phase_name model k) (Model.phase_name model g)
+
+let pp model ppf r =
+  Format.fprintf ppf "@[<v>objective %.1f (D %.1f + C %.1f)" r.objective r.d_cost
+    r.c_cost;
+  List.iter (Format.fprintf ppf "@,broken %a" (pp_broken model)) r.broken;
+  Format.fprintf ppf "@]"
+
 type affine = { num : int; off : int; den : int }
 
 let gcd = Symbolic.Lattice.gcd
@@ -68,7 +85,7 @@ type member = {
   phase : int;
   expr : affine;
   bound : int;
-  storage : (int * int) list;
+  cap : int;
   lead : (int * int) option;
   frontier : (int * int) list;
 }
@@ -123,17 +140,9 @@ let meet (r1, l1) (r2, l2) =
     Some (pmod (r1 + (l1 * k)) l, l)
 
 (* The t at which a member's p = (num t + off) / den, where integral,
-   lies within its bound and storage caps and is at least 1. *)
+   lies within its bound and storage cap and is at least 1. *)
 let t_window mem =
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) (coeff, limit) ->
-        if coeff > 0 then (lo, min hi (fdiv limit coeff))
-        else if coeff < 0 then (max lo (cdiv limit coeff), hi)
-        else if limit >= 0 then (lo, hi)
-        else (lo, lo - 1))
-      (1, mem.bound) mem.storage
-  in
+  let lo = 1 and hi = min mem.bound mem.cap in
   let { num; off; den } = mem.expr in
   if num > 0 then (cdiv ((lo * den) - off) num, fdiv ((hi * den) - off) num)
   else if num < 0 then (cdiv (off - (hi * den)) (-num), fdiv (off - (lo * den)) (-num))
@@ -314,6 +323,12 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
   let comp = Array.make n (-1) in
   let exprs : affine array = Array.make n { num = 1; off = 0; den = 1 } in
   let broken = ref [] in
+  (* An inconsistent cycle is met from both ends of its edge: record
+     each edge once. *)
+  let blame (l : Model.locality) =
+    let b = Locality (l.array, l.k, l.g) in
+    if not (List.mem b !broken) then broken := b :: !broken
+  in
   let n_comp = ref 0 in
   (* BFS assigning affine expressions in t per component. *)
   for root = 0 to n - 1 do
@@ -355,21 +370,23 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
             end
             else if exprs.(v) <> derived then begin
               (* Inconsistent cycle: give up on this relation. *)
-              let (l : Model.locality) =
-                match rel with `Fwd l | `Bwd l -> l
-              in
-              broken := (l.array, l.k, l.g) :: !broken
+              match rel with `Fwd l | `Bwd l -> blame l
             end)
           adj.(u)
       done
     end
   done;
-  (* Storage constraints indexed per phase. *)
-  let storage_of = Array.make n [] in
-  List.iter
-    (fun (s : Model.storage) ->
-      storage_of.(s.k) <- (s.coeff, s.limit) :: storage_of.(s.k))
-    model.storage;
+  (* Storage caps per phase.  A row no chunk meets (coeff > limit) caps
+     its phase at p = 1 and is reported broken, so the component's L
+     edges are not blamed for it. *)
+  let cap = Array.make n max_int in
+  let unmet =
+    List.filter_map
+      (fun (s : Model.storage) ->
+        cap.(s.k) <- min cap.(s.k) (max 1 (fdiv s.limit s.coeff));
+        if s.coeff > s.limit then Some (Storage s) else None)
+      model.storage
+  in
   let nodes_of_phase k =
     List.concat_map
       (fun (g : Lcg.graph) ->
@@ -399,7 +416,7 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
       phase = k;
       expr = exprs.(k);
       bound = bound.(k);
-      storage = storage_of.(k);
+      cap = cap.(k);
       lead =
         (match nodes with
         | [] -> None
@@ -441,8 +458,7 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
            within the component as broken. *)
         List.iter (fun mem -> p.(mem.phase) <- min 1 mem.bound) members;
         List.iter
-          (fun (l : Model.locality) ->
-            if comp.(l.k) = c then broken := (l.array, l.k, l.g) :: !broken)
+          (fun (l : Model.locality) -> if comp.(l.k) = c then blame l)
           model.locality
   done;
   (* Costs. *)
@@ -466,14 +482,14 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
             | Table1.L ->
                 let nk = (List.nth g.nodes e.src).phase_idx
                 and ng = (List.nth g.nodes e.dst).phase_idx in
-                if List.mem (g.array, nk, ng) !broken then
+                if List.mem (Locality (g.array, nk, ng)) !broken then
                   acc +. c_edge_cost g e
                 else acc
             | Table1.D -> acc)
           acc g.edges)
       0.0 lcg.graphs
   in
-  { p; d_cost; c_cost; objective = d_cost +. c_cost; broken = !broken;
+  { p; d_cost; c_cost; objective = d_cost +. c_cost; broken = unmet @ !broken;
     budget_exhausted = !budget_exhausted }
 
 let solve = solve_with ~argmin

@@ -63,9 +63,7 @@ type result = {
   d_cost : float;  (** total load-unbalance cost *)
   c_cost : float;  (** total communication cost *)
   objective : float;
-  broken : (string * int * int) list;
-      (** L edges (array, k, g) the solver had to violate (treated as
-          extra C edges); empty in well-posed instances *)
+  broken : broken list;  (** rows not met; empty in well-posed instances *)
   budget_exhausted : bool;
       (** true when some component's representative window is wider
           than 200,000.  [p] is still the exact optimum; the pipeline
@@ -73,6 +71,21 @@ type result = {
           BLOCK baseline plan, because the plan stage cannot yet tally
           windows that wide *)
 }
+
+and broken =
+  | Locality of string * int * int
+      (** an L edge (array, k, g) the solve had to violate, priced as
+          an extra C edge *)
+  | Storage of Model.storage
+      (** a storage row no chunk meets ([coeff > limit]): its phase is
+          capped at [p = 1] instead, and no L edge is blamed for it *)
+
+val pp_broken : Model.t -> Format.formatter -> broken -> unit
+(** The row on one line, led by its reason code: [storage-unmeetable]
+    or [locality-violated]. *)
+
+val pp : Model.t -> Format.formatter -> result -> unit
+(** The objective line, then one [broken] line per {!pp_broken} row. *)
 
 type affine = { num : int; off : int; den : int }
 (** [p = (num t + off) / den], in lowest terms with [den > 0]. *)
@@ -85,7 +98,7 @@ type member = {
   phase : int;
   expr : affine;  (** its [p] in terms of the representative *)
   bound : int;  (** load-balance bound: [p <= bound] *)
-  storage : (int * int) list;  (** storage caps [(coeff, limit)]: [coeff p <= limit] *)
+  cap : int;  (** storage cap [p <= cap]: least [max 1 (limit / coeff)] *)
   lead : (int * int) option;
       (** the lead node's [(par_n, work)], priced by
           {!Cost.load_imbalance}; [None] for a phase no array touches *)

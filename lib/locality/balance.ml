@@ -109,27 +109,16 @@ let relation ?overlap_k ?overlap_g idk idg =
               Some { a; b; c = Expr.sub cg ck }))
   | _ -> None
 
-(* Sub-stride misalignment (|c| below one stride of the coarser side)
-   stays inside a block for any chunking: absorb it. *)
-let snap ~a ~b c = if c <> 0 && abs c < max a b then 0 else c
-
-let reach env (s : side) =
-  let dp = Env.eval env s.primary.par_stride in
-  if dp <= 0 then None
-  else
-    Some
-      ( dp,
-        try Env.eval env s.primary.span_seq + (2 * dp)
-        with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> 0 )
-
-type solution = { pk : int; pg : int; count : int }
+type solution = { pk : int; pg : int; count : int; ai : int; bi : int; ci : int }
 
 let solve ~env ~h ~nk ~ng (rel : relation) =
   try
     let a = Env.eval env rel.a
     and b = Env.eval env rel.b
     and c = Env.eval env rel.c in
-    let c = snap ~a ~b c in
+    (* Sub-stride misalignment (|c| below one stride of the coarser
+       side) stays inside a block for any chunking: absorb it. *)
+    let c = if c <> 0 && abs c < max a b then 0 else c in
     if a <= 0 || b <= 0 then None
     else
       let pk_max = Lattice.cdiv nk h and pg_max = Lattice.cdiv ng h in
@@ -153,11 +142,50 @@ let solve ~env ~h ~nk ~ng (rel : relation) =
               pk = pk0 + (b' * t_lo);
               pg = pg0 + (a' * t_lo);
               count = t_hi - t_lo + 1;
+              ai = a;
+              bi = b;
+              ci = c;
             }
   with Expr.Non_integral _ | Env.Unbound _ -> None
 
-let balanced ~env ~h ~nk ~ng idk idg =
-  Option.bind (relation idk idg) (solve ~env ~h ~nk ~ng)
+type storage = {
+  kind : [ `Shifted | `Reverse ];
+  distance : Expr.t;
+  dist : int;
+  limit_expr : Expr.t;
+  limit : int;
+  stride_expr : Expr.t;
+  stride : int;
+}
+
+let frame env id (sym : Symmetry.t) =
+  let guard f =
+    try f () with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None
+  in
+  let stride s = guard (fun () -> Some (Env.eval env s.primary.par_stride)) in
+  match Option.map (fun s -> (s, stride s)) (side id) with
+  | Some (s, Some dp) when dp > 0 ->
+      let reach =
+        Option.value ~default:0
+          (guard (fun () -> Some (Env.eval env s.primary.span_seq + (2 * dp))))
+      in
+      let fact kind distance =
+        guard (fun () ->
+            let dist = Qnum.floor (Env.eval_q env distance) in
+            if dist <= reach then None
+            else
+              let limit_expr, limit =
+                match kind with
+                | `Shifted -> (distance, dist)
+                | `Reverse -> (Expr.scale (Qnum.make 1 2) distance, Lattice.fdiv dist 2)
+              in
+              let stride_expr = s.primary.par_stride in
+              Some { kind; distance; dist; limit_expr; limit; stride_expr; stride = dp })
+      in
+      ( guard (fun () -> Some (Env.eval env s.primary.offset0, dp)),
+        List.filter_map (fact `Shifted) sym.shifted
+        @ List.filter_map (fact `Reverse) sym.reverse )
+  | _ -> (None, [])
 
 let pp_relation ppf r =
   Format.fprintf ppf "%a * p_k = %a * p_g%s%a" Expr.pp r.a Expr.pp r.b

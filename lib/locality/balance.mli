@@ -46,26 +46,16 @@ val relation :
   ?overlap_k:bool -> ?overlap_g:bool -> Id.t -> Id.t -> relation option
 (** The balanced equation between two phases' IDs of the same array. *)
 
-val snap : a:int -> b:int -> int -> int
-(** The sub-stride residue snap: [snap ~a ~b c] is 0 when [0 < |c| <
-    max a b] - a misalignment below one stride of the coarser side
-    stays inside a block for any chunking - and [c] otherwise.  Applied
-    to a relation's evaluated constant before it is solved or written
-    as a model row. *)
-
-val reach : Env.t -> side -> (int * int) option
-(** [Some (delta_P, span + 2 delta_P)]: the representative's parallel
-    stride under the environment and one iteration's reach.  A storage
-    distance within the reach is a stencil frame, not a distant copy,
-    so it constrains nothing.  [None] when [delta_P <= 0]; the reach
-    reads 0 when the span does not evaluate.  Raises what {!Env.eval}
-    raises when [delta_P] does not evaluate: each caller keeps its own
-    policy for that. *)
-
 type solution = {
   pk : int;
   pg : int;  (** smallest feasible pair *)
   count : int;  (** number of integer solutions within the bounds *)
+  ai : int;
+  bi : int;
+  ci : int;
+      (** the model's row [ai p_k = bi p_g + ci] under the environment;
+          [ci] reads 0 when [|ci| < max ai bi]: a misalignment below one
+          stride of the coarser side stays inside a block *)
 }
 
 val solve :
@@ -73,8 +63,25 @@ val solve :
 (** Concrete solve: [nk], [ng] are the parallel trip counts; bounds are
     [1 .. ceil(n/H)].  [None] when no integer solution fits. *)
 
-val balanced :
-  env:Env.t -> h:int -> nk:int -> ng:int -> Id.t -> Id.t -> solution option
-(** End-to-end: sides, relation, solve. *)
+type storage = {
+  kind : [ `Shifted | `Reverse ];
+  distance : Expr.t;  (** [Delta_d], or [Delta_r] *)
+  dist : int;
+  limit_expr : Expr.t;  (** the row's limit: [Delta_d], or [Delta_r / 2] *)
+  limit : int;  (** [Delta_d], or [floor (Delta_r / 2)] *)
+  stride_expr : Expr.t;  (** [delta_P] of the representative *)
+  stride : int;  (** its value, [> 0] *)
+}
+(** A storage distance beyond one iteration's reach: the Table 2 row
+    [delta_P * H * p <= limit], and a period or mirror of length [dist]. *)
+
+val frame : Env.t -> Id.t -> Symmetry.t -> (int * int) option * storage list
+(** [(anchor, facts)] of a node under the environment.  [anchor] is
+    [(tau, delta_P)] of the representative ({!side}); [None] when there
+    is none, [delta_P <= 0], or either does not evaluate.  [facts]: each
+    distance (shifted, then reverse) that evaluates beyond the reach
+    [span + 2 delta_P] (a span that does not evaluate reads 0); one
+    within it is a stencil frame, not a distant copy.  Both kinds
+    compare the distance itself with the reach. *)
 
 val pp_relation : Format.formatter -> relation -> unit

@@ -14,6 +14,8 @@ type node = {
   par_expr : Expr.t;
   work : int;
   halo : int;
+  anchor : (int * int) option;
+  storage : Balance.storage list;
 }
 
 type edge = {
@@ -97,6 +99,7 @@ let build (prog : Types.program) ~env ~h : t =
                    let id = Id.of_pd pd in
                    let attr = attr_row.(k) in
                    let sym = Symmetry.analyze id in
+                   let anchor, storage = Balance.frame env id sym in
                    [
                      {
                        phase_idx = k;
@@ -112,6 +115,8 @@ let build (prog : Types.program) ~env ~h : t =
                        par_expr = Phase.par_count ctx;
                        work = List.nth works k;
                        halo = halo env ~name:ph.phase_name pd sym;
+                       anchor;
+                       storage;
                      };
                    ]
                  end
@@ -141,21 +146,15 @@ let build (prog : Types.program) ~env ~h : t =
              supersets: an L verdict would be unsound, so force such
              edges to C.  D (privatization un-coupling) stands - it is
              decided by liveness, not by descriptors. *)
-          if
-            Table1.equal_label r.label Table1.L
-            && not (nk.pd.Pd.exact && ng.pd.Pd.exact)
-          then
-            { src = i; dst = j; label = Table1.C; solution = None;
-              relation = None; back }
-          else
-            {
-              src = i;
-              dst = j;
-              label = r.label;
-              solution = r.solution;
-              relation = r.relation;
-              back;
-            }
+          let r =
+            if
+              Table1.equal_label r.label Table1.L
+              && not (nk.pd.Pd.exact && ng.pd.Pd.exact)
+            then { Inter.label = Table1.C; solution = None; relation = None }
+            else r
+          in
+          { src = i; dst = j; label = r.label; solution = r.solution;
+            relation = r.relation; back }
         in
         let edges =
           if n <= 1 then []

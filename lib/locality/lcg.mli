@@ -30,6 +30,13 @@ type node = {
           iterations' regions: [UL(I(0)) - LB(I(1)) + 1] when positive,
           else 0.  This is the span a runtime replicates as ghost cells
           (Theorem 1c) and the volume a frontier update ships. *)
+  anchor : (int * int) option;
+      (** [(tau, delta_P)] of the representative, where the plan
+          anchors a layout of the node's chain ({!Balance.frame}) *)
+  storage : Balance.storage list;
+      (** the storage distances beyond one iteration's reach: the
+          model's storage rows and the plan's period and mirror
+          candidates ({!Balance.frame}) *)
 }
 
 type edge = {

@@ -32,14 +32,14 @@ let fingerprint (profile, index, h) =
 let golden : (string * (string * string)) list =
   [
     ("deep#0", ("40fddab210262da4b733d5f19ff23d0b", "0x1.0dcf1fa117e25p-9"));
-    ("deep#1", ("34fe22bcf15c71c5f947def7d7a4ba5d", "0x1.df5ae33e55e23p-9"));
-    ("deep#2", ("2f2d761812cbdea817c8aeaa948a171e", "0x1.4fc3345c43ecp-9"));
+    ("deep#1", ("600993e6fdbce61db8ef87fa8e960b2c", "0x1.df5ae33e55e23p-9"));
+    ("deep#2", ("43cba99ef307f2cd1c9c51780725e115", "0x1.4fc3345c43ecp-9"));
     ("deep#3", ("cbed110f9bbbc42b125457f69069e86b", "0x1.d5f7c7cf81fc7p-8"));
-    ("deep#4", ("44f28b3364868a57a22809e567212fd5", "0x1.ae177823df665p-8"));
+    ("deep#4", ("c1dd6683200530ab5b53e4f3852d3ffc", "0x1.ae177823df665p-8"));
     ("deep#5", ("0f638df07100ee33f03ed33b001b01f2", "0x1.be1e3a815f1fdp-9"));
-    ("deep#6", ("13660b4fc5380fa1355645f38abcfe8a", "0x1.1fb7398f8ee36p-9"));
-    ("deep#7", ("11e7eb8770f6b35bbe6976906e953977", "0x1.c10362ddcdff2p-8"));
-    ("deep#8", ("8ea10590d65cd380832709c16a4664e0", "0x1.dee769ebd48ap-9"));
+    ("deep#6", ("b84bc6c5e5d77f4ff006ae93f09cadf9", "0x1.1fb7398f8ee36p-9"));
+    ("deep#7", ("6ac67c146dbd348324c5b3ed6d23b018", "0x1.c10362ddcdff2p-8"));
+    ("deep#8", ("7f243e4bde32ddd53f8774c44c4f030c", "0x1.dee769ebd48ap-9"));
     ("deep#9", ("513d3e09875bca3e52bfc26e764da863", "0x1.5f90c06b20c84p-9"));
     ("deep#10", ("ece948f4d9fe2cd94c5efb4b45270223", "0x1.3de3840ebefbdp-8"));
     ("deep#11", ("f32cd69fdef8ca25a05e9c3c35ba9d8d", "0x1.843295ff451d9p-9"));

@@ -49,6 +49,20 @@ let test_model_table2 () =
       let limits = List.sort compare (List.map (fun (s : Model.storage) -> s.limit) sx) in
       Alcotest.(check (list int)) "limits PQ/2, PQ, PQ" [ 128; 256; 256 ] limits)
 
+(* The storage rows the LCG's node facts ({!Locality.Balance.frame})
+   put on each phase: [(k, delta_P * H, limit)]. *)
+let fact_rows (lcg : Locality.Lcg.t) =
+  List.concat_map
+    (fun (g : Locality.Lcg.graph) ->
+      List.concat_map
+        (fun (n : Locality.Lcg.node) ->
+          List.map
+            (fun (f : Locality.Balance.storage) ->
+              (n.phase_idx, f.stride * lcg.h, f.limit))
+            n.storage)
+        g.nodes)
+    lcg.graphs
+
 (* Every row holds at the solve's point, and F8's storage rows keep the
    X chain at p3 = 1: doubling the chain (p3 = 2, p8 = 64) keeps every
    locality row but exceeds the cap 128/4 = 32.  (F8's load-balance
@@ -67,9 +81,12 @@ let test_model_rows_at_solve () =
           m.bounds
       and storage p =
         List.for_all
-          (fun (s : Model.storage) -> s.coeff * p.(s.k) <= s.limit)
-          m.storage
+          (fun (k, coeff, limit) -> coeff * p.(k) <= limit)
+          (fact_rows m.lcg)
       in
+      Alcotest.(check (list (triple int int int)))
+        "the model's storage rows are the node facts" (fact_rows m.lcg)
+        (List.map (fun (s : Model.storage) -> (s.k, s.coeff, s.limit)) m.storage);
       Alcotest.(check int) "no broken rows" 0 (List.length r.broken);
       Alcotest.(check bool) "locality rows hold" true (locality r.p);
       Alcotest.(check bool) "bound rows hold" true (bounds r.p);
@@ -91,9 +108,16 @@ let test_solve_tfft2 () =
       let model = Model.of_lcg lcg in
       let r = Solve.solve model (Cost.default_machine ~h:4) in
       Alcotest.(check int) "no broken rows" 0 (List.length r.broken);
-      (* chain: p3..p7 = t, p8 = 32 t; storage caps p8 at 32 => t = 1 *)
+      (* chain: p3..p7 = t, p8 = 32 t; F8's storage facts cap p8 at
+         32 => t = 1 *)
+      let cap8 =
+        List.fold_left
+          (fun acc (k, coeff, limit) -> if k = 7 then min acc (limit / coeff) else acc)
+          max_int (fact_rows lcg)
+      in
+      Alcotest.(check int) "F8's cap" 32 cap8;
       Alcotest.(check int) "p3" 1 r.p.(2);
-      Alcotest.(check int) "p8" 32 r.p.(7);
+      Alcotest.(check int) "p8" cap8 r.p.(7);
       (* affinity/locality: p1 = Q p2 *)
       Alcotest.(check int) "p1 = Q p2" (16 * r.p.(1)) r.p.(0))
 
@@ -111,8 +135,7 @@ let scan m (c : Solve.component) =
     let feasible ((mem : Solve.member), v) =
       match v with
       | Some p ->
-          p >= 1 && p <= mem.bound
-          && List.for_all (fun (coeff, limit) -> coeff * p <= limit) mem.storage
+          p >= 1 && p <= mem.bound && p <= mem.cap
       | None -> false
     in
     if List.for_all feasible vals then begin
@@ -191,8 +214,9 @@ let test_solve_fuzz_vs_scan () =
     cases
 
 (* Random components: negative slopes, residues with den > 1, storage
-   caps of either sign, phases without load or frontier (all-zero
-   costs, so every t ties), pure-frontier and pure-load members. *)
+   caps below, at and above the bound or absent, phases without load or
+   frontier (all-zero costs, so every t ties), pure-frontier and
+   pure-load members. *)
 let component_gen =
   let open QCheck.Gen in
   let rec gcd a b = if b = 0 then abs a else gcd b (a mod b) in
@@ -203,9 +227,7 @@ let component_gen =
   let member phase =
     let* num, off, den = if phase = 0 then return (1, 0, 1) else affine
     and* bound = int_range 0 400
-    and* storage =
-      list_size (int_range 0 2)
-        (pair (int_range (-3) 6) (int_range (-20) 600))
+    and* cap = frequency [ (1, return max_int); (3, int_range 1 400) ]
     and* lead =
       opt ~ratio:0.8 (pair (int_range 0 3000) (int_range 0 9000))
     and* frontier =
@@ -217,7 +239,7 @@ let component_gen =
         Solve.phase;
         expr = { num = num / g; off = off / g; den = den / g };
         bound;
-        storage;
+        cap;
         lead;
         frontier = (if lead = None then [] else frontier);
       }
@@ -334,27 +356,22 @@ let test_stencil_base_alignment () =
       let r = Core.Pipeline.simulate t in
       Alcotest.(check int) "all local" 0 r.total_remote)
 
-(* One storage-distance rule ({!Locality.Balance.reach}) feeds both the
-   model's storage rows and the plan's period candidates: a shifted pair
-   A(j), A(j + d) (stride 1, span 0: reach 2) yields a row and a period
-   only when d lies beyond the reach. *)
+(* One storage fact per LCG node ({!Locality.Balance.frame}) feeds both
+   the model's storage rows and the plan's period and mirror
+   candidates.  A shifted pair A(j), A(j + d) (stride 1, span 0: reach
+   2) yields a row and a period only when d lies beyond the reach; the
+   reverse pair A(j) = A(3 - j), j = 0..1 (Delta_r = 4, beyond the
+   reach) yields both a row 2 p <= floor(4 / 2) and a mirror 4. *)
 let test_storage_reach () =
   Probe.with_seed 47 (fun () ->
       let v = Expr.var and i = Expr.int in
-      let run d =
+      let run ~size ~hi refs =
         let prog =
-          Ir.Build.program ~name:"shift" ~params:Assume.empty
-            ~arrays:[ Ir.Build.array "A" [ i (3 + d) ] ]
+          Ir.Build.program ~name:"storage" ~params:Assume.empty
+            ~arrays:[ Ir.Build.array "A" [ i size ] ]
             [
               Ir.Build.phase "S"
-                (Ir.Build.doall "j" ~lo:(i 0) ~hi:(i 2)
-                   [
-                     Ir.Build.assign
-                       [
-                         Ir.Build.read "A" [ v "j" ];
-                         Ir.Build.read "A" [ Expr.add (v "j") (i d) ];
-                       ];
-                   ]);
+                (Ir.Build.doall "j" ~lo:(i 0) ~hi:(i hi) [ Ir.Build.assign refs ]);
             ]
         in
         let t = Core.Pipeline.run prog ~env:Env.empty ~h:2 in
@@ -364,16 +381,28 @@ let test_storage_reach () =
         ( ( List.map
               (fun (s : Model.storage) -> (s.coeff, s.limit))
               t.model.storage,
-            layout.period ),
+            (layout.period, layout.mirror) ),
           (Core.Pipeline.simulate t).total_remote )
       in
-      let rows_and_period = Alcotest.(pair (list (pair int int)) (option int)) in
-      Alcotest.check rows_and_period "d = 2: no storage row, no period"
-        ([], None) (fst (run 2));
-      let got, remote = run 3 in
-      Alcotest.check rows_and_period "d = 3: row 2 p <= 3 and period 3"
-        ([ (2, 3) ], Some 3) got;
-      Alcotest.(check int) "d = 3: all local" 0 remote)
+      let shifted d =
+        run ~size:(3 + d) ~hi:2
+          [ Ir.Build.read "A" [ v "j" ]; Ir.Build.read "A" [ Expr.add (v "j") (i d) ] ]
+      in
+      let rows_and_layout =
+        Alcotest.(pair (list (pair int int)) (pair (option int) (option int)))
+      in
+      Alcotest.check rows_and_layout "d = 2: no storage row, no period"
+        ([], (None, None)) (fst (shifted 2));
+      let got, remote = shifted 3 in
+      Alcotest.check rows_and_layout "d = 3: row 2 p <= 3 and period 3"
+        ([ (2, 3) ], (Some 3, None)) got;
+      Alcotest.(check int) "d = 3: all local" 0 remote;
+      let got, _ =
+        run ~size:4 ~hi:1
+          [ Ir.Build.write "A" [ v "j" ]; Ir.Build.read "A" [ Expr.sub (i 3) (v "j") ] ]
+      in
+      Alcotest.check rows_and_layout "reverse: row 2 p <= 2 and mirror 4"
+        ([ (2, 2) ], (None, Some 4)) got)
 
 let () =
   Alcotest.run "ilp"
