@@ -216,7 +216,7 @@ let fig7 () =
       (Unionize.simplify (Pd.of_phase (Ir.Phase.analyze prog ph) ~array:"A"))
   in
   let show case name attr =
-    let verdict = Intra.check ~attr (id name) in
+    let verdict = Intra.check ~sym:(Symmetry.analyze (id name)) ~attr in
     Printf.printf "  (%s) attr %s: local=%b via %s\n" case
       (Ir.Liveness.attr_to_string attr)
       verdict.local
@@ -231,7 +231,8 @@ let fig8 () =
   (* UL and h as the LCG computes them: the balanced-locality side of
      the ID, whose representative row gives UL and whose gap is h. *)
   let ok =
-    match Balance.side (Id.of_pd (Lazy.force x_final)) with
+    let id = Id.of_pd (Lazy.force x_final) in
+    match Balance.side ~overlap:(Symmetry.has_overlap id) id with
     | None ->
         Printf.printf "  UL, h = ? (no balanced-locality side)\n";
         false

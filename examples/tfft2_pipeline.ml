@@ -41,7 +41,8 @@ let () =
 
   (* Fig. 4 / Fig. 8: IDs, upper limits, memory gap at P=4, Q=3. *)
   let small = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ] in
-  let side = Locality.Balance.side (Id.of_pd final) in
+  let id = Id.of_pd final in
+  let side = Locality.Balance.side ~overlap:(Symmetry.has_overlap id) id in
   Format.printf "@.--- Fig. 4/8: IDs at P=4, Q=3 ---@.";
   for it = 0 to 2 do
     let region = Region.sorted (Region.addresses small final ~par:(Some it)) in

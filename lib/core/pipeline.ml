@@ -15,15 +15,14 @@ type t = {
    conservative fallback; anything else (bugs, Stack_overflow, ...)
    still propagates. *)
 let recoverable = function
-  | Descriptor.Ard.Unsupported | Descriptor.Region.Not_rectangular _
-  | Qnum.Overflow | Qnum.Division_by_zero | Division_by_zero | Env.Unbound _
-  | Expr.Non_integral _ | Lattice.Outside_fragment _ ->
+  | Descriptor.Ard.Unsupported | Qnum.Overflow | Qnum.Division_by_zero
+  | Division_by_zero | Env.Unbound _ | Expr.Non_integral _
+  | Lattice.Outside_fragment _ ->
       true
   | _ -> false
 
 let describe = function
   | Descriptor.Ard.Unsupported -> "unsupported (non-affine) subscript"
-  | Descriptor.Region.Not_rectangular s -> "non-rectangular region: " ^ s
   | Qnum.Overflow -> "symbolic arithmetic overflow"
   | Qnum.Division_by_zero | Division_by_zero -> "division by zero"
   | Env.Unbound v -> "unbound parameter " ^ v
@@ -78,7 +77,7 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   let lcg =
     Metrics.with_timer lcg_timer @@ fun () ->
     guard ~strict ~diags ~stage:Diag.Lcg ~code:"LCG-FAIL"
-      ~fallback:(fun () -> { Locality.Lcg.prog; env; h; graphs = [] })
+      ~fallback:(fun () -> Locality.Lcg.empty prog ~env ~h)
       (fun () -> Locality.Lcg.build prog ~env ~h)
   in
   (* Whole-array degradation happens inside descriptor construction

@@ -74,6 +74,19 @@ let offset_at r ~i =
 let upper_at r ~i = Expr.add (offset_at r ~i) r.span_seq
 
 let all_rows t = List.concat_map (fun g -> g.rows) t.groups
+let tagged_rows t =
+  List.concat_map (fun g -> List.map (fun r -> (g, r)) g.rows) t.groups
+
+let rec pairs ~self = function
+  | [] -> []
+  | x :: rest ->
+      (if self then [ (x, x) ] else [])
+      @ List.map (fun y -> (x, y)) rest
+      @ pairs ~self rest
+
+let dense t r =
+  Probe.equal t.ctx.Ir.Phase.assume (Expr.add r.span_seq Expr.one)
+    (List.fold_left Expr.mul Expr.one r.seq_alphas)
 
 let par_strides t =
   all_rows t

@@ -34,13 +34,23 @@ val key : t -> Artifact.Key.t
 
 val of_pd : Pd.t -> t
 
-val offset_at : row -> i:Expr.t -> Expr.t
-(** [tau_B(i)]. *)
-
 val upper_at : row -> i:Expr.t -> Expr.t
 (** Farthest address of the row's sub-region at iteration [i]. *)
 
 val all_rows : t -> row list
+
+val tagged_rows : t -> (group * row) list
+(** Every row with its group, in order. *)
+
+val pairs : self:bool -> 'a list -> ('a * 'a) list
+(** Every unordered pair of positions, in list order; with [self],
+    each element is first paired with itself. *)
+
+val dense : t -> row -> bool
+(** The row's region at one iteration is a gap-free interval: its
+    extent [span_seq + 1] equals its address count, the product of its
+    [seq_alphas], under the ID's assumptions. *)
+
 val par_strides : t -> Expr.t list
 (** Distinct parallel strides across rows (zeros excluded). *)
 

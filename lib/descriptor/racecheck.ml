@@ -294,44 +294,26 @@ let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
                        array)
                 else begin
                   let trows =
-                    List.concat_map
-                      (fun (g : Id.group) ->
-                        List.map
-                          (fun (r : Id.row) ->
-                            let dense =
-                              let count =
-                                List.fold_left Expr.mul Expr.one
-                                  r.Id.seq_alphas
-                              in
-                              Probe.equal asm
-                                (Expr.add r.Id.span_seq Expr.one)
-                                count
-                            in
-                            {
-                              row = r;
-                              seq_dims = g.Id.seq_dims;
-                              signed_stride =
-                                Expr.mul (Expr.int r.Id.par_sign)
-                                  r.Id.par_stride;
-                              dense;
-                              clean =
-                                clean_expr r.Id.offset0
-                                && clean_expr r.Id.par_stride;
-                              inner =
+                    List.map
+                      (fun ((g : Id.group), (r : Id.row)) ->
+                        {
+                          row = r;
+                          seq_dims = g.Id.seq_dims;
+                          signed_stride =
+                            Expr.mul (Expr.int r.Id.par_sign) r.Id.par_stride;
+                          dense = Id.dense id r;
+                          clean =
+                            clean_expr r.Id.offset0
+                            && clean_expr r.Id.par_stride;
+                          inner =
+                            List.for_all
+                              (fun (d : Pd.dim) ->
                                 List.for_all
-                                  (fun (d : Pd.dim) ->
-                                    List.for_all
-                                      (fun v -> List.mem v inner_vars)
-                                      d.Pd.vars)
-                                  g.Id.seq_dims;
-                            })
-                          g.Id.rows)
-                      id.Id.groups
-                  in
-                  let rec pairs = function
-                    | [] -> []
-                    | x :: rest ->
-                        (x, x) :: List.map (fun y -> (x, y)) rest @ pairs rest
+                                  (fun v -> List.mem v inner_vars)
+                                  d.Pd.vars)
+                              g.Id.seq_dims;
+                        })
+                      (Id.tagged_rows id)
                   in
                   List.iter
                     (fun (t1, t2) ->
@@ -346,7 +328,7 @@ let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
                           | Disjoint -> ()
                           | Conflict w -> conflict := Some w
                           | Cannot r -> note r)
-                    (pairs trows)
+                    (Id.pairs ~self:true trows)
                 end
               end
             end)

@@ -20,16 +20,6 @@ let congruent asm (g1 : Id.group) (r1 : Id.row) (g2 : Id.group) (r2 : Id.row) =
   && List.for_all2 (fun a b -> Probe.equal asm a b) r1.seq_alphas r2.seq_alphas
   && Probe.equal asm r1.par_stride r2.par_stride
 
-let pairs (id : Id.t) =
-  let tagged =
-    List.concat_map (fun (g : Id.group) -> List.map (fun r -> (g, r)) g.rows) id.groups
-  in
-  let rec go = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> (x, y)) rest @ go rest
-  in
-  go tagged
-
 (* An interval set: a dimension of stride +-1 contributes one interval
    per point of the others instead of one cell per address.  Native
    arithmetic, as a sweep address by address computes it (a run that
@@ -69,12 +59,13 @@ let region (id : Id.t) env i =
       match unit_dim seq with
       | Some (u, rest) -> sweep (run u) acc base rest
       | None -> sweep (fun b -> [ (b, b) ]) acc base seq)
-    []
-    (List.concat_map (fun (g : Id.group) -> List.map (fun r -> (g, r)) g.rows) id.groups)
+    [] (Id.tagged_rows id)
   |> Lattice.Iv.norm
 
 let analyze_raw (id : Id.t) : t =
   let asm = id.ctx.assume in
+  let tagged = Id.tagged_rows id in
+  let pairs = Id.pairs ~self:false tagged in
   let shifted = ref [] and reverse = ref [] in
   List.iter
     (fun ((g1, (r1 : Id.row)), (g2, (r2 : Id.row))) ->
@@ -98,7 +89,7 @@ let analyze_raw (id : Id.t) : t =
           if Probe.nonneg asm d then
             reverse := Expr.add d Expr.one :: !reverse
         end)
-    (pairs id);
+    pairs;
   (* Delta_s: shared elements between the ID regions of two consecutive
      parallel iterations.  Detection is whole-ID sampled set
      intersection (covering both a row overlapping itself and a
@@ -106,11 +97,6 @@ let analyze_raw (id : Id.t) : t =
      closed-form candidate from the dense-interval formulas matches the
      sampled sizes it is reported as the distance, otherwise the
      overlap is flagged with unknown width. *)
-  let tagged_rows =
-    List.concat_map
-      (fun (g : Id.group) -> List.map (fun r -> (g, r)) g.rows)
-      id.groups
-  in
   let write_shared = ref false in
   let write_checks = ref 0 in
   let sampled_sizes =
@@ -145,12 +131,7 @@ let analyze_raw (id : Id.t) : t =
      with Expr.Non_integral _ | Env.Unbound _ -> failed := true);
     if !failed then None else Some !sizes
   in
-  let dense (r : Id.row) =
-    let count =
-      List.fold_left (fun acc a -> Expr.mul acc a) Expr.one r.seq_alphas
-    in
-    Probe.equal asm (Expr.add r.span_seq Expr.one) count
-  in
+  let dense = Id.dense id in
   let candidates =
     (* Self-overlap of each dense row, plus cross-row frontier formulas
        for dense row pairs with a common parallel stride; invariant
@@ -161,7 +142,7 @@ let analyze_raw (id : Id.t) : t =
         else if dense r then
           [ Expr.add (Expr.sub r.span_seq r.par_stride) Expr.one ]
         else [])
-      tagged_rows
+      tagged
     @ List.concat_map
         (fun ((_, (rj : Id.row)), (_, (rl : Id.row))) ->
           if
@@ -179,7 +160,7 @@ let analyze_raw (id : Id.t) : t =
                 Expr.one;
             ]
           else [])
-        (pairs id)
+        pairs
   in
   let positive_candidates =
     List.filter
@@ -237,7 +218,7 @@ let analyze_raw (id : Id.t) : t =
   }
 
 (* [analyze] is re-entered for the same ID by the locality graph builder
-   and again by [has_overlap] during modelling; the verdict depends on
+   and by every caller that asks [has_overlap]; the verdict depends on
    sampled environments, which re-seeding the probe stream changes (it
    flushes the store).  The ID's structural
    key alone is not enough - the verdict also reads the analysis

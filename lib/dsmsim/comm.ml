@@ -19,13 +19,13 @@ type event =
 
 type schedule = event list
 
-(* A size that does not evaluate means this array's messages cannot be
-   generated, which [on_error] surfaces and [None] makes explicit so
-   callers skip the array's events instead of doing layout math on a
-   phantom size-0 array.  An undeclared array is an internal invariant
-   violation and keeps crashing ([Not_found]). *)
-let array_size ?on_error (lcg : Lcg.t) array =
-  match Ir.Linearize.array_size lcg.env lcg.prog array with
+(* The array's size fact.  A size that does not evaluate means this
+   array's messages cannot be generated, which [on_error] surfaces and
+   [None] makes explicit so [generate] skips the array's events instead
+   of doing layout math on a phantom size-0 array.  An undeclared array
+   is an internal invariant violation and keeps crashing ([Not_found]). *)
+let size ?on_error (lcg : Lcg.t) array =
+  match List.assoc array lcg.sizes with
   | Ok n -> Some n
   | Error why ->
       Option.iter
@@ -38,16 +38,6 @@ let array_size ?on_error (lcg : Lcg.t) array =
                | Overflow -> "overflowed")))
         on_error;
       None
-
-let size_of ?on_error lcg =
-  let sizes = Hashtbl.create 8 in
-  fun array ->
-    match Hashtbl.find_opt sizes array with
-    | Some s -> s
-    | None ->
-        let s = array_size ?on_error lcg array in
-        Hashtbl.add sizes array s;
-        s
 
 module Pairs = Hashtbl.Make (Int)
 
@@ -245,7 +235,6 @@ let redistribution_messages plan prev next size =
     ~enum:(fun () -> redistribution_messages_enum plan prev next size)
 
 let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
-  let array_size lcg a = array_size ?on_error lcg a in
   let events = ref [] in
   let n_phases = List.length lcg.prog.phases in
   List.iteri
@@ -261,7 +250,7 @@ let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
                 ~phase_idx:((k - 1 + n_phases) mod n_phases)
             with
             | Some prev when prev <> l && not (write_covers_epoch lcg l) -> (
-                match array_size lcg l.array with
+                match size ?on_error lcg l.array with
                 | None -> () (* size unevaluable: reported, events omitted *)
                 | Some size ->
                     let messages = redistribution_messages plan prev l size in
@@ -293,7 +282,7 @@ let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
         (fun array ->
           match Distribution.layout_for plan ~array ~phase_idx:k with
           | Some l when l.halo > 0 && List.length lcg.prog.phases > 1 -> (
-              match array_size lcg array with
+              match size ?on_error lcg array with
               | None -> ()
               | Some size ->
                   let messages = strip_messages plan l size in

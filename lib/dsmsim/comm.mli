@@ -39,23 +39,13 @@ type event =
 
 type schedule = event list
 
-val array_size : ?on_error:(string -> unit) -> Lcg.t -> string -> int option
-(** Concrete linearized size of an array under the LCG's environment.
-    Returns [None] (and reports through [on_error]) only for symbolic
-    evaluation failures - an unbound parameter, a non-integral size, or
-    arithmetic overflow - so callers skip that array's events
-    explicitly instead of doing layout math on a phantom size-0 array;
-    an undeclared array still raises. *)
-
-val size_of : ?on_error:(string -> unit) -> Lcg.t -> string -> int option
-(** [size_of lcg] memoizes {!array_size} per array, so each failure is
-    reported once - the [size_of] the ownership predicates ask. *)
-
 val generate : ?on_error:(string -> unit) -> Lcg.t -> Ilp.Distribution.plan -> schedule
 (** Events in program order; for a repeating program, events with
     [before_phase = 0] are the wrap-around boundary and apply from the
     second traversal on.  [on_error] receives a message for every array
-    whose size failed to evaluate (its events are omitted). *)
+    whose {!Locality.Lcg.size} fact does not evaluate - an unbound
+    parameter, a non-integral size, or arithmetic overflow - and its
+    events are omitted. *)
 
 val walk :
   rounds:int ->

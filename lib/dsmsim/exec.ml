@@ -57,7 +57,7 @@ type summary = {
    single-sided pipelined puts (t_put).  Integer arithmetic is
    overflow-checked, and sums of integers below 2^53 convert to exact
    floats, so both accountings report bit-for-bit the same times. *)
-let price_tally (m : Cost.machine) ~size_of ~h placements
+let price_tally (m : Cost.machine) lcg ~h placements
     (tallies : Distribution.tally array) =
   let ( + ) = L.Safe.add and ( * ) = L.Safe.mul in
   let local = ref 0 and remote = ref 0 and seq = ref 0 in
@@ -68,7 +68,7 @@ let price_tally (m : Cost.machine) ~size_of ~h placements
       let replicated =
         lazy
           (match layout with
-          | Some l -> Distribution.fully_replicated l ~size_of
+          | Some l -> Distribution.fully_replicated lcg l
           | None -> false)
       in
       let side ~read ~cost (c : Owncount.counts) =
@@ -103,7 +103,7 @@ let price_tally (m : Cost.machine) ~size_of ~h placements
    undistributed array is placed nowhere, so all its accesses are
    local. *)
 let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
-    ~size_of k ph =
+    k ph =
   let h = plan.h and chunk = plan.chunk.(k) in
   let placements =
     List.map
@@ -111,7 +111,7 @@ let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
         (d.name, Distribution.placement plan ~array:d.name ~phase_idx:k))
       lcg.prog.arrays
   in
-  let price = price_tally m ~size_of ~h placements in
+  let price = price_tally m lcg ~h placements in
   L.closed_or_enumerate ~stage:"exec"
     ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " accounting")
     ~symbolic:(fun () ->
@@ -163,13 +163,9 @@ let run ?(rounds = 1) ?on_error (lcg : Lcg.t) (plan : Distribution.plan)
   Symbolic.Metrics.with_timer exec_timer @@ fun () ->
   let sched = Comm.generate ?on_error lcg plan in
   let h = plan.h in
-  let size_of = Comm.size_of ?on_error lcg in
   (* The same accesses play out every round: summarize each phase once. *)
   let summaries =
-    Array.of_list
-      (List.mapi
-         (fun k ph -> summarize lcg plan m ~size_of k ph)
-         lcg.prog.phases)
+    Array.of_list (List.mapi (summarize lcg plan m) lcg.prog.phases)
   in
   let proc_compute = Array.make h 0.0 and proc_access = Array.make h 0.0 in
   let phases = ref [] and comms = ref [] in

@@ -73,6 +73,7 @@ let now () = Unix.gettimeofday ()
 (* -- the replica machine *)
 
 type machine = {
+  lcg : Lcg.t;
   plan : Distribution.plan;
   sched : Comm.schedule;
   compiled : Compile.t array;
@@ -88,13 +89,13 @@ let machine ?on_error ?sched (lcg : Lcg.t) (plan : Distribution.plan) =
   let sizes =
     List.map
       (fun (d : Ir.Types.array_decl) ->
-        match Comm.array_size ?on_error lcg d.name with
+        match Lcg.size lcg d.name with
         | Some s -> (d.name, s)
         | None ->
             raise (Unsupported ("size of " ^ d.name ^ " does not evaluate")))
       lcg.prog.arrays
   in
-  { plan; sched; compiled; sizes; shim = Shim.create ~h:plan.h sizes }
+  { lcg; plan; sched; compiled; sizes; shim = Shim.create ~h:plan.h sizes }
 
 type accessor = {
   me : int;
@@ -110,8 +111,7 @@ let accessor m ~me ~k array =
   match Distribution.placement m.plan ~array ~phase_idx:k with
   | None -> { me; own; wins; local = (fun _ -> true); owner = (fun _ -> me) }
   | Some l ->
-      let size_of a = List.assoc_opt a m.sizes in
-      let local = Distribution.read_is_local m.plan l ~size_of ~proc:me in
+      let local = Distribution.read_is_local m.lcg m.plan l ~proc:me in
       let o = Distribution.own_of ~h:m.plan.h l in
       { me; own; wins; local; owner = Symbolic.Lattice.Own.owner o }
 
@@ -170,6 +170,7 @@ type state = {
   stale : int array;
   stale_examples : (string * int * int) list ref array;
   worker_errors : string option array;
+  ready : Shim.Barrier.t;
   start : Shim.Barrier.t;
   fin : Shim.Barrier.t;
   sync : Shim.Barrier.t;
@@ -234,6 +235,7 @@ let run_share st ~me ~round ~k =
   c.busy <- c.busy +. (now () -. t0)
 
 let worker st p =
+  Shim.Barrier.await st.ready;
   let rec loop () =
     Shim.Barrier.await st.start;
     if st.worker_errors.(p) <> None then Shim.Barrier.await st.fin
@@ -336,6 +338,7 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
       stale = Array.make h 0;
       stale_examples = Array.init h (fun _ -> ref []);
       worker_errors = Array.make h None;
+      ready = Shim.Barrier.create h;
       start = Shim.Barrier.create h;
       fin = Shim.Barrier.create h;
       sync = Shim.Barrier.create h;
@@ -350,6 +353,9 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   let domains =
     List.init (h - 1) (fun i -> Domain.spawn (fun () -> worker st (i + 1)))
   in
+  (* the clock starts once every worker is up: domain start-up is not
+     part of the parallel run *)
+  Shim.Barrier.await st.ready;
   let t0 = now () in
   Comm.walk ~rounds ~sched:m.sched ~phases
     ~step:(fun ~round ~k _ ~incoming ~outgoing ->

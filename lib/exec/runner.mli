@@ -39,10 +39,12 @@ exception Unsupported of string
     and array, accessed through the same {!accessor}s. *)
 
 type machine = {
+  lcg : Lcg.t;
   plan : Distribution.plan;
   sched : Dsmsim.Comm.schedule;
   compiled : Codegen.Compile.t array;  (** one per phase *)
-  sizes : (string * int) list;  (** every declared array, in order *)
+  sizes : (string * int) list;
+      (** every declared array's {!Lcg.size} fact, in order *)
   shim : Shim.t;
 }
 
@@ -53,8 +55,7 @@ val machine :
   Distribution.plan ->
   machine
 (** [sched] defaults to {!Dsmsim.Comm.generate}; [on_error] receives
-    its and the array sizes' diagnostics.  @raise Unsupported as
-    {!execute}. *)
+    its diagnostics.  @raise Unsupported as {!execute}. *)
 
 type accessor
 (** Processor [me]'s view of one array in one phase: its replica, every

@@ -196,7 +196,7 @@ let exec_parity prog =
     let total =
       List.fold_left
         (fun acc (d : Ir.Types.array_decl) ->
-          acc + Option.value ~default:0 (Dsmsim.Comm.array_size t.lcg d.name))
+          acc + Option.value ~default:0 (Locality.Lcg.size t.lcg d.name))
         0 t.lcg.prog.arrays
     in
     if total > exec_budget_words then

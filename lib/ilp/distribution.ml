@@ -56,12 +56,9 @@ let own_chunks ~chunk ~h ~me ~lo ~hi f =
 
 let halo_window (l : layout) = min l.halo l.block
 
-let fully_replicated (l : layout) ~size_of =
+let fully_replicated lcg (l : layout) =
   l.halo > 0
-  && match size_of l.array with Some s -> l.halo >= s | None -> false
-
-let array_size (lcg : Lcg.t) array =
-  Result.value (Ir.Linearize.array_size lcg.env lcg.prog array) ~default:1
+  && match Lcg.size lcg l.array with Some s -> l.halo >= s | None -> false
 
 let own_of ~h (l : layout) : Lattice.Own.t =
   {
@@ -72,11 +69,11 @@ let own_of ~h (l : layout) : Lattice.Own.t =
     mirror = l.mirror;
   }
 
-let read_is_local plan (l : layout) ~size_of ~proc =
+let read_is_local lcg plan (l : layout) ~proc =
   let o = own_of ~h:plan.h l in
   let owned x = Lattice.Own.owner o x = proc in
   if l.halo = 0 then owned
-  else if fully_replicated l ~size_of then fun _ -> true
+  else if fully_replicated lcg l then fun _ -> true
   else
     let w = halo_window l in
     fun x -> owned x || owned (x - w) || owned (x + w)
@@ -341,7 +338,9 @@ let of_solution (lcg : Lcg.t) ~p : plan =
                 period = None; mirror = None; halo }
             in
             let fallback =
-              layout ~base:0 ~block:(max 1 (Lattice.cdiv (array_size lcg g.array) h))
+              (* an array whose size does not evaluate gets a block of 1 *)
+              let size = Option.value (Lcg.size lcg g.array) ~default:1 in
+              layout ~base:0 ~block:(max 1 (Lattice.cdiv size h))
             in
             match head.anchor with
             | None -> fallback
@@ -377,7 +376,7 @@ let of_solution (lcg : Lcg.t) ~p : plan =
                   let refit_halo (l : layout) =
                     if l.halo <= 0 then l
                     else
-                      let size = array_size lcg g.array in
+                      let size = Option.value (Lcg.size lcg g.array) ~default:1 in
                       if l.halo >= size then l
                       else
                         let stray =
@@ -431,7 +430,7 @@ let of_solution (lcg : Lcg.t) ~p : plan =
       (fun (l : layout) ->
         if l.halo <= 0 then l
         else begin
-          let size = array_size lcg l.array in
+          let size = Option.value (Lcg.size lcg l.array) ~default:1 in
           if l.halo >= size then
             if epoch_written lcg l then { l with halo = 0 }
             else l (* read-only replication always wins *)
@@ -494,7 +493,9 @@ let block_plan (lcg : Lcg.t) : plan =
           first_phase = 0;
           last_phase = n - 1;
           base = 0;
-          block = max 1 (Lattice.cdiv (array_size lcg decl.name) h);
+          block =
+            max 1
+              (Lattice.cdiv (Option.value (Lcg.size lcg decl.name) ~default:1) h);
           period = None;
           mirror = None;
           halo = 0;

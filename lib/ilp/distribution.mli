@@ -74,15 +74,14 @@ val own_chunks :
 val halo_window : layout -> int
 (** [min halo block]: ghost cells on each side of an owned block. *)
 
-val fully_replicated : layout -> size_of:(string -> int option) -> bool
-(** [halo >= size] (an unknown size never is). *)
+val fully_replicated : Locality.Lcg.t -> layout -> bool
+(** [halo >= size], the array's {!Locality.Lcg.size} fact (an unknown size
+    never is). *)
 
-val read_is_local :
-  plan -> layout -> size_of:(string -> int option) -> proc:int -> int -> bool
-(** [read_is_local plan l ~size_of ~proc addr]: owned, within
+val read_is_local : Locality.Lcg.t -> plan -> layout -> proc:int -> int -> bool
+(** [read_is_local lcg plan l ~proc addr]: owned, within
     {!halo_window} of an owned block, or {!fully_replicated}.  Applied
-    up to [~proc] it is specialised to the layout once (asking
-    [size_of] there, for a halo'd layout only). *)
+    up to [~proc] it is specialised to the layout once. *)
 
 (** {1 The per-processor tally}
 

@@ -16,38 +16,6 @@ and broken = Locality of string * int * int | Storage of Model.storage
    result flags it so the pipeline ships the BLOCK plan instead. *)
 let t_budget = 200_000
 
-(* Footprint (distinct addresses) of one phase's accesses to one array:
-   the word volume a C edge into that phase redistributes. *)
-let communication_words (lcg : Lcg.t) ~array ~phase_idx =
-  match
-    List.find_opt (fun (g : Lcg.graph) -> String.equal g.array array) lcg.graphs
-  with
-  | None -> 0
-  | Some g -> (
-      match Lcg.node_of_phase g ~phase_idx with
-      | None -> 0
-      | Some node -> (
-          let whole_array () =
-            Result.value
-              (Ir.Linearize.array_size lcg.env lcg.prog array)
-              ~default:0
-          in
-          let enum () =
-            try
-              Hashtbl.length
-                (Descriptor.Region.addresses lcg.env node.pd ~par:None)
-            with Descriptor.Region.Not_rectangular _ -> whole_array ()
-          in
-          Symbolic.Lattice.closed_or_enumerate ~stage:"solve-words"
-            ~reason:(fun () -> array ^ " region volume")
-            ~symbolic:(fun () ->
-              (* Setalg mirrors enumeration's Not_rectangular failures,
-                 so the whole-array degradation fires identically. *)
-              try Descriptor.Setalg.card lcg.env node.pd ~par:None
-              with Descriptor.Region.Not_rectangular _ ->
-                Some (whole_array ()))
-            ~enum))
-
 let pp_broken (model : Model.t) ppf = function
   | Storage s ->
       Format.fprintf ppf "storage-unmeetable: %a: %d > %d, p[%s] capped at 1"
@@ -467,7 +435,14 @@ let solve_with ~argmin (model : Model.t) (m : Cost.machine) : result =
   in
   let c_edge_cost (g : Lcg.graph) (e : Lcg.edge) =
     let dst = List.nth g.nodes e.dst in
-    let words = communication_words lcg ~array:g.array ~phase_idx:dst.phase_idx in
+    (* the destination's footprint: the word volume the edge
+       redistributes; a region that is not rectangular moves the whole
+       array *)
+    let words =
+      match Lcg.footprint lcg [ dst ] with
+      | Some w -> w
+      | None -> Option.value (Lcg.size lcg g.array) ~default:0
+    in
     match dst.sym.overlap with
     | Descriptor.Symmetry.No_overlap -> Cost.redistribution m ~words
     | _ -> Cost.redistribution m ~words +. Cost.frontier m ~words

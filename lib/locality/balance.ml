@@ -3,7 +3,7 @@ open Descriptor
 
 type side = { id : Id.t; primary : Id.row; gap : Expr.t; overlap : bool }
 
-let side ?overlap (id : Id.t) =
+let side ~overlap (id : Id.t) =
   let asm = id.ctx.assume in
   (* Rows need not be fully congruent (a stencil's ghost rows differ in
      extent after union), but they must advance with one parallel
@@ -37,11 +37,6 @@ let side ?overlap (id : Id.t) =
         (* h = delta_P - span - 1, clamped at 0 (interleaved regions). *)
         let raw =
           Expr.sub (Expr.sub r.par_stride r.span_seq) Expr.one
-        in
-        let overlap =
-          match overlap with
-          | Some o -> o
-          | None -> Symmetry.has_overlap id
         in
         match Probe.sign asm raw with
         | Some s when s >= 0 -> Some { id; primary = r; gap = raw; overlap }
@@ -90,8 +85,8 @@ let adjust (s : side) ~tau_min =
         };
     }
 
-let relation ?overlap_k ?overlap_g idk idg =
-  match (side ?overlap:overlap_k idk, side ?overlap:overlap_g idg) with
+let relation ~overlap_k ~overlap_g idk idg =
+  match (side ~overlap:overlap_k idk, side ~overlap:overlap_g idg) with
   | Some sk, Some sg ->
       let asm = idk.Id.ctx.assume in
       let tau_min =
@@ -163,7 +158,8 @@ let frame env id (sym : Symmetry.t) =
     try f () with Expr.Non_integral _ | Env.Unbound _ | Qnum.Overflow -> None
   in
   let stride s = guard (fun () -> Some (Env.eval env s.primary.par_stride)) in
-  match Option.map (fun s -> (s, stride s)) (side id) with
+  let overlap = sym.overlap <> Symmetry.No_overlap in
+  match Option.map (fun s -> (s, stride s)) (side ~overlap id) with
   | Some (s, Some dp) when dp > 0 ->
       let reach =
         Option.value ~default:0

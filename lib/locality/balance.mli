@@ -28,8 +28,9 @@ type side = {
           ghost-inflated, so UL+h uses the ownership boundary instead *)
 }
 
-val side : ?overlap:bool -> Id.t -> side option
-(** [None] when no increasing row exists, rows are not mutually
+val side : overlap:bool -> Id.t -> side option
+(** [overlap] is the ID's symmetry verdict ({!Symmetry.t} [overlap] is
+    not [No_overlap]).  [None] when no increasing row exists, rows are not mutually
     congruent, or the gap is undecidable - the caller then treats the
     edge conservatively (C). *)
 
@@ -43,7 +44,7 @@ type relation = {
 }
 
 val relation :
-  ?overlap_k:bool -> ?overlap_g:bool -> Id.t -> Id.t -> relation option
+  overlap_k:bool -> overlap_g:bool -> Id.t -> Id.t -> relation option
 (** The balanced equation between two phases' IDs of the same array. *)
 
 type solution = {

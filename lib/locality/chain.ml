@@ -1,4 +1,3 @@
-open Symbolic
 open Descriptor
 
 type member = { name : string; phase_idx : int; region_size : int }
@@ -12,66 +11,21 @@ type summary = {
   covers_alike : bool;
 }
 
-(* Member and union sizes by enumeration: the oracle path.  A
-   non-rectangular member contributes nothing (size 0, no addresses in
-   the union), which the symbolic path mirrors. *)
-let sizes_enum (lcg : Lcg.t) (nodes : Lcg.node list) =
-  let union = Hashtbl.create 256 in
+(* Member and union sizes: a member whose region is not rectangular is
+   size 0 and adds no addresses to the union. *)
+let sizes (lcg : Lcg.t) (nodes : Lcg.node list) =
+  let sized = List.map (fun n -> (n, Lcg.footprint lcg [ n ])) nodes in
   let members =
     List.map
-      (fun (n : Lcg.node) ->
-        let size =
-          try
-            let tbl = Region.addresses lcg.env n.pd ~par:None in
-            Hashtbl.iter (fun a () -> Hashtbl.replace union a ()) tbl;
-            Hashtbl.length tbl
-          with Region.Not_rectangular _ -> 0
-        in
-        { name = n.name; phase_idx = n.phase_idx; region_size = size })
-      nodes
+      (fun ((n : Lcg.node), size) ->
+        { name = n.name; phase_idx = n.phase_idx;
+          region_size = Option.value size ~default:0 })
+      sized
   in
-  (members, Hashtbl.length union)
-
-exception Chain_fallback of string
-
-(* Closed-form member cardinalities and chain-union volume.  A member
-   that raises [Not_rectangular] is size 0 and contributes no boxes,
-   exactly like the enumerating path above.
-   @raise Chain_fallback naming what left the closed form. *)
-let sizes_symbolic (lcg : Lcg.t) (nodes : Lcg.node list) =
-  let all_boxes = ref [] in
-  let members =
-    List.map
-      (fun (n : Lcg.node) ->
-        let size =
-          match Setalg.boxes lcg.env n.pd ~par:None with
-          | bs -> (
-              all_boxes := bs @ !all_boxes;
-              match Lattice.union_card bs with
-              | Some c -> c
-              | None ->
-                  raise (Chain_fallback (n.name ^ " member volume")))
-          | exception Region.Not_rectangular _ -> 0
-          | exception Lattice.Overflow ->
-              raise (Chain_fallback (n.name ^ " address overflow"))
-        in
-        { name = n.name; phase_idx = n.phase_idx; region_size = size })
-      nodes
+  let rectangular =
+    List.filter_map (fun (n, s) -> Option.map (fun _ -> n) s) sized
   in
-  match Lattice.union_card !all_boxes with
-  | Some c -> (members, c)
-  | None -> raise (Chain_fallback "chain union volume")
-
-let sizes (lcg : Lcg.t) nodes =
-  let why = ref "" in
-  Lattice.closed_or_enumerate ~stage:"chain"
-    ~reason:(fun () -> !why)
-    ~symbolic:(fun () ->
-      try Some (sizes_symbolic lcg nodes)
-      with Chain_fallback reason ->
-        why := reason;
-        None)
-    ~enum:(fun () -> sizes_enum lcg nodes)
+  (members, Option.value (Lcg.footprint lcg rectangular) ~default:0)
 
 let summaries (lcg : Lcg.t) : summary list =
   List.concat_map

@@ -14,7 +14,9 @@ open Descriptor
 type member = {
   name : string;
   phase_idx : int;
-  region_size : int;  (** distinct addresses the phase touches *)
+  region_size : int;
+      (** distinct addresses the phase touches ({!Lcg.footprint}); 0
+          when its region is not rectangular *)
 }
 
 type summary = {

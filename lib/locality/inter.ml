@@ -13,8 +13,8 @@ type input = {
   attr_g : attr;
   id_k : Id.t;
   id_g : Id.t;
-  sym_k : Symmetry.t option;
-  sym_g : Symmetry.t option;
+  sym_k : Symmetry.t;
+  sym_g : Symmetry.t;
   nk : int;
   ng : int;
 }
@@ -26,26 +26,19 @@ type result = {
 }
 
 let label ~env ~h (inp : input) : result =
-  let sym_k =
-    match inp.sym_k with Some s -> s | None -> Symmetry.analyze inp.id_k
-  in
-  let any_k = sym_k.overlap <> Symmetry.No_overlap in
-  let any_g =
-    match inp.sym_g with
-    | Some s -> s.overlap <> Symmetry.No_overlap
-    | None -> Symmetry.has_overlap inp.id_g
-  in
+  let any (s : Symmetry.t) = s.overlap <> Symmetry.No_overlap in
   (* Table 1's overlap column concerns replicated cells that phase F_k
      WRITES (those force frontier flushes); read-only sharing is served
      by ghost replication. *)
-  let overlap = sym_k.write_overlap in
+  let overlap = inp.sym_k.write_overlap in
   let relation =
-    Balance.relation ~overlap_k:any_k ~overlap_g:any_g inp.id_k inp.id_g
+    Balance.relation ~overlap_k:(any inp.sym_k) ~overlap_g:(any inp.sym_g)
+      inp.id_k inp.id_g
   in
   let solution =
     Option.bind relation (Balance.solve ~env ~h ~nk:inp.nk ~ng:inp.ng)
   in
-  let intra_k = (Intra.check ~sym:sym_k ~attr:inp.attr_k inp.id_k).local in
+  let intra_k = (Intra.check ~sym:inp.sym_k ~attr:inp.attr_k).local in
   let balanced = solution <> None && intra_k in
   let label = derive inp.attr_k inp.attr_g ~overlap ~balanced in
   {

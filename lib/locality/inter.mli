@@ -26,8 +26,8 @@ type input = {
   attr_g : Ir.Liveness.attr;
   id_k : Id.t;
   id_g : Id.t;
-  sym_k : Symmetry.t option;  (** precomputed symmetry, else re-derived *)
-  sym_g : Symmetry.t option;
+  sym_k : Symmetry.t;  (** the endpoints' storage symmetry *)
+  sym_g : Symmetry.t;
   nk : int;  (** parallel trip count of F_k under the environment *)
   ng : int;
 }

@@ -4,13 +4,10 @@ type case = Privatizable | No_overlap | Overlap_read_only | Fails
 
 type verdict = { local : bool; case : case }
 
-let check ?sym ~attr (id : Id.t) =
+let check ~(sym : Symmetry.t) ~attr =
   match attr with
   | Ir.Liveness.P -> { local = true; case = Privatizable }
   | _ ->
-      let sym =
-        match sym with Some s -> s | None -> Symmetry.analyze id
-      in
       if sym.overlap = Symmetry.No_overlap then
         { local = true; case = No_overlap }
       else if not sym.write_overlap then

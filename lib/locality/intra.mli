@@ -19,5 +19,7 @@ type case = Privatizable | No_overlap | Overlap_read_only | Fails
 
 type verdict = { local : bool; case : case }
 
-val check : ?sym:Symmetry.t -> attr:Ir.Liveness.attr -> Id.t -> verdict
+val check : sym:Symmetry.t -> attr:Ir.Liveness.attr -> verdict
+(** [sym] is the phase ID's storage symmetry ({!Symmetry.analyze}). *)
+
 val case_to_string : case -> string

@@ -29,7 +29,22 @@ type edge = {
 
 type graph = { array : string; nodes : node list; edges : edge list }
 
-type t = { prog : Types.program; env : Env.t; h : int; graphs : graph list }
+type t = {
+  prog : Types.program;
+  env : Env.t;
+  h : int;
+  graphs : graph list;
+  sizes : (string * (int, Linearize.size_failure) result) list;
+}
+
+let sizes_at (prog : Types.program) env =
+  List.map
+    (fun (d : Types.array_decl) -> (d.name, Linearize.array_size env prog d.name))
+    prog.arrays
+
+let empty prog ~env ~h = { prog; env; h; graphs = []; sizes = sizes_at prog env }
+
+let size (t : t) array = Result.to_option (List.assoc array t.sizes)
 
 (* Total abstract work of a phase under the environment: closed form
    from the phase's event shapes, enumerated only as the oracle (or as
@@ -62,15 +77,20 @@ let iteration_bounds env ~name pd par =
       Hashtbl.fold (fun a () (lo, hi) -> (min lo a, max hi a)) tbl
         (max_int, min_int))
 
+(* [None] when the region is empty or does not evaluate. *)
+let bounds_at env ~name pd ~par =
+  try
+    let b = iteration_bounds env ~name pd par in
+    if fst b = max_int then None else Some b
+  with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> None
+
 let halo env ~name pd (sym : Symmetry.t) =
   match sym.overlap with
   | Symmetry.No_overlap -> 0
   | Symmetry.Overlap _ | Symmetry.Overlap_unknown -> (
-      try
-        let _, ul0 = iteration_bounds env ~name pd 0
-        and lb1, _ = iteration_bounds env ~name pd 1 in
-        if ul0 = min_int || lb1 = max_int then 0 else max 0 (ul0 - lb1 + 1)
-      with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> 0)
+      match (bounds_at env ~name pd ~par:0, bounds_at env ~name pd ~par:1) with
+      | Some (_, ul0), Some (lb1, _) -> max 0 (ul0 - lb1 + 1)
+      | _ -> 0)
 
 let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"
@@ -108,7 +128,7 @@ let build (prog : Types.program) ~env ~h : t =
                        pd;
                        id;
                        sym;
-                       intra = Intra.check ~sym ~attr id;
+                       intra = Intra.check ~sym ~attr;
                        par_n =
                          (try Env.eval env (Phase.par_count ctx)
                           with Expr.Non_integral _ | Env.Unbound _ -> 1);
@@ -135,8 +155,8 @@ let build (prog : Types.program) ~env ~h : t =
                 attr_g = ng.attr;
                 id_k = nk.id;
                 id_g = ng.id;
-                sym_k = Some nk.sym;
-                sym_g = Some ng.sym;
+                sym_k = nk.sym;
+                sym_g = ng.sym;
                 nk = nk.par_n;
                 ng = ng.par_n;
               }
@@ -165,7 +185,7 @@ let build (prog : Types.program) ~env ~h : t =
         { array; nodes; edges })
       prog.arrays
   in
-  { prog; env; h; graphs }
+  { prog; env; h; graphs; sizes = sizes_at prog env }
 
 let chains (g : graph) =
   let n = List.length g.nodes in
@@ -212,10 +232,39 @@ let pp ppf (t : t) =
   Format.fprintf ppf "@]"
 
 let region_bounds (t : t) (node : node) ~par =
+  bounds_at t.env ~name:node.name node.pd ~par
+
+(* Distinct addresses in the union of the nodes' whole-phase regions.
+   A region that does not evaluate answers [None] on both paths (Setalg
+   raises [Not_rectangular] where Region does); an address past native
+   range or a union outside the fragment falls back to enumeration. *)
+let footprint (t : t) (nodes : node list) =
   try
-    let b = iteration_bounds t.env ~name:node.name node.pd par in
-    if fst b = max_int then None else Some b
-  with Region.Not_rectangular _ | Expr.Non_integral _ | Env.Unbound _ -> None
+    Some
+      (Lattice.closed_or_enumerate ~stage:"footprint"
+         ~reason:(fun () ->
+           (match nodes with n :: _ -> n.pd.Pd.array ^ " " | [] -> "")
+           ^ "footprint of "
+           ^ String.concat "," (List.map (fun n -> n.name) nodes))
+         ~symbolic:(fun () ->
+           match
+             List.concat_map (fun n -> Setalg.boxes t.env n.pd ~par:None) nodes
+           with
+           | boxes -> Lattice.union_card boxes
+           | exception Lattice.Overflow -> None)
+         ~enum:(fun () ->
+           match nodes with
+           | [ n ] -> Hashtbl.length (Region.addresses t.env n.pd ~par:None)
+           | _ ->
+               let union = Hashtbl.create 256 in
+               List.iter
+                 (fun n ->
+                   Hashtbl.iter
+                     (fun a () -> Hashtbl.replace union a ())
+                     (Region.addresses t.env n.pd ~par:None))
+                 nodes;
+               Hashtbl.length union))
+  with Region.Not_rectangular _ -> None
 
 let to_dot (t : t) =
   let buf = Buffer.create 1024 in

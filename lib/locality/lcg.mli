@@ -55,11 +55,28 @@ type t = {
   env : Env.t;
   h : int;
   graphs : graph list;
+  sizes : (string * (int, Ir.Linearize.size_failure) result) list;
+      (** every declared array's linearized size at [env], in
+          declaration order, evaluated once here; read through {!size}
+          by the solve, the plan, the simulator, the communication
+          schedule, the executor and the fuzz battery.  Each reader
+          keeps its own answer to a size that does not evaluate:
+          [Dsmsim.Comm] reports it and omits the array's events, the
+          executor refuses the program, the plan uses a block of 1, and
+          the solve, which prices a non-rectangular node as the whole
+          array, prices it at 0 words. *)
 }
 
 val build : Ir.Types.program -> env:Env.t -> h:int -> t
 (** Runs the whole front half of the paper: descriptors, simplification,
     IDs, symmetry, attributes, intra- and inter-phase analysis. *)
+
+val empty : Ir.Types.program -> env:Env.t -> h:int -> t
+(** No graphs, but the sizes at [env]: the LCG-FAIL fallback. *)
+
+val size : t -> string -> int option
+(** The array's size fact; [None] when it does not evaluate.
+    @raise Not_found on an undeclared array. *)
 
 val chains : graph -> int list list
 (** Node positions grouped into chains: D and C edges both break the
@@ -72,7 +89,18 @@ val pp : Format.formatter -> t -> unit
 
 val region_bounds : t -> node -> par:int -> (int * int) option
 (** Concrete [lo, hi] of the node's ID region at one parallel
-    iteration; [None] when the descriptor is not rectangular. *)
+    iteration; [None] when it is empty or the descriptor is not
+    rectangular.  [halo] is read off the same bounds. *)
+
+val footprint : t -> node list -> int option
+(** Distinct addresses in the union of the nodes' whole-phase regions
+    at [env]: closed form over [Setalg], enumerated twin over [Region],
+    one fallback stage ("footprint").  [None] when some node's region
+    is not rectangular.  The solve reads a C edge's words off the
+    destination node ([None]: the whole array), the chain report each
+    member's size and the union of its rectangular members ([None]: 0).
+    The only caller of [Setalg] and [Region] outside the descriptor
+    layer is this module. *)
 
 val to_dot : t -> string
 (** Graphviz rendering: one cluster per array, nodes annotated with the

@@ -129,7 +129,8 @@ let test_fig4_ids () =
 let test_fig8_bounds () =
   Probe.with_seed 11 (fun () ->
       let side =
-        match Locality.Balance.side (Id.of_pd (x_pd_final ())) with
+        let id = Id.of_pd (x_pd_final ()) in
+        match Locality.Balance.side ~overlap:(Symmetry.has_overlap id) id with
         | Some s -> s
         | None -> Alcotest.fail "no balanced-locality side"
       in
@@ -307,7 +308,9 @@ let test_offset_adjust () =
          adjusted, the two sides compare aligned (unadjusted, the
          relation would read 4 * p_k = 4 * p_g + -12). *)
       match
-        Locality.Balance.relation (Id.of_pd (pd_of "A1")) (Id.of_pd (pd_of "A2"))
+        let k = Id.of_pd (pd_of "A1") and g = Id.of_pd (pd_of "A2") in
+        Locality.Balance.relation ~overlap_k:(Symmetry.has_overlap k)
+          ~overlap_g:(Symmetry.has_overlap g) k g
       with
       | Some r ->
           Alcotest.(check string) "relation" "4 * p_k = 4 * p_g"

@@ -273,11 +273,11 @@ let test_dataflow_catches_missing_comm () =
 (* ------------------------------------------------------------------ *)
 (* Communication generation *)
 
-(* Regression: [Comm.array_size] used to swallow evaluation failures
-   and return 0, so an array whose declared size cannot be evaluated
-   produced size-0 strips and nonsense messages.  It now returns
-   [None] and [generate] omits that array's events (reporting through
-   [on_error]) while still scheduling every healthy array. *)
+(* Regression: an array size that failed to evaluate used to read 0,
+   so an array whose declared size cannot be evaluated produced size-0
+   strips and nonsense messages.  The LCG's size fact is now [None] and
+   [generate] omits that array's events (reporting through [on_error])
+   while still scheduling every healthy array. *)
 let test_comm_unevaluable_size () =
   Probe.with_seed 77 (fun () ->
       let open Ir.Build in
@@ -325,10 +325,10 @@ let test_comm_unevaluable_size () =
       let t = Core.Pipeline.run prog ~env ~h:4 in
       Alcotest.(check (option int))
         "A size evaluates" (Some 64)
-        (Comm.array_size t.lcg "A");
+        (Locality.Lcg.size t.lcg "A");
       Alcotest.(check (option int))
         "B size unevaluable" None
-        (Comm.array_size t.lcg "B");
+        (Locality.Lcg.size t.lcg "B");
       let errors = ref [] in
       let sched =
         Comm.generate ~on_error:(fun m -> errors := m :: !errors) t.lcg t.plan
@@ -343,10 +343,9 @@ let test_comm_unevaluable_size () =
       Alcotest.(check bool) "A still scheduled" true
         (List.mem "A" arrays_in_sched);
       Alcotest.(check bool) "B omitted" false (List.mem "B" arrays_in_sched);
-      Alcotest.(check bool) "omission reported" true
-        (List.exists
-           (fun m -> String.length m >= 7 && String.sub m 0 7 = "array B")
-           !errors);
+      Alcotest.(check (list string)) "omission reported"
+        [ "array B: size has unbound parameter M; omitting its messages" ]
+        (List.sort_uniq compare !errors);
       (* no message of any surviving event may be empty: the size-0
          strips of the old behaviour are gone *)
       List.iter
@@ -607,10 +606,9 @@ let fallback_bounds =
   [
     ("comm", 2, 3);
     ("liveness", 118, 61);
-    ("solve-words", 206, 97);
+    ("footprint", 206, 97);
     ("lcg-work", 0, 0);
     ("lcg", 0, 0);
-    ("chain", 0, 0);
     ("distribution", 0, 0);
     ("exec", 0, 0);
     ("lint-bounds", 0, 0);

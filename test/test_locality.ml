@@ -42,7 +42,8 @@ let test_intra_cases () =
           ]
       in
       let check name attr expect_local expect_case =
-        let verdict = Intra.check ~attr (id_of prog name "A") in
+        let sym = Symmetry.analyze (id_of prog name "A") in
+        let verdict = Intra.check ~sym ~attr in
         Alcotest.(check bool) (name ^ " local") expect_local verdict.local;
         Alcotest.(check string)
           (name ^ " case") expect_case
@@ -369,6 +370,81 @@ let test_lcg_closed_form () =
         [ 8; 10; 12 ])
     [ ("tfft2", [ 0; 0; 0 ]); ("matmul", [ 0; 3; 882 ]) ]
 
+(* One fact, every reader: each array's size and each region footprint
+   is evaluated once, in the LCG, and every reader reads it there.  The
+   size fact must be [Linearize.array_size] at the LCG's environment,
+   and the footprint (closed form, and its enumerated twin) the
+   distinct addresses the Region oracle enumerates, for every node
+   alone and for every chain's rectangular members together. *)
+let test_one_fact () =
+  let oracle env (nodes : Lcg.node list) =
+    match
+      List.map (fun (n : Lcg.node) -> Region.addresses env n.pd ~par:None) nodes
+    with
+    | tables ->
+        let union = Hashtbl.create 256 in
+        List.iter (Hashtbl.iter (fun a () -> Hashtbl.replace union a ())) tables;
+        Some (Hashtbl.length union)
+    | exception Region.Not_rectangular _ -> None
+  in
+  let in_mode mode f =
+    let cell = Lattice.mode_cell () in
+    let saved = !cell in
+    Fun.protect ~finally:(fun () -> cell := saved) (fun () -> cell := mode; f ())
+  in
+  let check what prog env h =
+    let lcg = Lcg.build prog ~env ~h in
+    List.iter
+      (fun (d : Types.array_decl) ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s: size of %s" what d.name)
+          (Result.to_option (Linearize.array_size env prog d.name))
+          (Lcg.size lcg d.name))
+      prog.Types.arrays;
+    List.iter
+      (fun (g : Lcg.graph) ->
+        let sets =
+          List.map (fun (n : Lcg.node) -> [ n ]) g.nodes
+          @ List.map
+              (fun chain ->
+                List.filter
+                  (fun n -> oracle env [ n ] <> None)
+                  (List.map (List.nth g.nodes) chain))
+              (Lcg.chains g)
+        in
+        List.iter
+          (fun nodes ->
+            let want = oracle env nodes in
+            let name =
+              Printf.sprintf "%s: %s footprint of %s" what g.array
+                (String.concat "," (List.map (fun (n : Lcg.node) -> n.name) nodes))
+            in
+            Alcotest.(check (option int)) (name ^ " (closed form)") want
+              (in_mode Lattice.Auto (fun () -> Lcg.footprint lcg nodes));
+            Alcotest.(check (option int)) (name ^ " (enumerated)") want
+              (in_mode Lattice.Enumerated_only (fun () -> Lcg.footprint lcg nodes)))
+          sets)
+      lcg.graphs
+  in
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      List.iter
+        (fun h ->
+          Probe.with_seed 41 (fun () ->
+              check (Printf.sprintf "%s H=%d" e.name h) e.program
+                (e.env_of_size e.default_size) h))
+        [ 4; 16; 64 ])
+    Codes.Registry.all;
+  List.iter
+    (fun (profile, label, count, h) ->
+      for index = 0 to count - 1 do
+        let prog = Fuzz.Gen.program profile ~seed:2026 ~index in
+        Probe.with_seed 2026 (fun () ->
+            check (Printf.sprintf "%s#%d" label index) prog
+              (Fuzz.Gen.midpoint_env prog) h)
+      done)
+    [ (Fuzz.Gen.deep, "deep", 12, 16); (Fuzz.Gen.default, "default", 40, 4) ]
+
 let () =
   Alcotest.run "locality"
     [
@@ -398,5 +474,6 @@ let () =
             test_stability_envs_deterministic;
           Alcotest.test_case "tfft2 and matmul without enumeration" `Quick
             test_lcg_closed_form;
+          Alcotest.test_case "one fact, every reader" `Quick test_one_fact;
         ] );
     ]

@@ -31,7 +31,6 @@ let reference ?(rounds = 1) ~sched (lcg : Lcg.t) (plan : Distribution.plan) :
   let set_held proc (a, x) v = Hashtbl.replace held (proc, a, x) v in
   let reads = ref 0 and stale = ref 0 and examples = ref [] in
   let counter = ref 0 in
-  let size_of = Comm.size_of lcg in
   let deliver = function
     | Comm.Redistribute { array; messages; _ }
     | Comm.Frontier { array; messages; _ } ->
@@ -76,8 +75,7 @@ let reference ?(rounds = 1) ~sched (lcg : Lcg.t) (plan : Distribution.plan) :
                   match layout with
                   | Some l
                     when not
-                           (Distribution.read_is_local plan l ~size_of ~proc
-                              addr) ->
+                           (Distribution.read_is_local lcg plan l ~proc addr) ->
                       owner
                   | _ -> proc
                 in
