@@ -24,6 +24,11 @@ type schedule = event list
    [None] makes explicit so [generate] skips the array's events instead
    of doing layout math on a phantom size-0 array.  An undeclared array
    is an internal invariant violation and keeps crashing ([Not_found]). *)
+let size_failure : Ir.Linearize.size_failure -> string = function
+  | Unbound v -> "has unbound parameter " ^ v
+  | Non_integral e -> "is non-integral (" ^ e ^ ")"
+  | Overflow -> "overflowed"
+
 let size ?on_error (lcg : Lcg.t) array =
   match List.assoc array lcg.sizes with
   | Ok n -> Some n
@@ -31,11 +36,7 @@ let size ?on_error (lcg : Lcg.t) array =
       Option.iter
         (fun report ->
           report
-            (Printf.sprintf "array %s: size %s; omitting its messages" array
-               (match why with
-               | Unbound v -> "has unbound parameter " ^ v
-               | Non_integral e -> "is non-integral (" ^ e ^ ")"
-               | Overflow -> "overflowed")))
+            (Printf.sprintf "array %s: size %s; omitting its messages" array (size_failure why)))
         on_error;
       None
 

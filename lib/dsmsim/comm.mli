@@ -47,6 +47,10 @@ val generate : ?on_error:(string -> unit) -> Lcg.t -> Ilp.Distribution.plan -> s
     parameter, a non-integral size, or arithmetic overflow - and its
     events are omitted. *)
 
+val size_failure : Ir.Linearize.size_failure -> string
+(** Why a size does not evaluate, as the diagnostics word it: ["has
+    unbound parameter M"]. *)
+
 val walk :
   rounds:int ->
   sched:schedule ->

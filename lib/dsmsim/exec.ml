@@ -56,8 +56,11 @@ type summary = {
    remote reads pay the full round trip (t_remote), remote writes are
    single-sided pipelined puts (t_put).  Integer arithmetic is
    overflow-checked, and sums of integers below 2^53 convert to exact
-   floats, so both accountings report bit-for-bit the same times. *)
-let price_tally (m : Cost.machine) lcg ~h placements
+   floats, so both accountings report bit-for-bit the same times.  A
+   halo'd array whose size does not evaluate cannot be shown fully
+   replicated: its reads are priced as not replicated, and [unsized]
+   is told why. *)
+let price_tally (m : Cost.machine) (lcg : Lcg.t) ~unsized ~h placements
     (tallies : Distribution.tally array) =
   let ( + ) = L.Safe.add and ( * ) = L.Safe.mul in
   let local = ref 0 and remote = ref 0 and seq = ref 0 in
@@ -68,7 +71,10 @@ let price_tally (m : Cost.machine) lcg ~h placements
       let replicated =
         lazy
           (match layout with
-          | Some l -> Distribution.fully_replicated lcg l
+          | Some (l : Distribution.layout) ->
+              (if l.halo > 0 then
+                 match List.assoc l.array lcg.sizes with Error why -> unsized l.array why | Ok _ -> ());
+              Distribution.fully_replicated lcg l
           | None -> false)
       in
       let side ~read ~cost (c : Owncount.counts) =
@@ -102,7 +108,7 @@ let price_tally (m : Cost.machine) lcg ~h placements
 (* One tally per phase over every declared array; a privatized or
    undistributed array is placed nowhere, so all its accesses are
    local. *)
-let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
+let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine) ~unsized
     k ph =
   let h = plan.h and chunk = plan.chunk.(k) in
   let placements =
@@ -111,7 +117,7 @@ let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
         (d.name, Distribution.placement plan ~array:d.name ~phase_idx:k))
       lcg.prog.arrays
   in
-  let price = price_tally m lcg ~h placements in
+  let price = price_tally m lcg ~unsized ~h placements in
   L.closed_or_enumerate ~stage:"exec"
     ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " accounting")
     ~symbolic:(fun () ->
@@ -163,9 +169,22 @@ let run ?(rounds = 1) ?on_error (lcg : Lcg.t) (plan : Distribution.plan)
   Symbolic.Metrics.with_timer exec_timer @@ fun () ->
   let sched = Comm.generate ?on_error lcg plan in
   let h = plan.h in
+  (* Reported once per array, whichever phases read it. *)
+  let told = Hashtbl.create 4 in
+  let unsized array why =
+    if not (Hashtbl.mem told array) then begin
+      Hashtbl.add told array ();
+      Option.iter
+        (fun report ->
+          report
+            (Printf.sprintf "array %s: size %s; its reads were priced as not replicated" array
+               (Comm.size_failure why)))
+        on_error
+    end
+  in
   (* The same accesses play out every round: summarize each phase once. *)
   let summaries =
-    Array.of_list (List.mapi (summarize lcg plan m) lcg.prog.phases)
+    Array.of_list (List.mapi (summarize lcg plan m ~unsized) lcg.prog.phases)
   in
   let proc_compute = Array.make h 0.0 and proc_access = Array.make h 0.0 in
   let phases = ref [] and comms = ref [] in

@@ -65,7 +65,10 @@ val run :
     times - the steady state of a repeating (timestep) program,
     including the wrap-around layout boundary between the last and
     first phases.  [on_error] receives schedule-generation diagnostics
-    (see {!Comm.generate}).  The schedule is delivered as generated:
+    (see {!Comm.generate}), and one message per halo'd array whose size
+    does not evaluate: such an array cannot be shown fully replicated,
+    so its reads are priced as not replicated.  The schedule is
+    delivered as generated:
     the modelled machine's single-sided [put]s do not drop. *)
 
 val pp : Format.formatter -> run -> unit

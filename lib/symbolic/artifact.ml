@@ -32,7 +32,11 @@ module Key = struct
   let list l = L (List.fold_left (fun h k -> mix h (hash k)) 11 l, l)
   let opt f = function None -> I 0 | Some x -> list [ f x ]
 
+  (* A key kept by its owner (an assumption set's) is found by its
+     physical self. *)
   let rec equal a b =
+    a == b
+    ||
     match (a, b) with
     | I a, I b -> Int.equal a b
     | S a, S b -> String.equal a b
@@ -49,12 +53,12 @@ end
 
 module KT = Hashtbl.Make (Key)
 
-(* Every store's bound.  The largest store measured (probe.memo in one
-   fuzz program's battery) peaks at 1,353 entries; the runs that analyse
-   many programs without a clear (sweep, lint --all, the reproduction
-   harness) stay below 600 in every store.  DESIGN.md section 14.3 has
-   the numbers.  A store that reaches the bound is dropped wholesale
-   and refills. *)
+(* Every store's bound.  The largest store measured (the former
+   probe.memo, in one fuzz program's battery) peaked at 1,353 entries;
+   the runs that analyse many programs without a clear (sweep, lint
+   --all, the reproduction harness) stay below 600 in every store.
+   DESIGN.md section 14.3 has the numbers.  A store that reaches the
+   bound is dropped wholesale and refills. *)
 let max_entries = 4_096
 
 (* A store is the calling domain's table and its hit/miss counts. *)

@@ -26,17 +26,26 @@ val domain_of : t -> string -> domain option
 
 val key : t -> Artifact.Key.t
 (** Stable {!Artifact} cache key covering the whole declaration list
-    (order-sensitive, like sampling). *)
+    (order-sensitive, like sampling), built once with the set. *)
 
 val set_domain : t -> string -> domain -> t
 (** Replace a variable's domain in place (preserving order); appends
     when absent. *)
 
+val sampler : t -> Random.State.t -> int array
+(** [sampler t] compiles every [Expr_range] bound and [Pow2_of] slot of
+    [t] once; each application draws one complete assignment
+    consistent with every domain, in declaration order, as a row whose
+    slot [k] is the [k]-th declaration's value (the names are {!vars}).
+    Empty [Expr_range] intervals (hi < lo) clamp to the lower bound,
+    which matches a zero-trip loop's index staying at its initial
+    value.  An [Expr_range]'s upper bound is evaluated before its lower
+    bound; a bound that does not evaluate raises what {!Env.eval}
+    raises, and each bound evaluation counts in [env.eval_uncached]. *)
+
 val sample : ?state:Random.State.t -> t -> Env.t
-(** Draw one complete assignment consistent with every domain, in
-    declaration order.  Empty [Expr_range] intervals (hi < lo) clamp to
-    the lower bound, which matches a zero-trip loop's index staying at
-    its initial value. *)
+(** One draw of {!sampler}, as an ephemeral environment (the last
+    declaration of a repeated name wins). *)
 
 val range_in_env : t -> Env.t -> string -> (int * int) option
 (** Concrete inclusive range of one variable once every earlier variable

@@ -11,6 +11,15 @@
     an unsound L label), so probing cannot compromise soundness of the
     locality claims - only precision.
 
+    Each assumption set's samples are drawn once per probe seed, by its
+    compiled {!Assume.sampler}, into a bank of [int] rows; each operand
+    is evaluated once per bank into a column of its values on those
+    rows.  A predicate is a loop over its operands' columns: the answer
+    is the one a loop evaluating the operands row by row would give,
+    exceptions included (DESIGN.md section 16.4).  Queries the samples
+    decide count in [probe.forall], and those they answer [true] in
+    [probe.affirmed]; column lookups are the [probe.column] cache cell.
+
     All functions answer [false] (or [None]) if evaluation fails at any
     sample (unbound variable, fractional [Pow2] exponent). *)
 
@@ -54,17 +63,15 @@ val constant_in : Assume.t -> string -> Expr.t -> bool
 (** Whether the value is independent of variable [v]: evaluates the
     expression at multiple values of [v] with everything else fixed. *)
 
-(** {1 Row loops}
+(** {1 Loops for {!Range}}
 
-    The loops behind the predicates, for {!Range}: neither counts in
-    [probe.forall].  Each builds its per-row test once, then runs it on
-    the first [samples] rows of the assumption set's bank, answering
-    [false] if the test fails on some row or an evaluation error is
-    raised, as the predicates do. *)
+    Neither counts in [probe.forall]. *)
 
-val rows : Assume.t -> (string array -> int array -> bool) -> bool
-(** [rows asm test]: [test names] is the per-row test, where a row's
-    slot [j] binds [names.(j)] (evaluate with {!Env.compile}). *)
+val ordered : Assume.t -> (int -> bool) -> Expr.t -> Expr.t -> bool
+(** [ordered asm ok a b]: [ok (Qnum.compare a b)] on every sample, [b]
+    evaluated before [a] on each; [false] if an evaluation error is
+    raised, as the predicates answer ({!lt} is [ordered asm (fun c -> c
+    < 0)]). *)
 
 val along : Assume.t -> string -> Expr.t -> (int -> int -> (int -> Qnum.t) -> bool) -> bool
 (** [along asm v e test]: on each row, [test lo hi at] with [v]'s

@@ -82,13 +82,8 @@ let eliminate_raw asm dir ~over e =
   match result with
   | None -> None
   | Some bound ->
-      let cmp a b = match dir with Max -> Qnum.compare a b >= 0 | Min -> Qnum.compare a b <= 0 in
-      let valid =
-        Probe.rows asm (fun names ->
-            let bound = Env.compile names bound and e = Env.compile names e in
-            fun r -> cmp (bound r) (e r))
-      in
-      if valid then Some bound else None
+      let ok = match dir with Max -> fun c -> c >= 0 | Min -> fun c -> c <= 0 in
+      if Probe.ordered asm ok bound e then Some bound else None
 
 let eliminate asm dir ~over e =
   let key =

@@ -356,7 +356,33 @@ let test_comm_unevaluable_size () =
                 (fun (m : Comm.message) ->
                   Alcotest.(check bool) "positive words" true (m.words > 0))
                 messages)
-        sched)
+        sched;
+      (* B(i) and B(i+1) give B a halo, but B(M) does not evaluate, so
+         the simulator cannot tell whether the halo replicates all of
+         B: it prices B's reads as not replicated, and says so once. *)
+      let prog =
+        program ~name:"halo"
+          ~params:
+            (Symbolic.Assume.of_list [ ("N", Symbolic.Assume.Int_range (8, 32)) ])
+          ~arrays:[ array "A" [ n ]; array "B" [ var "M" ] ]
+          [
+            phase "S"
+              (doall "i" ~lo:(int 0)
+                 ~hi:(n - int 2)
+                 [ assign [ write "A" [ var "i" ]; read "B" [ var "i" ]; read "B" [ var "i" + int 1 ] ] ]);
+          ]
+      in
+      let t = Core.Pipeline.run prog ~env ~h:4 in
+      Alcotest.(check (option int))
+        "B halo'd" (Some 1)
+        (Option.map
+           (fun (l : Distribution.layout) -> l.halo)
+           (Distribution.layout_for t.plan ~array:"B" ~phase_idx:0));
+      let errors = ref [] in
+      ignore (Exec.run ~on_error:(fun m -> errors := m :: !errors) t.lcg t.plan t.machine);
+      Alcotest.(check (list string)) "replication guess reported"
+        [ "array B: size has unbound parameter M; its reads were priced as not replicated" ]
+        (List.rev !errors))
 
 let test_comm_matches_exec () =
   Probe.with_seed 58 (fun () ->

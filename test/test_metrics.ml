@@ -390,7 +390,7 @@ let test_pipeline_populates_registry () =
       Alcotest.(check bool) (name ^ " has hits") true (hits > 0))
     (* region.addresses no longer warms on the default (symbolic) path:
        event shapes answer what enumeration used to *)
-    [ "env.eval"; "probe.memo"; "phase.analyze"; "shape.sites" ];
+    [ "env.eval"; "probe.column"; "phase.analyze"; "shape.sites" ];
   Alcotest.(check bool) "edges classified" true
     (List.assoc "table1.edges" snap.counters > 0);
   Alcotest.(check bool) "messages simulated" true

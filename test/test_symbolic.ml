@@ -804,6 +804,169 @@ module Bank_check = struct
       (QCheck.make gen_case ~print)
       (agrees (fun ~seed:_ -> real))
 
+  (* Fixed cases for the column kernel's parity traps, each with the
+     answer the kernel must give, rendered as [answers] renders it. *)
+  let expect_raise f x = show (fun () -> string_of_bool (f ())) = "raised " ^ Printexc.to_string x
+
+  let traps =
+    let i = Expr.int and v = Expr.var in
+    [
+      (* (a) an [Expr_range] draws its upper bound first: [z] is unbound
+         before [2^(2/3)] is found fractional. *)
+      ( "hi before lo",
+        ( 3,
+          [ Assume.of_list [ ("a", Assume.Expr_range (Expr.pow2 (Expr.div (i 2) (i 3)), Expr.pow2 (Expr.div (v "z") (i 4)))) ] ],
+          (v "a", i 1, "a") ),
+        fun asm ->
+          expect_raise
+            (fun () ->
+              ignore (Probe.sample asm 0);
+              true)
+            (Env.Unbound "z") );
+      (* (b) [-2*2^b] is [min_int] at b = 61, and [min_int / -1] is not a
+         rational: the quotient overflows where integer [mod] says 0. *)
+      ( "quotient overflow",
+        (5, [ Assume.of_list [ ("b", Assume.Int_range (61, 61)) ] ], (i (-1), Expr.mul (i (-2)) (Expr.pow2 (v "b")), "b")),
+        fun asm -> expect_raise (fun () -> Probe.divides asm (i (-1)) (Expr.mul (i (-2)) (Expr.pow2 (v "b")))) Qnum.Overflow );
+      (* A row evaluates [divides]'s dividend only where the divisor is
+         not 0.  With seed 0 the first row has x = 0, where the dividend
+         would divide by 0, and the next row with x = 1 overflows: the
+         column that stopped at the first row must be continued. *)
+      ( "skipped raise",
+        ( 0,
+          [ Assume.of_list [ ("x", Assume.Int_range (0, 1)) ] ],
+          (v "x", Expr.add (Expr.floor_div (i 1) (v "x")) (Expr.pow2 (Expr.mul (i 70) (v "x"))), "x") ),
+        fun asm ->
+          Probe.with_seed 0 (fun () ->
+              Env.find (Probe.sample asm 0) "x" = 0
+              && expect_raise
+                   (fun () ->
+                     Probe.divides asm (v "x")
+                       (Expr.add (Expr.floor_div (i 1) (v "x")) (Expr.pow2 (Expr.mul (i 70) (v "x")))))
+                   Qnum.Overflow) );
+      (* (c) one set under two seeds: its bank must not outlive a
+         re-seed. *)
+      ( "re-seed",
+        (7, [ Assume.of_list [ ("a", Assume.Int_range (0, 1000)) ] ], (v "a", i 500, "a")),
+        fun asm -> Probe.lt asm (v "a") (i 1001) );
+      (* Both operands raise on the first row: [Qnum.equal (a r) (b r)]
+         evaluated [b] first, whose overflow escapes, where [a]'s
+         unbound variable would have answered [false]. *)
+      ( "operand order",
+        ( 11,
+          [ Assume.of_list [ ("x", Assume.Int_range (1, 3)) ] ],
+          (v "z", Expr.pow2 (Expr.mul (i 70) (v "x")), "x") ),
+        fun asm -> expect_raise (fun () -> Probe.equal asm (v "z") (Expr.pow2 (Expr.mul (i 70) (v "x")))) Qnum.Overflow );
+    ]
+
+  let test_traps () =
+    List.iter
+      (fun (name, ((_, asms, _) as case), pinned) ->
+        Alcotest.(check bool) (name ^ ": agrees with fresh forks") true (agrees (fun ~seed:_ -> real) case);
+        Alcotest.(check bool) (name ^ ": pinned answer") true (List.for_all pinned asms))
+      traps
+
+  (* Planted kernels, each wrong in one trap's way. *)
+
+  (* Fresh forks of a sampler that evaluates an [Expr_range]'s lower
+     bound before its upper one. *)
+  let lo_first ~seed =
+    let draw st asm =
+      let pick lo hi = if hi <= lo then lo else lo + Random.State.int st (hi - lo + 1) in
+      List.fold_left
+        (fun env (x, d) ->
+          let value =
+            match d with
+            | Assume.Int_range (lo, hi) -> pick lo hi
+            | Assume.Pow2_of w -> 1 lsl Env.find env w
+            | Assume.Expr_range (lo, hi) ->
+                let lo = Env.eval env lo in
+                pick lo (Env.eval env hi)
+          in
+          Env.add x value env)
+        (Env.ephemeral Env.empty) (Assume.to_list asm)
+    in
+    let sample asm k =
+      let st = Random.State.make [| seed |] in
+      let rec go j =
+        let env = draw st asm in
+        if j = k then env else go (j + 1)
+      in
+      go 0
+    in
+    of_forall ~sample (fun asm f ->
+        let st = Random.State.make [| seed |] in
+        forall_over (fun asm _ -> draw st asm) asm f)
+
+  (* [divides] on integers by [mod], which answers where the rational
+     quotient overflows. *)
+  let int_divides ~seed =
+    let f = fresh ~seed in
+    {
+      f with
+      divides =
+        (fun asm d e ->
+          forall_over f.sample asm (fun env ->
+              let dv = Env.eval_q env d in
+              (not (Qnum.is_zero dv))
+              &&
+              let ev = Env.eval_q env e in
+              if Qnum.is_integer dv && Qnum.is_integer ev then Qnum.to_int ev mod Qnum.to_int dv = 0
+              else Qnum.is_integer (Qnum.div ev dv)));
+    }
+
+  (* A one-entry bank cache that a re-seed does not flush. *)
+  let ungenerationed () =
+    let last = ref None in
+    fun ~seed ->
+      let sample asm k =
+        let st, rows =
+          match !last with
+          | Some (a, b) when a == asm -> b
+          | _ ->
+              let b = (Random.State.make [| seed |], ref [||]) in
+              last := Some (asm, b);
+              b
+        in
+        while Array.length !rows <= k do
+          rows := Array.append !rows [| Assume.sample ~state:st asm |]
+        done;
+        !rows.(k)
+      in
+      of_forall ~sample (forall_over sample)
+
+  (* [equal] and [lt] evaluating [a] before [b]. *)
+  let swapped ~seed =
+    let f = fresh ~seed in
+    let ev = Env.eval_q in
+    let forall = forall_over f.sample in
+    {
+      f with
+      equal =
+        (fun asm a b ->
+          Expr.equal a b
+          || forall asm (fun env ->
+                 let a = ev env a in
+                 Qnum.equal a (ev env b)));
+      lt =
+        (fun asm a b ->
+          forall asm (fun env ->
+              let a = ev env a in
+              Qnum.compare a (ev env b) < 0));
+    }
+
+  let test_planted_kernels_caught () =
+    let cases = List.map (fun (_, case, _) -> case) traps in
+    List.iter
+      (fun (name, impl) ->
+        Alcotest.(check bool) (name ^ " caught") true (not (List.for_all (agrees impl) cases)))
+      [
+        ("lo-before-hi draw", lo_first);
+        ("int-only divides", int_divides);
+        ("ungenerationed bank cache", ungenerationed ());
+        ("operands swapped", swapped);
+      ]
+
   (* The property has teeth: the planted bank fails it. *)
   let test_planted_caught () =
     let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:100 gen_case in
@@ -841,6 +1004,8 @@ let () =
           Alcotest.test_case "sign/div" `Quick test_probe_sign_div;
           Alcotest.test_case "constant_in" `Quick test_probe_constant_in;
           Alcotest.test_case "planted bank caught" `Quick Bank_check.test_planted_caught;
+          Alcotest.test_case "column traps" `Quick Bank_check.test_traps;
+          Alcotest.test_case "planted kernels caught" `Quick Bank_check.test_planted_kernels_caught;
           QCheck_alcotest.to_alcotest Bank_check.prop;
           QCheck_alcotest.to_alcotest Compile_check.prop;
         ] );
