@@ -5,7 +5,7 @@ open Ilp
 type message = {
   src : int;
   dst : int;
-  ranges : (int * int) list;
+  ranges : Lattice.Prog.t list;
   words : int;
 }
 
@@ -42,33 +42,55 @@ let size ?on_error (lcg : Lcg.t) array =
 
 module Pairs = Hashtbl.Make (Int)
 
-(* The messages the (src, dst, [lo..hi]) contributions [emit] makes
+(* The messages the (src, dst, addresses) contributions [emit] makes
    through its [add] callback, on a machine of [h] processors: per
-   (src, dst) pair, maximal contiguous ascending ranges, words =
-   addresses covered.  A pair's contributions made in ascending
-   address order (the redistribution walks) are merged as they arrive
-   and need no sort; any other order is normalized. *)
+   (src, dst) pair, the contributions in arrival order, words =
+   addresses covered.  A contribution that continues the pair's last
+   one (the next address after a single block, or the next column of a
+   progression of the same stride and count) extends it, so a pair's
+   ascending single blocks arrive merged; single blocks that arrive in
+   any other order (frontier strips, which may overlap) are
+   normalized. *)
 let aggregate_ranges ~h emit : message list =
   let tbl = Pairs.create 16 in
-  emit (fun src dst lo hi ->
+  emit (fun src dst (r : Lattice.Prog.t) ->
       let key = (src * h) + dst in
       Pairs.replace tbl key
         (match Pairs.find_opt tbl key with
-        | Some ((l, e) :: rs) when lo = e + 1 -> (l, hi) :: rs
-        | Some rs -> (lo, hi) :: rs
-        | None -> [ (lo, hi) ]));
+        | Some ((l : Lattice.Prog.t) :: rs)
+          when l.count = r.count && r.first = l.first + l.width
+               && (r.count = 1 || l.stride = r.stride) ->
+            Lattice.Prog.make ~first:l.first ~width:(l.width + r.width)
+              ~stride:(if r.count = 1 then 0 else r.stride) ~count:r.count
+            :: rs
+        | Some rs -> r :: rs
+        | None -> [ r ]));
   let rec descending = function
     | (l1, _) :: ((_, h2) :: _ as rest) -> h2 + 1 < l1 && descending rest
     | _ -> true
   in
   Pairs.fold
     (fun key rs acc ->
-      let ranges = if descending rs then List.rev rs else Lattice.Iv.norm rs in
-      let words = List.fold_left (fun a (lo, hi) -> a + (hi - lo + 1)) 0 ranges in
+      let ranges =
+        if List.for_all (fun (r : Lattice.Prog.t) -> r.count = 1) rs then
+          let ivs = List.map (fun (r : Lattice.Prog.t) -> (r.first, Lattice.Prog.last r)) rs in
+          List.map
+            (fun (lo, hi) -> Lattice.Prog.block ~lo ~hi)
+            (if descending ivs then List.rev ivs else Lattice.Iv.norm ivs)
+        else List.rev rs
+      in
+      let words = List.fold_left (fun a r -> a + Lattice.Prog.card r) 0 ranges in
       (key, { src = key / h; dst = key mod h; ranges; words }) :: acc)
     tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
+
+let intervals m =
+  let ivs = ref [] in
+  List.iter
+    (fun r -> Lattice.Prog.iter r (fun lo hi -> ivs := (lo, hi) :: !ivs))
+    m.ranges;
+  Lattice.Iv.norm !ivs
 
 (* Copy-in elision: entering a new layout epoch needs no
    redistribution when the epoch's accesses are all covered by writes
@@ -195,7 +217,7 @@ let strip_messages (plan : Distribution.plan) (l : Distribution.layout) size =
       let strip lo hi target =
         if target >= 0 && target < plan.h && target <> owner then begin
           let lo = max 0 lo and hi = min (size - 1) hi in
-          if lo <= hi then add owner target lo hi
+          if lo <= hi then add owner target (Lattice.Prog.block ~lo ~hi)
         end
       in
       if start + b < size then
@@ -209,22 +231,42 @@ let strip_messages (plan : Distribution.plan) (l : Distribution.layout) size =
 (* Redistribution traffic between two layouts: in closed form, the
    owner maps of both layouts are walked together as segments of
    constant (old owner, new owner), each of which is one range of one
-   message.  There are never more segments than addresses, so the
-   per-address loop is only the enumerated twin, never a fallback. *)
+   message.  Above the point where both maps repeat, one joint period
+   (the lcm of theirs) is walked, and each of its segments is sent as
+   a progression over the whole periods that follow; the rest is
+   walked segment by segment.  There are never more segments than
+   addresses, so the per-address loop is only the enumerated twin,
+   never a fallback. *)
 let redistribution_messages_enum (plan : Distribution.plan) prev next size =
   aggregate_ranges ~h:plan.h @@ fun add ->
   for a = 0 to size - 1 do
     let po = Distribution.proc_of plan prev ~addr:a in
     let no = Distribution.proc_of plan next ~addr:a in
-    if po <> no then add po no a a
+    if po <> no then add po no (Lattice.Prog.block ~lo:a ~hi:a)
   done
 
 let redistribution_messages_symbolic (plan : Distribution.plan) prev next size
     =
-  let own = Distribution.own_of ~h:plan.h in
+  let a = Distribution.own_of ~h:plan.h prev
+  and b = Distribution.own_of ~h:plan.h next in
   aggregate_ranges ~h:plan.h @@ fun add ->
-  Lattice.Own.segments (own prev) (own next) ~lo:0 ~hi:(size - 1)
-    (fun lo hi p q -> if p <> q then add p q lo hi)
+  let walk lo hi =
+    Lattice.Own.segments a b ~lo ~hi (fun lo hi p q ->
+        if p <> q then add p q (Lattice.Prog.block ~lo ~hi))
+  in
+  let (fa, pa), (fb, pb) = (Lattice.Own.repeats a, Lattice.Own.repeats b) in
+  let from = max 0 (max fa fb) in
+  match Lattice.Safe.mul (pa / Lattice.gcd pa pb) pb with
+  | l when size - from >= 2 * l ->
+      let cells = (size - from) / l in
+      walk 0 (from - 1);
+      Lattice.Own.segments a b ~lo:from ~hi:(from + l - 1) (fun lo hi p q ->
+          if p <> q then
+            add p q
+              (Lattice.Prog.make ~first:lo ~width:(hi - lo + 1) ~stride:l
+                 ~count:cells));
+      walk (from + (cells * l)) (size - 1)
+  | _ | (exception Lattice.Overflow) -> walk 0 (size - 1)
 
 (* The closed form always answers, so the dispatch only picks the
    twin: the reason is never asked for. *)
@@ -344,10 +386,11 @@ let walk ~rounds ~sched ~phases ~step =
   done
 
 let pp_message ppf m =
+  let ivs = intervals m in
   Format.fprintf ppf "put %d -> %d: %d words in %d ranges [%s]" m.src m.dst
-    m.words (List.length m.ranges)
+    m.words (List.length ivs)
     (String.concat "; "
-       (List.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) m.ranges))
+       (List.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) ivs))
 
 let pp ppf (s : schedule) =
   List.iter

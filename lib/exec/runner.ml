@@ -370,8 +370,9 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
   Array.iter
     (function Some e -> errors := e :: !errors | None -> ())
     st.worker_errors;
-  (* -- content parity under the final epoch's owners, one owner
-     window per constant-owner segment of the final layout *)
+  (* -- content parity under the final epoch's owners: each
+     processor's window over its own progressions of the final
+     layout *)
   let content_cells = ref 0 and content_mismatches = ref 0 in
   let compared = ref [] and skipped = ref [] in
   List.iter
@@ -384,17 +385,23 @@ let execute ?(rounds = 1) ?(spin = 0) ?(check_reads = true) (lcg : Lcg.t)
           let mask = Hashtbl.find final_mask name in
           let own = Distribution.own_of ~h l in
           let any = ref false in
-          Symbolic.Lattice.Own.segments own own ~lo:0 ~hi:(size - 1)
-            (fun lo hi owner _ ->
-              let w = wins.(owner) in
-              for a = lo to hi do
-                if Bytes.get mask a = '\001' then begin
-                  any := true;
-                  incr content_cells;
-                  if Bigarray.Array1.get w a <> Bigarray.Array1.get g a then
-                    incr content_mismatches
-                end
-              done);
+          Array.iteri
+            (fun p w ->
+              List.iter
+                (fun (r : Symbolic.Lattice.Prog.t) ->
+                  for k = 0 to r.count - 1 do
+                    let lo = r.first + (k * r.stride) in
+                    for a = lo to lo + r.width - 1 do
+                      if Bytes.get mask a = '\001' then begin
+                        any := true;
+                        incr content_cells;
+                        if Bigarray.Array1.get w a <> Bigarray.Array1.get g a
+                        then incr content_mismatches
+                      end
+                    done
+                  done)
+                (Symbolic.Lattice.Own.set own ~p ~lo:0 ~hi:(size - 1)))
+            wins;
           if !any then compared := name :: !compared
           else skipped := name :: !skipped)
     m.sizes;

@@ -44,9 +44,12 @@ let deliver t ~array (m : Dsmsim.Comm.message) =
   let src = window t ~proc:m.src ~array in
   let dst = window t ~proc:m.dst ~array in
   List.iter
-    (fun (lo, hi) ->
-      for a = lo to hi do
-        A.set dst a (A.get src a)
+    (fun (r : Symbolic.Lattice.Prog.t) ->
+      for k = 0 to r.count - 1 do
+        let lo = r.first + (k * r.stride) in
+        for a = lo to lo + r.width - 1 do
+          A.set dst a (A.get src a)
+        done
       done)
     m.ranges;
   let c = t.counters.(m.src) in

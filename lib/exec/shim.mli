@@ -36,8 +36,9 @@ val create : h:int -> (string * int) list -> t
 val window : t -> proc:int -> array:string -> window
 
 val deliver : t -> array:string -> Dsmsim.Comm.message -> unit
-(** Copy the message's ranges src-replica to dst-replica and charge the
-    source's [sched_msgs]/[sched_words].  Call only between phase
+(** Copy the message's ranges src-replica to dst-replica, block by
+    block of each progression, and charge the source's
+    [sched_msgs]/[sched_words].  Call only between phase
     sweeps (all domains parked at the barrier). *)
 
 (** Reusable sense-reversing barrier over [Mutex]/[Condition]. *)

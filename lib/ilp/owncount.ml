@@ -3,8 +3,7 @@ open Symbolic
 let budget = 8192
 let windows = Metrics.counter "tally.windows"
 let alone = Metrics.counter "tally.alone"
-
-exception Exhausted
+let set_pieces = Metrics.counter "tally.set_pieces"
 
 (* The monotone piece of the owner map that holds address [x >= base]:
    its first address, its last ([None] when it is unbounded), its
@@ -31,28 +30,6 @@ let piece (own : Lattice.Own.t) x =
   let at = Lattice.Safe.add own.base cell in
   (Lattice.Safe.add at a, Option.map (Lattice.Safe.add at) e, sigma, fold)
 
-(* Enumerate the address offsets of the non-window sequential
-   dimensions, with multiplicity (zero and duplicate strides emit
-   duplicate offsets, exactly as the nest would). *)
-let offsets dims =
-  List.fold_left
-    (fun acc (c, s) ->
-      List.concat_map
-        (fun off ->
-          List.init c (fun k -> Lattice.Safe.add off (Lattice.Safe.mul k s)))
-        acc)
-    [ 0 ] dims
-
-(* Hits of the windows at [base + off] for every offset, summed
-   without allocating: this runs once per rotation class and set. *)
-let rec window_sum set ~d ~n ~len ~base acc = function
-  | [] -> acc
-  | off :: rest ->
-      let a = Lattice.Safe.add base off in
-      window_sum set ~d ~n ~len ~base
-        (Lattice.Safe.add acc (Lattice.window_hits ~a ~d ~n ~len set))
-        rest
-
 type counts = {
   events : int array;
   owned : int array;
@@ -76,7 +53,8 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window
   ||
   try
     (* One |stride| = 1 dimension becomes the contiguous window; the
-       rest are enumerated. *)
+       rest are lattice dimensions of the window sums, where a zero
+       stride is a multiplicity. *)
     let contig, rest =
       let rec pick acc = function
         | [] -> (None, List.rev acc)
@@ -91,22 +69,27 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window
       | None -> (1, 0)
       | Some (c, s) -> (c, if s = 1 then 0 else -(c - 1))
     in
-    let prod = List.fold_left (fun a (c, _) -> Lattice.Safe.mul a c) 1 rest in
-    prod <= budget
+    let moving =
+      List.fold_left
+        (fun a (c, s) -> if s = 0 then a else Lattice.Safe.mul a c)
+        1 rest
+    in
+    moving <= budget
     &&
-    let offs = offsets rest in
-    let per_iter = Lattice.Safe.mul len prod in
+    let per_iter =
+      List.fold_left (fun a (c, _) -> Lattice.Safe.mul a c) len rest
+    in
     (* Every event of an iteration at [a] lies in [a + reach_lo .. a +
        reach_hi]. *)
-    let reach_lo = Lattice.Safe.add woff (List.fold_left Int.min 0 offs)
-    and reach_hi =
-      Lattice.Safe.(add (add woff (List.fold_left Int.max 0 offs)) (len - 1))
+    let reach_lo, reach_hi =
+      List.fold_left
+        (fun (l, h) (c, s) ->
+          let e = Lattice.Safe.mul (c - 1) s in
+          (Lattice.Safe.add l (Int.min 0 e), Lattice.Safe.add h (Int.max 0 e)))
+        (woff, Lattice.Safe.add woff (len - 1))
+        rest
     in
     let ghost = window > 0 in
-    let hits set ~n ~d start =
-      Metrics.incr windows;
-      window_sum set ~d ~n ~len ~base:(Lattice.Safe.add start woff) 0 offs
-    in
     let bump a pr v = a.(pr) <- Lattice.Safe.add a.(pr) v in
     (* Adds one run's counts to each run [r0], [r0 + every], ... up to
        [r1] of a group whose run [r] executes on processor
@@ -153,23 +136,22 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window
           and hi = Lattice.Safe.add reach_hi (Int.max 0 span) + window in
           (* The run at [start]'s owned and ghost hits on [pr]'s set,
              built over that run's hull only: the ghost zone (the
-             addresses within [window] of the set, less the set) is
-             exact on the unwidened hull. *)
+             addresses one shift of [window] away from the set, less
+             the set) is exact on the unwidened hull. *)
+          let lattice = Lattice.lattice ~dims:((n, d) :: rest) ~len in
           let eval ~pr start =
-            match
+            let set =
               Lattice.Own.set own ~p:pr ~lo:(Lattice.Safe.add start lo)
-                ~hi:(Lattice.Safe.add start hi) ~budget
-            with
-            | None -> raise Exhausted
-            | Some set ->
-                ( hits set ~n ~d start,
-                  if ghost then
-                    let o = Lattice.Iv.unpack set and w = window in
-                    hits
-                      Lattice.Iv.(
-                        pack (subtract (union (shift o w) (shift o (-w))) o))
-                      ~n ~d start
-                  else 0 )
+                ~hi:(Lattice.Safe.add start hi)
+            in
+            Metrics.incr set_pieces ~by:(List.length set);
+            Metrics.incr windows;
+            let a = Lattice.Safe.add start woff in
+            if ghost then begin
+              Metrics.incr windows;
+              Lattice.hits_and_ghost lattice ~a ~w:window set
+            end
+            else (Lattice.hits lattice ~a set, 0)
           in
           (* Runs [ra..rb] lie in one piece of direction [sigma] that
              starts at address [pa] with fold [fa].  Run [r]'s class
@@ -253,4 +235,4 @@ let per_proc ~chunk ~h (t : Ir.Shape.t) (s : Ir.Shape.site) ~own ~window
             Lattice.Safe.(add s.base (mul step full))
             ~step:0;
         true
-  with Lattice.Overflow | Exhausted -> false
+  with Lattice.Overflow -> false

@@ -8,9 +8,9 @@
     inside that processor's ownership set and its ghost zone - with
     multiplicity, in closed form: the parallel range splits into
     constant-processor chunk runs, one [|stride| = 1] sequential
-    dimension becomes the contiguous window of {!Lattice.window_hits},
-    and the remaining sequential dimensions are enumerated under a
-    budget.
+    dimension becomes the contiguous window of {!Lattice.hits}, and the
+    parallel and remaining sequential dimensions are the lattice of
+    window starts it sums over (a zero stride is a multiplicity).
 
     Runs are counted by {e rotation class}.  Above the layout's base
     the owner map is [fold / block mod h], and the fold is monotone on
@@ -29,16 +29,21 @@
     through the runs that straddle a piece boundary.  Those runs, and
     the runs below the base, are classes of their own.
 
-    Each evaluation builds the processor's ownership set
-    ({!Lattice.Own.set}), and its ghost zone, over that run's hull only.
-    Counts are exact: they must reproduce the enumerating oracle's
-    totals event-for-event. *)
+    Each evaluation builds the processor's ownership set over that
+    run's hull only, as a few progressions of blocks
+    ({!Lattice.Own.set}), and counts the run's events on it and on its
+    ghost zone arithmetically ({!Lattice.hits_and_ghost}): neither the
+    set nor the count grows with the number of blocks the hull
+    covers.  Counts are exact: they must reproduce the enumerating
+    oracle's totals event-for-event. *)
 
 open Symbolic
 
 val budget : int
-(** Cap on chunk runs, enumerated sequential combinations, and the
-    intervals of one processor's ownership set. *)
+(** Cap on a site's chunk runs, and on the product of the counts of
+    its sequential dimensions of non-zero stride other than the
+    window (zero strides are multiplicities and cost nothing).
+    Ownership sets have no cap. *)
 
 val proc_of_iteration : chunk:int -> h:int -> int -> int
 (** [floor (i / max 1 chunk)] modulo [h], in [0..h-1] for every [i]:
@@ -70,8 +75,8 @@ val per_proc :
     [window > 0] and a layout.  Events outside the parallel loop
     ([Outside]) execute on processor 0, like the enumerator's
     [par = None] convention.  [false] (with the counts partly updated)
-    when the chunk-run or sequential enumeration or an ownership set
-    exceeds {!budget}, or the arithmetic overflows.  Every window-sum
-    evaluation ticks the [tally.windows] counter, and every run counted
-    alone (below the base, or on no one piece) the [tally.alone]
-    counter. *)
+    when the chunk runs or the sequential offsets exceed {!budget}, or
+    the arithmetic overflows.  Every window-sum evaluation (owned, and
+    ghost) ticks the [tally.windows] counter, every run counted alone
+    (below the base, or on no one piece) the [tally.alone] counter, and
+    every ownership set adds its progressions to [tally.set_pieces]. *)

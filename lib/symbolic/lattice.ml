@@ -15,8 +15,12 @@ module Safe = struct
     let s = a + b in
     if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
 
+  (* Factors within +-2^30 have a product within +-2^60: no check. *)
   let mul a b =
-    if a = 0 || b = 0 then 0
+    if a >= -0x4000_0000 && a <= 0x4000_0000 && b >= -0x4000_0000
+       && b <= 0x4000_0000
+    then a * b
+    else if a = 0 || b = 0 then 0
     else if (a = -1 && b = min_int) || (b = -1 && a = min_int) then raise Overflow
     else
       let p = a * b in
@@ -321,28 +325,10 @@ module Iv = struct
     in
     go a b []
 
-  let shift ivs k = List.map (fun (l, h) -> (Safe.add l k, Safe.add h k)) ivs
-  let clamp ivs ~lo ~hi = inter ivs [ (lo, hi) ]
-
   let total ivs =
     List.fold_left (fun acc (l, h) -> Safe.add acc (h - l + 1)) 0 ivs
 
-  let is_empty = function [] -> true | _ -> false
   let mem ivs x = List.exists (fun (l, h) -> l <= x && x <= h) ivs
-
-  type packed = int array
-
-  let pack ivs =
-    let a = Array.make (2 * List.length ivs) 0 in
-    List.iteri
-      (fun k (l, h) ->
-        a.(2 * k) <- l;
-        a.((2 * k) + 1) <- h)
-      ivs;
-    a
-
-  let unpack a =
-    List.init (Array.length a / 2) (fun k -> (a.(2 * k), a.((2 * k) + 1)))
 end
 
 (* {1 Union cardinality via digit-space rectangles} *)
@@ -448,6 +434,350 @@ let union_card boxes =
   | Some n when n > 0 && !(test_card_skew ()) <> 0 -> Some (n + !(test_card_skew ()))
   | r -> r
 
+(* {1 Progressions of blocks} *)
+
+module Prog = struct
+  type t = { first : int; width : int; stride : int; count : int }
+
+  (* A single block keeps [stride = width], so that its periodic span
+     [first .. first + count*stride - 1] is the block itself; touching
+     blocks are one block. *)
+  let make ~first ~width ~stride ~count =
+    if count = 1 || stride = width then begin
+      let width = Safe.mul width count in
+      ignore (Safe.add first (width - 1));
+      { first; width; stride = width; count = 1 }
+    end
+    else begin
+      ignore (Safe.add first (Safe.add (Safe.mul (count - 1) stride) (width - 1)));
+      { first; width; stride; count }
+    end
+
+  let block ~lo ~hi = make ~first:lo ~width:(hi - lo + 1) ~stride:0 ~count:1
+  (* No block of a progression lies past its last address, which
+     [make] checks is representable. *)
+  let start r k = r.first + (k * r.stride)
+  let last r = Safe.add (start r (r.count - 1)) (r.width - 1)
+  let card r = Safe.mul r.width r.count
+  let shift r k = { r with first = Safe.add r.first k }
+
+  let iter r f =
+    for k = 0 to r.count - 1 do
+      f (start r k) (start r k + r.width - 1)
+    done
+
+  let mem r x =
+    x >= r.first && x <= last r && (x - r.first) mod r.stride < r.width
+
+  let below r y =
+    let z = Safe.add y (-r.first) in
+    if z <= 0 then 0
+    else
+      let q = z / r.stride in
+      if q >= r.count then card r
+      else Safe.add (Safe.mul q r.width) (min (z - (q * r.stride)) r.width)
+
+  (* The blocks of [r] meeting [lo..hi], clipped: a partial first and
+     last block each on their own, the full ones between as one
+     progression. *)
+  let clip r ~lo ~hi =
+    let kl = max 0 (cdiv (Safe.add lo (-r.first - r.width + 1)) r.stride)
+    and kh = min (r.count - 1) (fdiv (Safe.add hi (-r.first)) r.stride) in
+    if lo > hi || kl > kh then []
+    else
+      let full k = start r k >= lo && start r k + r.width - 1 <= hi in
+      let piece k = block ~lo:(max lo (start r k)) ~hi:(min hi (start r k + r.width - 1)) in
+      if kl = kh then [ piece kl ]
+      else
+        let head, k0 = if full kl then ([], kl) else ([ piece kl ], kl + 1) in
+        let tail, k1 = if full kh then ([], kh) else ([ piece kh ], kh - 1) in
+        let mid =
+          if k0 <= k1 then
+            [ make ~first:(start r k0) ~width:r.width ~stride:r.stride ~count:(k1 - k0 + 1) ]
+          else []
+        in
+        head @ mid @ tail
+
+  (* Two progressions of one stride meet block against block at no more
+     than two relative block offsets [j] (widths are at most the
+     stride), each a progression of that stride; otherwise the one with
+     fewer blocks is clipped against block by block. *)
+  let inter a b =
+    if last a < b.first || last b < a.first then []
+    else if a.count = 1 then clip b ~lo:a.first ~hi:(last a)
+    else if b.count = 1 then clip a ~lo:b.first ~hi:(last b)
+    else if a.stride = b.stride then begin
+      let t = a.stride and delta = Safe.add b.first (-a.first) in
+      let j_lo = cdiv (-delta - b.width + 1) t and j_hi = fdiv (a.width - 1 - delta) t in
+      List.concat_map
+        (fun j ->
+          let o = delta + (j * t) in
+          let l = max 0 o and h = min (a.width - 1) (o + b.width - 1) in
+          let k0 = max 0 (-j) and k1 = min (a.count - 1) (b.count - 1 - j) in
+          if l > h || k0 > k1 then []
+          else
+            [ make ~first:(Safe.add (start a k0) l) ~width:(h - l + 1) ~stride:t
+                ~count:(k1 - k0 + 1) ])
+        (List.init (max 0 (j_hi - j_lo + 1)) (( + ) j_lo))
+    end
+    else
+      let a, b = if a.count <= b.count then (a, b) else (b, a) in
+      List.concat
+        (List.init a.count (fun k -> clip b ~lo:(start a k) ~hi:(start a k + a.width - 1)))
+end
+
+(* All pairwise intersections; pairs whose hulls are apart cost one
+   comparison each. *)
+let inter_sets xs ys =
+  List.fold_left
+    (fun acc (a : Prog.t) ->
+      let la = Prog.last a in
+      List.fold_left
+        (fun acc (b : Prog.t) ->
+          if la < b.first || Prog.last b < a.first then acc
+          else List.rev_append (Prog.inter a b) acc)
+        acc ys)
+    [] xs
+
+(* {1 Window hit counting}
+
+   f(x) = |[x, x+len-1] /\ [blo, bhi]| is a trapezoid in x: ascending
+   with slope 1 up to the plateau M = min(len, bhi-blo+1), then
+   descending with slope -1.  Summing f over x = a + i*d for i < n
+   splits the index range into three arithmetic series. *)
+
+let range_sum ~c ~first ~step =
+  (* sum_{j=0}^{c-1} (first + j*step); terms are in [0, plateau] so the
+     saturating products only clamp when the true total is huge. *)
+  if c <= 0 then 0
+  else
+    let e = if c land 1 = 0 then c / 2 * (c - 1) else c * ((c - 1) / 2) in
+    Safe.add_sat (Safe.mul_sat c first) (Safe.mul_sat step e)
+
+let interval_hits ~a ~d ~n ~len ~blo ~bhi =
+  if n <= 0 || len <= 0 || blo > bhi then 0
+  else if d = 0 then
+    let l = max a blo and h = min (a + len - 1) bhi in
+    if l > h then 0 else Safe.mul_sat n (h - l + 1)
+  else
+    let a, d = if d < 0 then (a + ((n - 1) * d), -d) else (a, d) in
+    let m = min len (bhi - blo + 1) in
+    let i_lo = max 0 (cdiv (blo - len + 1 - a) d) in
+    let i_hi = min (n - 1) (fdiv (bhi - a) d) in
+    if i_lo > i_hi then 0
+    else begin
+      let mid = fdiv (bhi + blo + 1 - len) 2 in
+      let t1 = min (blo - len + m) mid in
+      let t2 = max (bhi + 1 - m) (mid + 1) in
+      let ia_hi = min i_hi (fdiv (t1 - a) d) in
+      let id_lo = max i_lo (cdiv (t2 - a) d) in
+      let asc =
+        if ia_hi >= i_lo then
+          range_sum ~c:(ia_hi - i_lo + 1)
+            ~first:(a + (i_lo * d) - (blo - len))
+            ~step:d
+        else 0
+      in
+      let desc =
+        if i_hi >= id_lo then
+          range_sum ~c:(i_hi - id_lo + 1)
+            ~first:(bhi - (a + (id_lo * d)) + 1)
+            ~step:(-d)
+        else 0
+      in
+      let p_lo = max i_lo (ia_hi + 1) and p_hi = min i_hi (id_lo - 1) in
+      let plateau =
+        if p_hi >= p_lo then Safe.mul_sat (p_hi - p_lo + 1) m else 0
+      in
+      Safe.add_sat asc (Safe.add_sat desc plateau)
+    end
+
+(* A lattice of windows in normal form: strides made positive by
+   moving the origin to the lowest point ([shift]), zero strides (and
+   unit counts) folded into a multiplicity, strides descending;
+   [ext.(i)] is the span of the dimensions from [i] on. *)
+type lattice = {
+  shift : int;
+  mult : int;
+  ds : (int * int) array;
+  ext : int array;
+  len : int;
+}
+
+let lattice ~dims ~len =
+  if len <= 0 || List.exists (fun (c, _) -> c <= 0) dims then
+    { shift = 0; mult = 0; ds = [||]; ext = [| 0 |]; len = 1 }
+  else begin
+    let shift = ref 0 and mult = ref 1 and moving = ref [] in
+    List.iter
+      (fun (c, s) ->
+        if s = 0 then mult := Safe.mul_sat !mult c
+        else if c > 1 then begin
+          if s < 0 then shift := Safe.add !shift (Safe.mul (c - 1) s);
+          moving := (c, abs s) :: !moving
+        end)
+      dims;
+    let ds =
+      match !moving with
+      | ([] | [ _ ]) as one -> Array.of_list one
+      | many -> Array.of_list (List.sort (fun (_, s1) (_, s2) -> Int.compare s2 s1) many)
+    in
+    let n = Array.length ds in
+    let ext = Array.make (n + 1) 0 in
+    for i = n - 1 downto 0 do
+      let c, s = ds.(i) in
+      ext.(i) <- Safe.add ext.(i + 1) (Safe.mul (c - 1) s)
+    done;
+    { shift = !shift; mult = !mult; ds; ext; len }
+  end
+
+(* The windows of [c] starts [x, x+s, ...] summed block by block over
+   the [blocks] blocks of [r] from [b0] on. *)
+let block_hits (r : Prog.t) ~b0 ~blocks ~x ~s ~c ~len =
+  let acc = ref 0 in
+  for b = b0 to b0 + blocks - 1 do
+    let blo = Prog.start r b in
+    acc :=
+      Safe.add_sat !acc
+        (interval_hits ~a:x ~d:s ~n:c ~len ~blo ~bhi:(blo + r.width - 1))
+  done;
+  !acc
+
+(* The lattice's windows against one progression [r], dimension by
+   dimension.  At dimension [i] the sub-lattice of index [k] spans
+   [x + k*s .. x + k*s + w]: the indices whose span misses [r] add
+   nothing, and those whose span lies in [r]'s periodic span
+   [first .. first + count*stride - 1] add a value periodic in [k]
+   with period [p = stride / gcd s stride] (1 for a single block), so
+   [p] of them, weighted, stand for all; only the indices straddling
+   an end of [r] are summed one by one.  The last dimension's windows
+   alone are instead summed block by block (trapezoids) when fewer
+   blocks than terms meet them, and a single window is
+   [below (x + len) - below x]. *)
+let rec prog_hits (r : Prog.t) l i x =
+  let ds = l.ds and len = l.len in
+  if i = Array.length ds then Safe.add (Prog.below r (x + len)) (-Prog.below r x)
+  else begin
+    let c, s = ds.(i) in
+    let w = l.ext.(i + 1) + len - 1 in
+    let innermost = i + 1 = Array.length ds in
+    let b0 = max 0 (cdiv (x - r.first - r.width + 1) r.stride) in
+    let blocks =
+      if innermost then
+        min (r.count - 1) (fdiv (x + w + ((c - 1) * s) - r.first) r.stride) - b0 + 1
+      else max_int
+    in
+    if blocks <= 2 then block_hits r ~b0 ~blocks ~x ~s ~c ~len
+    else begin
+      let kf = max 0 (cdiv (r.first - x - w) s)
+      and kl = min (c - 1) (fdiv (Prog.last r - x) s) in
+      let span_hi = Safe.add r.first (Safe.mul r.count r.stride) - 1 in
+      let i0 = max kf (cdiv (r.first - x) s)
+      and i1 = min kl (fdiv (span_hi - x - w) s) in
+      let p = if r.count = 1 then 1 else r.stride / gcd s r.stride in
+      let m = max 0 (i1 - i0 + 1) in
+      if kf > kl then 0
+      else if blocks <= kl - kf + 1 - m + min m p then
+        block_hits r ~b0 ~blocks ~x ~s ~c ~len
+      else begin
+        let acc = ref 0 in
+        let add k times =
+          acc := Safe.add_sat !acc (Safe.mul_sat times (prog_hits r l (i + 1) (x + (k * s))))
+        in
+        for k = kf to min kl (i0 - 1) do
+          add k 1
+        done;
+        if m <= p then
+          for k = i0 to i1 do
+            add k 1
+          done
+        else begin
+          let full = m / p and rem = m mod p in
+          for t = 0 to p - 1 do
+            add (i0 + t) (if t < rem then full + 1 else full)
+          done
+        end;
+        for k = max i0 (i1 + 1) to kl do
+          add k 1
+        done;
+        !acc
+      end
+    end
+  end
+
+let rec sum_hits l a acc = function
+  | [] -> acc
+  | r :: rest -> sum_hits l a (Safe.add_sat acc (prog_hits r l 0 a)) rest
+
+let hits l ~a set =
+  match l.mult with
+  | 0 -> 0
+  | 1 -> sum_hits l (Safe.add a l.shift) 0 set
+  | m -> Safe.mul_sat m (sum_hits l (Safe.add a l.shift) 0 set)
+
+(* The zone's hits as signed terms: by inclusion-exclusion over the
+   shifted copies, [((S+w) ∪ (S-w)) \ S] counts as
+   [S+w] + [S-w] - [(S+w) ∩ (S-w)] - [(S+w) ∩ S] - [(S-w) ∩ S]
+   + [(S+w) ∩ (S-w) ∩ S]. *)
+let ghost ~w set =
+  let up = List.map (fun r -> Prog.shift r w) set
+  and down = List.map (fun r -> Prog.shift r (-w)) set in
+  let both = inter_sets up down in
+  [
+    (1, up);
+    (1, down);
+    (-1, both);
+    (-1, inter_sets up set);
+    (-1, inter_sets down set);
+    (1, inter_sets both set);
+  ]
+
+(* When consecutive blocks (in address order, over the whole set) are
+   at least [2w] apart, each block's zone meets no other block: a block
+   at least [w] wide has the zone [[s-w, e+w]] less itself, so its
+   progression widened by [w] on both sides counts the zone and the
+   block; a narrower block's zone is its two shifted copies, counted
+   by moving the lattice instead.  Otherwise [ghost]'s terms count
+   it.  Differences of counts are exact: they raise [Overflow] rather
+   than saturate. *)
+let hits_and_ghost l ~a ~w set =
+  let owned = hits l ~a set in
+  let rec apart = function
+    | (r : Prog.t) :: rest ->
+        (r.count = 1 || r.stride - r.width >= 2 * w)
+        && (match rest with
+           | (b : Prog.t) :: _ -> b.first - Prog.last r > 2 * w
+           | [] -> true)
+        && apart rest
+    | [] -> true
+  in
+  let ghost =
+    if apart set then begin
+      let wide, narrow = List.partition (fun (r : Prog.t) -> r.width >= w) set in
+      let widened =
+        List.map
+          (fun (r : Prog.t) ->
+            Prog.make ~first:(Safe.add r.first (-w)) ~width:(r.width + (2 * w))
+              ~stride:(if r.count = 1 then 0 else r.stride)
+              ~count:r.count)
+          wide
+      in
+      List.fold_left Safe.add (hits l ~a widened - owned)
+        (if narrow = [] then []
+         else
+           [
+             hits l ~a narrow;
+             hits l ~a:(Safe.add a (-w)) narrow;
+             hits l ~a:(Safe.add a w) narrow;
+           ])
+    end
+    else
+      List.fold_left
+        (fun acc (sign, zone) -> Safe.add acc (sign * hits l ~a zone))
+        0 (ghost ~w set)
+  in
+  (owned, ghost)
+
 (* {1 Ownership} *)
 
 module Own = struct
@@ -529,194 +859,119 @@ module Own = struct
       done
     end
 
+  (* Without a period the map is [rel / block mod h] from the mirror's
+     end on; with one it repeats per cell. *)
+  let repeats o =
+    match (o.period, o.mirror) with
+    | Some d, _ when d > 0 -> (o.base, d)
+    | _, Some m when m > 0 -> (Safe.add o.base m, Safe.mul o.block o.h)
+    | _ -> (o.base, Safe.mul o.block o.h)
+
   (* One processor's set in closed form.  Above [base] the owner only
      depends on the fold coordinate [f] of [rel] (period cell, then
      mirror), and [f]'s owner is [f / block mod h]: the set is the
-     blocks [k*block .. k*block+block-1] with [k mod h = p], read
-     forwards on the ascending side of the mirror and on the unmirrored
-     rest, backwards on its descending side, and repeated per period
-     cell.  Below [base] every address belongs to processor 0.
-     Intervals are emitted in ascending order, merged when adjacent,
-     and clipped to [lo..hi]. *)
-  let set o ~p ~lo ~hi ~budget =
-    let exception Full in
+     blocks [k*block .. k*block+block-1] with [k mod h = p] - one
+     progression of stride [block * h] per monotone piece (the
+     ascending side of the mirror and the unmirrored rest read
+     forwards, its descending side backwards), less the clipped end
+     blocks - and the pieces of a period cell repeat per cell: a cell's
+     progression of [K] blocks over [J] whole cells is [min K J]
+     progressions.  Below [base] every address belongs to processor
+     0. *)
+  let set o ~p ~lo ~hi =
     let b = o.block and h = o.h in
-    (* [p]'s blocks of the fold coordinate within [clo..chi], ascending
-       or descending. *)
-    let blocks ~clo ~chi ~up f =
-      if clo <= chi then
-        if up then begin
-          let k0 = clo / b in
-          let k = ref (k0 + (((p - k0) mod h) + h) mod h) in
-          while !k <= chi / b do
-            f (max (!k * b) clo) (min ((!k * b) + b - 1) chi);
-            k := !k + h
-          done
-        end
-        else begin
-          let k1 = chi / b in
-          let k = ref (k1 - (((k1 - p) mod h) + h) mod h) in
-          while !k >= 0 && (!k * b) + b - 1 >= clo do
-            f (max (!k * b) clo) (min ((!k * b) + b - 1) chi);
-            k := !k - h
-          done
-        end
+    let t = Safe.mul b h in
+    let out = ref [] in
+    (* A progression starting right after the last one emitted
+       touches it: the two touching blocks become one. *)
+    let emit (r : Prog.t) =
+      match !out with
+      | (q : Prog.t) :: rest when Prog.last q + 1 = r.first ->
+          let qk = q.count - 1 and lo = Prog.start q (q.count - 1) in
+          let rest =
+            if qk > 0 then Prog.make ~first:q.first ~width:q.width ~stride:q.stride ~count:qk :: rest
+            else rest
+          in
+          let rest = Prog.block ~lo ~hi:(Prog.start r 0 + r.width - 1) :: rest in
+          out :=
+            if r.count > 1 then
+              Prog.make ~first:(Prog.start r 1) ~width:r.width ~stride:r.stride
+                ~count:(r.count - 1)
+              :: rest
+            else rest
+      | _ -> out := r :: !out
     in
-    (* [p]'s addresses [rel] of one cell's fold range [a..b'], passed to
-       [f] ascending. *)
-    let cell ~a ~b:b' f =
+    (* [p]'s blocks of the fold range [clo..chi], as progressions of
+       the fold, passed to [f]. *)
+    let blocks ~clo ~chi f =
+      if clo <= chi then begin
+        let k0 = clo / b and k1 = chi / b in
+        let k0 = k0 + ((((p - k0) mod h) + h) mod h)
+        and k1 = k1 - ((((k1 - p) mod h) + h) mod h) in
+        if k0 <= k1 then
+          List.iter f
+            (Prog.clip
+               (Prog.make ~first:(k0 * b) ~width:b ~stride:t ~count:(((k1 - k0) / h) + 1))
+               ~lo:clo ~hi:chi)
+      end
+    in
+    (* [p]'s addresses of one cell's fold range [a..b'] (relative to
+       the cell start [at]), clipped to [lo..hi]; [f] receives them as
+       progressions of addresses. *)
+    let cell ~at ~a ~b:b' f =
+      let a = max a (Safe.add lo (-at)) and b' = min b' (Safe.add hi (-at)) in
       let m0 =
         match o.mirror with
         | Some m when m > 0 ->
             let half = (m - 1) / 2 in
-            blocks ~clo:a ~chi:(min b' half) ~up:true f;
+            blocks ~clo:a ~chi:(min b' half) (fun r -> f (Prog.shift r at));
             let rlo = max a (half + 1) and rhi = min b' (m - 1) in
-            blocks ~clo:(m - 1 - rhi) ~chi:(m - 1 - rlo) ~up:false (fun l e ->
-                f (m - 1 - e) (m - 1 - l));
+            blocks ~clo:(m - 1 - rhi) ~chi:(m - 1 - rlo) (fun r ->
+                f { r with first = Safe.add at (m - 1 - Prog.last r) });
             m
         | _ -> 0
       in
-      blocks ~clo:(max a m0) ~chi:b' ~up:true f
+      blocks ~clo:(max a m0) ~chi:b' (fun r -> f (Prog.shift r at))
     in
-    (* The whole set, ascending, clipped to [lo..hi], possibly with
-       adjacent pieces. *)
-    let walk f =
-      let f l e =
-        let l = max l lo and e = min e hi in
-        if l <= e then f l e
-      in
-      if h = 1 then f lo hi
+    if lo <= hi then begin
+      if h = 1 then emit (Prog.block ~lo ~hi)
       else begin
-        if p = 0 then f lo (Safe.add o.base (-1));
-        if hi >= o.base then begin
-          let rlo = Safe.add (max lo o.base) (-o.base)
-          and rhi = Safe.add hi (-o.base) in
+        if p = 0 && lo < o.base then emit (Prog.block ~lo ~hi:(min hi (o.base - 1)));
+        if hi >= o.base then
           match o.period with
-          | Some d when d > 0 -> (
-              let pattern = ref [] and n = ref 0 in
-              cell ~a:0 ~b:(d - 1) (fun l e ->
-                  incr n;
-                  if !n > budget then raise Full;
-                  pattern := (l, e) :: !pattern);
-              (* A whole cell merges with the next into one interval;
-                 any other non-empty pattern adds an interval per cell,
-                 so the budget bounds the loop. *)
-              match List.rev !pattern with
-              | [] -> ()
-              | [ (0, e) ] when e = d - 1 -> f (o.base + rlo) (o.base + rhi)
-              | pattern ->
-                  for j = rlo / d to rhi / d do
-                    let at = Safe.add o.base (Safe.mul j d) in
-                    List.iter (fun (l, e) -> f (at + l) (at + e)) pattern
-                  done)
-          | _ -> cell ~a:rlo ~b:rhi (fun l e -> f (o.base + l) (o.base + e))
-        end
+          | Some d when d > 0 ->
+              let rlo = Safe.add (max lo o.base) (-o.base)
+              and rhi = Safe.add hi (-o.base) in
+              let j0 = rlo / d and j1 = rhi / d in
+              let at j = Safe.add o.base (Safe.mul j d) in
+              cell ~at:(at j0) ~a:0 ~b:(d - 1) emit;
+              (* the whole cells between repeat the first one's pieces *)
+              let cells = j1 - j0 - 1 in
+              if cells > 0 then
+                cell ~at:(at (j0 + 1)) ~a:0 ~b:(d - 1) (fun (r : Prog.t) ->
+                    if r.count = 1 then
+                      emit (Prog.make ~first:r.first ~width:r.width ~stride:d ~count:cells)
+                    else if cells <= r.count then
+                      for j = 0 to cells - 1 do
+                        emit (Prog.shift r (Safe.mul j d))
+                      done
+                    else
+                      for k = 0 to r.count - 1 do
+                        emit
+                          (Prog.make ~first:(Prog.start r k) ~width:r.width ~stride:d
+                             ~count:cells)
+                      done);
+              if j1 > j0 then cell ~at:(at j1) ~a:0 ~b:(d - 1) emit
+          | _ -> cell ~at:o.base ~a:0 ~b:max_int emit
       end
+    end;
+    let rec ascending = function
+      | (a : Prog.t) :: ((b : Prog.t) :: _ as rest) -> a.first > b.first && ascending rest
+      | _ -> true
     in
-    (* Two walks: one counts the merged intervals, the other fills an
-       array of exactly that size. *)
-    let n = ref 0 and last = ref 0 in
-    match
-      walk (fun l e ->
-          if !n > 0 && !last >= l - 1 then last := max e !last
-          else begin
-            if !n >= budget then raise Full;
-            incr n;
-            last := e
-          end)
-    with
-    | exception Full -> None
-    | () ->
-        let set = Array.make (2 * !n) 0 and k = ref 0 in
-        walk (fun l e ->
-            if !k > 0 && set.(!k - 1) >= l - 1 then
-              set.(!k - 1) <- max e set.(!k - 1)
-            else begin
-              set.(!k) <- l;
-              set.(!k + 1) <- e;
-              k := !k + 2
-            end);
-        Some set
+    if ascending !out then List.rev !out
+    else List.sort (fun (x : Prog.t) (y : Prog.t) -> compare x.first y.first) !out
 end
-
-(* {1 Progression-window hit counting}
-
-   f(x) = |[x, x+len-1] /\ [blo, bhi]| is a trapezoid in x: ascending
-   with slope 1 up to the plateau M = min(len, bhi-blo+1), then
-   descending with slope -1.  Summing f over x = a + i*d for i < n
-   splits the index range into three arithmetic series. *)
-
-let range_sum ~c ~first ~step =
-  (* sum_{j=0}^{c-1} (first + j*step); terms are in [0, plateau] so the
-     saturating products only clamp when the true total is huge. *)
-  if c <= 0 then 0
-  else
-    let e = if c land 1 = 0 then c / 2 * (c - 1) else c * ((c - 1) / 2) in
-    Safe.add_sat (Safe.mul_sat c first) (Safe.mul_sat step e)
-
-let interval_hits ~a ~d ~n ~len ~blo ~bhi =
-  if n <= 0 || len <= 0 || blo > bhi then 0
-  else if d = 0 then
-    let l = max a blo and h = min (a + len - 1) bhi in
-    if l > h then 0 else Safe.mul_sat n (h - l + 1)
-  else
-    let a, d = if d < 0 then (a + ((n - 1) * d), -d) else (a, d) in
-    let m = min len (bhi - blo + 1) in
-    let i_lo = max 0 (cdiv (blo - len + 1 - a) d) in
-    let i_hi = min (n - 1) (fdiv (bhi - a) d) in
-    if i_lo > i_hi then 0
-    else begin
-      let mid = fdiv (bhi + blo + 1 - len) 2 in
-      let t1 = min (blo - len + m) mid in
-      let t2 = max (bhi + 1 - m) (mid + 1) in
-      let ia_hi = min i_hi (fdiv (t1 - a) d) in
-      let id_lo = max i_lo (cdiv (t2 - a) d) in
-      let asc =
-        if ia_hi >= i_lo then
-          range_sum ~c:(ia_hi - i_lo + 1)
-            ~first:(a + (i_lo * d) - (blo - len))
-            ~step:d
-        else 0
-      in
-      let desc =
-        if i_hi >= id_lo then
-          range_sum ~c:(i_hi - id_lo + 1)
-            ~first:(bhi - (a + (id_lo * d)) + 1)
-            ~step:(-d)
-        else 0
-      in
-      let p_lo = max i_lo (ia_hi + 1) and p_hi = min i_hi (id_lo - 1) in
-      let plateau =
-        if p_hi >= p_lo then Safe.mul_sat (p_hi - p_lo + 1) m else 0
-      in
-      Safe.add_sat asc (Safe.add_sat desc plateau)
-    end
-
-(* Intervals outside the progression's hull add 0, so only those
-   meeting it are summed: a binary search finds the first interval
-   ending at or after the hull's start, and the sum stops at the first
-   one starting past its end.  A saturated hull is only wider. *)
-let window_hits ~a ~d ~n ~len set =
-  let m = Array.length set / 2 in
-  if n <= 0 || len <= 0 || m = 0 then 0
-  else begin
-    let last = Safe.add_sat a (Safe.mul_sat (n - 1) d) in
-    let lo = min a last and hi = Safe.add_sat (max a last) (len - 1) in
-    let l = ref 0 and r = ref m in
-    while !l < !r do
-      let mid = (!l + !r) / 2 in
-      if set.((2 * mid) + 1) < lo then l := mid + 1 else r := mid
-    done;
-    let acc = ref 0 and k = ref !l in
-    while !k < m && set.(2 * !k) <= hi do
-      acc :=
-        Safe.add_sat !acc
-          (interval_hits ~a ~d ~n ~len ~blo:set.(2 * !k)
-             ~bhi:set.((2 * !k) + 1));
-      incr k
-    done;
-    !acc
-  end
 
 (* {1 Mode} *)
 

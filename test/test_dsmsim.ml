@@ -440,18 +440,22 @@ let test_comm_aggregation () =
               List.iter
                 (fun (m : Comm.message) ->
                   Alcotest.(check bool) "no self-messages" true (m.src <> m.dst);
-                  (* ranges are sorted, disjoint, maximal and sum to words *)
+                  (* the expanded ranges are sorted, disjoint, maximal
+                     and sum to words, with no address sent twice *)
+                  let ivs = Comm.intervals m in
                   let sum =
-                    List.fold_left (fun a (lo, hi) -> a + hi - lo + 1) 0 m.ranges
+                    List.fold_left (fun a (lo, hi) -> a + hi - lo + 1) 0 ivs
                   in
                   Alcotest.(check int) "range words" m.words sum;
+                  Alcotest.(check int) "block words" m.words
+                    (List.fold_left (fun a r -> a + Lattice.Prog.card r) 0 m.ranges);
                   let rec maximal = function
                     | (_, hi) :: (((lo2, _) :: _) as rest) ->
                         hi + 1 < lo2 && maximal rest
                     | _ -> true
                   in
                   Alcotest.(check bool) "sorted disjoint maximal ranges" true
-                    (maximal m.ranges))
+                    (maximal ivs))
                 msgs)
             (Comm.generate t.lcg t.plan))
         (* tfft2 and adi redistribute; jacobi2d on two processors sends
@@ -558,6 +562,61 @@ let test_comm_closed_form_vs_enum () =
                 Alcotest.(check int) (point ^ ": comm fallbacks") 0 fallbacks))
         [ 2; 4; 16; 64 ])
     points
+
+(* The periodic redistribution walk, expanded, sends what the
+   address-by-address twin sends: adi's CYCLIC(256) <-> CYCLIC(1)
+   transposes at size 8 on two processors, and random layout pairs
+   (plain, periodic, mirrored, either base) whose joint period repeats
+   several times over the array. *)
+let redistribution_twins () =
+  let expanded plan prev next size =
+    List.map
+      (fun (m : Comm.message) -> (m.src, m.dst, m.words, Comm.intervals m))
+      (Comm.redistribution_messages plan prev next size)
+  in
+  let twins what plan prev next size =
+    let mode = Lattice.mode_cell () in
+    let closed = expanded plan prev next size in
+    let enum =
+      Fun.protect
+        ~finally:(fun () -> mode := Lattice.Auto)
+        (fun () ->
+          mode := Lattice.Enumerated_only;
+          expanded plan prev next size)
+    in
+    if closed <> enum then Alcotest.failf "%s: periodic walk <> enumeration" what
+  in
+  let t = pipeline "adi" 8 2 in
+  (match t.plan.layouts with
+  | [ a; b ] ->
+      twins "adi@8 H=2 COLSWEEP->ROWSWEEP" t.plan a b 65536;
+      twins "adi@8 H=2 ROWSWEEP->COLSWEEP" t.plan b a 65536
+  | _ -> Alcotest.fail "adi@8 H=2: expected two layouts");
+  let rand = Random.State.make [| 40 |] in
+  let int lo hi = lo + Random.State.int rand (hi - lo + 1) in
+  let layout () =
+    let opt n = if int 0 2 = 0 then Some (int 1 n) else None in
+    let period = opt 48 in
+    {
+      Distribution.array = "A";
+      first_phase = 0;
+      last_phase = 0;
+      base = int (-3) 9;
+      block = int 1 6;
+      period;
+      mirror =
+        (match (period, opt 48) with
+        | Some d, Some m -> Some (min d m)
+        | _, m -> m);
+      halo = 0;
+    }
+  in
+  for i = 1 to 300 do
+    let h = int 1 5 in
+    let plan = { Distribution.h; chunk = [| 1 |]; layouts = []; privatized = [] } in
+    twins (Printf.sprintf "random pair %d" i) plan (layout ()) (layout ())
+      (int 1 700)
+  done
 
 (* Copy-in elision where the epoch's reads straddle the head phase's
    two write boxes, under a hand-built plan that moves A from CYCLIC(1)
@@ -730,6 +789,8 @@ let () =
           Alcotest.test_case "walk gating" `Quick test_comm_walk;
           Alcotest.test_case "union of write boxes" `Quick
             test_comm_union_cover;
+          Alcotest.test_case "periodic redistribution = enumerated" `Quick
+            redistribution_twins;
           Alcotest.test_case "closed form = enumerated" `Slow
             test_comm_closed_form_vs_enum;
           Alcotest.test_case "fallback ratchet" `Slow

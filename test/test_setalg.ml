@@ -214,42 +214,60 @@ let own_segments =
       in
       partitions a b && partitions a a)
 
+(* Each owner's progressions are well formed, lie in the range and
+   hold exactly the addresses [Own.owner] gives it. *)
+let owner_sets o ~lo ~hi =
+  let seen = Hashtbl.create 64 in
+  let ok = ref true in
+  for p = 0 to o.Lattice.Own.h - 1 do
+    let set = Lattice.Own.set o ~p ~lo ~hi in
+    let prev = ref min_int in
+    List.iter
+      (fun (r : Lattice.Prog.t) ->
+        if r.first < !prev then ok := false;
+        prev := r.first;
+        if r.width < 1 || r.count < 1 || (r.count > 1 && r.stride <= r.width)
+        then ok := false;
+        Lattice.Prog.iter r (fun l h ->
+            for a = l to h do
+              if a < lo || a > hi || Hashtbl.mem seen a
+                 || Lattice.Own.owner o a <> p
+              then ok := false;
+              Hashtbl.replace seen a ()
+            done))
+      set
+  done;
+  !ok && Hashtbl.length seen = hi - lo + 1
+
 let own_sets =
   prop "Own.set packs each owner's addresses" arb_own (fun o ->
-      let sets =
-        List.init o.Lattice.Own.h (fun p ->
-            Lattice.Own.set o ~p ~lo:(-8) ~hi:55 ~budget:1000)
-      in
-      match List.filter_map Fun.id sets with
-      | per when List.length per < o.Lattice.Own.h ->
-          QCheck.Test.fail_report "budget exhausted on tiny range"
-      | per ->
-          let per = Array.of_list per in
-          let covered = ref 0 in
-          Array.iter
-            (fun set ->
-              if Array.length set mod 2 <> 0 then
-                QCheck.Test.fail_report "odd packed length";
-              let prev = ref min_int in
-              List.iter
-                (fun (l, h) ->
-                  if l > h || l < -8 || h > 55 then
-                    QCheck.Test.fail_report "interval empty or out of range";
-                  if !prev <> min_int && l <= !prev + 1 then
-                    QCheck.Test.fail_report "not ascending, disjoint, apart";
-                  prev := h;
-                  covered := !covered + (h - l + 1))
-                (Lattice.Iv.unpack set))
-            per;
-          Array.length per = o.Lattice.Own.h
-          && !covered = 64
-          &&
-          let ok = ref true in
-          for a = -8 to 55 do
-            let mine = Lattice.Iv.unpack per.(Lattice.Own.owner o a) in
-            if not (Lattice.Iv.mem mine a) then ok := false
-          done;
-          !ok)
+      owner_sets o ~lo:(-8) ~hi:55)
+
+(* Ranges the old interval budget (8,192 per set) could not hold:
+   block 1 over tens of thousands of addresses, h in {2, 3, 16}, plain,
+   periodic and mirrored; every address checked against [Own.owner]. *)
+let gen_wide_own =
+  QCheck.Gen.(
+    let* h = oneofl [ 2; 3; 16 ] in
+    let* block = frequency [ (3, return 1); (1, int_range 2 5) ] in
+    let* base = int_range (-50) 50 in
+    let* kind = int_range 0 3 in
+    let* period = int_range 1 3000 in
+    let* mirror = int_range 1 3000 in
+    let period, mirror =
+      match kind with
+      | 0 -> (None, None)
+      | 1 -> (Some period, None)
+      | 2 -> (Some period, Some (min mirror period))
+      | _ -> (None, Some mirror)
+    in
+    let* lo = int_range (-100) 100 in
+    let* width = int_range 17_000 40_000 in
+    return (Lattice.Own.{ h; base; block; period; mirror }, lo, lo + width))
+
+let own_sets_wide =
+  prop ~count:40 "Own.set progressions on wide block-1 ranges"
+    (QCheck.make gen_wide_own) (fun (o, lo, hi) -> owner_sets o ~lo ~hi)
 
 (* ------------------------------------------------------------------ *)
 (* Progression-window hits. *)
@@ -299,7 +317,87 @@ let window_hits_exact =
           if Lattice.Iv.mem set x then incr brute
         done
       done;
-      Lattice.window_hits ~a ~d ~n ~len (Lattice.Iv.pack set) = !brute)
+      Lattice.hits (Lattice.lattice ~dims:[ (n, d) ] ~len) ~a
+        (List.map (fun (lo, hi) -> Lattice.Prog.block ~lo ~hi) set)
+      = !brute)
+
+(* Sets of progressions - one owner's set under a random layout, or
+   two interleaved progressions of one stride beside one of another -
+   against lattices of up to three dimensions (zero and negative
+   strides included): the hits on the set and on its ghost zone
+   ([hits_and_ghost], apart blocks and inclusion-exclusion alike)
+   equal a replay of every window address. *)
+let gen_prog_case =
+  QCheck.Gen.(
+    let* set =
+      frequency
+        [
+          ( 1,
+            let* o = gen_own in
+            let* p = int_range 0 (o.Lattice.Own.h - 1) in
+            let* lo = int_range (-20) 20 in
+            let* hi = int_range lo (lo + 150) in
+            return (Lattice.Own.set o ~p ~lo ~hi) );
+          ( 1,
+            let* f = int_range (-30) 30 in
+            let* t = int_range 3 12 in
+            let* w1 = int_range 1 (t - 2) in
+            let* g = int_range 0 (t - w1 - 1) in
+            let* w2 = int_range 1 (max 1 (t - w1 - g - 1)) in
+            let* k1 = int_range 1 8 and* k2 = int_range 1 8 in
+            let* u = int_range 1 9 and* w3 = int_range 1 4 and* k3 = int_range 1 6 in
+            let mk first width stride count =
+              Lattice.Prog.make ~first ~width ~stride ~count
+            in
+            let third = f + (max k1 k2 * t) + 5 in
+            return
+              [
+                mk f w1 t k1;
+                mk (f + w1 + g) w2 t k2;
+                mk third w3 (w3 + u) k3;
+              ] );
+        ]
+    in
+    let* dims =
+      list_size (int_range 1 3)
+        (pair (int_range 1 6) (oneofl [ -9; -4; -1; 0; 1; 2; 3; 5; 7; 16 ]))
+    in
+    let* a = int_range (-40) 60 in
+    let* len = int_range 1 6 in
+    let* w = int_range 1 4 in
+    return (set, dims, a, len, w))
+
+let print_prog_case (set, dims, a, len, w) =
+  Printf.sprintf "set=[%s] dims=[%s] a=%d len=%d w=%d"
+    (String.concat ";"
+       (List.map
+          (fun (r : Lattice.Prog.t) ->
+            Printf.sprintf "{%d,%d,%d,%d}" r.first r.width r.stride r.count)
+          set))
+    (String.concat ";" (List.map (fun (c, s) -> Printf.sprintf "(%d,%d)" c s) dims))
+    a len w
+
+let prog_hits_exact =
+  prop ~count:3000 "window hits and ghost zones on progression sets vs brute force"
+    (QCheck.make ~print:print_prog_case gen_prog_case)
+    (fun (set, dims, a, len, w) ->
+      let mem x = List.exists (fun r -> Lattice.Prog.mem r x) set in
+      let points =
+        List.fold_left
+          (fun acc (c, s) ->
+            List.concat_map (fun x -> List.init c (fun k -> x + (k * s))) acc)
+          [ a ] dims
+      in
+      let owned = ref 0 and ghost = ref 0 in
+      List.iter
+        (fun x ->
+          for y = x to x + len - 1 do
+            if mem y then incr owned
+            else if mem (y - w) || mem (y + w) then incr ghost
+          done)
+        points;
+      Lattice.hits_and_ghost (Lattice.lattice ~dims ~len) ~a ~w set
+      = (!owned, !ghost))
 
 (* ------------------------------------------------------------------ *)
 (* Per-processor counting vs brute force: one random site under a
@@ -649,8 +747,11 @@ let shape_work_matches () =
    unsplit form holds the enumeration's totals.  The points cover the
    nine kernels at their default sizes up to H=1024, adi at sizes 7
    and 8 on 64 processors, where the ownership walk used to run out of
-   segments, and tfft2 at sizes 6 and 7 on 64 processors, where F8's
-   mirrored layout has thousands of chunk runs for the piece walk. *)
+   segments, tfft2 at sizes 6 and 7 on 64 processors, where F8's
+   mirrored layout has thousands of chunk runs for the piece walk, and
+   the block-1 layouts over whole-array hulls whose interval sets used
+   to exceed their budget: adi at sizes 7 and 8 on 2 and 4 processors,
+   tfft2 at size 8 on 2 and tomcatv at size 10 on 64. *)
 let tally_matches_oracle () =
   let points =
     List.concat_map
@@ -659,6 +760,10 @@ let tally_matches_oracle () =
       Codes.Registry.all
     @ List.map (fun size -> (Codes.Registry.find "adi", size, 64)) [ 7; 8 ]
     @ List.map (fun size -> (Codes.Registry.find "tfft2", size, 64)) [ 6; 7 ]
+    @ List.concat_map
+        (fun size -> List.map (fun h -> (Codes.Registry.find "adi", size, h)) [ 2; 4 ])
+        [ 7; 8 ]
+    @ [ (Codes.Registry.find "tfft2", 8, 2); (Codes.Registry.find "tomcatv", 10, 64) ]
   in
   List.iter
     (fun ((e : Codes.Registry.entry), size, h) ->
@@ -761,7 +866,8 @@ let saturating_window () =
   (* n * len beyond max_int: the closed form must clamp, not wrap. *)
   let n = 1 lsl 31 and len = 1 lsl 32 in
   let hits =
-    Lattice.window_hits ~a:0 ~d:0 ~n ~len [| 0; max_int - 1 |]
+    Lattice.hits (Lattice.lattice ~dims:[ (n, 0) ] ~len) ~a:0
+      [ Lattice.Prog.block ~lo:0 ~hi:(max_int - 1) ]
   in
   Alcotest.(check bool) "saturates at max_int" true (hits = max_int)
 
@@ -796,8 +902,10 @@ let () =
           Alcotest.test_case "fdiv/cdiv/egcd, either sign" `Quick
             division_helpers;
         ] );
-      ("ownership", [ own_segments; own_sets ]);
-      ("windows", [ window_hits_exact; per_proc_exact; per_proc_pieces ]);
+      ("ownership", [ own_segments; own_sets; own_sets_wide ]);
+      ( "windows",
+        [ window_hits_exact; prog_hits_exact; per_proc_exact; per_proc_pieces ]
+      );
       ( "shape",
         [
           Alcotest.test_case "events = oracle on registry" `Quick

@@ -41,7 +41,7 @@ let reference ?(rounds = 1) ~sched (lcg : Lcg.t) (plan : Distribution.plan) :
                 for a = lo to hi do
                   set_held m.dst (array, a) (hv m.src (array, a))
                 done)
-              m.ranges)
+              (Comm.intervals m))
           messages
   in
   Comm.walk ~rounds ~sched ~phases:lcg.prog.phases
