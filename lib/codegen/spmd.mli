@@ -15,8 +15,3 @@
 
 val generate :
   Locality.Lcg.t -> Ilp.Distribution.plan -> Ilp.Cost.machine -> string
-
-val pp :
-  Format.formatter ->
-  Locality.Lcg.t * Ilp.Distribution.plan * Ilp.Cost.machine ->
-  unit

@@ -64,17 +64,6 @@ let count c = List.length c.items
 let errors c = c.n_errors
 let has_errors c = c.n_errors > 0
 
-let pp ppf d =
-  match d.where with
-  | None ->
-      Format.fprintf ppf "[%s] %s %s: %s"
-        (severity_to_string d.severity)
-        (stage_to_string d.stage) d.code d.message
-  | Some w ->
-      Format.fprintf ppf "[%s] %s %s at %s: %s"
-        (severity_to_string d.severity)
-        (stage_to_string d.stage) d.code w d.message
-
 let pp_table ppf = function
   | [] -> ()
   | ds ->

@@ -107,6 +107,5 @@ val stage_to_string : stage -> string
 val where_to_string : t -> string
 (** The [where] field, or ["-"] when absent. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_table : Format.formatter -> t list -> unit
 (** Aligned table, one diagnostic per row; prints nothing when empty. *)

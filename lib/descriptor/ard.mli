@@ -49,10 +49,4 @@ val of_site : Phase.t -> Phase.site -> t
     where it encodes increasing/decreasing access - what reverse
     storage symmetry needs. *)
 
-val whole_array : Phase.t -> array:string -> size:Expr.t -> mix:Access_mix.t -> t
-(** The conservative fallback: stride-1 coverage of the full array. *)
-
-val span : dim -> Expr.t
-(** [(alpha - 1) * stride]. *)
-
 val pp : Format.formatter -> t -> unit

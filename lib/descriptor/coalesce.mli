@@ -20,5 +20,4 @@
 
     The parallel dim is never touched: it is the distribution handle. *)
 
-val group : Ir.Phase.t -> Pd.group -> Pd.group
 val pd : Pd.t -> Pd.t

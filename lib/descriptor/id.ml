@@ -40,33 +40,6 @@ let of_pd (pd : Pd.t) : t =
     exact = pd.exact;
   }
 
-(* Like [Pd.key]: the projected content without [ctx] (callers whose
-   cached values consult the context - symmetry's write checks - fold
-   [Ir.Phase.key] into their own keys). *)
-let row_key (r : row) =
-  Artifact.Key.(
-    list
-      [
-        list (List.map expr r.seq_alphas);
-        expr r.offset0;
-        expr r.par_stride;
-        int r.par_sign;
-        expr r.span_seq;
-        list [ bool r.mix.Access_mix.reads; bool r.mix.Access_mix.writes ];
-      ])
-
-let group_key (g : group) =
-  Artifact.Key.(
-    list
-      [
-        list (List.map Pd.dim_key g.seq_dims);
-        list (List.map row_key g.rows);
-      ])
-
-let key (t : t) =
-  Artifact.Key.(
-    list [ str t.array; list (List.map group_key t.groups); bool t.exact ])
-
 let offset_at r ~i =
   Expr.add r.offset0
     (Expr.mul (Expr.int r.par_sign) (Expr.mul r.par_stride i))
@@ -98,12 +71,3 @@ let rectangular t =
   List.for_all
     (fun g -> List.for_all (fun (d : Pd.dim) -> d.uniform) g.seq_dims)
     t.groups
-
-let pp ppf t =
-  let pp_row ppf r =
-    Format.fprintf ppf "tau_B(i)=%a%s%a*i span=%a %a" Expr.pp r.offset0
-      (if r.par_sign >= 0 then " + " else " - ")
-      Expr.pp r.par_stride Expr.pp r.span_seq Access_mix.pp r.mix
-  in
-  Format.fprintf ppf "@[<v 2>ID %s:@,%a@]" t.array
-    (Format.pp_print_list pp_row) (all_rows t)

@@ -27,11 +27,6 @@ type t = {
   exact : bool;
 }
 
-val key : t -> Artifact.Key.t
-(** Structural artifact key over the projected content (array, groups,
-    exactness), without the context - pair with [Ir.Phase.key] when a
-    cached value also depends on the owning phase. *)
-
 val of_pd : Pd.t -> t
 
 val upper_at : row -> i:Expr.t -> Expr.t
@@ -56,5 +51,3 @@ val par_strides : t -> Expr.t list
 
 val rectangular : t -> bool
 (** All dims uniform: the symbolic span/upper-limit formulas are exact. *)
-
-val pp : Format.formatter -> t -> unit

@@ -72,41 +72,6 @@ let of_phase (ctx : Phase.t) ~array : t =
   in
   { array; ctx; groups; exact }
 
-(* Structural artifact keys.  [key] covers the enumeration-relevant
-   content (array, groups, exactness) but deliberately not [ctx]: the
-   addresses a PD denotes are a function of its rows alone, so two PDs
-   that only differ in context share cache lines. *)
-let mix_key (m : Access_mix.t) =
-  Artifact.Key.(list [ bool m.Access_mix.reads; bool m.Access_mix.writes ])
-
-let dim_key (d : dim) =
-  Artifact.Key.(
-    list [ expr d.stride; list (List.map str d.vars); bool d.uniform ])
-
-let row_key (r : row) =
-  Artifact.Key.(
-    list
-      [
-        list (List.map expr r.alphas);
-        list (List.map int r.signs);
-        expr r.offset;
-        mix_key r.mix;
-        list (List.map expr r.phis);
-      ])
-
-let group_key (g : group) =
-  Artifact.Key.(
-    list
-      [
-        list (List.map dim_key g.dims);
-        opt int g.par;
-        list (List.map row_key g.rows);
-      ])
-
-let key (t : t) =
-  Artifact.Key.(
-    list [ str t.array; list (List.map group_key t.groups); bool t.exact ])
-
 let par_stride g =
   Option.map (fun i -> (List.nth g.dims i).stride) g.par
 

@@ -38,13 +38,6 @@ type t = {
   exact : bool;  (** false if any reference degraded to whole-array *)
 }
 
-val dim_key : dim -> Artifact.Key.t
-
-val key : t -> Artifact.Key.t
-(** Structural artifact key over the enumeration-relevant content
-    (array, groups, exactness) - deliberately not the context: the
-    addresses a PD denotes are a function of its rows alone. *)
-
 val of_phase : Phase.t -> array:string -> t
 (** Raw PD: one row per reference site, rows with identical stride
     vectors grouped.  Zero-stride (loop-invariant) dims are dropped. *)

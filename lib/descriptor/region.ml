@@ -41,35 +41,19 @@ let row_addresses env (g : Pd.group) (r : Pd.row) ~par acc =
         sweep_seq (base + (stride * i)) seq
       done
 
-(* Companion to [enum.iter]: counts descriptor-region expansions that
-   actually swept addresses (cache hits in [addresses] do not count). *)
+(* Companion to [enum.iter]: counts descriptor-region expansions. *)
 let enum_count = Metrics.counter "enum.addresses"
 
-let addresses_raw env (t : Pd.t) ~par =
+let addresses_timer = Metrics.timer "region.enumerate"
+
+let addresses env (t : Pd.t) ~par =
+  Metrics.with_timer addresses_timer @@ fun () ->
   Metrics.incr enum_count;
   let acc = Hashtbl.create 256 in
   List.iter
     (fun (g : Pd.group) -> List.iter (fun r -> row_addresses env g r ~par acc) g.rows)
     t.groups;
   acc
-
-(* Whole-descriptor enumeration is re-requested with identical arguments
-   by the halo computation, the ILP word counts and the simulator's
-   sizing; keyed on the environment identity (never its bindings - see
-   DESIGN.md section 12) plus the PD's structural key, the second and
-   later calls are table lookups.  Callers receive the cached table
-   itself and must not mutate it. *)
-let memo : (int, unit) Hashtbl.t Artifact.store =
-  Artifact.store "region.addresses"
-
-let addresses_timer = Metrics.timer "region.enumerate"
-
-let addresses env (t : Pd.t) ~par =
-  let key =
-    Artifact.Key.(list [ int (Env.id env); Pd.key t; opt int par ])
-  in
-  Artifact.find memo key (fun () ->
-      Metrics.with_timer addresses_timer (fun () -> addresses_raw env t ~par))
 
 let sorted tbl =
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare

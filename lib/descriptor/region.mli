@@ -15,8 +15,6 @@ exception Not_rectangular of string
 
 val addresses : Env.t -> Pd.t -> par:int option -> (int, unit) Hashtbl.t
 (** Union over all groups and rows.  [par = Some i] fixes the parallel
-    iteration; [None] sweeps all of them.  Results are memoized per
-    ([Env.id], descriptor, [par]) triple, and the cached table itself is
-    returned: treat it as read-only. *)
+    iteration; [None] sweeps all of them. *)
 
 val sorted : (int, unit) Hashtbl.t -> int list

@@ -37,11 +37,6 @@ let boxes env (t : Pd.t) ~par =
       List.filter_map (fun r -> row_box env g r ~par) g.rows)
     t.groups
 
-let card env t ~par =
-  match boxes env t ~par with
-  | bs -> Lattice.union_card bs
-  | exception Lattice.Overflow -> None
-
 let bounds env t ~par =
   match boxes env t ~par with
   | bs -> Lattice.bounds bs

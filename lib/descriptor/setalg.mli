@@ -26,11 +26,6 @@ val boxes : Env.t -> Pd.t -> par:int option -> Lattice.box list
     @raise Region.Not_rectangular when a value does not evaluate.
     @raise Lattice.Overflow on address arithmetic past native range. *)
 
-val card : Env.t -> Pd.t -> par:int option -> int option
-(** Exact cardinality of the region (union of all rows), or [None]
-    when the union falls outside the closed-form fragment.
-    @raise Region.Not_rectangular *)
-
 val bounds : Env.t -> Pd.t -> par:int option -> (int * int) option
 (** Exact inclusive hull of the region; [None] when the region is
     empty.  Always closed-form (hull bounds of a union need no

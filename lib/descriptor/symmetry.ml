@@ -62,7 +62,7 @@ let region (id : Id.t) env i =
     [] (Id.tagged_rows id)
   |> Lattice.Iv.norm
 
-let analyze_raw (id : Id.t) : t =
+let analyze (id : Id.t) : t =
   let asm = id.ctx.assume in
   let tagged = Id.tagged_rows id in
   let pairs = Id.pairs ~self:false tagged in
@@ -216,20 +216,6 @@ let analyze_raw (id : Id.t) : t =
     overlap;
     write_overlap;
   }
-
-(* [analyze] is re-entered for the same ID by the locality graph builder
-   and by every caller that asks [has_overlap]; the verdict depends on
-   sampled environments, which re-seeding the probe stream changes (it
-   flushes the store).  The ID's structural
-   key alone is not enough - the verdict also reads the analysis
-   context (assumptions, parallel dimension, enumeration oracle), so
-   the phase key is folded in. *)
-let memo : t Artifact.store = Artifact.store "symmetry.analyze"
-
-let analyze (id : Id.t) : t =
-  Artifact.find memo
-    Artifact.Key.(list [ Ir.Phase.key id.ctx; Id.key id ])
-    (fun () -> analyze_raw id)
 
 let has_overlap id = (analyze id).overlap <> No_overlap
 

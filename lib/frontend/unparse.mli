@@ -11,5 +11,4 @@
 val expr : Format.formatter -> Symbolic.Expr.t -> unit
 (** Expression in surface syntax ([2^(e)] for pow2 atoms). *)
 
-val program : Format.formatter -> Ir.Types.program -> unit
 val to_string : Ir.Types.program -> string

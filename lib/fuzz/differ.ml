@@ -182,10 +182,13 @@ let cold_warm prog =
    OCaml domains and hold it to the model - delivered messages must
    equal the Comm schedule under the same gating, every executed read
    must equal its sequential-replay value, and final-epoch contents
-   must land in the owners' replicas.  Generated parallel loops are
-   race-free by construction (see {!Gen}), so any stale read here is a
-   protocol bug, not a program bug. *)
+   must land in the owners' replicas.  A plan whose simulated replay
+   already reads stale ({!Exec.Validate}) is skipped and counted in
+   [fuzz.stale_plans]: the executor cannot agree with a replay that is
+   itself wrong. *)
 let exec_budget_words = 1 lsl 16
+
+let stale_plans = Metrics.counter "fuzz.stale_plans"
 
 let exec_parity prog =
   let t = with_mode Lattice.Auto (fun () -> run_pipeline prog) in
@@ -205,13 +208,17 @@ let exec_parity prog =
       let rounds = if prog.Ir.Types.repeats then 2 else 1 in
       match
         let v = Exec.Validate.run ~rounds t.lcg t.plan in
-        if v.stale > 0 then None
-        else Some (Exec.Runner.execute ~rounds t.lcg t.plan)
+        match Exec.Validate.verdict v with
+        | Stale -> Error v
+        | Pass | Checked_nothing -> Ok (Exec.Runner.execute ~rounds t.lcg t.plan)
       with
       | exception Exec.Runner.Unsupported m -> Skip ("unsupported: " ^ m)
-      | None ->
-          Skip "simulated replay itself reads stale (caught by validate)"
-      | Some r ->
+      | Error v ->
+          Metrics.incr stale_plans;
+          Skip
+            (Printf.sprintf "stale plan: the simulated replay reads %d of %d stale"
+               v.stale v.reads)
+      | Ok r ->
           if r.errors <> [] then
             Fail ("executor error: " ^ String.concat "; " r.errors)
           else if not (Exec.Runner.schedule_parity r) then

@@ -21,9 +21,13 @@
       store reproduces the cold run's report byte for byte;
     - [exec-parity]: the program run on OCaml domains ({!Exec.Runner})
       delivers exactly the schedule, reads no stale value and leaves
-      the replay's final contents in the owners' windows (skipped when
-      {!Exec.Validate} already finds the plan stale, or the program
-      cannot be compiled).
+      the replay's final contents in the owners' windows.  Skipped when
+      the program cannot be compiled, or when {!Exec.Validate} already
+      finds the plan stale: such a plan is a fault of the plan and its
+      schedule (copy-in elision tests cover, not order), not a
+      disagreement between the executor and the replay, so it is not a
+      finding.  Each such skip adds one to the counter
+      [fuzz.stale_plans], which a campaign's [--profile-json] reports.
 
     All checks run at {!h} processors under the program's midpoint
     parameter environment ({!Gen.midpoint_env}), leave the calling
@@ -41,11 +45,6 @@ type check = {
   doc : string;
   run : Ir.Types.program -> verdict;
 }
-
-val checks : check list
-(** The battery, in execution order.  Names are stable identifiers
-    ([roundtrip], [enum-parity], [race-oracle], [ilp-chain],
-    [comm-parity], [cold-warm], [exec-parity]). *)
 
 val find : string -> check
 (** @raise Not_found for an unknown name - used to rebuild a shrink

@@ -39,12 +39,6 @@
 
 open Symbolic
 
-val budget : int
-(** Cap on a site's chunk runs, and on the product of the counts of
-    its sequential dimensions of non-zero stride other than the
-    window (zero strides are multiplicities and cost nothing).
-    Ownership sets have no cap. *)
-
 val proc_of_iteration : chunk:int -> h:int -> int -> int
 (** [floor (i / max 1 chunk)] modulo [h], in [0..h-1] for every [i]:
     consecutive chunk runs go to consecutive processors

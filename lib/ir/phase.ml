@@ -63,8 +63,6 @@ let analyze (prog : program) (ph : phase) : t =
   Artifact.find cache (phase_context_key prog ph) (fun () ->
       analyze_raw prog ph)
 
-let key (t : t) = phase_context_key t.prog t.phase
-
 let sites_of_array t name =
   List.filter (fun s -> String.equal s.ref_.array name) t.sites
 

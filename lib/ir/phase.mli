@@ -38,12 +38,6 @@ val analyze : program -> phase -> t
     @raise Invalid_phase when more than one loop is parallel or an
     array is undeclared. *)
 
-val key : t -> Artifact.Key.t
-(** {!Ir.Types.phase_context_key} of the analyzed phase - the context's
-    identity for caches whose values depend on it.  Deliberately
-    excludes sibling phases, so per-phase artifacts survive edits to
-    the rest of the program (incremental reuse). *)
-
 val sites_of_array : t -> string -> site list
 val loop_index : t -> string -> int
 (** Position of a loop var in [loops]. @raise Not_found otherwise. *)

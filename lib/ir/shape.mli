@@ -76,10 +76,6 @@ val of_phase : program -> Env.t -> phase -> t option
     evaluation, unevaluable parameters).  Memoized per (phase, env),
     unless the environment is {!Env.ephemeral}. *)
 
-val events : site -> int
-(** Number of events the site generates per parallel iteration it
-    occurs in (product of sequential counts, saturating). *)
-
 val emits : t -> site -> bool
 (** Does the site generate any event at all? *)
 

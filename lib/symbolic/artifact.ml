@@ -30,7 +30,6 @@ module Key = struct
   let str s = S s
   let expr e = E e
   let list l = L (List.fold_left (fun h k -> mix h (hash k)) 11 l, l)
-  let opt f = function None -> I 0 | Some x -> list [ f x ]
 
   (* A key kept by its owner (an assumption set's) is found by its
      physical self. *)

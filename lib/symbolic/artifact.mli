@@ -27,7 +27,6 @@ module Key : sig
   val str : string -> t
   val expr : Expr.t -> t
   val list : t list -> t
-  val opt : ('a -> t) -> 'a option -> t
 end
 
 type 'v store

@@ -273,7 +273,6 @@ let add a b = intern (add_n a.node b.node)
 let scale c e = intern (scale_n c e.node)
 let neg e = scale Qnum.minus_one e
 let sub a b = add a (neg b)
-let sum es = List.fold_left add zero es
 
 (* [split_const e] = (constant integer part, residue) used to normalize
    Pow2 exponents: 2^(L-1) --> (1/2) * 2^L. Only the integer part of the

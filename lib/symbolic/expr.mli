@@ -76,7 +76,6 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val scale : Qnum.t -> t -> t
-val sum : t list -> t
 val prod : t list -> t
 
 val pow2 : t -> t

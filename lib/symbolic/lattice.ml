@@ -99,16 +99,12 @@ let make ~base dims =
     Some { base = !base; dims }
   end
 
-let point x = { base = x; dims = [] }
-let base b = b.base
-let dims b = b.dims
 let lo b = b.base
 
 let span b =
   List.fold_left (fun acc (c, s) -> Safe.add acc (Safe.mul (c - 1) s)) 0 b.dims
 
 let hi b = Safe.add b.base (span b)
-let shift b k = { b with base = Safe.add b.base k }
 
 (* One ascending scan computing cardinality, intervality and span.
    Invariant: [interval] implies the set built so far is exactly
@@ -295,8 +291,6 @@ module Iv = struct
     in
     merge ivs
 
-  let union a b = norm (a @ b)
-
   let inter a b =
     let rec go a b acc =
       match (a, b) with
@@ -305,23 +299,6 @@ module Iv = struct
           let l = max l1 l2 and h = min h1 h2 in
           let acc = if l <= h then (l, h) :: acc else acc in
           if h1 < h2 then go ra b acc else go a rb acc
-    in
-    go a b []
-
-  let subtract a b =
-    let rec go a b acc =
-      match a with
-      | [] -> List.rev acc
-      | (l1, h1) :: ra -> (
-          match b with
-          | [] -> go ra b ((l1, h1) :: acc)
-          | (l2, h2) :: rb ->
-              if h2 < l1 then go a rb acc
-              else if l2 > h1 then go ra b ((l1, h1) :: acc)
-              else
-                let acc = if l1 < l2 then (l1, l2 - 1) :: acc else acc in
-                if h1 > h2 then go ((h2 + 1, h1) :: ra) rb acc
-                else go ra b acc)
     in
     go a b []
 

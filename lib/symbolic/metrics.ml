@@ -96,22 +96,6 @@ let with_timer t f =
       f
   end
 
-let add_time t secs =
-  let s = slot t in
-  s.a <- s.a + 1;
-  s.secs <- s.secs +. secs
-
-let hit c = hit_local (slot c)
-let miss c = miss_local (slot c)
-
-let lookups c =
-  let s = slot c in
-  s.a + s.b
-
-let hit_rate c =
-  let n = lookups c in
-  if n = 0 then 0.0 else float_of_int (slot c).a /. float_of_int n
-
 let reset () =
   Array.iter
     (fun s ->

@@ -36,15 +36,6 @@ val with_timer : timer -> (unit -> 'a) -> 'a
 (** Run the thunk, adding its wall time to the cell.  Exceptions
     propagate (the elapsed time is still recorded). *)
 
-val add_time : timer -> float -> unit
-(** Record one call of [s] seconds measured externally. *)
-
-val hit : cache -> unit
-val miss : cache -> unit
-val lookups : cache -> int
-val hit_rate : cache -> float
-(** Hits over total lookups; [0.0] when the cache was never consulted. *)
-
 (** {2 Domain-local handles}
 
     A cell's numbers on the domain that took the handle.  A hot path

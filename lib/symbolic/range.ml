@@ -41,17 +41,10 @@ let bounds_of asm v =
       | _ -> None)
   | None -> None
 
-(* Bound elimination is deterministic given the probe stream, and the
-   coalescing fixpoint re-asks the same (assumptions, direction, over,
-   expr) queries many times per phase; memoize the final validated
-   answer.  Re-seeding the probe stream flushes the store, so an answer
-   never crosses seeds; the descriptor property suite pins that the
-   memoized analysis still matches the brute-force oracle. *)
-let memo : Expr.t option Artifact.store = Artifact.store "range.bounds"
-
 let eliminate_timer = Metrics.timer "range.eliminate"
 
-let eliminate_raw asm dir ~over e =
+let eliminate asm dir ~over e =
+  Metrics.with_timer eliminate_timer @@ fun () ->
   let order =
     (* Reverse declaration order, restricted to [over]. *)
     List.rev (List.filter (fun v -> List.mem v over) (Assume.vars asm))
@@ -84,21 +77,6 @@ let eliminate_raw asm dir ~over e =
   | Some bound ->
       let ok = match dir with Max -> fun c -> c >= 0 | Min -> fun c -> c <= 0 in
       if Probe.ordered asm ok bound e then Some bound else None
-
-let eliminate asm dir ~over e =
-  let key =
-    Artifact.Key.(
-      list
-        [
-          int (match dir with Max -> 0 | Min -> 1);
-          Assume.key asm;
-          list (List.map str over);
-          expr e;
-        ])
-  in
-  Artifact.find memo key (fun () ->
-      Metrics.with_timer eliminate_timer (fun () ->
-          eliminate_raw asm dir ~over e))
 
 let maximize asm ~over e = eliminate asm Max ~over e
 let minimize asm ~over e = eliminate asm Min ~over e

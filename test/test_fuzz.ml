@@ -180,6 +180,63 @@ let test_campaign_metrics () =
   in
   Alcotest.(check bool) (Printf.sprintf "pipeline.run calls %d > 0" calls) true (calls > 0)
 
+(* exec-parity skips a plan whose simulated replay already reads stale
+   and counts it in [fuzz.stale_plans]: the counter rises by one
+   exactly when {!Exec.Validate}'s verdict on the check's own pipeline
+   is [Stale].  The row-then-column program is stale through copy-in
+   elision (its head phase reads each cell before writing it); the
+   seed-42 default programs hold stale and clean plans both. *)
+let rowcol =
+  {|program rowcol
+param N = 8..8
+real A(N,N)
+
+phase ROWS:
+doall i = 0, N - 1
+  do j = 0, N - 1
+    A(i,j) = A(i,j)
+  end
+end
+
+phase COLS:
+doall j = 0, N - 1
+  do i = 0, N - 1
+    A(i,j) = A(i,j)
+  end
+end
+|}
+
+let stale_plans () =
+  Option.value ~default:0
+    (List.assoc_opt "fuzz.stale_plans" (Metrics.snapshot ()).Metrics.counters)
+
+let test_stale_plans_counted () =
+  let exec_parity = Fuzz.Differ.find "exec-parity" in
+  let progs =
+    Option.get (Core.Pipeline.parse_program ~where:"<rowcol>" rowcol)
+    :: gen_programs ~seed:42 12
+  in
+  let stale, clean =
+    List.fold_left
+      (fun (stale, clean) (p : Ir.Types.program) ->
+        let t = Core.Pipeline.run p ~env:(Fuzz.Gen.midpoint_env p) ~h:Fuzz.Differ.h in
+        let rounds = if p.repeats then 2 else 1 in
+        let is_stale =
+          match Exec.Validate.verdict (Exec.Validate.run ~rounds t.lcg t.plan) with
+          | Stale -> true
+          | Pass | Checked_nothing -> false
+          | exception Exec.Runner.Unsupported _ -> false
+        in
+        let before = stale_plans () in
+        ignore (exec_parity.run p);
+        Alcotest.(check int) (p.prog_name ^ ": fuzz.stale_plans rise")
+          (Bool.to_int is_stale) (stale_plans () - before);
+        if is_stale then (stale + 1, clean) else (stale, clean + 1))
+      (0, 0) progs
+  in
+  Alcotest.(check bool) (Printf.sprintf "stale %d and clean %d plans seen" stale clean)
+    true (stale >= 2 && clean > 0)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -206,5 +263,7 @@ let () =
             test_injected_mutation;
           Alcotest.test_case "campaign metrics reach the caller" `Quick
             test_campaign_metrics;
+          Alcotest.test_case "stale plans counted, not found" `Quick
+            test_stale_plans_counted;
         ] );
     ]

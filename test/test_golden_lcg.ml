@@ -1,7 +1,7 @@
 (* Golden snapshots of the LCG for every registry kernel: node access
    attributes (R / W / R/W / P, Sec. 3) and Table 1 edge labels
    (L / C / D, Theorem 2) are pinned so that the memoisation layer
-   (env.eval, range.bounds, phase.analyze, region.addresses) can never
+   (env.eval, probe.bank, phase.analyze, shape.sites) can never
    silently change an analysis result.
 
    Regenerate after an intentional analysis change with
