@@ -27,7 +27,7 @@ let sep title =
    making the printed artifacts depend on the ambient seed. *)
 let fig1_prog = Codes.Registry.fig1
 let f3_ctx = lazy (Ir.Phase.analyze fig1_prog (List.hd fig1_prog.phases))
-let x_raw () = Pd.of_phase (Lazy.force f3_ctx) ~array:"X"
+let x_raw () = Pd.of_phase (Ard.of_phase (Lazy.force f3_ctx)) ~array:"X"
 let x_final = lazy (Unionize.simplify (x_raw ()))
 let small_env = Env.of_list [ ("p", 2); ("P", 4); ("q", 0); ("Q", 3) ]
 
@@ -108,7 +108,7 @@ let fig5 () =
     in
     let ph = List.hd prog.phases in
     Id.of_pd
-      (Unionize.simplify (Pd.of_phase (Ir.Phase.analyze prog ph) ~array:"A"))
+      (Unionize.simplify (Pd.of_phase (Ard.of_phase (Ir.Phase.analyze prog ph)) ~array:"A"))
   in
   let shifted =
     mk "S"
@@ -213,7 +213,7 @@ let fig7 () =
       List.find (fun (p : Ir.Types.phase) -> p.phase_name = name) prog.phases
     in
     Id.of_pd
-      (Unionize.simplify (Pd.of_phase (Ir.Phase.analyze prog ph) ~array:"A"))
+      (Unionize.simplify (Pd.of_phase (Ard.of_phase (Ir.Phase.analyze prog ph)) ~array:"A"))
   in
   let show case name attr =
     let verdict = Intra.check ~sym:(Symmetry.analyze (id name)) ~attr in

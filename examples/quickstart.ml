@@ -43,7 +43,7 @@ let () =
   (* 2. Look inside: the phase descriptor of T in PRODUCE. *)
   let ctx = Ir.Phase.analyze program (List.hd program.phases) in
   let pd =
-    Descriptor.Unionize.simplify (Descriptor.Pd.of_phase ctx ~array:"T")
+    Descriptor.Unionize.simplify (Descriptor.Pd.of_phase (Descriptor.Ard.of_phase ctx) ~array:"T")
   in
   Format.printf "=== PD of T in PRODUCE (coalesced + unioned) ===@.%a@.@."
     Descriptor.Pd.pp pd;

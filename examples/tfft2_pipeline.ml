@@ -30,7 +30,7 @@ let () =
     (Ir.Phase.sites_of_array ctx "X");
 
   (* Fig. 3: the simplification chain. *)
-  let raw = Pd.of_phase ctx ~array:"X" in
+  let raw = Pd.of_phase (Ard.of_phase ctx) ~array:"X" in
   Format.printf "@.--- Fig. 3(a): raw PD ---@.%a@." Pd.pp raw;
   let coalesced = Coalesce.pd raw in
   Format.printf "--- Fig. 3(c): after stride coalescing ---@.%a@." Pd.pp

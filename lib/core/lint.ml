@@ -52,17 +52,11 @@ let rec fold_loops f acc (l : Types.loop) =
 let loop_vars (ph : Types.phase) =
   List.rev (fold_loops (fun acc l -> l.Types.var :: acc) [] ph.Types.nest)
 
-(* Marked parallel loops of a nest, with their Autopar-style paths. *)
-let parallel_paths (nest : Types.loop) =
-  List.filter
-    (fun path -> (Autopar.loop_at nest path).Types.parallel)
-    (Autopar.loop_paths nest)
-
 (* ------------------------------------------------------------------ *)
 (* Per-phase structural rules *)
 
 let rule_multi_parallel c (ph : Types.phase) =
-  match parallel_paths ph.Types.nest with
+  match Autopar.marked_paths ph.Types.nest with
   | [] | [ _ ] -> ()
   | paths ->
       Diag.addf c ~severity:Error ~stage:Lint ~where:ph.Types.phase_name
@@ -257,11 +251,11 @@ let rule_dead_write c (prog : Types.program) =
 (* ------------------------------------------------------------------ *)
 (* Certifier-backed rules *)
 
-let rule_race c (prog : Types.program) envs (ph : Types.phase) =
+let rule_race c (prog : Types.program) envs ards (ph : Types.phase) =
   List.iter
     (fun path ->
       let var = try Autopar.loop_var_at ph.Types.nest path with _ -> "?" in
-      match Racecheck.certify prog ph ~loop_path:path with
+      match Racecheck.certify ~ards prog ph ~loop_path:path with
       | Racecheck.Proved_independent -> ()
       | Racecheck.Proved_dependent w ->
           Diag.addf c ~severity:Error ~stage:Lint ~where:(where_loop ph var)
@@ -281,23 +275,24 @@ let rule_race c (prog : Types.program) envs (ph : Types.phase) =
                 "declared parallel, but sampling found a cross-iteration \
                  conflict (certifier: %s)"
                 reason))
-    (parallel_paths ph.Types.nest)
+    (Autopar.marked_paths ph.Types.nest)
 
 (* ------------------------------------------------------------------ *)
 
-let check ?envs ?at ?diags (prog : Types.program) =
+let check ?envs ?at ?ards ?diags (prog : Types.program) =
   let envs = match envs with Some e -> e | None -> default_envs prog in
+  let ards = match ards with Some a -> a | None -> Descriptor.Ard.of_program prog in
   let c = Diag.collector () in
-  List.iter
-    (fun ph ->
+  List.iter2
+    (fun ph ards ->
       rule_multi_parallel c ph;
       rule_refs c prog ph;
       rule_unbound c prog ph;
       rule_nonnormal c ph;
       rule_subscript c ph;
       rule_bounds c prog envs ?at ph;
-      rule_race c prog envs ph)
-    prog.Types.phases;
+      rule_race c prog envs ards ph)
+    prog.Types.phases ards;
   rule_dead_write c prog;
   let findings = Diag.to_list c in
   (match diags with

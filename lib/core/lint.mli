@@ -54,6 +54,7 @@ val default_envs : Ir.Types.program -> Env.t list
 val check :
   ?envs:Env.t list ->
   ?at:Env.t ->
+  ?ards:Descriptor.Ard.phase Lazy.t list ->
   ?diags:Diag.collector ->
   Ir.Types.program ->
   Diag.t list
@@ -61,8 +62,10 @@ val check :
     recorded into [diags] when given).  [envs] are the sampled parameter
     environments for the dynamic rules (default: {!default_envs}).
     [LINT-RACE] / [LINT-UNCERTIFIED] judge each declared parallel loop
-    by {!Descriptor.Racecheck.certify} and sample it with
-    {!Ir.Autopar.sampled} only when the certifier answers [Unknown].
+    by {!Descriptor.Racecheck.certify}, from the phase's entry of [ards]
+    (the program's descriptors, {!Descriptor.Ard.of_program}; built
+    here when not given), and sample it with {!Ir.Autopar.sampled}
+    only when the certifier answers [Unknown].
     [at] is the environment being analyzed: [LINT-BOUNDS] also checks
     it.  Every environment is judged from {!Ir.Shape.ranges}, reporting
     the extreme address outside an extent; a phase without them is

@@ -68,8 +68,13 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   in
   (* Lint first: malformed input is reported with positions before any
      descriptor machinery can trip over it.  Under [strict] a program
-     with Error-severity findings is refused outright. *)
-  let findings = Metrics.with_timer lint_timer (fun () -> Lint.check ~at:env ~diags prog) in
+     with Error-severity findings is refused outright.  Lint's race
+     rule and the LCG read one set of descriptors: each reference site
+     is described once per run. *)
+  let ards = Descriptor.Ard.of_program prog in
+  let findings =
+    Metrics.with_timer lint_timer (fun () -> Lint.check ~at:env ~ards ~diags prog)
+  in
   if
     strict
     && List.exists (fun (f : Diag.t) -> f.Diag.severity = Diag.Error) findings
@@ -78,7 +83,7 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
     Metrics.with_timer lcg_timer @@ fun () ->
     guard ~strict ~diags ~stage:Diag.Lcg ~code:"LCG-FAIL"
       ~fallback:(fun () -> Locality.Lcg.empty prog ~env ~h)
-      (fun () -> Locality.Lcg.build prog ~env ~h)
+      (fun () -> Locality.Lcg.build ~ards prog ~env ~h)
   in
   (* Whole-array degradation happens inside descriptor construction
      (Ard.of_site catches Unsupported); surface it as a warning per

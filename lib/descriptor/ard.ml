@@ -39,14 +39,12 @@ let whole_array (ctx : Phase.t) ~array ~size ~mix =
   }
 
 (* One dimension of the descriptor: the contribution of loop [v] to the
-   subscript [phi]. *)
+   subscript [phi], read off the site's step along [v]. *)
 let dim_of_loop (ctx : Phase.t) (site : Phase.site) v =
-  if not (List.mem v site.enclosing) then invariant_dim v
-  else
-    let phi = site.phi in
-    let raw = Expr.sub (Expr.subst v (Expr.add (Expr.var v) Expr.one) phi) phi in
-    if Expr.is_zero raw then invariant_dim v
-    else begin
+  match Phase.step site v with
+  | None -> invariant_dim v
+  | Some { stride = raw; _ } when Expr.is_zero raw -> invariant_dim v
+  | Some { stride = raw; affine } ->
       (* A stride may legitimately evaluate to zero on degenerate
          samples (J * 2^(L-1) at J = 0): direction is decided by the
          non-negative / non-positive envelope. *)
@@ -62,8 +60,11 @@ let dim_of_loop (ctx : Phase.t) (site : Phase.site) v =
         | Some l -> l.hi
         | None -> raise Unsupported
       in
+      (* phi(hi) - phi(0): the stride times hi where phi is affine. *)
+      let phi = site.phi in
       let reach =
-        Expr.sub (Expr.subst v hi phi) (Expr.subst v Expr.zero phi)
+        if affine then Expr.mul raw hi
+        else Expr.sub (Expr.subst v hi phi) (Expr.subst v Expr.zero phi)
       in
       let alpha = Expr.add (Expr.div reach raw) Expr.one in
       let stride = if sign >= 0 then raw else Expr.neg raw in
@@ -72,9 +73,11 @@ let dim_of_loop (ctx : Phase.t) (site : Phase.site) v =
          [uniform] flag lets consumers that need rectangularity (region
          expansion, upper limits) insist on it. *)
       { alpha; stride; sign; vars = [ v ]; uniform = not (Expr.mem_var v raw) }
-    end
+
+let site_count = Metrics.counter "descriptor.ard"
 
 let of_site (ctx : Phase.t) (site : Phase.site) : t =
+  Metrics.incr site_count;
   let array = site.ref_.array in
   let mix = Access_mix.of_access site.ref_.access in
   let par_var = Option.map (fun (l : Phase.loop_info) -> l.var) ctx.par in
@@ -119,6 +122,13 @@ let of_site (ctx : Phase.t) (site : Phase.site) : t =
   with Unsupported ->
     let decl = Types.array_decl ctx.prog site.ref_.array in
     whole_array ctx ~array ~size:(Linearize.size ~dims:decl.dims) ~mix
+
+type phase = { ctx : Phase.t; ards : t list }
+
+let of_phase ctx = { ctx; ards = List.map (of_site ctx) ctx.Phase.sites }
+
+let of_program (prog : Types.program) =
+  List.map (fun ph -> lazy (of_phase (Phase.analyze prog ph))) prog.phases
 
 let pp ppf t =
   let pp_dim ppf d =

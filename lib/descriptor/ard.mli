@@ -43,10 +43,28 @@ exception Unsupported
     an escape (a bug) as a recoverable analysis failure. *)
 
 val of_site : Phase.t -> Phase.site -> t
-(** Builds the descriptor of one reference site; normalizes every
-    {e sequential} dimension to a positive direction (folding the span
-    into the offset), keeping the sign only on the parallel dimension
-    where it encodes increasing/decreasing access - what reverse
-    storage symmetry needs. *)
+(** Builds the descriptor of one reference site from its steps
+    ({!Phase.step}); normalizes every {e sequential} dimension to a
+    positive direction (folding the span into the offset), keeping the
+    sign only on the parallel dimension where it encodes
+    increasing/decreasing access - what reverse storage symmetry
+    needs.  Each call counts one [descriptor.ard]. *)
+
+type phase = {
+  ctx : Phase.t;
+  ards : t list;  (** one per site of [ctx], in the same order *)
+}
+(** A phase's descriptors: built once, read by every PD of the phase
+    ({!Pd.of_phase}), the race certifier's and the LCG's alike. *)
+
+val of_phase : Phase.t -> phase
+
+val of_program : Types.program -> phase Lazy.t list
+(** One entry per phase of the program, in order, each built on first
+    use: the phase's context ({!Phase.analyze}) and its descriptors.
+    Forcing an entry raises what building it raises, again on every
+    later force.  [Core.Pipeline.run] builds one list and hands it to
+    lint's race rule and to [Locality.Lcg.build], so each site of the
+    run is described once. *)
 
 val pp : Format.formatter -> t -> unit

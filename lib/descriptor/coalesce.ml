@@ -164,10 +164,12 @@ let try_delete (ctx : Ir.Phase.t) (g : Pd.group) i : Pd.group option =
               in
               same Range.maximize && same Range.minimize
             in
+            (* Rows that share a subscript (a read and a write of one
+               element) ask the same question: ask it once. *)
             let ok =
-              List.for_all
-                (fun (r : Pd.row) -> List.for_all reach_preserved r.phis)
-                g.rows
+              List.for_all reach_preserved
+                (List.sort_uniq Expr.compare
+                   (List.concat_map (fun (r : Pd.row) -> r.phis) g.rows))
             in
             if ok then Some (remove_dim g i ~update_row:Fun.id) else None
 

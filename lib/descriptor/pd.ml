@@ -54,9 +54,8 @@ let same_dims a b =
   && a.par = b.par
   && List.for_all2 (fun (x : dim) (y : dim) -> Expr.equal x.stride y.stride) a.dims b.dims
 
-let of_phase (ctx : Phase.t) ~array : t =
-  let sites = Phase.sites_of_array ctx array in
-  let ards = List.map (Ard.of_site ctx) sites in
+let of_phase ({ ctx; ards } : Ard.phase) ~array : t =
+  let ards = List.filter (fun (a : Ard.t) -> String.equal a.array array) ards in
   let exact = List.for_all (fun (a : Ard.t) -> a.exact) ards in
   let groups =
     List.fold_left

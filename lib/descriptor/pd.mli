@@ -38,9 +38,10 @@ type t = {
   exact : bool;  (** false if any reference degraded to whole-array *)
 }
 
-val of_phase : Phase.t -> array:string -> t
-(** Raw PD: one row per reference site, rows with identical stride
-    vectors grouped.  Zero-stride (loop-invariant) dims are dropped. *)
+val of_phase : Ard.phase -> array:string -> t
+(** Raw PD: one row per descriptor of [array] among the phase's, rows
+    with identical stride vectors grouped.  Zero-stride
+    (loop-invariant) dims are dropped.  Builds no descriptor. *)
 
 val par_stride : group -> Expr.t option
 (** Stride of the parallel dim ([None] when the region is invariant

@@ -218,12 +218,24 @@ let pair_test asm ~loop_vars ~n ~array (t1 : trow) (t2 : trow) : pair_result =
   | Cannot _ when congruence_test asm ~n t1 t2 -> Disjoint
   | r -> r
 
-let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
-    verdict =
+let certify_exn ?ards (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path
+    : verdict =
+  (* The phase's own descriptors describe the candidate when it marks
+     the loop the phase already marks, and only that one. *)
+  let own =
+    match ards with
+    | Some ards when Ir.Autopar.marked_paths ph.Ir.Types.nest = [ loop_path ] ->
+        Some (Lazy.force ards)
+    | _ -> None
+  in
   let candidate =
     { ph with Ir.Types.nest = Ir.Autopar.set_parallel ph.Ir.Types.nest loop_path }
   in
-  let t = Ir.Phase.analyze prog candidate in
+  let t =
+    match own with
+    | Some (a : Ard.phase) -> a.ctx
+    | None -> Ir.Phase.analyze prog candidate
+  in
   match t.par with
   | None -> Unknown "no loop at the requested path"
   | Some par ->
@@ -252,21 +264,21 @@ let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
         (* Only sites inside the candidate loop participate in its
            cross-iteration dependences; the enumeration oracle likewise
            ignores accesses outside the marked loop. *)
+        let inside (s : Ir.Phase.site) = List.mem par.var s.Ir.Phase.enclosing in
         let enclosed =
-          {
-            t with
-            Ir.Phase.sites =
-              List.filter
-                (fun (s : Ir.Phase.site) ->
-                  List.mem par.var s.Ir.Phase.enclosing)
-                t.Ir.Phase.sites;
-          }
+          match own with
+          | Some a ->
+              List.concat
+                (List.map2 (fun s d -> if inside s then [ d ] else []) t.sites a.ards)
+          | None ->
+              List.filter_map
+                (fun s -> if inside s then Some (Ard.of_site t s) else None)
+                t.sites
         in
+        let enclosed = { Ard.ctx = t; ards = enclosed } in
         let arrays =
           List.sort_uniq String.compare
-            (List.map
-               (fun (s : Ir.Phase.site) -> s.Ir.Phase.ref_.Ir.Types.array)
-               enclosed.Ir.Phase.sites)
+            (List.map (fun (a : Ard.t) -> a.array) enclosed.ards)
         in
         let unknown = ref None in
         let note r = if !unknown = None then unknown := Some r in
@@ -339,8 +351,8 @@ let certify_exn (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path :
         | None, None -> Proved_independent
       end
 
-let certify prog ph ~loop_path =
-  try certify_exn prog ph loop_path
+let certify ?ards prog ph ~loop_path =
+  try certify_exn ?ards prog ph loop_path
   with e when recoverable e ->
     Unknown ("descriptor construction failed: " ^ Printexc.to_string e)
 

@@ -53,11 +53,16 @@ type verdict =
   | Unknown of string  (** why the certifier gave up *)
 
 val certify :
+  ?ards:Ard.phase Lazy.t ->
   Ir.Types.program -> Ir.Types.phase -> loop_path:int list -> verdict
 (** Certify the loop reached by descending [loop_path] (as in
     {!Ir.Autopar.independent}): the loop is re-marked as the phase's
     parallel loop and its cross-iteration dependence structure is
-    decided from the per-array Iteration Descriptors. *)
+    decided from the per-array Iteration Descriptors of the sites the
+    loop encloses.  [ards] are the phase's own descriptors (its entry
+    of {!Ard.of_program}): read when [loop_path] is the phase's only
+    marked loop, so the candidate is the phase itself; any other
+    candidate marking describes its enclosed sites afresh. *)
 
 (** {1 Marking}
 

@@ -113,6 +113,9 @@ let rec loop_at (l : loop) = function
 let loop_var_at (nest : loop) (path : int list) : string =
   (loop_at nest path).var
 
+let marked_paths (nest : loop) =
+  List.filter (fun path -> (loop_at nest path).parallel) (loop_paths nest)
+
 (* ------------------------------------------------------------------ *)
 (* Reduction privatization *)
 

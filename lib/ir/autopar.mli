@@ -46,6 +46,9 @@ val loop_at : loop -> int list -> loop
 val loop_var_at : loop -> int list -> string
 (** Loop variable of the loop at a path. @raise Failure on bad paths. *)
 
+val marked_paths : loop -> int list list
+(** The paths of the loops marked parallel, in pre-order. *)
+
 val independent :
   program -> Env.t -> phase -> loop_path:int list -> bool
 (** Is the loop reached by descending [loop_path] (child indices from

@@ -25,79 +25,49 @@ exception Out_of_fragment
    hanging. *)
 let expand_budget = 8192
 
-(* The set of loop variables that must be enumerated concretely: those
-   appearing in loop bounds, in non-affine subscript positions, or in
-   another variable's subscript coefficient, and a parallel loop whose
-   own bound mentions a loop variable (its trip count varies, so no one
-   [par_n] strides it).  Computed as a fixpoint over the phase's loops
-   and sites. *)
-let bad_vars (pc : Phase.t) =
-  let loopvars = List.map (fun (l : Phase.loop_info) -> l.var) pc.loops in
-  let is_loopvar v = List.mem v loopvars in
-  let bad = Hashtbl.create 8 in
-  let add v = if not (Hashtbl.mem bad v) then Hashtbl.add bad v () in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let n0 = Hashtbl.length bad in
-    List.iter
-      (fun (l : Phase.loop_info) ->
-        let outer = List.filter is_loopvar (Expr.vars l.hi) in
-        List.iter add outer;
-        if l.parallel && outer <> [] then add l.var)
-      pc.loops;
-    List.iter
-      (fun (s : Phase.site) ->
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem bad v) then
-              match Expr.linear_in v s.phi with
-              | None -> add v
-              | Some (a, _) ->
-                  List.iter (fun w -> if is_loopvar w then add w) (Expr.vars a))
-          s.enclosing)
-      pc.sites;
-    if Hashtbl.length bad <> n0 then changed := true
-  done;
-  bad
-
 let cache : t option Artifact.store = Artifact.store "shape.sites"
 
-(* Loop nodes in a statement subtree: a loop's id is its preorder
-   position in the nest, so a partially evaluated loop's body gets the
-   same ids in every run. *)
+(* Loop nodes and reference sites in a statement subtree: a loop's id
+   is its preorder position in the nest, and a reference's its
+   position in [Phase.t.sites], so a partially evaluated loop's body
+   gets the same ids in every run. *)
 let rec loops_in = function
   | Assign _ -> 0
   | Loop l -> List.fold_left (fun n s -> n + loops_in s) 1 l.body
+
+let rec sites_in = function
+  | Assign a -> List.length a.refs
+  | Loop l -> List.fold_left (fun n s -> n + sites_in s) 0 l.body
 
 let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
   match Phase.analyze prog ph with
   | exception Phase.Invalid_phase _ -> None
   | pc -> (
-      let bad = bad_vars pc in
+      let bad v = List.mem v pc.bad in
+      let phase_sites = Array.of_list pc.sites in
       try
         let env0 = Env.ephemeral env in
         let budget = ref expand_budget in
         let sites = ref [] in
         (* Good loop vars are bound to 0 on entry, so evaluating φ
            directly gives the base address (parallel iteration 0, all
-           sequential indices 0), and coefficient expressions - which
-           the fixpoint guarantees contain only bad vars and
-           parameters - evaluate as well.  [goods]: (var, count) of
-           enclosing good sequential loops, outermost first, and
-           [loops] their ids; [par]: the site's parallel-iteration
-           shape so far; [run]: the site's run so far; [id]: the
-           statement's preorder loop id. *)
-        let rec walk env goods loops par run id = function
+           sequential indices 0), and the steps along good vars - which
+           the partial-evaluation fixpoint guarantees are affine and
+           mention only bad vars and parameters - evaluate as well.
+           [goods]: (var, count) of enclosing good sequential loops,
+           outermost first, and [loops] their ids; [par]: the site's
+           parallel-iteration shape so far; [run]: the site's run so
+           far; [id]: the statement's preorder loop id; [first]: the
+           index of its first reference site. *)
+        let rec walk env goods loops par run (id, first) = function
           | Assign a ->
               List.iteri
                 (fun k (r : array_ref) ->
-                  let decl = array_decl prog r.array in
-                  let phi = Linearize.address ~dims:decl.dims r.index in
+                  let site = phase_sites.(first + k) in
                   let coef v =
-                    match Expr.linear_in v phi with
-                    | Some (c, _) -> Env.eval env c
-                    | None -> raise Out_of_fragment
+                    match Phase.step site v with
+                    | Some { stride; affine = true } -> Env.eval env stride
+                    | Some { affine = false; _ } | None -> raise Out_of_fragment
                   in
                   let par =
                     match par with
@@ -105,7 +75,7 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
                     | `Var v -> Strided (coef v)
                     | `At i -> Fixed i
                   in
-                  let base = Env.eval env phi in
+                  let base = Env.eval env site.phi in
                   let seq = List.map (fun (v, c) -> (c, coef v)) goods in
                   sites :=
                     {
@@ -125,13 +95,13 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
               let body env goods loops par run =
                 ignore
                   (List.fold_left
-                     (fun id s ->
-                       walk env goods loops par run id s;
-                       id + loops_in s)
-                     (id + 1) l.body)
+                     (fun (id, first) s ->
+                       walk env goods loops par run (id, first) s;
+                       (id + loops_in s, first + sites_in s))
+                     (id + 1, first) l.body)
               in
               if hi >= 0 then
-                if Hashtbl.mem bad l.var then
+                if bad l.var then
                   for v = 0 to hi do
                     decr budget;
                     if !budget < 0 then raise Out_of_fragment;
@@ -147,12 +117,12 @@ let of_phase_raw (prog : program) (env : Env.t) (ph : phase) : t option =
                   else body env (goods @ [ (l.var, hi + 1) ]) (loops @ [ id ]) par run
                 end
         in
-        walk env0 [] [] `No [] 0 (Loop pc.phase.nest);
+        walk env0 [] [] `No [] (0, 0) (Loop pc.phase.nest);
         (* Read only by [Strided] sites: a partially-evaluated parallel
            loop's bound may mention loop variables. *)
         let par_n =
           match pc.par with
-          | Some l when not (Hashtbl.mem bad l.var) -> max 0 (Env.eval env0 l.hi + 1)
+          | Some l when not (bad l.var) -> max 0 (Env.eval env0 l.hi + 1)
           | Some _ | None -> 1
         in
         Some { par_n; sites = List.rev !sites }

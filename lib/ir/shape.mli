@@ -74,7 +74,10 @@ val of_phase : program -> Env.t -> phase -> t option
 (** [None] when the phase is outside the affine fragment under this
     environment (non-affine parallel subscripts, unbounded partial
     evaluation, unevaluable parameters).  Memoized per (phase, env),
-    unless the environment is {!Env.ephemeral}. *)
+    unless the environment is {!Env.ephemeral}.  The environment-free
+    facts - each site's subscript and steps, the loops to partially
+    evaluate ({!Phase.t.bad}) - come from {!Phase.analyze}; only their
+    evaluation is done per environment. *)
 
 val emits : t -> site -> bool
 (** Does the site generate any event at all? *)

@@ -96,14 +96,15 @@ let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"
 let edge_count = Metrics.counter "table1.edges"
 
-let build (prog : Types.program) ~env ~h : t =
+let build ?ards (prog : Types.program) ~env ~h : t =
   Metrics.with_timer build_timer @@ fun () ->
+  let ards = match ards with Some a -> a | None -> Ard.of_program prog in
   let attrs = Liveness.attrs prog env in
   let phase_ctxs =
-    List.map (fun ph -> (ph, Phase.analyze prog ph)) prog.phases
+    List.map2 (fun ph ards -> (ph, Phase.analyze prog ph, ards)) prog.phases ards
   in
   let works =
-    List.map (fun (ph, _) -> phase_work prog env ph) phase_ctxs
+    List.map (fun (ph, _, _) -> phase_work prog env ph) phase_ctxs
   in
   let graphs =
     List.map
@@ -113,9 +114,9 @@ let build (prog : Types.program) ~env ~h : t =
         let nodes =
           List.concat
             (List.mapi
-               (fun k ((ph : Types.phase), ctx) ->
+               (fun k ((ph : Types.phase), ctx, ards) ->
                  if List.mem array (Types.phase_arrays ph) then begin
-                   let pd = Unionize.simplify (Pd.of_phase ctx ~array) in
+                   let pd = Unionize.simplify (Pd.of_phase (Lazy.force ards) ~array) in
                    let id = Id.of_pd pd in
                    let attr = attr_row.(k) in
                    let sym = Symmetry.analyze id in

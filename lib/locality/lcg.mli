@@ -67,9 +67,12 @@ type t = {
           array, prices it at 0 words. *)
 }
 
-val build : Ir.Types.program -> env:Env.t -> h:int -> t
+val build : ?ards:Ard.phase Lazy.t list -> Ir.Types.program -> env:Env.t -> h:int -> t
 (** Runs the whole front half of the paper: descriptors, simplification,
-    IDs, symmetry, attributes, intra- and inter-phase analysis. *)
+    IDs, symmetry, attributes, intra- and inter-phase analysis.  Each
+    node's PD is assembled from [ards], the program's descriptors
+    ({!Ard.of_program}, built here when not given): they are
+    environment-free, so one list serves every [env] and [h]. *)
 
 val empty : Ir.Types.program -> env:Env.t -> h:int -> t
 (** No graphs, but the sizes at [env]: the LCG-FAIL fallback. *)

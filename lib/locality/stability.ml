@@ -16,10 +16,11 @@ let sample_envs (prog : Ir.Types.program) =
 
 let analyze ?(h_values = [ 2; 4; 8; 16; 32; 64 ]) (prog : Ir.Types.program) : t =
   let envs = sample_envs prog in
+  let ards = Descriptor.Ard.of_program prog in
   (* index edges structurally via the first build *)
   let builds =
     List.map
-      (fun h -> (h, List.map (fun env -> Lcg.build prog ~env ~h) envs))
+      (fun h -> (h, List.map (fun env -> Lcg.build ~ards prog ~env ~h) envs))
       h_values
   in
   match builds with

@@ -54,9 +54,14 @@ let eval_q env e =
       (fun () -> Expr.eval (lookup env) e)
 
 let eval env e =
-  let v = eval_q env e in
-  if Qnum.is_integer v then Qnum.to_int v
-  else raise (Expr.Non_integral (Format.asprintf "value %a" Qnum.pp v))
+  if env.ephemeral then begin
+    Metrics.incr uncached_count;
+    Expr.eval_int (lookup env) e
+  end
+  else
+    let v = eval_q env e in
+    if Qnum.is_integer v then Qnum.to_int v
+    else raise (Expr.Non_integral (Format.asprintf "value %a" Qnum.pp v))
 
 (* A row binds [names.(j)] at slot [j]; the last binding of a repeated
    name wins, as in [of_list]. *)

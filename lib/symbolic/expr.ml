@@ -677,11 +677,56 @@ let compile_int slot e =
         let v = exact () row in
         if Qnum.is_integer v then Qnum.to_int v else raise (non_integral v)
 
-let eval lookup (e : t) = exact_node (fun v _ -> lookup v) e.node [||]
+let eval_exact lookup (e : t) = exact_node (fun v _ -> lookup v) e.node [||]
 
-let eval_int lookup e =
-  let v = eval lookup e in
-  if Qnum.is_integer v then Qnum.to_int v else raise (non_integral v)
+(* One evaluation without closures: [compile_int]'s native path walked
+   straight off the node, raising [Rational] where that path would
+   call its exact fallback. *)
+let rec walk_node lookup = function
+  | [] -> 0
+  | t :: rest ->
+      List.fold_left (fun acc t -> Qnum.add_int acc (walk_term lookup t)) (walk_term lookup t) rest
+
+and walk_term lookup (m, c) =
+  if not (Qnum.is_integer c) then raise Rational
+  else List.fold_left (fun acc (a, k) -> Qnum.mul_int acc (walk_power lookup a k)) (Qnum.to_int c) m
+
+and walk_power lookup a k =
+  if k < 0 then raise Rational
+  else
+    let b = walk_atom lookup a in
+    if k = 1 then b
+    else
+      let rec pow acc n = if n = 0 then acc else pow (Qnum.mul_int acc b) (n - 1) in
+      pow 1 k
+
+and walk_atom lookup = function
+  | Var v ->
+      let x = lookup v in
+      if Qnum.is_integer x then Qnum.to_int x else raise Rational
+  | Pow2 e ->
+      let x = walk_node lookup e.node in
+      if x > 61 then raise Qnum.Overflow else if x < 0 then raise Rational else 1 lsl x
+  | Floor_div (x, y) -> walk_quotient lookup x y floor_int
+  | Ceil_div (x, y) -> walk_quotient lookup x y ceil_int
+  | Opaque_div _ -> raise Rational
+
+and walk_quotient lookup x y f =
+  let d = walk_node lookup y.node in
+  let n = walk_node lookup x.node in
+  f n d
+
+let eval lookup (e : t) =
+  match walk_node lookup e.node with
+  | x -> Qnum.of_int x
+  | exception Rational -> eval_exact lookup e
+
+let eval_int lookup (e : t) =
+  match walk_node lookup e.node with
+  | x -> x
+  | exception Rational ->
+      let v = eval_exact lookup e in
+      if Qnum.is_integer v then Qnum.to_int v else raise (non_integral v)
 
 let rec pp ppf e = pp_node ppf e.node
 

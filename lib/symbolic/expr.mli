@@ -149,14 +149,24 @@ val compile : (string -> binding) -> t -> int array -> Qnum.t
 val compile_int : (string -> binding) -> t -> int array -> int
 (** {!compile} then {!eval_int}'s integrality check. *)
 
-val eval : (string -> Qnum.t) -> t -> Qnum.t
-(** The exact path of {!compile}, applied once; [lookup] is asked for a
-    variable each time one is evaluated.
+val eval_exact : (string -> Qnum.t) -> t -> Qnum.t
+(** The exact path of {!compile}, applied once, in rationals: the
+    reference whose value and exceptions {!eval} and {!compile} keep.
+    [lookup] is asked for a variable each time one is evaluated.
     @raise Non_integral if a [Pow2] exponent evaluates to a non-integer.
     Whatever [lookup] raises propagates. *)
 
+val eval : (string -> Qnum.t) -> t -> Qnum.t
+(** One evaluation: {!compile}'s native path walked straight off the
+    expression, with no closure built, and {!eval_exact} from the start
+    when a rational appears (a fractional coefficient or value, a
+    negative exponent or [Pow2] exponent, an [Opaque_div]).  Value and
+    exceptions are {!eval_exact}'s; [lookup] must be pure, since a
+    re-evaluation asks it again. *)
+
 val eval_int : (string -> Qnum.t) -> t -> int
-(** @raise Non_integral if the result is fractional. *)
+(** {!eval} then an integrality check.
+    @raise Non_integral if the result is fractional. *)
 
 (** {1 Printing} *)
 

@@ -28,7 +28,7 @@ let test_registry_complete () =
           let ctx = Phase.analyze e.program ph in
           List.iter
             (fun array ->
-              let pd = Descriptor.Pd.of_phase ctx ~array in
+              let pd = Descriptor.Pd.of_phase (Descriptor.Ard.of_phase ctx) ~array in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/%s exact" e.name ph.Types.phase_name array)
                 true pd.exact)

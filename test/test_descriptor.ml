@@ -69,7 +69,7 @@ let test_fig2_ards () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 3: coalescing chain (a) -> (c), union -> (d) *)
 
-let x_pd_raw () = Pd.of_phase f3_ctx ~array:"X"
+let x_pd_raw () = Pd.of_phase (Ard.of_phase f3_ctx) ~array:"X"
 let x_pd_coalesced () = Coalesce.pd (x_pd_raw ())
 let x_pd_final () = Unionize.simplify (x_pd_raw ())
 
@@ -161,7 +161,7 @@ let sym_program phases =
 let id_of prog name array =
   let ph = List.find (fun (ph : Types.phase) -> ph.phase_name = name) prog.Types.phases in
   let ctx = Phase.analyze prog ph in
-  Id.of_pd (Unionize.simplify (Pd.of_phase ctx ~array))
+  Id.of_pd (Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array))
 
 let test_fig5_shifted () =
   Probe.with_seed 12 (fun () ->
@@ -254,7 +254,7 @@ let test_f2_columns () =
       let prog = tfft2 in
       let ph = List.nth prog.phases 1 in
       let ctx = Phase.analyze prog ph in
-      let pd = Unionize.simplify (Pd.of_phase ctx ~array:"X") in
+      let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"X") in
       let g = List.hd pd.groups in
       Alcotest.(check int) "one group" 1 (List.length pd.groups);
       Alcotest.(check int) "one row" 1 (List.length g.rows);
@@ -276,7 +276,7 @@ let test_f3_workspace_containment () =
       let prog = tfft2 in
       let ph = List.nth prog.phases 2 in
       let ctx = Phase.analyze prog ph in
-      let pd = Unionize.simplify (Pd.of_phase ctx ~array:"Y") in
+      let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"Y") in
       let rows = List.concat_map (fun (g : Pd.group) -> g.rows) pd.groups in
       Alcotest.(check int) "single row" 1 (List.length rows);
       let r = List.hd rows in
@@ -302,7 +302,7 @@ let test_offset_adjust () =
       in
       let pd_of name =
         let ph = List.find (fun (ph : Types.phase) -> ph.phase_name = name) prog.phases in
-        Unionize.simplify (Pd.of_phase (Phase.analyze prog ph) ~array:"A")
+        Unionize.simplify (Pd.of_phase (Ard.of_phase (Phase.analyze prog ph)) ~array:"A")
       in
       (* tau_min = 0 and A1 sits R = floor(12/4) = 3 strides above it:
          adjusted, the two sides compare aligned (unadjusted, the
@@ -361,7 +361,7 @@ let arb_program = QCheck.make gen_program ~print:(fun p ->
 let oracle_equal prog ~par =
   let ph = List.hd prog.Types.phases in
   let ctx = Phase.analyze prog ph in
-  let pd = Unionize.simplify (Pd.of_phase ctx ~array:"A") in
+  let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"A") in
   let env = Env.empty in
   let descriptor_region =
     try Some (Region.sorted (Region.addresses env pd ~par))
@@ -477,7 +477,7 @@ let arb_stress = QCheck.make gen_stress_program ~print:(fun p ->
 let stress_oracle prog array ~par =
   let ph = List.hd prog.Types.phases in
   let ctx = Phase.analyze prog ph in
-  let pd = Unionize.simplify (Pd.of_phase ctx ~array) in
+  let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array) in
   match Region.sorted (Region.addresses Env.empty pd ~par) with
   | got ->
       let expected =
@@ -539,7 +539,7 @@ let intervals_match_tables prog =
       | ctx ->
           List.for_all
             (fun array ->
-              let id = Id.of_pd (Unionize.simplify (Pd.of_phase ctx ~array)) in
+              let id = Id.of_pd (Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array)) in
               List.for_all
                 (fun k ->
                   let env = Probe.sample ctx.assume k in
@@ -602,7 +602,7 @@ let test_homogenize () =
       in
       let pd_of name =
         let ph = List.find (fun (p : Types.phase) -> p.phase_name = name) prog.phases in
-        Unionize.simplify (Pd.of_phase (Phase.analyze prog ph) ~array:"A")
+        Unionize.simplify (Pd.of_phase (Ard.of_phase (Phase.analyze prog ph)) ~array:"A")
       in
       match Unionize.homogenize (pd_of "H1") (pd_of "H2") with
       | Some merged ->
@@ -631,7 +631,7 @@ let test_homogenize_rejects () =
       in
       let pd_of name =
         let ph = List.find (fun (p : Types.phase) -> p.phase_name = name) prog.phases in
-        Unionize.simplify (Pd.of_phase (Phase.analyze prog ph) ~array:"A")
+        Unionize.simplify (Pd.of_phase (Ard.of_phase (Phase.analyze prog ph)) ~array:"A")
       in
       Alcotest.(check bool) "different strides do not merge" true
         (Unionize.homogenize (pd_of "H1") (pd_of "H3") = None))
@@ -642,7 +642,7 @@ let prop_simplify_idempotent =
     (fun prog ->
       let ph = List.hd prog.Types.phases in
       let ctx = Phase.analyze prog ph in
-      let once = Unionize.simplify (Pd.of_phase ctx ~array:"A") in
+      let once = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"A") in
       let twice = Unionize.simplify once in
       let expand pd =
         try Some (Region.sorted (Region.addresses Env.empty pd ~par:None))
@@ -668,7 +668,7 @@ let test_whole_array_fallback () =
           ]
       in
       let ctx = Phase.analyze prog (List.hd prog.phases) in
-      let pd = Unionize.simplify (Pd.of_phase ctx ~array:"A") in
+      let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"A") in
       Alcotest.(check bool) "inexact" false pd.exact;
       (* the fallback covers the whole array *)
       let region = Region.sorted (Region.addresses Env.empty pd ~par:None) in
@@ -698,7 +698,7 @@ let test_reversed_seq_dim () =
           ]
       in
       let ctx = Phase.analyze prog (List.hd prog.phases) in
-      let pd = Unionize.simplify (Pd.of_phase ctx ~array:"A") in
+      let pd = Unionize.simplify (Pd.of_phase (Ard.of_phase ctx) ~array:"A") in
       (* region per iteration x: [10x+5 .. 10x+9] *)
       let r0 = Region.sorted (Region.addresses Env.empty pd ~par:(Some 0)) in
       Alcotest.(check (list int)) "iter 0" [ 5; 6; 7; 8; 9 ] r0;
@@ -711,6 +711,86 @@ let test_reversed_seq_dim () =
                 Alcotest.(check int) "seq dims normalized positive" 1 s)
             row.signs)
         g.rows)
+
+(* ------------------------------------------------------------------ *)
+(* One derivation per site: [Phase.analyze] derives each site's steps
+   once, and a pipeline run builds each site's ARD once, for lint's race
+   rule and the LCG alike. *)
+
+let ard_count () =
+  Option.value ~default:0 (List.assoc_opt "descriptor.ard" (Metrics.snapshot ()).counters)
+
+let sites_analyzed (prog : Types.program) =
+  List.fold_left
+    (fun n ph ->
+      match Phase.analyze prog ph with
+      | ctx -> Stdlib.( + ) n (List.length ctx.sites)
+      | exception Phase.Invalid_phase _ -> n)
+    0 prog.phases
+
+let test_one_ard_per_site () =
+  let check name prog ~env ~h =
+    Artifact.clear_all ();
+    let before = ard_count () in
+    ignore (Core.Pipeline.run prog ~env ~h);
+    Alcotest.(check int) name (sites_analyzed prog) (Stdlib.( - ) (ard_count ()) before)
+  in
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      List.iter
+        (fun h ->
+          check (Printf.sprintf "%s H=%d" e.name h) e.program
+            ~env:(e.env_of_size e.default_size) ~h)
+        [ 4; 64 ])
+    Codes.Registry.all;
+  (* the golden fuzz programs (test_golden_fuzz) *)
+  List.iter
+    (fun (name, profile, count, h) ->
+      for index = 0 to Stdlib.( - ) count 1 do
+        let prog = Fuzz.Gen.program profile ~seed:2026 ~index in
+        check (Printf.sprintf "%s#%d" name index) prog ~env:(Fuzz.Gen.midpoint_env prog) ~h
+      done)
+    [ ("deep", Fuzz.Gen.deep, 12, 16); ("default", Fuzz.Gen.default, 40, 4) ]
+
+(* Oracle: each stored step is the forward difference phi(v+1) - phi(v)
+   the descriptors once derived per use, [affine] says whether phi is
+   linear in v, and each exact ARD's count along v is still
+   (phi(hi) - phi(0)) / stride + 1. *)
+let test_steps_oracle () =
+  let check_phase (prog : Types.program) ph =
+    match Phase.analyze prog ph with
+    | exception Phase.Invalid_phase _ -> ()
+    | ctx ->
+        List.iter
+          (fun (site : Phase.site) ->
+            let phi = site.phi in
+            let where v = Printf.sprintf "%s: %s along %s" ph.Types.phase_name (Expr.to_string phi) v in
+            List.iter2
+              (fun var (st : Phase.step) ->
+                let diff = Expr.subst var (v var + i 1) phi - phi in
+                Alcotest.check expr (where var) diff st.stride;
+                Alcotest.(check bool) (where var ^ " affine") (Expr.linear_in var phi <> None) st.affine)
+              site.enclosing site.steps;
+            let ard = Ard.of_site ctx site in
+            if ard.exact then
+              List.iter2
+                (fun (l : Phase.loop_info) (d : Ard.dim) ->
+                  match Phase.step site l.var with
+                  | Some st when not (Expr.is_zero st.stride) ->
+                      let reach = Expr.subst l.var l.hi phi - Expr.subst l.var Expr.zero phi in
+                      Alcotest.check expr (where l.var ^ " alpha") ((reach / st.stride) + i 1) d.alpha
+                  | _ -> ())
+                ctx.loops ard.dims)
+          ctx.sites
+  in
+  let check_program prog = List.iter (check_phase prog) prog.Types.phases in
+  List.iter (fun (e : Codes.Registry.entry) -> check_program e.program) Codes.Registry.all;
+  for index = 0 to 11 do
+    check_program (Fuzz.Gen.program Fuzz.Gen.deep ~seed:2026 ~index)
+  done;
+  for index = 0 to 199 do
+    check_program (Fuzz.Gen.program Fuzz.Gen.default ~seed:42 ~index)
+  done
 
 let () =
   Alcotest.run "descriptor"
@@ -760,5 +840,10 @@ let () =
           Alcotest.test_case "merges shifted phases" `Quick test_homogenize;
           Alcotest.test_case "rejects mismatched strides" `Quick
             test_homogenize_rejects;
+        ] );
+      ( "per-site",
+        [
+          Alcotest.test_case "descriptor.ard = sites analyzed" `Quick test_one_ard_per_site;
+          Alcotest.test_case "steps = forward differences" `Quick test_steps_oracle;
         ] );
     ]

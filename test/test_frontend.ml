@@ -66,7 +66,7 @@ let test_tfft2_descriptor () =
       let parsed = parse tfft2_src in
       let ctx = Phase.analyze parsed (List.hd parsed.phases) in
       let pd =
-        Descriptor.Unionize.simplify (Descriptor.Pd.of_phase ctx ~array:"X")
+        Descriptor.Unionize.simplify (Descriptor.Pd.of_phase (Descriptor.Ard.of_phase ctx) ~array:"X")
       in
       let g = List.hd pd.groups in
       Alcotest.(check int) "single row" 1 (List.length g.rows);

@@ -26,7 +26,7 @@ let id_of prog name array =
   let ph =
     List.find (fun (ph : Types.phase) -> ph.phase_name = name) prog.Types.phases
   in
-  Id.of_pd (Unionize.simplify (Pd.of_phase (Phase.analyze prog ph) ~array))
+  Id.of_pd (Unionize.simplify (Pd.of_phase (Ard.of_phase (Phase.analyze prog ph)) ~array))
 
 let test_intra_cases () =
   Probe.with_seed 30 (fun () ->

@@ -114,7 +114,7 @@ let arb_shifted_pair = QCheck.make gen_shifted_pair ~print:print_counterexample
 
 let pd_of prog k =
   let ph = List.nth prog.Types.phases k in
-  Pd.of_phase (Phase.analyze prog ph) ~array:"A"
+  Pd.of_phase (Ard.of_phase (Phase.analyze prog ph)) ~array:"A"
 
 let expand pd ~par =
   try Some (Region.sorted (Region.addresses Env.empty pd ~par))

@@ -542,6 +542,83 @@ module Compile_check = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* One-shot evaluation: [Expr.eval] walks the expression in native ints
+   and re-evaluates exactly only when a rational appears; its value, or
+   the exception it raises, must be [Expr.eval_exact]'s.  On top of
+   [Compile_check]'s expressions the generator aims at the walk's
+   edges: [Pow2] of a variable at 61, 62 and below 0, floor and ceiling
+   quotients of [min_int], products that overflow, and a variable [r]
+   whose value may be a rational. *)
+
+module Eval_check = struct
+  open Stdlib
+
+  let gen_expr =
+    let open QCheck.Gen in
+    let v = map Expr.var (oneofl [ "a"; "b"; "c"; "r" ]) in
+    let edge =
+      frequency
+        [
+          (2, map Expr.pow2 v);
+          (2, map2 Expr.floor_div v v);
+          (2, map2 Expr.ceil_div v v);
+          (2, map2 Expr.mul v v);
+          (1, map2 (fun e k -> Expr.mul e (Expr.int k)) v (oneofl Compile_check.big));
+        ]
+    in
+    frequency
+      [
+        (3, Compile_check.gen_expr);
+        (2, edge);
+        (2, map2 (Compile_check.guard Expr.add) edge Compile_check.gen_expr);
+        (1, map2 (Compile_check.guard Expr.mul) edge edge);
+      ]
+
+  let gen_value =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int_range (-3) 4);
+          (2, oneofl [ 61; 62; 63; -1; -61; -62; min_int; min_int + 1; max_int ]);
+          (1, oneofl Compile_check.big);
+        ])
+
+  (* values of a, b, c and p, and r as a numerator and a denominator *)
+  let gen_case =
+    QCheck.Gen.(
+      triple gen_expr (array_repeat 4 gen_value) (pair (int_range (-9) 9) (int_range 1 3)))
+
+  let lookup (vals, (n, d)) v =
+    match v with
+    | "a" -> Qnum.of_int vals.(0)
+    | "b" -> Qnum.of_int vals.(1)
+    | "c" -> Qnum.of_int vals.(2)
+    | "p" -> Qnum.of_int vals.(3)
+    | "r" -> Qnum.make n d
+    | _ -> raise (Env.Unbound v)
+
+  let outcome f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e)
+
+  let agrees (e, vals, r) =
+    let lookup = lookup (vals, r) in
+    let exact = outcome (fun () -> Expr.eval_exact lookup e) in
+    outcome (fun () -> Qnum.to_string (Expr.eval lookup e))
+    = Result.map Qnum.to_string exact
+    && outcome (fun () -> Expr.eval_int lookup e)
+       = Result.bind exact (fun q ->
+             if Qnum.is_integer q then Ok (Qnum.to_int q)
+             else Error (Printexc.to_string (Expr.Non_integral (Format.asprintf "value %a" Qnum.pp q))))
+
+  let print (e, vals, (n, d)) =
+    Printf.sprintf "%s\na, b, c, p = %s; r = %d/%d" (Expr.to_string e)
+      (String.concat ", " (Array.to_list (Array.map string_of_int vals))) n d
+
+  let prop =
+    QCheck.Test.make ~name:"eval equals the exact path" ~count:3000
+      (QCheck.make gen_case ~print) agrees
+end
+
+(* ------------------------------------------------------------------ *)
 (* Sample bank: every probe answer equals the one a fresh fork of the
    base state gives, which is how each query drew its samples before
    the bank existed.  [fresh] keeps that per-query sampling as the
@@ -1008,6 +1085,7 @@ let () =
           Alcotest.test_case "planted kernels caught" `Quick Bank_check.test_planted_kernels_caught;
           QCheck_alcotest.to_alcotest Bank_check.prop;
           QCheck_alcotest.to_alcotest Compile_check.prop;
+          QCheck_alcotest.to_alcotest Eval_check.prop;
         ] );
       ( "range",
         [
