@@ -650,7 +650,7 @@ let bench_curve () =
                 List.fold_left
                   (fun acc ph ->
                     Option.bind acc (fun w ->
-                        match Ir.Shape.of_phase e.program env ph with
+                        match Ir.Shape.of_phase (Ir.Phase.analyze e.program ph) env with
                         | Some s -> Some (w + Ir.Shape.total_work s)
                         | None | (exception _) -> None))
                   (Some 0) e.program.Ir.Types.phases

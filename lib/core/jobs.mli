@@ -2,9 +2,10 @@
     [dsmloc batch] and the fuzz campaign.
 
     The analysis state of [lib/symbolic] is domain-local (metric
-    numbers, artifact stores, the expression intern table, the probe
-    stream), so each job runs on a domain spawned for it and starts
-    from fresh state.  It inherits the caller's
+    numbers, the probe bank's artifact store, the expression intern
+    table, the probe stream), and everything else a run derives is a
+    value it owns, so each job runs on a domain spawned for it and
+    starts from fresh state.  It inherits the caller's
     {!Symbolic.Lattice.mode_cell} and {!Symbolic.Lattice.test_card_skew}
     and runs under [Probe.with_seed] seeded from its index alone, so a
     job's result and metrics do not depend on the worker count or on

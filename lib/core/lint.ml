@@ -172,16 +172,18 @@ let size_of (prog : Types.program) env array =
   match Linearize.array_size env prog array with Ok n -> n | Error _ -> raise Exit
 
 (* Every environment takes one path: each array's address range from
-   the phase's closed form ([Shape.ranges]), reporting the extreme
-   address that leaves the declared extent.  Where the closed form has
-   no answer, the walk that finds the first bad address instead is a
-   counted fallback; under [--symbolic-only] it is reported, not
-   taken.  A sampled environment that does not evaluate ends the
-   samples; the analyzed one [at] is judged on its own. *)
-let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
+   phase [k]'s closed form ([Shape.ranges] of the environment's facts),
+   reporting the extreme address that leaves the declared extent.
+   Where the closed form has no answer, the walk that finds the first
+   bad address instead is a counted fallback; under [--symbolic-only]
+   it is reported, not taken.  A sampled environment that does not
+   evaluate ends the samples; the analyzed one [at] is judged on its
+   own. *)
+let rule_bounds c (prog : Types.program) sampled ?at k (ph : Types.phase) =
   let bad = Hashtbl.create 4 in
   let record array addr = if not (Hashtbl.mem bad array) then Hashtbl.add bad array addr in
-  let check env =
+  let check (facts : Locality.Lcg.facts) =
+    let env = facts.env in
     let sizes = Hashtbl.create 8 in
     let size array =
       match Hashtbl.find_opt sizes array with
@@ -191,7 +193,7 @@ let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
           Hashtbl.add sizes array s;
           s
     in
-    match Option.bind (Shape.of_phase prog env ph) Shape.ranges with
+    match Option.bind (Lazy.force facts.shapes.(k)) Shape.ranges with
     | Some ranges ->
         List.iter
           (fun (array, lo, hi) ->
@@ -211,8 +213,8 @@ let rule_bounds c (prog : Types.program) envs ?at (ph : Types.phase) =
               reason)
   in
   let guarded f = try f () with Exit -> () | e when Autopar.unevaluable e -> () in
-  guarded (fun () -> List.iter check envs);
-  Option.iter (fun env -> guarded (fun () -> check env)) at;
+  guarded (fun () -> List.iter check sampled);
+  Option.iter (fun facts -> guarded (fun () -> check facts)) at;
   Hashtbl.iter
     (fun array addr ->
       Diag.addf c ~severity:Error ~stage:Lint ~where:ph.Types.phase_name
@@ -279,20 +281,25 @@ let rule_race c (prog : Types.program) envs ards (ph : Types.phase) =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?envs ?at ?ards ?diags (prog : Types.program) =
+let check ?envs ?at ?diags (prog : Types.program) =
   let envs = match envs with Some e -> e | None -> default_envs prog in
-  let ards = match ards with Some a -> a | None -> Descriptor.Ard.of_program prog in
+  let ards =
+    match at with
+    | Some (f : Locality.Lcg.facts) -> f.ards
+    | None -> Descriptor.Ard.of_program prog
+  in
+  let sampled = List.map (Locality.Lcg.facts ards) envs in
   let c = Diag.collector () in
-  List.iter2
-    (fun ph ards ->
+  List.iteri
+    (fun k (ph, ards) ->
       rule_multi_parallel c ph;
       rule_refs c prog ph;
       rule_unbound c prog ph;
       rule_nonnormal c ph;
       rule_subscript c ph;
-      rule_bounds c prog envs ?at ph;
+      rule_bounds c prog sampled ?at k ph;
       rule_race c prog envs ards ph)
-    prog.Types.phases ards;
+    (List.combine prog.Types.phases ards);
   rule_dead_write c prog;
   let findings = Diag.to_list c in
   (match diags with

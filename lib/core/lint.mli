@@ -53,21 +53,23 @@ val default_envs : Ir.Types.program -> Env.t list
 
 val check :
   ?envs:Env.t list ->
-  ?at:Env.t ->
-  ?ards:Descriptor.Ard.phase Lazy.t list ->
+  ?at:Locality.Lcg.facts ->
   ?diags:Diag.collector ->
   Ir.Types.program ->
   Diag.t list
 (** Run every rule over every phase and return the findings (also
     recorded into [diags] when given).  [envs] are the sampled parameter
     environments for the dynamic rules (default: {!default_envs}).
-    [LINT-RACE] / [LINT-UNCERTIFIED] judge each declared parallel loop
-    by {!Descriptor.Racecheck.certify}, from the phase's entry of [ards]
-    (the program's descriptors, {!Descriptor.Ard.of_program}; built
-    here when not given), and sample it with {!Ir.Autopar.sampled}
-    only when the certifier answers [Unknown].
-    [at] is the environment being analyzed: [LINT-BOUNDS] also checks
-    it.  Every environment is judged from {!Ir.Shape.ranges}, reporting
+    [at] is the run being analyzed ({!Locality.Lcg.facts} at its
+    environment): [LINT-BOUNDS] also checks its environment, from its
+    shapes.  [LINT-RACE] / [LINT-UNCERTIFIED] judge each declared
+    parallel loop by {!Descriptor.Racecheck.certify}, from the phase's
+    entry of [at]'s descriptors (the program's own,
+    {!Descriptor.Ard.of_program}, when [at] is not given), and sample
+    it with {!Ir.Autopar.sampled} only when the certifier answers
+    [Unknown].  The sampled environments' shapes are derived from the
+    same contexts, once per phase and environment.
+    Every environment is judged from {!Ir.Shape.ranges}, reporting
     the extreme address outside an extent; a phase without them is
     walked as a [lint-bounds] fallback ({!Symbolic.Lattice.note_fallback}),
     reported as [LINT-SYMBOLIC-FALLBACK] under [Symbolic_only]. *)

@@ -69,11 +69,12 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   (* Lint first: malformed input is reported with positions before any
      descriptor machinery can trip over it.  Under [strict] a program
      with Error-severity findings is refused outright.  Lint's race
-     rule and the LCG read one set of descriptors: each reference site
-     is described once per run. *)
-  let ards = Descriptor.Ard.of_program prog in
+     rule and the LCG read one set of facts: each phase is analyzed,
+     each reference site described and each phase's shape at [env]
+     derived once per run, by the first stage that reads it. *)
+  let facts = Locality.Lcg.facts (Descriptor.Ard.of_program prog) env in
   let findings =
-    Metrics.with_timer lint_timer (fun () -> Lint.check ~at:env ~ards ~diags prog)
+    Metrics.with_timer lint_timer (fun () -> Lint.check ~at:facts ~diags prog)
   in
   if
     strict
@@ -82,8 +83,8 @@ let run ?machine ?(strict = false) ?diags prog ~env ~h =
   let lcg =
     Metrics.with_timer lcg_timer @@ fun () ->
     guard ~strict ~diags ~stage:Diag.Lcg ~code:"LCG-FAIL"
-      ~fallback:(fun () -> Locality.Lcg.empty prog ~env ~h)
-      (fun () -> Locality.Lcg.build ~ards prog ~env ~h)
+      ~fallback:(fun () -> Locality.Lcg.empty prog facts ~h)
+      (fun () -> Locality.Lcg.build ~facts prog ~env ~h)
   in
   (* Whole-array degradation happens inside descriptor construction
      (Ard.of_site catches Unsupported); surface it as a warning per

@@ -123,9 +123,9 @@ let of_site (ctx : Phase.t) (site : Phase.site) : t =
     let decl = Types.array_decl ctx.prog site.ref_.array in
     whole_array ctx ~array ~size:(Linearize.size ~dims:decl.dims) ~mix
 
-type phase = { ctx : Phase.t; ards : t list }
+type phase = { ctx : Phase.t; ards : t list Lazy.t }
 
-let of_phase ctx = { ctx; ards = List.map (of_site ctx) ctx.Phase.sites }
+let of_phase ctx = { ctx; ards = lazy (List.map (of_site ctx) ctx.Phase.sites) }
 
 let of_program (prog : Types.program) =
   List.map (fun ph -> lazy (of_phase (Phase.analyze prog ph))) prog.phases

@@ -52,19 +52,24 @@ val of_site : Phase.t -> Phase.site -> t
 
 type phase = {
   ctx : Phase.t;
-  ards : t list;  (** one per site of [ctx], in the same order *)
+  ards : t list Lazy.t;
+      (** one per site of [ctx], in the same order, built on first
+          use *)
 }
-(** A phase's descriptors: built once, read by every PD of the phase
-    ({!Pd.of_phase}), the race certifier's and the LCG's alike. *)
+(** A phase's context and descriptors: derived once, read by every PD
+    of the phase ({!Pd.of_phase}), the race certifier's and the LCG's
+    alike, and by every closed-form event shape of the phase
+    ([Ir.Shape.of_phase] takes [ctx]). *)
 
 val of_phase : Phase.t -> phase
 
 val of_program : Types.program -> phase Lazy.t list
 (** One entry per phase of the program, in order, each built on first
-    use: the phase's context ({!Phase.analyze}) and its descriptors.
-    Forcing an entry raises what building it raises, again on every
-    later force.  [Core.Pipeline.run] builds one list and hands it to
-    lint's race rule and to [Locality.Lcg.build], so each site of the
-    run is described once. *)
+    use: the phase's context ({!Phase.analyze}), then, when first
+    read, its descriptors.  Forcing an entry raises what analyzing the
+    phase raises, again on every later force.  [Core.Pipeline.run]
+    builds one list and hands it to lint and to [Locality.Lcg.build],
+    so each phase of the run is analyzed once and each site described
+    once. *)
 
 val pp : Format.formatter -> t -> unit

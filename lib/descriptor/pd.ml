@@ -55,7 +55,7 @@ let same_dims a b =
   && List.for_all2 (fun (x : dim) (y : dim) -> Expr.equal x.stride y.stride) a.dims b.dims
 
 let of_phase ({ ctx; ards } : Ard.phase) ~array : t =
-  let ards = List.filter (fun (a : Ard.t) -> String.equal a.array array) ards in
+  let ards = List.filter (fun (a : Ard.t) -> String.equal a.array array) (Lazy.force ards) in
   let exact = List.for_all (fun (a : Ard.t) -> a.exact) ards in
   let groups =
     List.fold_left

@@ -269,17 +269,18 @@ let certify_exn ?ards (prog : Ir.Types.program) (ph : Ir.Types.phase) loop_path
           match own with
           | Some a ->
               List.concat
-                (List.map2 (fun s d -> if inside s then [ d ] else []) t.sites a.ards)
+                (List.map2
+                   (fun s d -> if inside s then [ d ] else [])
+                   t.sites (Lazy.force a.ards))
           | None ->
               List.filter_map
                 (fun s -> if inside s then Some (Ard.of_site t s) else None)
                 t.sites
         in
-        let enclosed = { Ard.ctx = t; ards = enclosed } in
         let arrays =
-          List.sort_uniq String.compare
-            (List.map (fun (a : Ard.t) -> a.array) enclosed.ards)
+          List.sort_uniq String.compare (List.map (fun (a : Ard.t) -> a.array) enclosed)
         in
+        let enclosed = { Ard.ctx = t; ards = Lazy.from_val enclosed } in
         let unknown = ref None in
         let note r = if !unknown = None then unknown := Some r in
         let conflict = ref None in

@@ -135,11 +135,7 @@ let write_covers_epoch_symbolic (lcg : Lcg.t) (l : Distribution.layout) =
   let exception Subtle in
   try
     let shape_of k =
-      match
-        Ir.Shape.of_phase lcg.prog lcg.env (List.nth lcg.prog.phases k)
-      with
-      | Some t -> t
-      | None -> raise Subtle
+      match Lcg.shape lcg k with Some t -> t | None -> raise Subtle
     in
     let sites_of t = Ir.Shape.on_array t l.array in
     let th = shape_of l.first_phase in
@@ -318,7 +314,7 @@ let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
       let written =
         Lattice.closed_or_enumerate ~stage:"comm"
           ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " writes")
-          ~symbolic:(fun () -> Distribution.phase_writes_symbolic lcg ph)
+          ~symbolic:(fun () -> Distribution.phase_writes_symbolic lcg k)
           ~enum:(fun () -> Distribution.phase_writes_enum lcg ph)
       in
       List.iter

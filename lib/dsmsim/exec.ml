@@ -121,7 +121,7 @@ let summarize (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine) ~unsiz
   L.closed_or_enumerate ~stage:"exec"
     ~reason:(fun () -> "phase " ^ ph.Ir.Types.phase_name ^ " accounting")
     ~symbolic:(fun () ->
-      Option.bind (Distribution.tally_symbolic lcg ph ~chunk ~h placements)
+      Option.bind (Distribution.tally_symbolic lcg k ~chunk ~h placements)
         (fun t -> try Some (price t) with L.Overflow -> None))
     ~enum:(fun () ->
       price (Distribution.tally_enum lcg ph ~chunk ~h placements))

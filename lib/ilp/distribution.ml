@@ -147,9 +147,9 @@ let tally_enum (lcg : Lcg.t) ph ~chunk ~h placements =
    halo and the array is read) built over one chunk run's hull at a
    time, one rotation class at a time.  An array placed nowhere owns
    every access. *)
-let tally_symbolic ?(split = true) (lcg : Lcg.t) ph ~chunk ~h placements =
+let tally_symbolic ?(split = true) (lcg : Lcg.t) k ~chunk ~h placements =
   Metrics.with_timer tally_timer @@ fun () ->
-  match Ir.Shape.of_phase lcg.prog lcg.env ph with
+  match Lcg.shape lcg k with
   | None -> None
   | Some t -> (
       let exception Subtle in
@@ -219,7 +219,7 @@ let remote_count (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
     ~reason:(fun () -> l.array ^ " remote count")
     ~symbolic:(fun () ->
       Option.map remote
-        (tally_symbolic ~split:false lcg ph ~chunk ~h placements))
+        (tally_symbolic ~split:false lcg phase_idx ~chunk ~h placements))
     ~enum:(fun () -> remote (tally_enum lcg ph ~chunk ~h placements))
 
 (* Arrays a phase writes (with at least one event), sorted. *)
@@ -232,7 +232,7 @@ let phase_writes_enum (lcg : Lcg.t) ph =
       | Ir.Types.Read -> ());
   Hashtbl.fold (fun a () acc -> a :: acc) written [] |> List.sort_uniq compare
 
-let phase_writes_symbolic (lcg : Lcg.t) ph =
+let phase_writes_symbolic (lcg : Lcg.t) k =
   Option.map
     (fun (t : Ir.Shape.t) ->
       List.sort_uniq compare
@@ -242,18 +242,18 @@ let phase_writes_symbolic (lcg : Lcg.t) ph =
              | Ir.Types.Write when Ir.Shape.emits t s -> Some s.array
              | Ir.Types.Write | Ir.Types.Read -> None)
            t.sites))
-    (Ir.Shape.of_phase lcg.prog lcg.env ph)
+    (Lcg.shape lcg k)
 
 (* Does any phase of the layout's epoch write the array?  Every phase
    is asked, in both accountings. *)
 let epoch_written (lcg : Lcg.t) (l : layout) =
-  let phases = List.map snd (epoch_phases lcg l) in
+  let phases = epoch_phases lcg l in
   let any writes = List.exists (List.mem l.array) writes in
   Lattice.closed_or_enumerate ~stage:"distribution"
     ~reason:(fun () -> l.array ^ " epoch writes")
     ~symbolic:(fun () ->
-      Option.map any (all_some (phase_writes_symbolic lcg) phases))
-    ~enum:(fun () -> any (List.map (phase_writes_enum lcg) phases))
+      Option.map any (all_some (fun (k, _) -> phase_writes_symbolic lcg k) phases))
+    ~enum:(fun () -> any (List.map (fun (_, ph) -> phase_writes_enum lcg ph) phases))
 
 (* Ghost-zone payoff of a candidate layout: remote reads the halo would
    serve locally, and how many of the epoch's phases write the array
@@ -275,8 +275,8 @@ let halo_savings (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
     ~symbolic:(fun () ->
       Option.map payoff
         (all_some
-           (fun (k, ph) ->
-             tally_symbolic ~split:false lcg ph ~chunk:p.(k) ~h placements)
+           (fun (k, _) ->
+             tally_symbolic ~split:false lcg k ~chunk:p.(k) ~h placements)
            phases))
     ~enum:(fun () ->
       payoff

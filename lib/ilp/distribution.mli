@@ -104,12 +104,13 @@ type tally = { reads : Owncount.counts; writes : Owncount.counts }
 val tally_symbolic :
   ?split:bool ->
   Locality.Lcg.t ->
-  Ir.Types.phase ->
+  int ->
   chunk:int ->
   h:int ->
   (string * layout option) list ->
   tally array option
-(** One tally per placement, in order, counted by rotation class
+(** One tally per placement of phase [k], in order, counted from the
+    phase's shape ({!Locality.Lcg.shape}) by rotation class
     ({!Owncount.per_proc}) against ownership sets built over one chunk
     run's hull per class; all arithmetic is overflow-checked.  With
     [~split:false] every count has a single slot holding the
@@ -127,10 +128,9 @@ val tally_enum :
   tally array
 (** The same tallies by enumerating every access. *)
 
-val phase_writes_symbolic :
-  Locality.Lcg.t -> Ir.Types.phase -> string list option
-(** The arrays a phase writes (with at least one event), sorted; [None]
-    outside the affine fragment. *)
+val phase_writes_symbolic : Locality.Lcg.t -> int -> string list option
+(** The arrays phase [k] writes (with at least one event), sorted, read
+    off its shape; [None] outside the affine fragment. *)
 
 val phase_writes_enum : Locality.Lcg.t -> Ir.Types.phase -> string list
 (** The same set by enumeration. *)

@@ -99,8 +99,8 @@ let box_covers (w : Shape.site) (r : Shape.site) =
        a partially-evaluated one (which may run again under an outer
        loop), needs a write of identical shape with no emitting site
        of another parallel shape between them. *)
-let def_before_use_symbolic prog env ph ~array =
-  match Shape.of_phase prog env ph with
+let def_before_use_symbolic shape ~array =
+  match shape with
   | None -> None
   | Some t -> (
       try
@@ -199,11 +199,11 @@ let reads_first (t : Shape.t) ~array =
    writes before writing it: {!reads_first}), or certainly erases it
    (every exposed box inside some write box).  Any subtler interaction
    - partial kills, possible-but-unproven overlap - returns [None]. *)
-let dead_after_symbolic prog env k ~array =
+let dead_after_symbolic prog (shapes : Shape.t option Lazy.t array) k ~array =
   let exception Subtle in
   try
-    let shape_of ph =
-      match Shape.of_phase prog env ph with
+    let shape_of g =
+      match Lazy.force shapes.(g) with
       | Some t -> t
       | None -> raise Subtle
     in
@@ -213,7 +213,7 @@ let dead_after_symbolic prog env k ~array =
           if Types.equal_access s.access acc then Shape.box t s else None)
         (Shape.on_array t array)
     in
-    let tk = shape_of (List.nth prog.phases k) in
+    let tk = shape_of k in
     let exposed = ref (boxes_of tk Types.Write) in
     let n = List.length prog.phases in
     let order =
@@ -248,7 +248,7 @@ let dead_after_symbolic prog env k ~array =
     List.iter
       (fun g ->
         if (not !live) && !exposed <> [] then begin
-          let tg = shape_of (List.nth prog.phases g) in
+          let tg = shape_of g in
           let reads = boxes_of tg Types.Read
           and writes = boxes_of tg Types.Write in
           if all_disjoint reads !exposed then
@@ -274,30 +274,31 @@ let dead_after_symbolic prog env k ~array =
     Some ((not !live) && (prog.repeats || !exposed = []))
   with Subtle | Lattice.Overflow -> None
 
-let def_before_use prog env ph ~array =
+let def_before_use prog env shapes k ~array =
+  let ph = List.nth prog.phases k in
   Lattice.closed_or_enumerate ~stage:"liveness"
     ~reason:(fun () -> array ^ " def-before-use in " ^ ph.phase_name)
-    ~symbolic:(fun () -> def_before_use_symbolic prog env ph ~array)
+    ~symbolic:(fun () -> def_before_use_symbolic (Lazy.force shapes.(k)) ~array)
     ~enum:(fun () -> def_before_use_enum prog env ph ~array)
 
-let dead_after prog env k ~array =
+let dead_after prog env shapes k ~array =
   Lattice.closed_or_enumerate ~stage:"liveness"
     ~reason:(fun () -> array ^ " dead-after")
-    ~symbolic:(fun () -> dead_after_symbolic prog env k ~array)
+    ~symbolic:(fun () -> dead_after_symbolic prog shapes k ~array)
     ~enum:(fun () -> dead_after_enum prog env k ~array)
 
-let attr prog env k ~array =
-  let ph = List.nth prog.phases k in
-  match static_attr prog ph ~array with
+let attr prog env shapes k ~array =
+  match static_attr prog (List.nth prog.phases k) ~array with
   | R -> R
   | (W | RW) as a ->
-      if def_before_use prog env ph ~array && dead_after prog env k ~array then P
+      if def_before_use prog env shapes k ~array && dead_after prog env shapes k ~array
+      then P
       else a
   | P -> assert false
 
-let attrs prog env =
+let attrs prog env shapes =
   List.map
     (fun (a : array_decl) ->
       ( a.name,
-        Array.init (List.length prog.phases) (fun k -> attr prog env k ~array:a.name) ))
+        Array.init (List.length prog.phases) (fun k -> attr prog env shapes k ~array:a.name) ))
     prog.arrays

@@ -26,11 +26,13 @@ val attr_to_string : attr -> string
 val static_attr : program -> phase -> array:string -> attr
 (** R / W / RW from the reference kinds alone (never P). *)
 
-val attr : program -> Env.t -> int -> array:string -> attr
+val attr : program -> Env.t -> Shape.t option Lazy.t array -> int -> array:string -> attr
 (** Attribute of phase [k] for [array] under [env]: P when the phase
-    writes [array] and both conditions, (a) and (b), hold there. *)
+    writes [array] and both conditions, (a) and (b), hold there.  The
+    array holds each phase's {!Shape.of_phase} at [env], read by the
+    closed-form scans (forced only when asked). *)
 
-val attrs : program -> Env.t -> (string * attr array) list
+val attrs : program -> Env.t -> Shape.t option Lazy.t array -> (string * attr array) list
 (** Per array: attribute of each phase that references it, indexed by
     phase position ([attr] of unreferenced phases is irrelevant and
     reported as [R]). *)

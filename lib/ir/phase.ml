@@ -24,12 +24,7 @@ type t = {
 
 exception Invalid_phase of string
 
-(* Phase analysis is a pure function of the program and phase syntax
-   (no environment, no probe stream), so results live in an artifact
-   store keyed on the structural pair.  The LCG builder
-   re-analyzes every phase for every array of the program; with the
-   cache each phase is walked once. *)
-let cache : t Artifact.store = Artifact.store "phase.analyze"
+let derive_count = Metrics.counter "phase.derive"
 
 (* The step of [phi] along [v]: the coefficient where [phi] is affine
    in [v], the forward difference [phi(v+1) - phi(v)] otherwise (the
@@ -75,7 +70,8 @@ let bad_vars loops sites =
   fixpoint ();
   List.sort String.compare !bad
 
-let analyze_raw (prog : program) (ph : phase) : t =
+let analyze (prog : program) (ph : phase) : t =
+  Metrics.incr derive_count;
   let ph = Normalize.phase ph in
   let loops = ref [] in
   let sites = ref [] in
@@ -112,10 +108,6 @@ let analyze_raw (prog : program) (ph : phase) : t =
       prog.params loops
   in
   { prog; phase = ph; loops; par; sites; assume; bad = bad_vars loops sites }
-
-let analyze (prog : program) (ph : phase) : t =
-  Artifact.find cache (phase_context_key prog ph) (fun () ->
-      analyze_raw prog ph)
 
 let sites_of_array t name =
   List.filter (fun s -> String.equal s.ref_.array name) t.sites

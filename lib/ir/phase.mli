@@ -52,7 +52,9 @@ val analyze : program -> phase -> t
     condition, linearizes every reference and derives its steps and
     the phase's partial-evaluation set: the environment-free facts
     every descriptor and closed-form event shape of the phase reads.
-    Memoized per phase in the [phase.analyze] store.
+    Nothing is memoized: each call derives, and counts once in
+    [phase.derive].  A pipeline run analyzes each phase once
+    ([Descriptor.Ard.of_program]) and passes the context down.
     @raise Invalid_phase when more than one loop is parallel or an
     array is undeclared. *)
 

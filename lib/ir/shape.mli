@@ -70,14 +70,16 @@ type t = {
   sites : site list;
 }
 
-val of_phase : program -> Env.t -> phase -> t option
-(** [None] when the phase is outside the affine fragment under this
-    environment (non-affine parallel subscripts, unbounded partial
-    evaluation, unevaluable parameters).  Memoized per (phase, env),
-    unless the environment is {!Env.ephemeral}.  The environment-free
-    facts - each site's subscript and steps, the loops to partially
-    evaluate ({!Phase.t.bad}) - come from {!Phase.analyze}; only their
-    evaluation is done per environment. *)
+val of_phase : Phase.t -> Env.t -> t option
+(** The phase's shape under [env]; [None] when the phase is outside
+    the affine fragment there (non-affine parallel subscripts,
+    unbounded partial evaluation, unevaluable parameters).  The
+    environment-free facts - each site's subscript and steps, the
+    loops to partially evaluate ({!Phase.t.bad}) - are the context's;
+    only their evaluation is done here.  Nothing is memoized: each
+    call derives, and counts once in [shape.derive].  A pipeline run
+    derives each phase's shape at its environment once
+    ([Locality.Lcg.facts]) and every consumer reads that value. *)
 
 val emits : t -> site -> bool
 (** Does the site generate any event at all? *)

@@ -79,54 +79,6 @@ let pp_program ppf p =
     (Format.pp_print_list pp_phase)
     p.phases
 
-(* Artifact cache keys over the syntax: a faithful structural encoding
-   (interned expression leaves), so caches keyed on programs/phases are
-   collision-free without hashing whole syntax trees per lookup. *)
-let access_key = function
-  | Read -> Artifact.Key.int 0
-  | Write -> Artifact.Key.int 1
-
-let ref_key (r : array_ref) =
-  Artifact.Key.(
-    list [ str r.array; list (List.map expr r.index); access_key r.access ])
-
-let rec stmt_key = function
-  | Assign a ->
-      Artifact.Key.(
-        list [ int 0; list (List.map ref_key a.refs); int a.work ])
-  | Loop l -> Artifact.Key.(list [ int 1; loop_key l ])
-
-and loop_key (l : loop) =
-  Artifact.Key.(
-    list
-      [
-        str l.var;
-        expr l.lo;
-        expr l.hi;
-        expr l.step;
-        bool l.parallel;
-        list (List.map stmt_key l.body);
-      ])
-
-let phase_key (ph : phase) =
-  Artifact.Key.(list [ str ph.phase_name; loop_key ph.nest ])
-
-let arrays_key (p : program) =
-  Artifact.Key.(
-    list
-      (List.map
-         (fun (a : array_decl) ->
-           list [ str a.name; list (List.map expr a.dims) ])
-         p.arrays))
-
-(* Identity of one phase *in context*: the phase's own syntax plus the
-   parts of the program it can actually observe (parameter domains and
-   array declarations) - deliberately NOT the sibling phases, so an
-   edited program re-analyzes only the phases whose digests changed
-   while the per-phase stores keep the rest. *)
-let phase_context_key (p : program) (ph : phase) =
-  Artifact.Key.(list [ Assume.key p.params; arrays_key p; phase_key ph ])
-
 let array_decl p name = List.find (fun (a : array_decl) -> String.equal a.name name) p.arrays
 
 let rec stmt_refs = function

@@ -55,15 +55,6 @@ type program = {
           back edge from the last phase to the first) *)
 }
 
-val phase_context_key : program -> phase -> Artifact.Key.t
-(** A faithful structural {!Symbolic.Artifact} cache key over the
-    syntax (interned expression leaves).  Identity of one phase in
-    context: the phase's syntax plus what it
-    can observe of the program (parameter domains, array declarations)
-    but {e not} its sibling phases - the key per-phase caches use so
-    that editing one phase of a program invalidates only that phase's
-    artifacts (incremental reuse within one process). *)
-
 val equal_access : access -> access -> bool
 val pp_phase : Format.formatter -> phase -> unit
 val pp_program : Format.formatter -> program -> unit

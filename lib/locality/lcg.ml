@@ -29,31 +29,51 @@ type edge = {
 
 type graph = { array : string; nodes : node list; edges : edge list }
 
+type facts = {
+  env : Env.t;
+  ards : Ard.phase Lazy.t list;
+  shapes : Shape.t option Lazy.t array;
+}
+
 type t = {
   prog : Types.program;
   env : Env.t;
   h : int;
   graphs : graph list;
   sizes : (string * (int, Linearize.size_failure) result) list;
+  shapes : Shape.t option Lazy.t array;
 }
+
+(* A phase that does not analyze has no shape; lint reports why. *)
+let facts ards env =
+  let shape a =
+    lazy
+      (match Lazy.force a with
+      | (a : Ard.phase) -> Shape.of_phase a.ctx env
+      | exception Phase.Invalid_phase _ -> None)
+  in
+  { env; ards; shapes = Array.of_list (List.map shape ards) }
 
 let sizes_at (prog : Types.program) env =
   List.map
     (fun (d : Types.array_decl) -> (d.name, Linearize.array_size env prog d.name))
     prog.arrays
 
-let empty prog ~env ~h = { prog; env; h; graphs = []; sizes = sizes_at prog env }
+let empty prog (facts : facts) ~h =
+  let env = facts.env in
+  { prog; env; h; graphs = []; sizes = sizes_at prog env; shapes = facts.shapes }
 
 let size (t : t) array = Result.to_option (List.assoc array t.sizes)
+let shape (t : t) k = Lazy.force t.shapes.(k)
 
 (* Total abstract work of a phase under the environment: closed form
    from the phase's event shapes, enumerated only as the oracle (or as
    the counted fallback when the phase is outside the fragment). *)
-let phase_work prog env ph =
+let phase_work prog env shape ph =
   Lattice.closed_or_enumerate ~stage:"lcg-work"
     ~reason:(fun () ->
       "phase " ^ ph.Types.phase_name ^ " outside affine fragment")
-    ~symbolic:(fun () -> Option.map Shape.total_work (Shape.of_phase prog env ph))
+    ~symbolic:(fun () -> Option.map Shape.total_work (Lazy.force shape))
     ~enum:(fun () ->
       let total = ref 0 in
       Enumerate.iter prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
@@ -96,15 +116,18 @@ let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"
 let edge_count = Metrics.counter "table1.edges"
 
-let build ?ards (prog : Types.program) ~env ~h : t =
+let build ?facts:given (prog : Types.program) ~env ~h : t =
   Metrics.with_timer build_timer @@ fun () ->
-  let ards = match ards with Some a -> a | None -> Ard.of_program prog in
-  let attrs = Liveness.attrs prog env in
-  let phase_ctxs =
-    List.map2 (fun ph ards -> (ph, Phase.analyze prog ph, ards)) prog.phases ards
+  let facts =
+    match given with
+    | Some (f : facts) ->
+        if f.env != env then invalid_arg "Lcg.build: facts at another environment";
+        f
+    | None -> facts (Ard.of_program prog) env
   in
+  let attrs = Liveness.attrs prog env facts.shapes in
   let works =
-    List.map (fun (ph, _, _) -> phase_work prog env ph) phase_ctxs
+    List.mapi (fun k ph -> phase_work prog env facts.shapes.(k) ph) prog.phases
   in
   let graphs =
     List.map
@@ -114,9 +137,11 @@ let build ?ards (prog : Types.program) ~env ~h : t =
         let nodes =
           List.concat
             (List.mapi
-               (fun k ((ph : Types.phase), ctx, ards) ->
+               (fun k ((ph : Types.phase), ards) ->
                  if List.mem array (Types.phase_arrays ph) then begin
-                   let pd = Unionize.simplify (Pd.of_phase (Lazy.force ards) ~array) in
+                   let ards = Lazy.force ards in
+                   let ctx = ards.Ard.ctx in
+                   let pd = Unionize.simplify (Pd.of_phase ards ~array) in
                    let id = Id.of_pd pd in
                    let attr = attr_row.(k) in
                    let sym = Symmetry.analyze id in
@@ -142,7 +167,7 @@ let build ?ards (prog : Types.program) ~env ~h : t =
                    ]
                  end
                  else [])
-               phase_ctxs)
+               (List.combine prog.phases facts.ards))
         in
         let n = List.length nodes in
         let mk_edge i j back =
@@ -186,7 +211,7 @@ let build ?ards (prog : Types.program) ~env ~h : t =
         { array; nodes; edges })
       prog.arrays
   in
-  { prog; env; h; graphs; sizes = sizes_at prog env }
+  { prog; env; h; graphs; sizes = sizes_at prog env; shapes = facts.shapes }
 
 let chains (g : graph) =
   let n = List.length g.nodes in

@@ -50,6 +50,23 @@ type edge = {
 
 type graph = { array : string; nodes : node list; edges : edge list }
 
+type facts = {
+  env : Env.t;
+  ards : Ard.phase Lazy.t list;
+      (** the program's contexts and descriptors ({!Ard.of_program}):
+          environment-free, so one list may serve several [facts] *)
+  shapes : Ir.Shape.t option Lazy.t array;
+      (** each phase's {!Ir.Shape.of_phase} at [env], by phase index,
+          derived on first use from its entry of [ards]; [None] also
+          for a phase that does not analyze *)
+}
+(** What one run derives once per phase and every stage reads: lint's
+    bounds and race rules, the LCG (liveness, phase work, nodes), the
+    plan's tallies and the communication schedule. *)
+
+val facts : Ard.phase Lazy.t list -> Env.t -> facts
+(** The facts of a run at [env]; nothing is derived until read. *)
+
 type t = {
   prog : Ir.Types.program;
   env : Env.t;
@@ -65,21 +82,29 @@ type t = {
           executor refuses the program, the plan uses a block of 1, and
           the solve, which prices a non-rectangular node as the whole
           array, prices it at 0 words. *)
+  shapes : Ir.Shape.t option Lazy.t array;
+      (** the run's {!facts.shapes}, read through {!shape} *)
 }
 
-val build : ?ards:Ard.phase Lazy.t list -> Ir.Types.program -> env:Env.t -> h:int -> t
+val build : ?facts:facts -> Ir.Types.program -> env:Env.t -> h:int -> t
 (** Runs the whole front half of the paper: descriptors, simplification,
     IDs, symmetry, attributes, intra- and inter-phase analysis.  Each
-    node's PD is assembled from [ards], the program's descriptors
-    ({!Ard.of_program}, built here when not given): they are
-    environment-free, so one list serves every [env] and [h]. *)
+    node's PD is assembled from [facts.ards], and liveness and phase
+    work read [facts.shapes] ({!facts} of the program at [env], built
+    here when not given).
+    @raise Invalid_argument when [facts] are not at [env]. *)
 
-val empty : Ir.Types.program -> env:Env.t -> h:int -> t
-(** No graphs, but the sizes at [env]: the LCG-FAIL fallback. *)
+val empty : Ir.Types.program -> facts -> h:int -> t
+(** No graphs, but the sizes and shapes at [facts.env]: the LCG-FAIL
+    fallback. *)
 
 val size : t -> string -> int option
 (** The array's size fact; [None] when it does not evaluate.
     @raise Not_found on an undeclared array. *)
+
+val shape : t -> int -> Ir.Shape.t option
+(** Phase [k]'s shape at [env] ({!facts.shapes}), derived on the first
+    read by any stage. *)
 
 val chains : graph -> int list list
 (** Node positions grouped into chains: D and C edges both break the

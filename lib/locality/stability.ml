@@ -17,10 +17,12 @@ let sample_envs (prog : Ir.Types.program) =
 let analyze ?(h_values = [ 2; 4; 8; 16; 32; 64 ]) (prog : Ir.Types.program) : t =
   let envs = sample_envs prog in
   let ards = Descriptor.Ard.of_program prog in
+  let facts = List.map (Lcg.facts ards) envs in
   (* index edges structurally via the first build *)
   let builds =
     List.map
-      (fun h -> (h, List.map (fun env -> Lcg.build ~ards prog ~env ~h) envs))
+      (fun h ->
+        (h, List.map (fun (f : Lcg.facts) -> Lcg.build ~facts:f prog ~env:f.env ~h) facts))
       h_values
   in
   match builds with

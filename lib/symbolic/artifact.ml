@@ -1,6 +1,7 @@
-(* The unified artifact cache: one digest-keyed, bounded store family
-   replacing the ad-hoc memo Hashtbls that used to live in Range, Probe,
-   Phase, Region, Symmetry, Lcg and Solve.
+(* Digest-keyed, bounded artifact stores.  Probe's sample banks are
+   the one store left: the memo Hashtbls that once lived in Range,
+   Phase, Region, Symmetry, Lcg, Solve, Shape and Env are gone, their
+   facts recomputed or derived once per run and passed down.
 
    Keys are small trees whose leaves are ints, strings and *interned*
    expressions, so key equality is O(key size) with O(1) expression
@@ -26,7 +27,6 @@ module Key = struct
     | L (h, _) -> h
 
   let int n = I n
-  let bool b = I (if b then 1 else 0)
   let str s = S s
   let expr e = E e
   let list l = L (List.fold_left (fun h k -> mix h (hash k)) 11 l, l)
@@ -52,12 +52,12 @@ end
 
 module KT = Hashtbl.Make (Key)
 
-(* Every store's bound.  The largest store measured (the former
-   probe.memo, in one fuzz program's battery) peaked at 1,353 entries;
+(* Every store's bound.  The probe bank store peaked at 82 entries
+   (one fuzz program's battery, seed 2026) and at 78 in a dsmbench op;
    the runs that analyse many programs without a clear (sweep, lint
-   --all, the reproduction harness) stay below 600 in every store.
-   DESIGN.md section 14.3 has the numbers.  A store that reaches the
-   bound is dropped wholesale and refills. *)
+   --all, the reproduction harness) stay below 30.  DESIGN.md section
+   14.3 has the numbers.  A store that reaches the bound is dropped
+   wholesale and refills. *)
 let max_entries = 4_096
 
 (* A store is the calling domain's table and its hit/miss counts. *)

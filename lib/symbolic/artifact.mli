@@ -1,11 +1,14 @@
-(** Unified digest-keyed artifact cache.
+(** Digest-keyed artifact stores.
 
-    One bounded store family replaces the ad-hoc memo [Hashtbl]s that
-    previously lived with each analysis stage.  Keys are small trees
-    whose leaves are ints, strings and interned {!Expr.t} values:
-    equality is structural with O(1) expression leaves, hashing reuses
-    the expressions' precomputed digests, and therefore a key can never
-    collide with a different key - the digest only buckets.
+    One store uses it: [Probe]'s sample banks ([probe.bank]), keyed by
+    an assumption set ({!Assume.key}).  A run's other facts - each
+    phase's context, descriptors and shape - are derived once per run
+    and passed down as values, and evaluations are not cached.  Keys
+    are small trees whose leaves are ints, strings and interned
+    {!Expr.t} values: equality is structural with O(1) expression
+    leaves, hashing reuses the expressions' precomputed digests, and
+    therefore a key can never collide with a different key - the
+    digest only buckets.
 
     The cache is a per-run memo (see DESIGN.md section 14).  Stores
     are domain-local: a domain reads and fills only its own tables, and
@@ -23,7 +26,6 @@ module Key : sig
   type t
 
   val int : int -> t
-  val bool : bool -> t
   val str : string -> t
   val expr : Expr.t -> t
   val list : t list -> t

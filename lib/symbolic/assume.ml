@@ -71,7 +71,7 @@ let sampler t =
 let sample ?state t =
   let st = match state with Some s -> s | None -> Random.State.make_self_init () in
   let row = sampler t st in
-  Env.ephemeral (Env.of_list (List.combine (vars t) (Array.to_list row)))
+  Env.of_list (List.combine (vars t) (Array.to_list row))
 
 let pp_domain ppf = function
   | Int_range (lo, hi) -> Format.fprintf ppf "[%d..%d]" lo hi

@@ -44,8 +44,8 @@ val sampler : t -> Random.State.t -> int array
     raises, and each bound evaluation counts in [env.eval_uncached]. *)
 
 val sample : ?state:Random.State.t -> t -> Env.t
-(** One draw of {!sampler}, as an ephemeral environment (the last
-    declaration of a repeated name wins). *)
+(** One draw of {!sampler}, as an environment (the last declaration
+    of a repeated name wins). *)
 
 val range_in_env : t -> Env.t -> string -> (int * int) option
 (** Concrete inclusive range of one variable once every earlier variable

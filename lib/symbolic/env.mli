@@ -15,30 +15,15 @@ val find : t -> string -> int
 
 val bindings : t -> (string * int) list
 
-val id : t -> int
-(** Unique identity of this environment value, assigned at creation
-    and never shared by two environments of the process, whichever
-    domains built them.  Caches keyed on an environment use this id
-    (never the bindings), so two environments with equal bindings still
-    have distinct cache lines - the memo-coherence argument of DESIGN.md
-    section 12. *)
-
-val ephemeral : t -> t
-(** A copy (fresh id) whose evaluations bypass the global artifact
-    store, as do those of every environment derived from it via {!add}.
-    Mark environments that die quickly and in bulk - probe samples, the
-    enumerator's per-iteration bindings - so they do not churn the
-    store or drag short-lived cache entries into the major heap. *)
-
-val is_ephemeral : t -> bool
-
 val lookup : t -> string -> Qnum.t
 (** Shape expected by {!Expr.eval}. *)
 
 val eval : t -> Expr.t -> int
-(** [eval env e] = {!Expr.eval_int} under [env]. *)
+(** [eval env e] = {!Expr.eval_int} under [env].  Nothing is cached:
+    each call evaluates, and counts once in [env.eval_uncached]. *)
 
 val eval_q : t -> Expr.t -> Qnum.t
+(** {!Expr.eval} under [env], counted as {!eval} is. *)
 
 (** {1 Rows}
 
@@ -51,7 +36,7 @@ val slot : string array -> string -> Expr.binding
 
 val compile : string array -> Expr.t -> int array -> Qnum.t
 (** [compile names e] is {!Expr.compile} on rows of [names]: each call
-    evaluates [e] as {!eval_q} would on the row's ephemeral environment,
+    evaluates [e] as {!eval_q} would on the row's bindings,
     and counts once in [env.eval_uncached]. *)
 
 val compile_int : string array -> Expr.t -> int array -> int

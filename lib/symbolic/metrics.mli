@@ -14,8 +14,8 @@
     The registry deliberately has no dependencies beyond [unix] so every
     layer of the pipeline - [Symbolic.Expr] normalization at the bottom,
     [Core.Pipeline] stages at the top - can report into the same table.
-    The artifact stores ({!Artifact}) count their hits and misses in
-    cache cells of their own names. *)
+    An artifact store ({!Artifact}; the probe bank is the one) counts
+    its hits and misses in a cache cell of its own name. *)
 
 type counter
 type timer

@@ -3,11 +3,10 @@ let samples = 64
    default seed. *)
 let probe_state = Domain.DLS.new_key (fun () -> Random.State.make [| 0x5eed; 2024 |])
 
-(* Several artifact stores hold answers derived from the probe stream
-   (this module's sample banks and their columns, Range's bound memo,
-   the symmetry and LCG stores): re-seeding drops every store on entry
-   and exit, so no cached answer derived under one seed survives into
-   a run under another. *)
+(* The one artifact store, this module's sample banks and their
+   columns, holds answers derived from the probe stream: re-seeding
+   drops it on entry and exit, so no cached answer derived under one
+   seed survives into a run under another. *)
 let with_seed seed f =
   let saved = Domain.DLS.get probe_state in
   Domain.DLS.set probe_state (Random.State.make [| seed |]);
@@ -102,7 +101,7 @@ let row b i =
 let sample asm i =
   let b = bank asm in
   let row = row b i in
-  Env.ephemeral (Env.of_list (List.combine (Array.to_list b.names) (Array.to_list row)))
+  Env.of_list (List.combine (Array.to_list b.names) (Array.to_list row))
 
 (* [e] evaluated on rows [from], [from + 1], ... until the first
    raise.  A constant is its value on every row that draws, with no

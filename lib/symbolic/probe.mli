@@ -34,7 +34,7 @@ val with_seed : int -> (unit -> 'a) -> 'a
 
 val sample : Assume.t -> int -> Env.t
 (** [sample asm i]: the [i]-th assignment of [asm]'s sample stream, as
-    an ephemeral environment.  The stream is the one a fork of the
+    an environment.  The stream is the one a fork of the
     probe's base state would draw, so it depends only on the seed
     policy and [asm], never on how many probes ran before; it is drawn
     once per seed and assumption set and shared by every query.  A

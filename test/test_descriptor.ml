@@ -752,6 +752,48 @@ let test_one_ard_per_site () =
       done)
     [ ("deep", Fuzz.Gen.deep, 12, 16); ("default", Fuzz.Gen.default, 40, 4) ]
 
+(* One derivation per run: a pipeline run analyzes each phase once
+   ([phase.derive]) and derives each phase's shape once per environment
+   asked ([shape.derive]): the run's own and each of lint's sampled
+   environments, every one of which evaluates on these corpora. *)
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Metrics.snapshot ()).counters)
+
+let test_one_derivation_per_run () =
+  let check name (prog : Types.program) ~env ~h =
+    let evaluates env =
+      List.for_all
+        (fun (d : Types.array_decl) -> Result.is_ok (Linearize.array_size env prog d.name))
+        prog.arrays
+    in
+    let sampled = Core.Lint.default_envs prog in
+    Alcotest.(check bool) (name ^ ": sampled environments evaluate") true
+      (List.for_all evaluates sampled);
+    let phases = List.length prog.phases in
+    let phase0 = counter "phase.derive" and shape0 = counter "shape.derive" in
+    ignore (Core.Pipeline.run prog ~env ~h);
+    Alcotest.(check int) (name ^ ": phase.derive") phases
+      (Stdlib.( - ) (counter "phase.derive") phase0);
+    Alcotest.(check int) (name ^ ": shape.derive")
+      (Stdlib.( * ) phases (Stdlib.( + ) 1 (List.length sampled)))
+      (Stdlib.( - ) (counter "shape.derive") shape0)
+  in
+  List.iter
+    (fun (e : Codes.Registry.entry) ->
+      List.iter
+        (fun h ->
+          check (Printf.sprintf "%s H=%d" e.name h) e.program
+            ~env:(e.env_of_size e.default_size) ~h)
+        [ 4; 64 ])
+    Codes.Registry.all;
+  List.iter
+    (fun (name, profile, count, h) ->
+      for index = 0 to Stdlib.( - ) count 1 do
+        let prog = Fuzz.Gen.program profile ~seed:2026 ~index in
+        check (Printf.sprintf "%s#%d" name index) prog ~env:(Fuzz.Gen.midpoint_env prog) ~h
+      done)
+    [ ("deep", Fuzz.Gen.deep, 12, 16); ("default", Fuzz.Gen.default, 40, 4) ]
+
 (* Oracle: each stored step is the forward difference phi(v+1) - phi(v)
    the descriptors once derived per use, [affine] says whether phi is
    linear in v, and each exact ARD's count along v is still
@@ -844,6 +886,8 @@ let () =
       ( "per-site",
         [
           Alcotest.test_case "descriptor.ard = sites analyzed" `Quick test_one_ard_per_site;
+          Alcotest.test_case "one Phase.t and Shape per run" `Quick
+            test_one_derivation_per_run;
           Alcotest.test_case "steps = forward differences" `Quick test_steps_oracle;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Golden snapshots of the LCG for every registry kernel: node access
    attributes (R / W / R/W / P, Sec. 3) and Table 1 edge labels
-   (L / C / D, Theorem 2) are pinned so that the memoisation layer
-   (env.eval, probe.bank, phase.analyze, shape.sites) can never
+   (L / C / D, Theorem 2) are pinned so that neither the per-run facts
+   (each phase's context, descriptors and shape, derived once and
+   shared by every stage) nor the one memo left, the probe bank, can
    silently change an analysis result.
 
    Regenerate after an intentional analysis change with

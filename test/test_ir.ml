@@ -326,6 +326,11 @@ let test_enumerate_parity_quotients () =
 
 (* Two phases over a work array W: F1 writes then reads W per iteration
    (classic privatizable workspace), F2 overwrites W entirely. *)
+(* Each phase's shape at [env], as a pipeline run derives them. *)
+let shapes (prog : Types.program) env =
+  Array.of_list
+    (List.map (fun ph -> lazy (Shape.of_phase (Phase.analyze prog ph) env)) prog.phases)
+
 let priv_params = Assume.of_list [ ("N", Assume.Int_range (4, 16)) ]
 let priv_env = Env.of_list [ ("N", 8) ]
 
@@ -350,13 +355,13 @@ let priv_prog =
     [ priv_f1; priv_f2 ]
 
 let test_privatizable () =
-  let attr = Liveness.attr priv_prog priv_env 0 ~array:"W" in
+  let attr = Liveness.attr priv_prog priv_env (shapes priv_prog priv_env) 0 ~array:"W" in
   Alcotest.(check string) "W privatizable in F1" "P" (Liveness.attr_to_string attr);
-  let attr_a = Liveness.attr priv_prog priv_env 0 ~array:"A" in
+  let attr_a = Liveness.attr priv_prog priv_env (shapes priv_prog priv_env) 0 ~array:"A" in
   Alcotest.(check string) "A read-only" "R" (Liveness.attr_to_string attr_a);
   (* B is written and never overwritten: it survives to program exit,
      i.e. it is an output - live, hence W rather than P. *)
-  let attr_b = Liveness.attr priv_prog priv_env 0 ~array:"B" in
+  let attr_b = Liveness.attr priv_prog priv_env (shapes priv_prog priv_env) 0 ~array:"B" in
   Alcotest.(check string) "B is a live-out write" "W"
     (Liveness.attr_to_string attr_b)
 
@@ -374,7 +379,7 @@ let live_prog =
     [ priv_f1; live_f2 ]
 
 let test_live_not_privatizable () =
-  let attr = Liveness.attr live_prog priv_env 0 ~array:"W" in
+  let attr = Liveness.attr live_prog priv_env (shapes live_prog priv_env) 0 ~array:"W" in
   Alcotest.(check string) "W live after F1" "R/W" (Liveness.attr_to_string attr)
 
 (* Upward-exposed read inside the phase: not privatizable either. *)
@@ -393,7 +398,7 @@ let exposed_prog =
     [ exposed_f1; priv_f2 ]
 
 let test_exposed_read () =
-  let attr = Liveness.attr exposed_prog priv_env 0 ~array:"W" in
+  let attr = Liveness.attr exposed_prog priv_env (shapes exposed_prog priv_env) 0 ~array:"W" in
   Alcotest.(check string) "read before write" "R/W" (Liveness.attr_to_string attr)
 
 (* Repetition wraps liveness around: F1 writes W, F2 reads W, and with
@@ -403,10 +408,10 @@ let test_exposed_read () =
 let test_repeats_wrap () =
   let prog = { live_prog with repeats = true } in
   Alcotest.(check string) "wrap: W live" "R/W"
-    (Liveness.attr_to_string (Liveness.attr prog priv_env 0 ~array:"W"));
+    (Liveness.attr_to_string (Liveness.attr prog priv_env (shapes prog priv_env) 0 ~array:"W"));
   (* C is written in F2 and never read, even on wrap: P. *)
   Alcotest.(check string) "wrap: C dead" "P"
-    (Liveness.attr_to_string (Liveness.attr prog priv_env 1 ~array:"C"))
+    (Liveness.attr_to_string (Liveness.attr prog priv_env (shapes prog priv_env) 1 ~array:"C"))
 
 (* A parallel loop whose trip count follows the sequential loop runs
    again for every i, so a write pinned to iteration j in one run does
@@ -431,7 +436,7 @@ let test_triangular_parallel_rerun () =
       ]
   in
   Alcotest.(check string) "A not privatizable" "R/W"
-    (Liveness.attr_to_string (Liveness.attr prog Env.empty 0 ~array:"A"))
+    (Liveness.attr_to_string (Liveness.attr prog Env.empty (shapes prog Env.empty) 0 ~array:"A"))
 
 (* [f ()] under one [Lattice.mode], restored afterwards. *)
 let in_mode mode f =
@@ -440,7 +445,7 @@ let in_mode mode f =
   Fun.protect ~finally:(fun () -> Lattice.mode := saved) f
 
 let attr_in mode prog env k ~array =
-  in_mode mode (fun () -> Liveness.attr_to_string (Liveness.attr prog env k ~array))
+  in_mode mode (fun () -> Liveness.attr_to_string (Liveness.attr prog env (shapes prog env) k ~array))
 
 (* [closed]: the closed form answers both questions, with no fallback. *)
 let check_both ?(closed = false) name want prog env k ~array =
@@ -596,7 +601,7 @@ let test_registry_closed_form () =
           in_mode mode (fun () ->
               List.map
                 (fun (a, xs) -> (a, Array.to_list (Array.map Liveness.attr_to_string xs)))
-                (Liveness.attrs e.program env))
+                (Liveness.attrs e.program env (shapes e.program env)))
         in
         let name = Printf.sprintf "%s@%d" e.name size in
         let before = Lattice.fallback_count () in
@@ -919,7 +924,10 @@ let walked_ranges prog env ph =
       (a, lo, hi))
     !order
 
-let closed_range prog env ph = Option.bind (Shape.of_phase prog env ph) Shape.ranges
+let closed_range prog env ph =
+  match Phase.analyze prog ph with
+  | ctx -> Option.bind (Shape.of_phase ctx env) Shape.ranges
+  | exception Phase.Invalid_phase _ -> None
 
 (* [Shape.ranges] answers wherever the walk does, with the walk's answer. *)
 let range_exact prog env ph =

@@ -193,16 +193,6 @@ let test_concurrent_analyses () =
     names
     (List.combine alone together)
 
-let test_env_ids_disjoint () =
-  let build () =
-    List.init 2000 (fun i -> Symbolic.Env.id (Symbolic.Env.add "N" i Symbolic.Env.empty))
-  in
-  let others = List.init 2 (fun _ -> Domain.spawn build) in
-  let mine = build () in
-  let ids = mine @ List.concat_map Domain.join others in
-  Alcotest.(check int) "no id shared" (List.length ids)
-    (List.length (List.sort_uniq compare ids))
-
 let () =
   Alcotest.run "jobs"
     [
@@ -222,6 +212,5 @@ let () =
       ( "domain-local",
         [
           Alcotest.test_case "two analyses at once" `Quick test_concurrent_analyses;
-          Alcotest.test_case "env ids disjoint" `Quick test_env_ids_disjoint;
         ] );
     ]

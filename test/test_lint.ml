@@ -166,7 +166,7 @@ let test_bounds_at_analyzed_env () =
     [ Printf.sprintf "access to A at flat address %d, outside its declared extent" nmax ]
   in
   Alcotest.(check (list string)) "reported at the analyzed env" want
-    (bounds (Lint.check ~at:env p));
+    (bounds (Lint.check ~at:(Locality.Lcg.facts (Descriptor.Ard.of_program p) env) p));
   Alcotest.(check (list string)) "reported by the pipeline" want
     (bounds (Core.Pipeline.diagnostics (Core.Pipeline.run p ~env ~h:4)))
 
@@ -531,7 +531,13 @@ let test_sampling_pin () =
       let e = Codes.Registry.find name in
       Alcotest.(check (pair int int)) (name ^ " enum.iter, enum.addresses") expected
         (enum_counts (fun () ->
-             ignore (Lint.check ~at:(e.env_of_size e.default_size) e.program))))
+             ignore
+               (Lint.check
+                  ~at:
+                    (Locality.Lcg.facts
+                       (Descriptor.Ard.of_program e.program)
+                       (e.env_of_size e.default_size))
+                  e.program))))
     sampling_golden
 
 (* enum.iter after Lint.autopar on tomcatv, whose phases the certifier

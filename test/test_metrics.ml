@@ -2,7 +2,7 @@
    reentrancy-safe timers, cache statistics, reset semantics, the
    hand-rolled JSON emitter (validated by a small recursive-descent
    JSON syntax checker, since the project deliberately has no JSON
-   dependency), and per-phase reuse in the phase.analyze store. *)
+   dependency), and the cells a pipeline run fills. *)
 
 module M = Symbolic.Metrics
 
@@ -363,8 +363,8 @@ let test_absorb () =
     (List.assoc "ab.$" live.caches)
 
 (* The pipeline's own instrumentation: after one run on a registry code
-   the stage timers have fired and the kernel caches have real hits -
-   the acceptance bar for the --profile surface. *)
+   the stage timers have fired and the probe bank's cache cells have
+   real hits - the acceptance bar for the --profile surface. *)
 let test_pipeline_populates_registry () =
   M.reset ();
   Symbolic.Artifact.clear_all ();
@@ -372,8 +372,8 @@ let test_pipeline_populates_registry () =
   let env = e.env_of_size e.default_size in
   let t = Core.Pipeline.run e.program ~env ~h:4 in
   ignore (Core.Pipeline.simulate t);
-  (* a second run over the same environment exercises the warm path of
-     every memo keyed on Env.id *)
+  (* a second run over the same assumption sets exercises the probe
+     bank's warm path *)
   ignore (Core.Pipeline.run e.program ~env ~h:4);
   let snap = M.snapshot () in
   List.iter
@@ -389,28 +389,28 @@ let test_pipeline_populates_registry () =
     (fun name ->
       let hits, _ = List.assoc name snap.caches in
       Alcotest.(check bool) (name ^ " has hits") true (hits > 0))
-    [ "env.eval"; "probe.column"; "phase.analyze"; "shape.sites" ];
+    [ "probe.bank"; "probe.column" ];
   Alcotest.(check bool) "edges classified" true
     (List.assoc "table1.edges" snap.counters > 0);
   Alcotest.(check bool) "messages simulated" true
     (List.assoc "exec.messages" snap.counters > 0);
   Alcotest.(check bool) "json valid" true (json_valid (M.to_json snap))
 
-(* Hits and misses summed over the artifact stores' cache cells, read
-   off a fresh snapshot; expr.intern is the one cache cell that no
-   store owns. *)
+(* Hits and misses summed over the probe bank's cache cells (the one
+   artifact store and its columns), read off a fresh snapshot. *)
 let store_totals () =
   List.fold_left
     (fun (h, m) (name, (hits, misses)) ->
-      if name = "expr.intern" then (h, m) else (h + hits, m + misses))
+      if List.mem name [ "probe.bank"; "probe.column" ] then (h + hits, m + misses)
+      else (h, m))
     (0, 0) (M.snapshot ()).caches
 
 (* Cache effectiveness on every registry kernel at size
    [min default_size 6] and H=4, seed 2026: the cold run raises
    nothing, the simulator raises only recoverable exceptions, and a
-   second run in the same environment is answered from the artifact
-   stores (the cold run misses and fills them, the warm run adds hits)
-   and renders a byte-identical report. *)
+   second run in the same environment is answered from the probe bank
+   (the cold run misses and fills it, the warm run adds hits) and
+   renders a byte-identical report. *)
 let test_warm_run_hits_artifact_stores () =
   Symbolic.Probe.with_seed 2026 @@ fun () ->
   List.iter
@@ -435,9 +435,9 @@ let test_warm_run_hits_artifact_stores () =
 
 (* The registry holds no cells of the removed analysis daemon, of
    the forked worker pool or of the deleted memo stores: no serve.* or
-   pool.* rows and no symmetry.analyze, region.addresses or
-   range.bounds cache show up in a --profile, even once a batch has
-   run. *)
+   pool.* rows and no symmetry.analyze, region.addresses, range.bounds,
+   env.eval, phase.analyze or shape.sites cache show up in a
+   --profile, even once a batch has run. *)
 let test_no_daemon_cells () =
   let _, merged = Core.Jobs.map ~f:(fun x -> x) [ 1; 2 ] in
   M.absorb merged;
@@ -453,69 +453,12 @@ let test_no_daemon_cells () =
       Alcotest.(check bool) (n ^ " is not a daemon, pool or deleted store cell") false
         (String.starts_with ~prefix:"serve." n
         || String.starts_with ~prefix:"pool." n
-        || List.mem n [ "symmetry.analyze"; "region.addresses"; "range.bounds" ]))
+        || List.mem n
+             [
+               "symmetry.analyze"; "region.addresses"; "range.bounds"; "env.eval";
+               "phase.analyze"; "shape.sites";
+             ]))
     names
-
-(* Incremental phase-key reuse: editing one phase must not invalidate
-   the sibling's cached analysis in the [phase.analyze] store (counted
-   by the store's hit statistics). *)
-
-let jacobi2d_src =
-  {|program jacobi2d
-param N = 8..64
-real U(N,N)
-real V(N,N)
-repeat
-
-phase SWEEP:
-  doall I = 1, N-2
-    do J = 1, N-2
-      V(I,J) = U(I-1,J) + U(I+1,J) + U(I,J-1) + U(I,J+1) work 4
-    end
-  end
-
-phase COPY:
-  doall I = 1, N-2
-    do J = 1, N-2
-      U(I,J) = V(I,J) work 1
-    end
-  end
-|}
-
-let store_hits name = fst (List.assoc name (M.snapshot ()).caches)
-
-let test_phase_key_incremental () =
-  let edited =
-    (* same SWEEP phase, different COPY body (scaled copy) *)
-    String.concat "\n"
-      (List.map
-         (fun line ->
-           if line = "      U(I,J) = V(I,J) work 1" then
-             "      U(I,J) = V(I,J) + V(I,J) work 2"
-           else line)
-         (String.split_on_char '\n' jacobi2d_src))
-  in
-  let p1 = Frontend.Parse.program jacobi2d_src in
-  let p2 = Frontend.Parse.program edited in
-  Alcotest.(check bool) "the edit changed the program" true (p1 <> p2);
-  (* prime the cache from a clean slate *)
-  Symbolic.Artifact.clear_all ();
-  let analyze_all (p : Ir.Types.program) =
-    List.iter (fun ph -> ignore (Ir.Phase.analyze p ph)) p.phases
-  in
-  analyze_all p1;
-  let hits0 = store_hits "phase.analyze" in
-  analyze_all p2;
-  let hits1 = store_hits "phase.analyze" in
-  (* exactly the untouched SWEEP phase is reused; the edited COPY is
-     re-analyzed *)
-  Alcotest.(check int) "one sibling phase reused" (hits0 + 1) hits1;
-  Alcotest.(check bool) "keys differ for the edited phase" true
-    (Ir.Types.phase_context_key p1 (List.nth p1.phases 1)
-    <> Ir.Types.phase_context_key p2 (List.nth p2.phases 1));
-  Alcotest.(check bool) "keys agree for the untouched phase" true
-    (Ir.Types.phase_context_key p1 (List.hd p1.phases)
-    = Ir.Types.phase_context_key p2 (List.hd p2.phases))
 
 let () =
   Alcotest.run "metrics"
@@ -554,10 +497,5 @@ let () =
         [
           Alcotest.test_case "instrumentation populates registry" `Quick
             test_pipeline_populates_registry;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "phase key narrowing" `Quick
-            test_phase_key_incremental;
         ] );
     ]

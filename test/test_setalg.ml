@@ -665,7 +665,7 @@ let event_multiset_shape (t : Ir.Shape.t) =
 
 (* [Shape.of_phase] answers, with [Enumerate.iter]'s event multiset. *)
 let check_shape what prog env (ph : Ir.Types.phase) =
-  match Ir.Shape.of_phase prog env ph with
+  match Ir.Shape.of_phase (Ir.Phase.analyze prog ph) env with
   | None -> Alcotest.failf "%s/%s: outside fragment" what ph.phase_name
   | Some t ->
       let want = event_multiset_enum prog env ph in
@@ -727,7 +727,7 @@ let shape_work_matches () =
           let enum = ref 0 in
           Ir.Enumerate.iter e.program env ph
             ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work -> enum := !enum + work);
-          match Ir.Shape.of_phase e.program env ph with
+          match Ir.Shape.of_phase (Ir.Phase.analyze e.program ph) env with
           | None -> Alcotest.failf "%s/%s: outside fragment" e.name ph.phase_name
           | Some t ->
               Alcotest.(check int)
@@ -789,7 +789,7 @@ let tally_matches_oracle () =
                   in
                   let symbolic ~split =
                     match
-                      Ilp.Distribution.tally_symbolic ~split t.lcg ph ~chunk ~h
+                      Ilp.Distribution.tally_symbolic ~split t.lcg k ~chunk ~h
                         placements
                     with
                     | None -> Alcotest.failf "%s: closed form fell back" label

@@ -961,7 +961,7 @@ module Bank_check = struct
                 pick lo (Env.eval env hi)
           in
           Env.add x value env)
-        (Env.ephemeral Env.empty) (Assume.to_list asm)
+        Env.empty (Assume.to_list asm)
     in
     let sample asm k =
       let st = Random.State.make [| seed |] in
