@@ -160,7 +160,7 @@ let jobs_arg =
 let profile_arg =
   let doc =
     "Print this run's metrics (pipeline stage timers, kernel counters, \
-     artifact cache hits and misses) as a table on stderr when the command \
+     cache hits and misses) as a table on stderr when the command \
      exits; cells the run never touched are left out."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
@@ -331,9 +331,10 @@ let analyze_cmd =
           report t;
           0)
     else
-      (* Render the same analysis under both accountings.  The artifact
-         stores key mode-dependent entries on the mode tag, so the two
-         runs cannot poison each other. *)
+      (* Render the same analysis under both accountings.  The two runs
+         cannot interfere: the probe banks hold only rows and columns
+         derived from the probe seed, never a mode-dependent answer,
+         and each run derives its own per-phase facts. *)
       let run k = registry ~strict ?max_errors ~embeds:true name size h (fun _ -> k) in
       let render t = Format.asprintf "%a@." Core.Pipeline.report_core t in
       run @@ fun t ->
@@ -666,7 +667,7 @@ let file_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch: many codes at once, each analysis a job on a domain of its
    own (Core.Jobs).  A job renders its report and diagnostics where it
-   ran: they read that domain's probe stream and artifact stores. *)
+   ran: they read that domain's probe stream and probe banks. *)
 
 type batch_job = { bj_name : string; bj_size : int; bj_h : int }
 

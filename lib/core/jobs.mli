@@ -2,8 +2,8 @@
     [dsmloc batch] and the fuzz campaign.
 
     The analysis state of [lib/symbolic] is domain-local (metric
-    numbers, the probe bank's artifact store, the expression intern
-    table, the probe stream), and everything else a run derives is a
+    numbers, the probe's sample banks, the expression intern table,
+    the probe stream), and everything else a run derives is a
     value it owns, so each job runs on a domain spawned for it and
     starts from fresh state.  It inherits the caller's
     {!Symbolic.Lattice.mode_cell} and {!Symbolic.Lattice.test_card_skew}

@@ -256,7 +256,7 @@ let rule_dead_write c (prog : Types.program) =
 let rule_race c (prog : Types.program) envs ards (ph : Types.phase) =
   List.iter
     (fun path ->
-      let var = try Autopar.loop_var_at ph.Types.nest path with _ -> "?" in
+      let var = Autopar.loop_var_at ph.Types.nest path in
       match Racecheck.certify ~ards prog ph ~loop_path:path with
       | Racecheck.Proved_independent -> ()
       | Racecheck.Proved_dependent w ->

@@ -161,7 +161,7 @@ let comm_parity prog =
 
 let cold_warm prog =
   (* Both runs re-parse the same source so every expression is rebuilt
-     against the current intern table; only the artifact store's
+     against the current intern table; only the probe banks'
      temperature differs. *)
   let src = Frontend.Unparse.to_string prog in
   let parse () =
@@ -169,7 +169,7 @@ let cold_warm prog =
     | Some p -> p
     | None -> failwith "cold-warm: source does not parse"
   in
-  Artifact.clear_all ();
+  Probe.clear ();
   let cold, _ = with_mode Lattice.Auto (fun () -> render (parse ())) in
   let warm, _ = with_mode Lattice.Auto (fun () -> render (parse ())) in
   match first_diff cold warm with
@@ -266,7 +266,7 @@ let checks =
       run = guarded comm_parity;
     };
     { name = "cold-warm";
-      doc = "warm artifact store reproduces the cold report";
+      doc = "warm probe banks reproduce the cold report";
       run = guarded cold_warm;
     };
     { name = "exec-parity";

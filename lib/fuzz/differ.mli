@@ -17,8 +17,8 @@
       its load-balance bounds and its unbroken storage rows;
     - [comm-parity]: the communication schedule generated from a fixed
       (LCG, plan) pair is identical under both accounting modes;
-    - [cold-warm]: re-analyzing the same source with a warm artifact
-      store reproduces the cold run's report byte for byte;
+    - [cold-warm]: re-analyzing the same source with warm probe banks
+      reproduces the cold run's report byte for byte;
     - [exec-parity]: the program run on OCaml domains ({!Exec.Runner})
       delivers exactly the schedule, reads no stale value and leaves
       the replay's final contents in the owners' windows.  Skipped when

@@ -3,27 +3,40 @@ type domain =
   | Pow2_of of string
   | Expr_range of Expr.t * Expr.t
 
-(* The declarations, and their cache key, built once with the set: a
-   probe finds the set's sample bank without rebuilding it. *)
-type t = { decls : (string * domain) list; key : Artifact.Key.t }
+(* The declarations, and their hash, computed once with the set: a
+   probe finds the set's sample bank without rehashing it. *)
+type t = { decls : (string * domain) list; hash : int }
 
-let domain_key = function
-  | Int_range (lo, hi) -> Artifact.Key.(list [ int 0; int lo; int hi ])
-  | Pow2_of w -> Artifact.Key.(list [ int 1; str w ])
-  | Expr_range (lo, hi) -> Artifact.Key.(list [ int 2; expr lo; expr hi ])
+let mix h k = (((h * 0x01000193) lxor k) land max_int : int)
+
+let hash_domain = function
+  | Int_range (lo, hi) -> mix (mix 3 lo) hi
+  | Pow2_of w -> mix 5 (Hashtbl.hash w)
+  | Expr_range (lo, hi) -> mix (mix 7 (Expr.digest lo)) (Expr.digest hi)
 
 let of_list decls =
-  {
-    decls;
-    key = Artifact.Key.list (List.map (fun (v, d) -> Artifact.Key.(list [ str v; domain_key d ])) decls);
-  }
+  { decls; hash = List.fold_left (fun h (v, d) -> mix (mix h (Hashtbl.hash v)) (hash_domain d)) 11 decls }
+
+let hash t = t.hash
+
+let equal_domain a b =
+  match (a, b) with
+  | Int_range (a, b), Int_range (c, d) -> a = c && b = d
+  | Pow2_of v, Pow2_of w -> String.equal v w
+  | Expr_range (a, b), Expr_range (c, d) -> Expr.equal a c && Expr.equal b d
+  | (Int_range _ | Pow2_of _ | Expr_range _), _ -> false
+
+(* A set kept by its owner is found by its physical self. *)
+let equal a b =
+  a == b
+  || a.hash = b.hash
+     && List.equal (fun (v, d) (w, e) -> String.equal v w && equal_domain d e) a.decls b.decls
 
 let empty = of_list []
 let add t v d = of_list (t.decls @ [ (v, d) ])
 let to_list t = t.decls
 let vars t = List.map fst t.decls
 let domain_of t v = List.assoc_opt v t.decls
-let key t = t.key
 
 let set_domain t v d =
   if List.mem_assoc v t.decls then

@@ -4,7 +4,11 @@
     variable draws its values.  Later entries may have bounds that are
     expressions over earlier variables (loop indices with non-constant
     limits, such as [0 <= J <= P*2^(-L) - 1] in the TFFT2 nest).  The
-    order is the sampling order used by {!Probe}. *)
+    order is the sampling order used by {!Probe}.
+
+    A set carries its declarations and a hash computed once when it is
+    built; {!hash} and {!equal} are how {!Probe} finds the set's sample
+    bank (DESIGN.md section 14.2). *)
 
 type domain =
   | Int_range of int * int
@@ -24,9 +28,17 @@ val to_list : t -> (string * domain) list
 val vars : t -> string list
 val domain_of : t -> string -> domain option
 
-val key : t -> Artifact.Key.t
-(** Stable {!Artifact} cache key covering the whole declaration list
-    (order-sensitive, like sampling), built once with the set. *)
+val hash : t -> int
+(** The set's hash, computed once when it is built: mixed from each
+    declaration's name, bounds and {!Expr.digest}s, in order (sampling
+    is order-sensitive too). *)
+
+val equal : t -> t -> bool
+(** Physical equality first, then equal declarations in the same order:
+    equal names, equal [Int_range] bounds and [Pow2_of] bases, and
+    {!Expr.equal} [Expr_range] bounds.  Sets that are equal sample the
+    same stream; {!Probe} keys its sample banks by [hash] and
+    [equal]. *)
 
 val set_domain : t -> string -> domain -> t
 (** Replace a variable's domain in place (preserving order); appends

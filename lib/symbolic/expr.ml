@@ -9,7 +9,7 @@
    pre-interning structural compare so every sorted artifact (symmetry
    distance lists, golden snapshots) is byte-identical to before. *)
 
-type t = { id : int; hash : int; node : node }
+type t = { hash : int; node : node }
 
 and node = (mono * Qnum.t) list
 and mono = (atom * int) list
@@ -23,14 +23,13 @@ and atom =
 
 exception Non_integral of string
 
-let id e = e.id
 let digest e = e.hash
 
 (* ------------------------------------------------------------------ *)
 (* Hashing: structural and bottom-up (children contribute their cached
    [hash] field), so a digest is deterministic across processes and
    intern generations - it depends only on the mathematical term, never
-   on id assignment order. *)
+   on construction order. *)
 
 let mix h k = (((h * 0x01000193) lxor k) land max_int : int)
 
@@ -199,9 +198,6 @@ let interns =
         norms = Metrics.local_counter norm_count;
       })
 
-(* Process-wide, so no two domains hand out the same id. *)
-let next_id = Atomic.make 1
-
 let intern (node : node) : t =
   let st = Domain.DLS.get interns in
   match Tbl.find_opt st.table node with
@@ -210,7 +206,7 @@ let intern (node : node) : t =
       e
   | None ->
       Metrics.miss_local st.stats;
-      let e = { id = Atomic.fetch_and_add next_id 1; hash = hash_node node; node } in
+      let e = { hash = hash_node node; node } in
       Tbl.add st.table node e;
       e
 
@@ -230,9 +226,8 @@ let is_zero e = match e.node with [] -> true | _ -> false
 let () = canonical := [ zero; one ]
 
 (* [intern_reset] replaces the calling domain's table (so a profiled
-   run starts with a bounded, history-free intern state) but keeps the
-   id counter monotonic: ids are never reused, so expressions created
-   before the reset can safely coexist with expressions created after -
+   run starts with a bounded, history-free intern state).  Expressions
+   created before the reset coexist with those created after:
    [equal]/[compare] fall back to structure for such cross-generation
    duplicates. *)
 let intern_reset () = (Domain.DLS.get interns).table <- seeded ()

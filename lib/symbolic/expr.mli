@@ -22,19 +22,15 @@
 
 type t
 (** Abstract; construct via the functions below.  Every value carries a
-    unique id and a precomputed structural hash. *)
+    precomputed structural hash, its {!digest}. *)
 
 (** {1 Identity} *)
 
-val id : t -> int
-(** Unique per interned value across the process, never reused (even
-    across {!intern_reset} or between domains).  Ids depend on
-    construction history; never persist them - use {!digest} for stable
-    keys. *)
-
 val digest : t -> int
-(** Precomputed structural hash: deterministic across processes and
-    intern generations (depends only on the term, not on id order). *)
+(** Precomputed structural hash: deterministic across processes,
+    domains and intern generations (depends only on the term, not on
+    construction order).  With {!equal} it keys a table by the
+    expression itself ([Probe]'s columns). *)
 
 val equal : t -> t -> bool
 (** Physical equality, with a hash-gated structural fallback that only
@@ -60,9 +56,8 @@ val intern_size : unit -> int
 val intern_reset : unit -> unit
 (** Drop the calling domain's intern table (a profiling driver calls
     this between runs so intern state stays bounded and history-free).
-    The id counter is {e not} reset: expressions created before the
-    reset remain valid and compare correctly against post-reset values,
-    they just lose sharing. *)
+    Expressions created before the reset remain valid and compare
+    correctly against post-reset values, they just lose sharing. *)
 
 (** {1 Constructors} *)
 

@@ -14,8 +14,9 @@
     The registry deliberately has no dependencies beyond [unix] so every
     layer of the pipeline - [Symbolic.Expr] normalization at the bottom,
     [Core.Pipeline] stages at the top - can report into the same table.
-    An artifact store ({!Artifact}; the probe bank is the one) counts
-    its hits and misses in a cache cell of its own name. *)
+    Three cache cells exist: [expr.intern] ({!Expr}'s intern table),
+    [probe.bank] and [probe.column] ({!Probe}'s sample banks and their
+    operand columns). *)
 
 type counter
 type timer

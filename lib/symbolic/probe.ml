@@ -3,20 +3,6 @@ let samples = 64
    default seed. *)
 let probe_state = Domain.DLS.new_key (fun () -> Random.State.make [| 0x5eed; 2024 |])
 
-(* The one artifact store, this module's sample banks and their
-   columns, holds answers derived from the probe stream: re-seeding
-   drops it on entry and exit, so no cached answer derived under one
-   seed survives into a run under another. *)
-let with_seed seed f =
-  let saved = Domain.DLS.get probe_state in
-  Domain.DLS.set probe_state (Random.State.make [| seed |]);
-  Artifact.clear_all ();
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set probe_state saved;
-      Artifact.clear_all ())
-    f
-
 (* The base state is never advanced by queries.  Sample [i] of an
    assumption set is the [i]-th draw of one fork of the base state, so
    a probe's answer depends only on the seed policy and the question
@@ -29,7 +15,7 @@ let with_seed seed f =
    the set's compiled sampler into a bank: the variable names once,
    then one compact [int array] row per sample.  A draw that raises is
    stored and re-raised at its index, where a fresh fork would raise it
-   too; no later row is ever asked for.  Re-seeding flushes the store;
+   too; no later row is ever asked for.  Re-seeding drops every bank;
    an overflow drop only makes the next query fork the base state again
    and redraw the same rows.
 
@@ -46,7 +32,15 @@ type column = {
   raised : exn;  (* what row [stop] raised *)
 }
 
-module Columns = Hashtbl.Make (Int)
+(* Columns by the expression itself: structurally equal operands,
+   interned on different domains or in different intern generations,
+   share one column. *)
+module Columns = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = Expr.equal
+  let hash = Expr.digest
+end)
 
 type bank = {
   names : string array;  (* [Assume.vars]: row slot j binds names.(j) *)
@@ -55,30 +49,69 @@ type bank = {
   mutable rows : int array array;  (* the first [drawn] are filled *)
   mutable drawn : int;
   mutable failure : exn option;  (* raised by the draw of row [drawn] *)
-  columns : column Columns.t;  (* by [Expr.id] *)
+  columns : column Columns.t;
   column_stats : Metrics.local;
 }
 
-let banks : bank Artifact.store = Artifact.store "probe.bank"
+(* Banks by assumption set: a set kept by its owner is found by its
+   physical self, an equal one rebuilt elsewhere by its declarations. *)
+module Banks = Hashtbl.Make (Assume)
+
+let bank_cells = Metrics.cache "probe.bank"
 let column_cells = Metrics.cache "probe.column"
 
-(* Each bank's column bound.  A bank that reaches it drops its columns
-   wholesale and refills, as an artifact store does; DESIGN.md section
-   14.3 has the measured peaks. *)
+(* The calling domain's banks and their hit/miss counts: each domain
+   fills its own table, and [clear] drops the calling domain's. *)
+type banks = { tbl : bank Banks.t; stats : Metrics.local }
+
+let banks =
+  Domain.DLS.new_key (fun () -> { tbl = Banks.create 256; stats = Metrics.local_cache bank_cells })
+
+(* The bounds.  The bank table peaked at 82 sets (one fuzz program's
+   battery, seed 2026) and at 78 in a dsmbench op; a table or a bank's
+   columns that reach the bound are dropped wholesale and refill.
+   DESIGN.md section 14.3 has the measured peaks. *)
+let max_banks = 4_096
 let max_columns = 256
 
+let clear () = Banks.reset (Domain.DLS.get banks).tbl
+
+(* Every bank holds answers derived from the probe stream: re-seeding
+   drops them on entry and exit, so no answer derived under one seed
+   survives into a run under another. *)
+let with_seed seed f =
+  let saved = Domain.DLS.get probe_state in
+  Domain.DLS.set probe_state (Random.State.make [| seed |]);
+  clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set probe_state saved;
+      clear ())
+    f
+
 let bank asm =
-  Artifact.find banks (Assume.key asm) (fun () ->
-      {
-        names = Array.of_list (Assume.vars asm);
-        draw = Assume.sampler asm;
-        fork = Random.State.copy (Domain.DLS.get probe_state);
-        rows = [||];
-        drawn = 0;
-        failure = None;
-        columns = Columns.create 16;
-        column_stats = Metrics.local_cache column_cells;
-      })
+  let { tbl; stats } = Domain.DLS.get banks in
+  match Banks.find_opt tbl asm with
+  | Some b ->
+      Metrics.hit_local stats;
+      b
+  | None ->
+      Metrics.miss_local stats;
+      let b =
+        {
+          names = Array.of_list (Assume.vars asm);
+          draw = Assume.sampler asm;
+          fork = Random.State.copy (Domain.DLS.get probe_state);
+          rows = [||];
+          drawn = 0;
+          failure = None;
+          columns = Columns.create 16;
+          column_stats = Metrics.local_cache column_cells;
+        }
+      in
+      if Banks.length tbl >= max_banks then Banks.reset tbl;
+      Banks.replace tbl asm b;
+      b
 
 let row b i =
   while b.drawn <= i do
@@ -129,7 +162,7 @@ let fill b e from =
   go from
 
 let column b e =
-  match Columns.find_opt b.columns (Expr.id e) with
+  match Columns.find_opt b.columns e with
   | Some c ->
       Metrics.hit_local b.column_stats;
       c
@@ -137,7 +170,7 @@ let column b e =
       Metrics.miss_local b.column_stats;
       let c = fill b e 0 in
       if Columns.length b.columns >= max_columns then Columns.reset b.columns;
-      Columns.replace b.columns (Expr.id e) c;
+      Columns.replace b.columns e c;
       c
 
 let rational c = Array.length c.exact > 0
@@ -218,7 +251,6 @@ let sign asm e =
 let nonneg asm e = decided (fun () -> unary asm e (fun c -> every 0 (fun i -> sign_at c i >= 0)))
 let le asm a b = nonneg asm (Expr.sub b a)
 let lt asm a b = decided (fun () -> ordered asm (fun c -> c < 0) a b)
-let integral asm e = decided (fun () -> unary asm e (fun c -> not (rational c)))
 
 (* A row evaluates [d], and [e] only where [d] is not 0; a quotient may
    overflow, so the rows are tested in order.  Where [e] raised on a
@@ -288,12 +320,3 @@ let along asm v e test =
     | _ -> fun r _ -> f r
   in
   over_rows b (fun r -> match range r with None -> false | Some (lo, hi) -> test lo hi (at r))
-
-let constant_in asm v e =
-  (not (Expr.mem_var v e))
-  || decided (fun () ->
-         along asm v e (fun lo hi at ->
-             let reference = at lo in
-             let steps = min 4 (hi - lo) in
-             let rec check k = k > steps || (Qnum.equal (at (lo + k)) reference && check (k + 1)) in
-             check 1))

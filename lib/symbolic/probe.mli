@@ -14,11 +14,19 @@
     Each assumption set's samples are drawn once per probe seed, by its
     compiled {!Assume.sampler}, into a bank of [int] rows; each operand
     is evaluated once per bank into a column of its values on those
-    rows.  A predicate is a loop over its operands' columns: the answer
-    is the one a loop evaluating the operands row by row would give,
+    rows.  The banks are this module's own table, the one memo of the
+    analysis (DESIGN.md section 14.3): domain-local, keyed by
+    {!Assume.hash} and {!Assume.equal}, at most 4096 banks of at most
+    256 columns, each keyed by the expression itself ({!Expr.digest},
+    {!Expr.equal}); a table that reaches its bound is dropped
+    wholesale and refills.  Bank lookups are the [probe.bank] cache
+    cell, column lookups the [probe.column] one.
+
+    A predicate is a loop over its operands' columns: the answer is the
+    one a loop evaluating the operands row by row would give,
     exceptions included (DESIGN.md section 16.4).  Queries the samples
     decide count in [probe.forall], and those they answer [true] in
-    [probe.affirmed]; column lookups are the [probe.column] cache cell.
+    [probe.affirmed].
 
     All functions answer [false] (or [None]) if evaluation fails at any
     sample (unbound variable, fractional [Pow2] exponent). *)
@@ -26,11 +34,15 @@
 val samples : int
 (** Number of sampled assignments per query: 64. *)
 
+val clear : unit -> unit
+(** Drop the calling domain's sample banks.  A fresh domain starts with
+    none. *)
+
 val with_seed : int -> (unit -> 'a) -> 'a
 (** Run [f] with the calling domain's probe stream seeded by [seed].
-    Entry and exit call {!Artifact.clear_all}, so no cached answer
-    derived under one probe seed survives into a run under another.  A
-    fresh domain starts from the default seed. *)
+    Entry and exit call {!clear}, so no answer derived under one probe
+    seed survives into a run under another.  A fresh domain starts from
+    the default seed. *)
 
 val sample : Assume.t -> int -> Env.t
 (** [sample asm i]: the [i]-th assignment of [asm]'s sample stream, as
@@ -52,16 +64,9 @@ val nonneg : Assume.t -> Expr.t -> bool
 val le : Assume.t -> Expr.t -> Expr.t -> bool
 val lt : Assume.t -> Expr.t -> Expr.t -> bool
 
-val integral : Assume.t -> Expr.t -> bool
-(** Whether the expression is integer-valued on every sample. *)
-
 val divides : Assume.t -> Expr.t -> Expr.t -> bool
 (** [divides asm d e]: is [e / d] an integer everywhere (and [d] never
     zero)? *)
-
-val constant_in : Assume.t -> string -> Expr.t -> bool
-(** Whether the value is independent of variable [v]: evaluates the
-    expression at multiple values of [v] with everything else fixed. *)
 
 (** {1 Loops for {!Range}}
 

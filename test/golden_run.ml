@@ -12,7 +12,7 @@ open Symbolic
 
 let pipeline (e : Codes.Registry.entry) ~h =
   Probe.with_seed 701 (fun () ->
-      Symbolic.Artifact.clear_all ();
+      Symbolic.Probe.clear ();
       Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h)
 
 let verdict = function

@@ -730,7 +730,7 @@ let sites_analyzed (prog : Types.program) =
 
 let test_one_ard_per_site () =
   let check name prog ~env ~h =
-    Artifact.clear_all ();
+    Probe.clear ();
     let before = ard_count () in
     ignore (Core.Pipeline.run prog ~env ~h);
     Alcotest.(check int) name (sites_analyzed prog) (Stdlib.( - ) (ard_count ()) before)

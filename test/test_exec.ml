@@ -11,7 +11,7 @@ open Symbolic
 let pipeline name ~h =
   let e = Codes.Registry.find name in
   Probe.with_seed 701 (fun () ->
-      Symbolic.Artifact.clear_all ();
+      Symbolic.Probe.clear ();
       Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h)
 
 let check_run name (t : Core.Pipeline.t) (r : Exec.Runner.result) =
@@ -115,7 +115,7 @@ let test_sweep_allocation () =
   let e = Codes.Registry.find "jacobi2d" in
   let t =
     Probe.with_seed 701 (fun () ->
-        Symbolic.Artifact.clear_all ();
+        Symbolic.Probe.clear ();
         Core.Pipeline.run e.program ~env:(e.env_of_size 8) ~h:2)
   in
   let w0 = Gc.minor_words () in

@@ -20,7 +20,7 @@ open Symbolic
 let snapshot name =
   let e = Codes.Registry.find name in
   Probe.with_seed 701 (fun () ->
-      Symbolic.Artifact.clear_all ();
+      Symbolic.Probe.clear ();
       let t =
         Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h:4
       in
@@ -48,7 +48,7 @@ let pp_exact ppf (r : Dsmsim.Exec.run) =
 let sim_snapshot name =
   let e = Codes.Registry.find name in
   Probe.with_seed 701 (fun () ->
-      Symbolic.Artifact.clear_all ();
+      Symbolic.Probe.clear ();
       let t =
         Core.Pipeline.run e.program ~env:(e.env_of_size e.default_size) ~h:4
       in

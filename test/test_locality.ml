@@ -358,7 +358,7 @@ let test_lcg_closed_form () =
       let e = Codes.Registry.find name in
       List.iter
         (fun size ->
-          Artifact.clear_all ();
+          Probe.clear ();
           Metrics.reset ();
           ignore (Lcg.build e.program ~env:(e.env_of_size size) ~h:2);
           let counters = (Metrics.snapshot ()).Metrics.counters in

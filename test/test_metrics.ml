@@ -233,34 +233,85 @@ let test_reset () =
   Alcotest.(check bool) "registration survives" true
     (List.mem_assoc "t.resettable" snap.counters)
 
-let test_clearers () =
-  (* every store self-registers, so a global clear empties this one *)
-  let store : int Symbolic.Artifact.store = Symbolic.Artifact.store "t.artifact" in
-  let k = Symbolic.Artifact.Key.int 1 in
-  Alcotest.(check int) "computed" 7 (Symbolic.Artifact.find store k (fun () -> 7));
-  Alcotest.(check int) "cached" 7 (Symbolic.Artifact.find store k (fun () -> 8));
-  Symbolic.Artifact.clear_all ();
-  Alcotest.(check int) "flushed by clear_all" 9
-    (Symbolic.Artifact.find store k (fun () -> 9))
+(* Probe bank lookups: one miss per bank built, one hit per bank
+   found. *)
+module Assume = Symbolic.Assume
 
-(* The one invalidation rule: [with_seed] drops every store on entry
-   and exit, so a value cached under one seed is recomputed under the
-   next and again once each scope exits. *)
+let bank_cell () = List.assoc "probe.bank" (M.snapshot ()).caches
+let bank_misses () = snd (bank_cell ())
+let use_bank asm = ignore (Symbolic.Probe.sample asm 0)
+let one_set () = Assume.of_list [ ("n", Assume.Int_range (1, 100)) ]
+
+(* A set's bank is built once and then found, until a clear drops it:
+   [Probe.clear], or [Artifact.clear_all], its alias. *)
+let test_clearers () =
+  let asm = one_set () in
+  Symbolic.Probe.clear ();
+  let before = bank_misses () in
+  let built () = bank_misses () - before in
+  use_bank asm;
+  use_bank asm;
+  Alcotest.(check int) "built once" 1 (built ());
+  Symbolic.Artifact.clear_all ();
+  use_bank asm;
+  use_bank asm;
+  Alcotest.(check int) "rebuilt after Artifact.clear_all" 2 (built ());
+  Symbolic.Probe.clear ();
+  use_bank asm;
+  Alcotest.(check int) "rebuilt after Probe.clear" 3 (built ())
+
+(* The one invalidation rule: [with_seed] drops every bank on entry
+   and exit, so a bank built under one seed is rebuilt under the next
+   and again once each scope exits. *)
 let test_reseed_recomputes () =
-  let store : int Symbolic.Artifact.store = Symbolic.Artifact.store "t.reseed" in
-  let computed = ref 0 in
-  let find () =
-    Symbolic.Artifact.find store (Symbolic.Artifact.Key.int 1) (fun () ->
-        incr computed;
-        !computed)
-  in
+  let asm = one_set () in
+  let before = bank_misses () in
+  let built () = bank_misses () - before in
   Symbolic.Probe.with_seed 1 (fun () ->
-      Alcotest.(check int) "computed inside with_seed a" 1 (find ());
-      Alcotest.(check int) "cached inside with_seed a" 1 (find ());
+      use_bank asm;
+      Alcotest.(check int) "built inside with_seed a" 1 (built ());
+      use_bank asm;
+      Alcotest.(check int) "found inside with_seed a" 1 (built ());
       Symbolic.Probe.with_seed 2 (fun () ->
-          Alcotest.(check int) "recomputed inside with_seed b" 2 (find ()));
-      Alcotest.(check int) "recomputed after with_seed b exits" 3 (find ()));
-  Alcotest.(check int) "recomputed after with_seed a exits" 4 (find ())
+          use_bank asm;
+          Alcotest.(check int) "rebuilt inside with_seed b" 2 (built ()));
+      use_bank asm;
+      Alcotest.(check int) "rebuilt after with_seed b exits" 3 (built ()));
+  use_bank asm;
+  Alcotest.(check int) "rebuilt after with_seed a exits" 4 (built ())
+
+(* Banks are keyed by the declarations, not by the set's record: two
+   sets built apart with equal declarations share one bank, and a set
+   that differs in one [Expr_range] bound has a bank and a hash of its
+   own. *)
+let test_equal_sets_share () =
+  let open Symbolic in
+  let set hi =
+    Assume.of_list
+      [
+        ("p", Assume.Int_range (1, 6));
+        ("P", Assume.Pow2_of "p");
+        ("j", Assume.Expr_range (Expr.zero, Expr.sub (Expr.var "P") (Expr.int hi)));
+      ]
+  in
+  let a = set 1 and b = set 1 and c = set 2 in
+  Alcotest.(check bool) "physically distinct" false (a == b);
+  Alcotest.(check int) "equal hashes" (Assume.hash a) (Assume.hash b);
+  Alcotest.(check bool) "a bound moves the hash" true (Assume.hash a <> Assume.hash c);
+  Probe.clear ();
+  let hits0, misses0 = bank_cell () in
+  let count () =
+    let hits, misses = bank_cell () in
+    (hits - hits0, misses - misses0)
+  in
+  use_bank a;
+  use_bank b;
+  use_bank b;
+  Alcotest.(check (pair int int)) "one bank, then hits" (2, 1) (count ());
+  Alcotest.(check bool) "same rows" true
+    (Env.bindings (Probe.sample a 5) = Env.bindings (Probe.sample b 5));
+  use_bank c;
+  Alcotest.(check int) "bound differs: own bank" 2 (snd (count ()))
 
 (* [--profile] shows this run only: a registered cell nothing touched
    is left out of the table but stays in the snapshot (and the JSON). *)
@@ -367,7 +418,7 @@ let test_absorb () =
    real hits - the acceptance bar for the --profile surface. *)
 let test_pipeline_populates_registry () =
   M.reset ();
-  Symbolic.Artifact.clear_all ();
+  Symbolic.Probe.clear ();
   let e = Codes.Registry.find "tfft2" in
   let env = e.env_of_size e.default_size in
   let t = Core.Pipeline.run e.program ~env ~h:4 in
@@ -396,9 +447,9 @@ let test_pipeline_populates_registry () =
     (List.assoc "exec.messages" snap.counters > 0);
   Alcotest.(check bool) "json valid" true (json_valid (M.to_json snap))
 
-(* Hits and misses summed over the probe bank's cache cells (the one
-   artifact store and its columns), read off a fresh snapshot. *)
-let store_totals () =
+(* Hits and misses summed over the probe bank's cache cells (the banks
+   and their columns), read off a fresh snapshot. *)
+let bank_totals () =
   List.fold_left
     (fun (h, m) (name, (hits, misses)) ->
       if List.mem name [ "probe.bank"; "probe.column" ] then (h + hits, m + misses)
@@ -411,12 +462,12 @@ let store_totals () =
    second run in the same environment is answered from the probe bank
    (the cold run misses and fills it, the warm run adds hits) and
    renders a byte-identical report. *)
-let test_warm_run_hits_artifact_stores () =
+let test_warm_run_hits_banks () =
   Symbolic.Probe.with_seed 2026 @@ fun () ->
   List.iter
     (fun (e : Codes.Registry.entry) ->
       M.reset ();
-      Symbolic.Artifact.clear_all ();
+      Symbolic.Probe.clear ();
       let env = e.env_of_size (min e.default_size 6) in
       let once () =
         let t = Core.Pipeline.run e.program ~env ~h:4 in
@@ -426,11 +477,11 @@ let test_warm_run_hits_artifact_stores () =
         Format.asprintf "%a" Core.Pipeline.report t
       in
       let cold = once () in
-      let cold_hits, cold_misses = store_totals () in
-      Alcotest.(check bool) (e.name ^ ": stores populated") true (cold_misses > 0);
+      let cold_hits, cold_misses = bank_totals () in
+      Alcotest.(check bool) (e.name ^ ": banks populated") true (cold_misses > 0);
       Alcotest.(check string) (e.name ^ ": warm report") cold (once ());
-      let warm_hits, _ = store_totals () in
-      Alcotest.(check bool) (e.name ^ ": warm run hit the stores") true (warm_hits > cold_hits))
+      let warm_hits, _ = bank_totals () in
+      Alcotest.(check bool) (e.name ^ ": warm run hit the banks") true (warm_hits > cold_hits))
     Codes.Registry.all
 
 (* The registry holds no cells of the removed analysis daemon, of
@@ -476,10 +527,11 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "clearers" `Quick test_clearers;
           Alcotest.test_case "re-seed recomputes" `Quick test_reseed_recomputes;
+          Alcotest.test_case "equal sets share a bank" `Quick test_equal_sets_share;
           Alcotest.test_case "table skips untouched cells" `Quick
             test_table_skips_untouched;
           Alcotest.test_case "warm artifact hits" `Quick
-            test_warm_run_hits_artifact_stores;
+            test_warm_run_hits_banks;
           Alcotest.test_case "no daemon cells" `Quick test_no_daemon_cells;
         ] );
       ( "json",

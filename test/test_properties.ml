@@ -202,10 +202,10 @@ let prop_homogenize_union =
                   = List.sort_uniq compare
                       (oracle prog 0 ~par:None @ oracle prog 1 ~par:None))))
 
-(* Memo coherence: flushing every cache must not change any answer - a
-   cold run, a warm run reading the first run's stores, and a second
+(* Memo coherence: dropping the probe banks must not change any answer
+   - a cold run, a warm run reading the first run's banks, and a second
    cold run agree.  All three share one probe scope, since
-   [Probe.with_seed] clears every store on entry and exit. *)
+   [Probe.with_seed] drops every bank on entry and exit. *)
 let prop_memo_coherence =
   QCheck.Test.make ~name:"cold and warm caches give identical results" ~count
     arb_affine (fun prog ->
@@ -216,7 +216,7 @@ let prop_memo_coherence =
       Probe.with_seed 506 (fun () ->
           let cold = compute () in
           let warm = compute () in
-          Symbolic.Artifact.clear_all ();
+          Symbolic.Probe.clear ();
           let cold2 = compute () in
           cold = warm && cold = cold2))
 
@@ -321,9 +321,9 @@ let prop_intern_reset_coherent =
       && Expr.compare b a2 = order)
 
 (* Dedicated cold-vs-warm run over the full pipeline: the first run
-   starts from empty artifact stores, the second answers from the warm
-   stores the first left in the same probe scope ([Probe.with_seed]
-   clears every store on entry and exit) - the rendered reports must be
+   starts from empty probe banks, the second answers from the warm
+   banks the first left in the same probe scope ([Probe.with_seed]
+   drops every bank on entry and exit) - the rendered reports must be
    byte-identical. *)
 let report_of_cold_warm t = Format.asprintf "%a" Core.Pipeline.report t
 

@@ -231,18 +231,27 @@ let test_probe_sign_div () =
         (Probe.sign tfft2_assume ((v "J" * p2 (v "L" - i 1)) + i 1));
       Alcotest.(check bool) "K bound lt P" true
         (Probe.lt tfft2_assume (v "K") (v "P"));
-      (* P * 2^-L is integral over the domain (L <= p) *)
-      Alcotest.(check bool) "P*2^-L integral" true
-        (Probe.integral tfft2_assume (v "P" * p2 (i 0 - v "L")));
       Alcotest.(check bool) "2^(L-1) divides P/2... i.e. P/2 multiple" true
         (Probe.divides tfft2_assume (p2 (v "L" - i 1)) (v "P" * p2 (i 0 - v "L") * p2 (v "L" - i 1))))
+
+(* Whether [e] is independent of [x] on every sample: [e] at up to
+   five values of [x] from the low end of its range, everything else
+   fixed, through [Probe.along]. *)
+let constant_in asm x e =
+  let open Stdlib in
+  (not (Expr.mem_var x e))
+  || Probe.along asm x e (fun lo hi at ->
+         let reference = at lo in
+         let steps = min 4 (hi - lo) in
+         let rec check k = k > steps || (Qnum.equal (at (lo + k)) reference && check (k + 1)) in
+         check 1)
 
 let test_probe_constant_in () =
   Probe.with_seed 44 (fun () ->
       Alcotest.(check bool) "P/2 - 1 constant in L" true
-        (Probe.constant_in tfft2_assume "L" ((v "P" / i 2) - i 1));
+        (constant_in tfft2_assume "L" ((v "P" / i 2) - i 1));
       Alcotest.(check bool) "2^L not constant in L" false
-        (Probe.constant_in tfft2_assume "L" (p2 (v "L"))))
+        (constant_in tfft2_assume "L" (p2 (v "L"))))
 
 (* ------------------------------------------------------------------ *)
 (* Range *)
@@ -385,7 +394,6 @@ let intern_specimen () =
 let test_intern_sharing () =
   let a = intern_specimen () and b = intern_specimen () in
   Alcotest.(check bool) "physically shared" true (a == b);
-  Alcotest.(check int) "same id" (Expr.id a) (Expr.id b);
   Alcotest.(check int) "same digest" (Expr.digest a) (Expr.digest b);
   Alcotest.(check bool) "intern table non-empty" true
     (Expr.intern_size () > 0)
@@ -398,7 +406,6 @@ let test_intern_reset () =
     (Expr.intern_size () < size_before);
   let b = intern_specimen () in
   Alcotest.(check bool) "fresh record after reset" true (not (a == b));
-  Alcotest.(check bool) "ids never reused" true (Expr.id b > Expr.id a);
   (* identity survives the generation boundary *)
   Alcotest.(check bool) "equal across generations" true (Expr.equal a b);
   Alcotest.(check int) "compare 0 across generations" 0 (Expr.compare a b);
@@ -636,7 +643,6 @@ module Bank_check = struct
     nonneg : Assume.t -> Expr.t -> bool;
     le : Assume.t -> Expr.t -> Expr.t -> bool;
     lt : Assume.t -> Expr.t -> Expr.t -> bool;
-    integral : Assume.t -> Expr.t -> bool;
     divides : Assume.t -> Expr.t -> Expr.t -> bool;
     constant_in : Assume.t -> string -> Expr.t -> bool;
   }
@@ -650,9 +656,8 @@ module Bank_check = struct
       nonneg = Probe.nonneg;
       le = Probe.le;
       lt = Probe.lt;
-      integral = Probe.integral;
       divides = Probe.divides;
-      constant_in = Probe.constant_in;
+      constant_in;
     }
 
   (* The predicates over an environment-level [forall], as written
@@ -680,7 +685,6 @@ module Bank_check = struct
       nonneg;
       le = (fun asm a b -> nonneg asm (Expr.sub b a));
       lt = (fun asm a b -> forall asm (fun env -> Qnum.compare (ev env a) (ev env b) < 0));
-      integral = (fun asm e -> forall asm (fun env -> Qnum.is_integer (ev env e)));
       divides =
         (fun asm d e ->
           forall asm (fun env ->
@@ -770,7 +774,6 @@ module Bank_check = struct
       bool (fun () -> p.equal asm a b);
       bool (fun () -> p.nonneg asm a);
       bool (fun () -> p.le asm a b);
-      bool (fun () -> p.integral asm b);
       bool (fun () -> p.divides asm a b);
       bool (fun () -> p.is_zero asm a);
       sign a;
